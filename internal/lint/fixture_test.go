@@ -24,7 +24,8 @@ type Time struct{}
 type Duration int64
 func Now() Time
 func Since(t Time) Duration
-func Until(t Time) Duration`,
+func Until(t Time) Duration
+func Sleep(d Duration)`,
 
 	"math/rand": `package rand
 type Source interface{ Int63() int64 }
@@ -196,6 +197,11 @@ func TestSentinelFixtures(t *testing.T) {
 
 func TestLockCheckFixtures(t *testing.T) {
 	runFixture(t, LockCheck, filepath.Join("testdata", "src", "lockcheck"), "distredge/internal/fixture/lc")
+}
+
+func TestBareSleepFixtures(t *testing.T) {
+	runFixture(t, BareSleep, filepath.Join("testdata", "src", "baresleep"), "distredge/internal/transport")
+	runFixture(t, BareSleep, filepath.Join("testdata", "src", "baresleep_runtime"), "distredge/internal/runtime")
 }
 
 func TestByName(t *testing.T) {

@@ -25,6 +25,10 @@
 //	  the named constants from the sentinels.go files.
 //	lockcheck   — for struct fields annotated `guarded by <mu>`, flags
 //	  accesses from methods of the struct that do not hold the lock.
+//	baresleep   — flags relative time.Sleep in the non-test files of the
+//	  runtime and transport packages outside the absolute-deadline helper:
+//	  emulated waits follow an ideal schedule, so timer overshoot is repaid
+//	  instead of accumulating along the pipeline.
 //
 // A diagnostic can be suppressed with a justified directive on the same
 // line or the line above:
@@ -84,7 +88,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, PayloadOwn, Sentinel, LockCheck}
+	return []*Analyzer{Determinism, PayloadOwn, Sentinel, LockCheck, BareSleep}
 }
 
 // ByName resolves a comma-separated analyzer list; unknown names error.

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -29,13 +30,36 @@ type outMsg struct {
 	ch   Chunk
 }
 
+// instant is a point on the process's monotonic clock, in nanoseconds since
+// clockEpoch. Assembly keeps one per arrived chunk and one per ready step; as
+// time.Time (which carries a *Location) they made every arrival-map bucket
+// and ready slice memory the collector scans, and deliver cost 28 % more CPU
+// per image on wire-small.
+type instant int64
+
+var clockEpoch = time.Now()
+
+func instantOf(t time.Time) instant { return instant(t.Sub(clockEpoch)) }
+func (i instant) time() time.Time   { return clockEpoch.Add(time.Duration(i)) }
+
+// inMsg is a received chunk with its ideal ready time: the receive stamp
+// back-dated by the chunk's Lag. The stamp is taken as the chunk leaves the
+// wire, so the hops from there to the compute thread run inside the device's
+// sleep to its absolute deadline whenever the step costs more than they take.
+type inMsg struct {
+	ch    Chunk
+	ready instant
+}
+
 // workItem identifies one ready step of one image — the unit the compute
-// thread consumes. The explicit struct replaces the seed's packed
-// `img<<16 | step` token, which silently corrupted for plans with 2^16 or
-// more steps.
+// thread consumes — and when it became ready on the ideal schedule: the
+// latest back-dated arrival among the chunks the step needs. The explicit
+// struct replaces the seed's packed `img<<16 | step` token, which silently
+// corrupted for plans with 2^16 or more steps.
 type workItem struct {
-	img  uint32
-	step int
+	img   uint32
+	step  int
+	ready instant
 }
 
 // workQueue is an unbounded FIFO of ready steps. Enqueueing never blocks,
@@ -123,12 +147,12 @@ func (q *workQueue) close() {
 }
 
 // imageState is one in-flight image's assembly state on a provider: which
-// chunks have arrived and which steps have already been handed to the
-// compute thread. The explicit scheduled set replaces the seed's
-// chunkKey{-100, si, 0} sentinel, which collided with a legitimate volume
-// id of -100.
+// chunks have arrived (and when, back-dated by their Lag) and which steps
+// have already been handed to the compute thread. The explicit scheduled
+// set replaces the seed's chunkKey{-100, si, 0} sentinel, which collided
+// with a legitimate volume id of -100.
 type imageState struct {
-	arrived   map[chunkKey]bool
+	arrived   map[chunkKey]instant
 	scheduled []bool // indexed by step
 }
 
@@ -145,7 +169,7 @@ type Provider struct {
 	peerAddrs map[int]string         // guarded by peerMu
 	peerMu    sync.Mutex
 
-	inbox  chan Chunk
+	inbox  chan inMsg
 	work   *workQueue
 	outbox chan outMsg
 
@@ -177,7 +201,7 @@ func newProvider(plan ProviderPlan, epoch int, hb time.Duration, batch int, fail
 		ln:        ln,
 		peers:     make(map[int]transport.Conn),
 		peerAddrs: make(map[int]string),
-		inbox:     make(chan Chunk, 256),
+		inbox:     make(chan inMsg, 256),
 		work:      newWorkQueue(),
 		outbox:    make(chan outMsg, 256),
 		images:    make(map[uint32]*imageState),
@@ -251,7 +275,7 @@ func (p *Provider) acceptLoop() {
 					return
 				}
 				select {
-				case p.inbox <- ch:
+				case p.inbox <- inMsg{ch: ch, ready: instantOf(time.Now().Add(-ch.Lag))}:
 				case <-p.done:
 					c.Close()
 					return
@@ -269,20 +293,22 @@ func (p *Provider) recvLoop() {
 		select {
 		case <-p.done:
 			return
-		case ch := <-p.inbox:
+		case in := <-p.inbox:
 			p.rec.addReceived()
-			p.deliver(ch)
+			p.deliver(in.ch, in.ready)
 			// Assembly only records arrival coordinates; the payload is
 			// dead once delivered and goes back to the transport's pool.
-			transport.RecyclePayload(p.tr, ch.Payload)
+			transport.RecyclePayload(p.tr, in.ch.Payload)
 		}
 	}
 }
 
-// deliver marks a chunk arrived and schedules ready steps. It never blocks
-// (the ready queue is unbounded), so it is safe to call from both the
-// receive thread and — for self-routed chunks — the compute thread.
-func (p *Provider) deliver(ch Chunk) {
+// deliver marks a chunk arrived at its ideal ready time and schedules the
+// steps it completes, each ready at the latest such time among its needs.
+// It never blocks (the ready queue is unbounded), so it is safe to call
+// from both the receive thread and — for self-routed chunks — the compute
+// thread.
+func (p *Provider) deliver(ch Chunk, at instant) {
 	p.mu.Lock()
 	img := ch.Image
 	if img < p.minImg {
@@ -295,14 +321,14 @@ func (p *Provider) deliver(ch Chunk) {
 	st, ok := p.images[img]
 	if !ok {
 		st = &imageState{
-			arrived:   make(map[chunkKey]bool),
+			arrived:   make(map[chunkKey]instant),
 			scheduled: make([]bool, len(p.plan.Steps)),
 		}
 		p.images[img] = st
 	}
-	st.arrived[chunkKey{int(ch.Volume), int(ch.Lo), int(ch.Hi)}] = true
+	st.arrived[chunkKey{int(ch.Volume), int(ch.Lo), int(ch.Hi)}] = at
 
-	var ready []int
+	var ready []workItem
 	for si := range p.plan.Steps {
 		if st.scheduled[si] {
 			continue
@@ -312,20 +338,23 @@ func (p *Provider) deliver(ch Chunk) {
 			continue
 		}
 		all := true
+		latest := instant(math.MinInt64)
 		for _, need := range needs {
-			if !st.arrived[chunkKey{need.Volume, need.Lo, need.Hi}] {
+			t, ok := st.arrived[chunkKey{need.Volume, need.Lo, need.Hi}]
+			if !ok {
 				all = false
 				break
 			}
+			latest = max(latest, t)
 		}
 		if all {
 			st.scheduled[si] = true
-			ready = append(ready, si)
+			ready = append(ready, workItem{img: img, step: si, ready: latest})
 		}
 	}
 	p.mu.Unlock()
-	for _, si := range ready {
-		p.work.push(workItem{img: img, step: si})
+	for _, w := range ready {
+		p.work.push(w)
 	}
 }
 
@@ -335,8 +364,18 @@ func (p *Provider) deliver(ch Chunk) {
 // that queued while it was busy into one invocation charged the sublinear
 // sim.BatchedComputeSec cost; outputs are still emitted per image, so
 // everything downstream of the compute thread is oblivious to batching.
+//
+// The device is paced on its ideal schedule (transport.Pacer): a step starts
+// when its inputs were ideally ready and the device ideally free, and the
+// thread sleeps to the absolute end. However late it is running when it wakes
+// rides on the output chunks as Lag for the next link or device to absorb; a
+// self-routed chunk never leaves the thread, so it is delivered at the ideal
+// end itself. The device is ideally free at that end too: what the thread
+// does after waking (filling and queueing the outputs) does not push a step
+// that is already waiting back, its sleep absorbs it.
 func (p *Provider) computeLoop() {
 	defer p.wg.Done()
+	var device transport.Pacer
 	batch := make([]workItem, 0, p.batch)
 	for {
 		w, ok := p.work.pop()
@@ -353,9 +392,11 @@ func (p *Provider) computeLoop() {
 		if len(batch) > 1 {
 			cost = sim.BatchedComputeSec(st.ComputeSec, len(batch))
 		}
-		if cost > 0 {
-			time.Sleep(time.Duration(cost * float64(time.Second)))
+		ready := w.ready // a batch starts once its last member is ready
+		for _, b := range batch[1:] {
+			ready = max(ready, b.ready)
 		}
+		end, lag := device.Charge(ready.time(), time.Duration(cost*float64(time.Second)))
 		p.rec.addComputeBatch(cost, len(batch))
 		for _, w := range batch {
 			for _, r := range st.Routes {
@@ -364,13 +405,14 @@ func (p *Provider) computeLoop() {
 					Volume:  int32(st.Volume),
 					Lo:      int32(r.Lo),
 					Hi:      int32(r.Hi),
+					Lag:     lag,
 					Payload: transport.GetPayload(p.tr, (r.Hi-r.Lo)*st.RowBytes),
 				}
 				fillActivation(ch.Payload, ch.Image^uint32(st.Volume)<<8^uint32(r.Lo)<<16)
 				if r.Dest == p.plan.Index {
 					// Self-routes never touch the wire; recycle the payload
 					// directly once assembly has recorded it.
-					p.deliver(ch)
+					p.deliver(ch, instantOf(end))
 					transport.RecyclePayload(p.tr, ch.Payload)
 					continue
 				}

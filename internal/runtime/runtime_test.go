@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"os"
+	"sort"
 	"testing"
 
 	"distredge/internal/cnn"
@@ -157,29 +158,81 @@ func TestClusterRunsImages(t *testing.T) {
 	}
 }
 
+// lowerQuartile is the nearest-rank lower quartile of a run's per-image
+// latencies — how these tests read a latency off the runtime and, where the
+// prediction varies by image, off the sim. What the host adds to an image
+// (a 60 ms stall, a quarter second of late timers: one test run in a few
+// hundred meets one) it only ever adds, so the low end of the run is the
+// emulator's own figure; the repo benchmark reports timings the same way.
+func lowerQuartile(perImage []float64) float64 {
+	xs := append([]float64(nil), perImage...)
+	sort.Float64s(xs)
+	return xs[max(int(0.25*float64(len(xs))+0.5), 1)-1]
+}
+
 func TestClusterSlowDeviceShowsInLatency(t *testing.T) {
 	// The same strategy on a fleet with an (emulated) slower device must be
-	// slower end-to-end — the sleep emulation is really on the path.
+	// slower end-to-end — the sleep emulation is really on the path — and by
+	// the factor the simulator predicts. At this time scale every compute
+	// step and transfer is shorter than the host's ~1 ms timer tick; with
+	// relative sleeps both fleets rounded to the same ticks and the order
+	// itself failed one run in five.
 	fast := testEnv(device.Xavier, device.Xavier)
 	slow := testEnv(device.Nano, device.Nano)
 	bound := []int{0, 10, 14, 18}
+	const timeScale, bytesScale = 0.02, 0.001
 
+	// Per-image wall latency over the env's links, charged as the sim charges
+	// them; the links are constant, so the sim predicts one latency for
+	// every image.
 	run := func(env *sim.Env) float64 {
-		opts := Options{TimeScale: 0.02, BytesScale: 0.001, Batch: 1, Transport: testTransport()}
-		s := equalStrategy(env, bound)
-		cl, err := Deploy(env, s, opts)
+		opts := Options{
+			TimeScale:         timeScale,
+			BytesScale:        bytesScale,
+			Batch:             1,
+			HeartbeatInterval: -1, // charged links must not delay liveness
+			Transport:         transport.NewShaped(testTransport(), env.Net, timeScale, bytesScale, 0),
+		}
+		cl, err := Deploy(env, equalStrategy(env, bound), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		st, err := cl.Run(3)
+		st, err := cl.Run(9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.TotalSec
+		return lowerQuartile(st.PerImageMS) / 1e3
 	}
-	if f, s := run(fast), run(slow); s <= f {
-		t.Errorf("slow fleet (%gs) not slower than fast fleet (%gs)", s, f)
+	predict := func(env *sim.Env) float64 {
+		res, err := env.PipelineStream(equalStrategy(env, bound), 9, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.P50LatMS / 1e3 * timeScale
+	}
+	// What lag compensation leaves outside the sim's account is the last
+	// stage's timer overshoot (nothing to one tick, ~1.2 ms) and the real
+	// hand-offs no sleep absorbs (measured 0.1-1.1 ms on the fast fleet,
+	// 0.1-0.9 ms on the slow one). Each fleet must land between the sim's
+	// latency and that much above it, which holds the slow-to-fast ratio
+	// within [1.40, 3.86] around the sim's 2.83 (measured 1.7-3.2).
+	const residual = 1.5e-3
+	pf, ps := predict(fast), predict(slow)
+	f, s := run(fast), run(slow)
+	t.Logf("wall latency: fast %.2f ms (sim %.2f), slow %.2f ms (sim %.2f); ratio %.2f, sim %.2f",
+		f*1e3, pf*1e3, s*1e3, ps*1e3, s/f, ps/pf)
+	if s <= f {
+		t.Errorf("slow fleet (%.2f ms) not slower than fast fleet (%.2f ms)", s*1e3, f*1e3)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{{"fast", f, pf}, {"slow", s, ps}} {
+		if c.got < 0.98*c.want || c.got > c.want+residual {
+			t.Errorf("%s fleet: %.2f ms per image, want the sim's %.2f ms plus at most %.1f ms",
+				c.name, c.got*1e3, c.want*1e3, residual*1e3)
+		}
 	}
 }
 

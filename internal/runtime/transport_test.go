@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -163,18 +164,27 @@ func TestShapedInprocReproducesSimOnDynamicTrace(t *testing.T) {
 	}
 	// The trace must have been charged: with transfers free the same run is
 	// far faster. (This is exactly why the localhost-TCP runtime could
-	// never reproduce a transfer-sensitive sim prediction.)
-	if seqRt.TotalSec <= 1.3*plainRt.TotalSec {
-		t.Errorf("shaped run (%.2fs) is not measurably slower than the free-wire run (%.2fs) — trace latency not charged",
-			seqRt.TotalSec, plainRt.TotalSec)
+	// never reproduce a transfer-sensitive sim prediction.) Image against
+	// image: one 0.3 s stall of the host in the 0.06 s free-wire run, two
+	// runs in 300, inverted the totals.
+	if seq, plain := lowerQuartile(seqRt.PerImageMS), lowerQuartile(plainRt.PerImageMS); seq <= 1.3*plain {
+		t.Errorf("shaped image (%.1fms) is not measurably slower than the free-wire image (%.1fms) — trace latency not charged",
+			seq, plain)
 	}
 	// Fidelity of magnitude, not just ordering: the shaped runtime's
-	// sequential per-image latency, mapped back to model time, should be
-	// within 2x of the simulator's prediction.
-	rtModelLatMS := seqRt.MeanLatMS() / timeScale
-	if rtModelLatMS < 0.5*seqSim.MeanLatMS || rtModelLatMS > 2*seqSim.MeanLatMS {
-		t.Errorf("shaped runtime latency %.0fms (model time) outside 2x of sim prediction %.0fms",
-			rtModelLatMS, seqSim.MeanLatMS)
+	// sequential per-image latency, mapped back to model time, against the
+	// simulator streaming the same number of images (the trace moves, so a
+	// longer stream averages a different stretch of it). Measured 356-365 ms
+	// against the sim's 368 (about 480 ms while every stage's timer overshoot
+	// still accumulated).
+	sameSim, err := env.PipelineStream(s, images, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtModelLatMS, simLatMS := lowerQuartile(seqRt.PerImageMS)/timeScale, lowerQuartile(sameSim.PerImageSec)*1e3
+	if math.Abs(rtModelLatMS-simLatMS) > 0.1*simLatMS {
+		t.Errorf("shaped runtime latency %.0fms (model time) not within 10%% of sim prediction %.0fms",
+			rtModelLatMS, simLatMS)
 	}
 }
 

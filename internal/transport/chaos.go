@@ -145,6 +145,7 @@ func (c *chaosConn) Send(m Message) error {
 			return nil // lost on the wire; the sender cannot tell
 		}
 		if delay > 0 {
+			//distlint:allow baresleep -- an injected fault, not emulated work: the delay is meant to land on the critical path unrepaid
 			time.Sleep(delay)
 		}
 	}

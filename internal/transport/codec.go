@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"time"
 )
 
 // Codec turns a byte stream into a Message stream. Encoders and decoders
@@ -55,23 +56,28 @@ func (e gobEncoder) Encode(m *Message) error { return e.enc.Encode(m) }
 
 type gobDecoder struct{ dec *gob.Decoder }
 
-func (d gobDecoder) Decode(m *Message) error { return d.dec.Decode(m) }
+func (d gobDecoder) Decode(m *Message) error {
+	err := d.dec.Decode(m)
+	m.Lag = clampLag(m.Lag)
+	return err
+}
 
 // ---------------------------------------------------------------------------
 // Binary: the hot-path chunk format. Data chunks — the float32 row payloads
-// that dominate wire traffic — travel as a fixed 21-byte little-endian
-// header (image, volume, lo, hi, payload length) followed by the raw
+// that dominate wire traffic — travel as a fixed 25-byte little-endian
+// header (image, volume, lo, hi, lag, payload length) followed by the raw
 // payload, so encoding is two buffered writes and decoding is two
-// io.ReadFulls with zero reflection. Control messages (Volume < -1:
-// heartbeats and future verbs) stay on gob inside a length-prefixed frame,
-// keeping them free to grow fields the fixed header cannot carry. A one-byte
-// tag distinguishes the two frame kinds.
+// io.ReadFulls with zero reflection. Lag crosses as unsigned nanoseconds,
+// saturated at MaxLag by the encoder and clamped again by the decoder.
+// Control messages (Volume < -1: heartbeats and future verbs) stay on gob
+// inside a length-prefixed frame, keeping them free to grow fields the fixed
+// header cannot carry. A one-byte tag distinguishes the two frame kinds.
 
 const (
 	tagChunk   = 0x01
 	tagControl = 0x02
 
-	chunkHeaderLen = 1 + 4 + 4 + 4 + 4 + 4 // tag + image + volume + lo + hi + len
+	chunkHeaderLen = 1 + 4 + 4 + 4 + 4 + 4 + 4 // tag + image + volume + lo + hi + lag + len
 
 	// maxFrame bounds a decoded payload or control frame so a corrupt
 	// stream cannot request an absurd allocation.
@@ -98,20 +104,36 @@ func (binaryCodec) NewPooledDecoder(r io.Reader, pool *Pool) Decoder {
 	return &binaryDecoder{r: r, pool: pool}
 }
 
+// controlFrame is what a control message gobs as: a Message without Lag.
+// Schedule debt only means something on a data chunk, and every control
+// frame carries its own gob type descriptor, so a field there is paid for
+// again on each heartbeat. Gob matches fields by name; the decoder reads
+// the frame straight into a Message.
+type controlFrame struct {
+	Image   uint32
+	Volume  int32
+	Lo, Hi  int32
+	Payload []byte
+}
+
 type binaryEncoder struct {
 	w    io.Writer
 	hdr  [chunkHeaderLen]byte
 	ctrl bytes.Buffer
+	cf   controlFrame // what ctrl is gobbed from; here so it does not escape per frame
 }
 
 func (e *binaryEncoder) Encode(m *Message) error {
 	if m.control() {
-		// Control path: gob the whole message into a tagged,
-		// length-prefixed frame. A fresh gob encoder per frame keeps the
-		// frame self-describing (no cross-frame stream state); control
-		// traffic is a few beats per second, so the cost is irrelevant.
+		// Control path: gob the message into a tagged, length-prefixed
+		// frame. A fresh gob encoder per frame keeps the frame
+		// self-describing (no cross-frame stream state); control traffic
+		// is a few beats per second, so the cost is irrelevant.
 		e.ctrl.Reset()
-		if err := gob.NewEncoder(&e.ctrl).Encode(m); err != nil {
+		e.cf = controlFrame{Image: m.Image, Volume: m.Volume, Lo: m.Lo, Hi: m.Hi, Payload: m.Payload}
+		err := gob.NewEncoder(&e.ctrl).Encode(&e.cf)
+		e.cf.Payload = nil // the caller's buffer is not the encoder's to keep
+		if err != nil {
 			return err
 		}
 		e.hdr[0] = tagControl
@@ -119,7 +141,7 @@ func (e *binaryEncoder) Encode(m *Message) error {
 		if _, err := e.w.Write(e.hdr[:5]); err != nil {
 			return err
 		}
-		_, err := e.w.Write(e.ctrl.Bytes())
+		_, err = e.w.Write(e.ctrl.Bytes())
 		return err
 	}
 	e.hdr[0] = tagChunk
@@ -127,7 +149,8 @@ func (e *binaryEncoder) Encode(m *Message) error {
 	binary.LittleEndian.PutUint32(e.hdr[5:9], uint32(m.Volume))
 	binary.LittleEndian.PutUint32(e.hdr[9:13], uint32(m.Lo))
 	binary.LittleEndian.PutUint32(e.hdr[13:17], uint32(m.Hi))
-	binary.LittleEndian.PutUint32(e.hdr[17:21], uint32(len(m.Payload)))
+	binary.LittleEndian.PutUint32(e.hdr[17:21], uint32(clampLag(m.Lag)))
+	binary.LittleEndian.PutUint32(e.hdr[21:25], uint32(len(m.Payload)))
 	if _, err := e.w.Write(e.hdr[:]); err != nil {
 		return err
 	}
@@ -161,6 +184,7 @@ func (d *binaryDecoder) Decode(m *Message) error {
 		if _, err := io.ReadFull(d.r, buf); err != nil {
 			return err
 		}
+		m.Lag = 0 // not in the frame; m may be a reused message
 		return gob.NewDecoder(bytes.NewReader(buf)).Decode(m)
 	case tagChunk:
 		if _, err := io.ReadFull(d.r, d.hdr[1:]); err != nil {
@@ -170,7 +194,8 @@ func (d *binaryDecoder) Decode(m *Message) error {
 		m.Volume = int32(binary.LittleEndian.Uint32(d.hdr[5:9]))
 		m.Lo = int32(binary.LittleEndian.Uint32(d.hdr[9:13]))
 		m.Hi = int32(binary.LittleEndian.Uint32(d.hdr[13:17]))
-		n := binary.LittleEndian.Uint32(d.hdr[17:21])
+		m.Lag = clampLag(time.Duration(binary.LittleEndian.Uint32(d.hdr[17:21])))
+		n := binary.LittleEndian.Uint32(d.hdr[21:25])
 		if n > maxFrame {
 			return fmt.Errorf("transport: chunk payload of %d bytes exceeds limit", n)
 		}

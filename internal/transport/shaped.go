@@ -148,6 +148,7 @@ type shapedConn struct {
 	t        *Shaped
 	from, to int
 	mu       sync.Mutex
+	link     Pacer // guarded by mu; the directed link's ideal schedule
 
 	// Post-codec sizing state (ChargePostCodec only): a per-conn encoder —
 	// codecs are stateful per stream — writing into a byte counter.
@@ -155,8 +156,17 @@ type shapedConn struct {
 	counter *countWriter
 }
 
+// Send charges the payload's transfer to the link and forwards the message
+// with its Lag replaced by the link's own: the payload was ideally ready
+// m.Lag before it got here, the transfer ideally ends one latency after the
+// later of that and the previous transfer's ideal end, and however late the
+// sleep to that end wakes is the debt the receiver repays.
 func (c *shapedConn) Send(m Message) error {
 	if len(m.Payload) > 0 {
+		// Stamped before queueing on the link lock: the wait behind the
+		// previous transfer contains that transfer's timer overshoot, which
+		// the pacer's ideal busy-until already leaves out.
+		ready := time.Now().Add(-m.Lag)
 		c.mu.Lock()
 		wireBytes := float64(len(m.Payload))
 		if c.t.wireCodec != nil {
@@ -164,9 +174,7 @@ func (c *shapedConn) Send(m Message) error {
 		}
 		modelBytes := wireBytes / c.t.bytesScale
 		lat := c.t.net.TransferLatency(c.from, c.to, modelBytes, c.t.traceTime())
-		if lat > 0 {
-			time.Sleep(time.Duration(lat * c.t.timeScale * float64(time.Second)))
-		}
+		_, m.Lag = c.link.Charge(ready, time.Duration(lat*c.t.timeScale*float64(time.Second)))
 		c.mu.Unlock()
 	}
 	return c.Conn.Send(m)

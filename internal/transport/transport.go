@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Requester is the device index of the service requester, mirroring
@@ -28,11 +29,42 @@ const Requester = -1
 // (VolInput = the input image, more negative values are control messages
 // such as heartbeats; see sentinels.go) for one image. Payload carries the
 // activation bytes.
+//
+// Lag is the sender's schedule debt: how far past its ideal emulated finish
+// time the stage that produced the message was running when it woke and
+// handed the message on. It is a duration, not a timestamp, so it means the
+// same on any host's clock. The receiving stage back-dates the message's
+// ready time by it (ready = receive stamp - Lag) and sleeps to an absolute
+// deadline computed from that, so one stage's overshoot is absorbed by the
+// next stage's sleep instead of adding up along the pipeline.
+//
+// What a stage's sleep absorbs is therefore everything between its ready
+// stamp and the sleep — the inherited Lag, and the real work in between
+// (inbox and work-queue hops and assembly on a device; the link lock and
+// post-codec sizing on a link) — for as long as the stage costs more than
+// that; where it costs less, the remainder is handed on as its own Lag. What
+// no sleep absorbs is the time from a stage's wake to the next stage's
+// stamp: filling and queueing the output, the sender, the codec, the socket.
+// Lag is only meaningful on data chunks; control frames do not carry it.
+// Codecs carry it clamped to [0, MaxLag].
 type Message struct {
 	Image   uint32
 	Volume  int32
 	Lo, Hi  int32
+	Lag     time.Duration
 	Payload []byte
+}
+
+// MaxLag bounds the schedule debt a message can carry. Lag is input from
+// outside the process: an unbounded value would let a corrupt or hostile
+// peer cancel arbitrarily many emulated sleeps downstream. One second is
+// far above any timer overshoot and covers a host stall long enough to
+// trip the failure detector anyway.
+const MaxLag = time.Second
+
+// clampLag saturates d into [0, MaxLag].
+func clampLag(d time.Duration) time.Duration {
+	return max(0, min(d, MaxLag))
 }
 
 // control reports whether the message is a control message (heartbeats and
