@@ -313,7 +313,7 @@ func BenchmarkPipelineStream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := env.PipelineStream(s, 500, 4, 0)
+		res, err := env.PipelineStreamOpts(s, sim.PipelineConfig{Images: 500, Window: 4, Batch: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -673,7 +673,7 @@ func hotpathCell(spec string, size, senders, msgs int) (float64, error) {
 
 // fidelity cross-checks the simulator against the real runtime over a
 // {batch} x {codec} x {wire regime} grid: a fixed plan is evaluated with
-// sim.PipelineStreamOpts (matching batch cap, matching codec wire
+// sim.Serve (matching batch cap, matching codec wire
 // fraction) and deployed with that runtime.Options.Batch over a pooled
 // TCP stack carrying that codec. The default plan is the CoEdge baseline
 // (profile-guided, no training — planning noise would blur the

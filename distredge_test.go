@@ -233,6 +233,40 @@ func TestSaveLoadPlan(t *testing.T) {
 	}
 }
 
+// TestEvaluatePipelinedOptsBatch pins both readings of the batch argument:
+// 1 (or negative) is no batching, bit-identical to EvaluatePipelined, and 0
+// is the adaptive cap runtime.Options.Batch means by it — a cap no batch
+// can reach — which serves a queueing plan faster than no batching.
+func TestEvaluatePipelinedOptsBatch(t *testing.T) {
+	sys, err := New("vgg16", fourProviders(), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sys.Baseline("CoEdge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const images, window = 60, 4
+	eval := func(batch int) PipelineReport {
+		t.Helper()
+		rep, err := sys.EvaluatePipelinedOpts(plan, images, window, batch, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	plain, err := sys.EvaluatePipelined(plan, images, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eval(1) != plain || eval(-1) != plain {
+		t.Errorf("batch 1 / -1 must be EvaluatePipelined exactly: %+v / %+v vs %+v", eval(1), eval(-1), plain)
+	}
+	if adaptive := eval(0); adaptive != eval(images) || adaptive.IPS <= plain.IPS {
+		t.Errorf("batch 0 must be the adaptive cap: %+v, unreachable cap %+v, unbatched %+v", adaptive, eval(images), plain)
+	}
+}
+
 func TestEvaluateChurn(t *testing.T) {
 	sys, err := New("vgg16", fourProviders(), WithSeed(1))
 	if err != nil {

@@ -62,7 +62,7 @@ func heaviestProvider(env *sim.Env, s *strategy.Strategy) int {
 // and admission window: each case is planned once (DistrEdge pipeline),
 // then every (window, failure-fraction) cell drops the heaviest provider at
 // that point of the stream and compares recover-on against recover-off via
-// sim.ChurnStream with the profile-guided re-planner. Cases run on the
+// sim.Serve with the profile-guided re-planner. Cases run on the
 // budget's worker pool; rows are deterministic for any worker count.
 func FigChurnRecovery(b Budget, windows []int, fracs []float64) ([]ChurnRow, error) {
 	if len(windows) == 0 {
@@ -83,24 +83,27 @@ func FigChurnRecovery(b Budget, windows []int, fracs []float64) ([]ChurnRow, err
 		drop := heaviestProvider(env, planned)
 		var rows []ChurnRow
 		for _, w := range windows {
-			base, err := env.PipelineStream(planned, b.StreamImages, w, 0)
+			base, err := env.Serve(planned, pipelined(b.StreamImages, w))
 			if err != nil {
 				return fmt.Errorf("experiments: churn sweep %s w=%d: %w", spec.Name, w, err)
 			}
 			for _, frac := range fracs {
 				failAt := base.TotalSec * frac
 				events := []sim.ChurnEvent{{At: failAt, Kind: sim.DeviceDrop, Device: drop}}
-				on, err := env.ChurnStream(planned, b.StreamImages, w, 0, events, sim.ChurnOptions{
+				sc := pipelined(b.StreamImages, w)
+				sc.Events = events
+				off, err := env.Serve(planned, sc)
+				if err != nil {
+					return fmt.Errorf("experiments: churn sweep %s w=%d f=%.2f (off): %w", spec.Name, w, frac, err)
+				}
+				sc.ChurnOptions = sim.ChurnOptions{
 					Recover:   true,
 					ReplanSec: ChurnReplanChargeSec,
 					Replan:    splitter.BalancedReplan,
-				})
+				}
+				on, err := env.Serve(planned, sc)
 				if err != nil {
 					return fmt.Errorf("experiments: churn sweep %s w=%d f=%.2f (on): %w", spec.Name, w, frac, err)
-				}
-				off, err := env.ChurnStream(planned, b.StreamImages, w, 0, events, sim.ChurnOptions{})
-				if err != nil {
-					return fmt.Errorf("experiments: churn sweep %s w=%d f=%.2f (off): %w", spec.Name, w, frac, err)
 				}
 				horizon := on.TotalSec
 				if off.TotalSec > horizon {

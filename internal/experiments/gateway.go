@@ -33,7 +33,7 @@ func DefaultTenants() []sim.TenantSpec {
 
 // FigGateway sweeps the multi-tenant admission policies offline: for each
 // objective-sweep case it plans a strategy, replays every tenant's backlog
-// through sim.MultiStreamOpts under FIFO and weighted fair queueing, and
+// through sim.Serve under FIFO and weighted fair queueing, and
 // reports each tenant's enqueue-to-completion latency distribution —
 // the offline evidence that fair queueing buys the small tenant its p95
 // back at negligible cost to the heavy one, validated differentially on
@@ -59,9 +59,7 @@ func FigGateway(b Budget, tenants []sim.TenantSpec, window int, sloMS float64) (
 		}
 		var rows []GatewayRow
 		for _, policy := range policies {
-			res, err := env.MultiStreamOpts(strat, sim.MultiStreamConfig{
-				Tenants: tenants, Policy: policy, Window: window,
-			})
+			res, err := env.Serve(strat, sim.Scenario{Tenants: tenants, Policy: policy, Window: window})
 			if err != nil {
 				return fmt.Errorf("experiments: gateway sweep %s/%s: %w", c.name, policy, err)
 			}

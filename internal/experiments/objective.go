@@ -236,7 +236,7 @@ func FigObjective(b Budget, windows []int, objWindow int) ([]ObjectiveRow, error
 				return fmt.Errorf("experiments: objective sweep %s/%s: %w", c.name, pl.name, err)
 			}
 			for _, w := range windows {
-				res, err := env.PipelineStream(strat, b.StreamImages, w, 0)
+				res, err := env.Serve(strat, pipelined(b.StreamImages, w))
 				if err != nil {
 					return fmt.Errorf("experiments: objective sweep %s/%s: %w", c.name, pl.name, err)
 				}

@@ -108,7 +108,7 @@ func TestObjectiveDifferentialSimVsRuntime(t *testing.T) {
 	// Sim predictions.
 	simIPS := func(s *strategy.Strategy, w int) float64 {
 		t.Helper()
-		res, err := env.PipelineStream(s, 40, w, 0)
+		res, err := env.Serve(s, pipelined(40, w))
 		if err != nil {
 			t.Fatal(err)
 		}

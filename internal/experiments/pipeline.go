@@ -5,6 +5,7 @@ import (
 
 	"distredge/internal/cnn"
 	"distredge/internal/device"
+	"distredge/internal/sim"
 	"distredge/internal/strategy"
 )
 
@@ -55,6 +56,13 @@ func StageBoundaries(m *cnn.Model, n int) []int {
 	return out
 }
 
+// pipelined is the serving scenario of the window, objective and churn
+// sweeps: one tenant's images from time 0, `window` in flight, step
+// batching off, raw wire bytes.
+func pipelined(images, window int) sim.Scenario {
+	return sim.Scenario{Tenants: []sim.TenantSpec{{Images: images}}, Window: window, Batch: 1}
+}
+
 // DefaultWindows is the admission-window grid distbench sweeps.
 func DefaultWindows() []int { return []int{1, 2, 4, 8} }
 
@@ -101,14 +109,14 @@ func Fig16WindowSweep(b Budget, windows []int) ([]WindowRow, error) {
 			{MethodDistrEdge, planned},
 			{MethodStage, stage},
 		} {
-			seq, err := env.PipelineStream(m.strat, b.StreamImages, 1, 0)
+			seq, err := env.Serve(m.strat, pipelined(b.StreamImages, 1))
 			if err != nil {
 				return fmt.Errorf("experiments: window sweep %s/%s: %w", spec.Name, m.name, err)
 			}
 			for _, w := range windows {
 				res := seq
 				if w != 1 {
-					res, err = env.PipelineStream(m.strat, b.StreamImages, w, 0)
+					res, err = env.Serve(m.strat, pipelined(b.StreamImages, w))
 					if err != nil {
 						return fmt.Errorf("experiments: window sweep %s/%s: %w", spec.Name, m.name, err)
 					}

@@ -49,7 +49,7 @@ func TestGatewayDifferentialSimVsRuntime(t *testing.T) {
 	// Offline prediction.
 	simSmall := map[string]float64{}
 	for _, policy := range []string{sim.AdmitFIFO, sim.AdmitWFQ} {
-		res, err := env.MultiStream(s, tenants, policy, window)
+		res, err := env.Serve(s, sim.Scenario{Tenants: tenants, Policy: policy, Window: window, Batch: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,7 @@
 // weight and per-request deadline, a global window bounds the images in
 // flight on the fleet, and a scheduler picks the next request across
 // tenants by FIFO or weighted fair queueing — the same pick rule as
-// sim.MultiStreamOpts, so policies swept offline transfer unchanged.
+// sim.Serve, so policies swept offline transfer unchanged.
 //
 // Deadlines are measured from enqueue, not scatter: a request that sat
 // queued behind a heavy tenant's burst and only then ran is late even

@@ -144,7 +144,7 @@ func TestGatewayWFQInterleavesByWeight(t *testing.T) {
 	// WFQ with the heavy head already charged 1 full unit: the small
 	// tenant's cheap (1/4-unit) requests both jump the remaining heavy
 	// backlog, then the heavy burst resumes — the same pick sequence
-	// sim.MultiStreamOpts computes for these weights.
+	// sim.Serve computes for these weights.
 	expect := []struct {
 		name string
 		ch   <-chan Result

@@ -19,7 +19,7 @@ package gateway
 //	expiry:     pops the head prefix                -> fix, or remove
 //
 // The ordering key is the admission policy's, bit-identical to the linear
-// scan it replaces (and so to sim.MultiStreamOpts): FIFO orders by the
+// scan it replaces (and so to sim.Serve): FIFO orders by the
 // head request's global sequence number, WFQ by vserved + 1/weight with
 // ties to the lower tenant index. pickScanLocked preserves the old scan as
 // the reference implementation; TestHeapMatchesScan drives both through
@@ -179,7 +179,7 @@ func (g *Gateway) heapSyncLocked(t int) {
 // pickScanLocked is the former O(n) admission pick, kept as the reference
 // implementation the heap is verified against (and the baseline
 // BenchmarkGatewayPick measures the speedup over). The rule is
-// bit-identical to sim.MultiStreamOpts: FIFO takes the lowest global
+// bit-identical to sim.Serve: FIFO takes the lowest global
 // sequence number; WFQ takes the lowest vserved + 1/weight, ties to the
 // lower tenant index.
 func (g *Gateway) pickScanLocked() int {

@@ -13,7 +13,7 @@ import (
 // through the same seeded traffic — enqueues, admissions, completions over
 // tenants with mixed weights and windows — and insists every pick is
 // identical. The scan is the reference the WFQ/FIFO equivalence proofs
-// were written against (bit-identical to sim.MultiStreamOpts), so heap ==
+// were written against (bit-identical to sim.Serve), so heap ==
 // scan transitively keeps the sim differential intact.
 func TestHeapMatchesScan(t *testing.T) {
 	for _, policy := range []string{PolicyFIFO, PolicyWFQ} {

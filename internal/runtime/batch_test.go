@@ -173,9 +173,9 @@ func TestShapedBatchingReproducesSimOrdering(t *testing.T) {
 	s := stageStrategy(env, env.Model, []int{0, 10, 14, 18})
 	const window = 8
 
-	simRun := func(batch int) sim.PipelineResult {
+	simRun := func(batch int) sim.ServeResult {
 		t.Helper()
-		res, err := env.PipelineStreamOpts(s, sim.PipelineConfig{Images: 32, Window: window, Batch: batch})
+		res, err := env.Serve(s, sim.Scenario{Tenants: []sim.TenantSpec{{Images: 32}}, Window: window, Batch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,7 +127,7 @@ func TestRecoverUnplannableFailureSurfaces(t *testing.T) {
 }
 
 // TestChurnDifferentialSimVsRuntime is the acceptance-criterion test: with
-// a scripted single-device failure mid-stream, the simulator's ChurnStream
+// a scripted single-device failure mid-stream, the simulator
 // predicts the goodput ordering between recover-on and recover-off over a
 // common serving horizon, and the TCP runtime must reproduce it.
 func TestChurnDifferentialSimVsRuntime(t *testing.T) {
@@ -138,18 +138,19 @@ func TestChurnDifferentialSimVsRuntime(t *testing.T) {
 	const failFrac = 0.45
 
 	// --- Simulator prediction (model time). ---
-	base, err := env.PipelineStream(s, images, window, 0)
+	base, err := env.Serve(s, simPipelined(images, window))
 	if err != nil {
 		t.Fatal(err)
 	}
 	events := []sim.ChurnEvent{{At: base.TotalSec * failFrac, Kind: sim.DeviceDrop, Device: 1}}
-	simOn, err := env.ChurnStream(s, images, window, 0, events, sim.ChurnOptions{
-		Recover: true, Replan: splitter.BalancedReplan,
-	})
+	sc := simPipelined(images, window)
+	sc.Events = events
+	simOff, err := env.Serve(s, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simOff, err := env.ChurnStream(s, images, window, 0, events, sim.ChurnOptions{Recover: false})
+	sc.Recover, sc.Replan = true, splitter.BalancedReplan
+	simOn, err := env.Serve(s, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

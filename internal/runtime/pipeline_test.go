@@ -212,11 +212,11 @@ func TestPipelinedThroughputOrderingMatchesSim(t *testing.T) {
 
 	// Simulator prediction (unscaled model time; only the ordering and the
 	// rough magnitude of the speedup transfer to the scaled runtime).
-	seqSim, err := env.PipelineStream(s, 40, 1, 0)
+	seqSim, err := env.Serve(s, simPipelined(40, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipSim, err := env.PipelineStream(s, 40, 4, 0)
+	pipSim, err := env.Serve(s, simPipelined(40, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,13 @@ func testEnv(types ...device.Type) *sim.Env {
 	return &sim.Env{Model: cnn.VGG16(), Devices: device.AsModels(devs), Net: net}
 }
 
+// simPipelined is the simulator scenario the differential tests predict
+// with: one tenant's images from time 0, `window` in flight, step batching
+// off, raw wire bytes.
+func simPipelined(images, window int) sim.Scenario {
+	return sim.Scenario{Tenants: []sim.TenantSpec{{Images: images}}, Window: window, Batch: 1}
+}
+
 func equalStrategy(env *sim.Env, boundaries []int) *strategy.Strategy {
 	s := &strategy.Strategy{Boundaries: boundaries}
 	for v := 0; v+1 < len(boundaries); v++ {
@@ -205,7 +212,7 @@ func TestClusterSlowDeviceShowsInLatency(t *testing.T) {
 		return lowerQuartile(st.PerImageMS) / 1e3
 	}
 	predict := func(env *sim.Env) float64 {
-		res, err := env.PipelineStream(equalStrategy(env, bound), 9, 1, 0)
+		res, err := env.Serve(equalStrategy(env, bound), simPipelined(9, 1))
 		if err != nil {
 			t.Fatal(err)
 		}

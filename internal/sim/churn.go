@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"distredge/internal/device"
 	"distredge/internal/network"
@@ -52,12 +51,12 @@ type ChurnEvent struct {
 // are the profile-guided and search-based implementations.
 type ReplanFunc func(e *Env, old *strategy.Strategy, alive []bool) (*strategy.Strategy, error)
 
-// ChurnOptions tunes ChurnStream's recovery model.
+// ChurnOptions says how a Scenario's deployment reacts to its fleet events.
 type ChurnOptions struct {
-	// Recover re-plans over the survivors at each event and re-admits
-	// aborted in-flight images. Without it a DeviceDrop ends the stream at
-	// the event time (the sticky-failure semantics of the runtime's
-	// Cluster.Err), and joins are ignored.
+	// Recover re-plans over the survivors at each event. Without it the
+	// old strategy is recompiled against the changed fleet, a DeviceDrop
+	// ends the stream at the event time (the sticky-failure semantics of
+	// the runtime's Cluster.Err), and joins are ignored.
 	Recover bool
 	// ReplanSec is the simulated controller delay charged per recovery
 	// (re-planning + state migration); no image is re-admitted before
@@ -65,26 +64,6 @@ type ChurnOptions struct {
 	ReplanSec float64
 	// Replan picks the re-planner; nil uses strategy.Rebalance.
 	Replan ReplanFunc
-}
-
-// ChurnResult extends PipelineResult with recovery accounting. With a
-// truncated stream (DeviceDrop under Recover=false), IPS and the latency
-// distribution cover only the completed images.
-type ChurnResult struct {
-	PipelineResult
-	Completed int // images whose results were committed
-	Failed    int // images lost to an unrecovered drop
-
-	Recoveries int // re-plans executed
-	Requeued   int // in-flight images aborted at an event and re-admitted
-
-	// FailedAtSec is the absolute trace time an unrecovered drop ended the
-	// stream, or -1.
-	FailedAtSec float64
-	// EventRecoverySec holds, per applied event in order, the delay from the
-	// event to the first committed completion after it (-1 when the stream
-	// produced none) — the simulator's time-to-recover prediction.
-	EventRecoverySec []float64
 }
 
 // Subset returns the environment restricted to the alive providers (in
@@ -111,314 +90,4 @@ func (e *Env) Subset(alive []bool) (*Env, []int, error) {
 	}
 	net := &network.Network{Providers: links, Requester: e.Net.Requester}
 	return &Env{Model: e.Model, Devices: devs, Net: net, NoCache: e.NoCache}, idx, nil
-}
-
-// churnImage states.
-const (
-	imgPending uint8 = iota
-	imgInflight
-	imgDone
-	imgFailed
-)
-
-// ChurnStream replays the strategy under a scripted fleet-event timeline:
-// images stream exactly as in PipelineStream (FIFO admission, `window` in
-// flight, shared device/link/uplink occupancy) until an event fires, at
-// which point every in-flight image whose completion lies past the event is
-// aborted, the plan is recompiled against the changed fleet — with
-// Options.Recover, after re-planning over the survivors — and the aborted
-// images are re-admitted no earlier than the event time plus ReplanSec.
-//
-// The recompile-at-event model is deliberately conservative: aborted images
-// restart from scratch under the new plan (the runtime drains completed
-// chunks and only re-scatters incomplete images), and an event aborts every
-// in-flight image even when the affected device carried none of its rows —
-// matching the runtime's quarantine-then-redeploy recovery, which also
-// pauses the whole admission window. See DESIGN.md.
-//
-// With an empty event timeline the engine performs bit-for-bit the same
-// float operations as PipelineStream (property-tested), so churn results
-// are directly comparable to the no-churn baseline.
-func (e *Env) ChurnStream(s *strategy.Strategy, images, window int, start float64, events []ChurnEvent, opts ChurnOptions) (ChurnResult, error) {
-	if images <= 0 {
-		return ChurnResult{}, fmt.Errorf("sim: need at least 1 image")
-	}
-	if window < 1 {
-		return ChurnResult{}, fmt.Errorf("sim: window must be >= 1, got %d", window)
-	}
-	n := e.NumProviders()
-	evs := append([]ChurnEvent(nil), events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	for _, ev := range evs {
-		if ev.Device < 0 || ev.Device >= n {
-			return ChurnResult{}, fmt.Errorf("sim: churn event device %d out of range [0,%d)", ev.Device, n)
-		}
-		if ev.Kind == DeviceSlow && ev.Factor <= 0 {
-			return ChurnResult{}, fmt.Errorf("sim: slow event needs a positive factor, got %g", ev.Factor)
-		}
-	}
-	replan := opts.Replan
-	if replan == nil {
-		replan = func(e *Env, old *strategy.Strategy, alive []bool) (*strategy.Strategy, error) {
-			return strategy.Rebalance(e.Model, old, alive)
-		}
-	}
-
-	p, err := e.checkoutPlan(s)
-	if err != nil {
-		return ChurnResult{}, err
-	}
-	origPlan := p
-	curStrat := s
-
-	alive := make([]bool, n)
-	factors := make([]float64, n)
-	for i := range alive {
-		alive[i] = true
-		factors[i] = 1
-	}
-
-	ps := newPipeState(n, 0, 1, 1) // churn replay is unbatched, raw wire bytes
-	firstAdm := make([]float64, images)
-	complete := make([]float64, images)
-	perImage := make([]float64, images)
-	state := make([]uint8, images)
-	for i := range firstAdm {
-		firstAdm[i] = -1
-	}
-
-	queue := make([]int, images) // pending image ids, admission order
-	for i := range queue {
-		queue[i] = i
-	}
-	var admQ []int     // ids of the last `window` admissions (FIFO window slots)
-	var inflight []int // admitted ids whose completion is not yet committed
-	adm := start
-	lastAdmitted := -1
-	evIdx := 0
-
-	res := ChurnResult{FailedAtSec: -1}
-	var appliedAt []float64
-
-	checkin := func() {
-		// Return the untouched original plan to the env memo; recompiled
-		// churn plans are bound to derived envs and are simply dropped.
-		if p == origPlan {
-			e.checkinPlan(p)
-		}
-	}
-
-	for {
-		// Next admission time, were we to admit the head image now.
-		tAdm := adm
-		if len(queue) == 0 {
-			if evIdx >= len(evs) || len(inflight) == 0 {
-				break
-			}
-			// Only in-flight images remain: any further event can still
-			// abort them, so keep firing events until they are all past.
-			last := complete[inflight[0]]
-			for _, id := range inflight {
-				if complete[id] > last {
-					last = complete[id]
-				}
-			}
-			if evs[evIdx].At >= last {
-				break
-			}
-			tAdm = evs[evIdx].At
-		} else if len(admQ) >= window {
-			if c := complete[admQ[0]]; c > tAdm {
-				tAdm = c
-			}
-		}
-
-		if evIdx < len(evs) && evs[evIdx].At <= tAdm {
-			ev := evs[evIdx]
-			evIdx++
-			T := ev.At
-
-			// Events that change nothing are skipped without aborting work.
-			if (ev.Kind == DeviceDrop && !alive[ev.Device]) ||
-				(ev.Kind == DeviceJoin && alive[ev.Device]) ||
-				(ev.Kind == DeviceJoin && !opts.Recover) {
-				continue
-			}
-
-			if ev.Kind == DeviceDrop && !opts.Recover {
-				// Sticky failure: commit what finished before the drop, fail
-				// the rest, end the stream at the event time.
-				for _, id := range inflight {
-					if complete[id] <= T {
-						state[id] = imgDone
-					} else {
-						state[id] = imgFailed
-					}
-				}
-				for _, id := range queue {
-					state[id] = imgFailed
-				}
-				inflight = nil
-				queue = nil
-				res.FailedAtSec = T
-				break
-			}
-
-			// Apply the fleet change.
-			switch ev.Kind {
-			case DeviceDrop:
-				alive[ev.Device] = false
-			case DeviceJoin:
-				alive[ev.Device] = true
-			case DeviceSlow:
-				factors[ev.Device] *= ev.Factor
-			}
-			models := make([]device.LatencyModel, n)
-			for i := range models {
-				models[i] = device.Scaled(e.Devices[i], factors[i])
-			}
-			curEnv := e.WithDevices(models)
-
-			// Commit completed in-flight images, abort the rest back to the
-			// front of the queue in admission order.
-			var aborted []int
-			for _, id := range inflight {
-				if complete[id] <= T {
-					state[id] = imgDone
-				} else {
-					state[id] = imgPending
-					aborted = append(aborted, id)
-				}
-			}
-			inflight = nil
-			if len(aborted) > 0 {
-				queue = append(append([]int(nil), aborted...), queue...)
-				res.Requeued += len(aborted)
-				kept := admQ[:0]
-				for _, id := range admQ {
-					if state[id] != imgPending {
-						kept = append(kept, id)
-					}
-				}
-				admQ = kept
-			}
-
-			if opts.Recover {
-				ns, rerr := replan(curEnv, curStrat, alive)
-				if rerr != nil {
-					checkin()
-					return res, fmt.Errorf("sim: re-plan at t=%g: %w", T, rerr)
-				}
-				curStrat = ns
-				res.Recoveries++
-			}
-			np, cerr := Compile(curEnv, curStrat)
-			if cerr != nil {
-				checkin()
-				return res, fmt.Errorf("sim: recompile at t=%g: %w", T, cerr)
-			}
-			checkin()
-			p = np
-
-			// Nothing restarts before the event (plus the re-plan charge).
-			floor := T
-			if opts.Recover {
-				floor += opts.ReplanSec
-			}
-			if floor > adm {
-				adm = floor
-			}
-			appliedAt = append(appliedAt, T)
-			continue
-		}
-
-		if len(queue) == 0 {
-			break
-		}
-		// Admit the head image — the exact float sequence of PipelineStream.
-		id := queue[0]
-		queue = queue[1:]
-		if len(admQ) >= window {
-			if c := complete[admQ[0]]; c > adm {
-				adm = c
-			}
-			admQ = admQ[1:]
-		}
-		lat := p.runPipelined(adm, ps)
-		if firstAdm[id] < 0 {
-			firstAdm[id] = adm
-			perImage[id] = lat
-		} else {
-			// Re-admission after an abort: latency is measured from the
-			// image's first admission, so the wasted attempt and the
-			// re-planning delay are visible in the distribution.
-			perImage[id] = adm + lat - firstAdm[id]
-		}
-		complete[id] = adm + lat
-		state[id] = imgInflight
-		inflight = append(inflight, id)
-		admQ = append(admQ, id)
-		lastAdmitted = id
-	}
-
-	for _, id := range inflight {
-		state[id] = imgDone
-	}
-	checkin()
-
-	// Assemble the result. All index arithmetic runs over the committed ids
-	// in admission (id) order so that with an empty timeline every
-	// expression reduces to PipelineStream's.
-	var doneIDs []int
-	for id := 0; id < images; id++ {
-		if state[id] == imgDone {
-			doneIDs = append(doneIDs, id)
-		}
-	}
-	res.Completed = len(doneIDs)
-	res.Failed = images - res.Completed
-	res.Images = images
-	res.Window = window
-	if res.FailedAtSec >= 0 {
-		res.TotalSec = res.FailedAtSec - start
-	} else if lastAdmitted >= 0 {
-		res.TotalSec = complete[lastAdmitted] - start
-	}
-	if res.TotalSec > 0 {
-		res.IPS = float64(res.Completed) / res.TotalSec
-	}
-	if nd := len(doneIDs); nd > 0 {
-		doneComplete := make([]float64, nd)
-		for i, id := range doneIDs {
-			doneComplete[i] = complete[id]
-		}
-		res.SteadyIPS = steadyIPS(doneComplete, res.IPS)
-		res.PerImageSec = make([]float64, nd)
-		for i, id := range doneIDs {
-			res.PerImageSec[i] = perImage[id]
-		}
-		sorted := append([]float64(nil), res.PerImageSec...)
-		sort.Float64s(sorted)
-		var sum float64
-		for _, l := range sorted {
-			sum += l
-		}
-		res.MeanLatMS = sum / float64(nd) * 1e3
-		res.P50LatMS = quantile(sorted, 0.50) * 1e3
-		res.P95LatMS = quantile(sorted, 0.95) * 1e3
-		res.MaxLatMS = sorted[nd-1] * 1e3
-	}
-	res.EventRecoverySec = make([]float64, len(appliedAt))
-	for i, T := range appliedAt {
-		res.EventRecoverySec[i] = -1
-		for _, id := range doneIDs {
-			if complete[id] > T {
-				d := complete[id] - T
-				if res.EventRecoverySec[i] < 0 || d < res.EventRecoverySec[i] {
-					res.EventRecoverySec[i] = d
-				}
-			}
-		}
-	}
-	return res, nil
 }

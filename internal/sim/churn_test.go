@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 
 	"distredge/internal/cnn"
@@ -9,60 +8,11 @@ import (
 	"distredge/internal/strategy"
 )
 
-// TestChurnEmptyTimelineMatchesPipeline is the property test extending the
-// PR 2 window-1 ≡ Stream invariant: ChurnStream with an empty event
-// timeline must be bit-identical to PipelineStream — TotalSec, IPS,
-// SteadyIPS, quantiles and every per-image latency — across random
-// strategies, windows, and constant and time-varying networks.
-func TestChurnEmptyTimelineMatchesPipeline(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	envs := []*Env{
-		testEnv(150, device.Xavier, device.Nano, device.TX2, device.Nano),
-		equivEnv(t, false), // stable (time-varying) traces
-	}
-	for ei, env := range envs {
-		for iter := 0; iter < 20; iter++ {
-			s := randomStrategy(rng, env.Model, env.NumProviders())
-			window := 1 + rng.Intn(6)
-			images := 5 + rng.Intn(30)
-			start := []float64{0, 9.25}[rng.Intn(2)]
-			want, err := env.PipelineStream(s, images, window, start)
-			if err != nil {
-				t.Fatalf("env %d iter %d: pipeline: %v", ei, iter, err)
-			}
-			got, err := env.ChurnStream(s, images, window, start, nil, ChurnOptions{Recover: true})
-			if err != nil {
-				t.Fatalf("env %d iter %d: churn: %v", ei, iter, err)
-			}
-			if got.Completed != images || got.Failed != 0 || got.Recoveries != 0 || got.Requeued != 0 {
-				t.Fatalf("env %d iter %d: churn accounting nonzero without events: %+v", ei, iter, got)
-			}
-			if got.TotalSec != want.TotalSec {
-				t.Errorf("env %d iter %d (w=%d): TotalSec %.17g != %.17g", ei, iter, window, got.TotalSec, want.TotalSec)
-			}
-			if got.IPS != want.IPS {
-				t.Errorf("env %d iter %d (w=%d): IPS %.17g != %.17g", ei, iter, window, got.IPS, want.IPS)
-			}
-			if got.SteadyIPS != want.SteadyIPS {
-				t.Errorf("env %d iter %d (w=%d): SteadyIPS %.17g != %.17g", ei, iter, window, got.SteadyIPS, want.SteadyIPS)
-			}
-			if got.MeanLatMS != want.MeanLatMS || got.P50LatMS != want.P50LatMS ||
-				got.P95LatMS != want.P95LatMS || got.MaxLatMS != want.MaxLatMS {
-				t.Errorf("env %d iter %d (w=%d): latency stats differ: %+v vs %+v",
-					ei, iter, window, got.PipelineResult, want)
-			}
-			if len(got.PerImageSec) != len(want.PerImageSec) {
-				t.Fatalf("env %d iter %d: %d per-image latencies, want %d",
-					ei, iter, len(got.PerImageSec), len(want.PerImageSec))
-			}
-			for m := range want.PerImageSec {
-				if got.PerImageSec[m] != want.PerImageSec[m] {
-					t.Fatalf("env %d iter %d image %d: latency %.17g != %.17g",
-						ei, iter, m, got.PerImageSec[m], want.PerImageSec[m])
-				}
-			}
-		}
-	}
+// churned is oneTenant under a scripted fleet timeline.
+func churned(images, window int, events []ChurnEvent, opts ChurnOptions) Scenario {
+	sc := oneTenant(images, window, 0)
+	sc.Events, sc.ChurnOptions = events, opts
+	return sc
 }
 
 // TestChurnDropWithoutRecoveryTruncates pins the sticky-failure model: a
@@ -72,14 +22,14 @@ func TestChurnDropWithoutRecoveryTruncates(t *testing.T) {
 	env := testEnv(200, device.Xavier, device.Nano, device.TX2, device.Nano)
 	s := stageStrategy(env.Model, []int{0, 10, 14, 18}, 4)
 	const images = 40
-	base, err := env.PipelineStream(s, images, 4, 0)
+	base, err := env.Serve(s, oneTenant(images, 4, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	failAt := base.TotalSec * 0.5
 	events := []ChurnEvent{{At: failAt, Kind: DeviceDrop, Device: 1}}
 
-	off, err := env.ChurnStream(s, images, 4, 0, events, ChurnOptions{Recover: false})
+	off, err := env.Serve(s, churned(images, 4, events, ChurnOptions{Recover: false}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +43,7 @@ func TestChurnDropWithoutRecoveryTruncates(t *testing.T) {
 		t.Errorf("FailedAtSec = %g, want %g", off.FailedAtSec, failAt)
 	}
 
-	on, err := env.ChurnStream(s, images, 4, 0, events, ChurnOptions{Recover: true})
+	on, err := env.Serve(s, churned(images, 4, events, ChurnOptions{Recover: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,16 +72,16 @@ func TestChurnDropWithoutRecoveryTruncates(t *testing.T) {
 func TestChurnReplanChargeDelaysRecovery(t *testing.T) {
 	env := testEnv(200, device.Xavier, device.Nano, device.TX2, device.Nano)
 	s := stageStrategy(env.Model, []int{0, 10, 14, 18}, 4)
-	base, err := env.PipelineStream(s, 30, 4, 0)
+	base, err := env.Serve(s, oneTenant(30, 4, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	events := []ChurnEvent{{At: base.TotalSec * 0.4, Kind: DeviceDrop, Device: 2}}
-	cheap, err := env.ChurnStream(s, 30, 4, 0, events, ChurnOptions{Recover: true})
+	cheap, err := env.Serve(s, churned(30, 4, events, ChurnOptions{Recover: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dear, err := env.ChurnStream(s, 30, 4, 0, events, ChurnOptions{Recover: true, ReplanSec: 2})
+	dear, err := env.Serve(s, churned(30, 4, events, ChurnOptions{Recover: true, ReplanSec: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,12 +99,12 @@ func TestChurnReplanChargeDelaysRecovery(t *testing.T) {
 func TestChurnSlowdownDegradesThroughput(t *testing.T) {
 	env := testEnv(200, device.Xavier, device.Nano)
 	s := equalSplitStrategy(env.Model, strategy.PoolBoundaries(env.Model), 2)
-	base, err := env.PipelineStream(s, 30, 2, 0)
+	base, err := env.Serve(s, oneTenant(30, 2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	events := []ChurnEvent{{At: base.TotalSec * 0.25, Kind: DeviceSlow, Device: 0, Factor: 4}}
-	slowed, err := env.ChurnStream(s, 30, 2, 0, events, ChurnOptions{Recover: true})
+	slowed, err := env.Serve(s, churned(30, 2, events, ChurnOptions{Recover: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +145,7 @@ func latencyReplan(e *Env, old *strategy.Strategy, alive []bool) (*strategy.Stra
 func TestChurnDropThenRejoin(t *testing.T) {
 	env := testEnv(200, device.Xavier, device.Nano, device.TX2, device.Nano)
 	s := equalSplitStrategy(env.Model, []int{0, 10, 14, 18}, 4)
-	base, err := env.PipelineStream(s, 40, 4, 0)
+	base, err := env.Serve(s, oneTenant(40, 4, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +153,11 @@ func TestChurnDropThenRejoin(t *testing.T) {
 	join := ChurnEvent{At: base.TotalSec * 0.5, Kind: DeviceJoin, Device: 0}
 	opts := ChurnOptions{Recover: true, Replan: latencyReplan}
 
-	dropOnly, err := env.ChurnStream(s, 40, 4, 0, []ChurnEvent{drop}, opts)
+	dropOnly, err := env.Serve(s, churned(40, 4, []ChurnEvent{drop}, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rejoin, err := env.ChurnStream(s, 40, 4, 0, []ChurnEvent{drop, join}, opts)
+	rejoin, err := env.Serve(s, churned(40, 4, []ChurnEvent{drop, join}, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,16 +177,16 @@ func TestChurnDropThenRejoin(t *testing.T) {
 func TestChurnRejectsBadEvents(t *testing.T) {
 	env := testEnv(100, device.Nano, device.Nano)
 	s := equalSplitStrategy(env.Model, strategy.SingleVolume(env.Model), 2)
-	if _, err := env.ChurnStream(s, 5, 1, 0, []ChurnEvent{{At: 1, Kind: DeviceDrop, Device: 7}}, ChurnOptions{}); err == nil {
+	if _, err := env.Serve(s, churned(5, 1, []ChurnEvent{{At: 1, Kind: DeviceDrop, Device: 7}}, ChurnOptions{})); err == nil {
 		t.Error("out-of-range device must error")
 	}
-	if _, err := env.ChurnStream(s, 5, 1, 0, []ChurnEvent{{At: 1, Kind: DeviceSlow, Device: 0}}, ChurnOptions{}); err == nil {
+	if _, err := env.Serve(s, churned(5, 1, []ChurnEvent{{At: 1, Kind: DeviceSlow, Device: 0}}, ChurnOptions{})); err == nil {
 		t.Error("slow event without factor must error")
 	}
-	if _, err := env.ChurnStream(s, 0, 1, 0, nil, ChurnOptions{}); err == nil {
+	if _, err := env.Serve(s, churned(0, 1, nil, ChurnOptions{})); err == nil {
 		t.Error("zero images must error")
 	}
-	if _, err := env.ChurnStream(s, 5, 0, 0, nil, ChurnOptions{}); err == nil {
+	if _, err := env.Serve(s, churned(5, 0, nil, ChurnOptions{})); err == nil {
 		t.Error("zero window must error")
 	}
 	// Dropping the whole fleet is unrecoverable.
@@ -244,7 +194,7 @@ func TestChurnRejectsBadEvents(t *testing.T) {
 		{At: 0.1, Kind: DeviceDrop, Device: 0},
 		{At: 0.2, Kind: DeviceDrop, Device: 1},
 	}
-	if _, err := env.ChurnStream(s, 50, 2, 0, events, ChurnOptions{Recover: true}); err == nil {
+	if _, err := env.Serve(s, churned(50, 2, events, ChurnOptions{Recover: true})); err == nil {
 		t.Error("dropping every provider must error")
 	}
 }

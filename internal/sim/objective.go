@@ -28,7 +28,7 @@ type Objective interface {
 	// end-to-end latency: LatencyObjective returns it unchanged — no
 	// extra simulation, keeping training bit-identical to the
 	// pre-objective planner — while ThroughputObjective ignores it and
-	// replays the episode's strategy through PipelineStream.
+	// replays the episode's strategy through PipelineStreamOpts.
 	EpisodeScore(e *Env, s *strategy.Strategy, at, seqLatency float64) (float64, error)
 }
 
@@ -74,7 +74,7 @@ func (LatencyObjective) EpisodeScore(e *Env, s *strategy.Strategy, at, seqLatenc
 }
 
 // ThroughputObjective scores a strategy by its sustained pipelined serving
-// rate: PipelineStream with Window images in flight, inverted to
+// rate: PipelineStreamOpts with Window images in flight, inverted to
 // steady-state seconds per image (1/SteadyIPS) so lower is better and the
 // scale stays comparable to latency scores. Evaluations go through the
 // environment's plan memo and device-latency cache, so scoring inside

@@ -34,12 +34,12 @@ func TestLatencyObjectiveWrapsEnvLatency(t *testing.T) {
 }
 
 // TestThroughputObjectiveWrapsSteadyIPS pins the throughput objective to
-// 1/PipelineStream.SteadyIPS at the configured window.
+// 1/PipelineStreamOpts.SteadyIPS at the configured window.
 func TestThroughputObjectiveWrapsSteadyIPS(t *testing.T) {
 	env := equivEnv(t, false)
 	s := equivStrategies(env.Model, env.NumProviders())[0]
 	obj := ThroughputObjective{Window: 4, Images: 24}
-	want, err := env.PipelineStream(s, 24, 4, 2.5)
+	want, err := env.Serve(s, oneTenant(24, 4, 2.5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,24 +1,22 @@
 package sim
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"distredge/internal/network"
 	"distredge/internal/strategy"
 )
 
 // PipelineResult summarises a pipelined streaming evaluation: `Window`
-// images are kept in flight at once (admission is FIFO — image m enters the
-// moment image m-Window completes), so the result measures sustained
-// throughput rather than the sequential latency Stream reports.
+// images are kept in flight at once (a slot frees the moment its image
+// completes), so the result measures sustained throughput rather than the
+// sequential latency Stream reports.
 type PipelineResult struct {
 	Images   int
 	Window   int
 	Batch    int     // per-step image batching the devices were modelled with
-	TotalSec float64 // first admission to last completion
-	IPS      float64 // Images / TotalSec
+	TotalSec float64 // stream start to last completion
+	IPS      float64 // committed images / TotalSec
 	// SteadyIPS is the throughput over the second half of the stream, after
 	// the pipeline has filled — the sustained-serving rate.
 	SteadyIPS float64
@@ -68,28 +66,39 @@ type pipeState struct {
 	wire float64
 }
 
-func newPipeState(n, numVols, batch int, wire float64) *pipeState {
-	ps := &pipeState{
+// init sizes the state for n providers, everything free from the start of
+// time, and binds it to a plan of numVols volumes.
+func (ps *pipeState) init(n, numVols, batch int, wire float64) {
+	links := (n + 1) * (n + 1)
+	dev, link := make([]float64, 2*n), make([]float64, 2*links)
+	*ps = pipeState{
 		n:        n,
-		devFree:  make([]float64, n),
-		linkFree: make([]float64, (n+1)*(n+1)),
+		devFree:  dev[:n],
+		linkFree: link[:links],
 		upFree:   math.Inf(-1),
-		devFloor: make([]float64, n),
-		linkEnd:  make([]float64, (n+1)*(n+1)),
+		devFloor: dev[n:],
+		linkEnd:  link[links:],
 		batch:    batch,
-		stride:   numVols + 1,
 		wire:     wire,
 	}
-	if batch != 1 {
-		ps.stepRuns = make([]int, n*ps.stride)
-	}
+	ps.bindPlan(numVols)
 	for i := range ps.devFree {
 		ps.devFree[i] = math.Inf(-1)
 	}
 	for i := range ps.linkFree {
 		ps.linkFree[i] = math.Inf(-1)
 	}
-	return ps
+}
+
+// bindPlan sizes the batching state for a plan of numVols volumes and
+// clears it: an open batch does not survive a plan change, and a re-plan
+// may change the number of volumes stepRuns is strided by. Resource
+// occupancy carries over.
+func (ps *pipeState) bindPlan(numVols int) {
+	ps.stride = numVols + 1
+	if ps.batch != 1 {
+		ps.stepRuns = make([]int, ps.n*ps.stride)
+	}
 }
 
 // batchedComp returns the compute seconds image m charges for the step of
@@ -284,106 +293,36 @@ func (p *CompiledPlan) runPipelined(at float64, ps *pipeState) float64 {
 	return end
 }
 
-// PipelineStream evaluates the strategy over `images` images with up to
-// `window` images in flight, starting at trace time `start`. Admission is
-// FIFO: image m is sent the moment image m-window completes (window 1 is
-// exactly Stream's one-at-a-time protocol, and reproduces its TotalSec and
-// IPS bit-for-bit). Overlapping images queue on the shared resources —
+// PipelineConfig is the one-tenant, no-event spelling of a Scenario: Images
+// requests enqueued at Start, the other fields as in Scenario.
+type PipelineConfig struct {
+	Images   int
+	Window   int
+	Batch    int
+	WireFrac float64
+	Start    float64
+}
+
+// PipelineStreamOpts evaluates the strategy over cfg.Images images with up
+// to cfg.Window in flight: Serve with one tenant enqueued at the start and
+// no fleet events, assembling the fleet's view only (the planning
+// objectives call this per episode; see TestPipelineStreamOptsAllocs).
+// Window 1 is exactly
+// Stream's one-at-a-time protocol and reproduces its TotalSec and IPS
+// bit-for-bit. Overlapping images queue on the shared resources —
 // per-provider compute units, every directed link, and the requester's
 // scatter uplink — so the result measures the sustained images/sec the
 // deployment can serve plus the per-image latency distribution under load.
-func (e *Env) PipelineStream(s *strategy.Strategy, images, window int, start float64) (PipelineResult, error) {
-	return e.PipelineStreamOpts(s, PipelineConfig{Images: images, Window: window, Start: start, Batch: 1})
-}
-
-// PipelineConfig parameterises PipelineStreamOpts beyond the basic
-// images/window/start triple. WireFrac 0 means 1 (raw activation bytes on
-// every link); Batch 0 means adaptive draining (see Batch).
-type PipelineConfig struct {
-	Images int
-	Window int
-
-	// Batch is the per-step image batching the devices run with: up to
-	// Batch images whose inputs queued behind a busy device coalesce into
-	// one step invocation under the sublinear BatchedComputeSec cost model.
-	// 1 (or negative) disables batching and reproduces PipelineStream
-	// bit-for-bit. 0 — the zero value — is the adaptive cap, mirroring the
-	// runtime's Options.Batch: a step drains whatever queued behind the
-	// busy device, joining the open batch without a size bound.
-	Batch int
-
-	// WireFrac scales every transfer's byte count, modelling a wire codec
-	// that shrinks payloads (0.25 for int8 quantization, 0.5 for fp16).
-	// 0 means 1 (raw bytes). Must be positive and finite.
-	WireFrac float64
-
-	Start float64 // trace time of the first admission
-}
-
-// PipelineStreamOpts is PipelineStream with step batching and a wire-codec
-// byte fraction folded into the busy-floor model. With Batch and WireFrac
-// at their defaults it is exactly PipelineStream (bit-identical float
-// operations, property-tested).
 func (e *Env) PipelineStreamOpts(s *strategy.Strategy, cfg PipelineConfig) (PipelineResult, error) {
-	images, window, start := cfg.Images, cfg.Window, cfg.Start
-	if images <= 0 {
-		return PipelineResult{}, fmt.Errorf("sim: need at least 1 image")
-	}
-	if window < 1 {
-		return PipelineResult{}, fmt.Errorf("sim: window must be >= 1, got %d", window)
-	}
-	batch := cfg.Batch
-	if batch < 0 {
-		batch = 1
-	}
-	wire := cfg.WireFrac
-	if wire == 0 {
-		wire = 1
-	}
-	if !(wire > 0) || math.IsInf(wire, 0) {
-		return PipelineResult{}, fmt.Errorf("sim: wire fraction must be positive and finite, got %v", cfg.WireFrac)
-	}
-	p, err := e.checkoutPlan(s)
+	var r serving
+	err := r.run(e, s, &Scenario{
+		Tenants: []TenantSpec{{Images: cfg.Images}},
+		Window:  cfg.Window, Batch: cfg.Batch, WireFrac: cfg.WireFrac, Start: cfg.Start,
+	})
 	if err != nil {
 		return PipelineResult{}, err
 	}
-	ps := newPipeState(e.NumProviders(), len(p.vols), batch, wire)
-	complete := make([]float64, images)
-	perImage := make([]float64, images)
-	adm := start
-	for m := 0; m < images; m++ {
-		if m >= window {
-			if c := complete[m-window]; c > adm {
-				adm = c
-			}
-		}
-		lat := p.runPipelined(adm, ps)
-		perImage[m] = lat
-		complete[m] = adm + lat
-	}
-	e.checkinPlan(p)
-
-	res := PipelineResult{
-		Images:      images,
-		Window:      window,
-		Batch:       batch,
-		TotalSec:    complete[images-1] - start,
-		PerImageSec: perImage,
-	}
-	res.IPS = float64(images) / res.TotalSec
-	res.SteadyIPS = steadyIPS(complete, res.IPS)
-
-	sorted := append([]float64(nil), perImage...)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, l := range sorted {
-		sum += l
-	}
-	res.MeanLatMS = sum / float64(images) * 1e3
-	res.P50LatMS = quantile(sorted, 0.50) * 1e3
-	res.P95LatMS = quantile(sorted, 0.95) * 1e3
-	res.MaxLatMS = sorted[images-1] * 1e3
-	return res, nil
+	return r.overall().PipelineResult, nil
 }
 
 // steadyIPS returns the throughput over the second half of a completion

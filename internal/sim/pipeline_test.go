@@ -22,7 +22,7 @@ func TestPipelineWindowOneMatchesStream(t *testing.T) {
 			if err != nil {
 				t.Fatalf("strategy %d: stream: %v", si, err)
 			}
-			got, err := env.PipelineStream(s, images, 1, 0)
+			got, err := env.Serve(s, oneTenant(images, 1, 0))
 			if err != nil {
 				t.Fatalf("strategy %d: pipeline: %v", si, err)
 			}
@@ -70,11 +70,11 @@ func stageStrategy(m *cnn.Model, boundaries []int, n int) *strategy.Strategy {
 func TestPipelineWiderWindowIncreasesThroughput(t *testing.T) {
 	env := testEnv(200, device.Xavier, device.Nano, device.TX2, device.Nano)
 	s := stageStrategy(env.Model, []int{0, 10, 14, 18}, 4)
-	seq, err := env.PipelineStream(s, 60, 1, 0)
+	seq, err := env.Serve(s, oneTenant(60, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pip, err := env.PipelineStream(s, 60, 4, 0)
+	pip, err := env.Serve(s, oneTenant(60, 4, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestPipelineWiderWindowIncreasesThroughput(t *testing.T) {
 	// Equal splits pipeline too (every device works on every volume, so
 	// only the scatter/result edges overlap), just far less.
 	eq := equalSplitStrategy(env.Model, []int{0, 10, 14, 18}, 4)
-	eqSeq, err := env.PipelineStream(eq, 60, 1, 0)
+	eqSeq, err := env.Serve(eq, oneTenant(60, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eqPip, err := env.PipelineStream(eq, 60, 4, 0)
+	eqPip, err := env.Serve(eq, oneTenant(60, 4, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestPipelineWiderWindowIncreasesThroughput(t *testing.T) {
 func TestPipelineSteadyStateMatchesBottleneck(t *testing.T) {
 	env := testEnv(300, device.Xavier, device.Nano)
 	s := offloadStrategy(env.Model, 2, 0)
-	res, err := env.PipelineStream(s, 80, 8, 0)
+	res, err := env.Serve(s, oneTenant(80, 8, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestPipelineSteadyStateMatchesBottleneck(t *testing.T) {
 	}
 	// The sequential protocol pays scatter + compute + result per image, so
 	// pipelining past it must help.
-	seq, err := env.PipelineStream(s, 80, 1, 0)
+	seq, err := env.Serve(s, oneTenant(80, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestPipelineSteadyStateMatchesBottleneck(t *testing.T) {
 func TestPipelineWindowBeyondImages(t *testing.T) {
 	env := testEnv(200, device.Xavier, device.Nano)
 	s := equalSplitStrategy(env.Model, strategy.PoolBoundaries(env.Model), 2)
-	res, err := env.PipelineStream(s, 10, 64, 0)
+	res, err := env.Serve(s, oneTenant(10, 64, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +174,14 @@ func TestPipelineWindowBeyondImages(t *testing.T) {
 func TestPipelineRejectsBadArgs(t *testing.T) {
 	env := testEnv(100, device.Nano, device.Nano)
 	s := equalSplitStrategy(env.Model, strategy.SingleVolume(env.Model), 2)
-	if _, err := env.PipelineStream(s, 0, 1, 0); err == nil {
+	if _, err := env.Serve(s, oneTenant(0, 1, 0)); err == nil {
 		t.Error("zero images must error")
 	}
-	if _, err := env.PipelineStream(s, 5, 0, 0); err == nil {
+	if _, err := env.Serve(s, oneTenant(5, 0, 0)); err == nil {
 		t.Error("zero window must error")
 	}
 	bad := &strategy.Strategy{Boundaries: []int{0, 5}}
-	if _, err := env.PipelineStream(bad, 5, 2, 0); err == nil {
+	if _, err := env.Serve(bad, oneTenant(5, 2, 0)); err == nil {
 		t.Error("invalid strategy must be rejected")
 	}
 }

@@ -275,7 +275,7 @@ func (x *Exec) gather(i int, in cnn.RowRange, rowBytes float64) float64 {
 	if x.vol == 0 {
 		// Requester scatters the input image rows. Within one image the
 		// scatter transfers are idealised as concurrent (the oracle model
-		// the whole evaluation is calibrated on); PipelineStream adds the
+		// the whole evaluation is calibrated on); Serve adds the
 		// uplink serialisation that matters once images overlap.
 		bytes := float64(in.Len()) * rowBytes
 		tr := x.env.Net.TransferLatency(network.Requester, i, bytes, x.at)

@@ -8,7 +8,7 @@ import (
 )
 
 // This file provides the re-planners churn recovery plugs into
-// sim.ChurnStream and runtime Options.Replan. Two quality/latency points:
+// sim.Serve and runtime Options.Replan. Two quality/latency points:
 //
 //   - BalancedReplan: per-volume profile-guided balanced cuts over the
 //     alive providers (the warm-start heuristic of OSDS, hill-climbed on

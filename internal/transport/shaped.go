@@ -17,7 +17,7 @@ import (
 // Charging happens on the *sending* side of a dialled connection, before
 // the message enters the inner transport, and the per-connection send lock
 // is held for the duration: one directed link transfers one payload at a
-// time, which is exactly the per-link busy floor sim.PipelineStream models
+// time, which is exactly the per-link busy floor sim.Serve models
 // (and, for the requester's scatter, its serialised uplink — the
 // requester's input rows all leave through Send on its per-destination
 // conns, so scatter bytes queue behind each other just as the simulator
