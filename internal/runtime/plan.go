@@ -187,15 +187,16 @@ func (p *Plan) maxChunkBytes() int {
 	return max
 }
 
-// BuildPlan compiles a strategy into a deployment plan. The env supplies
-// the model (for geometry) and device profiles (for emulated compute).
+// BuildPlan compiles a strategy into a deployment plan. The plan is a
+// translation of strategy.Geometry — every halo overlap becomes a Need of
+// its consumer and a Route of its producer — with the env's device profiles
+// supplying the emulated compute times.
 func BuildPlan(env *sim.Env, strat *strategy.Strategy, opts Options) (*Plan, error) {
 	opts = opts.withDefaults()
-	n := env.NumProviders()
-	if err := strat.Validate(env.Model, n); err != nil {
+	geo, err := strategy.CompileGeometry(env.Model, strat, env.NumProviders())
+	if err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
-	numVol := strat.NumVolumes()
 	scale := func(b float64) int {
 		v := int(b * opts.BytesScale)
 		if v < 1 {
@@ -204,136 +205,80 @@ func BuildPlan(env *sim.Env, strat *strategy.Strategy, opts Options) (*Plan, err
 		return v
 	}
 
-	plans := make([]ProviderPlan, n)
+	plans := make([]ProviderPlan, env.NumProviders())
 	for i := range plans {
 		plans[i].Index = i
 	}
-	plan := &Plan{InputRowBytes: scale(env.Model.Layers[0].InRowBytes())}
-
-	// Per-volume parts and input requirements.
-	parts := make([][]cnn.RowRange, numVol)
-	ins := make([][]cnn.RowRange, numVol)
-	for v := 0; v < numVol; v++ {
-		layers := strategy.Volume(env.Model, strat.Boundaries, v)
-		parts[v] = make([]cnn.RowRange, n)
-		ins[v] = make([]cnn.RowRange, n)
-		for i := 0; i < n; i++ {
-			p := strat.PartRange(env.Model, v, i)
-			parts[v][i] = p
-			if !p.Empty() {
-				ins[v][i] = cnn.VolumeInputRows(layers, p)
+	// route adds an output obligation to provider i's newest step.
+	route := func(i int, r Route) {
+		st := &plans[i].Steps[len(plans[i].Steps)-1]
+		st.Routes = append(st.Routes, r)
+	}
+	plan := &Plan{Providers: plans, InputRowBytes: scale(geo.Volumes[0].InRowBytes)}
+	for v, g := range geo.Volumes {
+		// Routes first: until this volume's steps are appended below, every
+		// producer's newest step is the one whose rows are being consumed.
+		for i, srcs := range g.Sources {
+			for _, src := range srcs {
+				route(src.From, Route{Dest: i, Lo: src.Rows.Lo, Hi: src.Rows.Hi})
 			}
 		}
-	}
-
-	// Steps with needs.
-	for v := 0; v < numVol; v++ {
-		layers := strategy.Volume(env.Model, strat.Boundaries, v)
-		for i := 0; i < n; i++ {
-			p := parts[v][i]
-			if p.Empty() {
+		for i, part := range g.Parts {
+			if part.Empty() {
 				continue
 			}
 			st := Step{
 				Volume:     v,
-				Part:       p,
-				ComputeSec: device.VolumeLatency(env.Devices[i], layers, p) * opts.TimeScale,
-				RowBytes:   scale(layers[len(layers)-1].OutRowBytes()),
+				Part:       part,
+				ComputeSec: device.VolumeLatency(env.Devices[i], g.Layers, part) * opts.TimeScale,
+				RowBytes:   scale(g.OutRowBytes),
 			}
-			in := ins[v][i]
 			if v == 0 {
-				st.Needs = append(st.Needs, Need{Volume: volInput, Lo: in.Lo, Hi: in.Hi})
-				plan.Scatter = append(plan.Scatter, Need{Volume: volInput, Lo: in.Lo, Hi: in.Hi})
+				in := Need{Volume: volInput, Lo: g.Inputs[i].Lo, Hi: g.Inputs[i].Hi}
+				st.Needs = append(st.Needs, in)
+				plan.Scatter = append(plan.Scatter, in)
 				plan.ScatterDest = append(plan.ScatterDest, i)
-			} else {
-				for j := 0; j < n; j++ {
-					ov := in.Intersect(parts[v-1][j])
-					if ov.Empty() {
-						continue
-					}
-					st.Needs = append(st.Needs, Need{Volume: v - 1, Lo: ov.Lo, Hi: ov.Hi})
-				}
+			}
+			for _, src := range g.Sources[i] {
+				st.Needs = append(st.Needs, Need{Volume: v - 1, Lo: src.Rows.Lo, Hi: src.Rows.Hi})
 			}
 			plans[i].Steps = append(plans[i].Steps, st)
 		}
 	}
 
-	// Routes: producers of volume v feed consumers of volume v+1.
-	addRoute := func(i, v int, r Route) {
-		for si := range plans[i].Steps {
-			if plans[i].Steps[si].Volume == v {
-				plans[i].Steps[si].Routes = append(plans[i].Steps[si].Routes, r)
-				return
-			}
-		}
+	// Finish phase: every last part goes to the FC owner — its own through a
+	// route to itself, like any other chunk — whose synthetic FC step
+	// produces the one chunk the requester awaits; without FC layers the
+	// parts themselves go to the requester.
+	last := len(geo.Volumes) - 1
+	dest := RequesterID
+	if geo.FCOwner >= 0 {
+		dest = geo.FCOwner
 	}
-	for v := 0; v+1 < numVol; v++ {
-		for i := 0; i < n; i++ {
-			if parts[v][i].Empty() {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if parts[v+1][j].Empty() {
-					continue
-				}
-				ov := ins[v+1][j].Intersect(parts[v][i])
-				if ov.Empty() {
-					continue
-				}
-				addRoute(i, v, Route{Dest: j, Lo: ov.Lo, Hi: ov.Hi})
-			}
+	var gathered []Need
+	for i, part := range geo.Volumes[last].Parts {
+		if part.Empty() {
+			continue
 		}
+		route(i, Route{Dest: dest, Lo: part.Lo, Hi: part.Hi})
+		gathered = append(gathered, Need{Volume: last, Lo: part.Lo, Hi: part.Hi})
 	}
-
-	// Final volume: gather at the FC owner if the model has FC layers,
-	// otherwise return rows straight to the requester.
-	last := numVol - 1
-	fcs := env.Model.FCLayers()
-	if len(fcs) == 0 {
-		for i := 0; i < n; i++ {
-			p := parts[last][i]
-			if p.Empty() {
-				continue
-			}
-			addRoute(i, last, Route{Dest: RequesterID, Lo: p.Lo, Hi: p.Hi})
-			plan.Await = append(plan.Await, Need{Volume: last, Lo: p.Lo, Hi: p.Hi})
-		}
-	} else {
-		owner, best := 0, -1
-		for i := 0; i < n; i++ {
-			if l := parts[last][i].Len(); l > best {
-				best = l
-				owner = i
-			}
-		}
-		var fcLat float64
-		for _, fc := range fcs {
-			fcLat += env.Devices[owner].ComputeLatency(fc, 1)
-		}
-		fcStep := Step{
-			Volume:     numVol, // synthetic FC generation
-			Part:       cnn.RowRange{Lo: 0, Hi: 1},
-			ComputeSec: fcLat * opts.TimeScale,
-			RowBytes:   scale(fcs[len(fcs)-1].OutputBytes()),
-			Routes:     []Route{{Dest: RequesterID, Lo: 0, Hi: 1}},
-		}
-		for i := 0; i < n; i++ {
-			p := parts[last][i]
-			if p.Empty() {
-				continue
-			}
-			fcStep.Needs = append(fcStep.Needs, Need{Volume: last, Lo: p.Lo, Hi: p.Hi})
-			if i == owner {
-				// Own rows arrive via a self-route.
-				addRoute(i, last, Route{Dest: owner, Lo: p.Lo, Hi: p.Hi})
-			} else {
-				addRoute(i, last, Route{Dest: owner, Lo: p.Lo, Hi: p.Hi})
-			}
-		}
-		plans[owner].Steps = append(plans[owner].Steps, fcStep)
-		plan.Await = append(plan.Await, Need{Volume: numVol, Lo: 0, Hi: 1})
+	if geo.FCOwner < 0 {
+		plan.Await = gathered
+		return plan, nil
 	}
-
-	plan.Providers = plans
+	var fcLat float64
+	for _, fc := range geo.FCLayers {
+		fcLat += env.Devices[geo.FCOwner].ComputeLatency(fc, 1)
+	}
+	plans[geo.FCOwner].Steps = append(plans[geo.FCOwner].Steps, Step{
+		Volume:     last + 1, // synthetic FC generation
+		Part:       cnn.RowRange{Lo: 0, Hi: 1},
+		Needs:      gathered,
+		Routes:     []Route{{Dest: RequesterID, Lo: 0, Hi: 1}},
+		ComputeSec: fcLat * opts.TimeScale,
+		RowBytes:   scale(geo.ResultBytes),
+	})
+	plan.Await = []Need{{Volume: last + 1, Lo: 0, Hi: 1}}
 	return plan, nil
 }

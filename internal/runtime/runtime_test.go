@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"testing"
 
@@ -66,48 +67,139 @@ func fastOpts() Options {
 	return Options{TimeScale: 0.002, BytesScale: 0.001, Transport: testTransport()}
 }
 
+// checkPlanWiring asserts the plan is closed under "who sends which rows to
+// whom": every Need of every step — the FC step's and the requester's Await
+// included — is fed by exactly one Route addressed to that consumer on the
+// step producing that volume (Scatter playing the requester's routes), every
+// Route feeds a Need, and no step routes rows outside its own part. It
+// returns how many of the matched routes a provider addressed to itself.
+func checkPlanWiring(t *testing.T, plan *Plan) (selfRoutes int) {
+	t.Helper()
+	type chunk struct{ dest, volume, lo, hi int }
+	routed := map[chunk]int{}
+	for k, nd := range plan.Scatter {
+		routed[chunk{plan.ScatterDest[k], nd.Volume, nd.Lo, nd.Hi}]++
+	}
+	for _, pp := range plan.Providers {
+		for _, st := range pp.Steps {
+			for _, r := range st.Routes {
+				routed[chunk{r.Dest, st.Volume, r.Lo, r.Hi}]++
+				if r.Lo < st.Part.Lo || r.Hi > st.Part.Hi || r.Lo >= r.Hi {
+					t.Errorf("provider %d volume %d: route %+v outside its part %v", pp.Index, st.Volume, r, st.Part)
+				}
+				if r.Dest == pp.Index {
+					selfRoutes++
+				}
+			}
+		}
+	}
+	feed := func(dest int, nd Need) {
+		c := chunk{dest, nd.Volume, nd.Lo, nd.Hi}
+		if routed[c] != 1 {
+			t.Errorf("need %+v of %d is fed by %d routes, want exactly 1", nd, dest, routed[c])
+		}
+		delete(routed, c)
+	}
+	for _, pp := range plan.Providers {
+		for _, st := range pp.Steps {
+			for _, nd := range st.Needs {
+				feed(pp.Index, nd)
+			}
+		}
+	}
+	for _, nd := range plan.Await {
+		feed(RequesterID, nd)
+	}
+	for c := range routed {
+		t.Errorf("route %+v feeds no need", c)
+	}
+	return selfRoutes
+}
+
 func TestBuildPlanCoverage(t *testing.T) {
 	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
-	s := equalStrategy(env, []int{0, 10, 14, 18})
-	plan, err := BuildPlan(env, s, fastOpts())
-	if err != nil {
-		t.Fatal(err)
+	// Equal cuts leave last parts of 1, 2, 2, 2 rows: a three-way tie for
+	// the FC owner, which must go to the lowest index. The uneven split has
+	// a clear owner (provider 3).
+	uneven := &strategy.Strategy{
+		Boundaries: []int{0, 10, 14, 18},
+		Splits:     [][]int{{4, 12, 20}, {2, 6, 10}, {1, 2, 4}},
 	}
-	if len(plan.Providers) != 4 {
-		t.Fatalf("plans = %d, want 4", len(plan.Providers))
-	}
-	if len(plan.Scatter) == 0 || len(plan.Await) == 0 {
-		t.Fatal("plan must scatter inputs and await results")
-	}
-	// Every step must have needs and a positive compute time.
-	for _, pp := range plan.Providers {
-		for _, st := range pp.Steps {
-			if len(st.Needs) == 0 {
-				t.Errorf("provider %d volume %d: no needs", pp.Index, st.Volume)
-			}
-			if st.ComputeSec <= 0 {
-				t.Errorf("provider %d volume %d: no compute", pp.Index, st.Volume)
-			}
-			if st.RowBytes < 1 {
-				t.Errorf("provider %d volume %d: bad row bytes", pp.Index, st.Volume)
+	for _, tc := range []struct {
+		name  string
+		strat *strategy.Strategy
+		owner int
+	}{
+		{"equal", equalStrategy(env, []int{0, 10, 14, 18}), 1},
+		{"uneven", uneven, 3},
+	} {
+		name, s := tc.name, tc.strat
+		plan, err := BuildPlan(env, s, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Providers) != 4 {
+			t.Fatalf("%s: plans = %d, want 4", name, len(plan.Providers))
+		}
+		if len(plan.Scatter) == 0 || len(plan.Await) == 0 {
+			t.Fatalf("%s: plan must scatter inputs and await results", name)
+		}
+		// Every step must have needs and a positive compute time.
+		for _, pp := range plan.Providers {
+			for _, st := range pp.Steps {
+				if len(st.Needs) == 0 {
+					t.Errorf("%s: provider %d volume %d: no needs", name, pp.Index, st.Volume)
+				}
+				if st.ComputeSec <= 0 {
+					t.Errorf("%s: provider %d volume %d: no compute", name, pp.Index, st.Volume)
+				}
+				if st.RowBytes < 1 {
+					t.Errorf("%s: provider %d volume %d: bad row bytes", name, pp.Index, st.Volume)
+				}
 			}
 		}
-	}
-	// VGG-16 has FC layers: exactly one provider carries the synthetic FC
-	// step, and the await set is that single chunk.
-	fcSteps := 0
-	for _, pp := range plan.Providers {
-		for _, st := range pp.Steps {
-			if st.Volume == s.NumVolumes() {
-				fcSteps++
+		if checkPlanWiring(t, plan) == 0 {
+			t.Errorf("%s: no provider keeps rows for itself", name)
+		}
+		// VGG-16 has FC layers: exactly one provider carries the synthetic
+		// FC step, and the await set is that single chunk.
+		var fcOwners []int
+		for _, pp := range plan.Providers {
+			for _, st := range pp.Steps {
+				if st.Volume == s.NumVolumes() {
+					fcOwners = append(fcOwners, pp.Index)
+				}
 			}
 		}
-	}
-	if fcSteps != 1 {
-		t.Errorf("fc steps = %d, want 1", fcSteps)
-	}
-	if len(plan.Await) != 1 {
-		t.Errorf("await = %v, want the single FC result", plan.Await)
+		if len(plan.Await) != 1 {
+			t.Errorf("%s: await = %v, want the single FC result", name, plan.Await)
+		}
+		// The geometry, the simulator's timeline and the runtime's plan name
+		// the same owner, and its own last part reaches its FC step through
+		// a route to itself.
+		geo, err := strategy.CompileGeometry(env.Model, s, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, _, err := env.Timeline(s, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		simOwner := -1
+		for _, ev := range events {
+			if ev.Kind == sim.EventFC {
+				simOwner = ev.Device
+			}
+		}
+		if geo.FCOwner != tc.owner || simOwner != tc.owner || len(fcOwners) != 1 || fcOwners[0] != tc.owner {
+			t.Fatalf("%s: FC owner: geometry %d, timeline %d, runtime %v, want %d everywhere",
+				name, geo.FCOwner, simOwner, fcOwners, tc.owner)
+		}
+		ownPart := geo.Volumes[s.NumVolumes()-1].Parts[tc.owner]
+		lastStep := plan.Providers[tc.owner].Steps[len(plan.Providers[tc.owner].Steps)-2]
+		if !slices.Contains(lastStep.Routes, Route{Dest: tc.owner, Lo: ownPart.Lo, Hi: ownPart.Hi}) {
+			t.Errorf("%s: owner %d routes %v: its own rows %v never reach its FC step", name, tc.owner, lastStep.Routes, ownPart)
+		}
 	}
 }
 
@@ -127,6 +219,7 @@ func TestBuildPlanFullyConvolutional(t *testing.T) {
 	if len(plan.Await) != 2 {
 		t.Errorf("await = %d chunks, want 2", len(plan.Await))
 	}
+	checkPlanWiring(t, plan)
 }
 
 func TestBuildPlanRejectsInvalid(t *testing.T) {

@@ -74,7 +74,7 @@ func Compile(e *Env, s *strategy.Strategy) (*CompiledPlan, error) {
 		strat:      s,
 		boundaries: append([]int(nil), s.Boundaries...),
 		splits:     make([][]int, len(s.Splits)),
-		vols:       make([]compiledVolume, len(geo)),
+		vols:       make([]compiledVolume, len(geo.Volumes)),
 		acc:        make([]float64, n),
 		accNext:    make([]float64, n),
 		busy:       make([]float64, n),
@@ -85,72 +85,46 @@ func Compile(e *Env, s *strategy.Strategy) (*CompiledPlan, error) {
 		p.splits[v] = append([]int(nil), cuts...)
 	}
 
-	for v, g := range geo {
+	for v, g := range geo.Volumes {
 		cv := compiledVolume{parts: make([]compiledPart, n)}
-		for i := 0; i < n; i++ {
-			part := g.Parts[i]
+		for i, part := range g.Parts {
 			if part.Empty() {
 				continue
 			}
-			cp := compiledPart{active: true}
 			in := g.Inputs[i]
-			cp.hasIn = !in.Empty()
-			if cp.hasIn {
-				if v == 0 {
-					cp.scatterB = float64(in.Len()) * g.InRowBytes
-				} else {
-					prev := geo[v-1]
-					for j := 0; j < n; j++ {
-						ov := in.Intersect(prev.Parts[j])
-						if ov.Empty() {
-							continue
-						}
-						var bytes float64
-						if j != i {
-							bytes = float64(ov.Len()) * g.InRowBytes
-						}
-						cp.srcs = append(cp.srcs, gatherSrc{j: j, bytes: bytes})
-					}
+			cp := compiledPart{
+				active: true,
+				hasIn:  !in.Empty(),
+				comp:   e.VolumeLatency(i, g.Layers, part),
+				srcs:   make([]gatherSrc, len(g.Sources[i])),
+			}
+			if v == 0 {
+				cp.scatterB = float64(in.Len()) * g.InRowBytes
+			}
+			for k, src := range g.Sources[i] {
+				cp.srcs[k].j = src.From
+				if src.From != i {
+					cp.srcs[k].bytes = float64(src.Rows.Len()) * g.InRowBytes
 				}
 			}
-			cp.comp = e.VolumeLatency(i, g.Layers, part)
 			cv.parts[i] = cp
 		}
 		p.vols[v] = cv
 	}
 
-	// Finish phase precomputation mirrors Exec.Finish.
-	last := geo[len(geo)-1]
-	convLayers := e.Model.SplittableLayers()
-	rowBytes := convLayers[len(convLayers)-1].OutRowBytes()
-	fcs := e.Model.FCLayers()
-	if len(fcs) == 0 {
-		p.fcOwner = -1
-		for j, own := range last.Parts {
-			if own.Empty() {
-				continue
-			}
-			p.finish = append(p.finish, gatherSrc{j: j, bytes: float64(own.Len()) * rowBytes})
+	// Finish phase: every non-empty last part travels to the FC owner (its
+	// own stays put) or, without FC layers, straight to the requester.
+	last := geo.Volumes[len(geo.Volumes)-1]
+	p.fcOwner = geo.FCOwner
+	p.resultBytes = geo.ResultBytes
+	for _, fc := range geo.FCLayers {
+		p.fcLat += e.Devices[p.fcOwner].ComputeLatency(fc, 1)
+	}
+	p.finish = make([]gatherSrc, 0, n)
+	for j, own := range last.Parts {
+		if j != p.fcOwner && !own.Empty() {
+			p.finish = append(p.finish, gatherSrc{j: j, bytes: float64(own.Len()) * last.OutRowBytes})
 		}
-	} else {
-		ownerIdx, best := 0, -1
-		for j, own := range last.Parts {
-			if own.Len() > best {
-				best = own.Len()
-				ownerIdx = j
-			}
-		}
-		p.fcOwner = ownerIdx
-		for j, own := range last.Parts {
-			if j == ownerIdx || own.Empty() {
-				continue
-			}
-			p.finish = append(p.finish, gatherSrc{j: j, bytes: float64(own.Len()) * rowBytes})
-		}
-		for _, fc := range fcs {
-			p.fcLat += e.Devices[ownerIdx].ComputeLatency(fc, 1)
-		}
-		p.resultBytes = fcs[len(fcs)-1].OutputBytes()
 	}
 	return p, nil
 }

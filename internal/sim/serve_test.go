@@ -302,6 +302,21 @@ func TestPipelineStreamOptsAllocs(t *testing.T) {
 	}
 }
 
+// TestCompileAllocs guards the other count on that path: a cold quick plan
+// compiles some 200 candidate strategies, about a third of its allocations.
+func TestCompileAllocs(t *testing.T) {
+	env := testEnv(200, device.Xavier, device.Nano, device.TX2, device.Nano)
+	s := stageStrategy(env.Model, []int{0, 10, 14, 18}, 4)
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := Compile(env, s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 24 {
+		t.Errorf("%.0f allocations per Compile, want <= 24", got)
+	}
+}
+
 // fuzzScenario decodes a bounded scenario from fuzz bytes: every byte
 // stream maps to a valid one.
 func fuzzScenario(data []byte, providers int) (Scenario, int) {

@@ -152,6 +152,12 @@ func maxOf(xs []float64) float64 {
 // accumulated latencies that form the OSDS state (Eq. 7). An Exec owns its
 // buffers and is reusable: Reset re-arms it for the next image without
 // allocating, which is how OSDS training amortises the per-episode cost.
+//
+// Exec derives halo overlaps and the FC owner itself instead of reading a
+// strategy.Geometry, and is the only executor that does: OSDS prices volume
+// v before the cuts of volume v+1 exist, so there is no whole strategy to
+// compile, and ReferenceLatency is built on it to be the independent oracle
+// the compiled path is tested against.
 type Exec struct {
 	env        *Env
 	boundaries []int

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"distredge/internal/cnn"
 	"distredge/internal/network"
 	"distredge/internal/strategy"
 )
@@ -33,119 +32,77 @@ type Event struct {
 }
 
 // Timeline executes one image under the strategy and returns the full
-// event log — a Gantt view of where every millisecond went. The final
-// event's End equals the end-to-end latency.
+// event log — a Gantt view of where every millisecond went. It replays the
+// same compiled plan Latency runs, one event per transfer and compute, so
+// the final event's End and the returned total are Latency's result.
 func (e *Env) Timeline(s *strategy.Strategy, at float64) ([]Event, float64, error) {
-	if err := s.Validate(e.Model, e.NumProviders()); err != nil {
+	p, err := e.checkoutPlan(s)
+	if err != nil {
 		return nil, 0, err
 	}
+	defer e.checkinPlan(p)
+	net := e.Net
 	var events []Event
-	n := e.NumProviders()
-	acc := make([]float64, n)
-	busy := make([]float64, n)
-	var owner []cnn.RowRange
-
-	for v := 0; v < s.NumVolumes(); v++ {
-		layers := strategy.Volume(e.Model, s.Boundaries, v)
-		h := layers[len(layers)-1].OutHeight()
-		newOwner := make([]cnn.RowRange, n)
-		newAcc := append([]float64(nil), acc...)
-		for i := 0; i < n; i++ {
-			part := strategy.CutRange(s.Splits[v], h, i)
-			newOwner[i] = part
-			if part.Empty() {
+	emit := func(dev, vol int, kind EventKind, start, dur float64) {
+		events = append(events, Event{Device: dev, Volume: vol, Kind: kind, Start: start, End: start + dur})
+	}
+	for i := range p.acc {
+		p.acc[i] = 0
+		p.busy[i] = 0
+	}
+	for v := range p.vols {
+		copy(p.accNext, p.acc)
+		for i := range p.vols[v].parts {
+			cp := &p.vols[v].parts[i]
+			if !cp.active {
 				continue
 			}
-			in := cnn.VolumeInputRows(layers, part)
 			var arrive float64
-			if in.Empty() {
-				// No input rows needed: nothing arrives, nothing queues.
-			} else if owner == nil {
-				tr := e.Net.TransferLatency(network.Requester, i, float64(in.Len())*layers[0].InRowBytes(), at)
-				if tr > 0 {
-					events = append(events, Event{Device: i, Volume: v, Kind: EventScatter, Start: 0, End: tr})
-				}
-				arrive = tr
-			} else {
-				for j, own := range owner {
-					ov := in.Intersect(own)
-					if ov.Empty() {
-						continue
-					}
-					t := acc[j]
-					if j != i {
-						tr := e.Net.TransferLatency(j, i, float64(ov.Len())*layers[0].InRowBytes(), at+t)
-						if tr > 0 {
-							events = append(events, Event{Device: i, Volume: v, Kind: EventRecv, Start: t, End: t + tr})
-						}
-						t += tr
-					}
-					if t > arrive {
-						arrive = t
-					}
+			if cp.hasIn && v == 0 {
+				arrive = net.TransferLatency(network.Requester, i, cp.scatterB, at)
+				if arrive > 0 {
+					emit(i, v, EventScatter, 0, arrive)
 				}
 			}
-			start := arrive
-			if busy[i] > start {
-				start = busy[i]
+			for _, src := range cp.srcs {
+				t := p.acc[src.j]
+				if src.j != i {
+					tr := net.TransferLatency(src.j, i, src.bytes, at+t)
+					if tr > 0 {
+						emit(i, v, EventRecv, t, tr)
+					}
+					t += tr
+				}
+				if t > arrive {
+					arrive = t
+				}
 			}
-			var comp float64
-			ranges := cnn.VolumeRanges(layers, part)
-			for li, l := range layers {
-				comp += e.Devices[i].ComputeLatency(l, ranges[li].Len())
-			}
-			events = append(events, Event{Device: i, Volume: v, Kind: EventCompute, Start: start, End: start + comp})
-			busy[i] = start + comp
-			newAcc[i] = start + comp
+			start := max(arrive, p.busy[i])
+			emit(i, v, EventCompute, start, cp.comp)
+			p.busy[i] = start + cp.comp
+			p.accNext[i] = start + cp.comp
 		}
-		acc = newAcc
-		owner = newOwner
+		p.acc, p.accNext = p.accNext, p.acc
 	}
 
-	// Finish phase mirrors Exec.Finish.
-	convLayers := e.Model.SplittableLayers()
-	rowBytes := convLayers[len(convLayers)-1].OutRowBytes()
-	fcs := e.Model.FCLayers()
 	var end float64
-	if len(fcs) == 0 {
-		for j, own := range owner {
-			if own.Empty() {
-				continue
-			}
-			tr := e.Net.TransferLatency(j, network.Requester, float64(own.Len())*rowBytes, at+acc[j])
-			events = append(events, Event{Device: j, Volume: -1, Kind: EventResult, Start: acc[j], End: acc[j] + tr})
-			if t := acc[j] + tr; t > end {
-				end = t
-			}
+	if p.fcOwner < 0 {
+		for _, f := range p.finish {
+			tr := net.TransferLatency(f.j, network.Requester, f.bytes, at+p.acc[f.j])
+			emit(f.j, -1, EventResult, p.acc[f.j], tr)
+			end = max(end, p.acc[f.j]+tr)
 		}
 	} else {
-		ownerIdx, best := 0, -1
-		for j, own := range owner {
-			if own.Len() > best {
-				best = own.Len()
-				ownerIdx = j
-			}
+		ready := p.acc[p.fcOwner]
+		for _, f := range p.finish {
+			tr := net.TransferLatency(f.j, p.fcOwner, f.bytes, at+p.acc[f.j])
+			emit(p.fcOwner, -1, EventGather, p.acc[f.j], tr)
+			ready = max(ready, p.acc[f.j]+tr)
 		}
-		ready := acc[ownerIdx]
-		for j, own := range owner {
-			if j == ownerIdx || own.Empty() {
-				continue
-			}
-			tr := e.Net.TransferLatency(j, ownerIdx, float64(own.Len())*rowBytes, at+acc[j])
-			events = append(events, Event{Device: ownerIdx, Volume: -1, Kind: EventGather, Start: acc[j], End: acc[j] + tr})
-			if t := acc[j] + tr; t > ready {
-				ready = t
-			}
-		}
-		var fcLat float64
-		for _, fc := range fcs {
-			fcLat += e.Devices[ownerIdx].ComputeLatency(fc, 1)
-		}
-		events = append(events, Event{Device: ownerIdx, Volume: -1, Kind: EventFC, Start: ready, End: ready + fcLat})
-		done := ready + fcLat
-		result := fcs[len(fcs)-1].OutputBytes()
-		tr := e.Net.TransferLatency(ownerIdx, network.Requester, result, at+done)
-		events = append(events, Event{Device: ownerIdx, Volume: -1, Kind: EventResult, Start: done, End: done + tr})
+		emit(p.fcOwner, -1, EventFC, ready, p.fcLat)
+		done := ready + p.fcLat
+		tr := net.TransferLatency(p.fcOwner, network.Requester, p.resultBytes, at+done)
+		emit(p.fcOwner, -1, EventResult, done, tr)
 		end = done + tr
 	}
 	sort.Slice(events, func(i, j int) bool {

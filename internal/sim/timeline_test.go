@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -29,8 +28,8 @@ func TestTimelineMatchesLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(total-want) > 1e-9 {
-		t.Fatalf("timeline total %g != latency %g", total, want)
+	if total != want {
+		t.Fatalf("timeline total %.17g != latency %.17g", total, want)
 	}
 	if len(events) == 0 {
 		t.Fatal("no events recorded")
@@ -42,8 +41,8 @@ func TestTimelineMatchesLatency(t *testing.T) {
 			maxEnd = ev.End
 		}
 	}
-	if math.Abs(maxEnd-total) > 1e-9 {
-		t.Errorf("max event end %g != total %g", maxEnd, total)
+	if maxEnd != total {
+		t.Errorf("max event end %.17g != total %.17g", maxEnd, total)
 	}
 }
 

@@ -45,11 +45,76 @@ func decodeStrategy(m *cnn.Model, data []byte) (*Strategy, int) {
 	return s, providers
 }
 
+// checkGeometry asserts the contract every consumer of a Geometry leans on:
+// parts tile each volume in provider order, and for every volume after the
+// first each non-empty part's sources tile exactly its input rows — no gap,
+// no overlap, no row from a provider that does not hold it.
+func checkGeometry(t *testing.T, m *cnn.Model, geo *Geometry) {
+	t.Helper()
+	for v, g := range geo.Volumes {
+		pos := 0
+		for i, part := range g.Parts {
+			if part.Empty() {
+				if len(g.Sources[i]) != 0 || !g.Inputs[i].Empty() {
+					t.Fatalf("volume %d provider %d: idle part has inputs %v from %v", v, i, g.Inputs[i], g.Sources[i])
+				}
+				continue
+			}
+			if part.Lo < pos || part.Hi > g.Height {
+				t.Fatalf("volume %d provider %d: part %v escapes [0,%d) (pos %d)",
+					v, i, part, g.Height, pos)
+			}
+			if v == len(geo.Volumes)-1 && part.Lo != pos {
+				t.Fatalf("last volume: gap [%d,%d) before provider %d", pos, part.Lo, i)
+			}
+			pos = part.Hi
+			if v == 0 {
+				if len(g.Sources[i]) != 0 {
+					t.Fatalf("volume 0 provider %d: sources %v, want the requester's scatter only", i, g.Sources[i])
+				}
+				continue
+			}
+			if len(g.Sources[i]) == 0 {
+				t.Fatalf("volume %d provider %d: part %v has no sources", v, i, part)
+			}
+			next, from := g.Inputs[i].Lo, -1
+			for _, src := range g.Sources[i] {
+				held := geo.Volumes[v-1].Parts[src.From]
+				if src.From <= from || src.Rows.Empty() || src.Rows.Lo != next ||
+					src.Rows.Lo < held.Lo || src.Rows.Hi > held.Hi {
+					t.Fatalf("volume %d provider %d: source %+v breaks the tiling of %v at row %d (producer holds %v)",
+						v, i, src, g.Inputs[i], next, held)
+				}
+				next, from = src.Rows.Hi, src.From
+			}
+			if next != g.Inputs[i].Hi {
+				t.Fatalf("volume %d provider %d: sources %v stop at %d, inputs are %v", v, i, g.Sources[i], next, g.Inputs[i])
+			}
+		}
+		if v == len(geo.Volumes)-1 && pos != g.Height {
+			t.Fatalf("last volume: parts stop at %d of %d rows", pos, g.Height)
+		}
+	}
+	if (geo.FCOwner == -1) != (len(m.FCLayers()) == 0) {
+		t.Fatalf("FCOwner %d with %d FC layers", geo.FCOwner, len(m.FCLayers()))
+	}
+	if o := geo.FCOwner; o >= 0 {
+		last := geo.Volumes[len(geo.Volumes)-1].Parts
+		for i, part := range last {
+			if part.Len() > last[o].Len() || part.Len() == last[o].Len() && i < o {
+				t.Fatalf("FCOwner %d holds %v but provider %d holds %v", o, last[o], i, part)
+			}
+		}
+	}
+}
+
 // FuzzCompileGeometry asserts the compile-time contract churn recovery
 // leans on: for ANY input — adversarial cut points, unsorted or
 // out-of-range volume boundaries, mismatched split counts — either
-// Validate rejects the strategy or CompileGeometry succeeds. A panic
-// (index out of range on a hostile boundary) is the failure mode.
+// Validate rejects the strategy or CompileGeometry succeeds (a panic, say
+// an index out of range on a hostile boundary, is the failure mode) and
+// the geometry passes checkGeometry, on a model with an FC tail and on a
+// fully-convolutional one.
 func FuzzCompileGeometry(f *testing.F) {
 	f.Add([]byte{4, 3, 0, 5, 18, 2, 10, 20, 30})
 	f.Add([]byte{2, 2, 0, 18, 1, 0})
@@ -58,33 +123,27 @@ func FuzzCompileGeometry(f *testing.F) {
 	f.Add([]byte{3, 3, 0, 200, 18, 2, 120, 110})       // out-of-range boundary, unsorted cuts
 	f.Add([]byte{5, 2, 0, 18, 1, 127, 128, 255, 0})
 
-	m := cnn.VGG16()
+	// Accepted strategies, so the seed corpus reaches checkGeometry: vgg16
+	// (FC tail, two largest last parts tie) and yolov2 (fully
+	// convolutional), each with an idle provider in the last volume.
+	f.Add([]byte{3, 2, 0, 10, 14, 18, 3, 1, 2, 3, 1, 2, 4, 0, 1, 2})
+	f.Add([]byte{2, 2, 0, 8, 18, 26, 3, 4, 10, 1, 3, 2, 2})
+
+	models := []*cnn.Model{cnn.VGG16(), cnn.YOLOv2()}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, providers := decodeStrategy(m, data)
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("panic with boundaries=%v splits=%v providers=%d: %v",
-					s.Boundaries, s.Splits, providers, r)
-			}
-		}()
-		geo, err := CompileGeometry(m, s, providers)
-		if err != nil {
-			return // rejected: fine
-		}
-		// Compiled geometry must be internally consistent: parts partition
-		// [0, Height) in provider order.
-		for v, g := range geo {
-			pos := 0
-			for i, part := range g.Parts {
-				if part.Empty() {
-					continue
+		for _, m := range models {
+			s, providers := decodeStrategy(m, data)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s: panic with boundaries=%v splits=%v providers=%d: %v",
+							m.Name, s.Boundaries, s.Splits, providers, r)
+					}
+				}()
+				if geo, err := CompileGeometry(m, s, providers); err == nil {
+					checkGeometry(t, m, geo)
 				}
-				if part.Lo < pos || part.Hi > g.Height {
-					t.Fatalf("volume %d provider %d: part %v escapes [0,%d) (pos %d)",
-						v, i, part, g.Height, pos)
-				}
-				pos = part.Hi
-			}
+			}()
 		}
 	})
 }
