@@ -16,6 +16,7 @@
 //	distnode -providers xavier:200,nano:200,tx2:200 -window 4 -recover -kill 1@0.5
 //	distnode -providers xavier:50,nano:50 -transport inproc -trace
 //	distnode -providers xavier:200,nano:200 -tenants heavy:24x1,small:4x4 -policy wfq -slo 2000
+//	distnode -providers xavier:200,nano:200,tx2:200,nano:200 -tenants heavy:60x1,light:20x2 -window 4 -recover -kill 1@0.15 -heartbeat 15ms
 //
 // With -tenants, the deployment serves through the multi-tenant gateway
 // instead of one pipelined stream: each tenant's backlog is enqueued up
@@ -179,11 +180,7 @@ func main() {
 	stats, runErr := cluster.RunPipelined(*images, *window)
 	fmt.Printf("streamed %d of %d images (window %d) in %.2fs — %.2f images/sec goodput\n",
 		stats.Completed, stats.Images, stats.Window, stats.TotalSec, stats.IPS)
-	if stats.Recoveries > 0 {
-		fmt.Printf("recovered %d time(s): re-planned in %.1fms, requeued %d in-flight images, quarantined %v; %d of %d providers live\n",
-			stats.Recoveries, stats.ReplanMS, stats.Requeued, stats.Quarantined,
-			cluster.LiveProviders(), cluster.NumProviders())
-	}
+	printRecovery(cluster)
 	for i, ms := range stats.PerImageMS {
 		if ms > 0 {
 			fmt.Printf("  image %2d: %7.1f ms\n", i+1, ms)
@@ -237,6 +234,7 @@ func serveTenants(cluster *runtime.Cluster, tenants []sim.TenantSpec, policy str
 	}
 	fmt.Printf("gateway served %d of %d requests (policy %s, window %d) in %.2fs — %.2f images/sec\n",
 		served, len(results), policy, window, total, ips)
+	printRecovery(cluster)
 	fmt.Printf("%-10s %8s %9s %5s %7s %6s %9s %9s %9s\n",
 		"tenant", "enqueued", "completed", "late", "expired", "failed", "lat(ms)", "p95(ms)", "max(ms)")
 	for _, s := range g.Summary() {
@@ -245,6 +243,14 @@ func serveTenants(cluster *runtime.Cluster, tenants []sim.TenantSpec, policy str
 			s.MeanLatMS, s.P95LatMS, s.MaxLatMS)
 	}
 	return nil
+}
+
+// printRecovery reports what -recover did, whichever path served.
+func printRecovery(cluster *runtime.Cluster) {
+	if n, requeued, replanMS, quarantined := cluster.Recovery(); n > 0 {
+		fmt.Printf("recovered %d time(s): re-planned in %.1fms, requeued %d in-flight images, quarantined %v; %d of %d providers live\n",
+			n, replanMS, requeued, quarantined, cluster.LiveProviders(), cluster.NumProviders())
+	}
 }
 
 type killAt struct {

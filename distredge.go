@@ -455,9 +455,11 @@ func RuntimeObjective(cfg PlanConfig) (sim.Objective, error) {
 // the binary chunk codec when nil; see ParseTransport for the named stacks
 // and ShapedTransport for charging this system's WiFi traces to the wire.
 // Close the returned cluster when done. Cluster.Run streams sequentially;
-// Cluster.RunPipelined keeps an admission window of images in flight. With
-// opts.Recover, a provider dying mid-run is quarantined and the strategy
-// re-planned over the survivors instead of failing the run.
+// Cluster.RunPipelined keeps an admission window of images in flight;
+// Cluster.Submit is the one-image call both are built on, safe for
+// concurrent callers (the gateway's backend). With opts.Recover, a dying
+// provider is quarantined and the strategy re-planned over the survivors
+// under every caller, instead of failing them.
 func (s *System) Deploy(p *Plan, opts runtime.Options) (*runtime.Cluster, error) {
 	return runtime.Deploy(s.env, p.Strategy, opts)
 }

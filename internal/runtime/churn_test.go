@@ -1,7 +1,10 @@
 package runtime
 
 import (
+	"errors"
+	goruntime "runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -94,6 +97,141 @@ func TestRecoverFromKilledProvider(t *testing.T) {
 	if bk.pending != 0 || bk.completed != 0 || bk.gcLow != bk.nextImg+1 {
 		t.Errorf("requester bookkeeping leaked: pending=%d completed=%d gcLow=%d nextImg=%d",
 			bk.pending, bk.completed, bk.gcLow, bk.nextImg)
+	}
+}
+
+// TestRecoverFromIdleDeath: a provider that dies while nobody is submitting
+// is latched by the monitor as a failure of the serving deployment. A
+// Recover cluster heals it on the next admission instead of refusing the
+// run as already failed; a sticky cluster keeps refusing.
+func TestRecoverFromIdleDeath(t *testing.T) {
+	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
+	s := stageStrategy(env, env.Model, []int{0, 10, 14, 18})
+	for _, recover := range []bool{true, false} {
+		opts := recoverOpts()
+		opts.Recover = recover
+		cl, err := Deploy(env, s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if _, err := cl.RunPipelined(4, 2); err != nil {
+			t.Fatal(err)
+		}
+		cl.KillProvider(1)
+		for deadline := time.Now().Add(5 * time.Second); cl.Err() == nil; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("monitor never latched the idle death")
+			}
+		}
+		stats, err := cl.RunPipelined(8, 4)
+		if !recover {
+			if err == nil || !strings.Contains(err.Error(), "already failed") {
+				t.Errorf("sticky cluster after an idle death: err = %v, want already failed", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("run after an idle death: %v", err)
+		}
+		if stats.Completed != 8 || stats.Recoveries != 1 {
+			t.Errorf("completed %d of 8 with %d recoveries, want all with exactly 1", stats.Completed, stats.Recoveries)
+		}
+		if q := cl.Quarantined(); len(q) != 1 || q[0] != 1 {
+			t.Errorf("quarantined %v, want [1]", q)
+		}
+	}
+}
+
+// TestClosedRecoverClusterRefusesWithoutRecovering: admission on a closed
+// cluster must fail as closed. Treating it as a failure to recover from
+// quarantined a healthy provider and redeployed a fleet nobody would ever
+// close.
+func TestClosedRecoverClusterRefusesWithoutRecovering(t *testing.T) {
+	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
+	s := stageStrategy(env, env.Model, []int{0, 10, 14, 18})
+	cl, err := Deploy(env, s, recoverOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RunPipelined(4, 2); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	// Teardown is asynchronous; let the goroutine count settle.
+	before := goruntime.NumGoroutine()
+	for settled := 0; settled < 5; time.Sleep(10 * time.Millisecond) {
+		if n := goruntime.NumGoroutine(); n != before {
+			before, settled = n, 0
+		} else {
+			settled++
+		}
+	}
+	if _, err := cl.RunPipelined(2, 1); !errors.Is(err, errClosed) {
+		t.Errorf("run on a closed cluster: err = %v, want %v", err, errClosed)
+	}
+	if err := cl.Submit(); !errors.Is(err, errClosed) {
+		t.Errorf("Submit on a closed cluster: err = %v, want %v", err, errClosed)
+	}
+	if q := cl.Quarantined(); len(q) != 0 {
+		t.Errorf("closed cluster quarantined %v", q)
+	}
+	if n, _, _, _ := cl.Recovery(); n != 0 {
+		t.Errorf("closed cluster ran %d recoveries", n)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if after := goruntime.NumGoroutine(); after > before {
+		t.Errorf("refused run left goroutines behind: %d before, %d after", before, after)
+	}
+}
+
+// TestSubmitRecoversAcrossCallers is the composition recovery exists for:
+// independent callers share one cluster, a provider dies under all of them,
+// and every call still returns nil — one of them heals the cluster once, the
+// others find it healed, each re-scatters its own image.
+func TestSubmitRecoversAcrossCallers(t *testing.T) {
+	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
+	s := stageStrategy(env, env.Model, []int{0, 10, 14, 18})
+	cl, err := Deploy(env, s, recoverOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	const callers, each = 6, 6
+	kill := time.AfterFunc(40*time.Millisecond, func() { cl.KillProvider(1) })
+	defer kill.Stop()
+	errs := make([]error, callers*each)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				errs[i*each+j] = cl.Submit()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("caller %d submit %d: %v", i/each, i%each, err)
+		}
+	}
+	recoveries, requeued, replanMS, quarantined := cl.Recovery()
+	if recoveries != 1 {
+		t.Errorf("%d recoveries, want exactly 1 (requeued %d, %.1fms, quarantined %v)", recoveries, requeued, replanMS, quarantined)
+	}
+	if requeued < 1 || requeued > callers {
+		t.Errorf("requeued %d images, want between 1 and the %d in flight", requeued, callers)
+	}
+	if cl.LiveProviders() != 3 {
+		t.Errorf("live providers = %d, want 3", cl.LiveProviders())
+	}
+	bk := cl.bookkeeping()
+	if bk.pending != 0 || bk.arrived != 0 || bk.completed != 0 || bk.gcLow != bk.nextImg+1 {
+		t.Errorf("requester bookkeeping leaked: pending=%d arrived=%d completed=%d gcLow=%d nextImg=%d",
+			bk.pending, bk.arrived, bk.completed, bk.gcLow, bk.nextImg)
 	}
 }
 

@@ -230,17 +230,22 @@ func (p *Provider) heartbeatLoop() {
 	t := time.NewTicker(p.hb)
 	defer t.Stop()
 	for {
-		_ = p.sendTo(RequesterID, Chunk{
-			Image:  uint32(p.plan.Index),
-			Volume: heartbeatVolume,
-			Lo:     int32(p.epoch),
-		})
+		_ = p.beat()
 		select {
 		case <-p.done:
 			return
 		case <-t.C:
 		}
 	}
+}
+
+// beat sends one heartbeat frame to the requester over the result link.
+func (p *Provider) beat() error {
+	return p.sendTo(RequesterID, Chunk{
+		Image:  uint32(p.plan.Index),
+		Volume: heartbeatVolume,
+		Lo:     int32(p.epoch),
+	})
 }
 
 // Addr returns the provider's listen address.
@@ -490,13 +495,24 @@ func (p *Provider) destSender(dest int, w chan outMsg) {
 }
 
 // reportSendErr reports a send failure to the cluster unless the provider
-// is shutting down (connection teardown is expected then).
+// is shutting down (connection teardown is expected then). The report blames
+// the destination, and the first report a deployment hears is the one
+// recovery acts on, so an accusation against a peer counts only from a
+// provider that can itself still reach the requester: it sends one beat
+// first and keeps quiet if that fails. A partitioned provider's sends all
+// fail, and a real one could not deliver the report anyway; its own silence
+// convicts it at the monitor, while the others' sends to it (and the
+// scatter) still name it correctly.
 func (p *Provider) reportSendErr(dest int, err error) {
 	select {
 	case <-p.done:
+		return
 	default:
-		p.report(dest, fmt.Errorf("runtime: provider %d send to %d: %w", p.plan.Index, dest, err))
 	}
+	if dest != RequesterID && p.beat() != nil {
+		return
+	}
+	p.report(dest, fmt.Errorf("runtime: provider %d send to %d: %w", p.plan.Index, dest, err))
 }
 
 // peerConn returns the lazily-dialled outbound link to dest.

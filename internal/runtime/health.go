@@ -102,7 +102,7 @@ func (m *healthMonitor) loop() {
 		}
 		epoch, report, since := m.verdict(time.Now())
 		for k, i := range report {
-			m.c.failProvider(epoch, i, fmt.Errorf(
+			m.c.failEpoch(epoch, i, fmt.Errorf(
 				"runtime: provider %d lost: no heartbeat for %s (threshold %s)",
 				i, since[k].Round(time.Millisecond), m.threshold))
 		}

@@ -126,7 +126,7 @@ func TestWindowGCDropsState(t *testing.T) {
 			t.Errorf("image %d latency %gms", i, ms)
 		}
 	}
-	for _, p := range cl.providers {
+	for _, p := range cl.dep.Load().providers {
 		p.mu.Lock()
 		n := len(p.images)
 		p.mu.Unlock()
@@ -156,7 +156,7 @@ func TestSendFailureFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.providers[1].close() // peer dies before any traffic
+	cl.dep.Load().providers[1].close() // peer dies before any traffic
 
 	start := time.Now()
 	_, err = cl.Run(2)

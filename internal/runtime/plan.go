@@ -59,10 +59,11 @@ type Options struct {
 	Batch int
 
 	// Recover turns on online churn recovery: when a provider is declared
-	// dead mid-run (missed heartbeats, failed sends), RunPipelined
-	// quarantines it, re-plans the strategy over the survivors, redeploys
-	// them and re-scatters every incomplete image instead of failing the
-	// run. Without it, failure stays sticky (Cluster.Err).
+	// dead (missed heartbeats, failed sends), the first Submit that runs
+	// into it quarantines the provider, re-plans the strategy over the
+	// survivors and redeploys them, and every caller re-scatters its own
+	// incomplete image instead of failing — on every path, RunPipelined and
+	// the gateway included. Without it, failure stays sticky (Cluster.Err).
 	Recover bool
 	// HeartbeatInterval is the period at which every provider beats to the
 	// requester over its result link (default 50ms). Negative disables

@@ -2,15 +2,14 @@ package runtime
 
 import (
 	"fmt"
-	"time"
 
 	"distredge/internal/splitter"
-	"distredge/internal/transport"
+	"distredge/internal/strategy"
 )
 
-// recover is the churn-recovery procedure RunPipelined invokes between
-// admission batches once a failure surfaced (so no admission or completion
-// waiter is live while the deployment is swapped):
+// recover is the churn-recovery procedure. heal runs it under the exclusive
+// serving gate once an attempt failed on deployment `old`, so no admission
+// or completion waiter is live while the deployment is replaced:
 //
 //  1. quarantine — every suspect (the failure's attributed provider plus
 //     anything the health monitor declared dead) leaves the alive mask;
@@ -22,70 +21,43 @@ import (
 //     Options.Objective, i.e. splitter.BalancedReplan under the latency
 //     default) produces a strategy over the survivors, warm-started from
 //     the serving one;
-//  4. redeploy — fresh providers for the survivors under a new epoch, so
-//     stale failure reports and heartbeats from the torn-down deployment
-//     are fenced off, and the failure state is re-armed.
+//  4. redeploy — fresh providers for the survivors as the next deployment,
+//     published with one Store. The old deployment's providers report into
+//     the old latch and beat with the old epoch, so nothing they still say
+//     reaches the new one.
 //
-// The caller then re-scatters every incomplete image. Returns the
-// wall-clock milliseconds spent (the runtime's time-to-recover cost,
-// comparable to sim.ChurnOptions.ReplanSec).
-func (c *Cluster) recover() (float64, error) {
-	t0 := time.Now()
-
+// Every caller whose attempt failed then re-scatters its own image.
+func (c *Cluster) recover(old *deployment) error {
 	// 1. Quarantine the suspects.
-	c.failMu.Lock()
-	cause := c.failErr
-	suspects := map[int]bool{}
-	if c.failIdx >= 0 {
-		suspects[c.failIdx] = true
-	}
-	c.failMu.Unlock()
-	if c.health != nil {
-		for _, i := range c.health.deadSet() {
-			suspects[i] = true
-		}
-	}
-	c.provMu.Lock()
+	suspect, cause := old.cause()
+	alive := append([]bool(nil), old.alive...)
 	newlyDead := 0
-	for i := range suspects {
-		if i >= 0 && i < len(c.alive) && c.alive[i] {
-			c.alive[i] = false
+	quarantine := func(i int) {
+		if i >= 0 && i < len(alive) && alive[i] {
+			alive[i] = false
 			newlyDead++
 		}
 	}
-	alive := append([]bool(nil), c.alive...)
-	oldProvs := append([]*Provider(nil), c.providers...)
-	oldStrat := c.strat
-	c.provMu.Unlock()
-	if newlyDead == 0 {
-		// A timeout with every provider still beating, or a repeat of an
-		// already-handled death: recovery cannot make progress.
-		return 0, fmt.Errorf("runtime: no identifiable dead provider (cause: %v)", cause)
-	}
-	live := 0
-	for _, a := range alive {
-		if a {
-			live++
+	quarantine(suspect)
+	if c.health != nil {
+		for _, i := range c.health.deadSet() {
+			quarantine(i)
 		}
 	}
-	if live == 0 {
-		return 0, fmt.Errorf("runtime: no surviving providers")
+	if newlyDead == 0 {
+		// A timeout with every provider still beating: recovery cannot
+		// make progress.
+		return fmt.Errorf("runtime: no identifiable dead provider (cause: %v)", cause)
+	}
+	if strategy.CountAlive(alive) == 0 {
+		return fmt.Errorf("runtime: no surviving providers")
 	}
 
 	// 2. Tear down the old deployment and drain the bookkeeping. New image
 	// ids will be allocated for the re-scatters, so stale assembly state
-	// and late chunks from the old epoch are unreachable by construction.
-	for _, p := range oldProvs {
-		if p != nil {
-			p.close()
-		}
-	}
-	c.linkMu.Lock()
-	for d, o := range c.links {
-		o.Close()
-		delete(c.links, d)
-	}
-	c.linkMu.Unlock()
+	// and late chunks from the old deployment are unreachable by
+	// construction.
+	old.close()
 	c.reg.drainAll()
 	// Every id allocated so far is now either delivered or dead — including
 	// ids whose results fully arrived but whose waiter observed the failure
@@ -99,61 +71,23 @@ func (c *Cluster) recover() (float64, error) {
 	if replan == nil {
 		replan = splitter.ObjectiveReplan(c.opts.Objective)
 	}
-	newStrat, err := replan(c.env, oldStrat, alive)
+	strat, err := replan(c.env, old.strat, alive)
 	if err != nil {
-		return msSince(t0), fmt.Errorf("runtime: re-plan: %w", err)
+		return fmt.Errorf("runtime: re-plan: %w", err)
 	}
-	plan, err := BuildPlan(c.env, newStrat, c.opts)
+	plan, err := BuildPlan(c.env, strat, c.opts)
 	if err != nil {
-		return msSince(t0), fmt.Errorf("runtime: re-plan compiled an invalid strategy: %w", err)
+		return fmt.Errorf("runtime: re-plan compiled an invalid strategy: %w", err)
 	}
-	// The survivors' plan may ship different chunk sizes; re-hint the wire
-	// buffers before their conns are dialled.
-	transport.SetBufferHint(c.tr, plan.maxChunkBytes())
 
-	// 4. Open a new epoch and redeploy the survivors.
-	c.failMu.Lock()
-	c.epoch++
-	epoch := c.epoch
-	c.failed = make(chan struct{})
-	c.failErr = nil
-	c.failIdx = -1
-	c.failMu.Unlock()
-
-	provs := make([]*Provider, len(alive))
-	addrs := map[int]string{RequesterID: c.ln.Addr()}
-	for _, pp := range plan.Providers {
-		if !alive[pp.Index] {
-			continue
-		}
-		p, err := newProvider(pp, epoch, c.opts.HeartbeatInterval, c.opts.Batch, c.providerFailFn(epoch), c.tr)
-		if err != nil {
-			for _, q := range provs {
-				if q != nil {
-					q.close()
-				}
-			}
-			return msSince(t0), fmt.Errorf("runtime: redeploy provider %d: %w", pp.Index, err)
-		}
-		provs[pp.Index] = p
-		addrs[pp.Index] = p.Addr()
+	// 4. Redeploy the survivors and publish.
+	next, err := c.start(old.epoch+1, strat, plan, alive)
+	if err != nil {
+		return fmt.Errorf("runtime: redeploy: %w", err)
 	}
-	for _, p := range provs {
-		if p != nil {
-			p.setPeers(addrs)
-		}
-	}
-	c.provMu.Lock()
-	c.providers = provs
-	c.strat = newStrat
-	c.plan = plan
-	c.provMu.Unlock()
+	c.dep.Store(next)
 	if c.health != nil {
-		c.health.arm(epoch, alive)
+		c.health.arm(next.epoch, alive)
 	}
-	return msSince(t0), nil
-}
-
-func msSince(t0 time.Time) float64 {
-	return float64(time.Since(t0).Microseconds()) / 1e3
+	return nil
 }

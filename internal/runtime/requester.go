@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,27 +14,33 @@ import (
 
 // Cluster is a deployed strategy: live providers plus the requester-side
 // bookkeeping needed to stream images through them and — with
-// Options.Recover — to survive providers dying mid-stream.
+// Options.Recover — to survive providers dying under any caller.
 type Cluster struct {
 	env  *sim.Env
 	opts Options
 
-	// provMu guards the deployment view, which recovery swaps wholesale:
-	// providers is indexed by provider index (nil = quarantined), alive is
-	// the liveness mask re-planning runs against.
-	provMu    sync.Mutex
-	strat     *strategy.Strategy // guarded by provMu
-	plan      *Plan              // guarded by provMu
-	providers []*Provider        // guarded by provMu
-	alive     []bool             // guarded by provMu
-
 	tr transport.Transport
 	ln transport.Listener
+
+	// gate is the serving gate. Every attempt (one image's admit + await)
+	// holds it shared for its whole life and heal holds it exclusively, so
+	// the deployment an attempt loaded cannot be torn down under it and a
+	// recovery runs only when no admission or completion waiter is live,
+	// whoever the callers are. Waiters leave on their deployment's failed
+	// channel, so the writer never waits on a healthy image.
+	gate sync.RWMutex
+	dep  atomic.Pointer[deployment]
+	// healMu single-flights recovery: callers whose attempts failed on the
+	// same deployment queue here, the first heals, the rest find a newer
+	// deployment published and return without touching the gate.
+	healMu  sync.Mutex
+	healErr error // guarded by healMu; a failed recovery is final
+
 	// sendMu serialises input scatters across concurrent submitters:
 	// per-destination sends inside one scatter stay concurrent, but
 	// successive images enter the uplink one at a time, matching the
 	// pipeline simulator's uplink busy floor no matter how many callers
-	// (RunPipelined's admission loop, gateway Submits) race to admit.
+	// (RunPipelined's workers, gateway Submits) race to admit.
 	sendMu sync.Mutex
 	// Registration hot state is sharded by image id (reg) with the gc
 	// cursor on its own mutex (wm), so concurrent Submit callers and
@@ -42,22 +49,46 @@ type Cluster struct {
 	wm      *watermark
 	nextImg atomic.Uint32 // monotonic across runs, so image ids are never reused
 
-	links  map[int]transport.Conn // guarded by linkMu
-	linkMu sync.Mutex
 	done   chan struct{}
 	closed sync.Once
 
 	health *healthMonitor
 
-	// Failure state is epoch-fenced and re-armable: recovery opens a new
-	// epoch with a fresh channel, and reports stamped with an older epoch
-	// (a torn-down provider's dying gasp) are ignored.
-	failMu  sync.Mutex
-	epoch   int           // guarded by failMu
-	failed  chan struct{} // guarded by failMu
-	failErr error         // guarded by failMu
-	failIdx int           // guarded by failMu; suspected dead provider, -1 unknown
+	// Recovery accounting over the cluster's life (see Recovery).
+	recoveries atomic.Int64
+	requeued   atomic.Int64
+	replanUS   atomic.Int64
 }
+
+// deployment is one epoch's serving state as a single value: everything but
+// the lazily dialled links and the failure latch is immutable once
+// published, so an attempt loads the pointer once and nothing it runs on
+// can change under it. Recovery never edits a deployment; it builds the next
+// one and swaps the pointer. Provider error sinks are bound to the
+// deployment that started them, so a torn-down deployment's dying gasps
+// land on a latch nobody waits on; the epoch number matters only where it
+// crosses the wire (heartbeats) and comes back (the monitor's verdicts).
+type deployment struct {
+	epoch     int
+	strat     *strategy.Strategy
+	plan      *Plan
+	providers []*Provider // indexed by provider index; nil = quarantined
+	alive     []bool      // the liveness mask re-planning runs against
+
+	linkMu sync.Mutex
+	links  map[int]transport.Conn // guarded by linkMu; requester -> provider scatter links
+
+	// failed closes on the deployment's first failure and wakes every waiter,
+	// so a dead peer surfaces immediately instead of after the per-image
+	// timeout.
+	failed  chan struct{}
+	latchMu sync.Mutex
+	failErr error // guarded by latchMu
+	failIdx int   // guarded by latchMu; suspected dead provider, -1 unknown
+}
+
+// errClosed is what admission and recovery return once Close has begun.
+var errClosed = errors.New("runtime: cluster closed")
 
 // Deploy builds the plan for a strategy and starts one provider per device
 // over Options.Transport (default: localhost TCP with the binary chunk
@@ -70,66 +101,131 @@ func Deploy(env *sim.Env, strat *strategy.Strategy, opts Options) (*Cluster, err
 	}
 	n := env.NumProviders()
 	c := &Cluster{
-		env:     env,
-		opts:    opts,
-		strat:   strat,
-		plan:    plan,
-		alive:   make([]bool, n),
-		reg:     newRegTable(),
-		wm:      newWatermark(),
-		tr:      opts.Transport,
-		links:   make(map[int]transport.Conn),
-		done:    make(chan struct{}),
-		failed:  make(chan struct{}),
-		failIdx: -1,
+		env:  env,
+		opts: opts,
+		reg:  newRegTable(),
+		wm:   newWatermark(),
+		tr:   opts.Transport,
+		done: make(chan struct{}),
 	}
-	for i := range c.alive {
-		c.alive[i] = true
-	}
-	// Size the transport's wire buffers to the largest chunk the plan will
-	// ship, so a full chunk crosses to the socket in one write.
-	transport.SetBufferHint(c.tr, plan.maxChunkBytes())
-	addrs := make(map[int]string)
-	for _, pp := range plan.Providers {
-		p, err := newProvider(pp, 0, opts.HeartbeatInterval, opts.Batch, c.providerFailFn(0), c.tr)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.providers = append(c.providers, p)
-		addrs[pp.Index] = p.Addr()
-	}
-	// Requester result listener.
-	ln, err := c.tr.Listen(RequesterID)
-	if err != nil {
-		c.Close()
+	// The requester's result listener comes first: providers are started
+	// knowing where results and heartbeats go.
+	if c.ln, err = c.tr.Listen(RequesterID); err != nil {
 		return nil, err
 	}
-	c.ln = ln
-	addrs[RequesterID] = ln.Addr()
-	for _, p := range c.providers {
-		p.setPeers(addrs)
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = true
 	}
+	d, err := c.start(0, strat, plan, alive)
+	if err != nil {
+		c.ln.Close()
+		return nil, err
+	}
+	c.dep.Store(d)
 	// The monitor must exist before acceptResults starts routing beats to it.
 	if opts.HeartbeatInterval > 0 {
 		c.health = newHealthMonitor(c, n, opts.HeartbeatInterval, opts.HeartbeatMisses)
-		c.health.arm(0, c.alive)
+		c.health.arm(0, alive)
 	}
 	go c.acceptResults()
 	return c, nil
 }
 
-// providerFailFn builds the error sink for providers deployed in the given
-// epoch: reports are dropped once cluster-wide teardown has begun (Close
-// tears providers down one by one, so a not-yet-closed provider's send to
-// an already-closed peer must not record a spurious failure), and
-// failProvider additionally fences off reports from torn-down epochs.
-func (c *Cluster) providerFailFn(epoch int) func(int, error) {
-	return func(suspect int, err error) {
+// start brings up the next deployment: one provider per live index of the
+// plan, all told where their peers and the requester listen. Deploy and
+// recovery both come through here. On error everything started is closed.
+func (c *Cluster) start(epoch int, strat *strategy.Strategy, plan *Plan, alive []bool) (*deployment, error) {
+	d := &deployment{
+		epoch:     epoch,
+		strat:     strat,
+		plan:      plan,
+		providers: make([]*Provider, len(alive)),
+		alive:     alive,
+		links:     make(map[int]transport.Conn),
+		failed:    make(chan struct{}),
+		failIdx:   -1,
+	}
+	// Size the transport's wire buffers to the largest chunk the plan will
+	// ship, so a full chunk crosses to the socket in one write.
+	transport.SetBufferHint(c.tr, plan.maxChunkBytes())
+	// Reports are dropped once cluster-wide teardown has begun: Close tears
+	// providers down one by one, so a not-yet-closed provider's send to an
+	// already-closed peer must not record a spurious failure.
+	sink := func(suspect int, err error) {
 		select {
 		case <-c.done:
 		default:
-			c.failProvider(epoch, suspect, err)
+			d.fail(suspect, err)
+		}
+	}
+	addrs := map[int]string{RequesterID: c.ln.Addr()}
+	for _, pp := range plan.Providers {
+		if !alive[pp.Index] {
+			continue
+		}
+		p, err := newProvider(pp, epoch, c.opts.HeartbeatInterval, c.opts.Batch, sink, c.tr)
+		if err != nil {
+			d.close()
+			return nil, fmt.Errorf("runtime: start provider %d: %w", pp.Index, err)
+		}
+		d.providers[pp.Index] = p
+		addrs[pp.Index] = p.Addr()
+	}
+	for _, p := range d.providers {
+		if p != nil {
+			p.setPeers(addrs)
+		}
+	}
+	return d, nil
+}
+
+// fail latches the deployment's first failure, remembering the suspected
+// provider (-1 = unknown), and wakes every waiter.
+func (d *deployment) fail(suspect int, err error) {
+	d.latchMu.Lock()
+	defer d.latchMu.Unlock()
+	if d.failErr == nil {
+		d.failErr, d.failIdx = err, suspect
+		close(d.failed)
+	}
+}
+
+// cause returns the latched failure and its suspect (-1, nil while healthy).
+func (d *deployment) cause() (suspect int, err error) {
+	d.latchMu.Lock()
+	defer d.latchMu.Unlock()
+	return d.failIdx, d.failErr
+}
+
+// link returns the lazily dialled scatter link to provider dest.
+func (d *deployment) link(tr transport.Transport, dest int) (transport.Conn, error) {
+	d.linkMu.Lock()
+	defer d.linkMu.Unlock()
+	if o, ok := d.links[dest]; ok {
+		return o, nil
+	}
+	if dest < 0 || dest >= len(d.providers) || d.providers[dest] == nil {
+		return nil, fmt.Errorf("runtime: provider %d is quarantined", dest)
+	}
+	o, err := tr.Dial(RequesterID, d.providers[dest].Addr())
+	if err != nil {
+		return nil, err
+	}
+	d.links[dest] = o
+	return o, nil
+}
+
+// close tears the deployment down: scatter links, then every provider.
+func (d *deployment) close() {
+	d.linkMu.Lock()
+	for _, o := range d.links {
+		o.Close()
+	}
+	d.linkMu.Unlock()
+	for _, p := range d.providers {
+		if p != nil {
+			p.close()
 		}
 	}
 }
@@ -140,54 +236,21 @@ func (c *Cluster) Addr() string { return c.ln.Addr() }
 // Transport returns the wire stack the cluster is deployed over.
 func (c *Cluster) Transport() transport.Transport { return c.tr }
 
-// failProvider records the first failure of the given epoch, remembering
-// the suspected provider (-1 = unknown), and wakes every waiter so a dead
-// peer surfaces immediately instead of after the per-image timeout.
-func (c *Cluster) failProvider(epoch, suspect int, err error) {
-	c.failMu.Lock()
-	defer c.failMu.Unlock()
-	if epoch != c.epoch {
-		return
-	}
-	select {
-	case <-c.failed:
-	default:
-		c.failErr = err
-		c.failIdx = suspect
-		close(c.failed)
+// failEpoch is where an epoch number comes back off the wire: the health
+// monitor's verdict on a provider it watched in that epoch. A verdict on a
+// torn-down deployment is dropped.
+func (c *Cluster) failEpoch(epoch, suspect int, err error) {
+	if d := c.dep.Load(); d.epoch == epoch {
+		d.fail(suspect, err)
 	}
 }
 
-// failNow records a failure in the current epoch (requester-side callers).
-func (c *Cluster) failNow(suspect int, err error) {
-	c.failMu.Lock()
-	epoch := c.epoch
-	c.failMu.Unlock()
-	c.failProvider(epoch, suspect, err)
-}
-
-// fail records a failure with no suspected provider.
-func (c *Cluster) fail(err error) { c.failNow(-1, err) }
-
-// failedCh returns the current epoch's failure channel.
-func (c *Cluster) failedCh() chan struct{} {
-	c.failMu.Lock()
-	defer c.failMu.Unlock()
-	return c.failed
-}
-
-// Err returns the first error the cluster recorded in its current epoch,
-// or nil while healthy. With Options.Recover, a successful recovery opens
-// a new epoch and Err reads nil again; without it, failure is sticky.
+// Err returns the first error the serving deployment recorded, or nil while
+// healthy. With Options.Recover the next Submit heals the cluster and Err
+// reads nil again; without it, failure is sticky.
 func (c *Cluster) Err() error {
-	c.failMu.Lock()
-	defer c.failMu.Unlock()
-	select {
-	case <-c.failed:
-		return c.failErr
-	default:
-		return nil
-	}
+	_, err := c.dep.Load().cause()
+	return err
 }
 
 func (c *Cluster) acceptResults() {
@@ -220,11 +283,8 @@ func (c *Cluster) acceptResults() {
 }
 
 // register allocates the next image id and arms its completion tracking.
-func (c *Cluster) register() (uint32, chan struct{}) {
+func (c *Cluster) register(plan *Plan) (uint32, chan struct{}) {
 	done := make(chan struct{})
-	c.provMu.Lock()
-	plan := c.plan // recovery swaps the plan wholesale; snapshot the pointer
-	c.provMu.Unlock()
 	img := c.nextImg.Add(1)
 	m := make(map[chunkKey]bool, len(plan.Await))
 	for _, a := range plan.Await {
@@ -240,21 +300,18 @@ func (c *Cluster) register() (uint32, chan struct{}) {
 // advance past it — the mirror of recovery's drain, without which gcLow
 // wedges below the dead id forever and provider assembly state above it is
 // never collected again.
-func (c *Cluster) dropRegistration(img uint32) {
+func (c *Cluster) dropRegistration(d *deployment, img uint32) {
 	c.reg.shard(img).drop(img)
-	c.complete(img)
+	c.complete(d, img)
 }
 
 // complete records a finished image and advances the gc watermark: provider
 // assembly state is dropped only once every image at or below it has
 // completed, so an early finisher never tears down state a straggler in the
 // admission window still needs.
-func (c *Cluster) complete(img uint32) {
+func (c *Cluster) complete(d *deployment, img uint32) {
 	low := c.wm.complete(img)
-	c.provMu.Lock()
-	provs := append([]*Provider(nil), c.providers...)
-	c.provMu.Unlock()
-	for _, p := range provs {
+	for _, p := range d.providers {
 		if p != nil {
 			p.gc(low)
 		}
@@ -263,15 +320,12 @@ func (c *Cluster) complete(img uint32) {
 
 // sendInput scatters one image's input rows to the volume-0 providers.
 // Per-destination sends run concurrently — the single-image oracle's
-// scatter model, and what per-pair connections really allow — while the
-// admission loop's serial sendInput calls keep successive images' scatters
-// ordered like the pipeline simulator's uplink busy floor. A failed
-// scatter is attributed to its destination provider so recovery can
-// quarantine it.
-func (c *Cluster) sendInput(img uint32) error {
-	c.provMu.Lock()
-	plan := c.plan // recovery swaps the plan wholesale; snapshot the pointer
-	c.provMu.Unlock()
+// scatter model, and what per-pair connections really allow — while admit's
+// sendMu keeps successive images' scatters ordered like the pipeline
+// simulator's uplink busy floor. A failed scatter is attributed to its
+// destination provider so recovery can quarantine it.
+func (c *Cluster) sendInput(d *deployment, img uint32) error {
+	plan := d.plan
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	firstErr, firstDest := error(nil), -1
@@ -288,7 +342,11 @@ func (c *Cluster) sendInput(img uint32) error {
 		wg.Add(1)
 		go func(dest int, ch Chunk) {
 			defer wg.Done()
-			if err := c.sendToProvider(dest, ch); err != nil {
+			o, err := d.link(c.tr, dest)
+			if err == nil {
+				err = o.Send(ch)
+			}
+			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr, firstDest = err, dest
@@ -300,36 +358,10 @@ func (c *Cluster) sendInput(img uint32) error {
 	wg.Wait()
 	if firstErr != nil {
 		err := fmt.Errorf("runtime: scatter image %d to provider %d: %w", img, firstDest, firstErr)
-		c.failNow(firstDest, err)
+		d.fail(firstDest, err)
 		return err
 	}
 	return nil
-}
-
-func (c *Cluster) sendToProvider(dest int, ch Chunk) error {
-	c.linkMu.Lock()
-	o, ok := c.links[dest]
-	if !ok {
-		c.provMu.Lock()
-		var p *Provider
-		if dest >= 0 && dest < len(c.providers) {
-			p = c.providers[dest]
-		}
-		c.provMu.Unlock()
-		if p == nil {
-			c.linkMu.Unlock()
-			return fmt.Errorf("runtime: provider %d is quarantined", dest)
-		}
-		cn, err := c.tr.Dial(RequesterID, p.Addr())
-		if err != nil {
-			c.linkMu.Unlock()
-			return err
-		}
-		o = cn
-		c.links[dest] = o
-	}
-	c.linkMu.Unlock()
-	return o.Send(ch)
 }
 
 // RunStats summarises a streaming run over the cluster.
@@ -363,6 +395,10 @@ func (s RunStats) MeanLatMS() float64 {
 	return sum / float64(len(s.PerImageMS))
 }
 
+func msSince(t0 time.Time) float64 {
+	return float64(time.Since(t0).Microseconds()) / 1e3
+}
+
 // Run streams `images` images through the deployed strategy one at a time
 // (Section V-A's sequential protocol) and returns timing statistics.
 func (c *Cluster) Run(images int) (RunStats, error) {
@@ -370,19 +406,19 @@ func (c *Cluster) Run(images int) (RunStats, error) {
 }
 
 // RunPipelined streams `images` images keeping up to `window` of them in
-// flight: a new image is admitted as soon as a slot frees, so providers
-// overlap different images' steps and the run measures sustained
-// throughput. Window 1 is the paper's one-image-at-a-time protocol.
+// flight: min(window, images) workers each Submit one image after another,
+// so providers overlap different images' steps and the run measures
+// sustained throughput. Window 1 is the paper's one-image-at-a-time
+// protocol.
 //
-// Errors anywhere in the cluster — a dead peer, a failed send, missed
-// heartbeats, an image exceeding Options.Timeout — abort the admission
-// window immediately. Without Options.Recover the failure is sticky: the
-// cluster's distributed assembly state is suspect, so the run fails and
-// further runs are refused (redeploy to retry). With Options.Recover the
-// cluster quarantines the dead provider, re-plans the strategy over the
-// survivors (warm-started from the serving strategy), redeploys them, and
-// re-scatters every incomplete image; the returned stats count the
-// recoveries and the re-planning cost.
+// The first Submit error stops admission and fails the run. Without
+// Options.Recover that is any failure anywhere in the cluster — a dead peer,
+// a failed send, missed heartbeats, an image exceeding Options.Timeout — and
+// it is sticky: the run returns the cluster's first error and further runs
+// are refused (redeploy to retry). With Options.Recover Submit heals the
+// cluster underneath the run, so only a failed recovery ends it; the
+// returned stats count the recoveries the run lived through, and PerImageMS
+// of a requeued image includes the recovery stall.
 func (c *Cluster) RunPipelined(images, window int) (RunStats, error) {
 	if images < 1 {
 		return RunStats{}, fmt.Errorf("runtime: need at least one image")
@@ -390,190 +426,201 @@ func (c *Cluster) RunPipelined(images, window int) (RunStats, error) {
 	if window < 1 {
 		return RunStats{}, fmt.Errorf("runtime: window must be >= 1, got %d", window)
 	}
-	if err := c.Err(); err != nil {
+	if err := c.Err(); err != nil && !c.opts.Recover {
 		return RunStats{}, fmt.Errorf("runtime: cluster already failed: %w", err)
 	}
 	stats := RunStats{Images: images, Window: window, Batch: c.opts.Batch, PerImageMS: make([]float64, images)}
-	t0s := make([]time.Time, images)
-	completed := make([]bool, images)
-	remaining := make([]int, images)
-	for i := range remaining {
-		remaining[i] = i
-	}
+	rec0, req0, ms0, _ := c.Recovery()
+	var (
+		next      atomic.Int64 // next unclaimed image slot
+		completed atomic.Int64
+		errOnce   sync.Once
+		runErr    error
+		wg        sync.WaitGroup
+	)
 	start := time.Now()
-	finalize := func() {
-		stats.TotalSec = time.Since(start).Seconds()
-		stats.Completed = 0
-		for _, done := range completed {
-			if done {
-				stats.Completed++
-			}
-		}
-		if stats.TotalSec > 0 {
-			stats.IPS = float64(stats.Completed) / stats.TotalSec
-		}
-		stats.Quarantined = c.Quarantined()
-	}
-	for len(remaining) > 0 {
-		err := c.runBatch(remaining, window, t0s, completed, &stats)
-		if err == nil {
-			break
-		}
-		if !c.opts.Recover {
-			finalize()
-			return stats, err
-		}
-		replanMS, rerr := c.recover()
-		stats.ReplanMS += replanMS
-		if rerr != nil {
-			finalize()
-			return stats, fmt.Errorf("runtime: %v; recovery failed: %w", err, rerr)
-		}
-		var left []int
-		for _, slot := range remaining {
-			if !completed[slot] {
-				left = append(left, slot)
-				if !t0s[slot].IsZero() {
-					// Only images that were actually in flight at the
-					// failure count as requeued; the unadmitted tail is
-					// just admitted later.
-					stats.Requeued++
+	for w := 0; w < min(window, images); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				slot := int(next.Add(1)) - 1
+				if slot >= images {
+					return
 				}
+				t0 := time.Now()
+				if err := c.Submit(); err != nil {
+					errOnce.Do(func() { runErr = err })
+					next.Store(int64(images)) // stop admission
+					return
+				}
+				stats.PerImageMS[slot] = msSince(t0)
+				completed.Add(1)
 			}
-		}
-		remaining = left
-		stats.Recoveries++
+		}()
 	}
-	finalize()
-	return stats, nil
+	wg.Wait()
+	stats.TotalSec = time.Since(start).Seconds()
+	stats.Completed = int(completed.Load())
+	if stats.TotalSec > 0 {
+		stats.IPS = float64(stats.Completed) / stats.TotalSec
+	}
+	rec1, req1, ms1, quarantined := c.Recovery()
+	stats.Recoveries, stats.Requeued, stats.ReplanMS, stats.Quarantined = rec1-rec0, req1-req0, ms1-ms0, quarantined
+	if runErr != nil && !c.opts.Recover {
+		// Sticky failure: every aborted image wraps the same first error;
+		// report that one, as Err will from now on.
+		if err := c.Err(); err != nil {
+			runErr = err
+		}
+	}
+	return stats, runErr
+}
+
+// Submit streams one image through the deployed strategy and blocks until
+// its result assembles. It is the cluster's only admission path, safe for
+// arbitrary concurrent callers: RunPipelined is a window of workers calling
+// it, and the serving gateway (internal/gateway) multiplexes many tenants'
+// requests over one deployed fleet through it, supplying its own windowing,
+// fairness and deadlines.
+//
+// Without Options.Recover a failure — the per-image timeout, a dead peer,
+// missed heartbeats — is sticky (see Err) and surfaces from every in-flight
+// and subsequent Submit. With it, a caller whose attempt failed heals the
+// cluster (or finds it already healed by another caller) and re-scatters its
+// own image on the new deployment, so the call returns nil across a provider
+// death and an error only when recovery itself failed, which is final.
+func (c *Cluster) Submit() error {
+	for {
+		d, inflight, err := c.attempt()
+		if err == nil || !c.opts.Recover || errors.Is(err, errClosed) {
+			return err
+		}
+		if rerr := c.heal(d); rerr != nil {
+			return fmt.Errorf("runtime: %v; recovery failed: %w", err, rerr)
+		}
+		if inflight {
+			c.requeued.Add(1)
+		}
+	}
+}
+
+// attempt runs one image on the serving deployment, holding the serving
+// gate shared from before the deployment is loaded until the image's waiter
+// has left. It returns that deployment, and whether the image got as far as
+// its scatter (false: the deployment was refused as already failed).
+func (c *Cluster) attempt() (d *deployment, inflight bool, err error) {
+	c.gate.RLock()
+	defer c.gate.RUnlock()
+	d = c.dep.Load()
+	select {
+	case <-c.done:
+		return d, false, errClosed
+	default:
+	}
+	if _, err := d.cause(); err != nil {
+		return d, false, fmt.Errorf("runtime: cluster already failed: %w", err)
+	}
+	img, done, err := c.admit(d)
+	if err != nil {
+		return d, true, err
+	}
+	return d, true, c.await(d, img, done)
 }
 
 // admit registers the next image and scatters its input rows, serialised
 // against every other submitter by sendMu. A failed scatter has already
-// marked the cluster failed (sendInput attributes it to its destination);
-// admit additionally drops the dead registration so the gc watermark keeps
+// failed the deployment (sendInput attributes it to its destination); admit
+// additionally drops the dead registration so the gc watermark keeps
 // advancing, and returns the error.
-func (c *Cluster) admit() (uint32, chan struct{}, error) {
-	img, done := c.register()
+func (c *Cluster) admit(d *deployment) (uint32, chan struct{}, error) {
+	img, done := c.register(d.plan)
 	c.sendMu.Lock()
-	err := c.sendInput(img)
+	err := c.sendInput(d, img)
 	c.sendMu.Unlock()
 	if err != nil {
-		c.dropRegistration(img)
+		c.dropRegistration(d, img)
 		return 0, nil, err
 	}
 	return img, done, nil
 }
 
 // await blocks until the admitted image's full result has arrived (nil),
-// the per-image Options.Timeout fires, the cluster's current epoch records
-// a failure, or the cluster closes. On success the image is marked complete
-// and provider assembly state below the watermark is collected.
-func (c *Cluster) await(img uint32, done <-chan struct{}) error {
-	failed := c.failedCh()
+// the per-image Options.Timeout fires, the deployment records a failure, or
+// the cluster closes. On success the image is marked complete and provider
+// assembly state below the watermark is collected.
+func (c *Cluster) await(d *deployment, img uint32, done <-chan struct{}) error {
 	timer := time.NewTimer(c.opts.Timeout)
 	defer timer.Stop()
 	select {
 	case <-done:
-		c.complete(img)
+		c.complete(d, img)
 		return nil
 	case <-timer.C:
 		err := fmt.Errorf("runtime: image %d timed out after %s", img, c.opts.Timeout)
-		c.failNow(-1, err)
+		d.fail(-1, err)
 		return err
-	case <-failed:
-		return fmt.Errorf("runtime: image %d aborted: %w", img, c.Err())
+	case <-d.failed:
+		_, cause := d.cause()
+		return fmt.Errorf("runtime: image %d aborted: %w", img, cause)
 	case <-c.done:
-		err := fmt.Errorf("runtime: cluster closed during run")
-		c.fail(err)
+		err := fmt.Errorf("%w during run", errClosed)
+		d.fail(-1, err)
 		return err
 	}
 }
 
-// Submit streams one image through the deployed strategy and blocks until
-// its result assembles (or the per-image timeout / a cluster failure
-// aborts it). It is the shared-cluster admission primitive: where
-// RunPipelined owns the whole admission window for a single caller's image
-// list, Submit is safe for arbitrary concurrent callers — the serving
-// gateway (internal/gateway) multiplexes many tenants' requests over one
-// deployed fleet through it, supplying its own windowing, fairness and
-// deadlines. Submit does not drive churn recovery: a failure is sticky
-// (see Err) and surfaces from every in-flight and subsequent Submit.
-func (c *Cluster) Submit() error {
-	if err := c.Err(); err != nil {
-		return fmt.Errorf("runtime: cluster already failed: %w", err)
+// heal replaces the deployment `old`, on which the caller's attempt failed,
+// with a recovered one. Callers queue on healMu; whoever still finds `old`
+// serving takes the gate exclusively — every attempt on `old` has left or is
+// leaving on its failed channel — and recovers, the rest return at once.
+func (c *Cluster) heal(old *deployment) error {
+	c.healMu.Lock()
+	defer c.healMu.Unlock()
+	if c.healErr != nil {
+		return c.healErr
 	}
-	img, done, err := c.admit()
+	if c.dep.Load() != old {
+		return nil // another caller already healed it
+	}
+	c.gate.Lock()
+	defer c.gate.Unlock()
+	select {
+	case <-c.done:
+		return errClosed
+	default:
+	}
+	t0 := time.Now()
+	err := c.recover(old)
+	c.replanUS.Add(time.Since(t0).Microseconds())
 	if err != nil {
+		c.healErr = err
 		return err
 	}
-	return c.await(img, done)
+	c.recoveries.Add(1)
+	return nil
 }
 
-// runBatch admits the given image slots through the current deployment
-// with the admission-window protocol, returning the epoch's first error
-// (nil when every slot completed). Slots that complete are marked in
-// `completed` with their latency measured from their first admission, so
-// re-admitted images show the recovery stall in PerImageMS.
-func (c *Cluster) runBatch(slots []int, window int, t0s []time.Time, completed []bool, stats *RunStats) error {
-	failed := c.failedCh()
-	sem := make(chan struct{}, window)
-	var wg sync.WaitGroup
-admit:
-	for _, slot := range slots {
-		// Backpressure: wait for a free slot in the admission window, or
-		// stop admitting the moment anything failed.
-		select {
-		case sem <- struct{}{}:
-		case <-failed:
-			break admit
-		case <-c.done:
-			c.fail(fmt.Errorf("runtime: cluster closed during run"))
-			break admit
-		}
-		if t0s[slot].IsZero() {
-			t0s[slot] = time.Now()
-		}
-		img, done, err := c.admit()
-		if err != nil {
-			<-sem
-			break admit
-		}
-		wg.Add(1)
-		go func(slot int, img uint32, done <-chan struct{}) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if c.await(img, done) == nil {
-				stats.PerImageMS[slot] = float64(time.Since(t0s[slot]).Microseconds()) / 1e3
-				completed[slot] = true
-			}
-		}(slot, img, done)
-	}
-	wg.Wait()
-	return c.Err()
+// Recovery returns the cluster's recovery accounting since Deploy:
+// quarantine + re-plan + redeploy cycles, images re-scattered after one,
+// total wall-clock milliseconds spent recovering (successful or not), and
+// the providers removed from the fleet, in index order. RunStats carries
+// the same counters per run.
+func (c *Cluster) Recovery() (recoveries, requeued int, replanMS float64, quarantined []int) {
+	return int(c.recoveries.Load()), int(c.requeued.Load()), float64(c.replanUS.Load()) / 1e3, c.Quarantined()
 }
 
 // NumProviders returns the number of providers the cluster was deployed
 // with, including quarantined ones.
-func (c *Cluster) NumProviders() int {
-	c.provMu.Lock()
-	defer c.provMu.Unlock()
-	return len(c.providers)
-}
+func (c *Cluster) NumProviders() int { return len(c.dep.Load().providers) }
 
 // LiveProviders returns the number of providers currently serving.
-func (c *Cluster) LiveProviders() int {
-	c.provMu.Lock()
-	defer c.provMu.Unlock()
-	return strategy.CountAlive(c.alive)
-}
+func (c *Cluster) LiveProviders() int { return strategy.CountAlive(c.dep.Load().alive) }
 
 // Quarantined returns the indices of providers removed from the fleet.
 func (c *Cluster) Quarantined() []int {
-	c.provMu.Lock()
-	defer c.provMu.Unlock()
 	var out []int
-	for i, a := range c.alive {
+	for i, a := range c.dep.Load().alive {
 		if !a {
 			out = append(out, i)
 		}
@@ -584,53 +631,37 @@ func (c *Cluster) Quarantined() []int {
 // Strategy returns the strategy the cluster is currently serving — after a
 // recovery this is the re-planned one, not the strategy it was deployed
 // with.
-func (c *Cluster) Strategy() *strategy.Strategy {
-	c.provMu.Lock()
-	defer c.provMu.Unlock()
-	return c.strat
-}
+func (c *Cluster) Strategy() *strategy.Strategy { return c.dep.Load().strat }
 
 // KillProvider simulates a crash of provider i: its listener and
 // connections drop and its heartbeats stop, exactly as a powered-off
 // device looks to the rest of the cluster. Chaos tests and the churn
 // experiments use it to inject failures mid-run.
 func (c *Cluster) KillProvider(i int) error {
-	c.provMu.Lock()
-	if i < 0 || i >= len(c.providers) {
-		c.provMu.Unlock()
+	d := c.dep.Load()
+	if i < 0 || i >= len(d.providers) {
 		return fmt.Errorf("runtime: no provider %d", i)
 	}
-	p := c.providers[i]
-	c.provMu.Unlock()
-	if p == nil {
-		return nil // already quarantined
+	if p := d.providers[i]; p != nil { // nil: already quarantined
+		p.close()
 	}
-	p.close()
 	return nil
 }
 
-// Close tears the cluster down.
+// Close tears the cluster down. Closing done releases every waiter, so the
+// gate is free as soon as they have left; taking it before the teardown
+// means no recovery is running, and none that starts later publishes a
+// deployment Close did not see.
 func (c *Cluster) Close() {
 	c.closed.Do(func() {
 		close(c.done)
 		if c.health != nil {
 			c.health.close()
 		}
-		if c.ln != nil {
-			c.ln.Close()
-		}
-		c.linkMu.Lock()
-		for _, o := range c.links {
-			o.Close()
-		}
-		c.linkMu.Unlock()
-		c.provMu.Lock()
-		provs := append([]*Provider(nil), c.providers...)
-		c.provMu.Unlock()
-		for _, p := range provs {
-			if p != nil {
-				p.close()
-			}
-		}
+		c.ln.Close()
+		c.gate.Lock()
+		d := c.dep.Load()
+		c.gate.Unlock()
+		d.close()
 	})
 }

@@ -102,9 +102,7 @@ func (s *statsRecorder) snapshot(index int) ProviderStats {
 // providers report zeroes; after a recovery the survivors' counters
 // restart with the new deployment.
 func (c *Cluster) Stats() []ProviderStats {
-	c.provMu.Lock()
-	provs := append([]*Provider(nil), c.providers...)
-	c.provMu.Unlock()
+	provs := c.dep.Load().providers
 	out := make([]ProviderStats, len(provs))
 	for i, p := range provs {
 		if p == nil {

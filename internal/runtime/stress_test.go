@@ -71,10 +71,7 @@ func TestHighFanInStress(t *testing.T) {
 
 			// Every provider must have been gc'ed past every image: leftover
 			// assembly state means some completion never reached its gc.
-			cl.provMu.Lock()
-			provs := append([]*Provider(nil), cl.providers...)
-			cl.provMu.Unlock()
-			for _, p := range provs {
+			for _, p := range cl.dep.Load().providers {
 				p.mu.Lock()
 				inflight, min := len(p.images), p.minImg
 				p.mu.Unlock()

@@ -25,9 +25,7 @@ func TestScatterFailureDropsRegistration(t *testing.T) {
 
 	// Kill a scatter destination before anything is admitted, so the very
 	// first image's input scatter fails.
-	cl.provMu.Lock()
-	dest := cl.plan.ScatterDest[0]
-	cl.provMu.Unlock()
+	dest := cl.dep.Load().plan.ScatterDest[0]
 	if err := cl.KillProvider(dest); err != nil {
 		t.Fatal(err)
 	}
