@@ -27,7 +27,6 @@ import (
 	"distredge/internal/device"
 	"distredge/internal/experiments"
 	"distredge/internal/network"
-	"distredge/internal/partition"
 	"distredge/internal/plancache"
 	"distredge/internal/runtime"
 	"distredge/internal/sim"
@@ -227,11 +226,16 @@ func (s *System) Plan(cfg PlanConfig) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	method := experiments.MethodDistrEdge
-	if obj != nil {
-		method = experiments.MethodDistrEdge + "-" + obj.Name()
+	return &Plan{Method: methodName(obj), Strategy: strat}, nil
+}
+
+// methodName labels a DistrEdge plan with the objective it was planned for
+// (obj as simObjective returns it: nil for the latency default).
+func methodName(obj sim.Objective) string {
+	if obj == nil {
+		return experiments.MethodDistrEdge
 	}
-	return &Plan{Method: method, Strategy: strat}, nil
+	return experiments.MethodDistrEdge + "-" + obj.Name()
 }
 
 // PlanCache is a bounded, concurrency-safe cache of planning results keyed
@@ -313,12 +317,8 @@ func (s *System) PlanCached(cfg PlanConfig, pc *PlanCache) (*Plan, PlanOutcome, 
 	if err != nil {
 		return nil, "", err
 	}
-	method := experiments.MethodDistrEdge
-	if obj != nil {
-		method = experiments.MethodDistrEdge + "-" + obj.Name()
-	}
 	// The cache owns its copy; hand the caller an independent one.
-	return &Plan{Method: method, Strategy: res.Strategy.Clone()}, PlanOutcome(res.Outcome), nil
+	return &Plan{Method: methodName(obj), Strategy: res.Strategy.Clone()}, PlanOutcome(res.Outcome), nil
 }
 
 // CachedReplan wraps the recovery re-planner a deployment uses
@@ -609,12 +609,8 @@ func (s *System) PartitionOnly(alpha float64, effort Effort) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return partition.Search(s.env.Model, partition.Config{
-		Alpha:           alpha,
-		NumRandomSplits: b.RandomSplits,
-		Providers:       s.env.NumProviders(),
-		Seed:            s.seed,
-	})
+	b.Seed = s.seed
+	return experiments.LCPSS(s.env, b, alpha)
 }
 
 // Finetuner exposes online adaptation (Section V-F): keep the trained OSDS
@@ -622,10 +618,13 @@ func (s *System) PartitionOnly(alpha float64, effort Effort) ([]int, error) {
 type Finetuner struct {
 	trainer *splitter.Trainer
 	sys     *System
+	method  string
 }
 
-// NewFinetuner trains an agent once and returns a handle for later
-// finetuning.
+// NewFinetuner trains an agent once, for the configured objective and with
+// the planner's own LC-PSS and OSDS configuration, and returns a handle for
+// later finetuning. Under the default latency objective the initial plan is
+// Plan's.
 func (s *System) NewFinetuner(cfg PlanConfig) (*Finetuner, *Plan, error) {
 	b, err := cfg.Effort.budget()
 	if err != nil {
@@ -636,19 +635,11 @@ func (s *System) NewFinetuner(cfg PlanConfig) (*Finetuner, *Plan, error) {
 	if alpha == 0 {
 		alpha = 0.75
 	}
-	boundaries, err := partition.Search(s.env.Model, partition.Config{
-		Alpha:           alpha,
-		NumRandomSplits: b.RandomSplits,
-		Providers:       s.env.NumProviders(),
-		Seed:            s.seed,
-	})
+	obj, err := cfg.simObjective()
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, err := splitter.NewTrainer(s.env, boundaries, splitter.Config{
-		Episodes: b.Episodes, Hidden: b.Hidden, Batch: b.Batch,
-		Seed: s.seed, WarmStart: true,
-	})
+	tr, err := experiments.NewTrainer(s.env, b, alpha, obj)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -656,8 +647,8 @@ func (s *System) NewFinetuner(cfg PlanConfig) (*Finetuner, *Plan, error) {
 	if res.Strategy == nil {
 		return nil, nil, fmt.Errorf("distredge: training found no strategy")
 	}
-	return &Finetuner{trainer: tr, sys: s},
-		&Plan{Method: experiments.MethodDistrEdge, Strategy: res.Strategy}, nil
+	ft := &Finetuner{trainer: tr, sys: s, method: methodName(obj)}
+	return ft, &Plan{Method: ft.method, Strategy: res.Strategy}, nil
 }
 
 // Finetune adapts the agent to the system's current environment for a few
@@ -667,5 +658,5 @@ func (f *Finetuner) Finetune(episodes int) (*Plan, error) {
 	if res.Strategy == nil {
 		return nil, fmt.Errorf("distredge: finetune found no strategy")
 	}
-	return &Plan{Method: experiments.MethodDistrEdge, Strategy: res.Strategy}, nil
+	return &Plan{Method: f.method, Strategy: res.Strategy}, nil
 }

@@ -1,6 +1,8 @@
 package distredge
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -161,6 +163,56 @@ func TestFinetunerAdaptsToDynamicNetwork(t *testing.T) {
 	}
 	if _, err := sys.Evaluate(p2, 20); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFinetunerTrainsThePlannersAgent: NewFinetuner builds its trainer from
+// the planner's own LC-PSS and OSDS configuration, so under the default
+// objective its initial plan is Plan's, and a throughput objective is
+// trained for (and labelled) instead of silently returning the latency plan.
+func TestFinetunerTrainsThePlannersAgent(t *testing.T) {
+	sys, err := New("vgg16", fourProviders(), WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := PlanConfig{Effort: EffortTiny}
+	want, err := sys.Plan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := sys.NewFinetuner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Method != want.Method || !reflect.DeepEqual(got.Strategy, want.Strategy) {
+		t.Errorf("latency finetuner starts from\n%s\nPlan gives\n%s", got.Describe("vgg16"), want.Describe("vgg16"))
+	}
+
+	cfg.Objective = ObjectiveIPS
+	ft, plan, err := sys.NewFinetuner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Method != "DistrEdge-ips" {
+		t.Errorf("ips finetuner labels its plan %q, want DistrEdge-ips", plan.Method)
+	}
+	// The trainer's best score is in its objective's unit: steady-state
+	// seconds per image at the objective's window, not one image's latency
+	// (episodes are scored along the trace, Score at its start: near, not equal).
+	_, trained := ft.trainer.Best()
+	ips, err := sys.Score(plan, ObjectiveIPS, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat, err := sys.Score(plan, ObjectiveLatency, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(trained-ips) > 0.05*ips || math.Abs(trained-lat) < 0.1*lat {
+		t.Errorf("trainer's best score %g: want the throughput score %g, not the latency %g", trained, ips, lat)
+	}
+	if p2, err := ft.Finetune(3); err != nil || p2.Method != "DistrEdge-ips" {
+		t.Errorf("Finetune = %+v, %v; want a DistrEdge-ips plan", p2, err)
 	}
 }
 

@@ -24,7 +24,7 @@ func PlanDistrEdgeAutoAlpha(env *sim.Env, b Budget, alphas []float64) (*strategy
 	bestAlpha, bestIPS := 0.0, -1.0
 	seen := map[string]bool{}
 	for _, alpha := range alphas {
-		boundaries, err := lcpssSearch(env, b, alpha)
+		boundaries, err := LCPSS(env, b, alpha)
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("experiments: auto-alpha %g: %w", alpha, err)
 		}

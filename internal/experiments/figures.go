@@ -105,12 +105,7 @@ func Fig05AlphaSweep(b Budget, cases int) ([]AlphaRow, error) {
 		spec := specs[i/len(alphas)]
 		alpha := alphas[i%len(alphas)]
 		env := spec.Env()
-		boundaries, err := partition.Search(env.Model, partition.Config{
-			Alpha:           alpha,
-			NumRandomSplits: b.RandomSplits,
-			Providers:       env.NumProviders(),
-			Seed:            b.Seed,
-		})
+		boundaries, err := LCPSS(env, b, alpha)
 		if err != nil {
 			return err
 		}
@@ -360,14 +355,7 @@ func Fig13DynamicLatency(b Budget) ([]TimelineRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	boundaries, err := partition.Search(env.Model, partition.Config{
-		Alpha: 0.75, NumRandomSplits: b.RandomSplits,
-		Providers: env.NumProviders(), Seed: b.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	trainer, err := splitter.NewTrainer(env, boundaries, osdsConfig(b, env.NumProviders(), b.Seed))
+	trainer, err := NewTrainer(env, b, 0.75, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -77,14 +77,28 @@ func osdsConfig(b Budget, providers int, seed int64) splitter.Config {
 	}
 }
 
-// lcpssSearch runs LC-PSS under the budget.
-func lcpssSearch(env *sim.Env, b Budget, alpha float64) ([]int, error) {
+// LCPSS runs the partition search (LC-PSS) under the budget.
+func LCPSS(env *sim.Env, b Budget, alpha float64) ([]int, error) {
 	return partition.Search(env.Model, partition.Config{
 		Alpha:           alpha,
 		NumRandomSplits: b.RandomSplits,
 		Providers:       env.NumProviders(),
 		Seed:            b.Seed,
 	})
+}
+
+// NewTrainer runs LC-PSS and builds the OSDS trainer over its boundaries
+// under the budget, optimising obj (nil = latency): the agent the planner's
+// search trains, handed out untrained for callers that keep it alive and
+// finetune it when the network changes (Section V-F).
+func NewTrainer(env *sim.Env, b Budget, alpha float64, obj sim.Objective) (*splitter.Trainer, error) {
+	boundaries, err := LCPSS(env, b, alpha)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: LC-PSS: %w", err)
+	}
+	cfg := osdsConfig(b, env.NumProviders(), b.Seed)
+	cfg.Objective = obj
+	return splitter.NewTrainer(env, boundaries, cfg)
 }
 
 // searchOSDS trains the splitter over fixed boundaries under the budget.
@@ -99,7 +113,7 @@ func searchOSDS(env *sim.Env, boundaries []int, b Budget) (*strategy.Strategy, e
 // PlanDistrEdge runs the full DistrEdge pipeline (LC-PSS with the given α,
 // then OSDS) and returns the chosen strategy.
 func PlanDistrEdge(env *sim.Env, b Budget, alpha float64) (*strategy.Strategy, error) {
-	boundaries, err := lcpssSearch(env, b, alpha)
+	boundaries, err := LCPSS(env, b, alpha)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: LC-PSS: %w", err)
 	}

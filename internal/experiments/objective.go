@@ -18,11 +18,13 @@ const (
 	PlannerIPS     = "ips"
 )
 
-// PlanObjective plans a strategy for the given objective. The latency
-// default (nil or sim.LatencyObjective) is exactly PlanDistrEdge — the
-// paper's LC-PSS + OSDS pipeline, bit-identical to the pre-objective
-// planner. For other objectives the OSDS search runs with
-// Config.Objective set, and two extensions matter for throughput:
+// PlanObjective plans a strategy for the given objective: LC-PSS, then one
+// OSDS search per boundary set with Config.Objective set, every candidate
+// scored by the objective at trace time 0 and the best one returned. The
+// latency default (nil or sim.LatencyObjective) searches the LC-PSS
+// boundaries only and is exactly PlanDistrEdge — the paper's pipeline,
+// bit-identical to the pre-objective planner. For other objectives two
+// extensions matter for throughput:
 //
 //   - besides the LC-PSS boundaries the search also tries the pool-merged
 //     stage boundaries (StageBoundaries): a stage layout needs roughly one
@@ -31,90 +33,46 @@ const (
 //   - the noiseless StageStrategy anchor of each boundary set is scored
 //     directly (warm-start episodes add exploration noise, so the exact
 //     layout may never appear as an episode).
-//
-// Every candidate is scored by obj.Score at trace time 0 and the best one
-// is returned.
 func PlanObjective(env *sim.Env, b Budget, alpha float64, obj sim.Objective) (*strategy.Strategy, error) {
-	if sim.IsLatencyObjective(obj) {
-		return PlanDistrEdge(env, b, alpha)
-	}
-	n := env.NumProviders()
-	lcp, err := lcpssSearch(env, b, alpha)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: LC-PSS: %w", err)
-	}
-	boundarySets := [][]int{lcp}
-	if sb := StageBoundaries(env.Model, n); !equalBoundaries(sb, lcp) {
-		boundarySets = append(boundarySets, sb)
-	}
-	var best *strategy.Strategy
-	bestScore := math.Inf(1)
-	consider := func(s *strategy.Strategy) error {
-		sc, err := obj.Score(env, s, 0)
-		if err != nil {
-			return err
-		}
-		if sc < bestScore {
-			best, bestScore = s, sc
-		}
-		return nil
-	}
-	for _, boundaries := range boundarySets {
-		cfg := osdsConfig(b, n, b.Seed)
-		cfg.Objective = obj
-		res, err := splitter.Search(env, boundaries, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: OSDS (%s): %w", obj.Name(), err)
-		}
-		if err := consider(res.Strategy); err != nil {
-			return nil, err
-		}
-		if err := consider(StageStrategy(env.Model, boundaries, n)); err != nil {
-			return nil, err
-		}
-	}
-	return best, nil
+	return PlanObjectiveInit(env, b, alpha, obj, nil)
 }
 
-// PlanObjectiveInit is PlanObjective with a warm-start seed: init is a
-// known-good strategy for this exact fleet shape (same provider count) that
-// the search explores outward from. The seed's splits feed the splitter's
-// Config.InitSplits (scheduled as the first warm episode, so the
+// PlanObjectiveInit is PlanObjective with an optional warm-start seed: init
+// is a known-good strategy for this exact fleet shape (same provider count)
+// that the search explores outward from. The seed's splits feed the
+// splitter's Config.InitSplits (scheduled as the first warm episode, so the
 // best-strategy tracker is anchored from episode 0), the seed's own volume
 // boundaries join the boundary sets searched, and the seed itself is scored
 // as a candidate — so the returned plan never scores worse than the seed
 // under the requested objective. Because the seed anchors the search,
 // warm-started searches run on half the episode budget: that is where the
 // plan-cache's warm-start throughput win comes from (measured by
-// BenchmarkPlannerService and the `distbench -fig planner` sweep). A nil
-// init is exactly PlanObjective.
+// BenchmarkPlannerService and the `distbench -fig planner` sweep).
 func PlanObjectiveInit(env *sim.Env, b Budget, alpha float64, obj sim.Objective, init *strategy.Strategy) (*strategy.Strategy, error) {
-	if init == nil {
-		return PlanObjective(env, b, alpha, obj)
-	}
 	n := env.NumProviders()
-	if err := init.Validate(env.Model, n); err != nil {
-		return nil, fmt.Errorf("experiments: warm-start seed: %w", err)
+	if init != nil {
+		if err := init.Validate(env.Model, n); err != nil {
+			return nil, fmt.Errorf("experiments: warm-start seed: %w", err)
+		}
 	}
-	lcp, err := lcpssSearch(env, b, alpha)
+	lcp, err := LCPSS(env, b, alpha)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: LC-PSS: %w", err)
 	}
 	boundarySets := [][]int{lcp}
-	if !equalBoundaries(init.Boundaries, lcp) {
-		boundarySets = append(boundarySets, init.Boundaries)
-	}
-	if !sim.IsLatencyObjective(obj) {
-		sb := StageBoundaries(env.Model, n)
-		fresh := true
-		for _, bs := range boundarySets {
-			if equalBoundaries(bs, sb) {
-				fresh = false
+	addBoundaries := func(bs []int) {
+		for _, have := range boundarySets {
+			if equalBoundaries(have, bs) {
+				return
 			}
 		}
-		if fresh {
-			boundarySets = append(boundarySets, sb)
-		}
+		boundarySets = append(boundarySets, bs)
+	}
+	if init != nil {
+		addBoundaries(init.Boundaries)
+	}
+	if !sim.IsLatencyObjective(obj) {
+		addBoundaries(StageBoundaries(env.Model, n))
 	}
 	scorer := sim.DefaultObjective(obj)
 	var best *strategy.Strategy
@@ -129,18 +87,19 @@ func PlanObjectiveInit(env *sim.Env, b Budget, alpha float64, obj sim.Objective,
 		}
 		return nil
 	}
-	if err := consider(init); err != nil {
-		return nil, err
-	}
-	wb := b
-	wb.Episodes = (b.Episodes + 1) / 2
-	for _, boundaries := range boundarySets {
-		cfg := osdsConfig(wb, n, wb.Seed)
-		cfg.Objective = obj
+	cfg := osdsConfig(b, n, b.Seed)
+	cfg.Objective = obj
+	if init != nil {
+		if err := consider(init); err != nil {
+			return nil, err
+		}
+		cfg.Episodes = (b.Episodes + 1) / 2
 		cfg.InitSplits = init.Splits
+	}
+	for _, boundaries := range boundarySets {
 		res, err := splitter.Search(env, boundaries, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: warm OSDS (%s): %w", scorer.Name(), err)
+			return nil, fmt.Errorf("experiments: OSDS (%s): %w", scorer.Name(), err)
 		}
 		if err := consider(res.Strategy); err != nil {
 			return nil, err

@@ -3,21 +3,25 @@
 // one-requester protocol lacks: each tenant gets its own admission window,
 // weight and per-request deadline, a global window bounds the images in
 // flight on the fleet, and a scheduler picks the next request across
-// tenants by FIFO or weighted fair queueing — the same pick rule as
-// sim.Serve, so policies swept offline transfer unchanged.
+// tenants by FIFO or weighted fair queueing. The pick rule itself lives in
+// internal/admit and is the one sim.Serve calls, so policies swept offline
+// transfer unchanged; this package owns what the rule does not: the queues,
+// the clock and deadlines, and the lock.
 //
 // Deadlines are measured from enqueue, not scatter: a request that sat
 // queued behind a heavy tenant's burst and only then ran is late even
 // though its scatter-to-result time was fine. That is the latency an SLO
-// bounds, and the quantity the sim mirror distributes per tenant.
+// bounds, and the quantity sim.Serve distributes per tenant.
 package gateway
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
+
+	"distredge/internal/admit"
+	"distredge/internal/stats"
 )
 
 // Backend is the shared-cluster admission surface the gateway drives;
@@ -31,12 +35,12 @@ type Backend interface {
 	Submit() error
 }
 
-// Admission policies. They mirror sim.AdmitFIFO / sim.AdmitWFQ exactly:
-// FIFO serves requests in global enqueue order; WFQ charges each admission
-// 1/Weight of virtual service and serves the tenant with the least.
+// Admission policies (see internal/admit): FIFO serves requests in global
+// enqueue order; WFQ charges each admission 1/Weight of virtual service and
+// serves the tenant with the least.
 const (
-	PolicyFIFO = "fifo"
-	PolicyWFQ  = "wfq"
+	PolicyFIFO = admit.FIFO
+	PolicyWFQ  = admit.WFQ
 )
 
 // ErrDeadlineExceeded reports a request that missed its tenant's deadline —
@@ -54,8 +58,8 @@ var ErrUnknownTenant = errors.New("gateway: unknown tenant")
 // TenantConfig declares one tenant's admission contract.
 type TenantConfig struct {
 	Name string
-	// Weight is the tenant's fair-queueing share (<= 0 means 1); only
-	// PolicyWFQ consults it.
+	// Weight is the tenant's fair-queueing share (<= 0 means 1; 1/Weight
+	// must be finite); only PolicyWFQ consults it.
 	Weight float64
 	// Window caps the tenant's own in-flight requests (<= 0 means bounded
 	// only by the gateway's global window).
@@ -111,22 +115,18 @@ type TenantSummary struct {
 // per-tenant window, an admission policy, and per-request deadlines.
 type Gateway struct {
 	be      Backend
-	cfg     Config
 	tenants []TenantConfig
 	byName  map[string]int
 
-	mu       sync.Mutex
-	queues   []ring          // guarded by mu; per-tenant FIFO backlog deques
-	heap     []int           // guarded by mu; admissible tenants, min-heap in policy order (sched.go)
-	heapIdx  []int           // guarded by mu; tenant -> heap position, -1 = absent
-	inflight int             // guarded by mu; requests on the backend
-	tinfl    []int           // guarded by mu; per-tenant in-flight counts
-	vserved  []float64       // guarded by mu; WFQ virtual service charged
-	nextSeq  uint64          // guarded by mu; global enqueue order
-	served   [][]float64     // guarded by mu; latencies (sec) per tenant
-	counts   []TenantSummary // guarded by mu; running outcome counters
-	scratch  []float64       // guarded by mu; Summary's reusable sort buffer
-	closed   bool            // guarded by mu
+	mu      sync.Mutex
+	queues  []ring          // guarded by mu; per-tenant FIFO backlog deques
+	sched   admit.Sched     // guarded by mu; policy, global window and the requests on the backend
+	adm     []admit.Tenant  // guarded by mu; per-tenant window, in-flight count and fair-queueing state
+	nextSeq uint64          // guarded by mu; global enqueue order
+	served  [][]float64     // guarded by mu; latencies (sec) per tenant
+	counts  []TenantSummary // guarded by mu; running outcome counters
+	scratch []float64       // guarded by mu; Summary's reusable sort buffer
+	closed  bool            // guarded by mu
 
 	// deadlined lists the tenants with deadlines, immutable after New: the
 	// expiry sweep visits only them.
@@ -140,49 +140,29 @@ type Gateway struct {
 // New starts a gateway over the backend. Tenant names must be unique and
 // non-empty.
 func New(be Backend, cfg Config, tenants []TenantConfig) (*Gateway, error) {
-	g, err := newGateway(be, cfg, tenants)
-	if err != nil {
-		return nil, err
-	}
-	g.wg.Add(1)
-	go g.schedule()
-	return g, nil
-}
-
-// newGateway validates and builds the gateway state without starting the
-// scheduler — the form the equivalence tests and benchmarks drive by hand.
-func newGateway(be Backend, cfg Config, tenants []TenantConfig) (*Gateway, error) {
 	if be == nil {
 		return nil, fmt.Errorf("gateway: nil backend")
 	}
-	if cfg.Window < 1 {
-		return nil, fmt.Errorf("gateway: window must be >= 1, got %d", cfg.Window)
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = PolicyFIFO
-	}
-	if cfg.Policy != PolicyFIFO && cfg.Policy != PolicyWFQ {
-		return nil, fmt.Errorf("gateway: unknown policy %q (want %s|%s)", cfg.Policy, PolicyFIFO, PolicyWFQ)
+	sched, err := admit.New(cfg.Policy, cfg.Window)
+	if err != nil {
+		return nil, fmt.Errorf("gateway: %w", err)
 	}
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("gateway: need at least one tenant")
 	}
 	g := &Gateway{
 		be:      be,
-		cfg:     cfg,
 		tenants: append([]TenantConfig(nil), tenants...),
 		byName:  make(map[string]int, len(tenants)),
 		queues:  make([]ring, len(tenants)),
-		heapIdx: make([]int, len(tenants)),
-		tinfl:   make([]int, len(tenants)),
-		vserved: make([]float64, len(tenants)),
+		sched:   sched,
+		adm:     make([]admit.Tenant, len(tenants)),
 		served:  make([][]float64, len(tenants)),
 		counts:  make([]TenantSummary, len(tenants)),
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
-	for i := range g.tenants {
-		t := &g.tenants[i]
+	for i, t := range g.tenants {
 		if t.Name == "" {
 			return nil, fmt.Errorf("gateway: tenant %d has no name", i)
 		}
@@ -190,18 +170,16 @@ func newGateway(be Backend, cfg Config, tenants []TenantConfig) (*Gateway, error
 			return nil, fmt.Errorf("gateway: duplicate tenant %q", t.Name)
 		}
 		g.byName[t.Name] = i
-		if t.Weight <= 0 {
-			t.Weight = 1
-		}
-		if t.Window <= 0 {
-			t.Window = cfg.Window
+		if g.adm[i], err = g.sched.Bind(t.Weight, t.Window); err != nil {
+			return nil, fmt.Errorf("gateway: tenant %q: %w", t.Name, err)
 		}
 		if t.Deadline > 0 {
 			g.deadlined = append(g.deadlined, i)
 		}
-		g.heapIdx[i] = -1
 		g.counts[i].Tenant = t.Name
 	}
+	g.wg.Add(1)
+	go g.schedule()
 	return g, nil
 }
 
@@ -223,7 +201,6 @@ func (g *Gateway) Enqueue(tenant string) (<-chan Result, error) {
 	g.nextSeq++
 	g.queues[t].push(r)
 	g.counts[t].Enqueued++
-	g.heapSyncLocked(t)
 	g.mu.Unlock()
 	g.kick()
 	return r.res, nil
@@ -249,10 +226,9 @@ func (g *Gateway) schedule() {
 }
 
 // dispatchBatch expires dead queued requests, then admits every currently
-// admissible request in one critical section: a burst of completions (or
-// enqueues) costs one lock acquisition and O(log n) heap work per
-// admission, instead of a full tenant scan each. The admitted requests'
-// backend submits are spawned after the lock drops.
+// admissible request in one critical section, so a burst of completions (or
+// enqueues) costs one lock acquisition. The admitted requests' backend
+// submits are spawned after the lock drops.
 func (g *Gateway) dispatchBatch() {
 	now := time.Now()
 	g.mu.Lock()
@@ -262,14 +238,13 @@ func (g *Gateway) dispatchBatch() {
 	}
 	g.expireLocked(now)
 	var admitted []*request
-	for g.inflight < g.cfg.Window && len(g.heap) > 0 {
-		t := g.heap[0]
-		r := g.queues[t].pop()
-		g.inflight++
-		g.tinfl[t]++
-		g.vserved[t] += 1 / g.tenants[t].Weight
-		g.heapSyncLocked(t)
-		admitted = append(admitted, r)
+	for {
+		t := g.sched.Pick(len(g.adm), g.headLocked)
+		if t < 0 {
+			break
+		}
+		g.sched.Admit(&g.adm[t])
+		admitted = append(admitted, g.queues[t].pop())
 	}
 	g.mu.Unlock()
 
@@ -277,6 +252,17 @@ func (g *Gateway) dispatchBatch() {
 		g.wg.Add(1)
 		go g.serve(r)
 	}
+}
+
+// headLocked is admit.Pick's view of tenant t's queue: a queued request is
+// ready at once, and its FIFO key is its global enqueue sequence number
+// (exact as a float64 below 2^53 requests).
+func (g *Gateway) headLocked(t int) (*admit.Tenant, float64, bool) {
+	q := &g.queues[t]
+	if q.len() == 0 {
+		return &g.adm[t], 0, false
+	}
+	return &g.adm[t], float64(q.front().seq), true
 }
 
 // expireLocked drops queued requests whose deadline already passed without
@@ -288,15 +274,10 @@ func (g *Gateway) expireLocked(now time.Time) {
 	for _, t := range g.deadlined {
 		d := g.tenants[t].Deadline
 		q := &g.queues[t]
-		expired := false
 		for q.len() > 0 && now.Sub(q.front().enqueue) > d {
 			r := q.pop()
 			g.counts[t].Expired++
 			r.res <- Result{Tenant: g.tenants[t].Name, Err: ErrDeadlineExceeded}
-			expired = true
-		}
-		if expired {
-			g.heapSyncLocked(t)
 		}
 	}
 }
@@ -312,8 +293,7 @@ func (g *Gateway) serve(r *request) {
 		err = ErrDeadlineExceeded
 	}
 	g.mu.Lock()
-	g.inflight--
-	g.tinfl[t]--
+	g.sched.Release(&g.adm[t]) // the kick below lets the freed slots readmit
 	if err == nil {
 		g.counts[t].Completed++
 	} else if errors.Is(err, ErrDeadlineExceeded) {
@@ -326,7 +306,6 @@ func (g *Gateway) serve(r *request) {
 		// distribution whether or not it beat the deadline.
 		g.served[t] = append(g.served[t], lat.Seconds())
 	}
-	g.heapSyncLocked(t) // the freed tenant-window slot may readmit t
 	g.mu.Unlock()
 	r.res <- Result{Tenant: name, LatencyMS: lat.Seconds() * 1e3, Err: err}
 	g.kick()
@@ -344,36 +323,10 @@ func (g *Gateway) Summary() []TenantSummary {
 	out := make([]TenantSummary, len(g.tenants))
 	for t := range g.tenants {
 		s := g.counts[t]
-		if n := len(g.served[t]); n > 0 {
-			g.scratch = append(g.scratch[:0], g.served[t]...)
-			sort.Float64s(g.scratch)
-			var sum float64
-			for _, l := range g.scratch {
-				sum += l
-			}
-			s.MeanLatMS = sum / float64(n) * 1e3
-			s.P95LatMS = quantile(g.scratch, 0.95) * 1e3
-			s.MaxLatMS = g.scratch[n-1] * 1e3
-		}
+		s.MeanLatMS, _, s.P95LatMS, s.MaxLatMS = stats.LatencyMS(g.served[t], &g.scratch)
 		out[t] = s
 	}
 	return out
-}
-
-// quantile is the nearest-rank quantile over an ascending slice — the same
-// rule sim uses for PipelineResult percentiles.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted)) + 0.5)
-	if i < 1 {
-		i = 1
-	}
-	if i > len(sorted) {
-		i = len(sorted)
-	}
-	return sorted[i-1]
 }
 
 // Close stops admitting, fails every queued request with ErrClosed, and
@@ -393,9 +346,6 @@ func (g *Gateway) Close() {
 		g.counts[t].Failed += q.len()
 		for q.len() > 0 {
 			rejected = append(rejected, q.pop())
-		}
-		if g.heapIdx[t] >= 0 {
-			g.heapRemoveLocked(t)
 		}
 	}
 	g.mu.Unlock()

@@ -3,6 +3,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -300,6 +301,11 @@ func TestGatewayValidation(t *testing.T) {
 		{"no tenants", nopBackend{}, Config{Window: 1}, nil},
 		{"unnamed tenant", nopBackend{}, Config{Window: 1}, []TenantConfig{{}}},
 		{"duplicate tenant", nopBackend{}, Config{Window: 1}, []TenantConfig{{Name: "a"}, {Name: "a"}}},
+		// Weights with no finite share: under WFQ the tenant would be served
+		// always or never (NaN key), for free (1/Inf), or once (1/1e-320 = +Inf).
+		{"NaN weight", nopBackend{}, Config{Window: 1}, []TenantConfig{{Name: "a", Weight: math.NaN()}}},
+		{"infinite weight", nopBackend{}, Config{Window: 1, Policy: PolicyWFQ}, []TenantConfig{{Name: "a", Weight: math.Inf(1)}}},
+		{"denormal weight", nopBackend{}, Config{Window: 1, Policy: PolicyWFQ}, []TenantConfig{{Name: "a", Weight: 1e-320}}},
 	}
 	for _, c := range cases {
 		if _, err := New(c.be, c.cfg, c.tenants); err == nil {
@@ -313,30 +319,6 @@ func TestGatewayValidation(t *testing.T) {
 	defer g.Close()
 	if _, err := g.Enqueue("nope"); !errors.Is(err, ErrUnknownTenant) {
 		t.Errorf("unknown tenant err %v, want ErrUnknownTenant", err)
-	}
-}
-
-// TestGatewayQuantileMatchesSim pins the nearest-rank rule to the sim's:
-// same 1-based rank arithmetic, so per-tenant p95s are comparable across
-// the offline sweep and the live Summary.
-func TestGatewayQuantileMatchesSim(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := []struct {
-		q    float64
-		want float64
-	}{
-		{0.50, 5}, {0.95, 10}, {0.05, 1}, {1.0, 10},
-	}
-	for _, c := range cases {
-		if got := quantile(sorted, c.q); got != c.want {
-			t.Errorf("quantile(%g) = %g, want %g", c.q, got, c.want)
-		}
-	}
-	if got := quantile(nil, 0.95); got != 0 {
-		t.Errorf("empty quantile = %g, want 0", got)
-	}
-	if got := quantile([]float64{7}, 0.95); got != 7 {
-		t.Errorf("singleton quantile = %g, want 7", got)
 	}
 }
 

@@ -1,96 +1,11 @@
 package gateway
 
 import (
-	"fmt"
-	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 )
-
-// TestHeapMatchesScan drives the heap scheduler and the former O(n) scan
-// through the same seeded traffic — enqueues, admissions, completions over
-// tenants with mixed weights and windows — and insists every pick is
-// identical. The scan is the reference the WFQ/FIFO equivalence proofs
-// were written against (bit-identical to sim.Serve), so heap ==
-// scan transitively keeps the sim differential intact.
-func TestHeapMatchesScan(t *testing.T) {
-	for _, policy := range []string{PolicyFIFO, PolicyWFQ} {
-		t.Run(policy, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
-			const nTenants = 13
-			weights := []float64{0.5, 1, 1, 2, 3}
-			tenants := make([]TenantConfig, nTenants)
-			for i := range tenants {
-				tenants[i] = TenantConfig{
-					Name:   fmt.Sprintf("t%d", i),
-					Weight: weights[rng.Intn(len(weights))],
-					Window: 1 + rng.Intn(3),
-				}
-			}
-			g, err := newGateway(nopBackend{}, Config{Window: 6, Policy: policy}, tenants)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var inflight []int // tenant of each simulated in-flight admission
-			for step := 0; step < 20000; step++ {
-				switch op := rng.Intn(4); {
-				case op < 2: // enqueue
-					tn := rng.Intn(nTenants)
-					g.mu.Lock()
-					r := &request{tenant: tn, seq: g.nextSeq}
-					g.nextSeq++
-					g.queues[tn].push(r)
-					g.heapSyncLocked(tn)
-					g.mu.Unlock()
-				case op == 2 && len(inflight) > 0: // complete a random in-flight
-					k := rng.Intn(len(inflight))
-					tn := inflight[k]
-					inflight = append(inflight[:k], inflight[k+1:]...)
-					g.mu.Lock()
-					g.inflight--
-					g.tinfl[tn]--
-					g.heapSyncLocked(tn)
-					g.mu.Unlock()
-				default: // admit (the pick under test)
-					g.mu.Lock()
-					want := g.pickScanLocked()
-					got := -1
-					if len(g.heap) > 0 {
-						got = g.heap[0]
-					}
-					if got != want {
-						g.mu.Unlock()
-						t.Fatalf("step %d: heap picked %d, scan picked %d", step, got, want)
-					}
-					if got >= 0 && g.inflight < g.cfg.Window {
-						g.queues[got].pop()
-						g.inflight++
-						g.tinfl[got]++
-						g.vserved[got] += 1 / g.tenants[got].Weight
-						g.heapSyncLocked(got)
-						inflight = append(inflight, got)
-					}
-					g.mu.Unlock()
-				}
-			}
-			// Final invariant: the heap holds exactly the admissible tenants.
-			g.mu.Lock()
-			for tn := range tenants {
-				in := g.heapIdx[tn] >= 0
-				want := g.admissibleLocked(tn)
-				if in != want {
-					t.Errorf("tenant %d: in heap %v, admissible %v", tn, in, want)
-				}
-				if in && g.heap[g.heapIdx[tn]] != tn {
-					t.Errorf("tenant %d: heapIdx points at %d", tn, g.heap[g.heapIdx[tn]])
-				}
-			}
-			g.mu.Unlock()
-		})
-	}
-}
 
 // TestSummaryReadOnlyIdempotent checks the Summary bugfix: repeated calls
 // return identical statistics, never reorder the recorded latency history
@@ -229,63 +144,4 @@ func TestExpiredPrefixNotified(t *testing.T) {
 	if s[1].Expired != 1 {
 		t.Errorf("dl expired = %d, want 1", s[1].Expired)
 	}
-}
-
-// BenchmarkGatewayPick measures one admission decision plus its
-// bookkeeping at 1024 backlogged WFQ tenants: the heap path against the
-// reference O(n) scan. The acceptance bar for the heap refactor is >= 5x
-// over the scan at this tenant count (BENCH_baseline.json records both).
-func BenchmarkGatewayPick(b *testing.B) {
-	const n = 1024
-	setup := func(b *testing.B) *Gateway {
-		tenants := make([]TenantConfig, n)
-		for i := range tenants {
-			tenants[i] = TenantConfig{
-				Name:   fmt.Sprintf("t%d", i),
-				Weight: 1 + float64(i%7),
-				Window: 1 << 30,
-			}
-		}
-		g, err := newGateway(nopBackend{}, Config{Window: 1 << 30, Policy: PolicyWFQ}, tenants)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g.mu.Lock()
-		for i := 0; i < n; i++ {
-			for j := 0; j < 2; j++ {
-				g.queues[i].push(&request{tenant: i, seq: g.nextSeq})
-				g.nextSeq++
-			}
-			g.heapSyncLocked(i)
-		}
-		g.mu.Unlock()
-		return g
-	}
-	b.Run("heap", func(b *testing.B) {
-		g := setup(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.mu.Lock()
-			t := g.heap[0]
-			r := g.queues[t].pop()
-			g.vserved[t] += 1 / g.tenants[t].Weight
-			g.queues[t].push(r) // refill so the backlog never drains
-			g.heapSyncLocked(t)
-			g.mu.Unlock()
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		g := setup(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.mu.Lock()
-			t := g.pickScanLocked()
-			r := g.queues[t].pop()
-			g.vserved[t] += 1 / g.tenants[t].Weight
-			g.queues[t].push(r)
-			g.mu.Unlock()
-		}
-	})
 }

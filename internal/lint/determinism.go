@@ -15,6 +15,7 @@ import (
 var deterministicPkgs = map[string]bool{
 	"distredge":                      true,
 	"distredge/internal/sim":         true,
+	"distredge/internal/admit":       true,
 	"distredge/internal/splitter":    true,
 	"distredge/internal/strategy":    true,
 	"distredge/internal/rl":          true,

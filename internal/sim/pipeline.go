@@ -342,18 +342,3 @@ func steadyIPS(complete []float64, ips float64) float64 {
 	}
 	return ips
 }
-
-// quantile returns the q-quantile of a sorted slice (nearest-rank).
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted)) + 0.5)
-	if i < 1 {
-		i = 1
-	}
-	if i > len(sorted) {
-		i = len(sorted)
-	}
-	return sorted[i-1]
-}

@@ -5,25 +5,19 @@ import (
 	"math"
 	"sort"
 
+	"distredge/internal/admit"
 	"distredge/internal/device"
+	"distredge/internal/stats"
 	"distredge/internal/strategy"
 )
 
-// Admission policies for Serve and the runtime gateway it mirrors. Both
-// implementations share the same pick rule so a policy swept offline here
-// transfers to internal/gateway unchanged:
-//
-//   - AdmitFIFO serves requests strictly in enqueue order (ties broken by
-//     tenant index), so a heavy tenant's burst runs ahead of everyone
-//     queued behind it;
-//   - AdmitWFQ is weighted fair queueing by request count: each admission
-//     charges the tenant 1/Weight of virtual service and the tenant with
-//     the least virtual service (plus its next request's charge) goes
-//     first, so a small tenant with any backlog is interleaved with a
-//     heavy one instead of waiting out its burst.
+// Admission policies for Serve. The rule is internal/admit's, the one the
+// runtime gateway runs, so a policy swept offline here transfers to
+// internal/gateway unchanged: AdmitFIFO serves requests strictly in enqueue
+// order, AdmitWFQ is weighted fair queueing by request count.
 const (
-	AdmitFIFO = "fifo"
-	AdmitWFQ  = "wfq"
+	AdmitFIFO = admit.FIFO
+	AdmitWFQ  = admit.WFQ
 )
 
 // TenantSpec describes one tenant's workload: a backlog of Images requests
@@ -32,8 +26,8 @@ const (
 type TenantSpec struct {
 	Name   string
 	Images int
-	// Weight is the tenant's fair-queueing share (<= 0 means 1). Only
-	// AdmitWFQ consults it.
+	// Weight is the tenant's fair-queueing share (<= 0 means 1; 1/Weight
+	// must be finite). Only AdmitWFQ consults it.
 	Weight float64
 	// Window caps the tenant's own in-flight requests (<= 0 means bounded
 	// only by the global window).
@@ -146,13 +140,10 @@ func (e *Env) Serve(s *strategy.Strategy, sc Scenario) (ServeResult, error) {
 
 // tenantState is one tenant's queue as the admission loop sees it.
 type tenantState struct {
-	enq      float64 // absolute enqueue time of the burst
-	weight   float64
-	window   int
-	fresh    int     // requests never admitted
-	aborted  int     // aborted requests, at the front of the queue
-	inflight int     // requests holding a slot
-	vserved  float64 // WFQ virtual service charged so far
+	admit.Tenant         // window, in-flight count and fair-queueing state
+	enq          float64 // absolute enqueue time of the burst; the FIFO key
+	fresh        int     // requests never admitted
+	aborted      int     // aborted requests, at the front of the queue
 }
 
 // serving is one run of the admission loop. An image's id is the rank of
@@ -162,6 +153,7 @@ type serving struct {
 	start float64
 
 	now     float64 // admission cursor, absolute
+	sched   admit.Sched
 	tenants []tenantState
 	queued  int   // requests waiting for admission, over all tenants
 	slots   []int // ids in flight, in admission order
@@ -188,17 +180,11 @@ func (r *serving) init(n int, sc *Scenario) error {
 	if len(sc.Tenants) == 0 {
 		return fmt.Errorf("sim: need at least one tenant")
 	}
-	if sc.Window < 1 {
-		return fmt.Errorf("sim: window must be >= 1, got %d", sc.Window)
+	var err error
+	if r.sched, err = admit.New(sc.Policy, sc.Window); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
-	switch sc.Policy {
-	case "", AdmitFIFO:
-		r.res.Policy = AdmitFIFO
-	case AdmitWFQ:
-		r.res.Policy = AdmitWFQ
-	default:
-		return fmt.Errorf("sim: unknown admission policy %q (want %s|%s)", sc.Policy, AdmitFIFO, AdmitWFQ)
-	}
+	r.res.Policy = r.sched.Policy()
 	if sc.Batch < 0 {
 		sc.Batch = 1
 	}
@@ -227,13 +213,10 @@ func (r *serving) init(n int, sc *Scenario) error {
 			return fmt.Errorf("sim: tenant %d enqueue time %g is negative", i, t.EnqueueSec)
 		}
 		ts := &r.tenants[i]
-		ts.enq, ts.weight, ts.window, ts.fresh = sc.Start+t.EnqueueSec, t.Weight, t.Window, t.Images
-		if ts.weight <= 0 {
-			ts.weight = 1
+		if ts.Tenant, err = r.sched.Bind(t.Weight, t.Window); err != nil {
+			return fmt.Errorf("sim: tenant %d: %w", i, err)
 		}
-		if ts.window <= 0 {
-			ts.window = sc.Window
-		}
+		ts.enq, ts.fresh = sc.Start+t.EnqueueSec, t.Images
 		r.res.Images += t.Images
 	}
 	total := r.res.Images
@@ -281,7 +264,7 @@ func (r *serving) run(e *Env, s *strategy.Strategy, sc *Scenario) error {
 				kept = append(kept, id)
 				first, last = min(first, done), max(last, done)
 			} else {
-				r.tenants[r.owner[id]].inflight--
+				r.sched.Release(&r.tenants[r.owner[id]].Tenant)
 			}
 		}
 		r.slots = kept
@@ -326,25 +309,18 @@ func (r *serving) run(e *Env, s *strategy.Strategy, sc *Scenario) error {
 // pick returns the tenant the admission policy serves at r.now and r.now
 // itself, or -1 and the earliest burst arrival still ahead (+Inf if none)
 // when the window is full or no tenant has an arrived backlog and window
-// slack. Ties go to the lowest tenant index.
+// slack. A tenant's head is ready once its burst has arrived and requests
+// are left; its FIFO key is the burst's enqueue time.
 func (r *serving) pick() (int, float64) {
-	best, bestKey, next := -1, 0.0, math.Inf(1)
-	for t := range r.tenants {
+	next := math.Inf(1)
+	best := r.sched.Pick(len(r.tenants), func(t int) (*admit.Tenant, float64, bool) {
 		ts := &r.tenants[t]
-		switch {
-		case ts.fresh+ts.aborted == 0:
-		case ts.enq > r.now:
+		queued := ts.fresh+ts.aborted > 0
+		if queued && ts.enq > r.now {
 			next = min(next, ts.enq)
-		case ts.inflight < ts.window && len(r.slots) < r.res.Window:
-			key := ts.enq
-			if r.res.Policy == AdmitWFQ {
-				key = ts.vserved + 1/ts.weight
-			}
-			if best < 0 || key < bestKey {
-				best, bestKey = t, key
-			}
 		}
-	}
+		return &ts.Tenant, ts.enq, queued && ts.enq <= r.now
+	})
 	if best >= 0 {
 		next = r.now
 	}
@@ -359,7 +335,7 @@ func (r *serving) admit(t int, lat float64) {
 	if ts.aborted > 0 {
 		// Re-admission after an abort: latency is measured from the image's
 		// first admission, so the wasted attempt and the re-planning delay
-		// are visible in the distribution. Its WFQ charge is already paid.
+		// are visible in the distribution, and it is not charged again.
 		k := 0
 		for int(r.owner[r.requeue[k]]) != t {
 			k++
@@ -368,15 +344,15 @@ func (r *serving) admit(t int, lat float64) {
 		r.requeue = append(r.requeue[:k], r.requeue[k+1:]...)
 		ts.aborted--
 		r.lat[id] = r.now + lat - r.firstAdm[id]
+		r.sched.Readmit(&ts.Tenant)
 	} else {
 		r.ids++
 		ts.fresh--
-		ts.vserved += 1 / ts.weight
 		r.owner[id], r.firstAdm[id], r.lat[id] = int32(t), r.now, lat
+		r.sched.Admit(&ts.Tenant)
 	}
 	r.complete[id] = r.now + lat
 	r.queued--
-	ts.inflight++
 	r.slots = append(r.slots, id)
 }
 
@@ -391,7 +367,7 @@ func (r *serving) fire(e *Env, ev ChurnEvent, opts *ChurnOptions) error {
 	var aborted []int
 	for _, id := range r.slots {
 		ts := &r.tenants[r.owner[id]]
-		ts.inflight--
+		r.sched.Release(&ts.Tenant)
 		if r.complete[id] > ev.At {
 			ts.aborted++
 			aborted = append(aborted, id)
@@ -480,7 +456,7 @@ func (r *serving) overall() ServeResult {
 		}
 		res.EventRecoverySec[i] = rec
 	}
-	res.MeanLatMS, res.P50LatMS, res.P95LatMS, res.MaxLatMS = latencySummary(res.PerImageSec, r.scratch)
+	res.MeanLatMS, res.P50LatMS, res.P95LatMS, res.MaxLatMS = stats.LatencyMS(res.PerImageSec, &r.scratch)
 	return res
 }
 
@@ -499,26 +475,7 @@ func (r *serving) tenantResults(specs []TenantSpec) []TenantResult {
 			tr.Name = fmt.Sprintf("tenant%d", t)
 		}
 		tr.Images = len(tr.PerImageSec)
-		tr.MeanLatMS, tr.P50LatMS, tr.P95LatMS, tr.MaxLatMS = latencySummary(tr.PerImageSec, r.scratch)
+		tr.MeanLatMS, tr.P50LatMS, tr.P95LatMS, tr.MaxLatMS = stats.LatencyMS(tr.PerImageSec, &r.scratch)
 	}
 	return out
-}
-
-// latencySummary returns the mean, p50, p95 and max in milliseconds of
-// latencies given in seconds, all zero for an empty distribution. scratch
-// is the sort buffer: it holds at least len(lat) values and does not alias
-// lat.
-func latencySummary(lat, scratch []float64) (mean, p50, p95, max float64) {
-	if len(lat) == 0 {
-		return 0, 0, 0, 0
-	}
-	sorted := scratch[:len(lat)]
-	copy(sorted, lat)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, l := range sorted {
-		sum += l
-	}
-	return sum / float64(len(sorted)) * 1e3, quantile(sorted, 0.50) * 1e3,
-		quantile(sorted, 0.95) * 1e3, sorted[len(sorted)-1] * 1e3
 }

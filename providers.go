@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"distredge/internal/admit"
 	"distredge/internal/runtime"
 	"distredge/internal/sim"
 	"distredge/internal/transport"
@@ -134,7 +135,8 @@ func ParseObjective(spec string) (Objective, error) {
 // ParseTenants parses the command-line -tenants flag shared by the serving
 // commands: comma-separated "name:IMAGESxWEIGHT" entries, weight optional
 // (default 1), e.g. "heavy:24x1,small:4x4". Names must be unique and
-// non-empty, images >= 1, weights positive.
+// non-empty, images >= 1, weights positive with a finite share (the
+// admission rule's own check, so what parses here serves).
 func ParseTenants(spec string) ([]sim.TenantSpec, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("distredge: empty tenant spec")
@@ -166,8 +168,8 @@ func ParseTenants(spec string) ([]sim.TenantSpec, error) {
 			if err != nil {
 				return nil, fmt.Errorf("distredge: bad weight in %q: %v", part, err)
 			}
-			if weight <= 0 || weight != weight {
-				return nil, fmt.Errorf("distredge: weight in %q must be positive", part)
+			if _, err := admit.Share(weight); weight <= 0 || err != nil {
+				return nil, fmt.Errorf("distredge: weight in %q must be positive with a finite 1/weight", part)
 			}
 		}
 		out = append(out, sim.TenantSpec{Name: name, Images: images, Weight: weight})

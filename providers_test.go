@@ -1,8 +1,11 @@
 package distredge
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"distredge/internal/sim"
 )
 
 func TestParseProviders(t *testing.T) {
@@ -146,5 +149,44 @@ func TestParseObjective(t *testing.T) {
 	}
 	if _, err := ParseObjective("goodput"); err == nil || !strings.Contains(err.Error(), "unknown objective") {
 		t.Errorf("unknown objective = %v, want error", err)
+	}
+}
+
+func TestParseTenants(t *testing.T) {
+	got, err := ParseTenants(" heavy:24x1, small:4x4 ,plain:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []sim.TenantSpec{
+		{Name: "heavy", Images: 24, Weight: 1},
+		{Name: "small", Images: 4, Weight: 4},
+		{Name: "plain", Images: 2, Weight: 1},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ParseTenants = %+v, want %+v", got, want)
+	}
+	cases := []struct {
+		name, spec, wantErr string
+	}{
+		{"empty", " ", "empty tenant spec"},
+		{"no name", ":4", "want name:IMAGESxWEIGHT"},
+		{"duplicate", "a:1,a:2", "duplicate tenant"},
+		{"bad images", "a:many", "bad image count"},
+		{"no images", "a:0", "at least one image"},
+		{"bad weight", "a:4xheavy", "bad weight"},
+		{"zero weight", "a:4x0", "must be positive"},
+		{"negative weight", "a:4x-1", "must be positive"},
+		{"nan weight", "a:4xNaN", "must be positive"},
+		// 1/Inf = 0 makes a tenant free under WFQ; 1/1e-320 = +Inf parks it
+		// forever after its first admission.
+		{"infinite weight", "a:4xInf", "finite 1/weight"},
+		{"denormal weight", "a:4x1,b:4x1e-320", "finite 1/weight"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := ParseTenants(c.spec); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("ParseTenants(%q) = %v, want error containing %q", c.spec, err, c.wantErr)
+			}
+		})
 	}
 }
