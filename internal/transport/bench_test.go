@@ -126,22 +126,7 @@ func BenchmarkInprocRoundtrip(b *testing.B) {
 func BenchmarkTCPRoundtrip(b *testing.B) {
 	const payload = 64 << 10
 	run := func(b *testing.B, tr Transport, next func() []byte, recycle func([]byte)) {
-		ln, err := tr.Listen(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer ln.Close()
-		acceptedCh := make(chan Conn, 1)
-		go func() {
-			c, _ := ln.Accept()
-			acceptedCh <- c
-		}()
-		conn, err := tr.Dial(1, ln.Addr())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer conn.Close()
-		accepted := <-acceptedCh
+		_, conn, accepted := dialPair(b, tr)
 		msg := testMessage(0)
 		b.SetBytes(payload)
 		b.ReportAllocs()
@@ -187,6 +172,46 @@ func BenchmarkTCPRoundtrip(b *testing.B) {
 		run(b, tr,
 			func() []byte { return fixed },
 			func([]byte) {})
+	})
+	// The large-chunk row: a 1 MiB payload on a conn hinted 1 MiB, pooled as
+	// on the serving path. The hint's ceiling keeps the conn's buffers at one
+	// spill-threshold chunk, so all but the first buffer's worth goes from
+	// the payload to the socket and from the socket into the pooled payload
+	// directly; MB/s here is what a byte costs to move. (With buffers sized
+	// to the chunk every byte was copied once more on each side.) A chunk
+	// this size need not fit the kernel's socket buffers, so the receiver
+	// drains on its own goroutine, as a peer process would.
+	b.Run("binary+hint/1MiB", func(b *testing.B) {
+		const large = 1 << 20
+		tr := NewPooledTCP(nil, nil)
+		SetBufferHint(tr, large)
+		pp := tr.(PayloadPool)
+		_, conn, accepted := dialPair(b, tr)
+		received := make(chan struct{})
+		go func() {
+			defer close(received)
+			for {
+				m, err := accepted.Recv()
+				if err != nil {
+					return
+				}
+				pp.PutPayload(m.Payload)
+				received <- struct{}{}
+			}
+		}()
+		msg := testMessage(0)
+		b.SetBytes(large)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			msg.Payload = pp.GetPayload(large)
+			if err := conn.Send(msg); err != nil {
+				b.Fatal(err)
+			}
+			if _, ok := <-received; !ok {
+				b.Fatal("receiver stopped")
+			}
+		}
 	})
 }
 

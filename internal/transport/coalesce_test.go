@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"net"
 	"sync"
@@ -16,12 +17,16 @@ import (
 type writeCountConn struct {
 	mu     sync.Mutex
 	writes int
+	first  int // bytes of the first write
 	buf    bytes.Buffer
 }
 
 func (c *writeCountConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.writes == 0 {
+		c.first = len(p)
+	}
 	c.writes++
 	return c.buf.Write(p)
 }
@@ -264,17 +269,24 @@ func TestBufferHintSizesConns(t *testing.T) {
 	if got := tr.bufBytes(); got != defaultBufferBytes {
 		t.Fatalf("unhinted buffer %d, want default %d", got, defaultBufferBytes)
 	}
-	tr.SetBufferHint(256 << 10)
-	if got := tr.bufBytes(); got != 256<<10+chunkHeaderLen {
-		t.Fatalf("hinted buffer %d, want chunk+header %d", got, 256<<10+chunkHeaderLen)
+	tr.SetBufferHint(48 << 10) // under the ceiling: one chunk plus its header
+	if got := tr.bufBytes(); got != 48<<10+chunkHeaderLen {
+		t.Fatalf("hinted buffer %d, want chunk+header %d", got, 48<<10+chunkHeaderLen)
 	}
 	tr.SetBufferHint(16) // degenerate plan: clamp up
 	if got := tr.bufBytes(); got != minBufferBytes {
 		t.Fatalf("tiny hint gave %d, want clamp %d", got, minBufferBytes)
 	}
-	tr.SetBufferHint(64 << 20) // giant chunk: clamp down
-	if got := tr.bufBytes(); got != maxBufferBytes {
-		t.Fatalf("giant hint gave %d, want clamp %d", got, maxBufferBytes)
+	// The ceiling is one spill-threshold chunk plus its header: buffers
+	// coalesce small frames, a larger chunk bypasses them.
+	if maxBufferBytes != coalesceFlushBytes+chunkHeaderLen {
+		t.Fatalf("ceiling %d, want spill threshold + header %d", maxBufferBytes, coalesceFlushBytes+chunkHeaderLen)
+	}
+	for _, hint := range []int{coalesceFlushBytes, 256 << 10, 64 << 20} {
+		tr.SetBufferHint(hint)
+		if got := tr.bufBytes(); got != maxBufferBytes {
+			t.Fatalf("hint %d gave %d, want ceiling %d", hint, got, maxBufferBytes)
+		}
 	}
 
 	explicit := NewTCPOpts(TCPConfig{BufferBytes: 12345}).(*tcpTransport)
@@ -290,18 +302,21 @@ func TestBufferHintSizesConns(t *testing.T) {
 		Providers: []network.Link{{Trace: network.Constant(1)}},
 	}
 	shaped := NewShaped(NewChaos(inner, ChaosConfig{}), testNet, 1, 1, 0)
-	SetBufferHint(shaped, 100<<10)
-	if got := inner.bufBytes(); got != 100<<10+chunkHeaderLen {
+	SetBufferHint(shaped, 40<<10)
+	if got := inner.bufBytes(); got != 40<<10+chunkHeaderLen {
 		t.Fatalf("decorator chain dropped buffer hint: inner=%d", got)
 	}
 	// And the helper is a no-op on transports without buffers.
 	SetBufferHint(NewInproc(), 1<<20)
 }
 
-// TestSizedBufferSingleWritePerChunk checks the satellite bugfix: with the
-// buffer hint covering the deployment's max chunk, a payload much larger
-// than the old 4 KiB default reaches the socket in one write instead of
-// splitting into header-flush + direct-write fragments.
+// TestSizedBufferSingleWritePerChunk checks what the buffer hint buys: a
+// chunk up to the spill threshold — much larger than the 4 KiB floor —
+// reaches the socket in one write instead of splitting into header-flush +
+// direct-write fragments (which is why the ceiling includes a header), and
+// a chunk past the ceiling costs at most one buffer's worth of copying: one
+// buffer-sized write, then the rest straight from the payload, through
+// buffers no larger than the ceiling.
 func TestSizedBufferSingleWritePerChunk(t *testing.T) {
 	const chunk = 64 << 10
 
@@ -325,5 +340,29 @@ func TestSizedBufferSingleWritePerChunk(t *testing.T) {
 	}
 	if got := fakeSmall.writeCount(); got < 2 {
 		t.Fatalf("4 KiB-buffer conn made %d writes for a %d-byte chunk, expected a split", got, chunk)
+	}
+
+	// The large case: a 1 MiB chunk on a conn hinted 1 MiB.
+	const large = 1 << 20
+	big := NewTCPOpts(TCPConfig{}).(*tcpTransport)
+	big.SetBufferHint(large)
+	fakeBig := &writeCountConn{}
+	connBig := newTCPConn(fakeBig, big)
+	want := testMessage(large)
+	if err := connBig.Send(want); err != nil {
+		t.Fatal(err)
+	}
+	if got := fakeBig.writeCount(); got > 2 {
+		t.Fatalf("hinted conn made %d writes for one %d-byte chunk, want <= 2", got, large)
+	}
+	if fakeBig.first > maxBufferBytes {
+		t.Fatalf("first write of a %d-byte chunk was %d bytes, want <= the %d-byte ceiling", large, fakeBig.first, maxBufferBytes)
+	}
+	if msgs := decodeAll(t, fakeBig.bytes()); len(msgs) != 1 || !sameMessage(want, msgs[0]) {
+		t.Fatalf("split write corrupted the frame: decoded %d messages", len(msgs))
+	}
+	br := connBig.dec.(*binaryDecoder).r.(*bufio.Reader)
+	if w, r := connBig.bw.Size(), br.Size(); w > maxBufferBytes || r > maxBufferBytes {
+		t.Fatalf("conn hinted %d holds a %d-byte writer and a %d-byte reader, want both <= %d", large, w, r, maxBufferBytes)
 	}
 }

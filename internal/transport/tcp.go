@@ -11,20 +11,28 @@ const (
 	// defaultBufferBytes sizes a conn's bufio reader/writer when no explicit
 	// size and no buffer hint was given. 32 KiB covers the typical activation
 	// chunk of the evaluation models; SetBufferHint overrides it per
-	// deployment so the largest planned chunk never splits across writes.
+	// deployment so a planned chunk up to the spill threshold never splits
+	// across writes.
 	defaultBufferBytes = 32 << 10
-
-	// minBufferBytes / maxBufferBytes clamp hint-derived buffer sizes: a
-	// degenerate plan must not shrink buffers below one control frame, and a
-	// giant chunk must not pin megabytes per conn times n^2 conns.
-	minBufferBytes = 4 << 10
-	maxBufferBytes = 1 << 20
 
 	// coalesceFlushBytes is the byte threshold at which a buffered send
 	// flushes even though more messages are queued behind it: past this the
 	// write is syscall-efficient already, and flushing bounds how much a
 	// burst can sit unsent in the bufio buffer.
 	coalesceFlushBytes = 64 << 10
+
+	// minBufferBytes / maxBufferBytes clamp hint-derived buffer sizes. The
+	// floor: a degenerate plan must not shrink buffers below one control
+	// frame. The ceiling: conn buffers exist to coalesce small frames into
+	// one write, and nothing accumulates past the spill threshold, so a
+	// buffer holds at most one threshold-sized chunk and its header (the
+	// header is what keeps a 64 KiB chunk a single write). A larger chunk
+	// takes the path bufio already has — at most one buffer's worth is
+	// copied, the rest is written from and read into the payload directly —
+	// where a buffer sized to the chunk would copy every byte twice (once
+	// on each side) and pin 2 x chunk per conn times n^2 conns.
+	minBufferBytes = 4 << 10
+	maxBufferBytes = coalesceFlushBytes + chunkHeaderLen
 )
 
 // TCPConfig parameterises the localhost TCP transport beyond the common
@@ -102,9 +110,10 @@ func (t *tcpTransport) GetPayload(n int) []byte { return t.pool.Get(n) }
 func (t *tcpTransport) PutPayload(b []byte)     { t.pool.Put(b) }
 
 // SetBufferHint implements BufferSizer: conns created after the call size
-// their bufio buffers to hold one max-size chunk plus framing, so a full
-// chunk reaches the socket in a single write instead of splitting into
-// buffer-sized partial writes. An explicit TCPConfig.BufferBytes wins.
+// their bufio buffers to hold one max-size chunk plus framing (up to
+// maxBufferBytes), so a chunk that coalescing could hold reaches the socket
+// in a single write instead of splitting into buffer-sized partial writes.
+// An explicit TCPConfig.BufferBytes wins.
 func (t *tcpTransport) SetBufferHint(maxChunkBytes int) {
 	if maxChunkBytes > 0 {
 		t.hint.Store(int64(maxChunkBytes))

@@ -21,6 +21,29 @@ func testMessage(payload int) Message {
 	return m
 }
 
+// dialPair listens on tr, dials it and accepts the conn. The listener and
+// the dialing end close with the test (closing a tcp listener closes the
+// conns it accepted).
+func dialPair(tb testing.TB, tr Transport) (ln Listener, conn, accepted Conn) {
+	tb.Helper()
+	ln, err := tr.Listen(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ln.Close() })
+	acceptedCh := make(chan Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		acceptedCh <- c
+	}()
+	conn, err = tr.Dial(1, ln.Addr())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { conn.Close() })
+	return ln, conn, <-acceptedCh
+}
+
 func sameMessage(a, b Message) bool {
 	return a.Image == b.Image && a.Volume == b.Volume && a.Lo == b.Lo && a.Hi == b.Hi &&
 		bytes.Equal(a.Payload, b.Payload)
