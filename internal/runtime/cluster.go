@@ -92,7 +92,9 @@ func (q *workQueue) push(w workItem) {
 // pop dequeues the next ready step, blocking until one is available or the
 // queue is closed (second return false). A closed queue abandons any still
 // queued work immediately, so teardown never sits through queued emulated
-// compute sleeps.
+// compute sleeps. The rest shifts down rather than the slice walking forward
+// through its backing array, which would shrink its capacity until push had
+// to regrow it; the queue holds a handful of steps, so the copy is short.
 func (q *workQueue) pop() (workItem, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -103,20 +105,21 @@ func (q *workQueue) pop() (workItem, bool) {
 		return workItem{}, false
 	}
 	w := q.items[0]
-	q.items = q.items[1:]
+	q.items = q.items[:copy(q.items, q.items[1:])]
 	return w, true
 }
 
-// takeSameStep dequeues up to max further items for the given step
+// takeSameStep appends to into up to max further items for the given step
 // (negative max = no bound, the adaptive cap's drain), preserving the queue
 // order of everything it leaves behind. It never blocks: it only coalesces
 // work that already queued while the compute thread was busy, which is
 // exactly the population batching can amortise — an empty queue means the
 // device is keeping up and there is nothing to batch. The in-place filter
-// writes behind its read cursor, so no allocation and no reordering.
-func (q *workQueue) takeSameStep(step, max int) []workItem {
+// writes behind its read cursor, so no reordering, and the taken items land
+// in the caller's reused slice, so no allocation.
+func (q *workQueue) takeSameStep(step, max int, into []workItem) []workItem {
 	if max == 0 {
-		return nil
+		return into
 	}
 	if max < 0 {
 		max = int(^uint(0) >> 1)
@@ -124,19 +127,20 @@ func (q *workQueue) takeSameStep(step, max int) []workItem {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return nil
+		return into
 	}
-	var taken []workItem
+	taken := 0
 	rest := q.items[:0]
 	for _, w := range q.items {
-		if len(taken) < max && w.step == step {
-			taken = append(taken, w)
+		if taken < max && w.step == step {
+			into = append(into, w)
+			taken++
 			continue
 		}
 		rest = append(rest, w)
 	}
 	q.items = rest
-	return taken
+	return into
 }
 
 func (q *workQueue) close() {
@@ -175,6 +179,7 @@ type Provider struct {
 
 	mu     sync.Mutex
 	images map[uint32]*imageState // guarded by mu; in-flight image -> assembly state
+	spare  []*imageState          // guarded by mu; collected, cleared states for reuse
 	minImg uint32                 // guarded by mu; images below this are gc'ed; late chunks dropped
 
 	hb     time.Duration // heartbeat period; 0 = disabled
@@ -325,15 +330,20 @@ func (p *Provider) deliver(ch Chunk, at instant) {
 	}
 	st, ok := p.images[img]
 	if !ok {
-		st = &imageState{
-			arrived:   make(map[chunkKey]instant),
-			scheduled: make([]bool, len(p.plan.Steps)),
+		if n := len(p.spare); n > 0 {
+			st, p.spare = p.spare[n-1], p.spare[:n-1]
+		} else {
+			st = &imageState{
+				arrived:   make(map[chunkKey]instant),
+				scheduled: make([]bool, len(p.plan.Steps)),
+			}
 		}
 		p.images[img] = st
 	}
 	st.arrived[chunkKey{int(ch.Volume), int(ch.Lo), int(ch.Hi)}] = at
 
-	var ready []workItem
+	var readyBuf [8]workItem // a chunk completes a step or two; past 8 append spills
+	ready := readyBuf[:0]
 	for si := range p.plan.Steps {
 		if st.scheduled[si] {
 			continue
@@ -390,7 +400,7 @@ func (p *Provider) computeLoop() {
 		batch = append(batch[:0], w)
 		if p.batch != 1 {
 			lim := p.batch - 1 // p.batch == 0: adaptive, drain all (lim -1)
-			batch = append(batch, p.work.takeSameStep(w.step, lim)...)
+			batch = p.work.takeSameStep(w.step, lim, batch)
 		}
 		st := &p.plan.Steps[w.step]
 		cost := st.ComputeSec
@@ -545,15 +555,20 @@ func (p *Provider) sendTo(dest int, ch Chunk) error {
 // gc drops assembly state for every image below `before`. The requester
 // advances `before` only past images whose results it has fully assembled,
 // so with a window of in-flight images an early finisher never tears down
-// state a straggler still needs.
+// state a straggler still needs. Dropped states are cleared and kept for
+// deliver to reuse — their maps keep their grown buckets — so the spares
+// never outnumber the images that were in flight at once.
 func (p *Provider) gc(before uint32) {
 	p.mu.Lock()
 	if before > p.minImg {
 		p.minImg = before
 	}
-	for img := range p.images {
+	for img, st := range p.images {
 		if img < p.minImg {
 			delete(p.images, img)
+			clear(st.arrived)
+			clear(st.scheduled)
+			p.spare = append(p.spare, st)
 		}
 	}
 	p.mu.Unlock()

@@ -3,6 +3,9 @@ package runtime
 import (
 	"testing"
 	"time"
+
+	"distredge/internal/device"
+	"distredge/internal/transport"
 )
 
 // monitorAt builds a detector for n providers, all watched and last heard
@@ -104,6 +107,63 @@ func TestHealthSilentProviderDiesAfterThresholdOfTickedTime(t *testing.T) {
 		if _, dead, _ := m.verdict(now.Add(m.interval)); len(dead) != 0 {
 			t.Errorf("pause %s: provider reported dead twice: %v", pause, dead)
 		}
+	}
+}
+
+// TestHealthIgnoresStaleEpochBeats: a beat stamped with an epoch other than
+// the armed one — a torn-down deployment's provider still beating — does not
+// refresh its provider, while a current one does.
+func TestHealthIgnoresStaleEpochBeats(t *testing.T) {
+	t0 := time.Now().Add(-time.Second)
+	m := monitorAt(t0, 2)
+	m.arm(1, []bool{true, true})
+	m.setBeat(0, t0)
+	m.setBeat(1, t0)
+	m.beat(0, 0)
+	m.beat(1, 1)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.last[0].Equal(t0) {
+		t.Errorf("a beat from stale epoch 0 refreshed provider 0 in epoch 1")
+	}
+	if !m.last[1].After(t0) {
+		t.Errorf("a beat from the current epoch did not refresh provider 1")
+	}
+}
+
+// TestHeartbeatsKeepAnIdleFleetAlive: beats cross the tcp wire as bare
+// binary chunk frames and the monitor reads provider and epoch out of Image
+// and Lo as ever, so a fleet idle for many detection thresholds stays
+// convicted of nothing, every provider's last beat is recent, and serving
+// afterwards needs no recovery.
+func TestHeartbeatsKeepAnIdleFleetAlive(t *testing.T) {
+	env := testEnv(device.Xavier, device.Nano, device.TX2)
+	const interval = 10 * time.Millisecond
+	cl, err := Deploy(env, equalStrategy(env, []int{0, 18}), Options{
+		TimeScale: 0.002, BytesScale: 0.001, Recover: true,
+		HeartbeatInterval: interval, Transport: transport.NewPooledTCP(nil, nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	time.Sleep(20 * interval) // three 65 ms thresholds
+	if err := cl.Err(); err != nil {
+		t.Fatalf("idle fleet failed: %v", err)
+	}
+	cl.health.mu.Lock()
+	now := time.Now()
+	for i, lb := range cl.health.last {
+		if silent := now.Sub(lb); silent > cl.health.threshold {
+			t.Errorf("provider %d last heard %s ago, past the %s threshold", i, silent, cl.health.threshold)
+		}
+	}
+	cl.health.mu.Unlock()
+	if _, err := cl.RunPipelined(8, 4); err != nil {
+		t.Fatal(err)
+	}
+	if rec, _, _, q := cl.Recovery(); rec != 0 || len(q) != 0 {
+		t.Errorf("heartbeating fleet recovered %d times, quarantined %v", rec, q)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // behind the existing binary framing: the compressed bytes travel as an
 // ordinary binary chunk frame (the header's length field carries the
 // compressed size), so the wire format needs no new frame kind and
-// control messages pass through the gob path untouched. Activation rows
+// control messages pass through uncompressed. Activation rows
 // are float32 and compress well; on low-bandwidth shaped links the CPU
 // spent here buys back wire seconds — see DESIGN.md for when the trade
 // wins. The flate level is BestSpeed: the codec sits on the serving hot

@@ -125,25 +125,58 @@ func TestBinaryLagCostsNoAllocation(t *testing.T) {
 	}
 }
 
-// TestControlFramesCarryNoLag: a heartbeat gobs its own type descriptor on
-// every frame, so Lag — meaningless off a data chunk — stays out of it, and
-// a reused message decodes with Lag 0 whatever it held before.
+// TestControlFramesCarryNoLag: a heartbeat is framed exactly like a chunk —
+// the 25-byte header, no payload — with Lag 0, since schedule debt means
+// nothing off a data chunk. Through every codec that frames in binary it
+// round-trips with its fields intact and Lag 0 (into a reused message too);
+// the decoder zeroes Lag on a control volume whatever the bytes say, as it
+// bounds it by MaxLag on a chunk; and a beat's encode and decode allocate
+// nothing.
 func TestControlFramesCarryNoLag(t *testing.T) {
+	want := Message{Image: 9, Volume: VolHeartbeat, Lo: 2, Hi: 4}
 	for _, codec := range []Codec{Binary(), Deflate(), Quant(QuantInt8, nil)} {
 		var buf bytes.Buffer
-		beat := Message{Image: 9, Volume: VolHeartbeat, Lo: 2, Hi: 4, Lag: 300 * time.Microsecond}
-		if err := codec.NewEncoder(&buf).Encode(&beat); err != nil {
+		enc, dec := codec.NewEncoder(&buf), codec.NewDecoder(&buf)
+		beat := want
+		beat.Lag = 300 * time.Microsecond
+		if err := enc.Encode(&beat); err != nil {
 			t.Fatal(err)
 		}
-		if bytes.Contains(buf.Bytes(), []byte("Lag")) {
-			t.Errorf("%s: control frame describes a Lag field: %q", codec.Name(), buf.Bytes())
+		if buf.Len() != chunkHeaderLen || buf.Bytes()[0] != tagChunk {
+			t.Errorf("%s: heartbeat frame is %x, want a bare %d-byte chunk header", codec.Name(), buf.Bytes(), chunkHeaderLen)
+		}
+		if lag := binary.LittleEndian.Uint32(buf.Bytes()[17:21]); lag != 0 {
+			t.Errorf("%s: heartbeat frame carries lag %d", codec.Name(), lag)
 		}
 		got := Message{Lag: 77}
-		if err := codec.NewDecoder(&buf).Decode(&got); err != nil {
+		if err := dec.Decode(&got); err != nil {
 			t.Fatal(err)
 		}
-		if want := (Message{Image: 9, Volume: VolHeartbeat, Lo: 2, Hi: 4}); got.Lag != 0 || got.Image != want.Image || got.Volume != want.Volume || got.Lo != want.Lo || got.Hi != want.Hi {
+		if !sameMessage(got, want) || got.Lag != 0 {
 			t.Errorf("%s: heartbeat decoded as %+v, want %+v", codec.Name(), got, want)
 		}
+
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := enc.Encode(&beat); err != nil {
+				t.Fatal(err)
+			}
+			if err := dec.Decode(&got); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a heartbeat encode+decode allocates %.1f times, want 0", codec.Name(), allocs)
+		}
+	}
+
+	// A hostile frame: a control volume with every lag bit set.
+	hdr := binaryFrame(t, want)
+	binary.LittleEndian.PutUint32(hdr[17:21], 0xffffffff)
+	got := Message{Lag: 77}
+	if err := Binary().NewDecoder(bytes.NewReader(hdr)).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Volume != VolHeartbeat || got.Lag != 0 {
+		t.Errorf("control frame with lag bits set decoded as %+v, want Lag 0", got)
 	}
 }

@@ -16,12 +16,19 @@ import (
 // ownership to the transport, and payloads returned by Recv belong to the
 // caller, who hands exhausted ones back with Put. A nil *Pool is valid and
 // degrades to plain allocation.
+//
+// A bucket files each buffer in a *[]byte holder, not as a bare []byte:
+// sync.Pool stores an `any`, and a slice header is three words, so boxing
+// one into an interface is a heap allocation on every Put. A pointer fits
+// the interface word as is. Emptied holders cycle through a second
+// sync.Pool, so in steady state Get and Put allocate nothing.
 // numBuckets covers size classes up to 1<<32 bytes; larger buffers bypass
 // the pool entirely.
 const numBuckets = 33
 
 type Pool struct {
-	buckets [numBuckets]sync.Pool
+	buckets [numBuckets]sync.Pool // of *[]byte holding a buffer
+	holders sync.Pool             // of empty *[]byte
 }
 
 // NewPool returns an empty payload pool.
@@ -38,8 +45,11 @@ func (p *Pool) Get(n int) []byte {
 		return make([]byte, n)
 	}
 	if p != nil {
-		if v := p.buckets[k].Get(); v != nil {
-			return v.([]byte)[:n]
+		if h, ok := p.buckets[k].Get().(*[]byte); ok {
+			b := *h
+			*h = nil // the holder must not pin a buffer it no longer files
+			p.holders.Put(h)
+			return b[:n]
 		}
 	}
 	return make([]byte, n, 1<<k)
@@ -56,7 +66,12 @@ func (p *Pool) Put(b []byte) {
 	if k >= numBuckets {
 		return
 	}
-	p.buckets[k].Put(b[:0])
+	h, ok := p.holders.Get().(*[]byte)
+	if !ok {
+		h = new([]byte)
+	}
+	*h = b[:0]
+	p.buckets[k].Put(h)
 }
 
 // PayloadPool is implemented by transports whose connections recycle

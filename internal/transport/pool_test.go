@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
 // TestPoolSizeClasses pins the bucket arithmetic: a Get after a Put of the
@@ -42,6 +43,68 @@ func TestPoolSizeClasses(t *testing.T) {
 		t.Errorf("nil pool Get(8): len=%d", len(b))
 	}
 	nilPool.Put(b2) // must not panic
+}
+
+// TestPoolGetPutAllocatesNothing: a Get/Put round trip within one size class
+// allocates nothing once the class holds a buffer. A bare []byte filed in a
+// sync.Pool is boxed into an interface — one allocation per Put — so the
+// buckets hold recycled *[]byte holders instead.
+func TestPoolGetPutAllocatesNothing(t *testing.T) {
+	p := NewPool()
+	p.Put(p.Get(1000))
+	allocs := testing.AllocsPerRun(1000, func() {
+		b := p.Get(1000)
+		b[0] = 1
+		p.Put(b)
+	})
+	if allocs != 0 && !raceEnabled {
+		t.Errorf("Pool Get/Put allocates %.2f times per round trip, want 0", allocs)
+	}
+}
+
+// TestPooledTCPMessageAllocatesNothing: a pooled data chunk through a real
+// loopback conn pair — drawn from the pool, sent with Send or with
+// SendBuffered and Flush, received with Recv and handed back — allocates
+// nothing. The conn encodes from and decodes into messages it owns: a local
+// message passed by address through the Encoder / Decoder interface escapes
+// to the heap on every call.
+func TestPooledTCPMessageAllocatesNothing(t *testing.T) {
+	tr := NewPooledTCP(nil, nil)
+	pp := tr.(PayloadPool)
+	_, conn, accepted := dialPair(t, tr)
+	bc := conn.(BatchConn)
+	buffered := func(m Message) error {
+		if err := bc.SendBuffered(m); err != nil {
+			return err
+		}
+		return bc.Flush()
+	}
+	for _, mode := range []struct {
+		name string
+		send func(Message) error
+	}{{"Send", conn.Send}, {"SendBuffered+Flush", buffered}} {
+		t.Run(mode.name, func(t *testing.T) {
+			roundtrip := func() {
+				m := Message{Image: 3, Volume: 2, Hi: 16, Lag: time.Millisecond, Payload: pp.GetPayload(1024)}
+				m.Payload[0] = 9
+				if err := mode.send(m); err != nil {
+					t.Fatal(err)
+				}
+				got, err := accepted.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Image != 3 || got.Lag != time.Millisecond || len(got.Payload) != 1024 || got.Payload[0] != 9 {
+					t.Fatalf("message damaged in transit: %+v", got)
+				}
+				pp.PutPayload(got.Payload)
+			}
+			allocs := testing.AllocsPerRun(500, roundtrip)
+			if allocs != 0 && !raceEnabled {
+				t.Errorf("pooled tcp message allocates %.2f times, want 0", allocs)
+			}
+		})
+	}
 }
 
 // TestPooledTCPRoundtripContent streams messages of interleaved sizes and
@@ -151,7 +214,7 @@ func TestPooledInprocReusesBuffer(t *testing.T) {
 
 // TestDeflateCodecRoundtrip checks content fidelity through the
 // compressing codec: data chunks (compressible and empty), control
-// messages on the gob path, and a multi-message stream through one
+// messages passed through uncompressed, and a multi-message stream through one
 // stateful encoder/decoder pair.
 func TestDeflateCodecRoundtrip(t *testing.T) {
 	codec := Deflate()

@@ -150,10 +150,13 @@ type shapedConn struct {
 	mu       sync.Mutex
 	link     Pacer // guarded by mu; the directed link's ideal schedule
 
-	// Post-codec sizing state (ChargePostCodec only): a per-conn encoder —
-	// codecs are stateful per stream — writing into a byte counter.
+	// Post-codec sizing state (ChargePostCodec only), used under mu: a
+	// per-conn encoder — codecs are stateful per stream — writing into a
+	// byte counter, and the message it sizes (owned here so passing it to
+	// the encoder does not allocate one per send).
 	sizer   Encoder
 	counter *countWriter
+	sizing  Message
 }
 
 // Send charges the payload's transfer to the link and forwards the message
@@ -191,7 +194,10 @@ func (c *shapedConn) wireSize(m Message) int {
 		c.sizer = c.t.wireCodec.NewEncoder(c.counter)
 	}
 	c.counter.n = 0
-	if err := c.sizer.Encode(&m); err != nil {
+	c.sizing = m
+	err := c.sizer.Encode(&c.sizing)
+	c.sizing = Message{}
+	if err != nil {
 		return len(m.Payload)
 	}
 	if n := c.counter.n - chunkHeaderLen; n > 0 {

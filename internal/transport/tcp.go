@@ -22,8 +22,8 @@ const (
 	coalesceFlushBytes = 64 << 10
 
 	// minBufferBytes / maxBufferBytes clamp hint-derived buffer sizes. The
-	// floor: a degenerate plan must not shrink buffers below one control
-	// frame. The ceiling: conn buffers exist to coalesce small frames into
+	// floor: a degenerate plan must not shrink buffers to a handful of
+	// frames. The ceiling: conn buffers exist to coalesce small frames into
 	// one write, and nothing accumulates past the spill threshold, so a
 	// buffer holds at most one threshold-sized chunk and its header (the
 	// header is what keeps a 64 KiB chunk a single write). A larger chunk
@@ -209,6 +209,10 @@ func (l *tcpListener) Close() error {
 // synchronous; SendBuffered defers the flush to the caller's Flush (or to
 // the coalesceFlushBytes spill threshold), which is how a queue-draining
 // sender shares one syscall across a burst of small chunks.
+//
+// The conn encodes from and decodes into messages it owns (out, in): a
+// message passed by address through the Encoder / Decoder interface escapes,
+// so a local one would be a heap allocation on every send and every receive.
 type tcpConn struct {
 	c    net.Conn
 	pool *Pool
@@ -217,10 +221,12 @@ type tcpConn struct {
 	sendMu  sync.Mutex
 	bw      *bufio.Writer // guarded by sendMu
 	enc     Encoder       // guarded by sendMu
+	out     Message       // guarded by sendMu; the message being encoded
 	pending bool          // guarded by sendMu; encoded frames await a flush
 
 	recvMu sync.Mutex
 	dec    Decoder
+	in     Message // guarded by recvMu; the message being decoded
 }
 
 func newTCPConn(c net.Conn, t *tcpTransport) *tcpConn {
@@ -243,44 +249,36 @@ func newTCPConn(c net.Conn, t *tcpTransport) *tcpConn {
 	}
 }
 
-func (c *tcpConn) Send(m Message) error {
-	// The payload is captured before Encode (codecs may rewrite the
-	// message's payload field while framing) and recycled after the
-	// encode: by then the bytes live in the bufio buffer or on the socket,
-	// so ownership — transferred to the transport by the Send contract —
-	// ends here.
-	payload := m.Payload
-	c.sendMu.Lock()
-	err := c.enc.Encode(&m)
-	if err == nil {
-		err = c.bw.Flush()
-		c.pending = false
-	}
-	c.sendMu.Unlock()
-	if c.pool != nil && !m.control() {
-		c.pool.Put(payload)
-	}
-	return err
-}
+func (c *tcpConn) Send(m Message) error { return c.send(m, true) }
 
 // SendBuffered implements BatchConn: the message is framed into the write
 // buffer but only pushed to the socket once the buffer passes the spill
 // threshold (or on Flush / a plain Send). An encode error is returned
 // immediately; a deferred socket error surfaces on the flushing call.
-func (c *tcpConn) SendBuffered(m Message) error {
-	payload := m.Payload
+func (c *tcpConn) SendBuffered(m Message) error { return c.send(m, c.sync) }
+
+// send frames m into the write buffer and flushes if asked to or past the
+// spill threshold. The frame is encoded from the conn's own message, which
+// is dropped afterwards so the conn never pins a payload whose ownership has
+// moved on; m itself, whose payload field no codec rewrote, supplies the
+// payload to recycle: once encoded its bytes live in the bufio buffer or on
+// the socket, so ownership — transferred to the transport by the Send
+// contract — ends here.
+func (c *tcpConn) send(m Message, flush bool) error {
 	c.sendMu.Lock()
-	err := c.enc.Encode(&m)
+	c.out = m
+	err := c.enc.Encode(&c.out)
+	c.out = Message{}
 	if err == nil {
 		c.pending = true
-		if c.sync || c.bw.Buffered() >= coalesceFlushBytes {
+		if flush || c.bw.Buffered() >= coalesceFlushBytes {
 			err = c.bw.Flush()
 			c.pending = false
 		}
 	}
 	c.sendMu.Unlock()
 	if c.pool != nil && !m.control() {
-		c.pool.Put(payload)
+		c.pool.Put(m.Payload)
 	}
 	return err
 }
@@ -300,8 +298,12 @@ func (c *tcpConn) Flush() error {
 func (c *tcpConn) Recv() (Message, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	var m Message
-	err := c.dec.Decode(&m)
+	err := c.dec.Decode(&c.in)
+	m := c.in
+	// Zeroed for the next decode: the binary decoder reuses whatever payload
+	// capacity it finds, and this buffer now belongs to the consumer; gob
+	// leaves fields the frame omits as they were.
+	c.in = Message{}
 	return m, err
 }
 

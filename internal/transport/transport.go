@@ -45,7 +45,7 @@ const Requester = -1
 // that; where it costs less, the remainder is handed on as its own Lag. What
 // no sleep absorbs is the time from a stage's wake to the next stage's
 // stamp: filling and queueing the output, the sender, the codec, the socket.
-// Lag is only meaningful on data chunks; control frames do not carry it.
+// Lag is only meaningful on data chunks; control frames carry it as 0.
 // Codecs carry it clamped to [0, MaxLag].
 type Message struct {
 	Image   uint32
@@ -68,9 +68,9 @@ func clampLag(d time.Duration) time.Duration {
 }
 
 // control reports whether the message is a control message (heartbeats and
-// future verbs) rather than a data chunk. Codecs keep control messages on
-// the flexible gob path and reserve the fixed binary framing for the hot
-// data path.
+// future verbs) rather than a data chunk. Control messages cross in the same
+// binary frame as chunks, with Lag 0; payload codecs (deflate, quant) pass
+// them through untransformed and chaos never drops or delays them.
 func (m *Message) control() bool { return m.Volume < VolInput }
 
 // Conn is one directed framed connection. Send is safe for concurrent use;
