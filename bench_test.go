@@ -6,6 +6,7 @@
 package distredge
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -365,26 +366,52 @@ func BenchmarkOSDSSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkDDPGUpdate measures one actor+critic gradient step at the
-// paper's network sizes ({400,200,100}, batch 64).
+// BenchmarkDDPGUpdate measures one actor+critic gradient step for a
+// 4-provider fleet (state 8, action 3) at the paper's network sizes
+// ({400,200,100}, batch 64) and at the quick budget's ({32,32}, batch 32),
+// which is what plan-mix runs. The replay buffer holds seeded random
+// transitions: all-zero states would leave most ReLU activations at zero,
+// and the kernels skip zero terms, so the update timed would be a
+// degenerate one.
 func BenchmarkDDPGUpdate(b *testing.B) {
-	agent, err := rl.New(rl.Config{StateDim: 8, ActionDim: 3, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 128; i++ {
-		agent.Buf.Add(rl.Transition{
-			State:     make([]float64, 8),
-			Action:    make([]float64, 3),
-			Reward:    1,
-			NextState: make([]float64, 8),
-			Done:      i%6 == 5,
+	for _, c := range []struct {
+		name   string
+		hidden []int
+		batch  int
+	}{
+		{"paper", nil, 64},
+		{"quick", experiments.Quick().Hidden, experiments.Quick().Batch},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			const stateDim, actionDim = 8, 3
+			agent, err := rl.New(rl.Config{StateDim: stateDim, ActionDim: actionDim, Hidden: c.hidden, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			uniform := func(n int) []float64 {
+				v := make([]float64, n)
+				for i := range v {
+					v[i] = 2*rng.Float64() - 1
+				}
+				return v
+			}
+			for i := 0; i < 2*c.batch; i++ {
+				agent.Buf.Add(rl.Transition{
+					State:     uniform(stateDim),
+					Action:    uniform(actionDim),
+					Reward:    rng.Float64(),
+					NextState: uniform(stateDim),
+					Done:      i%6 == 5,
+				})
+			}
+			agent.Update(c.batch) // builds the update scratch outside the timing
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				agent.Update(c.batch)
+			}
 		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.Update(64)
 	}
 }
 

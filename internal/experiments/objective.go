@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"distredge/internal/cnn"
 	"distredge/internal/device"
@@ -96,12 +97,12 @@ func PlanObjectiveInit(env *sim.Env, b Budget, alpha float64, obj sim.Objective,
 		cfg.Episodes = (b.Episodes + 1) / 2
 		cfg.InitSplits = init.Splits
 	}
-	for _, boundaries := range boundarySets {
-		res, err := splitter.Search(env, boundaries, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: OSDS (%s): %w", scorer.Name(), err)
-		}
-		if err := consider(res.Strategy); err != nil {
+	results, err := searchBoundarySets(env, boundarySets, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: OSDS (%s): %w", scorer.Name(), err)
+	}
+	for i, boundaries := range boundarySets {
+		if err := consider(results[i].Strategy); err != nil {
 			return nil, err
 		}
 		if !sim.IsLatencyObjective(obj) {
@@ -111,6 +112,22 @@ func PlanObjectiveInit(env *sim.Env, b Budget, alpha float64, obj sim.Objective,
 		}
 	}
 	return best, nil
+}
+
+// searchBoundarySets runs one OSDS search per boundary set, on as many
+// goroutines as GOMAXPROCS allows, and returns the results in boundary-set
+// order or the error of the lowest-index set that failed. Each search owns
+// its agent and seed and the env's caches are safe to share, so every
+// result is the one a serial search returns: the plan stays a pure
+// function of the seed on any core count.
+func searchBoundarySets(env *sim.Env, sets [][]int, cfg splitter.Config) ([]*splitter.Result, error) {
+	results := make([]*splitter.Result, len(sets))
+	err := runIndexed(len(sets), runtime.GOMAXPROCS(0), func(i int) error {
+		res, err := splitter.Search(env, sets[i], cfg)
+		results[i] = res
+		return err
+	})
+	return results, err
 }
 
 func equalBoundaries(a, b []int) bool {

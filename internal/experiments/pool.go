@@ -48,8 +48,14 @@ func runIndexed(n, workers int, fn func(i int) error) error {
 		go func() {
 			defer wg.Done()
 			for {
+				// Check for a failure before claiming, never after: a
+				// claimed task always runs, so every task below a failed
+				// one has run and the lowest-index error is reported.
+				if failed.Load() {
+					return
+				}
 				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
+				if i >= n {
 					return
 				}
 				if err := fn(i); err != nil {

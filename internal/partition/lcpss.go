@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"distredge/internal/cnn"
@@ -61,21 +62,36 @@ type searcher struct {
 	opsMemo   map[[2]int]float64
 	crossMemo map[[2]int]float64
 	inMemo    map[[2]int]float64
+
+	// parts and prevParts are the per-provider interval scratch of the
+	// scorers, filled by partIntervals for every fraction vector.
+	parts, prevParts []interval
 }
 
 // Search runs LC-PSS and returns the partition boundaries (ascending layer
 // indices from 0 to the number of splittable layers).
 func Search(m *cnn.Model, cfg Config) ([]int, error) {
+	b, _, err := search(m, cfg)
+	return b, err
+}
+
+// SearchDebug is Search plus the computed κ, for calibration tooling.
+func SearchDebug(m *cnn.Model, cfg Config) ([]int, float64, error) {
+	return search(m, cfg)
+}
+
+// search runs LC-PSS and returns the boundaries and the model's κ.
+func search(m *cnn.Model, cfg Config) ([]int, float64, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Alpha < 0 || cfg.Alpha > 1 {
-		return nil, fmt.Errorf("partition: alpha %g outside [0,1]", cfg.Alpha)
+		return nil, 0, fmt.Errorf("partition: alpha %g outside [0,1]", cfg.Alpha)
 	}
 	if cfg.Providers < 1 {
-		return nil, fmt.Errorf("partition: need at least one provider")
+		return nil, 0, fmt.Errorf("partition: need at least one provider")
 	}
 	n := m.NumSplittable()
 	if n == 0 {
-		return nil, fmt.Errorf("partition: model %q has no splittable layers", m.Name)
+		return nil, 0, fmt.Errorf("partition: model %q has no splittable layers", m.Name)
 	}
 	s := &searcher{
 		model:     m,
@@ -97,7 +113,7 @@ func Search(m *cnn.Model, cfg Config) ([]int, error) {
 	}
 	s.oneVolOps, s.oneVolBytes = s.rawScore([]int{0, n})
 	if s.oneVolOps <= 0 || s.oneVolBytes <= 0 {
-		return nil, fmt.Errorf("partition: degenerate normaliser for %q", m.Name)
+		return nil, 0, fmt.Errorf("partition: degenerate normaliser for %q", m.Name)
 	}
 	// Equalise the dynamic ranges of the two terms across the coarsest
 	// (one volume) and finest (layer-by-layer) schemes, so α compares them
@@ -146,7 +162,7 @@ func Search(m *cnn.Model, cfg Config) ([]int, error) {
 		}
 		rp = rStar
 	}
-	return rp, nil
+	return rp, s.kappa, nil
 }
 
 // insertSorted returns a copy of b with v inserted in order (no duplicates).
@@ -239,9 +255,10 @@ func inputInterval(l cnn.Layer, out interval) interval {
 	return interval{lo, hi}
 }
 
-// partIntervals maps a fraction vector to provider intervals on height h.
-func partIntervals(frac []float64, h float64, providers int) []interval {
-	parts := make([]interval, providers)
+// partIntervals maps a fraction vector to provider intervals on height h,
+// written into dst's storage, which grows only when it is short.
+func partIntervals(dst []interval, frac []float64, h float64, providers int) []interval {
+	parts := slices.Grow(dst[:0], providers)[:providers]
 	prev := 0.0
 	for i := 0; i < providers; i++ {
 		hi := h
@@ -268,7 +285,8 @@ func (s *searcher) volumeOps(a, b int) float64 {
 	h := float64(layers[len(layers)-1].OutHeight())
 	var sum float64
 	for _, frac := range s.fracs {
-		for _, part := range partIntervals(frac, h, s.cfg.Providers) {
+		s.parts = partIntervals(s.parts, frac, h, s.cfg.Providers)
+		for _, part := range s.parts {
 			cur := part
 			for i := len(layers) - 1; i >= 0; i-- {
 				sum += layers[i].OpsRows(1) * cur.len()
@@ -304,7 +322,8 @@ func (s *searcher) scatterBytes(a, b int) float64 {
 	rowBytes := layers[0].InRowBytes()
 	var sum float64
 	for _, frac := range s.fracs {
-		for _, part := range partIntervals(frac, h, s.cfg.Providers) {
+		s.parts = partIntervals(s.parts, frac, h, s.cfg.Providers)
+		for _, part := range s.parts {
 			sum += volumeInputInterval(layers, part).len() * rowBytes
 		}
 	}
@@ -328,14 +347,14 @@ func (s *searcher) crossBytes(a, b int) float64 {
 	rowBytes := layers[0].InRowBytes()
 	var sum float64
 	for _, frac := range s.fracs {
-		parts := partIntervals(frac, h, s.cfg.Providers)
-		prevParts := partIntervals(frac, prevH, s.cfg.Providers)
-		for i, part := range parts {
+		s.parts = partIntervals(s.parts, frac, h, s.cfg.Providers)
+		s.prevParts = partIntervals(s.prevParts, frac, prevH, s.cfg.Providers)
+		for i, part := range s.parts {
 			in := volumeInputInterval(layers, part)
 			if in.len() == 0 {
 				continue
 			}
-			for j, own := range prevParts {
+			for j, own := range s.prevParts {
 				if j == i {
 					continue
 				}
@@ -346,40 +365,4 @@ func (s *searcher) crossBytes(a, b int) float64 {
 	v := sum / float64(len(s.fracs))
 	s.crossMemo[key] = v
 	return v
-}
-
-// SearchDebug is Search plus the computed κ, for calibration tooling.
-func SearchDebug(m *cnn.Model, cfg Config) ([]int, float64, error) {
-	b, err := Search(m, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Recompute κ the same way Search does.
-	cfg = cfg.withDefaults()
-	s := &searcher{model: m, layers: m.SplittableLayers(), cfg: cfg,
-		opsMemo: map[[2]int]float64{}, crossMemo: map[[2]int]float64{}, inMemo: map[[2]int]float64{}}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	s.fracs = make([][]float64, cfg.NumRandomSplits)
-	for i := range s.fracs {
-		f := make([]float64, cfg.Providers-1)
-		for j := range f {
-			f[j] = rng.Float64()
-		}
-		sort.Float64s(f)
-		s.fracs[i] = f
-	}
-	n := m.NumSplittable()
-	s.oneVolOps, s.oneVolBytes = s.rawScore([]int{0, n})
-	lbl := make([]int, n+1)
-	for i := range lbl {
-		lbl[i] = i
-	}
-	lblOps, lblTrans := s.rawScore(lbl)
-	oRange := 1 - lblOps/s.oneVolOps
-	tRange := lblTrans/s.oneVolBytes - 1
-	kappa := 1.0
-	if oRange > 0 && tRange > 0 {
-		kappa = oRange / (2 * tRange)
-	}
-	return b, kappa, nil
 }

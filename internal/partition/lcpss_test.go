@@ -159,7 +159,7 @@ func TestScoreComponentsBehave(t *testing.T) {
 }
 
 func TestPartIntervals(t *testing.T) {
-	parts := partIntervals([]float64{0.25, 0.5, 0.75}, 100, 4)
+	parts := partIntervals(nil, []float64{0.25, 0.5, 0.75}, 100, 4)
 	if parts[0].len() != 25 || parts[3].len() != 25 {
 		t.Fatalf("partIntervals wrong: %+v", parts)
 	}
@@ -171,9 +171,25 @@ func TestPartIntervals(t *testing.T) {
 		t.Errorf("parts must tile the height: %g", total)
 	}
 	// Unsorted fractions are forced monotone.
-	parts = partIntervals([]float64{0.9, 0.1}, 10, 3)
+	parts = partIntervals(nil, []float64{0.9, 0.1}, 10, 3)
 	if parts[1].Hi < parts[1].Lo {
 		t.Errorf("interval order broken: %+v", parts)
+	}
+}
+
+// TestPartIntervalsReusesStorage checks that the scorers' per-fraction
+// interval fill allocates nothing once the scratch slice has the capacity.
+func TestPartIntervalsReusesStorage(t *testing.T) {
+	frac := []float64{0.1, 0.4, 0.9}
+	dst := make([]interval, 0, 4)
+	allocs := testing.AllocsPerRun(100, func() {
+		dst = partIntervals(dst, frac, 224, 4)
+	})
+	if allocs != 0 {
+		t.Errorf("partIntervals into a 4-capacity slice allocates %v times", allocs)
+	}
+	if len(dst) != 4 || dst[3].Hi != 224 {
+		t.Errorf("partIntervals filled %+v", dst)
 	}
 }
 

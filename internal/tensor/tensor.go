@@ -60,17 +60,25 @@ func (m *Mat) Randomize(rng *rand.Rand, scale float64) {
 	}
 }
 
+// kBlock is the K-block length of MulABInto and MulATBInto: the most terms
+// one gather holds, sized so the gather arrays live on the stack and a
+// block of b stays in cache while every row of the batch passes over it.
+// It must be a power of two (the gather masks its index with kBlock-1).
+const kBlock = 64
+
 // MulAB returns a·b for a (m×k) and b (k×n).
 func MulAB(a, b *Mat) *Mat {
 	return MulABInto(New(a.R, b.C), a, b)
 }
 
 // MulABInto computes a·b into out (a.R × b.C), reusing out's storage. Each
-// output element accumulates its terms in ascending k order (skipping zero
-// a-elements, as MulAB always has), so results are bit-identical to the
-// naive loop on finite values; out must not alias a or b. The k-outer loop
-// streams b's rows sequentially and skips entire rows for the zeros ReLU
-// activations produce in bulk.
+// output element accumulates its terms in ascending k order, skipping zero
+// a-elements as MulAB always has, so results are bit-identical to the naive
+// loop on finite values; out must not alias a or b. The work runs in K-blocks
+// (see addTerms): each row's nonzero a-elements within a block are gathered
+// first, then eight, four and finally one output columns at a time sum the
+// gathered terms in registers. The block loop sits outside the row loop, so
+// a block of b stays cache-resident across the batch.
 func MulABInto(out, a, b *Mat) *Mat {
 	if a.C != b.R {
 		panic(fmt.Sprintf("tensor: MulAB %dx%d · %dx%d", a.R, a.C, b.R, b.C))
@@ -78,22 +86,73 @@ func MulABInto(out, a, b *Mat) *Mat {
 	if out.R != a.R || out.C != b.C {
 		panic(fmt.Sprintf("tensor: MulABInto out %dx%d for %dx%d product", out.R, out.C, a.R, b.C))
 	}
-	for i := 0; i < a.R; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		clear(orow)
-		for k, av := range arow {
-			if av == 0 {
-				continue
+	clear(out.A)
+	n := b.C
+	var off [kBlock]int
+	var val [kBlock]float64
+	for k0 := 0; k0 < a.C; k0 += kBlock {
+		k1 := min(k0+kBlock, a.C)
+		for i := 0; i < a.R; i++ {
+			cnt, o := 0, k0*n
+			for _, av := range a.A[i*a.C+k0 : i*a.C+k1] {
+				off[cnt&(kBlock-1)], val[cnt&(kBlock-1)] = o, av
+				if av != 0 { // a conditional move, not a branch
+					cnt++
+				}
+				o += n
 			}
-			brow := b.Row(k)
-			odst := orow[:len(brow)] // hoist the bounds check out of the loop
-			for j, bv := range brow {
-				odst[j] += av * bv
-			}
+			addTerms(out.A[i*n:(i+1)*n], b.A, off[:cnt], val[:cnt])
 		}
 	}
 	return out
+}
+
+// addTerms adds Σ_p val[p]·bA[off[p]+j] to orow[j] for every column j, the
+// terms in list order. Each output element is loaded once, summed in a
+// register over the whole list and stored once; a float64 store and reload
+// is exact, so splitting the sum across K-blocks changes no bit.
+func addTerms(orow, bA []float64, off []int, val []float64) {
+	if len(off) == 0 {
+		return
+	}
+	val = val[:len(off)]
+	n := len(orow)
+	j := 0
+	for ; j+8 <= n; j += 8 {
+		o := orow[j : j+8 : j+8]
+		c0, c1, c2, c3, c4, c5, c6, c7 := o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
+		for p, av := range val {
+			bb := (*[8]float64)(bA[off[p]+j:])
+			c0 += av * bb[0]
+			c1 += av * bb[1]
+			c2 += av * bb[2]
+			c3 += av * bb[3]
+			c4 += av * bb[4]
+			c5 += av * bb[5]
+			c6 += av * bb[6]
+			c7 += av * bb[7]
+		}
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c0, c1, c2, c3, c4, c5, c6, c7
+	}
+	for ; j+4 <= n; j += 4 {
+		o := orow[j : j+4 : j+4]
+		c0, c1, c2, c3 := o[0], o[1], o[2], o[3]
+		for p, av := range val {
+			bb := (*[4]float64)(bA[off[p]+j:])
+			c0 += av * bb[0]
+			c1 += av * bb[1]
+			c2 += av * bb[2]
+			c3 += av * bb[3]
+		}
+		o[0], o[1], o[2], o[3] = c0, c1, c2, c3
+	}
+	for ; j < n; j++ {
+		c := orow[j]
+		for p, av := range val {
+			c += av * bA[off[p]+j]
+		}
+		orow[j] = c
+	}
 }
 
 // MulABT returns a·bᵀ for a (m×k) and b (n×k).
@@ -141,7 +200,9 @@ func MulATB(a, b *Mat) *Mat {
 }
 
 // MulATBInto computes aᵀ·b into out (a.C × b.C), reusing out's storage;
-// out must not alias a or b.
+// out must not alias a or b. It is MulABInto's kernel with column i of a
+// gathered in place of a row: per-element accumulation stays in ascending k
+// order, skipping zero a-elements.
 func MulATBInto(out, a, b *Mat) *Mat {
 	if a.R != b.R {
 		panic(fmt.Sprintf("tensor: MulATB (%dx%d)ᵀ · %dx%d", a.R, a.C, b.R, b.C))
@@ -149,20 +210,22 @@ func MulATBInto(out, a, b *Mat) *Mat {
 	if out.R != a.C || out.C != b.C {
 		panic(fmt.Sprintf("tensor: MulATBInto out %dx%d for %dx%d product", out.R, out.C, a.C, b.C))
 	}
-	// The k-outer loop streams a, b and out rows sequentially and skips
-	// zero a-elements; per-element accumulation stays in ascending k order.
-	out.Zero()
-	for k := 0; k < a.R; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
+	clear(out.A)
+	m, n := a.C, b.C
+	var off [kBlock]int
+	var val [kBlock]float64
+	for k0 := 0; k0 < a.R; k0 += kBlock {
+		k1 := min(k0+kBlock, a.R)
+		for i := 0; i < m; i++ {
+			cnt := 0
+			for k := k0; k < k1; k++ {
+				av := a.A[k*m+i]
+				off[cnt&(kBlock-1)], val[cnt&(kBlock-1)] = k*n, av
+				if av != 0 { // a conditional move, not a branch
+					cnt++
+				}
 			}
-			odst := out.Row(i)[:len(brow)]
-			for j, bv := range brow {
-				odst[j] += av * bv
-			}
+			addTerms(out.A[i*n:(i+1)*n], b.A, off[:cnt], val[:cnt])
 		}
 	}
 	return out
