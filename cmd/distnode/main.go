@@ -2,8 +2,8 @@
 // stack — one listener per provider with receive/compute/send goroutines,
 // exactly the runtime shape of the paper's testbed (Section V-A) — and
 // streams images through it. The -transport flag picks the medium
-// (localhost TCP with the binary chunk codec by default, tcp+gob for the
-// legacy wire format, inproc for socket-free channels) and -trace shapes
+// (localhost TCP with the binary chunk codec by default, inproc for
+// socket-free channels) and -trace shapes
 // it with the planned WiFi traces, so the deployment experiences the
 // simulator's network conditions instead of localhost's free wire.
 //
@@ -54,7 +54,7 @@ func main() {
 	recover := flag.Bool("recover", false, "survive provider deaths: quarantine, re-plan over survivors, re-scatter in-flight images")
 	killSpec := flag.String("kill", "", "chaos injection: comma-separated dev@seconds provider kills (wall clock after the run starts), e.g. 1@0.5")
 	heartbeat := flag.Duration("heartbeat", 0, "provider heartbeat period (0 = default 50ms, negative disables health tracking)")
-	transportSpec := flag.String("transport", "tcp", "wire stack: tcp|tcp+gob|tcp+deflate|tcp+quant|tcp+quant16|tcp+quant+deflate|inproc")
+	transportSpec := flag.String("transport", "tcp", "wire stack: tcp|tcp+deflate|tcp+quant|tcp+quant16|tcp+quant+deflate|inproc")
 	trace := flag.Bool("trace", false, "shape the transport with the planned WiFi traces (charge trace latency per payload byte)")
 	postCodec := flag.Bool("postcodec", false, "with -trace: charge the bytes the codec puts on the wire instead of the raw payload (quant/deflate then shorten the shaped wire)")
 	batch := flag.Int("batch", 1, "step-batching cap: up to this many queued same-step images share one compute invocation (1 = off, 0 = adaptive: drain whatever queued)")

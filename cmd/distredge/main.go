@@ -41,7 +41,7 @@ func main() {
 	churnSpec := flag.String("churn", "", "scripted fleet events, e.g. 'drop:1@2.5,slow:2x3@4,join:1@8' (see ParseChurn)")
 	noRecover := flag.Bool("norecover", false, "with -churn: disable re-planning, so a drop truncates the stream")
 	deploy := flag.Bool("deploy", false, "also deploy the plan on the real runtime and measure it")
-	transportSpec := flag.String("transport", "tcp", "with -deploy: wire stack tcp|tcp+gob|tcp+deflate|tcp+quant|tcp+quant16|tcp+quant+deflate|inproc")
+	transportSpec := flag.String("transport", "tcp", "with -deploy: wire stack tcp|tcp+deflate|tcp+quant|tcp+quant16|tcp+quant+deflate|inproc")
 	trace := flag.Bool("trace", false, "with -deploy: shape the transport with the planned WiFi traces")
 	batch := flag.Int("batch", 1, "with -deploy: step-batching cap — up to this many queued same-step images share one compute invocation (1 = off, 0 = adaptive: drain whatever queued)")
 	planCacheCap := flag.Int("plancache", 0, "plan through a plan cache bounding this many entries, and re-plan churn recoveries from it (0 = off)")

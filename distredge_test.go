@@ -1,12 +1,15 @@
 package distredge
 
 import (
+	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"distredge/internal/runtime"
+	"distredge/internal/strategy"
 )
 
 func fourProviders() []Provider {
@@ -283,6 +286,53 @@ func TestSaveLoadPlan(t *testing.T) {
 	if _, err := other.LoadPlan(data); err == nil {
 		t.Error("cross-model plan load must fail")
 	}
+}
+
+// FuzzLoadPlan feeds LoadPlan arbitrary documents. Whatever it accepts must
+// compile to a geometry the simulator and the runtime can deploy, and must
+// survive SavePlan and LoadPlan again unchanged.
+func FuzzLoadPlan(f *testing.F) {
+	sys, err := New("vgg16", fourProviders(), WithSeed(6))
+	if err != nil {
+		f.Fatal(err)
+	}
+	plan, err := sys.Baseline("AOFL")
+	if err != nil {
+		f.Fatal(err)
+	}
+	saved, err := sys.SavePlan(plan)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved)
+	f.Add([]byte(`{"version":1,"boundaries":[0,18],"splits":[[0,0,7]]}`))
+	f.Add([]byte(`{"version":1,"model":"vgg16","boundaries":[0,4,18],"splits":[[28,56,84],[2,4,6]]}`))
+	f.Add([]byte(`{"version":1,"boundaries":[0,18],"splits":[[300,-1,5]]}`))
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := sys.LoadPlan(data)
+		if err != nil {
+			return
+		}
+		if _, err := strategy.CompileGeometry(sys.env.Model, p.Strategy, sys.env.NumProviders()); err != nil {
+			t.Fatalf("LoadPlan accepted %q but CompileGeometry rejects it: %v", data, err)
+		}
+		again, err := sys.SavePlan(p)
+		if err != nil {
+			t.Fatalf("SavePlan of a loaded plan: %v", err)
+		}
+		back, err := sys.LoadPlan(again)
+		if err != nil {
+			t.Fatalf("LoadPlan rejects SavePlan's own output %q: %v", again, err)
+		}
+		if !slices.Equal(back.Strategy.Boundaries, p.Strategy.Boundaries) ||
+			!slices.EqualFunc(back.Strategy.Splits, p.Strategy.Splits, slices.Equal[[]int]) {
+			t.Fatalf("round trip changed the strategy: %+v -> %+v", p.Strategy, back.Strategy)
+		}
+		if last, err := sys.SavePlan(back); err != nil || !bytes.Equal(last, again) {
+			t.Fatalf("SavePlan is not a fixed point: %q -> %q (%v)", again, last, err)
+		}
+	})
 }
 
 // TestEvaluatePipelinedOptsBatch pins both readings of the batch argument:

@@ -43,7 +43,7 @@ func equalStrategy(env *sim.Env, boundaries []int) *strategy.Strategy {
 // testTransport builds a fresh transport of the kind under test. The
 // DISTREDGE_TEST_TRANSPORT environment variable selects the suite-wide
 // default — "inproc" (the default: fast, race-clean, no socket timing),
-// "tcp" (binary codec) or "tcp+gob" (the legacy wire format) — so CI runs
+// "tcp" (binary codec) or "tcp+deflate" — so CI runs
 // the same suites over sockets and over channels. Tests that pin a
 // transport (equivalence, shaped/chaos differentials) construct their own.
 func testTransport() transport.Transport {
@@ -54,12 +54,10 @@ func testTransport() transport.Transport {
 		return transport.NewPooledInproc(nil)
 	case "tcp":
 		return transport.NewPooledTCP(nil, nil)
-	case "tcp+gob":
-		return transport.NewTCP(transport.Gob())
 	case "tcp+deflate":
 		return transport.NewPooledTCP(transport.Deflate(), nil)
 	default:
-		panic(fmt.Sprintf("unknown DISTREDGE_TEST_TRANSPORT %q (want inproc|tcp|tcp+gob|tcp+deflate)", v))
+		panic(fmt.Sprintf("unknown DISTREDGE_TEST_TRANSPORT %q (want inproc|tcp|tcp+deflate)", v))
 	}
 }
 

@@ -1,15 +1,24 @@
 package sim
 
 import (
+	"slices"
+
 	"distredge/internal/network"
 	"distredge/internal/strategy"
 )
 
 // gatherSrc is one precompiled transfer source: provider j sends `bytes`
-// payload bytes (0 when the rows are already local, j == receiver).
+// payload bytes over directed link li (0 bytes and no link when the rows
+// are already local, j == receiver).
 type gatherSrc struct {
-	j     int
+	j, li int
 	bytes float64
+}
+
+// linkIdx maps a directed (from, to) pair among n providers
+// (network.Requester = -1 allowed on either side) to a flat index.
+func linkIdx(n, from, to int) int {
+	return (from+1)*(n+1) + (to + 1)
 }
 
 // compiledPart is everything provider i needs to replay one volume of the
@@ -31,10 +40,10 @@ type compiledVolume struct {
 // time-invariant quantity of the simulation precomputed: volume geometry,
 // halo overlaps and payload sizes, per-(provider, volume) compute
 // latencies, the FC-owner index and FC cost. Replaying the plan for one
-// image (run) evaluates only the time-varying network transfers and reuses
-// all buffers, so it allocates nothing.
+// image (replay) evaluates only the time-varying network transfers and
+// reuses all buffers, so it allocates nothing.
 //
-// A CompiledPlan is not safe for concurrent use; Env.Latency/Stream manage
+// A CompiledPlan is not safe for concurrent use; Env.checkoutPlan manages
 // exclusive checkout of memoized plans.
 type CompiledPlan struct {
 	env   *Env
@@ -52,11 +61,18 @@ type CompiledPlan struct {
 	fcOwner     int
 	fcLat       float64
 	resultBytes float64
+	resultLink  int // fcOwner -> requester
 	finish      []gatherSrc
+
+	// links lists, ascending and once each, the directed links the plan's
+	// transfers use: the only entries of pipeState's per-link state a replay
+	// reads or writes.
+	links []int
 
 	// Per-image scratch.
 	acc, accNext, busy []float64
 	bdComp, bdTrans    []float64
+	idle               pipeState // the all-free state of single-image replays
 }
 
 // Compile validates the strategy against the environment and precomputes
@@ -69,18 +85,21 @@ func Compile(e *Env, s *strategy.Strategy) (*CompiledPlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	scratch := make([]float64, 5*n)
 	p := &CompiledPlan{
 		env:        e,
 		strat:      s,
 		boundaries: append([]int(nil), s.Boundaries...),
 		splits:     make([][]int, len(s.Splits)),
 		vols:       make([]compiledVolume, len(geo.Volumes)),
-		acc:        make([]float64, n),
-		accNext:    make([]float64, n),
-		busy:       make([]float64, n),
-		bdComp:     make([]float64, n),
-		bdTrans:    make([]float64, n),
+		acc:        scratch[:n:n],
+		accNext:    scratch[n : 2*n : 2*n],
+		busy:       scratch[2*n : 3*n : 3*n],
+		bdComp:     scratch[3*n : 4*n : 4*n],
+		bdTrans:    scratch[4*n : 5*n : 5*n],
 	}
+	var linkBuf [64]int // transfers' links, collected on the stack; p.links keeps each once
+	links := linkBuf[:0]
 	for v, cuts := range s.Splits {
 		p.splits[v] = append([]int(nil), cuts...)
 	}
@@ -104,7 +123,9 @@ func Compile(e *Env, s *strategy.Strategy) (*CompiledPlan, error) {
 			for k, src := range g.Sources[i] {
 				cp.srcs[k].j = src.From
 				if src.From != i {
+					cp.srcs[k].li = linkIdx(n, src.From, i)
 					cp.srcs[k].bytes = float64(src.Rows.Len()) * g.InRowBytes
+					links = append(links, cp.srcs[k].li)
 				}
 			}
 			cv.parts[i] = cp
@@ -120,12 +141,22 @@ func Compile(e *Env, s *strategy.Strategy) (*CompiledPlan, error) {
 	for _, fc := range geo.FCLayers {
 		p.fcLat += e.Devices[p.fcOwner].ComputeLatency(fc, 1)
 	}
+	to := network.Requester
+	if p.fcOwner >= 0 {
+		to = p.fcOwner
+		p.resultLink = linkIdx(n, p.fcOwner, network.Requester)
+		links = append(links, p.resultLink)
+	}
 	p.finish = make([]gatherSrc, 0, n)
 	for j, own := range last.Parts {
 		if j != p.fcOwner && !own.Empty() {
-			p.finish = append(p.finish, gatherSrc{j: j, bytes: float64(own.Len()) * last.OutRowBytes})
+			f := gatherSrc{j: j, li: linkIdx(n, j, to), bytes: float64(own.Len()) * last.OutRowBytes}
+			p.finish = append(p.finish, f)
+			links = append(links, f.li)
 		}
 	}
+	slices.Sort(links)
+	p.links = slices.Clone(slices.Compact(links))
 	return p, nil
 }
 
@@ -153,78 +184,22 @@ func (p *CompiledPlan) matches(s *strategy.Strategy) bool {
 	return true
 }
 
-// run replays the plan for one image. The returned Breakdown aliases the
-// plan's scratch buffers and is valid until the next run.
-func (p *CompiledPlan) run(at float64) (float64, Breakdown) {
-	net := p.env.Net
-	for i := range p.acc {
-		p.acc[i] = 0
-		p.busy[i] = 0
-		p.bdComp[i] = 0
-		p.bdTrans[i] = 0
+// idleState returns the plan's all-free state, the one every single-image
+// replay runs on. It is sized on first use, so Compile allocates nothing for
+// it, and reset on every later one.
+func (p *CompiledPlan) idleState() *pipeState {
+	if p.idle.devFree == nil {
+		p.idle.init(len(p.acc), len(p.vols), 1, 1)
+	} else {
+		p.idle.reset(p.links)
 	}
-	for v := range p.vols {
-		copy(p.accNext, p.acc)
-		parts := p.vols[v].parts
-		for i := range parts {
-			cp := &parts[i]
-			if !cp.active {
-				continue
-			}
-			var arrive float64
-			if cp.hasIn {
-				if v == 0 {
-					tr := net.TransferLatency(network.Requester, i, cp.scatterB, at)
-					p.bdTrans[i] += tr
-					arrive = tr
-				} else {
-					for _, src := range cp.srcs {
-						t := p.acc[src.j]
-						if src.j != i {
-							tr := net.TransferLatency(src.j, i, src.bytes, at+t)
-							p.bdTrans[i] += tr
-							t += tr
-						}
-						if t > arrive {
-							arrive = t
-						}
-					}
-				}
-			}
-			start := arrive
-			if p.busy[i] > start {
-				start = p.busy[i]
-			}
-			finish := start + cp.comp
-			p.bdComp[i] += cp.comp
-			p.busy[i] = finish
-			p.accNext[i] = finish
-		}
-		p.acc, p.accNext = p.accNext, p.acc
-	}
+	return &p.idle
+}
 
-	bd := Breakdown{PerDevComp: p.bdComp, PerDevTrans: p.bdTrans}
-	if p.fcOwner < 0 {
-		// Fully-convolutional: providers return their rows directly.
-		var end float64
-		for _, f := range p.finish {
-			t := p.acc[f.j] + net.TransferLatency(f.j, network.Requester, f.bytes, at+p.acc[f.j])
-			if t > end {
-				end = t
-			}
-		}
-		return end, bd
-	}
-	ready := p.acc[p.fcOwner]
-	for _, f := range p.finish {
-		tr := net.TransferLatency(f.j, p.fcOwner, f.bytes, at+p.acc[f.j])
-		p.bdTrans[p.fcOwner] += tr
-		if t := p.acc[f.j] + tr; t > ready {
-			ready = t
-		}
-	}
-	p.bdComp[p.fcOwner] += p.fcLat
-	done := ready + p.fcLat
-	end := done + net.TransferLatency(p.fcOwner, network.Requester, p.resultBytes, at+done)
-	return end, bd
+// run replays the plan for one image on an idle fleet. The returned
+// Breakdown aliases the plan's scratch buffers and is valid until the next
+// replay.
+func (p *CompiledPlan) run(at float64) (float64, Breakdown) {
+	end := p.replay(at, p.idleState(), nil)
+	return end, Breakdown{PerDevComp: p.bdComp, PerDevTrans: p.bdTrans}
 }

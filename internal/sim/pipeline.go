@@ -33,17 +33,18 @@ type PipelineResult struct {
 
 // pipeState carries resource occupancy across in-flight images: when each
 // provider's compute unit, each directed link, and the requester's scatter
-// uplink free up (absolute trace time). Within one image the engine replays
-// the oracle schedule of CompiledPlan.run unchanged; the carryover only
-// floors the image's start times, so overlapping images queue on devices
-// and links while a lone image (window 1) reproduces Stream bit-for-bit.
+// uplink free up (absolute trace time). CompiledPlan.replay reads it as
+// floors on the image's start times, so overlapping images queue on devices
+// and links, while on an all-free state (every single-image caller, and a
+// lone image at window 1) every floor is 0 and the schedule is the oracle's.
 type pipeState struct {
 	n        int
 	devFree  []float64 // provider compute unit frees, absolute
 	linkFree []float64 // (n+1)^2 directed pairs incl. requester, absolute
 	upFree   float64   // requester scatter uplink frees, absolute
 
-	// Per-image scratch: end times relative to the image's admission.
+	// Per-image scratch: end times relative to the image's admission, -1
+	// for a resource the image did not use. Only the plan's links are kept.
 	devFloor []float64
 	linkEnd  []float64
 	upEnd    float64
@@ -61,8 +62,8 @@ type pipeState struct {
 	stepRuns []int
 
 	// wire multiplies transfer bytes, modelling a payload-shrinking wire
-	// codec (1 = raw activation bytes; applied only when != 1 so the
-	// default path stays bit-identical).
+	// codec (1 = raw activation bytes; x*1 == x exactly, so the default
+	// path is bit-identical to the unscaled one).
 	wire float64
 }
 
@@ -70,24 +71,34 @@ type pipeState struct {
 // time, and binds it to a plan of numVols volumes.
 func (ps *pipeState) init(n, numVols, batch int, wire float64) {
 	links := (n + 1) * (n + 1)
-	dev, link := make([]float64, 2*n), make([]float64, 2*links)
+	buf := make([]float64, 2*(n+links))
 	*ps = pipeState{
 		n:        n,
-		devFree:  dev[:n],
-		linkFree: link[:links],
-		upFree:   math.Inf(-1),
-		devFloor: dev[n:],
-		linkEnd:  link[links:],
+		devFree:  buf[:n:n],
+		linkFree: buf[n : n+links : n+links],
+		devFloor: buf[n+links : 2*n+links : 2*n+links],
+		linkEnd:  buf[2*n+links:],
 		batch:    batch,
 		wire:     wire,
 	}
 	ps.bindPlan(numVols)
-	for i := range ps.devFree {
-		ps.devFree[i] = math.Inf(-1)
-	}
 	for i := range ps.linkFree {
 		ps.linkFree[i] = math.Inf(-1)
 	}
+	ps.reset(nil)
+}
+
+// reset frees every device, the scatter uplink and the given links from the
+// start of time again. A state only ever replayed with one plan occupies
+// no links but that plan's.
+func (ps *pipeState) reset(links []int) {
+	for i := range ps.devFree {
+		ps.devFree[i] = math.Inf(-1)
+	}
+	for _, li := range links {
+		ps.linkFree[li] = math.Inf(-1)
+	}
+	ps.upFree = math.Inf(-1)
 }
 
 // bindPlan sizes the batching state for a plan of numVols volumes and
@@ -117,19 +128,23 @@ func (ps *pipeState) batchedComp(i, v int, comp float64, queued bool) float64 {
 	return comp
 }
 
-// xferBytes applies the wire-codec byte fraction (identity when wire == 1,
-// with no float operation, so the default path is bit-identical).
-func (ps *pipeState) xferBytes(b float64) float64 {
-	if ps.wire != 1 {
-		return b * ps.wire
+// send charges one transfer of `bytes` from `from` to `to` over link li,
+// ready at time t relative to an image admitted at `at`: it waits until the
+// link has carried the earlier images' transfers and keeps it busy until
+// this one ends. It returns when the transfer starts and how long it takes.
+//
+// Here and in replay the running maxima are branches, not the max builtin:
+// they sit on the schedule's dependency chain, where the builtin's
+// NaN-propagating instruction sequence costs measurably more.
+func (ps *pipeState) send(net *network.Network, at, t float64, from, to, li int, bytes float64) (float64, float64) {
+	if lf := floor(ps.linkFree[li], at); lf > t {
+		t = lf
 	}
-	return b
-}
-
-// linkIdx maps a directed (from, to) pair (network.Requester = -1 allowed on
-// either side) to a flat index.
-func (ps *pipeState) linkIdx(from, to int) int {
-	return (from+1)*(ps.n+1) + (to + 1)
+	tr := net.TransferLatency(from, to, bytes*ps.wire, at+t)
+	if e := t + tr; e > ps.linkEnd[li] {
+		ps.linkEnd[li] = e
+	}
+	return t, tr
 }
 
 // floor returns the relative busy floor of an absolute free time for an
@@ -142,27 +157,38 @@ func floor(freeAbs, at float64) float64 {
 	return f
 }
 
-// runPipelined replays the plan for one image admitted at absolute time
-// `at`, flooring start times with the carried resource occupancy and
-// recording this image's own occupancy back into ps. It returns the image's
-// end-to-end latency (relative to `at`). When every carried floor is in the
-// past — always true for window 1 — the float operations are exactly those
-// of run, so the latency is bit-identical.
-func (p *CompiledPlan) runPipelined(at float64, ps *pipeState) float64 {
+// replay is the per-image schedule: it replays the plan for one image
+// admitted at absolute time `at`, flooring start times with the resource
+// occupancy ps carries from earlier images and recording this image's own
+// occupancy back into ps. It returns the image's end-to-end latency
+// (relative to `at`), leaves the image's per-device compute and
+// receive-side transfer seconds in bdComp/bdTrans and, when ev is non-nil,
+// appends one Event per scatter, recv, compute, gather, fc and result.
+//
+// Every caller runs it: Latency, Stream and Timeline on an all-free state,
+// Serve on the state it carries across in-flight images. On an all-free
+// state every floor is 0, batching and the wire fraction are identities, and
+// the float operations are those of ReferenceLatency, so the latency is
+// bit-identical to it.
+func (p *CompiledPlan) replay(at float64, ps *pipeState, ev *[]Event) float64 {
 	net := p.env.Net
-	for i := range p.acc {
-		p.acc[i] = 0
-		p.busy[i] = floor(ps.devFree[i], at)
-		ps.devFloor[i] = p.busy[i]
+	acc, accNext, busy := p.acc, p.accNext, p.busy
+	bdComp, bdTrans := p.bdComp, p.bdTrans
+	for i := range acc {
+		acc[i] = 0
+		busy[i] = floor(ps.devFree[i], at)
+		ps.devFloor[i] = busy[i]
+		bdComp[i] = 0
+		bdTrans[i] = 0
 	}
-	for i := range ps.linkEnd {
-		ps.linkEnd[i] = -1
+	for _, li := range p.links {
+		ps.linkEnd[li] = -1
 	}
 	upFloor := floor(ps.upFree, at)
 	ps.upEnd = -1
 
 	for v := range p.vols {
-		copy(p.accNext, p.acc)
+		copy(accNext, acc)
 		parts := p.vols[v].parts
 		for i := range parts {
 			cp := &parts[i]
@@ -170,127 +196,112 @@ func (p *CompiledPlan) runPipelined(at float64, ps *pipeState) float64 {
 				continue
 			}
 			var arrive float64
-			if cp.hasIn {
-				if v == 0 {
-					// Scatter starts once the uplink has finished pumping
-					// the previous in-flight images' inputs.
-					tr := net.TransferLatency(network.Requester, i, ps.xferBytes(cp.scatterB), at+upFloor)
-					arrive = upFloor + tr
-					if arrive > ps.upEnd {
-						ps.upEnd = arrive
+			if cp.hasIn && v == 0 {
+				// Scatter starts once the uplink has finished pumping the
+				// previous in-flight images' inputs.
+				tr := net.TransferLatency(network.Requester, i, cp.scatterB*ps.wire, at+upFloor)
+				bdTrans[i] += tr
+				arrive = upFloor + tr
+				if tr > 0 {
+					emit(ev, i, v, EventScatter, upFloor, arrive)
+				}
+				if arrive > ps.upEnd {
+					ps.upEnd = arrive
+				}
+			}
+			for _, src := range cp.srcs {
+				t := acc[src.j]
+				if src.j != i {
+					start, tr := ps.send(net, at, t, src.j, i, src.li, src.bytes)
+					bdTrans[i] += tr
+					t = start + tr
+					if tr > 0 {
+						emit(ev, i, v, EventRecv, start, t)
 					}
-				} else {
-					for _, src := range cp.srcs {
-						t := p.acc[src.j]
-						if src.j != i {
-							li := ps.linkIdx(src.j, i)
-							if lf := floor(ps.linkFree[li], at); lf > t {
-								t = lf
-							}
-							tr := net.TransferLatency(src.j, i, ps.xferBytes(src.bytes), at+t)
-							t += tr
-							if t > ps.linkEnd[li] {
-								ps.linkEnd[li] = t
-							}
-						}
-						if t > arrive {
-							arrive = t
-						}
-					}
+				}
+				if t > arrive {
+					arrive = t
 				}
 			}
 			start := arrive
-			if p.busy[i] > start {
-				start = p.busy[i]
+			if busy[i] > start {
+				start = busy[i]
 			}
 			comp := cp.comp
 			if ps.batch != 1 {
-				comp = ps.batchedComp(i, v, comp, p.busy[i] > arrive)
+				comp = ps.batchedComp(i, v, comp, busy[i] > arrive)
 			}
 			finish := start + comp
-			p.busy[i] = finish
-			p.accNext[i] = finish
+			bdComp[i] += comp
+			emit(ev, i, v, EventCompute, start, finish)
+			busy[i] = finish
+			accNext[i] = finish
 		}
-		p.acc, p.accNext = p.accNext, p.acc
+		acc, accNext = accNext, acc
 	}
 
 	var end float64
 	if p.fcOwner < 0 {
 		// Fully-convolutional: providers return their rows directly.
 		for _, f := range p.finish {
-			t := p.acc[f.j]
-			li := ps.linkIdx(f.j, network.Requester)
-			if lf := floor(ps.linkFree[li], at); lf > t {
-				t = lf
-			}
-			t += net.TransferLatency(f.j, network.Requester, ps.xferBytes(f.bytes), at+t)
-			if t > ps.linkEnd[li] {
-				ps.linkEnd[li] = t
-			}
-			if t > end {
+			start, tr := ps.send(net, at, acc[f.j], f.j, network.Requester, f.li, f.bytes)
+			emit(ev, f.j, -1, EventResult, start, start+tr)
+			if t := start + tr; t > end {
 				end = t
 			}
 		}
 	} else {
-		ready := p.acc[p.fcOwner]
+		o := p.fcOwner
+		ready := acc[o]
 		for _, f := range p.finish {
-			t := p.acc[f.j]
-			li := ps.linkIdx(f.j, p.fcOwner)
-			if lf := floor(ps.linkFree[li], at); lf > t {
-				t = lf
-			}
-			t += net.TransferLatency(f.j, p.fcOwner, ps.xferBytes(f.bytes), at+t)
-			if t > ps.linkEnd[li] {
-				ps.linkEnd[li] = t
-			}
-			if t > ready {
+			start, tr := ps.send(net, at, acc[f.j], f.j, o, f.li, f.bytes)
+			bdTrans[o] += tr
+			emit(ev, o, -1, EventGather, start, start+tr)
+			if t := start + tr; t > ready {
 				ready = t
 			}
 		}
 		start := ready
-		if p.busy[p.fcOwner] > start {
-			start = p.busy[p.fcOwner]
+		if busy[o] > start {
+			start = busy[o]
 		}
 		fcLat := p.fcLat
 		if ps.batch != 1 {
-			fcLat = ps.batchedComp(p.fcOwner, len(p.vols), fcLat, p.busy[p.fcOwner] > ready)
+			fcLat = ps.batchedComp(o, len(p.vols), fcLat, busy[o] > ready)
 		}
 		done := start + fcLat
-		p.busy[p.fcOwner] = done
-		li := ps.linkIdx(p.fcOwner, network.Requester)
-		t := done
-		if lf := floor(ps.linkFree[li], at); lf > t {
-			t = lf
-		}
-		end = t + net.TransferLatency(p.fcOwner, network.Requester, ps.xferBytes(p.resultBytes), at+t)
-		if end > ps.linkEnd[li] {
-			ps.linkEnd[li] = end
-		}
+		bdComp[o] += fcLat
+		emit(ev, o, -1, EventFC, start, done)
+		busy[o] = done
+		start, tr := ps.send(net, at, done, o, network.Requester, p.resultLink, p.resultBytes)
+		end = start + tr
+		emit(ev, o, -1, EventResult, start, end)
 	}
 
 	// Merge this image's occupancy back into the carried state. Only
 	// resources the image actually used are touched, so idle devices do not
 	// accumulate rounding drift from the relative/absolute round trip.
-	for i := range p.busy {
-		if p.busy[i] > ps.devFloor[i] {
-			if abs := at + p.busy[i]; abs > ps.devFree[i] {
-				ps.devFree[i] = abs
-			}
+	for i := range busy {
+		if busy[i] > ps.devFloor[i] {
+			ps.devFree[i] = max(ps.devFree[i], at+busy[i])
 		}
 	}
-	for li, e := range ps.linkEnd {
-		if e >= 0 {
-			if abs := at + e; abs > ps.linkFree[li] {
-				ps.linkFree[li] = abs
-			}
+	for _, li := range p.links {
+		if e := ps.linkEnd[li]; e >= 0 {
+			ps.linkFree[li] = max(ps.linkFree[li], at+e)
 		}
 	}
 	if ps.upEnd >= 0 {
-		if abs := at + ps.upEnd; abs > ps.upFree {
-			ps.upFree = abs
-		}
+		ps.upFree = max(ps.upFree, at+ps.upEnd)
 	}
 	return end
+}
+
+// emit appends one event to the sink, if there is one.
+func emit(ev *[]Event, dev, vol int, kind EventKind, start, end float64) {
+	if ev != nil {
+		*ev = append(*ev, Event{Device: dev, Volume: vol, Kind: kind, Start: start, End: end})
+	}
 }
 
 // PipelineConfig is the one-tenant, no-event spelling of a Scenario: Images

@@ -112,9 +112,10 @@ type ServeResult struct {
 
 // Serve replays the strategy serving the scenario's tenants through one
 // shared pipeline. A global window of images is kept in flight over the
-// busy-floor resource model of runPipelined; a slot frees the moment its
-// image completes, and the next request is chosen by the admission policy
-// among tenants with backlog, per-tenant window slack and an arrived burst.
+// busy-floor resource model of CompiledPlan.replay; a slot frees the moment
+// its image completes, and the next request is chosen by the admission
+// policy among tenants with backlog, per-tenant window slack and an arrived
+// burst.
 //
 // A fleet event fires before any admission at a time at or after its At (on
 // a tie the event goes first) and, once nothing is queued, only while it is
@@ -195,11 +196,14 @@ func (r *serving) init(n int, sc *Scenario) error {
 		return fmt.Errorf("sim: wire fraction must be positive and finite, got %v", sc.WireFrac)
 	}
 	for _, ev := range sc.Events {
-		if ev.Device < 0 || ev.Device >= n || math.IsNaN(ev.At) {
+		if ev.Device < 0 || ev.Device >= n {
 			return fmt.Errorf("sim: churn event at t=%g: device %d out of range [0,%d)", ev.At, ev.Device, n)
 		}
+		if math.IsNaN(ev.At) {
+			return fmt.Errorf("sim: churn event on device %d: time is not a number", ev.Device)
+		}
 		if ev.Kind == DeviceSlow && (!(ev.Factor > 0) || math.IsInf(ev.Factor, 1)) {
-			return fmt.Errorf("sim: slow event needs a positive factor, got %g", ev.Factor)
+			return fmt.Errorf("sim: slow event needs a positive, finite factor, got %g", ev.Factor)
 		}
 	}
 	r.start, r.now = sc.Start, sc.Start
@@ -209,8 +213,11 @@ func (r *serving) init(n int, sc *Scenario) error {
 		if t.Images < 1 {
 			return fmt.Errorf("sim: tenant %d needs at least one image, got %d", i, t.Images)
 		}
-		if !(t.EnqueueSec >= 0) || math.IsInf(t.EnqueueSec, 1) {
+		if t.EnqueueSec < 0 {
 			return fmt.Errorf("sim: tenant %d enqueue time %g is negative", i, t.EnqueueSec)
+		}
+		if math.IsNaN(t.EnqueueSec) || math.IsInf(t.EnqueueSec, 1) {
+			return fmt.Errorf("sim: tenant %d enqueue time %g is not finite", i, t.EnqueueSec)
 		}
 		ts := &r.tenants[i]
 		if ts.Tenant, err = r.sched.Bind(t.Weight, t.Window); err != nil {
@@ -229,7 +236,7 @@ func (r *serving) init(n int, sc *Scenario) error {
 	return nil
 }
 
-// run is the admission loop — the only caller of runPipelined.
+// run is the admission loop.
 func (r *serving) run(e *Env, s *strategy.Strategy, sc *Scenario) error {
 	n := e.NumProviders()
 	if err := r.init(n, sc); err != nil {
@@ -297,7 +304,7 @@ func (r *serving) run(e *Env, s *strategy.Strategy, sc *Scenario) error {
 		case r.queued == 0:
 			return nil
 		case pick >= 0:
-			r.admit(pick, r.plan.runPipelined(r.now, &r.ps))
+			r.admit(pick, r.plan.replay(r.now, &r.ps, nil))
 		case math.IsInf(t, 1):
 			return fmt.Errorf("sim: admission wedged with %d images left", r.queued)
 		default:
@@ -328,7 +335,7 @@ func (r *serving) pick() (int, float64) {
 }
 
 // admit records tenant t's head request entering the pipeline at r.now with
-// the latency runPipelined gave it.
+// the latency replay gave it.
 func (r *serving) admit(t int, lat float64) {
 	ts := &r.tenants[t]
 	id := r.ids

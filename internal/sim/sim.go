@@ -11,11 +11,12 @@
 // instrument every experiment harness measures with (end-to-end latency,
 // streaming IPS, per-device compute/transmission breakdown for Fig. 15).
 //
-// Two execution paths exist. Latency/Stream compile the strategy once
-// (Compile) and replay the plan per image with all time-invariant work —
-// geometry, halo overlaps, payload sizes, device compute latencies —
-// precomputed and all buffers reused; only the time-varying network
-// transfers are evaluated per image. ReferenceLatency retains the original
+// Two execution paths exist. Latency, Stream, Timeline and Serve compile
+// the strategy once (Compile) and replay the plan per image through one
+// function (CompiledPlan.replay) with all time-invariant work — geometry,
+// halo overlaps, payload sizes, device compute latencies — precomputed and
+// all buffers reused; only the time-varying network transfers are
+// evaluated per image. ReferenceLatency retains the original
 // per-image derivation as the differential-testing oracle; both paths
 // produce bit-identical results (see sim_equivalence_test.go).
 package sim

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"distredge/internal/network"
 	"distredge/internal/strategy"
 )
 
@@ -32,79 +31,17 @@ type Event struct {
 }
 
 // Timeline executes one image under the strategy and returns the full
-// event log — a Gantt view of where every millisecond went. It replays the
-// same compiled plan Latency runs, one event per transfer and compute, so
-// the final event's End and the returned total are Latency's result.
+// event log — a Gantt view of where every millisecond went. It is Latency's
+// replay with an event sink, so the final event's End and the returned
+// total are Latency's result.
 func (e *Env) Timeline(s *strategy.Strategy, at float64) ([]Event, float64, error) {
 	p, err := e.checkoutPlan(s)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer e.checkinPlan(p)
-	net := e.Net
 	var events []Event
-	emit := func(dev, vol int, kind EventKind, start, dur float64) {
-		events = append(events, Event{Device: dev, Volume: vol, Kind: kind, Start: start, End: start + dur})
-	}
-	for i := range p.acc {
-		p.acc[i] = 0
-		p.busy[i] = 0
-	}
-	for v := range p.vols {
-		copy(p.accNext, p.acc)
-		for i := range p.vols[v].parts {
-			cp := &p.vols[v].parts[i]
-			if !cp.active {
-				continue
-			}
-			var arrive float64
-			if cp.hasIn && v == 0 {
-				arrive = net.TransferLatency(network.Requester, i, cp.scatterB, at)
-				if arrive > 0 {
-					emit(i, v, EventScatter, 0, arrive)
-				}
-			}
-			for _, src := range cp.srcs {
-				t := p.acc[src.j]
-				if src.j != i {
-					tr := net.TransferLatency(src.j, i, src.bytes, at+t)
-					if tr > 0 {
-						emit(i, v, EventRecv, t, tr)
-					}
-					t += tr
-				}
-				if t > arrive {
-					arrive = t
-				}
-			}
-			start := max(arrive, p.busy[i])
-			emit(i, v, EventCompute, start, cp.comp)
-			p.busy[i] = start + cp.comp
-			p.accNext[i] = start + cp.comp
-		}
-		p.acc, p.accNext = p.accNext, p.acc
-	}
-
-	var end float64
-	if p.fcOwner < 0 {
-		for _, f := range p.finish {
-			tr := net.TransferLatency(f.j, network.Requester, f.bytes, at+p.acc[f.j])
-			emit(f.j, -1, EventResult, p.acc[f.j], tr)
-			end = max(end, p.acc[f.j]+tr)
-		}
-	} else {
-		ready := p.acc[p.fcOwner]
-		for _, f := range p.finish {
-			tr := net.TransferLatency(f.j, p.fcOwner, f.bytes, at+p.acc[f.j])
-			emit(p.fcOwner, -1, EventGather, p.acc[f.j], tr)
-			ready = max(ready, p.acc[f.j]+tr)
-		}
-		emit(p.fcOwner, -1, EventFC, ready, p.fcLat)
-		done := ready + p.fcLat
-		tr := net.TransferLatency(p.fcOwner, network.Requester, p.resultBytes, at+done)
-		emit(p.fcOwner, -1, EventResult, done, tr)
-		end = done + tr
-	}
+	end := p.replay(at, p.idleState(), &events)
 	sort.Slice(events, func(i, j int) bool {
 		if events[i].Start != events[j].Start {
 			return events[i].Start < events[j].Start

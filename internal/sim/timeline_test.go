@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -114,6 +117,46 @@ func TestTimelinePropertyMatchesLatency(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// goldenTimelineSHA256 is the SHA-256 of every event list the golden test
+// below formats, recorded from the Timeline that ran its own copy of the
+// per-image schedule before it became a replay with an event sink. %.17g
+// round-trips a float64, so a match means the same events, in the same
+// order, with bit-identical times.
+const goldenTimelineSHA256 = "bedd9eeca84d35a4cd74126d7b1f88f9c5d844bc482c46c32036ea4a9dda3772"
+
+// TestTimelineEventsGolden pins the full event list, not just its total:
+// the fixture's strategy plus 10 random draws on the fixture's constant
+// network and on a time-varying one, each at t=0 and t=12.75.
+func TestTimelineEventsGolden(t *testing.T) {
+	fixEnv, fixS := timelineFixture(t)
+	h := sha256.New()
+	rng := rand.New(rand.NewSource(29))
+	for ei, env := range []*Env{fixEnv, equivEnv(t, false)} {
+		var strats []*strategy.Strategy
+		if ei == 0 {
+			strats = append(strats, fixS)
+		}
+		for range 10 {
+			strats = append(strats, randomStrategy(rng, env.Model, env.NumProviders()))
+		}
+		for si, s := range strats {
+			for _, at := range []float64{0, 12.75} {
+				events, total, err := env.Timeline(s, at)
+				if err != nil {
+					t.Fatalf("env %d strategy %d at %g: %v", ei, si, at, err)
+				}
+				fmt.Fprintf(h, "env %d strategy %d at %g total %.17g\n", ei, si, at, total)
+				for _, ev := range events {
+					fmt.Fprintf(h, "%d %d %s %.17g %.17g\n", ev.Device, ev.Volume, ev.Kind, ev.Start, ev.End)
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenTimelineSHA256 {
+		t.Errorf("timeline events hash %s, want %s", got, goldenTimelineSHA256)
 	}
 }
 

@@ -30,10 +30,11 @@ type VolumeGeometry struct {
 
 // Geometry is everything a strategy fixes before any image flows: who
 // computes which rows of every volume, who needs which rows from whom, and
-// who finishes the image. The simulator's compiled plan (sim.Compile, which
-// sim.Timeline replays) and the runtime's deployment plan
-// (runtime.BuildPlan) are translations of it with no geometry of their own,
-// so they agree on which rows move where by construction.
+// who finishes the image. The simulator's compiled plan (sim.Compile, whose
+// one per-image replay serves Latency, Stream, Timeline and Serve) and the
+// runtime's deployment plan (runtime.BuildPlan) are translations of it with
+// no geometry of their own, so they agree on which rows move where by
+// construction.
 type Geometry struct {
 	Volumes []VolumeGeometry
 

@@ -8,12 +8,11 @@ import (
 
 // BenchmarkChunkCodec measures encode+decode of one data chunk through a
 // stateful stream for each codec and payload size — the hot path every
-// activation row crosses on socket transports. The binary codec must beat
-// gob in both ns/op and allocs/op, and the quant encoders must not
-// allocate in steady state (BENCH_baseline.json records the snapshot).
+// activation row crosses on socket transports. The binary codec must not
+// allocate, and neither must the quant encoders in steady state.
 func BenchmarkChunkCodec(b *testing.B) {
 	codecs := []Codec{
-		Gob(), Binary(), Deflate(),
+		Binary(), Deflate(),
 		Quant(QuantInt8, nil), Quant(QuantFP16, nil), Quant(QuantInt8, Deflate()),
 	}
 	for _, codec := range codecs {
@@ -21,7 +20,7 @@ func BenchmarkChunkCodec(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%dKiB", codec.Name(), payload>>10), func(b *testing.B) {
 				var buf bytes.Buffer
 				enc := codec.NewEncoder(&buf)
-				dec := codec.NewDecoder(&buf)
+				dec := codec.NewDecoder(&buf, nil)
 				msg := testMessage(payload)
 				var out Message
 				b.SetBytes(int64(payload))
@@ -57,7 +56,7 @@ func BenchmarkDeflateConnChurn(b *testing.B) {
 		if err := codec.NewEncoder(&buf).Encode(&msg); err != nil {
 			b.Fatal(err)
 		}
-		if err := codec.NewDecoder(&buf).Decode(&out); err != nil {
+		if err := codec.NewDecoder(&buf, nil).Decode(&out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,13 +143,11 @@ func BenchmarkTCPRoundtrip(b *testing.B) {
 		}
 	}
 	fixed := testMessage(payload).Payload
-	for _, codec := range []Codec{Gob(), Binary()} {
-		b.Run(codec.Name(), func(b *testing.B) {
-			run(b, NewTCP(codec),
-				func() []byte { return fixed },
-				func([]byte) {})
-		})
-	}
+	b.Run("binary", func(b *testing.B) {
+		run(b, NewTCP(nil),
+			func() []byte { return fixed },
+			func([]byte) {})
+	})
 	b.Run("binary+pool", func(b *testing.B) {
 		tr := NewPooledTCP(nil, nil)
 		pp := tr.(PayloadPool)

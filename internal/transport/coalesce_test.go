@@ -66,7 +66,7 @@ func sendSideConn(t *testing.T, cfg TCPConfig) (*tcpConn, *writeCountConn) {
 // decodeAll decodes every frame in the captured wire bytes.
 func decodeAll(t *testing.T, wire []byte) []Message {
 	t.Helper()
-	dec := Binary().NewDecoder(bytes.NewReader(wire))
+	dec := Binary().NewDecoder(bytes.NewReader(wire), nil)
 	var out []Message
 	for {
 		var m Message

@@ -2,20 +2,20 @@ package transport
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"time"
 )
 
 // Codec turns a byte stream into a Message stream. Encoders and decoders
-// are stateful per connection (gob in particular interleaves type
-// descriptors into the stream), so a Codec is a factory: each connection
-// gets its own encoder/decoder pair over its own stream.
+// are stateful per connection (each keeps its own header buffer, a stacked
+// codec its inner coder), so a Codec is a factory: each connection gets its
+// own encoder/decoder pair over its own stream. A decoder draws payload
+// buffers from pool; a nil pool allocates them per message.
 type Codec interface {
 	Name() string
 	NewEncoder(w io.Writer) Encoder
-	NewDecoder(r io.Reader) Decoder
+	NewDecoder(r io.Reader, pool *Pool) Decoder
 }
 
 // Encoder writes messages to one stream. Callers serialise access.
@@ -26,39 +26,6 @@ type Encoder interface {
 // Decoder reads messages from one stream. Callers serialise access.
 type Decoder interface {
 	Decode(m *Message) error
-}
-
-// pooledCodec is implemented by codecs whose decoders can draw payload
-// buffers from a transport's payload pool instead of allocating per
-// message. Gob stays outside: its decoder allocates internally.
-type pooledCodec interface {
-	NewPooledDecoder(r io.Reader, pool *Pool) Decoder
-}
-
-// ---------------------------------------------------------------------------
-// Gob: the legacy wire format — one gob stream per connection, every
-// message (data and control alike) gob-encoded. Retained as the
-// compatibility codec and as the benchmark baseline.
-
-type gobCodec struct{}
-
-// Gob returns the gob stream codec (the pre-transport wire format).
-func Gob() Codec { return gobCodec{} }
-
-func (gobCodec) Name() string                   { return "gob" }
-func (gobCodec) NewEncoder(w io.Writer) Encoder { return gobEncoder{enc: gob.NewEncoder(w)} }
-func (gobCodec) NewDecoder(r io.Reader) Decoder { return gobDecoder{dec: gob.NewDecoder(r)} }
-
-type gobEncoder struct{ enc *gob.Encoder }
-
-func (e gobEncoder) Encode(m *Message) error { return e.enc.Encode(m) }
-
-type gobDecoder struct{ dec *gob.Decoder }
-
-func (d gobDecoder) Decode(m *Message) error {
-	err := d.dec.Decode(m)
-	m.Lag = clampLag(m.Lag)
-	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -93,11 +60,7 @@ func (binaryCodec) NewEncoder(w io.Writer) Encoder {
 	return &binaryEncoder{w: w}
 }
 
-func (binaryCodec) NewDecoder(r io.Reader) Decoder {
-	return &binaryDecoder{r: r}
-}
-
-func (binaryCodec) NewPooledDecoder(r io.Reader, pool *Pool) Decoder {
+func (binaryCodec) NewDecoder(r io.Reader, pool *Pool) Decoder {
 	return &binaryDecoder{r: r, pool: pool}
 }
 
@@ -131,7 +94,7 @@ func (e *binaryEncoder) Encode(m *Message) error {
 type binaryDecoder struct {
 	r    io.Reader
 	hdr  [chunkHeaderLen]byte
-	pool *Pool // nil = allocate payload buffers per message
+	pool *Pool
 }
 
 func (d *binaryDecoder) Decode(m *Message) error {
@@ -160,13 +123,10 @@ func (d *binaryDecoder) Decode(m *Message) error {
 		m.Payload = nil
 		return nil
 	}
-	switch {
-	case uint32(cap(m.Payload)) >= n:
+	if uint32(cap(m.Payload)) >= n {
 		m.Payload = m.Payload[:n]
-	case d.pool != nil:
+	} else {
 		m.Payload = d.pool.Get(int(n))
-	default:
-		m.Payload = make([]byte, n)
 	}
 	_, err := io.ReadFull(d.r, m.Payload)
 	return err

@@ -31,7 +31,7 @@ func FuzzBinaryDecode(f *testing.F) {
 			}
 		}
 		var m Message
-		err := Binary().NewDecoder(bytes.NewReader(data)).Decode(&m)
+		err := Binary().NewDecoder(bytes.NewReader(data), nil).Decode(&m)
 		if len(data) > 0 && data[0] != tagChunk && err == nil {
 			t.Fatalf("frame tag 0x%02x accepted", data[0])
 		}
@@ -48,7 +48,7 @@ func FuzzBinaryDecode(f *testing.F) {
 			t.Fatalf("payload of %d bytes exceeds maxFrame", len(m.Payload))
 		}
 		var again Message
-		if err := Binary().NewDecoder(bytes.NewReader(binaryFrame(t, m))).Decode(&again); err != nil {
+		if err := Binary().NewDecoder(bytes.NewReader(binaryFrame(t, m)), nil).Decode(&again); err != nil {
 			t.Fatalf("re-encoded %+v does not decode: %v", m, err)
 		}
 		if !sameMessage(again, m) || again.Lag != m.Lag {

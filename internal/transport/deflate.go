@@ -71,18 +71,8 @@ func (c deflateCodec) NewEncoder(w io.Writer) Encoder {
 	return &deflateEncoder{inner: c.inner.NewEncoder(w), stats: c.stats}
 }
 
-func (c deflateCodec) NewDecoder(r io.Reader) Decoder {
-	return &deflateDecoder{inner: c.inner.NewDecoder(r)}
-}
-
-func (c deflateCodec) NewPooledDecoder(r io.Reader, pool *Pool) Decoder {
-	var inner Decoder
-	if pc, ok := c.inner.(pooledCodec); ok {
-		inner = pc.NewPooledDecoder(r, pool)
-	} else {
-		inner = c.inner.NewDecoder(r)
-	}
-	return &deflateDecoder{inner: inner, pool: pool}
+func (c deflateCodec) NewDecoder(r io.Reader, pool *Pool) Decoder {
+	return &deflateDecoder{inner: c.inner.NewDecoder(r, pool), pool: pool}
 }
 
 // flateWriters / flateReaders share compressor and decompressor state
@@ -174,8 +164,8 @@ func (d *deflateDecoder) Decode(m *Message) error {
 	buf := d.pool.Get(d.out.Len())
 	copy(buf, d.out.Bytes())
 	m.Payload = buf
-	// The compressed buffer came from the pool when the inner decoder is
-	// pooled; it is dead now that the payload is inflated.
+	// The compressed buffer came from the pool the inner decoder shares; it
+	// is dead now that the payload is inflated.
 	d.pool.Put(compressed)
 	return nil
 }

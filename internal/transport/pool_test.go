@@ -220,7 +220,7 @@ func TestDeflateCodecRoundtrip(t *testing.T) {
 	codec := Deflate()
 	var buf bytes.Buffer
 	enc := codec.NewEncoder(&buf)
-	dec := codec.NewDecoder(&buf)
+	dec := codec.NewDecoder(&buf, nil)
 	msgs := []Message{
 		testMessage(1024),
 		testMessage(0),
@@ -270,7 +270,7 @@ func TestDeflateCorruptPayloadErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out Message
-	if err := Deflate().NewDecoder(&buf).Decode(&out); err == nil {
+	if err := Deflate().NewDecoder(&buf, nil).Decode(&out); err == nil {
 		t.Error("decoding a non-deflate payload must error")
 	}
 }

@@ -65,18 +65,8 @@ func (c quantCodec) NewEncoder(w io.Writer) Encoder {
 	return &quantEncoder{mode: c.mode, inner: c.inner.NewEncoder(w)}
 }
 
-func (c quantCodec) NewDecoder(r io.Reader) Decoder {
-	return &quantDecoder{mode: c.mode, inner: c.inner.NewDecoder(r)}
-}
-
-func (c quantCodec) NewPooledDecoder(r io.Reader, pool *Pool) Decoder {
-	var inner Decoder
-	if pc, ok := c.inner.(pooledCodec); ok {
-		inner = pc.NewPooledDecoder(r, pool)
-	} else {
-		inner = c.inner.NewDecoder(r)
-	}
-	return &quantDecoder{mode: c.mode, inner: inner, pool: pool}
+func (c quantCodec) NewDecoder(r io.Reader, pool *Pool) Decoder {
+	return &quantDecoder{mode: c.mode, inner: c.inner.NewDecoder(r, pool), pool: pool}
 }
 
 // wireFrac reports the codec's steady-state payload shrink for the
@@ -97,8 +87,8 @@ func (c quantCodec) wireFrac() float64 {
 type wireFracCodec interface{ wireFrac() float64 }
 
 // WireFrac returns the fraction of raw payload bytes the codec puts on the
-// wire in steady state (1 for codecs with no guaranteed shrink — binary,
-// gob, and deflate, whose ratio is data-dependent). The simulator's
+// wire in steady state (1 for codecs with no guaranteed shrink — binary
+// and deflate, whose ratio is data-dependent). The simulator's
 // PipelineConfig.WireFrac consumes this so predictions and the shaped
 // runtime charge the same bytes.
 func WireFrac(c Codec) float64 {
@@ -280,8 +270,8 @@ func (d *quantDecoder) Decode(m *Message) error {
 	}
 	copy(out[n*4:], enc[len(enc)-tail:])
 	m.Payload = out
-	// The encoded buffer came from the pool when the inner decoder is
-	// pooled; it is dead now that the payload is dequantized.
+	// The encoded buffer came from the pool the inner decoder shares; it is
+	// dead now that the payload is dequantized.
 	d.pool.Put(enc)
 	return nil
 }

@@ -41,7 +41,7 @@ func quantRoundtrip(t *testing.T, codec Codec, payload []byte) Message {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := codec.NewEncoder(&buf)
-	dec := codec.NewDecoder(&buf)
+	dec := codec.NewDecoder(&buf, nil)
 	m := Message{Image: 7, Volume: 3, Lo: 10, Hi: 42, Payload: payload}
 	if err := enc.Encode(&m); err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestQuantControlAndEmptyPassThrough(t *testing.T) {
 		var buf bytes.Buffer
 		codec := Quant(mode, nil)
 		enc := codec.NewEncoder(&buf)
-		dec := codec.NewDecoder(&buf)
+		dec := codec.NewDecoder(&buf, nil)
 		// A verb below today's sentinel space: quant must pass any future
 		// control frame through unquantized, not just heartbeats.
 		const volFutureVerb = VolHeartbeat - 1
@@ -271,7 +271,7 @@ func TestQuantDecodeRejectsGarbage(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out Message
-		err := Quant(mode, nil).NewDecoder(&buf).Decode(&out)
+		err := Quant(mode, nil).NewDecoder(&buf, nil).Decode(&out)
 		if len(frame) == 0 {
 			// An empty payload legitimately passes through.
 			if err != nil {
@@ -301,7 +301,7 @@ func FuzzQuantDecode(f *testing.F) {
 				t.Fatal(err)
 			}
 			var out Message
-			if err := Quant(mode, nil).NewDecoder(&buf).Decode(&out); err != nil {
+			if err := Quant(mode, nil).NewDecoder(&buf, nil).Decode(&out); err != nil {
 				continue
 			}
 			if len(out.Payload) > 4*len(frame) {
@@ -318,7 +318,6 @@ func TestWireFrac(t *testing.T) {
 		want  float64
 	}{
 		{Binary(), 1},
-		{Gob(), 1},
 		{Deflate(), 1}, // data-dependent ratio: conservatively unmodelled
 		{Quant(QuantInt8, nil), 0.25},
 		{Quant(QuantFP16, nil), 0.5},

@@ -66,8 +66,8 @@ type tcpTransport struct {
 }
 
 // NewTCP returns the localhost TCP transport using the given codec
-// (nil = Binary, the length-prefixed chunk codec; use Gob for the legacy
-// wire format). No payload pooling; see NewPooledTCP.
+// (nil = Binary, the length-prefixed chunk codec). No payload pooling; see
+// NewPooledTCP.
 func NewTCP(codec Codec) Transport {
 	return NewTCPOpts(TCPConfig{Codec: codec})
 }
@@ -232,20 +232,13 @@ type tcpConn struct {
 func newTCPConn(c net.Conn, t *tcpTransport) *tcpConn {
 	size := t.bufBytes()
 	bw := bufio.NewWriterSize(c, size)
-	br := bufio.NewReaderSize(c, size)
-	var dec Decoder
-	if pc, ok := t.codec.(pooledCodec); ok && t.pool != nil {
-		dec = pc.NewPooledDecoder(br, t.pool)
-	} else {
-		dec = t.codec.NewDecoder(br)
-	}
 	return &tcpConn{
 		c:    c,
 		pool: t.pool,
 		sync: t.cfg.SyncFlush,
 		bw:   bw,
 		enc:  t.codec.NewEncoder(bw),
-		dec:  dec,
+		dec:  t.codec.NewDecoder(bufio.NewReaderSize(c, size), t.pool),
 	}
 }
 
@@ -301,8 +294,7 @@ func (c *tcpConn) Recv() (Message, error) {
 	err := c.dec.Decode(&c.in)
 	m := c.in
 	// Zeroed for the next decode: the binary decoder reuses whatever payload
-	// capacity it finds, and this buffer now belongs to the consumer; gob
-	// leaves fields the frame omits as they were.
+	// capacity it finds, and this buffer now belongs to the consumer.
 	c.in = Message{}
 	return m, err
 }

@@ -49,14 +49,14 @@ func sameMessage(a, b Message) bool {
 		bytes.Equal(a.Payload, b.Payload)
 }
 
-// TestCodecRoundtrip checks both codecs reproduce data chunks, empty
-// payloads and control messages through one stateful stream.
+// TestCodecRoundtrip checks the lossless codecs reproduce data chunks,
+// empty payloads and control messages through one stateful stream.
 func TestCodecRoundtrip(t *testing.T) {
-	for _, codec := range []Codec{Gob(), Binary()} {
+	for _, codec := range []Codec{Binary(), Deflate()} {
 		t.Run(codec.Name(), func(t *testing.T) {
 			var buf bytes.Buffer
 			enc := codec.NewEncoder(&buf)
-			dec := codec.NewDecoder(&buf)
+			dec := codec.NewDecoder(&buf, nil)
 			msgs := []Message{
 				testMessage(1024),
 				testMessage(0),
@@ -82,7 +82,7 @@ func TestCodecRoundtrip(t *testing.T) {
 // TestBinaryCodecRejectsGarbage checks the binary decoder fails cleanly on
 // an unknown tag instead of misframing the stream.
 func TestBinaryCodecRejectsGarbage(t *testing.T) {
-	dec := Binary().NewDecoder(bytes.NewReader([]byte{0xff, 1, 2, 3}))
+	dec := Binary().NewDecoder(bytes.NewReader([]byte{0xff, 1, 2, 3}), nil)
 	var m Message
 	if err := dec.Decode(&m); err == nil || !strings.Contains(err.Error(), "unknown frame tag") {
 		t.Fatalf("garbage tag decoded: %v", err)
@@ -90,11 +90,10 @@ func TestBinaryCodecRejectsGarbage(t *testing.T) {
 }
 
 // TestTransportRoundtrip exercises listen/dial/send/recv and close
-// semantics uniformly over the tcp (both codecs) and inproc transports.
+// semantics uniformly over the tcp and inproc transports.
 func TestTransportRoundtrip(t *testing.T) {
 	transports := map[string]func() Transport{
 		"tcp+binary": func() Transport { return NewTCP(nil) },
-		"tcp+gob":    func() Transport { return NewTCP(Gob()) },
 		"inproc":     func() Transport { return NewInproc() },
 	}
 	for name, mk := range transports {

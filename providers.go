@@ -2,6 +2,7 @@ package distredge
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -50,8 +51,9 @@ func ParseProviders(spec string) ([]Provider, error) {
 //	join:DEV@T    — provider DEV rejoins at T
 //	slow:DEVxF@T  — provider DEV becomes F times slower at T
 //
-// e.g. "drop:1@2.5,slow:2x3@4,join:1@8". Times must be non-negative,
-// devices non-negative, slow factors positive, and no event may be an
+// e.g. "drop:1@2.5,slow:2x3@4,join:1@8". Times must be finite and
+// non-negative, devices non-negative, slow factors positive and finite
+// (an event at +Inf would silently never fire), and no event may be an
 // exact duplicate of an earlier one (same kind, device and time — almost
 // always a typo for a different time).
 func ParseChurn(spec string) ([]ChurnEvent, error) {
@@ -79,8 +81,8 @@ func ParseChurn(spec string) ([]ChurnEvent, error) {
 		if err != nil {
 			return nil, fmt.Errorf("distredge: bad time in %q: %v", part, err)
 		}
-		if at < 0 || at != at {
-			return nil, fmt.Errorf("distredge: churn event %q has a negative time", part)
+		if !(at >= 0) || math.IsInf(at, 1) {
+			return nil, fmt.Errorf("distredge: churn event %q needs a finite, non-negative time", part)
 		}
 		ev := ChurnEvent{Kind: strings.TrimSpace(kind), AtSec: at, Factor: 1}
 		if ev.Kind == "slow" {
@@ -92,8 +94,8 @@ func ParseChurn(spec string) ([]ChurnEvent, error) {
 			if err != nil {
 				return nil, fmt.Errorf("distredge: bad factor in %q: %v", part, err)
 			}
-			if ev.Factor <= 0 || ev.Factor != ev.Factor {
-				return nil, fmt.Errorf("distredge: slow factor in %q must be positive", part)
+			if !(ev.Factor > 0) || math.IsInf(ev.Factor, 1) {
+				return nil, fmt.Errorf("distredge: slow factor in %q must be positive and finite", part)
 			}
 			devSpec = dv
 		}
@@ -184,7 +186,6 @@ func ParseTenants(spec string) ([]sim.TenantSpec, error) {
 //	tcp+sync         — tcp with per-message flushing (one syscall per chunk;
 //	                   the pre-coalescing wire, kept as the measured baseline
 //	                   for `distbench -fig hotpath`)
-//	tcp+gob          — localhost TCP sockets, legacy gob wire format
 //	tcp+deflate      — tcp with DEFLATE-compressed chunk payloads (worth the
 //	                   CPU on low-bandwidth shaped links; see DESIGN.md)
 //	tcp+quant        — tcp with int8-quantized chunk payloads (4x fewer
@@ -196,8 +197,8 @@ func ParseTenants(spec string) ([]sim.TenantSpec, error) {
 //	                   bytes (the compositions stack back to front)
 //	inproc           — in-process channels, no sockets (fast, race-clean)
 //
-// The serving stacks (everything but tcp+gob) carry a payload pool so
-// chunk buffers are recycled across images. Wrap the result with
+// Every stack carries a payload pool so chunk buffers are recycled across
+// images. Wrap the result with
 // System.ShapedTransport to charge the system's WiFi trace latency to
 // every payload byte (the -trace flag), or ShapedTransportPostCodec to
 // charge the post-codec wire bytes so quantization and compression pay
@@ -208,8 +209,6 @@ func ParseTransport(spec string) (transport.Transport, error) {
 		return transport.NewPooledTCP(nil, nil), nil
 	case "tcp+sync":
 		return transport.NewTCPOpts(transport.TCPConfig{SyncFlush: true, Pool: transport.NewPool()}), nil
-	case "tcp+gob":
-		return transport.NewTCP(transport.Gob()), nil
 	case "tcp+deflate":
 		return transport.NewPooledTCP(transport.Deflate(), nil), nil
 	case "tcp+quant":
@@ -221,7 +220,7 @@ func ParseTransport(spec string) (transport.Transport, error) {
 	case "inproc":
 		return transport.NewPooledInproc(nil), nil
 	default:
-		return nil, fmt.Errorf("distredge: unknown transport %q (want tcp|tcp+sync|tcp+gob|tcp+deflate|tcp+quant|tcp+quant16|tcp+quant+deflate|inproc)", spec)
+		return nil, fmt.Errorf("distredge: unknown transport %q (want tcp|tcp+sync|tcp+deflate|tcp+quant|tcp+quant16|tcp+quant+deflate|inproc)", spec)
 	}
 }
 

@@ -85,12 +85,16 @@ func TestParseChurnErrors(t *testing.T) {
 		{"bad time", "drop:1@soon", "bad time"},
 		{"negative time", "drop:1@-2", "negative time"},
 		{"nan time", "drop:1@NaN", "negative time"},
+		{"infinite time", "drop:1@inf", "finite, non-negative time"},
+		{"spelled-out infinite time", "join:0@+Infinity", "finite, non-negative time"},
 		{"bad device", "drop:one@2", "bad device"},
 		{"negative device", "drop:-1@2", "negative device"},
 		{"slow without factor", "slow:2@4", "needs devxfactor"},
 		{"bad factor", "slow:2xfast@4", "bad factor"},
 		{"zero factor", "slow:2x0@4", "must be positive"},
 		{"negative factor", "slow:2x-3@4", "must be positive"},
+		{"infinite factor", "slow:1xinf@2", "must be positive and finite"},
+		{"nan factor", "slow:1xNaN@2", "must be positive and finite"},
 		{"duplicate event", "drop:1@2.5,drop:1@2.5", "duplicate churn event"},
 	}
 	for _, c := range cases {
@@ -111,7 +115,6 @@ func TestParseTransport(t *testing.T) {
 		"":                  "tcp+binary",
 		"tcp":               "tcp+binary",
 		"tcp+sync":          "tcp+binary+sync",
-		"tcp+gob":           "tcp+gob",
 		"tcp+deflate":       "tcp+deflate",
 		"tcp+quant":         "tcp+quant8",
 		"tcp+quant16":       "tcp+quant16",
