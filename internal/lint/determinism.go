@@ -24,6 +24,10 @@ var deterministicPkgs = map[string]bool{
 	"distredge/internal/partition":   true,
 	"distredge/internal/network":     true,
 	"distredge/internal/nn":          true,
+	"distredge/internal/tensor":      true,
+	"distredge/internal/cnn":         true,
+	"distredge/internal/device":      true,
+	"distredge/internal/stats":       true,
 }
 
 // Determinism flags the three ways the deterministic stack has historically

@@ -41,14 +41,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// searcher carries the per-search state: the random split-decision fraction
-// vectors (reused across candidate schemes, as the paper reuses R^r_s) and
-// memoised per-volume score components.
+// searcher carries the per-search state: the splittable layers' row
+// scalars, the random split-decision fraction vectors (reused across
+// candidate schemes, as the paper reuses R^r_s) and memoised per-volume
+// score components.
 type searcher struct {
-	model  *cnn.Model
-	layers []cnn.Layer
-	cfg    Config
-	fracs  [][]float64 // NumRandomSplits sorted fraction vectors in [0,1]
+	layers      []layerRows
+	gatherBytes float64 // output bytes of the last splittable layer
+	cfg         Config
+	fracs       [][]float64 // NumRandomSplits sorted fraction vectors in [0,1]
 
 	// Normalisers: O and T of the single-volume scheme, so Cp's two terms
 	// are both ~1 at the coarsest partition and α trades them off on equal
@@ -93,14 +94,7 @@ func search(m *cnn.Model, cfg Config) ([]int, float64, error) {
 	if n == 0 {
 		return nil, 0, fmt.Errorf("partition: model %q has no splittable layers", m.Name)
 	}
-	s := &searcher{
-		model:     m,
-		layers:    m.SplittableLayers(),
-		cfg:       cfg,
-		opsMemo:   make(map[[2]int]float64),
-		crossMemo: make(map[[2]int]float64),
-		inMemo:    make(map[[2]int]float64),
-	}
+	s := newSearcher(m, cfg)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s.fracs = make([][]float64, cfg.NumRandomSplits)
 	for i := range s.fracs {
@@ -165,6 +159,24 @@ func search(m *cnn.Model, cfg Config) ([]int, float64, error) {
 	return rp, s.kappa, nil
 }
 
+// newSearcher returns a searcher over m's splittable layers with empty
+// memos and no fraction vectors.
+func newSearcher(m *cnn.Model, cfg Config) *searcher {
+	layers := m.SplittableLayers()
+	s := &searcher{
+		layers:      make([]layerRows, len(layers)),
+		gatherBytes: layers[len(layers)-1].OutputBytes(),
+		cfg:         cfg,
+		opsMemo:     make(map[[2]int]float64),
+		crossMemo:   make(map[[2]int]float64),
+		inMemo:      make(map[[2]int]float64),
+	}
+	for i, l := range layers {
+		s.layers[i] = rowsOf(l)
+	}
+	return s
+}
+
 // insertSorted returns a copy of b with v inserted in order (no duplicates).
 func insertSorted(b []int, v int) []int {
 	out := make([]int, 0, len(b)+1)
@@ -199,7 +211,7 @@ func (s *searcher) rawScore(boundaries []int) (ops, trans float64) {
 		}
 	}
 	// Result gather from the last volume.
-	trans += s.layers[len(s.layers)-1].OutputBytes()
+	trans += s.gatherBytes
 	return ops, trans
 }
 
@@ -240,15 +252,32 @@ func (iv interval) intersect(o interval) float64 {
 	return hi - lo
 }
 
+// layerRows holds the scalars of one layer that the row accounting reads,
+// converted to float64 once per search, so the scorers' inner loops read
+// a few floats instead of passing an 88-byte cnn.Layer by value.
+type layerRows struct {
+	s, p, fs, hin float64 // stride, padding, F−S, input height
+	opsRow        float64 // operations per output row (OpsRows(1))
+	outH          float64 // output height
+	inRowBytes    float64
+}
+
+func rowsOf(l cnn.Layer) layerRows {
+	return layerRows{
+		s: float64(l.S), p: float64(l.P), fs: float64(l.F - l.S), hin: float64(l.Hin),
+		opsRow: l.OpsRows(1), outH: float64(l.OutHeight()), inRowBytes: l.InRowBytes(),
+	}
+}
+
 // inputInterval propagates an output interval backwards through one layer.
-func inputInterval(l cnn.Layer, out interval) interval {
+func inputInterval(l *layerRows, out interval) interval {
 	if out.len() == 0 {
 		return interval{}
 	}
-	lo := out.Lo*float64(l.S) - float64(l.P)
-	hi := out.Hi*float64(l.S) + float64(l.F-l.S) - float64(l.P)
+	lo := out.Lo*l.s - l.p
+	hi := out.Hi*l.s + l.fs - l.p
 	lo = math.Max(lo, 0)
-	hi = math.Min(hi, float64(l.Hin))
+	hi = math.Min(hi, l.hin)
 	if hi < lo {
 		hi = lo
 	}
@@ -282,15 +311,15 @@ func (s *searcher) volumeOps(a, b int) float64 {
 		return v
 	}
 	layers := s.layers[a:b]
-	h := float64(layers[len(layers)-1].OutHeight())
+	h := layers[len(layers)-1].outH
 	var sum float64
 	for _, frac := range s.fracs {
 		s.parts = partIntervals(s.parts, frac, h, s.cfg.Providers)
 		for _, part := range s.parts {
 			cur := part
 			for i := len(layers) - 1; i >= 0; i-- {
-				sum += layers[i].OpsRows(1) * cur.len()
-				cur = inputInterval(layers[i], cur)
+				sum += layers[i].opsRow * cur.len()
+				cur = inputInterval(&layers[i], cur)
 			}
 		}
 	}
@@ -301,10 +330,10 @@ func (s *searcher) volumeOps(a, b int) float64 {
 
 // volumeInputInterval propagates a part's output interval to the volume's
 // input tensor.
-func volumeInputInterval(layers []cnn.Layer, part interval) interval {
+func volumeInputInterval(layers []layerRows, part interval) interval {
 	cur := part
 	for i := len(layers) - 1; i >= 0; i-- {
-		cur = inputInterval(layers[i], cur)
+		cur = inputInterval(&layers[i], cur)
 	}
 	return cur
 }
@@ -318,8 +347,8 @@ func (s *searcher) scatterBytes(a, b int) float64 {
 		return v
 	}
 	layers := s.layers[a:b]
-	h := float64(layers[len(layers)-1].OutHeight())
-	rowBytes := layers[0].InRowBytes()
+	h := layers[len(layers)-1].outH
+	rowBytes := layers[0].inRowBytes
 	var sum float64
 	for _, frac := range s.fracs {
 		s.parts = partIntervals(s.parts, frac, h, s.cfg.Providers)
@@ -342,9 +371,9 @@ func (s *searcher) crossBytes(a, b int) float64 {
 		return v
 	}
 	layers := s.layers[a:b]
-	h := float64(layers[len(layers)-1].OutHeight())
-	prevH := float64(s.layers[a-1].OutHeight())
-	rowBytes := layers[0].InRowBytes()
+	h := layers[len(layers)-1].outH
+	prevH := s.layers[a-1].outH
+	rowBytes := layers[0].inRowBytes
 	var sum float64
 	for _, frac := range s.fracs {
 		s.parts = partIntervals(s.parts, frac, h, s.cfg.Providers)

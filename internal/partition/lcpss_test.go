@@ -125,8 +125,7 @@ func TestScoreComponentsBehave(t *testing.T) {
 	// navigates.
 	m := cnn.VGG16()
 	cfg := Config{Alpha: 0.5, NumRandomSplits: 40, Providers: 4, Seed: 3}.withDefaults()
-	s := &searcher{model: m, layers: m.SplittableLayers(), cfg: cfg,
-		opsMemo: map[[2]int]float64{}, crossMemo: map[[2]int]float64{}, inMemo: map[[2]int]float64{}}
+	s := newSearcher(m, cfg)
 	// A fixed fraction set keeps the check deterministic.
 	s.fracs = [][]float64{{0.25, 0.5, 0.75}, {0.1, 0.4, 0.9}}
 	n := m.NumSplittable()
@@ -197,12 +196,13 @@ func TestInputIntervalMatchesIntegerVSL(t *testing.T) {
 	// On the interior, the continuous backward map must agree with the
 	// integer VSL up to one row.
 	l := cnn.Layer{Kind: cnn.Conv, Win: 224, Hin: 224, Cin: 3, Cout: 64, F: 3, S: 1, P: 1}
-	iv := inputInterval(l, interval{100, 120})
+	lr := rowsOf(l)
+	iv := inputInterval(&lr, interval{100, 120})
 	ir := cnn.InputRows(l, cnn.RowRange{Lo: 100, Hi: 120})
 	if iv.Lo < float64(ir.Lo)-1 || iv.Hi > float64(ir.Hi)+1 {
 		t.Errorf("continuous %+v vs integer %v", iv, ir)
 	}
-	if inputInterval(l, interval{5, 5}).len() != 0 {
+	if inputInterval(&lr, interval{5, 5}).len() != 0 {
 		t.Error("empty interval must stay empty")
 	}
 }

@@ -1,8 +1,11 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -68,12 +71,39 @@ func sameBits(t *testing.T, name string, got, want *Mat) {
 
 // TestMulKernelsBitIdentical pins the blocked kernels to the reference
 // loops with math.Float64bits over seeded random shapes of 1..130 in every
-// dimension — across the 64-term K-block and every 8/4/1 column tail — on
-// inputs with about half their elements zero, an all-zero row, and an
-// all-zero matrix. One element of b is +Inf and a -0 sits in its row's
-// column of a: only a kernel that skips exactly the zero a-elements the
-// reference skips keeps NaN out of those sums. Neither kernel may allocate.
+// dimension — across the 64-term K-block, every 16-column AVX2 tile and
+// every 8/4/1 column tail — on inputs with about half their elements zero,
+// an all-zero row, and an all-zero matrix. One element of b is +Inf and a
+// -0 sits in its row's column of a: only a kernel that skips exactly the
+// zero a-elements the reference skips keeps NaN out of those sums. The
+// whole table runs once on the portable loops and once with the AVX2 tile
+// kernel, which runs wherever the CPU and OS support it; a b too short for
+// the product panics with a bounds error on both paths, and neither kernel
+// may allocate.
 func TestMulKernelsBitIdentical(t *testing.T) {
+	if avx2Supported() && !useAVX2 {
+		t.Fatal("CPUID and XGETBV report AVX2, but the AVX2 tile kernel is not selected")
+	}
+	saved := useAVX2
+	t.Cleanup(func() { useAVX2 = saved })
+	for _, avx2 := range []bool{false, true} {
+		if avx2 && !avx2Supported() {
+			t.Log("no AVX2 on this CPU: the tile kernel is not tested, only the portable loops")
+			continue
+		}
+		useAVX2 = avx2
+		t.Run(pathName(avx2), testMulKernels)
+	}
+}
+
+func pathName(avx2 bool) string {
+	if avx2 {
+		return "avx2"
+	}
+	return "portable"
+}
+
+func testMulKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	dim := func() int { return 1 + rng.Intn(130) }
 	check := func(m, k, n int, zeroA bool) {
@@ -106,11 +136,22 @@ func TestMulKernelsBitIdentical(t *testing.T) {
 	}
 	// Every K-block edge and column tail explicitly, then the zero matrix.
 	for _, k := range []int{1, 63, 64, 65, 128, 129, 130} {
-		for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 12, 13, 16, 17} {
+		for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 12, 13, 15, 16, 17, 24, 31, 32, 33, 47, 48} {
 			check(1+rng.Intn(5), k, n, false)
 		}
 	}
 	check(17, 130, 29, true)
+
+	// A b one element short of its shape: the last term's row of the last
+	// tile would read past the end, and the kernels must panic instead.
+	for _, n := range []int{16, 32, 35} {
+		a, at, b := New(3, 5), New(5, 3), New(5, n)
+		a.Randomize(rng, 1) // dense: the last row of b is always read
+		at.Randomize(rng, 1)
+		b.A = b.A[:len(b.A)-1]
+		mustPanicOutOfRange(t, "MulABInto", func() { MulABInto(New(3, n), a, b) })
+		mustPanicOutOfRange(t, "MulATBInto", func() { MulATBInto(New(3, n), at, b) })
+	}
 
 	// At the paper's widths (400 × 200) the gather arrays stay on the stack.
 	a, b, out := sparseRandom(rng, 64, 400), sparseRandom(rng, 400, 200), New(64, 200)
@@ -120,5 +161,47 @@ func TestMulKernelsBitIdentical(t *testing.T) {
 	at, d, g := sparseRandom(rng, 64, 400), sparseRandom(rng, 64, 200), New(400, 200)
 	if n := testing.AllocsPerRun(10, func() { MulATBInto(g, at, d) }); n != 0 {
 		t.Errorf("MulATBInto allocates %v times per call", n)
+	}
+}
+
+// mustPanicOutOfRange runs f and fails unless it panics with a runtime
+// bounds error (an index or slice-conversion out of range).
+func mustPanicOutOfRange(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		err, ok := r.(runtime.Error)
+		if !ok || !strings.Contains(err.Error(), "out of range") && !strings.Contains(err.Error(), "with length") {
+			t.Errorf("%s on a truncated b: panic %v, want a bounds error", name, r)
+		}
+	}()
+	f()
+}
+
+// BenchmarkMulKernels times MulABInto at the quick budget's DDPG shapes
+// (batch 32: the 11-wide critic input, a 32×32 hidden layer and the
+// 3-wide actor head) and at the paper's widest layer (batch 64, 400 × 200),
+// on the portable loops and on the AVX2 tile kernel. a has about half its
+// elements zero, as ReLU leaves activations.
+func BenchmarkMulKernels(b *testing.B) {
+	saved := useAVX2
+	b.Cleanup(func() { useAVX2 = saved })
+	for _, sh := range []struct{ m, k, n int }{{32, 11, 32}, {32, 32, 32}, {32, 32, 3}, {64, 400, 200}} {
+		rng := rand.New(rand.NewSource(1))
+		a, bm, out := sparseRandom(rng, sh.m, sh.k), New(sh.k, sh.n), New(sh.m, sh.n)
+		bm.Randomize(rng, 1)
+		for _, avx2 := range []bool{false, true} {
+			if avx2 && !avx2Supported() {
+				continue
+			}
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", sh.m, sh.k, sh.n, pathName(avx2)), func(b *testing.B) {
+				useAVX2 = avx2
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					MulABInto(out, a, bm)
+				}
+			})
+		}
 	}
 }

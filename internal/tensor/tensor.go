@@ -76,8 +76,8 @@ func MulAB(a, b *Mat) *Mat {
 // a-elements as MulAB always has, so results are bit-identical to the naive
 // loop on finite values; out must not alias a or b. The work runs in K-blocks
 // (see addTerms): each row's nonzero a-elements within a block are gathered
-// first, then eight, four and finally one output columns at a time sum the
-// gathered terms in registers. The block loop sits outside the row loop, so
+// first, then sixteen (with AVX2), eight, four and finally one output
+// columns at a time sum the gathered terms in registers. The block loop sits outside the row loop, so
 // a block of b stays cache-resident across the batch.
 func MulABInto(out, a, b *Mat) *Mat {
 	if a.C != b.R {
@@ -110,7 +110,9 @@ func MulABInto(out, a, b *Mat) *Mat {
 // addTerms adds Σ_p val[p]·bA[off[p]+j] to orow[j] for every column j, the
 // terms in list order. Each output element is loaded once, summed in a
 // register over the whole list and stored once; a float64 store and reload
-// is exact, so splitting the sum across K-blocks changes no bit.
+// is exact, so splitting the sum across K-blocks changes no bit. Full
+// 16-column tiles go to the AVX2 kernel where there is one (addTiles); the
+// 8/4/1 loops below take the rest of the row, and all of it elsewhere.
 func addTerms(orow, bA []float64, off []int, val []float64) {
 	if len(off) == 0 {
 		return
@@ -118,6 +120,9 @@ func addTerms(orow, bA []float64, off []int, val []float64) {
 	val = val[:len(off)]
 	n := len(orow)
 	j := 0
+	if useAVX2 && n >= 16 {
+		j = addTiles(orow, bA, off, val)
+	}
 	for ; j+8 <= n; j += 8 {
 		o := orow[j : j+8 : j+8]
 		c0, c1, c2, c3, c4, c5, c6, c7 := o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
