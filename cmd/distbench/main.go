@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	goruntime "runtime"
 	"runtime/pprof"
@@ -39,23 +41,38 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to reproduce: 4,5,6,7,8,9,10,11,12,13,14,15,16, 'churn', 'objective', 'gateway', 'planner', 'fidelity', 'hotpath' or 'all'")
-	budget := flag.String("budget", "quick", "planning budget: tiny|quick|full|paper")
-	seed := flag.Int64("seed", 1, "random seed")
-	reps := flag.Int("reps", 10, "LC-PSS repetitions for Fig. 6")
-	parallel := flag.Int("parallel", 1, "workers for the case×method grids (results are identical for any value; -1 = one per CPU)")
-	windows := flag.String("windows", "1,2,4,8", "admission-window sizes for the fig 16 and churn sweeps")
-	fracs := flag.String("failfracs", "0.25,0.5,0.75", "failure times for the churn sweep, as fractions of the churn-free run")
-	batchesSpec := flag.String("batches", "1,4", "for -fig fidelity: step-batching caps of the grid")
-	codecsSpec := flag.String("codecs", "binary,quant,quant+deflate", "for -fig fidelity: chunk codecs of the grid (binary|deflate|quant|quant16|quant+deflate)")
-	trace := flag.Bool("trace", false, "for -fig fidelity: only the trace-shaped wire regime (skip the free-wire rows)")
-	objectiveSpec := flag.String("objective", "", "for -fig fidelity: deploy a strategy planned with this objective (latency|ips|slo) instead of the CoEdge baseline")
-	objWindow := flag.Int("objwindow", 4, "admission window the ips objective optimises for (-fig objective and -objective ips)")
-	tenantsSpec := flag.String("tenants", "heavy:24x1,small:4x4", "for -fig gateway: tenant mix as name:IMAGESxWEIGHT,...")
-	sloMS := flag.Float64("slo", 0, "p95 latency bound in ms: marks -fig gateway rows and bounds -objective slo plans (model-scale ms)")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention pprof profile to this file on exit")
-	blockProfile := flag.String("blockprofile", "", "write a blocking pprof profile to this file on exit")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "distbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args on a FlagSet of its own and writes
+// the reports to w, so tests can drive it in-process.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("distbench", flag.ContinueOnError)
+	fig := fs.String("fig", "all", "figure to reproduce: 4,5,6,7,8,9,10,11,12,13,14,15,16, 'churn', 'objective', 'gateway', 'planner', 'fidelity', 'hotpath' or 'all'")
+	budget := fs.String("budget", "quick", "planning budget: tiny|quick|full|paper")
+	seed := fs.Int64("seed", 1, "random seed")
+	reps := fs.Int("reps", 10, "LC-PSS repetitions for Fig. 6")
+	parallel := fs.Int("parallel", 1, "workers for the case×method grids (results are identical for any value; -1 = one per CPU)")
+	windows := fs.String("windows", "1,2,4,8", "admission-window sizes for the fig 16 and churn sweeps")
+	fracs := fs.String("failfracs", "0.25,0.5,0.75", "failure times for the churn sweep, as fractions of the churn-free run")
+	batchesSpec := fs.String("batches", "1,4", "for -fig fidelity: step-batching caps of the grid")
+	codecsSpec := fs.String("codecs", "binary,quant,quant+deflate", "for -fig fidelity: chunk codecs of the grid (binary|deflate|quant|quant16|quant+deflate)")
+	trace := fs.Bool("trace", false, "for -fig fidelity: only the trace-shaped wire regime (skip the free-wire rows)")
+	objectiveSpec := fs.String("objective", "", "for -fig fidelity: deploy a strategy planned with this objective (latency|ips|slo) instead of the CoEdge baseline")
+	objWindow := fs.Int("objwindow", 4, "admission window the ips objective optimises for (-fig objective and -objective ips)")
+	tenantsSpec := fs.String("tenants", "heavy:24x1,small:4x4", "for -fig gateway: tenant mix as name:IMAGESxWEIGHT,...")
+	sloMS := fs.Float64("slo", 0, "p95 latency bound in ms: marks -fig gateway rows and bounds -objective slo plans (model-scale ms)")
+	mutexProfile := fs.String("mutexprofile", "", "write a mutex-contention pprof profile to this file on exit")
+	blockProfile := fs.String("blockprofile", "", "write a blocking pprof profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *mutexProfile != "" {
 		goruntime.SetMutexProfileFraction(1)
@@ -75,37 +92,31 @@ func main() {
 	case "paper":
 		b = experiments.Paper()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown budget %q\n", *budget)
-		os.Exit(2)
+		return fmt.Errorf("unknown budget %q", *budget)
 	}
 	b.Seed = *seed
 	b.Parallel = *parallel
 
 	winSizes, err := parseWindows(*windows)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -windows %q: %v\n", *windows, err)
-		os.Exit(2)
+		return fmt.Errorf("bad -windows %q: %v", *windows, err)
 	}
 	failFracs, err := parseFracs(*fracs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -failfracs %q: %v\n", *fracs, err)
-		os.Exit(2)
+		return fmt.Errorf("bad -failfracs %q: %v", *fracs, err)
 	}
 	batches, err := parseWindows(*batchesSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -batches %q: %v\n", *batchesSpec, err)
-		os.Exit(2)
+		return fmt.Errorf("bad -batches %q: %v", *batchesSpec, err)
 	}
 	codecs, err := parseCodecs(*codecsSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -codecs %q: %v\n", *codecsSpec, err)
-		os.Exit(2)
+		return fmt.Errorf("bad -codecs %q: %v", *codecsSpec, err)
 	}
 
 	tenants, err := distredge.ParseTenants(*tenantsSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -tenants %q: %v\n", *tenantsSpec, err)
-		os.Exit(2)
+		return fmt.Errorf("bad -tenants %q: %v", *tenantsSpec, err)
 	}
 
 	figs := []string{"4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16", "churn", "objective", "gateway", "planner"}
@@ -115,14 +126,14 @@ func main() {
 
 	for _, f := range figs {
 		start := time.Now()
-		if err := run(f, b, *reps, winSizes, failFracs, batches, codecs, *trace, *objectiveSpec, *objWindow, tenants, *sloMS); err != nil {
-			fmt.Fprintf(os.Stderr, "fig %s: %v\n", f, err)
+		if err := runFig(w, f, b, *reps, winSizes, failFracs, batches, codecs, *trace, *objectiveSpec, *objWindow, tenants, *sloMS); err != nil {
 			writeProfiles(*mutexProfile, *blockProfile)
-			os.Exit(1)
+			return fmt.Errorf("fig %s: %w", f, err)
 		}
-		fmt.Printf("(fig %s took %.1fs)\n\n", f, time.Since(start).Seconds())
+		fmt.Fprintf(w, "(fig %s took %.1fs)\n\n", f, time.Since(start).Seconds())
 	}
 	writeProfiles(*mutexProfile, *blockProfile)
+	return nil
 }
 
 // writeProfiles dumps the mutex/block pprof profiles the -mutexprofile and
@@ -220,29 +231,29 @@ func codecTransportSpec(codec string) string {
 	return "tcp+" + codec
 }
 
-func run(fig string, b experiments.Budget, reps int, windows []int, failFracs []float64, batches []int, codecs []string, trace bool, objectiveSpec string, objWindow int, tenants []sim.TenantSpec, sloMS float64) error {
+func runFig(w io.Writer, fig string, b experiments.Budget, reps int, windows []int, failFracs []float64, batches []int, codecs []string, trace bool, objectiveSpec string, objWindow int, tenants []sim.TenantSpec, sloMS float64) error {
 	if fig == "fidelity" {
-		return fidelity(b, batches, codecs, trace, objectiveSpec, objWindow, sloMS)
+		return fidelity(w, b, batches, codecs, trace, objectiveSpec, objWindow, sloMS)
 	}
 	if fig == "planner" {
-		return planner(b)
+		return planner(w, b)
 	}
 	if fig == "hotpath" {
-		return hotpath()
+		return hotpath(w)
 	}
 	if fig == "gateway" {
-		header("Gateway — multi-tenant admission: FIFO vs weighted fair queueing")
+		header(w, "Gateway — multi-tenant admission: FIFO vs weighted fair queueing")
 		rows, err := experiments.FigGateway(b, tenants, objWindow, sloMS)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-24s %-6s %-8s %7s %7s %8s %9s %9s %5s\n",
+		fmt.Fprintf(w, "%-24s %-6s %-8s %7s %7s %8s %9s %9s %5s\n",
 			"case", "policy", "tenant", "weight", "images", "IPS", "lat(ms)", "p95(ms)", "slo")
 		lastSeries := ""
 		for _, r := range rows {
 			series := r.Case + "/" + r.Policy
 			if series != lastSeries && lastSeries != "" {
-				fmt.Println()
+				fmt.Fprintln(w)
 			}
 			lastSeries = series
 			slo := "ok"
@@ -252,46 +263,46 @@ func run(fig string, b experiments.Budget, reps int, windows []int, failFracs []
 			if sloMS <= 0 {
 				slo = "-"
 			}
-			fmt.Printf("%-24s %-6s %-8s %7.1f %7d %8.2f %9.1f %9.1f %5s\n",
+			fmt.Fprintf(w, "%-24s %-6s %-8s %7.1f %7d %8.2f %9.1f %9.1f %5s\n",
 				r.Case, r.Policy, r.Tenant, r.Weight, r.Images, r.IPS, r.MeanLatMS, r.P95LatMS, slo)
 		}
 		return nil
 	}
 	if fig == "objective" {
-		header("Objective — latency-optimal vs throughput-optimal (IPS) planner")
+		header(w, "Objective — latency-optimal vs throughput-optimal (IPS) planner")
 		rows, err := experiments.FigObjective(b, windows, objWindow)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-24s %-9s %7s %8s %8s %9s %9s\n",
+		fmt.Fprintf(w, "%-24s %-9s %7s %8s %8s %9s %9s\n",
 			"case", "planner", "window", "IPS", "steady", "lat(ms)", "p95(ms)")
 		lastSeries := ""
 		for _, r := range rows {
 			series := r.Case + "/" + r.Planner
 			if series != lastSeries && lastSeries != "" {
-				fmt.Println()
+				fmt.Fprintln(w)
 			}
 			lastSeries = series
-			fmt.Printf("%-24s %-9s %7d %8.2f %8.2f %9.1f %9.1f\n",
+			fmt.Fprintf(w, "%-24s %-9s %7d %8.2f %8.2f %9.1f %9.1f\n",
 				r.Case, r.Planner, r.Window, r.IPS, r.SteadyIPS, r.MeanLatMS, r.P95LatMS)
 		}
 		return nil
 	}
 	if fig == "churn" {
-		header("Churn — goodput & time-to-recover under a mid-stream device failure")
+		header(w, "Churn — goodput & time-to-recover under a mid-stream device failure")
 		rows, err := experiments.FigChurnRecovery(b, windows, failFracs)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-24s %7s %6s %5s %9s %11s %11s %9s %9s\n",
+		fmt.Fprintf(w, "%-24s %7s %6s %5s %9s %11s %11s %9s %9s\n",
 			"case", "window", "fail@", "drop", "base IPS", "goodput on", "goodput off", "recov(s)", "requeued")
 		lastCase := ""
 		for _, r := range rows {
 			if r.Case != lastCase && lastCase != "" {
-				fmt.Println()
+				fmt.Fprintln(w)
 			}
 			lastCase = r.Case
-			fmt.Printf("%-24s %7d %5.0f%% %5d %9.2f %11.2f %11.2f %9.3f %9d\n",
+			fmt.Fprintf(w, "%-24s %7d %5.0f%% %5d %9.2f %11.2f %11.2f %9.3f %9d\n",
 				r.Case, r.Window, 100*r.FailFrac, r.DropDevice, r.BaseIPS,
 				r.GoodputOn, r.GoodputOff, r.RecoverSec, r.Requeued)
 		}
@@ -303,92 +314,92 @@ func run(fig string, b experiments.Budget, reps int, windows []int, failFracs []
 	}
 	switch n {
 	case 4:
-		header("Fig. 4 — stable WiFi throughput traces")
-		printTraces(experiments.Fig04StableTraces(b.Seed))
+		header(w, "Fig. 4 — stable WiFi throughput traces")
+		printTraces(w, experiments.Fig04StableTraces(b.Seed))
 		var series []plot.Series
 		for _, bw := range []float64{300, 200, 100, 50} {
 			tr := network.Stable(bw, 60, b.Seed+int64(bw))
 			series = append(series, plot.Series{Name: fmt.Sprintf("%gMbps", bw), Values: tr.Mbps})
 		}
-		fmt.Print(plot.Lines(series, 64))
+		fmt.Fprint(w, plot.Lines(series, 64))
 	case 5:
-		header("Fig. 5 — IPS vs LC-PSS alpha (VGG-16)")
+		header(w, "Fig. 5 — IPS vs LC-PSS alpha (VGG-16)")
 		rows, err := experiments.Fig05AlphaSweep(b, 0)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-16s %6s %8s %8s\n", "case", "alpha", "volumes", "IPS")
+		fmt.Fprintf(w, "%-16s %6s %8s %8s\n", "case", "alpha", "volumes", "IPS")
 		for _, r := range rows {
-			fmt.Printf("%-16s %6.2f %8d %8.2f\n", r.Case, r.Alpha, r.Volumes, r.IPS)
+			fmt.Fprintf(w, "%-16s %6.2f %8d %8.2f\n", r.Case, r.Alpha, r.Volumes, r.IPS)
 		}
 	case 6:
-		header("Fig. 6 — IPS spread vs |Rrs| (VGG-16)")
+		header(w, "Fig. 6 — IPS spread vs |Rrs| (VGG-16)")
 		rows, err := experiments.Fig06RrsSweep(b, reps)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-14s %5s %5s %8s %8s %8s\n", "case", "Rrs", "reps", "min", "mean", "max")
+		fmt.Fprintf(w, "%-14s %5s %5s %8s %8s %8s\n", "case", "Rrs", "reps", "min", "mean", "max")
 		for _, r := range rows {
-			fmt.Printf("%-14s %5d %5d %8.2f %8.2f %8.2f\n", r.Case, r.Rrs, r.Reps, r.MinIPS, r.MeanIPS, r.MaxIPS)
+			fmt.Fprintf(w, "%-14s %5d %5d %8.2f %8.2f %8.2f\n", r.Case, r.Rrs, r.Reps, r.MinIPS, r.MeanIPS, r.MaxIPS)
 		}
 	case 7:
-		header("Fig. 7 — heterogeneous devices (Table I), VGG-16")
+		header(w, "Fig. 7 — heterogeneous devices (Table I), VGG-16")
 		rows, err := experiments.Fig07HeterogeneousDevices(b)
 		if err != nil {
 			return err
 		}
-		printMethodRows(rows)
+		printMethodRows(w, rows)
 	case 8:
-		header("Fig. 8 — heterogeneous networks (Table II), VGG-16")
+		header(w, "Fig. 8 — heterogeneous networks (Table II), VGG-16")
 		rows, err := experiments.Fig08HeterogeneousNetworks(b)
 		if err != nil {
 			return err
 		}
-		printMethodRows(rows)
+		printMethodRows(w, rows)
 	case 9:
-		header("Fig. 9 — large scale: 16 devices (Table III), VGG-16")
+		header(w, "Fig. 9 — large scale: 16 devices (Table III), VGG-16")
 		rows, err := experiments.Fig09LargeScale(b)
 		if err != nil {
 			return err
 		}
-		printMethodRows(rows)
+		printMethodRows(w, rows)
 	case 10:
-		header("Fig. 10 — other models, Group DB @ 50 Mbps")
+		header(w, "Fig. 10 — other models, Group DB @ 50 Mbps")
 		rows, err := experiments.Fig10ModelsDB(b)
 		if err != nil {
 			return err
 		}
-		printMethodRows(rows)
+		printMethodRows(w, rows)
 	case 11:
-		header("Fig. 11 — other models, Group NA with Nano fleet")
+		header(w, "Fig. 11 — other models, Group NA with Nano fleet")
 		rows, err := experiments.Fig11ModelsNA(b)
 		if err != nil {
 			return err
 		}
-		printMethodRows(rows)
+		printMethodRows(w, rows)
 	case 12:
-		header("Fig. 12 — highly dynamic throughput traces")
-		printTraces(experiments.Fig12DynamicTraces(b.Seed))
+		header(w, "Fig. 12 — highly dynamic throughput traces")
+		printTraces(w, experiments.Fig12DynamicTraces(b.Seed))
 		var series []plot.Series
 		for i := 0; i < 4; i++ {
 			tr := network.Dynamic(40, 100, 60, b.Seed+int64(i)*31)
 			series = append(series, plot.Series{Name: fmt.Sprintf("device-%d", i+1), Values: tr.Mbps})
 		}
-		fmt.Print(plot.Lines(series, 64))
+		fmt.Fprint(w, plot.Lines(series, 64))
 	case 13:
-		header("Fig. 13 — per-image latency under dynamic networks (4x Nano)")
+		header(w, "Fig. 13 — per-image latency under dynamic networks (4x Nano)")
 		rows, err := experiments.Fig13DynamicLatency(b)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%6s %12s %12s %12s\n", "minute", "CoEdge(ms)", "AOFL(ms)", "DistrEdge(ms)")
+		fmt.Fprintf(w, "%6s %12s %12s %12s\n", "minute", "CoEdge(ms)", "AOFL(ms)", "DistrEdge(ms)")
 		for _, r := range rows {
 			if r.MinuteSlot%5 == 0 {
-				fmt.Printf("%6d %12.1f %12.1f %12.1f\n", r.MinuteSlot, r.CoEdgeMS, r.AOFLMS, r.DistrEdgeMS)
+				fmt.Fprintf(w, "%6d %12.1f %12.1f %12.1f\n", r.MinuteSlot, r.CoEdgeMS, r.AOFLMS, r.DistrEdgeMS)
 			}
 		}
 		s := experiments.Summarise(rows)
-		fmt.Printf("means: CoEdge %.1fms  AOFL %.1fms  DistrEdge %.1fms  (DistrEdge/AOFL = %.0f%%)\n",
+		fmt.Fprintf(w, "means: CoEdge %.1fms  AOFL %.1fms  DistrEdge %.1fms  (DistrEdge/AOFL = %.0f%%)\n",
 			s.MeanCoEdgeMS, s.MeanAOFLMS, s.MeanDistrEdgeMS, 100*s.DistrEdgeOverAOFL)
 		co := make([]float64, len(rows))
 		ao := make([]float64, len(rows))
@@ -396,16 +407,16 @@ func run(fig string, b experiments.Budget, reps int, windows []int, failFracs []
 		for i, r := range rows {
 			co[i], ao[i], de[i] = r.CoEdgeMS, r.AOFLMS, r.DistrEdgeMS
 		}
-		fmt.Print(plot.Lines([]plot.Series{
+		fmt.Fprint(w, plot.Lines([]plot.Series{
 			{Name: "AOFL", Values: ao},
 			{Name: "CoEdge", Values: co},
 			{Name: "DistrEdge", Values: de},
 		}, 60))
 	case 14:
-		header("Fig. 14 — computing latency vs output extent (10-layer volume)")
+		header(w, "Fig. 14 — computing latency vs output extent (10-layer volume)")
 		for _, dt := range []device.Type{device.Xavier, device.TX2, device.Nano, device.Pi3} {
 			rows := experiments.Fig14Nonlinear(dt)
-			fmt.Printf("%-7s staircaseness=%.2f  lat(50)=%.1fms lat(150)=%.1fms lat(250)=%.1fms lat(350)=%.1fms\n",
+			fmt.Fprintf(w, "%-7s staircaseness=%.2f  lat(50)=%.1fms lat(150)=%.1fms lat(250)=%.1fms lat(350)=%.1fms\n",
 				dt, experiments.Staircaseness(rows),
 				rows[0].LatencyMS, rows[50].LatencyMS, rows[100].LatencyMS, rows[150].LatencyMS)
 		}
@@ -415,33 +426,33 @@ func run(fig string, b experiments.Budget, reps int, windows []int, failFracs []
 		for i, r := range xa {
 			curve[i] = r.LatencyMS
 		}
-		fmt.Printf("xavier  %s\n", plot.Sparkline(plot.Downsample(curve, 72)))
+		fmt.Fprintf(w, "xavier  %s\n", plot.Sparkline(plot.Downsample(curve, 72)))
 	case 15:
-		header("Fig. 15 — max transmission & computing latency (DB, 50 Mbps)")
+		header(w, "Fig. 15 — max transmission & computing latency (DB, 50 Mbps)")
 		rows, err := experiments.Fig15Breakdown(b)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-14s %12s %12s\n", "method", "maxTrans(ms)", "maxComp(ms)")
+		fmt.Fprintf(w, "%-14s %12s %12s\n", "method", "maxTrans(ms)", "maxComp(ms)")
 		for _, r := range rows {
-			fmt.Printf("%-14s %12.1f %12.1f\n", r.Method, r.MaxTransMS, r.MaxCompMS)
+			fmt.Fprintf(w, "%-14s %12.1f %12.1f\n", r.Method, r.MaxTransMS, r.MaxCompMS)
 		}
 	case 16:
-		header("Fig. 16 — sustained IPS vs admission window (pipelined serving)")
+		header(w, "Fig. 16 — sustained IPS vs admission window (pipelined serving)")
 		rows, err := experiments.Fig16WindowSweep(b, windows)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-24s %-10s %7s %8s %8s %9s %9s %8s\n",
+		fmt.Fprintf(w, "%-24s %-10s %7s %8s %8s %9s %9s %8s\n",
 			"case", "method", "window", "IPS", "steady", "lat(ms)", "p95(ms)", "speedup")
 		lastSeries := ""
 		for _, r := range rows {
 			series := r.Case + "/" + r.Method
 			if series != lastSeries && lastSeries != "" {
-				fmt.Println()
+				fmt.Fprintln(w)
 			}
 			lastSeries = series
-			fmt.Printf("%-24s %-10s %7d %8.2f %8.2f %9.1f %9.1f %7.2fx\n",
+			fmt.Fprintf(w, "%-24s %-10s %7d %8.2f %8.2f %9.1f %9.1f %7.2fx\n",
 				r.Case, r.Method, r.Window, r.IPS, r.SteadyIPS, r.MeanLatMS, r.P95LatMS, r.SpeedupVsSeq)
 		}
 	default:
@@ -458,8 +469,8 @@ func run(fig string, b experiments.Budget, reps int, windows []int, failFracs []
 // carry a full-budget cold reference so the quality delta of warm-starting
 // is visible (score/cold <= 1.00 means the half-budget warm search matched
 // or beat the full cold one).
-func planner(b experiments.Budget) error {
-	header("Planner — plan-cache service: cold vs exact-hit vs warm-start plans/sec")
+func planner(w io.Writer, b experiments.Budget) error {
+	header(w, "Planner — plan-cache service: cold vs exact-hit vs warm-start plans/sec")
 	sweep := experiments.NewPlannerSweep(b, 0)
 
 	phase := func(name string, f func() ([]experiments.PlannerRow, error)) ([]experiments.PlannerRow, float64, error) {
@@ -486,7 +497,7 @@ func planner(b experiments.Budget) error {
 		return err
 	}
 
-	fmt.Printf("%-6s %-24s %-8s %12s %12s %10s\n",
+	fmt.Fprintf(w, "%-6s %-24s %-8s %12s %12s %10s\n",
 		"phase", "fleet", "outcome", "score(s/img)", "cold(s/img)", "score/cold")
 	for _, rows := range [][]experiments.PlannerRow{coldRows, exactRows, warmRows} {
 		for _, r := range rows {
@@ -495,10 +506,10 @@ func planner(b experiments.Budget) error {
 				coldCol = fmt.Sprintf("%.4f", r.ColdScore)
 				ratioCol = fmt.Sprintf("%.2f", r.Score/r.ColdScore)
 			}
-			fmt.Printf("%-6s %-24s %-8s %12.4f %12s %10s\n",
+			fmt.Fprintf(w, "%-6s %-24s %-8s %12.4f %12s %10s\n",
 				r.Phase, r.Fleet, r.Outcome, r.Score, coldCol, ratioCol)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	plansPerSec := func(n int, sec float64) float64 {
 		if sec <= 0 {
@@ -506,12 +517,12 @@ func planner(b experiments.Budget) error {
 		}
 		return float64(n) / sec
 	}
-	fmt.Printf("plans/sec: cold %.1f  exact-hit %.1f (%.0fx cold)  warm %.1f (%.1fx cold)\n",
+	fmt.Fprintf(w, "plans/sec: cold %.1f  exact-hit %.1f (%.0fx cold)  warm %.1f (%.1fx cold)\n",
 		plansPerSec(len(coldRows), coldSec),
 		plansPerSec(len(exactRows), exactSec), coldSec/exactSec,
 		plansPerSec(len(warmRows), warmSec), coldSec/warmSec)
 	st := sweep.Stats()
-	fmt.Printf("cache: %d hit(s), %d miss(es), %d warm hit(s)\n", st.Hits, st.Misses, st.WarmHits)
+	fmt.Fprintf(w, "cache: %d hit(s), %d miss(es), %d warm hit(s)\n", st.Hits, st.Misses, st.WarmHits)
 	return nil
 }
 
@@ -526,12 +537,12 @@ func planner(b experiments.Budget) error {
 // tenant fan-in: concurrent streams converging on one receiving endpoint.
 // Combine with -mutexprofile/-blockprofile to see where the remaining
 // contention lives.
-func hotpath() error {
-	header("Hot path — one-way messages/sec: {chunk size} x {transport} x {senders}")
+func hotpath(w io.Writer) error {
+	header(w, "Hot path — one-way messages/sec: {chunk size} x {transport} x {senders}")
 	sizes := []int{512, 4 << 10, 64 << 10}
 	specs := []string{"tcp+sync", "tcp", "inproc"}
 	senderCounts := []int{1, 8}
-	fmt.Printf("%-9s %-10s %8s %9s %10s %10s\n",
+	fmt.Fprintf(w, "%-9s %-10s %8s %9s %10s %10s\n",
 		"chunk", "transport", "senders", "msgs", "msg/s", "MB/s")
 	baseline := make(map[string]float64) // chunk/senders -> tcp+sync msg/s
 	for _, size := range sizes {
@@ -552,12 +563,12 @@ func hotpath() error {
 						note = fmt.Sprintf("  (%.2fx sync)", rate/base)
 					}
 				}
-				fmt.Printf("%-9s %-10s %8d %9d %10.0f %10.1f%s\n",
+				fmt.Fprintf(w, "%-9s %-10s %8d %9d %10.0f %10.1f%s\n",
 					chunkLabel(size), spec, senders, senders*msgs, rate,
 					rate*float64(size)/1e6, note)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
@@ -690,8 +701,8 @@ func hotpathCell(spec string, size, senders, msgs int) (float64, error) {
 // deflate's wire fraction is data-dependent (statically charged 1), so the
 // prediction uses the compression ratio the cell's own codec measured —
 // calibrated rows are marked "*".
-func fidelity(b experiments.Budget, batches []int, codecs []string, traceOnly bool, objectiveSpec string, objWindow int, sloMS float64) error {
-	header("Fidelity — sim prediction vs runtime measurement, {batch} x {codec} x {wire}")
+func fidelity(w io.Writer, b experiments.Budget, batches []int, codecs []string, traceOnly bool, objectiveSpec string, objWindow int, sloMS float64) error {
+	header(w, "Fidelity — sim prediction vs runtime measurement, {batch} x {codec} x {wire}")
 	// Low-bandwidth links make the prediction transfer-dominated, which is
 	// the term the transport choice actually controls; emulated-compute
 	// overhead (a couple of ms per sleep at small time scales) then stays
@@ -732,14 +743,14 @@ func fidelity(b experiments.Budget, batches []int, codecs []string, traceOnly bo
 			window = k
 		}
 	}
-	fmt.Printf("plan: %s  window: %d\n", plan.Method, window)
+	fmt.Fprintf(w, "plan: %s  window: %d\n", plan.Method, window)
 	const timeScale, bytesScale = 0.1, 0.001
 	const simImages, rtImages = 200, 16
 	regimes := []bool{false, true} // shaped?
 	if traceOnly {
 		regimes = []bool{true}
 	}
-	fmt.Printf("%-7s %6s %-14s %9s %9s | %12s %12s | %9s\n",
+	fmt.Fprintf(w, "%-7s %6s %-14s %9s %9s | %12s %12s | %9s\n",
 		"wire", "batch", "codec", "sim IPS", "lat(ms)", "runtime IPS", "lat(ms)", "meas/pred")
 	for _, shaped := range regimes {
 		regime := "free"
@@ -806,15 +817,15 @@ func fidelity(b experiments.Budget, batches []int, codecs []string, traceOnly bo
 				}
 				modelIPS := stats.IPS * timeScale
 				modelLatMS := stats.MeanLatMS() / timeScale
-				fmt.Printf("%-7s %6d %-14s %9.2f %9.1f | %12.2f %12.1f | %9.2f\n",
+				fmt.Fprintf(w, "%-7s %6d %-14s %9.2f %9.1f | %12.2f %12.1f | %9.2f\n",
 					regime, k, label, prep.IPS, prep.MeanLatMS, modelIPS, modelLatMS, modelIPS/prep.IPS)
 			}
 		}
 		if !shaped {
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
-	fmt.Printf("(runtime numbers mapped to model scale: wall IPS x %g, wall latency / %g; * = wire fraction calibrated from the cell's measured deflate ratio)\n", timeScale, timeScale)
+	fmt.Fprintf(w, "(runtime numbers mapped to model scale: wall IPS x %g, wall latency / %g; * = wire fraction calibrated from the cell's measured deflate ratio)\n", timeScale, timeScale)
 	return nil
 }
 
@@ -827,31 +838,31 @@ func mustWireCodec(tr transport.Transport) transport.Codec {
 	return transport.Binary()
 }
 
-func header(s string) {
-	fmt.Println(strings.Repeat("=", len(s)))
-	fmt.Println(s)
-	fmt.Println(strings.Repeat("=", len(s)))
+func header(w io.Writer, s string) {
+	fmt.Fprintln(w, strings.Repeat("=", len(s)))
+	fmt.Fprintln(w, s)
+	fmt.Fprintln(w, strings.Repeat("=", len(s)))
 }
 
-func printTraces(rows []experiments.TraceRow) {
-	fmt.Printf("%-10s %10s %8s %8s %8s %6s\n", "trace", "mean Mbps", "min", "max", "std", "cv")
+func printTraces(w io.Writer, rows []experiments.TraceRow) {
+	fmt.Fprintf(w, "%-10s %10s %8s %8s %8s %6s\n", "trace", "mean Mbps", "min", "max", "std", "cv")
 	for _, r := range rows {
-		fmt.Printf("%-10s %10.1f %8.1f %8.1f %8.1f %6.3f\n",
+		fmt.Fprintf(w, "%-10s %10.1f %8.1f %8.1f %8.1f %6.3f\n",
 			r.Name, r.MeanMbps, r.MinMbps, r.MaxMbps, r.StdMbps, r.CoefficientVariation)
 	}
 }
 
-func printMethodRows(rows []experiments.MethodRow) {
+func printMethodRows(w io.Writer, rows []experiments.MethodRow) {
 	experiments.SortRows(rows)
-	fmt.Printf("%-22s %-14s %7s %8s %10s %10s %5s\n",
+	fmt.Fprintf(w, "%-22s %-14s %7s %8s %10s %10s %5s\n",
 		"case", "method", "IPS", "lat(ms)", "comp(ms)", "trans(ms)", "vols")
 	lastCase := ""
 	for _, r := range rows {
 		if r.Case != lastCase && lastCase != "" {
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		lastCase = r.Case
-		fmt.Printf("%-22s %-14s %7.2f %8.1f %10.1f %10.1f %5d\n",
+		fmt.Fprintf(w, "%-22s %-14s %7.2f %8.1f %10.1f %10.1f %5d\n",
 			r.Case, r.Method, r.IPS, r.MeanLatMS, r.MaxCompMS, r.MaxTransMS, r.Volumes)
 	}
 }
