@@ -27,7 +27,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"distredge"
@@ -54,7 +53,7 @@ func main() {
 // the reports to w, so tests can drive it in-process.
 func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("distbench", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "figure to reproduce: 4,5,6,7,8,9,10,11,12,13,14,15,16, 'churn', 'objective', 'gateway', 'planner', 'fidelity', 'hotpath' or 'all'")
+	fig := fs.String("fig", "all", "figure to reproduce: 4,5,6,7,8,9,10,11,12,13,14,15,16, 'churn', 'objective', 'gateway', 'planner', 'fidelity' or 'all'")
 	budget := fs.String("budget", "quick", "planning budget: tiny|quick|full|paper")
 	seed := fs.Int64("seed", 1, "random seed")
 	reps := fs.Int("reps", 10, "LC-PSS repetitions for Fig. 6")
@@ -137,8 +136,8 @@ func run(w io.Writer, args []string) error {
 }
 
 // writeProfiles dumps the mutex/block pprof profiles the -mutexprofile and
-// -blockprofile flags armed — the contention evidence for the hot-path
-// work (run e.g. `distbench -fig hotpath -mutexprofile mutex.pb.gz`, then
+// -blockprofile flags armed — contention evidence for any run (e.g.
+// `distbench -fig fidelity -mutexprofile mutex.pb.gz`, then
 // `go tool pprof mutex.pb.gz`).
 func writeProfiles(mutexPath, blockPath string) {
 	write := func(name, path string) {
@@ -237,9 +236,6 @@ func runFig(w io.Writer, fig string, b experiments.Budget, reps int, windows []i
 	}
 	if fig == "planner" {
 		return planner(w, b)
-	}
-	if fig == "hotpath" {
-		return hotpath(w)
 	}
 	if fig == "gateway" {
 		header(w, "Gateway — multi-tenant admission: FIFO vs weighted fair queueing")
@@ -524,162 +520,6 @@ func planner(w io.Writer, b experiments.Budget) error {
 	st := sweep.Stats()
 	fmt.Fprintf(w, "cache: %d hit(s), %d miss(es), %d warm hit(s)\n", st.Hits, st.Misses, st.WarmHits)
 	return nil
-}
-
-// hotpath measures the data plane's raw one-way messages/sec over a
-// {chunk size} x {transport} x {senders} grid — the wire the providers'
-// destSenders drive. Each cell starts a listener, dials one connection per
-// sender, and pumps pooled payload chunks through a transport.Coalescer
-// exactly like the runtime does: "tcp+sync" flushes per message (the
-// pre-coalescing baseline), "tcp" uses the adaptive flush policy, and
-// "inproc" has no socket at all (the Coalescer degenerates to plain Send)
-// so it bounds what the wire could ever deliver. The senders axis models
-// tenant fan-in: concurrent streams converging on one receiving endpoint.
-// Combine with -mutexprofile/-blockprofile to see where the remaining
-// contention lives.
-func hotpath(w io.Writer) error {
-	header(w, "Hot path — one-way messages/sec: {chunk size} x {transport} x {senders}")
-	sizes := []int{512, 4 << 10, 64 << 10}
-	specs := []string{"tcp+sync", "tcp", "inproc"}
-	senderCounts := []int{1, 8}
-	fmt.Fprintf(w, "%-9s %-10s %8s %9s %10s %10s\n",
-		"chunk", "transport", "senders", "msgs", "msg/s", "MB/s")
-	baseline := make(map[string]float64) // chunk/senders -> tcp+sync msg/s
-	for _, size := range sizes {
-		for _, spec := range specs {
-			for _, senders := range senderCounts {
-				msgs := hotpathMsgs(size, senders)
-				rate, err := hotpathCell(spec, size, senders, msgs)
-				if err != nil {
-					return fmt.Errorf("hotpath %s/%dB/%d senders: %w", spec, size, senders, err)
-				}
-				key := fmt.Sprintf("%d/%d", size, senders)
-				note := ""
-				switch spec {
-				case "tcp+sync":
-					baseline[key] = rate
-				case "tcp":
-					if base := baseline[key]; base > 0 {
-						note = fmt.Sprintf("  (%.2fx sync)", rate/base)
-					}
-				}
-				fmt.Fprintf(w, "%-9s %-10s %8d %9d %10.0f %10.1f%s\n",
-					chunkLabel(size), spec, senders, senders*msgs, rate,
-					rate*float64(size)/1e6, note)
-			}
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-func chunkLabel(size int) string {
-	if size >= 1<<10 {
-		return fmt.Sprintf("%dKiB", size>>10)
-	}
-	return fmt.Sprintf("%dB", size)
-}
-
-// hotpathMsgs scales the per-sender message count so every cell moves a
-// comparable byte volume: enough traffic for a stable rate without the
-// 64 KiB cells shipping gigabytes.
-func hotpathMsgs(size, senders int) int {
-	msgs := (32 << 20) / (size * senders)
-	if msgs < 2000 {
-		msgs = 2000
-	}
-	if msgs > 100000 {
-		msgs = 100000
-	}
-	return msgs
-}
-
-// hotpathCell runs one grid cell and returns its delivered messages/sec:
-// wall time from the first send to the last message drained on the
-// receiving side.
-func hotpathCell(spec string, size, senders, msgs int) (float64, error) {
-	tr, err := distredge.ParseTransport(spec)
-	if err != nil {
-		return 0, err
-	}
-	pp, ok := tr.(transport.PayloadPool)
-	if !ok {
-		return 0, fmt.Errorf("transport %s has no payload pool", spec)
-	}
-	transport.SetBufferHint(tr, size)
-	ln, err := tr.Listen(0)
-	if err != nil {
-		return 0, err
-	}
-	defer ln.Close()
-
-	// One drain goroutine per accepted conn: count messages until the
-	// sender's Close surfaces as a Recv error (the Conn contract delivers
-	// everything already sent first).
-	received := make([]int, senders)
-	var drains sync.WaitGroup
-	drains.Add(senders)
-	go func() {
-		for i := 0; i < senders; i++ {
-			conn, err := ln.Accept()
-			if err != nil {
-				drains.Done()
-				continue
-			}
-			go func(i int, conn transport.Conn) {
-				defer drains.Done()
-				for {
-					m, err := conn.Recv()
-					if err != nil {
-						return
-					}
-					pp.PutPayload(m.Payload)
-					received[i]++
-				}
-			}(i, conn)
-		}
-	}()
-
-	errs := make([]error, senders)
-	var sendersWG sync.WaitGroup
-	start := time.Now()
-	for s := 0; s < senders; s++ {
-		sendersWG.Add(1)
-		go func(s int) {
-			defer sendersWG.Done()
-			conn, err := tr.Dial(1+s, ln.Addr())
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			defer conn.Close()
-			co := transport.NewCoalescer(conn)
-			for i := 0; i < msgs; i++ {
-				m := transport.Message{Image: uint32(i), Volume: 1, Lo: 0, Hi: int32(size)}
-				m.Payload = pp.GetPayload(size)
-				if err := co.Send(m, i+1 < msgs); err != nil {
-					errs[s] = err
-					return
-				}
-			}
-		}(s)
-	}
-	sendersWG.Wait()
-	drains.Wait()
-	elapsed := time.Since(start).Seconds()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	total := 0
-	for _, n := range received {
-		total += n
-	}
-	if total != senders*msgs {
-		return 0, fmt.Errorf("delivered %d of %d messages", total, senders*msgs)
-	}
-	return float64(total) / elapsed, nil
 }
 
 // fidelity cross-checks the simulator against the real runtime over a

@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -55,8 +56,7 @@ func main() {
 	killSpec := flag.String("kill", "", "chaos injection: comma-separated dev@seconds provider kills (wall clock after the run starts), e.g. 1@0.5")
 	heartbeat := flag.Duration("heartbeat", 0, "provider heartbeat period (0 = default 50ms, negative disables health tracking)")
 	transportSpec := flag.String("transport", "tcp", "wire stack: tcp|tcp+deflate|tcp+quant|tcp+quant16|tcp+quant+deflate|inproc")
-	trace := flag.Bool("trace", false, "shape the transport with the planned WiFi traces (charge trace latency per payload byte)")
-	postCodec := flag.Bool("postcodec", false, "with -trace: charge the bytes the codec puts on the wire instead of the raw payload (quant/deflate then shorten the shaped wire)")
+	trace := flag.Bool("trace", false, "shape the transport with the planned WiFi traces (charge trace latency per byte the codec puts on the wire)")
 	batch := flag.Int("batch", 1, "step-batching cap: up to this many queued same-step images share one compute invocation (1 = off, 0 = adaptive: drain whatever queued)")
 	planCacheCap := flag.Int("plancache", 0, "plan through a plan cache bounding this many entries and re-plan recoveries from it (0 = off)")
 	tenantsSpec := flag.String("tenants", "", "serve through the multi-tenant gateway: comma-separated name:IMAGESxWEIGHT tenants (overrides -images)")
@@ -141,11 +141,7 @@ func main() {
 		}
 	}
 	if *trace {
-		if *postCodec {
-			opts.Transport = sys.ShapedTransportPostCodec(tr, opts)
-		} else {
-			opts.Transport = sys.ShapedTransport(tr, opts)
-		}
+		opts.Transport = sys.ShapedTransportPostCodec(tr, opts)
 	}
 	cluster, err := sys.Deploy(plan, opts)
 	if err != nil {
@@ -276,7 +272,13 @@ func parseKills(spec string) ([]killAt, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad time in -kill %q: %v", part, err)
 		}
-		out = append(out, killAt{dev: dev, after: time.Duration(sec * float64(time.Second))})
+		// NaN, negative, infinite or Duration-overflowing times would
+		// convert to a negative Duration and fire at once.
+		ns := sec * float64(time.Second)
+		if !(ns >= 0) || ns >= math.MaxInt64 {
+			return nil, fmt.Errorf("bad time in -kill %q: want a finite, non-negative number of seconds", part)
+		}
+		out = append(out, killAt{dev: dev, after: time.Duration(ns)})
 	}
 	return out, nil
 }

@@ -83,6 +83,10 @@ func run(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
+	events, err := distredge.ParseChurn(*churnSpec)
+	if err != nil {
+		return err
+	}
 	sys, err := distredge.New(*model, providers, distredge.WithSeed(*seed))
 	if err != nil {
 		return err
@@ -155,11 +159,7 @@ func run(w io.Writer, args []string) error {
 			"pipelined", prep.IPS, prep.SteadyIPS, prep.MeanLatMS, prep.P95LatMS, prep.Window)
 	}
 
-	if *churnSpec != "" {
-		events, err := distredge.ParseChurn(*churnSpec)
-		if err != nil {
-			return err
-		}
+	if len(events) > 0 {
 		var replan sim.ReplanFunc
 		if planCache != nil {
 			replan, err = planCache.CachedReplan(planCfg, nil)
@@ -209,7 +209,7 @@ func run(w io.Writer, args []string) error {
 			}
 		}
 		if *trace {
-			opts.Transport = sys.ShapedTransport(tr, opts)
+			opts.Transport = sys.ShapedTransportPostCodec(tr, opts)
 		} else {
 			opts.Transport = tr
 		}

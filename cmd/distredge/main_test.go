@@ -51,9 +51,19 @@ func checkGolden(t *testing.T, path string, got []byte) {
 	}
 }
 
-func TestRunRejectsUnknownFlag(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(&out, []string{"-nosuchflag"}); err == nil {
-		t.Fatal("run accepted an unknown flag")
+// TestRunRejectsBadArgumentsBeforePlanning checks a malformed argument
+// fails the run before anything is planned or printed.
+func TestRunRejectsBadArgumentsBeforePlanning(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nosuchflag"},
+		{"-effort", "tiny", "-churn", "explode:1@2"},
+	} {
+		var out bytes.Buffer
+		if err := run(&out, args); err == nil {
+			t.Errorf("distredge %v: accepted", args)
+		}
+		if out.Len() > 0 {
+			t.Errorf("distredge %v printed before failing:\n%s", args, out.Bytes())
+		}
 	}
 }

@@ -453,7 +453,8 @@ func RuntimeObjective(cfg PlanConfig) (sim.Objective, error) {
 // Deploy executes the plan on the real runtime with emulated compute (see
 // internal/runtime). The wire stack is opts.Transport — localhost TCP with
 // the binary chunk codec when nil; see ParseTransport for the named stacks
-// and ShapedTransport for charging this system's WiFi traces to the wire.
+// and ShapedTransportPostCodec for charging this system's WiFi traces to
+// the wire.
 // Close the returned cluster when done. Cluster.Run streams sequentially;
 // Cluster.RunPipelined keeps an admission window of images in flight;
 // Cluster.Submit is the one-image call both are built on, safe for

@@ -69,7 +69,7 @@ func TestGatewayDifferentialSimVsRuntime(t *testing.T) {
 			TimeScale:         timeScale,
 			BytesScale:        bytesScale,
 			HeartbeatInterval: -1,
-			Transport:         transport.NewShaped(transport.NewInproc(), env.Net, timeScale, bytesScale, 0),
+			Transport:         transport.NewShaped(transport.NewInproc(), env.Net, timeScale, bytesScale),
 		}
 		cl, err := runtime.Deploy(env, s, opts)
 		if err != nil {

@@ -196,7 +196,7 @@ func TestShapedBatchingReproducesSimOrdering(t *testing.T) {
 			BytesScale:        bytesScale,
 			Batch:             batch,
 			HeartbeatInterval: -1,
-			Transport:         transport.NewShaped(transport.NewInproc(), env.Net, timeScale, bytesScale, 0),
+			Transport:         transport.NewShaped(transport.NewInproc(), env.Net, timeScale, bytesScale),
 		}
 		cl, err := Deploy(env, s, opts)
 		if err != nil {

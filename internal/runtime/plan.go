@@ -85,12 +85,12 @@ type Options struct {
 	Objective sim.Objective
 
 	// Transport selects the wire stack the cluster deploys over: nil means
-	// localhost TCP with the binary chunk codec (the original runtime
-	// shape). transport.NewInproc gives a socket-free in-process cluster;
+	// pooled localhost TCP with the binary chunk codec.
+	// transport.NewInproc gives a socket-free in-process cluster;
 	// transport.NewShaped charges the simulator's WiFi trace latency to
-	// every payload byte; transport.NewChaos injects seeded faults. One
-	// Transport value is one network namespace — do not share an Inproc
-	// across unrelated clusters.
+	// the bytes the inner stack puts on the wire; transport.NewChaos
+	// injects seeded faults. One Transport value is one network
+	// namespace — do not share an Inproc across unrelated clusters.
 	Transport transport.Transport
 }
 

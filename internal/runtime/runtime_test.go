@@ -289,7 +289,7 @@ func TestClusterSlowDeviceShowsInLatency(t *testing.T) {
 			BytesScale:        bytesScale,
 			Batch:             1,
 			HeartbeatInterval: -1, // charged links must not delay liveness
-			Transport:         transport.NewShaped(testTransport(), env.Net, timeScale, bytesScale, 0),
+			Transport:         transport.NewShaped(testTransport(), env.Net, timeScale, bytesScale),
 		}
 		cl, err := Deploy(env, equalStrategy(env, bound), opts)
 		if err != nil {

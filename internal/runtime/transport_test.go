@@ -129,7 +129,7 @@ func TestShapedInprocReproducesSimOnDynamicTrace(t *testing.T) {
 		t.Helper()
 		var tr transport.Transport = transport.NewInproc()
 		if shaped {
-			tr = transport.NewShaped(tr, env.Net, timeScale, bytesScale, 0)
+			tr = transport.NewShaped(tr, env.Net, timeScale, bytesScale)
 		}
 		opts := Options{
 			TimeScale:         timeScale,

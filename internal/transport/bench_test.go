@@ -215,69 +215,61 @@ func BenchmarkTCPRoundtrip(b *testing.B) {
 // BenchmarkHotPath measures pipelined one-way messages/sec over a real
 // localhost socket — the data-plane hot path a provider's destSender
 // drives. The receiver drains concurrently; the sender pumps through a
-// Coalescer exactly like the runtime does. "sync" is the per-Send-flush
-// baseline (one syscall per message, the pre-coalescing wire), "coalesced"
-// is the adaptive flush policy; the small-chunk rows are the acceptance
-// numbers in BENCH_baseline.json (coalesced must be ≥1.5× sync for ≤4 KiB
-// chunks). Payloads cycle through the transport pool and buffers are sized
-// identically in both modes — the serving-path configuration — so the
-// delta isolates the flush policy.
+// Coalescer exactly like the runtime does, so bursts of small chunks share
+// one flush. Payloads cycle through the transport pool and conn buffers
+// are sized by SetBufferHint(payload), as a serving deployment sizes them.
 func BenchmarkHotPath(b *testing.B) {
 	for _, payload := range []int{512, 4 << 10, 64 << 10} {
-		for _, mode := range []struct {
-			name string
-			sync bool
-		}{{"sync", true}, {"coalesced", false}} {
-			name := fmt.Sprintf("%dB/%s", payload, mode.name)
-			if payload >= 1<<10 {
-				name = fmt.Sprintf("%dKiB/%s", payload>>10, mode.name)
-			}
-			b.Run(name, func(b *testing.B) {
-				pool := NewPool()
-				tr := NewTCPOpts(TCPConfig{SyncFlush: mode.sync, BufferBytes: 128 << 10, Pool: pool})
-				ln, err := tr.Listen(0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer ln.Close()
-				acceptedCh := make(chan Conn, 1)
-				go func() {
-					c, _ := ln.Accept()
-					acceptedCh <- c
-				}()
-				conn, err := tr.Dial(1, ln.Addr())
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer conn.Close()
-				accepted := <-acceptedCh
-				done := make(chan error, 1)
-				go func() {
-					for i := 0; i < b.N; i++ {
-						m, err := accepted.Recv()
-						if err != nil {
-							done <- err
-							return
-						}
-						pool.Put(m.Payload)
-					}
-					done <- nil
-				}()
-				co := NewCoalescer(conn)
-				b.SetBytes(int64(payload))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					msg := testMessage(0)
-					msg.Payload = pool.Get(payload)
-					if err := co.Send(msg, i+1 < b.N); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := <-done; err != nil {
-					b.Fatal(err)
-				}
-			})
+		name := fmt.Sprintf("%dB/coalesced", payload)
+		if payload >= 1<<10 {
+			name = fmt.Sprintf("%dKiB/coalesced", payload>>10)
 		}
+		b.Run(name, func(b *testing.B) {
+			pool := NewPool()
+			tr := NewPooledTCP(nil, pool)
+			SetBufferHint(tr, payload)
+			ln, err := tr.Listen(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ln.Close()
+			acceptedCh := make(chan Conn, 1)
+			go func() {
+				c, _ := ln.Accept()
+				acceptedCh <- c
+			}()
+			conn, err := tr.Dial(1, ln.Addr())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer conn.Close()
+			accepted := <-acceptedCh
+			done := make(chan error, 1)
+			go func() {
+				for i := 0; i < b.N; i++ {
+					m, err := accepted.Recv()
+					if err != nil {
+						done <- err
+						return
+					}
+					pool.Put(m.Payload)
+				}
+				done <- nil
+			}()
+			co := NewCoalescer(conn)
+			b.SetBytes(int64(payload))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				msg := testMessage(0)
+				msg.Payload = pool.Get(payload)
+				if err := co.Send(msg, i+1 < b.N); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := <-done; err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

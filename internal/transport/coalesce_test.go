@@ -52,13 +52,11 @@ func (c *writeCountConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c *writeCountConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // sendSideConn builds a tcpConn over the fake socket so flush behaviour is
-// observable write by write.
-func sendSideConn(t *testing.T, cfg TCPConfig) (*tcpConn, *writeCountConn) {
-	t.Helper()
-	tr, ok := NewTCPOpts(cfg).(*tcpTransport)
-	if !ok {
-		t.Fatalf("NewTCPOpts returned %T", NewTCPOpts(cfg))
-	}
+// observable write by write. hint > 0 sizes its buffers as SetBufferHint
+// does for a deployment whose largest chunk is hint bytes.
+func sendSideConn(hint int) (*tcpConn, *writeCountConn) {
+	tr := NewTCP(nil).(*tcpTransport)
+	tr.SetBufferHint(hint)
 	fake := &writeCountConn{}
 	return newTCPConn(fake, tr), fake
 }
@@ -81,7 +79,7 @@ func decodeAll(t *testing.T, wire []byte) []Message {
 // small buffered sends produces zero socket writes until Flush, which ships
 // all frames intact in one write.
 func TestSendBufferedCoalescesWrites(t *testing.T) {
-	conn, fake := sendSideConn(t, TCPConfig{})
+	conn, fake := sendSideConn(0)
 	const n = 10
 	for i := 0; i < n; i++ {
 		m := testMessage(256)
@@ -121,39 +119,29 @@ func TestSendBufferedCoalescesWrites(t *testing.T) {
 
 // TestSendBufferedSpillsAtByteThreshold checks a long burst cannot defer
 // the wire indefinitely: once coalesceFlushBytes accumulate, the buffered
-// path flushes on its own.
+// path flushes on its own. The frames are sized so that exactly eight of
+// them reach the threshold while still fitting the largest conn buffer, so
+// the one write holds whole frames: the spill, not a full buffer, sent it.
 func TestSendBufferedSpillsAtByteThreshold(t *testing.T) {
-	conn, fake := sendSideConn(t, TCPConfig{BufferBytes: 4 * coalesceFlushBytes})
-	msg := testMessage(8 << 10)
-	sent := 0
-	for fake.writeCount() == 0 {
+	const frames = 8
+	conn, fake := sendSideConn(coalesceFlushBytes)
+	if got := conn.bw.Size(); got != maxBufferBytes {
+		t.Fatalf("hinted buffer %d, want the %d-byte ceiling", got, maxBufferBytes)
+	}
+	msg := testMessage(coalesceFlushBytes/frames - chunkHeaderLen)
+	for i := 1; i <= frames; i++ {
 		if err := conn.SendBuffered(msg); err != nil {
 			t.Fatalf("SendBuffered: %v", err)
 		}
-		sent++
-		if sent > 64 {
-			t.Fatalf("no spill after %d×%d bytes buffered", sent, len(msg.Payload))
+		if got, want := fake.writeCount(), i/frames; got != want {
+			t.Fatalf("after %d buffered sends: %d writes, want %d", i, got, want)
 		}
 	}
-	spillAt := sent * (len(msg.Payload) + chunkHeaderLen)
-	if spillAt < coalesceFlushBytes {
-		t.Fatalf("spilled after only %d bytes, threshold is %d", spillAt, coalesceFlushBytes)
+	if fake.first != coalesceFlushBytes {
+		t.Fatalf("spill wrote %d bytes, want the %d-byte threshold", fake.first, coalesceFlushBytes)
 	}
-}
-
-// TestSyncFlushRestoresPerMessageWrites checks the tcp+sync baseline mode:
-// every buffered send becomes one socket write, exactly the pre-coalescing
-// behaviour the benchmarks compare against.
-func TestSyncFlushRestoresPerMessageWrites(t *testing.T) {
-	conn, fake := sendSideConn(t, TCPConfig{SyncFlush: true})
-	const n = 5
-	for i := 0; i < n; i++ {
-		if err := conn.SendBuffered(testMessage(128)); err != nil {
-			t.Fatalf("SendBuffered: %v", err)
-		}
-	}
-	if got := fake.writeCount(); got != n {
-		t.Fatalf("sync mode made %d writes for %d sends", got, n)
+	if got := len(decodeAll(t, fake.bytes())); got != frames {
+		t.Fatalf("spill carried %d whole frames, want %d", got, frames)
 	}
 }
 
@@ -161,7 +149,7 @@ func TestSyncFlushRestoresPerMessageWrites(t *testing.T) {
 // heartbeat sharing the conn) pushes any frames a coalescing sender left
 // buffered — nothing can sit behind a flushed later message.
 func TestPlainSendFlushesCoalescedBacklog(t *testing.T) {
-	conn, fake := sendSideConn(t, TCPConfig{})
+	conn, fake := sendSideConn(0)
 	if err := conn.SendBuffered(testMessage(64)); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +166,7 @@ func TestPlainSendFlushesCoalescedBacklog(t *testing.T) {
 // destSender does: more=true while backlog remains defers everything,
 // more=false flushes the whole burst in one write.
 func TestCoalescerQueueDrainFlush(t *testing.T) {
-	conn, fake := sendSideConn(t, TCPConfig{})
+	conn, fake := sendSideConn(0)
 	co := NewCoalescer(conn)
 	const n = 6
 	for i := 0; i < n-1; i++ {
@@ -203,7 +191,7 @@ func TestCoalescerQueueDrainFlush(t *testing.T) {
 // TestCoalescerMessageCap checks an endless backlog still flushes every
 // coalesceMaxMessages sends.
 func TestCoalescerMessageCap(t *testing.T) {
-	conn, fake := sendSideConn(t, TCPConfig{})
+	conn, fake := sendSideConn(0)
 	co := NewCoalescer(conn)
 	for i := 0; i < coalesceMaxMessages; i++ {
 		if err := co.Send(testMessage(16), true); err != nil {
@@ -265,7 +253,7 @@ func TestCoalescerFallsBackToPlainSend(t *testing.T) {
 // clamping, and that the decorators forward the hint to the inner tcp
 // transport.
 func TestBufferHintSizesConns(t *testing.T) {
-	tr := NewTCPOpts(TCPConfig{}).(*tcpTransport)
+	tr := NewTCP(nil).(*tcpTransport)
 	if got := tr.bufBytes(); got != defaultBufferBytes {
 		t.Fatalf("unhinted buffer %d, want default %d", got, defaultBufferBytes)
 	}
@@ -289,19 +277,13 @@ func TestBufferHintSizesConns(t *testing.T) {
 		}
 	}
 
-	explicit := NewTCPOpts(TCPConfig{BufferBytes: 12345}).(*tcpTransport)
-	explicit.SetBufferHint(256 << 10)
-	if got := explicit.bufBytes(); got != 12345 {
-		t.Fatalf("explicit BufferBytes lost to hint: %d", got)
-	}
-
 	// Decorators forward to the inner transport.
-	inner := NewTCPOpts(TCPConfig{}).(*tcpTransport)
+	inner := NewTCP(nil).(*tcpTransport)
 	testNet := &network.Network{
 		Requester: network.Link{Trace: network.Constant(1)},
 		Providers: []network.Link{{Trace: network.Constant(1)}},
 	}
-	shaped := NewShaped(NewChaos(inner, ChaosConfig{}), testNet, 1, 1, 0)
+	shaped := NewShaped(NewChaos(inner, ChaosConfig{}), testNet, 1, 1)
 	SetBufferHint(shaped, 40<<10)
 	if got := inner.bufBytes(); got != 40<<10+chunkHeaderLen {
 		t.Fatalf("decorator chain dropped buffer hint: inner=%d", got)
@@ -320,7 +302,7 @@ func TestBufferHintSizesConns(t *testing.T) {
 func TestSizedBufferSingleWritePerChunk(t *testing.T) {
 	const chunk = 64 << 10
 
-	tr := NewTCPOpts(TCPConfig{}).(*tcpTransport)
+	tr := NewTCP(nil).(*tcpTransport)
 	tr.SetBufferHint(chunk)
 	fake := &writeCountConn{}
 	conn := newTCPConn(fake, tr)
@@ -331,20 +313,21 @@ func TestSizedBufferSingleWritePerChunk(t *testing.T) {
 		t.Fatalf("hinted conn made %d writes for one %d-byte chunk, want 1", got, chunk)
 	}
 
-	// Counter-check: a buffer smaller than the chunk necessarily splits.
-	small := NewTCPOpts(TCPConfig{BufferBytes: 4 << 10}).(*tcpTransport)
+	// Counter-check: an unhinted conn's default buffer is smaller than the
+	// chunk, so the chunk necessarily splits.
+	small := NewTCP(nil).(*tcpTransport)
 	fakeSmall := &writeCountConn{}
 	connSmall := newTCPConn(fakeSmall, small)
 	if err := connSmall.Send(testMessage(chunk)); err != nil {
 		t.Fatal(err)
 	}
 	if got := fakeSmall.writeCount(); got < 2 {
-		t.Fatalf("4 KiB-buffer conn made %d writes for a %d-byte chunk, expected a split", got, chunk)
+		t.Fatalf("%d-byte-buffer conn made %d writes for a %d-byte chunk, expected a split", defaultBufferBytes, got, chunk)
 	}
 
 	// The large case: a 1 MiB chunk on a conn hinted 1 MiB.
 	const large = 1 << 20
-	big := NewTCPOpts(TCPConfig{}).(*tcpTransport)
+	big := NewTCP(nil).(*tcpTransport)
 	big.SetBufferHint(large)
 	fakeBig := &writeCountConn{}
 	connBig := newTCPConn(fakeBig, big)

@@ -291,7 +291,7 @@ func TestParsePooledTransportsImplementPayloadPool(t *testing.T) {
 		}
 	}
 	// Decorators forward pooling to their inner transport.
-	shaped := Transport(NewShaped(NewPooledInproc(nil), nil, 1, 1, 0))
+	shaped := Transport(NewShaped(NewPooledInproc(nil), nil, 1, 1))
 	if _, ok := shaped.(PayloadPool); !ok {
 		t.Error("shaped decorator does not forward PayloadPool")
 	}

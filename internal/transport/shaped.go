@@ -23,14 +23,23 @@ import (
 // conns, so scatter bytes queue behind each other just as the simulator
 // charges them). Control messages carry no payload and pass free.
 //
+// Bytes charged: the size of the frame the inner transport's wire codec
+// makes of the payload, minus the fixed chunk header (emulation framing,
+// not activation bytes). Under the binary codec that is exactly the
+// payload length; a quantizing or compressing codec buys back link
+// seconds just as it would on a real link. An inner transport without a
+// wire codec (inproc — payloads cross by reference, there is no frame) is
+// charged the raw payload length. Each message is encoded twice, once to
+// size it and once to send it; the shaped transport trades that CPU for
+// model accuracy by design.
+//
 // Time mapping: wall-clock seconds since the transport's *first charged
-// send*, divided by TimeScale, are the trace time offset from Start —
-// consistent with the runtime scaling compute sleeps by the same
-// TimeScale. Anchoring at the first send rather than at construction
+// send*, divided by TimeScale, are the trace time — consistent with the
+// runtime scaling compute sleeps by the same TimeScale. Anchoring at the first send rather than at construction
 // keeps deployment setup (plan build, listener spin-up) from skewing the
 // trace origin: the skew would be amplified by 1/TimeScale, and on a
 // dynamic trace the run would then be charged a different phase of the
-// trace than the simulator predicts from t = Start. Payload lengths are
+// trace than the simulator predicts from t = 0. Payload lengths are
 // divided by BytesScale to recover model bytes, so the charged latency
 // equals the simulator's TransferLatency for the unscaled activation
 // regardless of how small the emulation payloads are.
@@ -39,8 +48,7 @@ type Shaped struct {
 	net        *network.Network
 	timeScale  float64
 	bytesScale float64
-	start      float64
-	wireCodec  Codec // non-nil: charge post-codec frame bytes, not raw payload
+	wireCodec  Codec // nil: no wire frame, charge the raw payload
 
 	t0Once sync.Once
 	t0     time.Time
@@ -48,50 +56,35 @@ type Shaped struct {
 
 // WireCodec is implemented by transports that can report the codec their
 // frames actually cross the wire in (the tcp transport returns its
-// configured codec). Shaped.ChargePostCodec uses it to charge emulated
-// links the bytes the codec really produces.
+// configured codec). Shaped uses it to charge emulated links the bytes the
+// codec really produces.
 type WireCodec interface {
 	WireCodec() Codec
 }
 
 // NewShaped wraps inner so sends are charged trace latency from net.
 // timeScale and bytesScale should match the runtime Options the cluster is
-// deployed with (zero means 1); start is the trace-time origin in seconds.
-func NewShaped(inner Transport, net *network.Network, timeScale, bytesScale, start float64) *Shaped {
+// deployed with (zero means 1).
+func NewShaped(inner Transport, net *network.Network, timeScale, bytesScale float64) *Shaped {
 	if timeScale <= 0 {
 		timeScale = 1
 	}
 	if bytesScale <= 0 {
 		bytesScale = 1
 	}
-	return &Shaped{
+	t := &Shaped{
 		inner:      inner,
 		net:        net,
 		timeScale:  timeScale,
 		bytesScale: bytesScale,
-		start:      start,
 	}
-}
-
-func (t *Shaped) Name() string { return "shaped+" + t.inner.Name() }
-
-// ChargePostCodec switches byte charging from raw payload lengths to the
-// size of the codec-produced wire frame (minus the fixed chunk header,
-// which is emulation overhead, not activation bytes): a quantizing or
-// compressing codec then genuinely buys back link seconds on shaped runs,
-// which is what makes compression wins measurable per wire regime. The
-// codec comes from the inner transport's WireCodec; an inner transport
-// without one (inproc — payloads cross by reference, there is no wire
-// frame) keeps pre-codec charging silently, preserving today's semantics.
-// Each message is encoded twice (once to size it, once to send it); the
-// shaped transport trades that CPU for model accuracy by design. Returns t
-// for chaining.
-func (t *Shaped) ChargePostCodec() *Shaped {
-	if wc, ok := t.inner.(WireCodec); ok {
+	if wc, ok := inner.(WireCodec); ok {
 		t.wireCodec = wc.WireCodec()
 	}
 	return t
 }
+
+func (t *Shaped) Name() string { return "shaped+" + t.inner.Name() }
 
 // GetPayload / PutPayload forward payload pooling to the inner transport.
 func (t *Shaped) GetPayload(n int) []byte { return GetPayload(t.inner, n) }
@@ -107,7 +100,7 @@ func (t *Shaped) SetBufferHint(maxChunkBytes int) { SetBufferHint(t.inner, maxCh
 // the wall clock at the first charged send.
 func (t *Shaped) traceTime() float64 {
 	t.t0Once.Do(func() { t.t0 = time.Now() })
-	return t.start + time.Since(t.t0).Seconds()/t.timeScale
+	return time.Since(t.t0).Seconds() / t.timeScale
 }
 
 func (t *Shaped) Listen(self int) (Listener, error) {
@@ -150,7 +143,7 @@ type shapedConn struct {
 	mu       sync.Mutex
 	link     Pacer // guarded by mu; the directed link's ideal schedule
 
-	// Post-codec sizing state (ChargePostCodec only), used under mu: a
+	// Wire sizing state (inner stacks with a wire codec), used under mu: a
 	// per-conn encoder — codecs are stateful per stream — writing into a
 	// byte counter, and the message it sizes (owned here so passing it to
 	// the encoder does not allocate one per send).

@@ -58,7 +58,7 @@ func TestShapedAsymmetricLinkChargesDirection(t *testing.T) {
 	}
 	const timeScale = 0.5
 	const payload = 12_500 // 0.1 model sec at 1 Mbps, 0.01 at 10 Mbps
-	tr := NewShaped(NewInproc(), net, timeScale, 1, 0)
+	tr := NewShaped(NewInproc(), net, timeScale, 1)
 
 	down := shapedPair(t, tr, Requester, 0) // requester -> provider: downlink
 	downSec := timeSend(t, down, testMessage(payload))
@@ -75,10 +75,10 @@ func TestShapedAsymmetricLinkChargesDirection(t *testing.T) {
 	}
 }
 
-// TestShapedPostCodecCharging checks ChargePostCodec charges the bytes the
-// codec puts on the wire, not the raw payload: an int8-quantizing tcp
-// stack moves 4x fewer bytes, so the charged latency drops ~4x, while the
-// default pre-codec charging is oblivious to the codec.
+// TestShapedPostCodecCharging checks Shaped charges the bytes the codec
+// puts on the wire, not the raw payload: an int8-quantizing tcp stack moves
+// 4x fewer bytes, so the charged latency is a quarter of what the raw
+// payload would cost.
 func TestShapedPostCodecCharging(t *testing.T) {
 	net := &network.Network{
 		Requester: network.Link{Trace: network.Constant(1)},
@@ -86,35 +86,27 @@ func TestShapedPostCodecCharging(t *testing.T) {
 	}
 	const timeScale = 0.5
 	const payload = 50_000 // 0.4 model sec raw at 1 Mbps; 0.1 quantized
-	msg := testMessage(payload)
 
-	pre := NewShaped(NewPooledTCP(Quant(QuantInt8, nil), nil), net, timeScale, 1, 0)
-	preSec := timeSend(t, shapedPair(t, pre, Requester, 0), msg)
+	tr := NewShaped(NewPooledTCP(Quant(QuantInt8, nil), nil), net, timeScale, 1)
+	sec := timeSend(t, shapedPair(t, tr, Requester, 0), testMessage(payload))
 
-	post := NewShaped(NewPooledTCP(Quant(QuantInt8, nil), nil), net, timeScale, 1, 0).ChargePostCodec()
-	msg2 := testMessage(payload) // Send hands payload ownership to the pool
-	postSec := timeSend(t, shapedPair(t, post, Requester, 0), msg2)
-
-	wantPre := 0.4 * timeScale
-	wantPost := 0.1 * timeScale
-	if preSec < 0.8*wantPre {
-		t.Errorf("pre-codec charge took %.3fs, want >= ~%.3fs (raw bytes)", preSec, wantPre)
-	}
-	if postSec < 0.8*wantPost || postSec > 0.5*wantPre {
-		t.Errorf("post-codec charge took %.3fs, want ~%.3fs (quantized bytes)", postSec, wantPost)
+	wantRaw := 0.4 * timeScale
+	want := 0.1 * timeScale
+	if sec < 0.8*want || sec > 0.5*wantRaw {
+		t.Errorf("post-codec charge took %.3fs, want ~%.3fs (quantized bytes)", sec, want)
 	}
 }
 
 // TestShapedPostCodecFallsBackWithoutWireCodec checks an inner transport
-// with no wire codec (inproc: payloads cross by reference) silently keeps
-// pre-codec charging.
+// with no wire codec (inproc: payloads cross by reference) is charged the
+// raw payload bytes.
 func TestShapedPostCodecFallsBackWithoutWireCodec(t *testing.T) {
 	net := &network.Network{
 		Requester: network.Link{Trace: network.Constant(1)},
 		Providers: []network.Link{{Trace: network.Constant(1)}},
 	}
 	const timeScale = 0.5
-	tr := NewShaped(NewInproc(), net, timeScale, 1, 0).ChargePostCodec()
+	tr := NewShaped(NewInproc(), net, timeScale, 1)
 	sec := timeSend(t, shapedPair(t, tr, Requester, 0), testMessage(12_500))
 	want := 0.1 * timeScale
 	if sec < 0.8*want {
@@ -146,7 +138,7 @@ func TestLagChainCompletesNearIdeal(t *testing.T) {
 
 	for name, inner := range map[string]Transport{"inproc": NewInproc(), "tcp": NewTCP(nil)} {
 		t.Run(name, func(t *testing.T) {
-			tr := NewShaped(inner, net, timeScale, 1, 0)
+			tr := NewShaped(inner, net, timeScale, 1)
 			// out[i] carries device i's output to device i+1, which reads it
 			// from in[i]; stage i+1 receives, computes and sends on, and the
 			// last reports its wake-up.
@@ -237,7 +229,7 @@ func TestShapedChargesPayloadBytesOnly(t *testing.T) {
 		{Quant(QuantInt8, nil), quantHeaderLen + n/4},
 		{Quant(QuantFP16, nil), quantHeaderLen + n/2},
 	} {
-		tr := NewShaped(NewTCP(tc.codec), net, 1, 1, 0).ChargePostCodec()
+		tr := NewShaped(NewTCP(tc.codec), net, 1, 1)
 		c := shapedPair(t, tr, Requester, 0).(*shapedConn)
 		for _, lag := range []time.Duration{0, 700 * time.Microsecond, MaxLag} {
 			m := testMessage(n)

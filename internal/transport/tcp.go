@@ -8,8 +8,8 @@ import (
 )
 
 const (
-	// defaultBufferBytes sizes a conn's bufio reader/writer when no explicit
-	// size and no buffer hint was given. 32 KiB covers the typical activation
+	// defaultBufferBytes sizes a conn's bufio reader/writer when no buffer
+	// hint was given. 32 KiB covers the typical activation
 	// chunk of the evaluation models; SetBufferHint overrides it per
 	// deployment so a planned chunk up to the spill threshold never splits
 	// across writes.
@@ -35,33 +35,12 @@ const (
 	maxBufferBytes = coalesceFlushBytes + chunkHeaderLen
 )
 
-// TCPConfig parameterises the localhost TCP transport beyond the common
-// NewTCP/NewPooledTCP constructors.
-type TCPConfig struct {
-	Codec Codec // nil = Binary
-	Pool  *Pool // nil = no payload pooling
-
-	// SyncFlush restores the pre-coalescing wire behaviour: every send —
-	// buffered or not — flushes to the socket before returning, one syscall
-	// per message. It exists as the measured baseline for the adaptive
-	// flush policy (ParseTransport "tcp+sync", the -fig hotpath baseline
-	// rows), not as a serving configuration.
-	SyncFlush bool
-
-	// BufferBytes sizes each conn's bufio reader and writer. 0 defers to
-	// the deployment's SetBufferHint (and defaultBufferBytes before any
-	// hint arrives).
-	BufferBytes int
-}
-
-// tcpTransport carries messages over localhost TCP sockets — the original
-// runtime wire stack, now behind the Transport interface with the codec
-// made pluggable, an optional payload pool (nil = plain allocation), and
+// tcpTransport carries messages over localhost TCP sockets with a
+// pluggable codec, an optional payload pool (nil = plain allocation), and
 // adaptive flush coalescing on the buffered send path.
 type tcpTransport struct {
 	codec Codec
 	pool  *Pool
-	cfg   TCPConfig
 	hint  atomic.Int64 // SetBufferHint: max chunk bytes of the deployment
 }
 
@@ -69,7 +48,10 @@ type tcpTransport struct {
 // (nil = Binary, the length-prefixed chunk codec). No payload pooling; see
 // NewPooledTCP.
 func NewTCP(codec Codec) Transport {
-	return NewTCPOpts(TCPConfig{Codec: codec})
+	if codec == nil {
+		codec = Binary()
+	}
+	return &tcpTransport{codec: codec}
 }
 
 // NewPooledTCP is NewTCP with payload pooling: sent data payloads are
@@ -81,23 +63,12 @@ func NewPooledTCP(codec Codec, pool *Pool) Transport {
 	if pool == nil {
 		pool = NewPool()
 	}
-	return NewTCPOpts(TCPConfig{Codec: codec, Pool: pool})
+	t := NewTCP(codec).(*tcpTransport)
+	t.pool = pool
+	return t
 }
 
-// NewTCPOpts returns a localhost TCP transport with full configuration.
-func NewTCPOpts(cfg TCPConfig) Transport {
-	if cfg.Codec == nil {
-		cfg.Codec = Binary()
-	}
-	return &tcpTransport{codec: cfg.Codec, pool: cfg.Pool, cfg: cfg}
-}
-
-func (t *tcpTransport) Name() string {
-	if t.cfg.SyncFlush {
-		return "tcp+" + t.codec.Name() + "+sync"
-	}
-	return "tcp+" + t.codec.Name()
-}
+func (t *tcpTransport) Name() string { return "tcp+" + t.codec.Name() }
 
 // WireCodec exposes the codec frames actually cross the socket in, so a
 // wrapping Shaped transport can charge post-codec bytes (quantized or
@@ -113,19 +84,15 @@ func (t *tcpTransport) PutPayload(b []byte)     { t.pool.Put(b) }
 // their bufio buffers to hold one max-size chunk plus framing (up to
 // maxBufferBytes), so a chunk that coalescing could hold reaches the socket
 // in a single write instead of splitting into buffer-sized partial writes.
-// An explicit TCPConfig.BufferBytes wins.
 func (t *tcpTransport) SetBufferHint(maxChunkBytes int) {
 	if maxChunkBytes > 0 {
 		t.hint.Store(int64(maxChunkBytes))
 	}
 }
 
-// bufBytes resolves the conn buffer size: explicit config, then the
-// deployment hint (clamped), then the default.
+// bufBytes resolves the conn buffer size: the deployment hint (clamped),
+// else the default.
 func (t *tcpTransport) bufBytes() int {
-	if t.cfg.BufferBytes > 0 {
-		return t.cfg.BufferBytes
-	}
 	if h := t.hint.Load(); h > 0 {
 		n := int(h) + chunkHeaderLen
 		if n < minBufferBytes {
@@ -216,7 +183,6 @@ func (l *tcpListener) Close() error {
 type tcpConn struct {
 	c    net.Conn
 	pool *Pool
-	sync bool // SyncFlush config: SendBuffered flushes too
 
 	sendMu  sync.Mutex
 	bw      *bufio.Writer // guarded by sendMu
@@ -235,7 +201,6 @@ func newTCPConn(c net.Conn, t *tcpTransport) *tcpConn {
 	return &tcpConn{
 		c:    c,
 		pool: t.pool,
-		sync: t.cfg.SyncFlush,
 		bw:   bw,
 		enc:  t.codec.NewEncoder(bw),
 		dec:  t.codec.NewDecoder(bufio.NewReaderSize(c, size), t.pool),
@@ -248,7 +213,7 @@ func (c *tcpConn) Send(m Message) error { return c.send(m, true) }
 // buffer but only pushed to the socket once the buffer passes the spill
 // threshold (or on Flush / a plain Send). An encode error is returned
 // immediately; a deferred socket error surfaces on the flushing call.
-func (c *tcpConn) SendBuffered(m Message) error { return c.send(m, c.sync) }
+func (c *tcpConn) SendBuffered(m Message) error { return c.send(m, false) }
 
 // send frames m into the write buffer and flushes if asked to or past the
 // spill threshold. The frame is encoded from the conn's own message, which

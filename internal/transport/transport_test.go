@@ -268,7 +268,7 @@ func TestShapedChargesTraceLatency(t *testing.T) {
 		Providers: []network.Link{{Trace: network.Constant(1)}, {Trace: network.Constant(1)}},
 	}
 	const timeScale = 0.5
-	tr := NewShaped(NewInproc(), net, timeScale, 1, 0)
+	tr := NewShaped(NewInproc(), net, timeScale, 1)
 	ln, err := tr.Listen(1)
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,8 @@ func ParseProviders(spec string) ([]Provider, error) {
 //	join:DEV@T    — provider DEV rejoins at T
 //	slow:DEVxF@T  — provider DEV becomes F times slower at T
 //
-// e.g. "drop:1@2.5,slow:2x3@4,join:1@8". Times must be finite and
+// e.g. "drop:1@2.5,slow:2x3@4,join:1@8". The kind must be one of these
+// three, times must be finite and
 // non-negative, devices non-negative, slow factors positive and finite
 // (an event at +Inf would silently never fire), and no event may be an
 // exact duplicate of an earlier one (same kind, device and time — almost
@@ -85,6 +86,11 @@ func ParseChurn(spec string) ([]ChurnEvent, error) {
 			return nil, fmt.Errorf("distredge: churn event %q needs a finite, non-negative time", part)
 		}
 		ev := ChurnEvent{Kind: strings.TrimSpace(kind), AtSec: at, Factor: 1}
+		switch ev.Kind {
+		case "drop", "join", "slow":
+		default:
+			return nil, fmt.Errorf("distredge: unknown churn kind %q in %q (want drop|join|slow)", ev.Kind, part)
+		}
 		if ev.Kind == "slow" {
 			dv, fv, ok := strings.Cut(devSpec, "x")
 			if !ok {
@@ -183,9 +189,6 @@ func ParseTenants(spec string) ([]sim.TenantSpec, error) {
 // -transport flag:
 //
 //	tcp              — localhost TCP sockets, binary chunk codec (the default)
-//	tcp+sync         — tcp with per-message flushing (one syscall per chunk;
-//	                   the pre-coalescing wire, kept as the measured baseline
-//	                   for `distbench -fig hotpath`)
 //	tcp+deflate      — tcp with DEFLATE-compressed chunk payloads (worth the
 //	                   CPU on low-bandwidth shaped links; see DESIGN.md)
 //	tcp+quant        — tcp with int8-quantized chunk payloads (4x fewer
@@ -198,17 +201,13 @@ func ParseTenants(spec string) ([]sim.TenantSpec, error) {
 //	inproc           — in-process channels, no sockets (fast, race-clean)
 //
 // Every stack carries a payload pool so chunk buffers are recycled across
-// images. Wrap the result with
-// System.ShapedTransport to charge the system's WiFi trace latency to
-// every payload byte (the -trace flag), or ShapedTransportPostCodec to
-// charge the post-codec wire bytes so quantization and compression pay
-// off on the shaped wire too.
+// images. Wrap the result with System.ShapedTransportPostCodec to charge
+// the system's WiFi trace latency to the bytes the stack puts on the wire
+// (the -trace flag).
 func ParseTransport(spec string) (transport.Transport, error) {
 	switch strings.TrimSpace(spec) {
 	case "", "tcp":
 		return transport.NewPooledTCP(nil, nil), nil
-	case "tcp+sync":
-		return transport.NewTCPOpts(transport.TCPConfig{SyncFlush: true, Pool: transport.NewPool()}), nil
 	case "tcp+deflate":
 		return transport.NewPooledTCP(transport.Deflate(), nil), nil
 	case "tcp+quant":
@@ -220,28 +219,22 @@ func ParseTransport(spec string) (transport.Transport, error) {
 	case "inproc":
 		return transport.NewPooledInproc(nil), nil
 	default:
-		return nil, fmt.Errorf("distredge: unknown transport %q (want tcp|tcp+sync|tcp+deflate|tcp+quant|tcp+quant16|tcp+quant+deflate|inproc)", spec)
+		return nil, fmt.Errorf("distredge: unknown transport %q (want tcp|tcp+deflate|tcp+quant|tcp+quant16|tcp+quant+deflate|inproc)", spec)
 	}
 }
 
-// ShapedTransport wraps a transport so the runtime's sends are charged
-// this system's WiFi trace latency (internal/transport's shaped
+// ShapedTransportPostCodec wraps a transport so the runtime's sends are
+// charged this system's WiFi trace latency (internal/transport's shaped
 // decorator): the deployed cluster then experiences the same network
 // conditions the simulator evaluates — including the dynamic traces of
-// WithDynamicNetwork — instead of localhost's free wire. The opts must be
-// the same runtime.Options the cluster is deployed with, so payload bytes
-// and wall-clock sleeps map back to model scale consistently.
-func (s *System) ShapedTransport(inner transport.Transport, opts runtime.Options) transport.Transport {
-	return transport.NewShaped(inner, s.env.Net, opts.TimeScale, opts.BytesScale, 0)
-}
-
-// ShapedTransportPostCodec is ShapedTransport with post-codec byte
-// charging: the trace latency is charged for the bytes the inner
-// transport's codec actually puts on the wire rather than the raw
-// payload, so quantizing and compressing codecs (tcp+quant,
-// tcp+quant+deflate, tcp+deflate) buy back shaped wire seconds exactly as
-// they would on a real link. Inner transports without a wire codec
-// (inproc — payloads cross by reference) keep the raw-byte charge.
+// WithDynamicNetwork — instead of localhost's free wire. The latency is
+// charged for the bytes the inner transport's codec puts on the wire, so
+// quantizing and compressing codecs (tcp+quant, tcp+quant+deflate,
+// tcp+deflate) buy back shaped wire seconds exactly as they would on a
+// real link; inner transports without a wire codec (inproc — payloads
+// cross by reference) are charged the raw payload. The opts must be the
+// same runtime.Options the cluster is deployed with, so payload bytes and
+// wall-clock sleeps map back to model scale consistently.
 func (s *System) ShapedTransportPostCodec(inner transport.Transport, opts runtime.Options) transport.Transport {
-	return transport.NewShaped(inner, s.env.Net, opts.TimeScale, opts.BytesScale, 0).ChargePostCodec()
+	return transport.NewShaped(inner, s.env.Net, opts.TimeScale, opts.BytesScale)
 }

@@ -1,10 +1,12 @@
 package distredge
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"distredge/internal/admit"
 	"distredge/internal/sim"
 )
 
@@ -81,6 +83,7 @@ func TestParseChurnErrors(t *testing.T) {
 		name, spec, wantErr string
 	}{
 		{"no kind", "1@2.5", "want kind:dev@t"},
+		{"unknown kind", "explode:1@2", "unknown churn kind"},
 		{"no time", "drop:1", "missing @time"},
 		{"bad time", "drop:1@soon", "bad time"},
 		{"negative time", "drop:1@-2", "negative time"},
@@ -114,7 +117,6 @@ func TestParseTransport(t *testing.T) {
 	for spec, wantName := range map[string]string{
 		"":                  "tcp+binary",
 		"tcp":               "tcp+binary",
-		"tcp+sync":          "tcp+binary+sync",
 		"tcp+deflate":       "tcp+deflate",
 		"tcp+quant":         "tcp+quant8",
 		"tcp+quant16":       "tcp+quant16",
@@ -130,8 +132,10 @@ func TestParseTransport(t *testing.T) {
 			t.Errorf("ParseTransport(%q).Name() = %q, want %q", spec, tr.Name(), wantName)
 		}
 	}
-	if _, err := ParseTransport("carrier-pigeon"); err == nil || !strings.Contains(err.Error(), "unknown transport") {
-		t.Errorf("unknown transport = %v, want error", err)
+	for _, spec := range []string{"carrier-pigeon", "tcp+sync"} {
+		if _, err := ParseTransport(spec); err == nil || !strings.Contains(err.Error(), "unknown transport") {
+			t.Errorf("ParseTransport(%q) = %v, want an unknown-transport error", spec, err)
+		}
 	}
 }
 
@@ -192,4 +196,81 @@ func TestParseTenants(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseSpecs feeds one string to every command-line spec parser and
+// checks each accepted result against the invariants its parser documents:
+// what parses must be servable, never silently wrong.
+func FuzzParseSpecs(f *testing.F) {
+	for _, seed := range []string{
+		"drop:1@2.5,slow:2x3@4,join:1@8",
+		"heavy:24x1,small:4x4",
+		"xavier:200,nano:50.5,pi3:10",
+		"tcp+quant+deflate",
+		"inproc",
+		"a:1@1",
+		"slow:0x1e-300@0",
+		"t:1x1e-320",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		if events, err := ParseChurn(spec); err == nil {
+			type key struct {
+				kind string
+				dev  int
+				at   float64
+			}
+			seen := make(map[key]bool)
+			for _, ev := range events {
+				switch ev.Kind {
+				case "drop", "join", "slow":
+				default:
+					t.Errorf("ParseChurn(%q) accepted kind %q", spec, ev.Kind)
+				}
+				if !(ev.AtSec >= 0) || math.IsInf(ev.AtSec, 1) {
+					t.Errorf("ParseChurn(%q) accepted time %g", spec, ev.AtSec)
+				}
+				if ev.Device < 0 {
+					t.Errorf("ParseChurn(%q) accepted device %d", spec, ev.Device)
+				}
+				if !(ev.Factor > 0) || math.IsInf(ev.Factor, 1) {
+					t.Errorf("ParseChurn(%q) accepted factor %g", spec, ev.Factor)
+				}
+				k := key{ev.Kind, ev.Device, ev.AtSec}
+				if seen[k] {
+					t.Errorf("ParseChurn(%q) accepted duplicate %+v", spec, ev)
+				}
+				seen[k] = true
+			}
+		}
+		if tenants, err := ParseTenants(spec); err == nil {
+			names := make(map[string]bool)
+			for _, tn := range tenants {
+				if tn.Name == "" || names[tn.Name] {
+					t.Errorf("ParseTenants(%q) accepted name %q twice or empty", spec, tn.Name)
+				}
+				names[tn.Name] = true
+				if tn.Images < 1 {
+					t.Errorf("ParseTenants(%q) accepted %d images", spec, tn.Images)
+				}
+				if _, err := admit.Share(tn.Weight); !(tn.Weight > 0) || err != nil {
+					t.Errorf("ParseTenants(%q) accepted weight %g the admission rule refuses", spec, tn.Weight)
+				}
+			}
+		}
+		if providers, err := ParseProviders(spec); err == nil {
+			for _, p := range providers {
+				if p.Type == "" {
+					t.Errorf("ParseProviders(%q) accepted an empty type", spec)
+				}
+				if !(p.BandwidthMbps > 0) || p.BandwidthMbps > 1e9 {
+					t.Errorf("ParseProviders(%q) accepted bandwidth %g", spec, p.BandwidthMbps)
+				}
+			}
+		}
+		if tr, err := ParseTransport(spec); err == nil && (tr == nil || tr.Name() == "") {
+			t.Errorf("ParseTransport(%q) accepted an unnamed or nil stack", spec)
+		}
+	})
 }
