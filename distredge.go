@@ -27,6 +27,7 @@ import (
 	"distredge/internal/device"
 	"distredge/internal/experiments"
 	"distredge/internal/network"
+	"distredge/internal/partition"
 	"distredge/internal/plancache"
 	"distredge/internal/runtime"
 	"distredge/internal/sim"
@@ -111,6 +112,28 @@ type PlanConfig struct {
 	// milliseconds that ObjectiveSLO plans under. Required (positive) for
 	// ObjectiveSLO; ignored otherwise.
 	SLOP95MS float64
+}
+
+// resolve turns the config into what the planner runs on: the effort's
+// budget at the given seed, α and the simulator objective. Alpha 0 means the
+// paper's 0.75, and an α outside [0,1] is refused. Plan, PlanCached and
+// NewFinetuner all resolve through it, so they accept and refuse the same
+// configs.
+func (c PlanConfig) resolve(seed int64) (experiments.Budget, float64, sim.Objective, error) {
+	b, err := c.Effort.budget()
+	if err != nil {
+		return b, 0, nil, err
+	}
+	b.Seed = seed
+	alpha := c.Alpha
+	if alpha == 0 {
+		alpha = 0.75
+	}
+	if !(alpha >= 0 && alpha <= 1) {
+		return b, 0, nil, fmt.Errorf("distredge: alpha %g outside [0,1]", c.Alpha)
+	}
+	obj, err := c.simObjective()
+	return b, alpha, obj, err
 }
 
 // simObjective resolves the config into the simulator's objective value
@@ -209,16 +232,7 @@ type Plan struct {
 // searches stage-friendly volume boundaries — see
 // experiments.PlanObjective).
 func (s *System) Plan(cfg PlanConfig) (*Plan, error) {
-	b, err := cfg.Effort.budget()
-	if err != nil {
-		return nil, err
-	}
-	b.Seed = s.seed
-	alpha := cfg.Alpha
-	if alpha == 0 {
-		alpha = 0.75
-	}
-	obj, err := cfg.simObjective()
+	b, alpha, obj, err := cfg.resolve(s.seed)
 	if err != nil {
 		return nil, err
 	}
@@ -244,14 +258,18 @@ func methodName(obj sim.Objective) string {
 // calls and deployments: a repeat request for a fleet the cache has seen
 // returns in microseconds instead of re-running the OSDS search, and a
 // near-miss fleet warm-starts its search from the nearest cached plan.
+// The cache also remembers the LC-PSS boundaries of the plannings it ran,
+// which depend on the model and the provider count only, so the fleets of
+// one model and size partition the model once per cache.
 type PlanCache struct {
-	c *plancache.Cache
+	c     *plancache.Cache
+	lcpss *partition.Memo
 }
 
 // NewPlanCache builds a plan cache bounding at most `capacity` entries
 // (LRU eviction); capacity <= 0 uses the default of 256.
 func NewPlanCache(capacity int) *PlanCache {
-	return &PlanCache{c: plancache.New(capacity)}
+	return &PlanCache{c: plancache.New(capacity), lcpss: partition.NewMemo()}
 }
 
 // PlanCacheStats is a point-in-time snapshot of a cache's counters.
@@ -297,18 +315,13 @@ func (s *System) PlanCached(cfg PlanConfig, pc *PlanCache) (*Plan, PlanOutcome, 
 		p, err := s.Plan(cfg)
 		return p, PlanCold, err
 	}
-	b, err := cfg.Effort.budget()
-	if err != nil {
-		return nil, "", err
-	}
-	b.Seed = s.seed
-	obj, err := cfg.simObjective()
+	b, alpha, obj, err := cfg.resolve(s.seed)
 	if err != nil {
 		return nil, "", err
 	}
 	svc, err := plancache.NewService(plancache.Config{
 		Cache:   pc.c,
-		Planner: experiments.Planner(b, cfg.Alpha),
+		Planner: experiments.MemoPlanner(b, alpha, pc.lcpss),
 	})
 	if err != nil {
 		return nil, "", err
@@ -627,16 +640,7 @@ type Finetuner struct {
 // later finetuning. Under the default latency objective the initial plan is
 // Plan's.
 func (s *System) NewFinetuner(cfg PlanConfig) (*Finetuner, *Plan, error) {
-	b, err := cfg.Effort.budget()
-	if err != nil {
-		return nil, nil, err
-	}
-	b.Seed = s.seed
-	alpha := cfg.Alpha
-	if alpha == 0 {
-		alpha = 0.75
-	}
-	obj, err := cfg.simObjective()
+	b, alpha, obj, err := cfg.resolve(s.seed)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -47,7 +47,7 @@ func TestPlanObjectiveConcurrentSearchesDeterministic(t *testing.T) {
 	plan := func(procs int) []byte {
 		t.Helper()
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		s, err := PlanObjectiveInit(env, b, 0.75, sim.ThroughputObjective{Window: 4}, init)
+		s, err := PlanObjectiveInit(env, b, 0.75, sim.ThroughputObjective{Window: 4}, init, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,7 +79,12 @@ func osdsConfig(b Budget, providers int, seed int64) splitter.Config {
 
 // LCPSS runs the partition search (LC-PSS) under the budget.
 func LCPSS(env *sim.Env, b Budget, alpha float64) ([]int, error) {
-	return partition.Search(env.Model, partition.Config{
+	return lcpss(nil, env, b, alpha)
+}
+
+// lcpss is LCPSS through a memo (nil: search every time).
+func lcpss(memo *partition.Memo, env *sim.Env, b Budget, alpha float64) ([]int, error) {
+	return memo.Search(env.Model, partition.Config{
 		Alpha:           alpha,
 		NumRandomSplits: b.RandomSplits,
 		Providers:       env.NumProviders(),

@@ -8,6 +8,7 @@ import (
 	"distredge/internal/cnn"
 	"distredge/internal/device"
 	"distredge/internal/network"
+	"distredge/internal/partition"
 	"distredge/internal/sim"
 	"distredge/internal/splitter"
 	"distredge/internal/strategy"
@@ -35,7 +36,7 @@ const (
 //     directly (warm-start episodes add exploration noise, so the exact
 //     layout may never appear as an episode).
 func PlanObjective(env *sim.Env, b Budget, alpha float64, obj sim.Objective) (*strategy.Strategy, error) {
-	return PlanObjectiveInit(env, b, alpha, obj, nil)
+	return PlanObjectiveInit(env, b, alpha, obj, nil, nil)
 }
 
 // PlanObjectiveInit is PlanObjective with an optional warm-start seed: init
@@ -48,15 +49,16 @@ func PlanObjective(env *sim.Env, b Budget, alpha float64, obj sim.Objective) (*s
 // under the requested objective. Because the seed anchors the search,
 // warm-started searches run on half the episode budget: that is where the
 // plan-cache's warm-start throughput win comes from (measured by
-// BenchmarkPlannerService and the `distbench -fig planner` sweep).
-func PlanObjectiveInit(env *sim.Env, b Budget, alpha float64, obj sim.Objective, init *strategy.Strategy) (*strategy.Strategy, error) {
+// BenchmarkPlannerService and the `distbench -fig planner` sweep). The LC-PSS
+// boundaries come from memo, which nil turns off.
+func PlanObjectiveInit(env *sim.Env, b Budget, alpha float64, obj sim.Objective, init *strategy.Strategy, memo *partition.Memo) (*strategy.Strategy, error) {
 	n := env.NumProviders()
 	if init != nil {
 		if err := init.Validate(env.Model, n); err != nil {
 			return nil, fmt.Errorf("experiments: warm-start seed: %w", err)
 		}
 	}
-	lcp, err := LCPSS(env, b, alpha)
+	lcp, err := lcpss(memo, env, b, alpha)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: LC-PSS: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"distredge/internal/cnn"
+	"distredge/internal/partition"
 	"distredge/internal/plancache"
 	"distredge/internal/sim"
 	"distredge/internal/strategy"
@@ -12,13 +13,23 @@ import (
 // Planner adapts the experiments planning pipeline to the plan-cache service
 // contract: cold requests run the full PlanObjective search, warm-started
 // ones run PlanObjectiveInit — seeded from the cached neighbour, on half the
-// episode budget. alpha <= 0 defaults to the pipeline's usual 0.75.
+// episode budget. alpha 0 means the pipeline's usual 0.75. The closure
+// runs LC-PSS once per model and provider count (see MemoPlanner) and
+// remembers the boundaries for as long as it lives.
 func Planner(b Budget, alpha float64) plancache.Planner {
-	if alpha <= 0 {
+	return MemoPlanner(b, alpha, partition.NewMemo())
+}
+
+// MemoPlanner is Planner with the LC-PSS memo supplied by the caller, who
+// decides how long the boundaries are remembered: LC-PSS reads no device
+// speed and no bandwidth, so every fleet of one model and size shares them.
+// The plans are the ones Planner returns.
+func MemoPlanner(b Budget, alpha float64, memo *partition.Memo) plancache.Planner {
+	if alpha == 0 {
 		alpha = 0.75
 	}
 	return func(env *sim.Env, obj sim.Objective, init *strategy.Strategy) (*strategy.Strategy, error) {
-		return PlanObjectiveInit(env, b, alpha, obj, init)
+		return PlanObjectiveInit(env, b, alpha, obj, init, memo)
 	}
 }
 
@@ -75,7 +86,7 @@ type PlannerSweep struct {
 
 // NewPlannerSweep builds the sweep harness on the given budget.
 func NewPlannerSweep(b Budget, alpha float64) *PlannerSweep {
-	if alpha <= 0 {
+	if alpha == 0 {
 		alpha = 0.75
 	}
 	return &PlannerSweep{b: b, alpha: alpha}

@@ -25,9 +25,7 @@ const (
 func (a Activation) apply(m *tensor.Mat) {
 	switch a {
 	case ReLU:
-		for i, x := range m.A {
-			m.A[i] = max(x, 0) // branchless; negatives clamp, zeros stay zero
-		}
+		tensor.ReLU(m.A)
 	case Tanh:
 		for i, x := range m.A {
 			m.A[i] = math.Tanh(x)
@@ -36,36 +34,17 @@ func (a Activation) apply(m *tensor.Mat) {
 }
 
 // applyDeriv multiplies delta element-wise by act'(z) expressed through the
-// activated outputs, in place. ReLU and Identity skip the multiplications
-// by exactly 1 (x*1 == x bit-for-bit), so results match the generic
-// derivFromOut loop.
+// activated outputs, in place: ReLU's derivative is 1 where the output is
+// positive and 0 elsewhere, Tanh's is 1−y², Identity's is 1. The
+// multiplications by exactly 1 are skipped (x*1 == x bit-for-bit).
 func applyDeriv(act Activation, delta, out *tensor.Mat) {
 	switch act {
 	case ReLU:
-		for i, y := range out.A {
-			if y <= 0 {
-				delta.A[i] = 0
-			}
-		}
+		tensor.ReLUGrad(delta.A, out.A)
 	case Tanh:
 		for i, y := range out.A {
 			delta.A[i] *= 1 - y*y
 		}
-	}
-}
-
-// derivFromOut returns dact/dz given the *activated* output value.
-func (a Activation) derivFromOut(y float64) float64 {
-	switch a {
-	case ReLU:
-		if y > 0 {
-			return 1
-		}
-		return 0
-	case Tanh:
-		return 1 - y*y
-	default:
-		return 1
 	}
 }
 
@@ -105,20 +84,11 @@ func (m *MLP) Clone() *MLP {
 	return c
 }
 
-// Cache stores per-layer activations from a forward pass for Backward.
-type Cache struct {
-	acts []*tensor.Mat // acts[0] = input, acts[l+1] = output of layer l
-}
-
-// Output returns the network output stored in the cache.
-func (c *Cache) Output() *tensor.Mat { return c.acts[len(c.acts)-1] }
-
 // Workspace holds every buffer a fixed-batch forward/backward pass through
 // one network shape needs: per-layer activations, per-layer deltas and the
 // parameter gradients. Reusing a workspace makes training steps
-// allocation-free; the math is bit-identical to the allocating paths.
-// A workspace serves any MLP with the same Sizes (e.g. a net and its
-// target copy), one pass at a time.
+// allocation-free. A workspace serves any MLP with the same Sizes (e.g. a
+// net and its target copy), one pass at a time.
 type Workspace struct {
 	batch int
 	acts  []*tensor.Mat // acts[0] = input ref, acts[l+1] = output of layer l
@@ -149,34 +119,6 @@ func NewWorkspace(m *MLP, batch int) *Workspace {
 	return ws
 }
 
-// Forward runs a minibatch (rows = samples) through the network.
-func (m *MLP) Forward(x *tensor.Mat) *tensor.Mat {
-	_, cache := m.ForwardCache(x)
-	return cache.Output()
-}
-
-// ForwardCache runs a minibatch and keeps the activations for Backward.
-func (m *MLP) ForwardCache(x *tensor.Mat) (*tensor.Mat, *Cache) {
-	if x.C != m.Sizes[0] {
-		panic(fmt.Sprintf("nn: input width %d, want %d", x.C, m.Sizes[0]))
-	}
-	cache := &Cache{acts: make([]*tensor.Mat, 0, len(m.W)+1)}
-	cache.acts = append(cache.acts, x)
-	cur := x
-	for l := range m.W {
-		z := tensor.MulAB(cur, m.W[l])
-		z.AddRowVec(m.B[l])
-		if l == len(m.W)-1 {
-			m.OutAct.apply(z)
-		} else {
-			m.HiddenAct.apply(z)
-		}
-		cache.acts = append(cache.acts, z)
-		cur = z
-	}
-	return cur, cache
-}
-
 // ForwardWS runs a minibatch through the network into the workspace's
 // activation buffers, allocating nothing. The returned output and the
 // cached activations are valid until the workspace's next forward pass.
@@ -193,14 +135,18 @@ func (m *MLP) ForwardWS(ws *Workspace, x *tensor.Mat) *tensor.Mat {
 		z := ws.acts[l+1]
 		tensor.MulABInto(z, cur, m.W[l])
 		z.AddRowVec(m.B[l])
-		if l == len(m.W)-1 {
-			m.OutAct.apply(z)
-		} else {
-			m.HiddenAct.apply(z)
-		}
+		m.act(l).apply(z)
 		cur = z
 	}
 	return cur
+}
+
+// act returns the activation of layer l.
+func (m *MLP) act(l int) Activation {
+	if l == len(m.W)-1 {
+		return m.OutAct
+	}
+	return m.HiddenAct
 }
 
 // Grads holds parameter gradients matching an MLP's weights and biases.
@@ -209,63 +155,14 @@ type Grads struct {
 	B [][]float64
 }
 
-// Backward backpropagates dL/dOut (same shape as the cached output) and
-// returns dL/dInput along with the parameter gradients.
-func (m *MLP) Backward(cache *Cache, gradOut *tensor.Mat) (*tensor.Mat, *Grads) {
-	g := &Grads{W: make([]*tensor.Mat, len(m.W)), B: make([][]float64, len(m.W))}
-	delta := gradOut.Clone()
-	for l := len(m.W) - 1; l >= 0; l-- {
-		act := m.HiddenAct
-		if l == len(m.W)-1 {
-			act = m.OutAct
-		}
-		out := cache.acts[l+1]
-		for i := range delta.A {
-			delta.A[i] *= act.derivFromOut(out.A[i])
-		}
-		in := cache.acts[l]
-		g.W[l] = tensor.MulATB(in, delta)
-		g.B[l] = delta.SumRows()
-		if l > 0 {
-			delta = tensor.MulABT(delta, m.W[l])
-		}
-	}
-	var gradIn *tensor.Mat
-	if len(m.W) > 0 {
-		gradIn = tensor.MulABT(delta, m.W[0])
-	}
-	return gradIn, g
-}
-
 // BackwardWS backpropagates gradOut through the activations cached by the
 // workspace's last ForwardWS call and returns the parameter gradients,
-// allocating nothing. Unlike Backward it does not compute the input
-// gradient — use BackwardInputWS when only that is needed (DDPG's dQ/da).
+// allocating nothing. It does not compute the input gradient — use
+// BackwardInputWS when only that is needed (DDPG's dQ/da).
 // The returned gradients alias workspace buffers and are valid until the
 // next backward call on this workspace.
 func (m *MLP) BackwardWS(ws *Workspace, gradOut *tensor.Mat) *Grads {
-	last := len(m.W) - 1
-	delta := ws.delta[last]
-	if len(gradOut.A) != len(delta.A) {
-		panic(fmt.Sprintf("nn: gradOut %dx%d, workspace expects %dx%d", gradOut.R, gradOut.C, delta.R, delta.C))
-	}
-	copy(delta.A, gradOut.A)
-	for l := last; l >= 0; l-- {
-		act := m.HiddenAct
-		if l == last {
-			act = m.OutAct
-		}
-		applyDeriv(act, delta, ws.acts[l+1])
-		tensor.MulATBInto(ws.grads.W[l], ws.acts[l], delta)
-		delta.SumRowsInto(ws.grads.B[l])
-		if l > 0 {
-			// delta·Wᵀ via an explicit transpose: the streaming MulAB
-			// kernel then reads rows sequentially (same sums, same order).
-			tensor.TransposeInto(ws.wt[l], m.W[l])
-			tensor.MulABInto(ws.delta[l-1], delta, ws.wt[l])
-			delta = ws.delta[l-1]
-		}
-	}
+	m.backward(ws, gradOut, true)
 	return ws.grads
 }
 
@@ -274,40 +171,43 @@ func (m *MLP) BackwardWS(ws *Workspace, gradOut *tensor.Mat) *Grads {
 // the parameter gradients entirely — the critic-as-differentiable-oracle
 // pass of DDPG's actor update. The result aliases the workspace.
 func (m *MLP) BackwardInputWS(ws *Workspace, gradOut *tensor.Mat) *tensor.Mat {
+	delta := m.backward(ws, gradOut, false)
+	tensor.TransposeInto(ws.wt[0], m.W[0])
+	return tensor.MulABInto(ws.gin, delta, ws.wt[0])
+}
+
+// backward propagates gradOut down to the first layer's delta, which it
+// returns, and fills the parameter gradients on the way when params is set.
+// A delta moves down a layer as delta·Wᵀ through an explicit transpose: the
+// streaming MulAB kernel then reads rows sequentially (same sums, same
+// order).
+func (m *MLP) backward(ws *Workspace, gradOut *tensor.Mat, params bool) *tensor.Mat {
 	last := len(m.W) - 1
 	delta := ws.delta[last]
 	if len(gradOut.A) != len(delta.A) {
 		panic(fmt.Sprintf("nn: gradOut %dx%d, workspace expects %dx%d", gradOut.R, gradOut.C, delta.R, delta.C))
 	}
 	copy(delta.A, gradOut.A)
-	for l := last; l >= 0; l-- {
-		act := m.HiddenAct
-		if l == last {
-			act = m.OutAct
+	for l := last; ; l-- {
+		applyDeriv(m.act(l), delta, ws.acts[l+1])
+		if params {
+			tensor.MulATBInto(ws.grads.W[l], ws.acts[l], delta)
+			delta.SumRowsInto(ws.grads.B[l])
 		}
-		applyDeriv(act, delta, ws.acts[l+1])
-		if l > 0 {
-			tensor.TransposeInto(ws.wt[l], m.W[l])
-			tensor.MulABInto(ws.delta[l-1], delta, ws.wt[l])
-			delta = ws.delta[l-1]
+		if l == 0 {
+			return delta
 		}
+		tensor.TransposeInto(ws.wt[l], m.W[l])
+		tensor.MulABInto(ws.delta[l-1], delta, ws.wt[l])
+		delta = ws.delta[l-1]
 	}
-	tensor.TransposeInto(ws.wt[0], m.W[0])
-	tensor.MulABInto(ws.gin, delta, ws.wt[0])
-	return ws.gin
 }
 
 // SoftUpdate moves target parameters toward src: θ' ← τθ + (1-τ)θ'.
 func SoftUpdate(target, src *MLP, tau float64) {
 	for l := range target.W {
-		tw, sw := target.W[l], src.W[l]
-		for i := range tw.A {
-			tw.A[i] = tau*sw.A[i] + (1-tau)*tw.A[i]
-		}
-		tb, sb := target.B[l], src.B[l]
-		for i := range tb {
-			tb[i] = tau*sb[i] + (1-tau)*tb[i]
-		}
+		tensor.Blend(target.W[l].A, src.W[l].A, tau)
+		tensor.Blend(target.B[l], src.B[l], tau)
 	}
 }
 
@@ -334,27 +234,16 @@ func NewAdam(m *MLP, lr float64) *Adam {
 // Step applies one Adam update of the gradients to the network.
 func (a *Adam) Step(m *MLP, g *Grads) {
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	b1, b2 := a.Beta1, a.Beta2
-	ob1, ob2 := 1-b1, 1-b2
-	lr, eps := a.LR, a.Eps
+	c := tensor.AdamCoef{
+		B1: a.Beta1, OB1: 1 - a.Beta1,
+		B2: a.Beta2, OB2: 1 - a.Beta2,
+		LR:  a.LR,
+		C1:  1 - math.Pow(a.Beta1, float64(a.t)),
+		C2:  1 - math.Pow(a.Beta2, float64(a.t)),
+		Eps: a.Eps,
+	}
 	for l := range m.W {
-		w, gw := m.W[l].A, g.W[l].A
-		mw, vw := a.mW[l].A, a.vW[l].A
-		for i := range w {
-			gv := gw[i]
-			mw[i] = b1*mw[i] + ob1*gv
-			vw[i] = b2*vw[i] + ob2*gv*gv
-			w[i] -= lr * (mw[i] / c1) / (math.Sqrt(vw[i]/c2) + eps)
-		}
-		b, gb := m.B[l], g.B[l]
-		mb, vb := a.mB[l], a.vB[l]
-		for i := range b {
-			gv := gb[i]
-			mb[i] = b1*mb[i] + ob1*gv
-			vb[i] = b2*vb[i] + ob2*gv*gv
-			b[i] -= lr * (mb[i] / c1) / (math.Sqrt(vb[i]/c2) + eps)
-		}
+		tensor.AdamStep(m.W[l].A, g.W[l].A, a.mW[l].A, a.vW[l].A, c)
+		tensor.AdamStep(m.B[l], g.B[l], a.mB[l], a.vB[l], c)
 	}
 }

@@ -13,7 +13,7 @@ func TestForwardShapes(t *testing.T) {
 	m := NewMLP([]int{4, 8, 3}, ReLU, Tanh, rng)
 	x := tensor.New(5, 4)
 	x.Randomize(rng, 1)
-	out := m.Forward(x)
+	out := m.ForwardWS(NewWorkspace(m, 5), x)
 	if out.R != 5 || out.C != 3 {
 		t.Fatalf("output shape %dx%d, want 5x3", out.R, out.C)
 	}
@@ -24,10 +24,12 @@ func TestForwardShapes(t *testing.T) {
 	}
 }
 
-// numericalGrad estimates dLoss/dparam by central differences.
+// numericalGrad estimates dLoss/dparam by central differences, forward
+// passes running in a workspace of their own.
 func numericalGrad(m *MLP, x *tensor.Mat, target []float64, param *float64) float64 {
+	ws := NewWorkspace(m, x.R)
 	loss := func() float64 {
-		out := m.Forward(x)
+		out := m.ForwardWS(ws, x)
 		var s float64
 		for i, v := range out.A {
 			d := v - target[i]
@@ -61,12 +63,13 @@ func TestBackwardMatchesNumericalGradient(t *testing.T) {
 	for i := range target {
 		target[i] = rng.NormFloat64() * 0.3
 	}
-	out, cache := m.ForwardCache(x)
+	ws := NewWorkspace(m, 4)
+	out := m.ForwardWS(ws, x)
 	gradOut := tensor.New(4, 2)
 	for i := range gradOut.A {
 		gradOut.A[i] = 2 * (out.A[i] - target[i])
 	}
-	_, grads := m.Backward(cache, gradOut)
+	grads := m.BackwardWS(ws, gradOut)
 
 	check := func(name string, analytic float64, param *float64) {
 		num := numericalGrad(m, x, target, param)
@@ -88,18 +91,18 @@ func TestBackwardGradInput(t *testing.T) {
 	m := NewMLP([]int{3, 6, 1}, ReLU, Identity, rng)
 	x := tensor.New(1, 3)
 	x.Randomize(rng, 1)
-	out, cache := m.ForwardCache(x)
+	ws := NewWorkspace(m, 1)
+	m.ForwardWS(ws, x)
 	gradOut := tensor.New(1, 1)
 	gradOut.Set(0, 0, 1) // dL/dout = 1, so gradIn = dout/dx
-	gradIn, _ := m.Backward(cache, gradOut)
-	_ = out
+	gradIn := m.BackwardInputWS(ws, gradOut).Clone()
 	const h = 1e-6
 	for j := 0; j < 3; j++ {
 		orig := x.A[j]
 		x.A[j] = orig + h
-		lp := m.Forward(x).At(0, 0)
+		lp := m.ForwardWS(ws, x).At(0, 0)
 		x.A[j] = orig - h
-		lm := m.Forward(x).At(0, 0)
+		lm := m.ForwardWS(ws, x).At(0, 0)
 		x.A[j] = orig
 		num := (lp - lm) / (2 * h)
 		if math.Abs(num-gradIn.At(0, j)) > 1e-5*(1+math.Abs(num)) {
@@ -122,8 +125,9 @@ func TestAdamLearnsRegression(t *testing.T) {
 		x.Set(i, 0, v)
 		target[i] = math.Sin(2 * v)
 	}
+	ws := NewWorkspace(m, n)
 	loss := func() float64 {
-		out := m.Forward(x)
+		out := m.ForwardWS(ws, x)
 		var s float64
 		for i := range target {
 			d := out.At(i, 0) - target[i]
@@ -132,14 +136,13 @@ func TestAdamLearnsRegression(t *testing.T) {
 		return s / float64(n)
 	}
 	initial := loss()
+	g := tensor.New(n, 1)
 	for it := 0; it < 500; it++ {
-		out, cache := m.ForwardCache(x)
-		g := tensor.New(n, 1)
+		out := m.ForwardWS(ws, x)
 		for i := range target {
 			g.Set(i, 0, 2*(out.At(i, 0)-target[i])/float64(n))
 		}
-		_, grads := m.Backward(cache, g)
-		opt.Step(m, grads)
+		opt.Step(m, m.BackwardWS(ws, g))
 	}
 	final := loss()
 	if final > initial/10 {
@@ -192,14 +195,30 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestActivations(t *testing.T) {
-	if ReLU.derivFromOut(2) != 1 || ReLU.derivFromOut(0) != 0 {
-		t.Error("ReLU derivative wrong")
+	negZero := math.Copysign(0, -1)
+	z := tensor.FromSlice(1, 5, []float64{-1, negZero, 0, 2, 0.5})
+	ReLU.apply(z)
+	for i, want := range []float64{0, 0, 0, 2, 0.5} {
+		if z.A[i] != want || math.Signbit(z.A[i]) {
+			t.Errorf("ReLU(%d) = %v, want %v", i, z.A[i], want)
+		}
+	}
+	delta := tensor.FromSlice(1, 5, []float64{3, 3, 3, 3, 3})
+	applyDeriv(ReLU, delta, z)
+	for i, want := range []float64{0, 0, 0, 3, 3} {
+		if delta.A[i] != want {
+			t.Errorf("ReLU derivative at output %v: delta %v, want %v", z.A[i], delta.A[i], want)
+		}
 	}
 	y := math.Tanh(0.7)
-	if math.Abs(Tanh.derivFromOut(y)-(1-y*y)) > 1e-15 {
+	delta = tensor.FromSlice(1, 1, []float64{2})
+	applyDeriv(Tanh, delta, tensor.FromSlice(1, 1, []float64{y}))
+	if math.Abs(delta.A[0]-2*(1-y*y)) > 1e-15 {
 		t.Error("Tanh derivative wrong")
 	}
-	if Identity.derivFromOut(5) != 1 {
+	delta = tensor.FromSlice(1, 1, []float64{5})
+	applyDeriv(Identity, delta, tensor.FromSlice(1, 1, []float64{-7}))
+	if delta.A[0] != 5 {
 		t.Error("Identity derivative wrong")
 	}
 }
@@ -221,5 +240,5 @@ func TestForwardPanicsOnBadWidth(t *testing.T) {
 			t.Error("expected panic for wrong input width")
 		}
 	}()
-	m.Forward(tensor.New(1, 5))
+	m.ForwardWS(NewWorkspace(m, 1), tensor.New(1, 5))
 }

@@ -72,27 +72,16 @@ type searcher struct {
 // Search runs LC-PSS and returns the partition boundaries (ascending layer
 // indices from 0 to the number of splittable layers).
 func Search(m *cnn.Model, cfg Config) ([]int, error) {
-	b, _, err := search(m, cfg)
-	return b, err
-}
-
-// SearchDebug is Search plus the computed κ, for calibration tooling.
-func SearchDebug(m *cnn.Model, cfg Config) ([]int, float64, error) {
-	return search(m, cfg)
-}
-
-// search runs LC-PSS and returns the boundaries and the model's κ.
-func search(m *cnn.Model, cfg Config) ([]int, float64, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Alpha < 0 || cfg.Alpha > 1 {
-		return nil, 0, fmt.Errorf("partition: alpha %g outside [0,1]", cfg.Alpha)
+		return nil, fmt.Errorf("partition: alpha %g outside [0,1]", cfg.Alpha)
 	}
 	if cfg.Providers < 1 {
-		return nil, 0, fmt.Errorf("partition: need at least one provider")
+		return nil, fmt.Errorf("partition: need at least one provider")
 	}
 	n := m.NumSplittable()
 	if n == 0 {
-		return nil, 0, fmt.Errorf("partition: model %q has no splittable layers", m.Name)
+		return nil, fmt.Errorf("partition: model %q has no splittable layers", m.Name)
 	}
 	s := newSearcher(m, cfg)
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -107,7 +96,7 @@ func search(m *cnn.Model, cfg Config) ([]int, float64, error) {
 	}
 	s.oneVolOps, s.oneVolBytes = s.rawScore([]int{0, n})
 	if s.oneVolOps <= 0 || s.oneVolBytes <= 0 {
-		return nil, 0, fmt.Errorf("partition: degenerate normaliser for %q", m.Name)
+		return nil, fmt.Errorf("partition: degenerate normaliser for %q", m.Name)
 	}
 	// Equalise the dynamic ranges of the two terms across the coarsest
 	// (one volume) and finest (layer-by-layer) schemes, so α compares them
@@ -156,7 +145,7 @@ func search(m *cnn.Model, cfg Config) ([]int, float64, error) {
 		}
 		rp = rStar
 	}
-	return rp, s.kappa, nil
+	return rp, nil
 }
 
 // newSearcher returns a searcher over m's splittable layers with empty

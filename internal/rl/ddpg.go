@@ -59,13 +59,8 @@ func (r *Replay) Add(t Transition) {
 // Len returns the number of stored transitions.
 func (r *Replay) Len() int { return len(r.buf) }
 
-// Sample draws n transitions uniformly with replacement.
-func (r *Replay) Sample(n int) []Transition {
-	return r.SampleInto(make([]Transition, n))
-}
-
 // SampleInto fills out with uniform draws (with replacement), reusing the
-// caller's buffer. The RNG consumption matches Sample exactly.
+// caller's buffer.
 func (r *Replay) SampleInto(out []Transition) []Transition {
 	m := r.Len()
 	for i := range out {

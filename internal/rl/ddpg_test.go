@@ -19,7 +19,7 @@ func TestReplayBasics(t *testing.T) {
 	// Oldest entries (0,1) must have been evicted.
 	seen := map[float64]bool{}
 	for i := 0; i < 100; i++ {
-		for _, tr := range r.Sample(3) {
+		for _, tr := range r.SampleInto(make([]Transition, 3)) {
 			seen[tr.Reward] = true
 		}
 	}
@@ -34,7 +34,7 @@ func TestReplayBasics(t *testing.T) {
 func TestReplayMinCapacity(t *testing.T) {
 	r := NewReplay(0, 1)
 	r.Add(Transition{Reward: 7})
-	if r.Len() != 1 || r.Sample(1)[0].Reward != 7 {
+	if r.Len() != 1 || r.SampleInto(make([]Transition, 1))[0].Reward != 7 {
 		t.Error("capacity floor of 1 broken")
 	}
 }

@@ -10,3 +10,10 @@ func avx2Supported() bool { return false }
 // addTiles is never called off amd64 (useAVX2 is false there): addTerms'
 // portable loops sum every column.
 func addTiles(orow, bA []float64, off []int, val []float64) int { return 0 }
+
+// Nor are the elementwise kernels: elementwise.go's scalar loops run.
+func relu4(x *float64, n int)                          {}
+func reluGrad4(d, y *float64, n int)                   {}
+func add4(dst, src *float64, n int)                    {}
+func blend4(dst, src *float64, n int, t, omt float64)  {}
+func adam4(p, grad, m, v *float64, n int, c *AdamCoef) {}

@@ -29,7 +29,7 @@ func refMulAB(out, a, b *Mat) {
 // refMulATB is the straightforward k-outer aᵀ·b loop with the same order
 // and zero skip. MulATBInto must match it bit for bit.
 func refMulATB(out, a, b *Mat) {
-	out.Zero()
+	clear(out.A)
 	for k := 0; k < a.R; k++ {
 		brow := b.Row(k)
 		for i, av := range a.Row(k) {
@@ -113,7 +113,7 @@ func testMulKernels(t *testing.T) {
 
 		a := sparseRandom(rng, m, k)
 		if zeroA {
-			a.Zero()
+			clear(a.A)
 		}
 		a.Row(rng.Intn(m))[kInf] = math.Copysign(0, -1)
 		got, want := New(m, n), New(m, n)
@@ -123,7 +123,7 @@ func testMulKernels(t *testing.T) {
 
 		at := sparseRandom(rng, k, m)
 		if zeroA {
-			at.Zero()
+			clear(at.A)
 		}
 		at.Row(kInf)[rng.Intn(m)] = math.Copysign(0, -1)
 		gotT, wantT := New(m, n), New(m, n)

@@ -46,13 +46,6 @@ func (m *Mat) Clone() *Mat {
 	return c
 }
 
-// Zero clears all elements in place.
-func (m *Mat) Zero() {
-	for i := range m.A {
-		m.A[i] = 0
-	}
-}
-
 // Randomize fills the matrix with U(-scale, scale) values.
 func (m *Mat) Randomize(rng *rand.Rand, scale float64) {
 	for i := range m.A {
@@ -66,22 +59,18 @@ func (m *Mat) Randomize(rng *rand.Rand, scale float64) {
 // It must be a power of two (the gather masks its index with kBlock-1).
 const kBlock = 64
 
-// MulAB returns a·b for a (m×k) and b (k×n).
-func MulAB(a, b *Mat) *Mat {
-	return MulABInto(New(a.R, b.C), a, b)
-}
-
 // MulABInto computes a·b into out (a.R × b.C), reusing out's storage. Each
 // output element accumulates its terms in ascending k order, skipping zero
-// a-elements as MulAB always has, so results are bit-identical to the naive
-// loop on finite values; out must not alias a or b. The work runs in K-blocks
-// (see addTerms): each row's nonzero a-elements within a block are gathered
+// a-elements, so results are bit-identical to the naive k-outer loop on
+// finite values; out must not alias a or b. The work runs in K-blocks (see
+// addTerms): each row's nonzero a-elements within a block are gathered
 // first, then sixteen (with AVX2), eight, four and finally one output
-// columns at a time sum the gathered terms in registers. The block loop sits outside the row loop, so
-// a block of b stays cache-resident across the batch.
+// columns at a time sum the gathered terms in registers. The block loop
+// sits outside the row loop, so a block of b stays cache-resident across
+// the batch.
 func MulABInto(out, a, b *Mat) *Mat {
 	if a.C != b.R {
-		panic(fmt.Sprintf("tensor: MulAB %dx%d · %dx%d", a.R, a.C, b.R, b.C))
+		panic(fmt.Sprintf("tensor: MulABInto %dx%d · %dx%d", a.R, a.C, b.R, b.C))
 	}
 	if out.R != a.R || out.C != b.C {
 		panic(fmt.Sprintf("tensor: MulABInto out %dx%d for %dx%d product", out.R, out.C, a.R, b.C))
@@ -160,57 +149,13 @@ func addTerms(orow, bA []float64, off []int, val []float64) {
 	}
 }
 
-// MulABT returns a·bᵀ for a (m×k) and b (n×k).
-func MulABT(a, b *Mat) *Mat {
-	return MulABTInto(New(a.R, b.R), a, b)
-}
-
-// MulABTInto computes a·bᵀ into out (a.R × b.R), reusing out's storage;
-// out must not alias a or b. The k-outer loop shape keeps the additions of
-// different output columns on independent dependency chains (hiding the
-// FMA latency a naive dot product serialises on) and skips entire columns
-// for the zeros ReLU backpropagation produces in bulk. Each output element
-// accumulates its terms in ascending k order, so results match the naive
-// dot product bit-for-bit on finite values.
-func MulABTInto(out, a, b *Mat) *Mat {
-	if a.C != b.C {
-		panic(fmt.Sprintf("tensor: MulABT %dx%d · (%dx%d)ᵀ", a.R, a.C, b.R, b.C))
-	}
-	if out.R != a.R || out.C != b.R {
-		panic(fmt.Sprintf("tensor: MulABTInto out %dx%d for %dx%d product", out.R, out.C, a.R, b.R))
-	}
-	bc := b.C
-	for i := 0; i < a.R; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := range orow {
-			orow[j] = 0
-		}
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			bcol := b.A[k:]
-			for j := range orow {
-				orow[j] += av * bcol[j*bc]
-			}
-		}
-	}
-	return out
-}
-
-// MulATB returns aᵀ·b for a (k×m) and b (k×n).
-func MulATB(a, b *Mat) *Mat {
-	return MulATBInto(New(a.C, b.C), a, b)
-}
-
 // MulATBInto computes aᵀ·b into out (a.C × b.C), reusing out's storage;
 // out must not alias a or b. It is MulABInto's kernel with column i of a
 // gathered in place of a row: per-element accumulation stays in ascending k
 // order, skipping zero a-elements.
 func MulATBInto(out, a, b *Mat) *Mat {
 	if a.R != b.R {
-		panic(fmt.Sprintf("tensor: MulATB (%dx%d)ᵀ · %dx%d", a.R, a.C, b.R, b.C))
+		panic(fmt.Sprintf("tensor: MulATBInto (%dx%d)ᵀ · %dx%d", a.R, a.C, b.R, b.C))
 	}
 	if out.R != a.C || out.C != b.C {
 		panic(fmt.Sprintf("tensor: MulATBInto out %dx%d for %dx%d product", out.R, out.C, a.C, b.C))
@@ -256,16 +201,8 @@ func (m *Mat) AddRowVec(v []float64) {
 		panic(fmt.Sprintf("tensor: AddRowVec len %d to %d cols", len(v), m.C))
 	}
 	for i := 0; i < m.R; i++ {
-		row := m.Row(i)[:len(v)]
-		for j, vv := range v {
-			row[j] += vv
-		}
+		AddTo(m.Row(i), v)
 	}
-}
-
-// SumRows returns the column-wise sum of m (gradient of a broadcast bias).
-func (m *Mat) SumRows() []float64 {
-	return m.SumRowsInto(make([]float64, m.C))
 }
 
 // SumRowsInto computes the column-wise sum of m into out (length m.C).
@@ -273,54 +210,17 @@ func (m *Mat) SumRowsInto(out []float64) []float64 {
 	if len(out) != m.C {
 		panic(fmt.Sprintf("tensor: SumRowsInto len %d for %d cols", len(out), m.C))
 	}
-	for j := range out {
-		out[j] = 0
-	}
+	clear(out)
 	for i := 0; i < m.R; i++ {
-		row := m.Row(i)
-		odst := out[:len(row)]
-		for j, v := range row {
-			odst[j] += v
-		}
+		AddTo(out, m.Row(i))
 	}
 	return out
-}
-
-// Apply replaces every element x with f(x) in place and returns m.
-func (m *Mat) Apply(f func(float64) float64) *Mat {
-	for i, v := range m.A {
-		m.A[i] = f(v)
-	}
-	return m
-}
-
-// Scale multiplies every element by s in place and returns m.
-func (m *Mat) Scale(s float64) *Mat {
-	for i := range m.A {
-		m.A[i] *= s
-	}
-	return m
-}
-
-// AddScaled performs m += s*o element-wise in place.
-func (m *Mat) AddScaled(o *Mat, s float64) {
-	if m.R != o.R || m.C != o.C {
-		panic(fmt.Sprintf("tensor: AddScaled %dx%d += %dx%d", m.R, m.C, o.R, o.C))
-	}
-	for i, v := range o.A {
-		m.A[i] += s * v
-	}
-}
-
-// HStack concatenates a and b column-wise (same row count).
-func HStack(a, b *Mat) *Mat {
-	return HStackInto(New(a.R, a.C+b.C), a, b)
 }
 
 // HStackInto concatenates a and b column-wise into out (a.R × a.C+b.C).
 func HStackInto(out, a, b *Mat) *Mat {
 	if a.R != b.R {
-		panic(fmt.Sprintf("tensor: HStack %dx%d | %dx%d", a.R, a.C, b.R, b.C))
+		panic(fmt.Sprintf("tensor: HStackInto %dx%d | %dx%d", a.R, a.C, b.R, b.C))
 	}
 	if out.R != a.R || out.C != a.C+b.C {
 		panic(fmt.Sprintf("tensor: HStackInto out %dx%d for %dx%d", out.R, out.C, a.R, a.C+b.C))
@@ -332,18 +232,10 @@ func HStackInto(out, a, b *Mat) *Mat {
 	return out
 }
 
-// Cols returns a copy of columns [lo,hi) of m.
-func (m *Mat) Cols(lo, hi int) *Mat {
-	if lo < 0 || hi > m.C || lo > hi {
-		panic(fmt.Sprintf("tensor: Cols [%d,%d) of %d", lo, hi, m.C))
-	}
-	return m.ColsInto(New(m.R, hi-lo), lo, hi)
-}
-
 // ColsInto copies columns [lo,hi) of m into out (m.R × hi-lo).
 func (m *Mat) ColsInto(out *Mat, lo, hi int) *Mat {
 	if lo < 0 || hi > m.C || lo > hi {
-		panic(fmt.Sprintf("tensor: Cols [%d,%d) of %d", lo, hi, m.C))
+		panic(fmt.Sprintf("tensor: ColsInto [%d,%d) of %d", lo, hi, m.C))
 	}
 	if out.R != m.R || out.C != hi-lo {
 		panic(fmt.Sprintf("tensor: ColsInto out %dx%d for %dx%d", out.R, out.C, m.R, hi-lo))

@@ -10,55 +10,56 @@ import (
 func TestMulAB(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := MulAB(a, b)
+	c := MulABInto(New(2, 2), a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, v := range want {
 		if c.A[i] != v {
-			t.Fatalf("MulAB = %v, want %v", c.A, want)
+			t.Fatalf("MulABInto = %v, want %v", c.A, want)
 		}
 	}
 }
 
 func TestMulVariantsAgree(t *testing.T) {
-	// Property: MulABT(a,b) == MulAB(a, bᵀ) and MulATB(a,b) == MulAB(aᵀ, b).
+	// Property: MulATBInto(c, d) == MulABInto(cᵀ, d), with cᵀ built by
+	// TransposeInto, whose transpose is c again.
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
 		m, k, n := rng.Intn(5)+1, rng.Intn(5)+1, rng.Intn(5)+1
-		a := New(m, k)
-		a.Randomize(rng, 1)
-		b := New(n, k)
-		b.Randomize(rng, 1)
-		bt := New(k, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < k; j++ {
-				bt.Set(j, i, b.At(i, j))
-			}
-		}
-		x := MulABT(a, b)
-		y := MulAB(a, bt)
-		for i := range x.A {
-			if math.Abs(x.A[i]-y.A[i]) > 1e-12 {
-				t.Fatal("MulABT disagrees with MulAB on transposed operand")
-			}
-		}
 		c := New(k, m)
 		c.Randomize(rng, 1)
-		ct := New(m, k)
+		ct := TransposeInto(New(m, k), c)
 		for i := 0; i < k; i++ {
 			for j := 0; j < m; j++ {
-				ct.Set(j, i, c.At(i, j))
+				if ct.At(j, i) != c.At(i, j) {
+					t.Fatal("TransposeInto misplaced an element")
+				}
 			}
+		}
+		if ctt := TransposeInto(New(k, m), ct); !equalMat(ctt, c) {
+			t.Fatal("transposing twice does not give the matrix back")
 		}
 		d := New(k, n)
 		d.Randomize(rng, 1)
-		x = MulATB(c, d)
-		y = MulAB(ct, d)
+		x := MulATBInto(New(m, n), c, d)
+		y := MulABInto(New(m, n), ct, d)
 		for i := range x.A {
 			if math.Abs(x.A[i]-y.A[i]) > 1e-12 {
-				t.Fatal("MulATB disagrees with MulAB on transposed operand")
+				t.Fatal("MulATBInto disagrees with MulABInto on the transposed operand")
 			}
 		}
 	}
+}
+
+func equalMat(a, b *Mat) bool {
+	if a.R != b.R || a.C != b.C {
+		return false
+	}
+	for i := range a.A {
+		if a.A[i] != b.A[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestIdentityMultiplication(t *testing.T) {
@@ -68,7 +69,7 @@ func TestIdentityMultiplication(t *testing.T) {
 			a.A[i] = float64(vals[i])
 		}
 		id := FromSlice(3, 3, []float64{1, 0, 0, 0, 1, 0, 0, 0, 1})
-		c := MulAB(a, id)
+		c := MulABInto(New(2, 3), a, id)
 		for i := range a.A {
 			if c.A[i] != a.A[i] {
 				return false
@@ -87,35 +88,22 @@ func TestAddRowVecAndSumRows(t *testing.T) {
 	if m.At(0, 0) != 11 || m.At(1, 2) != 36 {
 		t.Fatalf("AddRowVec wrong: %v", m.A)
 	}
-	s := m.SumRows()
+	s := m.SumRowsInto([]float64{7, 7, 7}) // stale contents must not leak in
 	if s[0] != 25 || s[1] != 47 || s[2] != 69 {
-		t.Fatalf("SumRows = %v", s)
+		t.Fatalf("SumRowsInto = %v", s)
 	}
 }
 
 func TestHStackCols(t *testing.T) {
 	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	b := FromSlice(2, 1, []float64{9, 8})
-	c := HStack(a, b)
-	if c.C != 3 || c.At(0, 2) != 9 || c.At(1, 2) != 8 {
-		t.Fatalf("HStack wrong: %v", c.A)
+	c := HStackInto(New(2, 3), a, b)
+	if c.At(0, 0) != 1 || c.At(1, 1) != 4 || c.At(0, 2) != 9 || c.At(1, 2) != 8 {
+		t.Fatalf("HStackInto wrong: %v", c.A)
 	}
-	d := c.Cols(1, 3)
-	if d.C != 2 || d.At(0, 0) != 2 || d.At(1, 1) != 8 {
-		t.Fatalf("Cols wrong: %v", d.A)
-	}
-}
-
-func TestApplyScaleAddScaled(t *testing.T) {
-	m := FromSlice(1, 3, []float64{1, -2, 3})
-	m.Apply(math.Abs).Scale(2)
-	if m.A[1] != 4 {
-		t.Fatalf("Apply/Scale wrong: %v", m.A)
-	}
-	o := FromSlice(1, 3, []float64{1, 1, 1})
-	m.AddScaled(o, 0.5)
-	if m.A[0] != 2.5 {
-		t.Fatalf("AddScaled wrong: %v", m.A)
+	d := c.ColsInto(New(2, 2), 1, 3)
+	if d.At(0, 0) != 2 || d.At(1, 1) != 8 {
+		t.Fatalf("ColsInto wrong: %v", d.A)
 	}
 }
 
@@ -123,12 +111,8 @@ func TestCloneIndependence(t *testing.T) {
 	a := FromSlice(1, 2, []float64{1, 2})
 	b := a.Clone()
 	b.A[0] = 99
-	if a.A[0] == 99 {
+	if a.A[0] == 99 || b.R != 1 || b.C != 2 || b.A[1] != 2 {
 		t.Error("Clone must deep-copy")
-	}
-	a.Zero()
-	if a.A[1] != 0 {
-		t.Error("Zero must clear")
 	}
 }
 
@@ -141,13 +125,18 @@ func TestPanics(t *testing.T) {
 		}()
 		f()
 	}
-	assertPanics("MulAB shape", func() { MulAB(New(2, 3), New(2, 3)) })
-	assertPanics("MulABT shape", func() { MulABT(New(2, 3), New(2, 4)) })
-	assertPanics("MulATB shape", func() { MulATB(New(2, 3), New(3, 3)) })
+	assertPanics("MulABInto shape", func() { MulABInto(New(2, 3), New(2, 3), New(2, 3)) })
+	assertPanics("MulABInto out", func() { MulABInto(New(2, 2), New(2, 3), New(3, 3)) })
+	assertPanics("MulATBInto shape", func() { MulATBInto(New(3, 3), New(2, 3), New(3, 3)) })
+	assertPanics("MulATBInto out", func() { MulATBInto(New(2, 3), New(2, 3), New(2, 3)) })
+	assertPanics("TransposeInto out", func() { TransposeInto(New(2, 3), New(2, 3)) })
+	assertPanics("SumRowsInto len", func() { New(1, 2).SumRowsInto(make([]float64, 3)) })
+	assertPanics("AddTo short src", func() { AddTo(make([]float64, 5), make([]float64, 4)) })
 	assertPanics("FromSlice len", func() { FromSlice(2, 2, []float64{1}) })
 	assertPanics("AddRowVec len", func() { New(1, 2).AddRowVec([]float64{1}) })
-	assertPanics("HStack rows", func() { HStack(New(1, 2), New(2, 2)) })
-	assertPanics("Cols range", func() { New(1, 2).Cols(1, 5) })
-	assertPanics("AddScaled shape", func() { New(1, 2).AddScaled(New(2, 1), 1) })
+	assertPanics("HStackInto rows", func() { HStackInto(New(1, 4), New(1, 2), New(2, 2)) })
+	assertPanics("HStackInto out", func() { HStackInto(New(1, 3), New(1, 2), New(1, 2)) })
+	assertPanics("ColsInto range", func() { New(1, 2).ColsInto(New(1, 4), 1, 5) })
+	assertPanics("ColsInto out", func() { New(1, 4).ColsInto(New(1, 3), 1, 3) })
 	assertPanics("negative dims", func() { New(-1, 2) })
 }
