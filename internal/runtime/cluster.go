@@ -416,21 +416,21 @@ func (p *Provider) computeLoop() {
 		for _, w := range batch {
 			for _, r := range st.Routes {
 				ch := Chunk{
-					Image:   w.img,
-					Volume:  int32(st.Volume),
-					Lo:      int32(r.Lo),
-					Hi:      int32(r.Hi),
-					Lag:     lag,
-					Payload: transport.GetPayload(p.tr, (r.Hi-r.Lo)*st.RowBytes),
+					Image:  w.img,
+					Volume: int32(st.Volume),
+					Lo:     int32(r.Lo),
+					Hi:     int32(r.Hi),
+					Lag:    lag,
 				}
-				fillActivation(ch.Payload, ch.Image^uint32(st.Volume)<<8^uint32(r.Lo)<<16)
 				if r.Dest == p.plan.Index {
-					// Self-routes never touch the wire; recycle the payload
-					// directly once assembly has recorded it.
+					// A self-route never touches the wire and assembly
+					// reads only a chunk's coordinates: it carries no
+					// payload.
 					p.deliver(ch, instantOf(end))
-					transport.RecyclePayload(p.tr, ch.Payload)
 					continue
 				}
+				ch.Payload = transport.GetPayload(p.tr, (r.Hi-r.Lo)*st.RowBytes)
+				fillActivation(ch.Payload, ch.Image^uint32(st.Volume)<<8^uint32(r.Lo)<<16)
 				select {
 				case p.outbox <- outMsg{dest: r.Dest, ch: ch}:
 				case <-p.done:

@@ -3,7 +3,13 @@ package runtime
 import (
 	"encoding/binary"
 	"math"
+
+	"distredge/internal/simd"
 )
+
+// useAVX2 selects fillActivation's AVX2 kernel for whole 32-byte blocks.
+// It is simd.AVX2, and only the package's tests flip it.
+var useAVX2 = simd.AVX2
 
 // fillActivation fills an emulated payload with plausible activation data,
 // deterministically derived from the seed. The runtime's payloads carry no
@@ -17,12 +23,23 @@ import (
 // int32 half of an xorshift64 state times 2^-28, so values spread over
 // [-8, 8] with full mantissa entropy (flate.BestSpeed keeps ~0.91 of the
 // bytes). The multiply by a power of two is exact: the value a divide by
-// 2^28 gives, at a fraction of its latency. Four independent lanes, seeded
-// from the one seed by splitmix64, advance per iteration: each state yields
-// two values, so an iteration stores 32 bytes in four 8-byte writes and the
-// four xorshift dependency chains overlap: ~4 GB/s on one 2.1 GHz core
-// (BenchmarkFillActivation), which matters because on the free-wire
-// workloads this function is the emulated compute's whole CPU cost.
+// 2^28 gives, at a fraction of its latency. Four independent lanes,
+// seeded from the one seed by splitmix64, advance once per 32-byte block,
+// each state yielding two values.
+//
+// On amd64 CPUs with AVX2 (useAVX2) an assembly kernel fills the whole
+// blocks with the four lanes in one YMM register: three shift-and-xor
+// pairs advance them, and the register read as eight int32s is already the
+// block's little-endian value order. One VCVTDQ2PS converts them, rounding
+// to nearest under the default MXCSR as the scalar CVTSL2SS behind
+// float32(int32(x)) does; one VMULPS by 2^-28 scales them exactly (the
+// smallest nonzero product, 2^-28, is a normal float32); one store writes
+// the block. Its bytes are the portable loop's
+// (TestFillActivationKernelBitIdentical), and the loop below is both the
+// kernel's reference and the path everywhere else. BenchmarkFillActivation
+// on a 2-vCPU Xeon, medians of six: 2.5 GB/s portable, 10.7 GB/s AVX2.
+// That matters because on the free-wire workloads this function is the
+// emulated compute's whole CPU cost.
 //
 // It is a stream and not a copy from a precomputed table because a table
 // makes every payload periodic: the bytes stay incompressible only while
@@ -42,6 +59,12 @@ func fillActivation(buf []byte, seed uint32) {
 	}
 	a, b, c, d := lane(), lane(), lane(), lane()
 	i := 0
+	if useAVX2 && len(buf) >= 32 {
+		s := [4]uint64{a, b, c, d}
+		fillBlocks(&buf[0], len(buf)/32, &s)
+		a, b, c, d = s[0], s[1], s[2], s[3]
+		i = len(buf) &^ 31
+	}
 	for ; i+32 <= len(buf); i += 32 {
 		a, b, c, d = xorshift64(a), xorshift64(b), xorshift64(c), xorshift64(d)
 		w := buf[i : i+32 : i+32]

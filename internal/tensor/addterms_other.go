@@ -2,11 +2,6 @@
 
 package tensor
 
-// useAVX2 is false off amd64, and the tests never set it there.
-var useAVX2 = false
-
-func avx2Supported() bool { return false }
-
 // addTiles is never called off amd64 (useAVX2 is false there): addTerms'
 // portable loops sum every column.
 func addTiles(orow, bA []float64, off []int, val []float64) int { return 0 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"distredge/internal/simd"
 )
 
 // The scalar loops the elementwise operations replaced, written out as the
@@ -94,13 +96,13 @@ func sameFloats(t *testing.T, name string, n int, got, want []float64, anyNaN bo
 // kernels, which run wherever the CPU and OS support them, and no operation
 // may allocate.
 func TestElementwiseKernelsBitIdentical(t *testing.T) {
-	if avx2Supported() && !useAVX2 {
+	if simd.AVX2 && !useAVX2 {
 		t.Fatal("CPUID and XGETBV report AVX2, but the AVX2 kernels are not selected")
 	}
 	saved := useAVX2
 	t.Cleanup(func() { useAVX2 = saved })
 	for _, avx2 := range []bool{false, true} {
-		if avx2 && !avx2Supported() {
+		if avx2 && !simd.AVX2 {
 			t.Log("no AVX2 on this CPU: the elementwise kernels are not tested, only the portable loops")
 			continue
 		}

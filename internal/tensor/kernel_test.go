@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"distredge/internal/simd"
 )
 
 // refMulAB is the straightforward k-outer a·b loop: ascending k per output
@@ -81,13 +83,13 @@ func sameBits(t *testing.T, name string, got, want *Mat) {
 // the product panics with a bounds error on both paths, and neither kernel
 // may allocate.
 func TestMulKernelsBitIdentical(t *testing.T) {
-	if avx2Supported() && !useAVX2 {
+	if simd.AVX2 && !useAVX2 {
 		t.Fatal("CPUID and XGETBV report AVX2, but the AVX2 tile kernel is not selected")
 	}
 	saved := useAVX2
 	t.Cleanup(func() { useAVX2 = saved })
 	for _, avx2 := range []bool{false, true} {
-		if avx2 && !avx2Supported() {
+		if avx2 && !simd.AVX2 {
 			t.Log("no AVX2 on this CPU: the tile kernel is not tested, only the portable loops")
 			continue
 		}
@@ -192,7 +194,7 @@ func BenchmarkMulKernels(b *testing.B) {
 		a, bm, out := sparseRandom(rng, sh.m, sh.k), New(sh.k, sh.n), New(sh.m, sh.n)
 		bm.Randomize(rng, 1)
 		for _, avx2 := range []bool{false, true} {
-			if avx2 && !avx2Supported() {
+			if avx2 && !simd.AVX2 {
 				continue
 			}
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", sh.m, sh.k, sh.n, pathName(avx2)), func(b *testing.B) {

@@ -6,7 +6,14 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+
+	"distredge/internal/simd"
 )
+
+// useAVX2 selects the AVX2 kernels: addTerms' 16-column tiles and the
+// elementwise update kernels. It is simd.AVX2, and only the package's
+// tests flip it.
+var useAVX2 = simd.AVX2
 
 // Mat is a dense row-major matrix.
 type Mat struct {
