@@ -630,7 +630,9 @@ func fidelity(w io.Writer, b experiments.Budget, batches []int, codecs []string,
 				if err != nil {
 					return err
 				}
-				stats, runErr := cluster.RunPipelined(rtImages, window)
+				measured, runErr := cluster.Serve(sim.Scenario{
+					Tenants: []sim.TenantSpec{{Images: rtImages}}, Window: window, Batch: k,
+				})
 				cluster.Close()
 				if runErr != nil {
 					return runErr
@@ -655,17 +657,15 @@ func fidelity(w io.Writer, b experiments.Budget, batches []int, codecs []string,
 				if calibrated && transport.WireFrac(mustWireCodec(tr)) != wireFrac {
 					label += "*"
 				}
-				modelIPS := stats.IPS * timeScale
-				modelLatMS := stats.MeanLatMS() / timeScale
 				fmt.Fprintf(w, "%-7s %6d %-14s %9.2f %9.1f | %12.2f %12.1f | %9.2f\n",
-					regime, k, label, prep.IPS, prep.MeanLatMS, modelIPS, modelLatMS, modelIPS/prep.IPS)
+					regime, k, label, prep.IPS, prep.MeanLatMS, measured.IPS, measured.MeanLatMS, measured.IPS/prep.IPS)
 			}
 		}
 		if !shaped {
 			fmt.Fprintln(w)
 		}
 	}
-	fmt.Fprintf(w, "(runtime numbers mapped to model scale: wall IPS x %g, wall latency / %g; * = wire fraction calibrated from the cell's measured deflate ratio)\n", timeScale, timeScale)
+	fmt.Fprintf(w, "(runtime numbers in model time: wall clock / %g; * = wire fraction calibrated from the cell's measured deflate ratio)\n", timeScale)
 	return nil
 }
 

@@ -2,12 +2,16 @@
 // of edge devices and reports the predicted streaming performance, along
 // with every baseline method for comparison.
 //
+// With -deploy it runs the same scenario on the real runtime
+// (runtime.Cluster.Serve) and reports the measurement in model time.
+//
 // Usage:
 //
 //	distredge -model vgg16 -providers xavier:200,xavier:200,nano:200,nano:200
 //	distredge -model yolov2 -providers nano:50,nano:100,tx2:200 -effort full
 //	distredge -model vgg16 -providers nano:100,nano:100 -baselines
 //	distredge -model vgg16 -providers nano:50,nano:50 -deploy -transport inproc -trace
+//	distredge -effort tiny -deploy -tenants heavy:60x1,light:20x2 -window 4 -churn drop:1@3 -heartbeat 15ms
 package main
 
 import (
@@ -55,7 +59,10 @@ func run(w io.Writer, args []string) error {
 	loadPath := fs.String("load", "", "evaluate a previously saved strategy instead of planning")
 	churnSpec := fs.String("churn", "", "scripted fleet events, e.g. 'drop:1@2.5,slow:2x3@4,join:1@8' (see ParseChurn)")
 	noRecover := fs.Bool("norecover", false, "with -churn: disable re-planning, so a drop truncates the stream")
-	deploy := fs.Bool("deploy", false, "also deploy the plan on the real runtime and measure it")
+	deploy := fs.Bool("deploy", false, "also run the scenario (-images or -tenants, -window, -batch, -churn, -norecover) on the real runtime and measure it")
+	tenantsSpec := fs.String("tenants", "", "with -deploy: serve through the multi-tenant gateway, comma-separated name:IMAGESxWEIGHT tenants (overrides -images)")
+	policy := fs.String("policy", "wfq", "with -deploy -tenants: admission policy across tenants (fifo|wfq)")
+	heartbeat := fs.Duration("heartbeat", 0, "with -deploy: provider heartbeat period (0 = default 50ms, negative disables health tracking)")
 	transportSpec := fs.String("transport", "tcp", "with -deploy: wire stack tcp|tcp+deflate|tcp+quant|tcp+quant16|tcp+quant+deflate|inproc")
 	trace := fs.Bool("trace", false, "with -deploy: shape the transport with the planned WiFi traces")
 	batch := fs.Int("batch", 1, "with -deploy: step-batching cap — up to this many queued same-step images share one compute invocation (1 = off, 0 = adaptive: drain whatever queued)")
@@ -86,6 +93,17 @@ func run(w io.Writer, args []string) error {
 	events, err := distredge.ParseChurn(*churnSpec)
 	if err != nil {
 		return err
+	}
+	// The scenario -deploy runs: what the simulator evaluates below.
+	sc := sim.Scenario{Tenants: []sim.TenantSpec{{Images: *images}}, Window: *window, Batch: *batch, ChurnOptions: sim.ChurnOptions{Recover: !*noRecover}}
+	if *tenantsSpec != "" {
+		if sc.Tenants, err = distredge.ParseTenants(*tenantsSpec); err != nil {
+			return err
+		}
+		sc.Policy = *policy
+	}
+	for _, e := range events {
+		sc.Events = append(sc.Events, sim.ChurnEvent{At: e.AtSec, Kind: churnKinds[e.Kind], Device: e.Device, Factor: e.Factor})
 	}
 	sys, err := distredge.New(*model, providers, distredge.WithSeed(*seed))
 	if err != nil {
@@ -171,20 +189,7 @@ func run(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-14s goodput=%5.2f  completed=%d/%d  latency=%7.1fms  p95=%7.1fms  (window %d)\n",
-			"churn", crep.GoodputIPS, crep.Completed, *images, crep.MeanLatMS, crep.P95LatMS, crep.Window)
-		if crep.Recoveries > 0 {
-			fmt.Fprintf(w, "               recovered %d time(s), requeued %d in-flight images", crep.Recoveries, crep.Requeued)
-			for i, rs := range crep.RecoverSec {
-				if rs >= 0 {
-					fmt.Fprintf(w, "; event %d recovered in %.3fs", i+1, rs)
-				}
-			}
-			fmt.Fprintln(w)
-		}
-		if crep.FailedAtSec >= 0 {
-			fmt.Fprintf(w, "               stream truncated at t=%.2fs: %d images lost\n", crep.FailedAtSec, crep.Failed)
-		}
+		printServed(w, "churn", crep, *images)
 	}
 
 	if *deploy {
@@ -201,7 +206,7 @@ func run(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		opts := runtime.Options{TimeScale: *timescale, BytesScale: *bytescale, Objective: rtObj, Batch: *batch}
+		opts := runtime.Options{TimeScale: *timescale, BytesScale: *bytescale, Recover: sc.Recover, HeartbeatInterval: *heartbeat, Objective: rtObj, Batch: *batch}
 		if planCache != nil {
 			opts.Replan, err = planCache.CachedReplan(planCfg, nil)
 			if err != nil {
@@ -217,15 +222,22 @@ func run(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		stats, runErr := cluster.RunPipelined(*images, *window)
+		res, runErr := cluster.Serve(sc)
 		cluster.Close()
+		if res.Images > 0 { // measured in model time, reported as the churn prediction is
+			printServed(w, "deployed", distredge.ChurnReport{Window: res.Window, Completed: res.Completed, Failed: res.Failed,
+				Recoveries: res.Recoveries, Requeued: res.Requeued, GoodputIPS: res.IPS, MeanLatMS: res.MeanLatMS,
+				P95LatMS: res.P95LatMS, FailedAtSec: res.FailedAtSec, RecoverSec: res.EventRecoverySec}, res.Images)
+			_, _, replanMS, quarantined := cluster.Recovery()
+			fmt.Fprintf(w, "               measured over %s, policy %s; re-planned in %.1fms, quarantined %v\n",
+				opts.Transport.Name(), res.Policy, replanMS, quarantined)
+			for _, tr := range res.Tenants {
+				fmt.Fprintf(w, "  %-12s completed=%d  latency=%7.1fms  p95=%7.1fms  max=%7.1fms\n", tr.Name, tr.Images, tr.MeanLatMS, tr.P95LatMS, tr.MaxLatMS)
+			}
+		}
 		if runErr != nil {
 			return runErr
 		}
-		// Wall-clock measurements map back to model time via the scales.
-		fmt.Fprintf(w, "%-14s IPS=%7.2f  latency=%7.1fms  (measured over %s, %d images, window %d, model scale)\n",
-			"deployed", stats.IPS**timescale, stats.MeanLatMS()/(*timescale),
-			opts.Transport.Name(), stats.Completed, stats.Window)
 	}
 
 	if *timeline {
@@ -258,6 +270,28 @@ func run(w io.Writer, args []string) error {
 		}
 	}
 	return nil
+}
+
+// churnKinds maps ParseChurn's event kinds onto the simulator's.
+var churnKinds = map[string]sim.ChurnKind{"drop": sim.DeviceDrop, "join": sim.DeviceJoin, "slow": sim.DeviceSlow}
+
+// printServed reports a served stream, the simulator's or the deployed
+// fleet's, in model time.
+func printServed(w io.Writer, label string, rep distredge.ChurnReport, images int) {
+	fmt.Fprintf(w, "%-14s goodput=%5.2f  completed=%d/%d  latency=%7.1fms  p95=%7.1fms  (window %d)\n",
+		label, rep.GoodputIPS, rep.Completed, images, rep.MeanLatMS, rep.P95LatMS, rep.Window)
+	if rep.Recoveries > 0 {
+		fmt.Fprintf(w, "               recovered %d time(s), requeued %d in-flight images", rep.Recoveries, rep.Requeued)
+		for i, rs := range rep.RecoverSec {
+			if rs >= 0 {
+				fmt.Fprintf(w, "; event %d recovered in %.3fs", i+1, rs)
+			}
+		}
+		fmt.Fprintln(w)
+	}
+	if rep.FailedAtSec >= 0 {
+		fmt.Fprintf(w, "               stream truncated at t=%.2fs: %d images lost\n", rep.FailedAtSec, rep.Failed)
+	}
 }
 
 func plural(n int, one, many string) string {

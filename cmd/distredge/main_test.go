@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -57,6 +58,7 @@ func TestRunRejectsBadArgumentsBeforePlanning(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nosuchflag"},
 		{"-effort", "tiny", "-churn", "explode:1@2"},
+		{"-effort", "tiny", "-deploy", "-tenants", "heavy:0x1"},
 	} {
 		var out bytes.Buffer
 		if err := run(&out, args); err == nil {
@@ -65,5 +67,43 @@ func TestRunRejectsBadArgumentsBeforePlanning(t *testing.T) {
 		if out.Len() > 0 {
 			t.Errorf("distredge %v printed before failing:\n%s", args, out.Bytes())
 		}
+	}
+}
+
+// TestDeployRunsTheChurnScenario checks that -deploy runs the scenario the
+// simulator just evaluated, its drop included, on the deployed fleet. It
+// runs on the wall clock, so it is not a golden: with recovery every image
+// completes and the deployed report shows one recovery; with -norecover the
+// drop is sticky, the loss is reported and the command fails.
+func TestDeployRunsTheChurnScenario(t *testing.T) {
+	// The drop lands 1 model second into a stream of about 1.9: the
+	// emulated compute cannot finish the stream any sooner.
+	args := []string{"-effort", "tiny", "-images", "32", "-window", "4", "-transport", "inproc",
+		"-churn", "drop:1@1", "-deploy"}
+	deployed := func(out string) string {
+		i := strings.Index(out, "\ndeployed ")
+		if i < 0 {
+			t.Fatalf("no deployed report in:\n%s", out)
+		}
+		return out[i+1:]
+	}
+	var out bytes.Buffer
+	if err := run(&out, args); err != nil {
+		t.Fatalf("distredge %v: %v\n%s", args, err, out.Bytes())
+	}
+	rep := deployed(out.String())
+	if !strings.Contains(rep, "completed=32/32") || strings.Count(rep, "recovered 1 time(s)") != 1 ||
+		!strings.Contains(rep, "quarantined [1]") {
+		t.Errorf("recovering deployment, want every image and one recovery of provider 1:\n%s", rep)
+	}
+
+	out.Reset()
+	args = append(args, "-norecover")
+	if err := run(&out, args); err == nil {
+		t.Errorf("distredge %v: a sticky loss must fail the command", args)
+	}
+	rep = deployed(out.String())
+	if strings.Contains(rep, "completed=32/32") || !strings.Contains(rep, "images lost") || strings.Contains(rep, "recovered") {
+		t.Errorf("sticky deployment, want a reported loss and no recovery:\n%s", rep)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"distredge/internal/runtime"
+	"distredge/internal/sim"
 	"distredge/internal/strategy"
 )
 
@@ -134,7 +135,7 @@ func TestDeployOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	stats, err := cluster.Run(3)
+	stats, err := cluster.Serve(sim.Scenario{Tenants: []sim.TenantSpec{{Images: 3}}, Window: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package gateway
+package gateway_test
 
 import (
 	"testing"
@@ -32,12 +32,12 @@ func diffStrategy(env *sim.Env, boundaries []int) *strategy.Strategy {
 	return s
 }
 
-// TestGatewayDifferentialSimVsRuntime is the tentpole's acceptance test:
-// the simulator's multi-stream mirror predicts that weighted fair queueing
-// beats FIFO on the small high-weight tenant's p95 when a heavy tenant's
-// burst shares the fleet, and the real gateway over a shaped runtime
-// cluster — same network, same window, same pick rule — must reproduce
-// that ordering.
+// TestGatewayDifferentialSimVsRuntime: a heavy tenant's burst shares the
+// fleet with a small high-weight tenant, and one Scenario per policy runs
+// on both executors. The simulator predicts that weighted fair queueing
+// beats FIFO on the small tenant's p95, and the real gateway over a shaped
+// runtime cluster — same network, same window, same pick rule — must
+// reproduce that ordering.
 func TestGatewayDifferentialSimVsRuntime(t *testing.T) {
 	env := diffEnv()
 	s := diffStrategy(env, []int{0, 10, 14, 18})
@@ -45,128 +45,85 @@ func TestGatewayDifferentialSimVsRuntime(t *testing.T) {
 		{Name: "heavy", Images: 16, Weight: 1},
 		{Name: "small", Images: 4, Weight: 4},
 	}
-	const window = 4
-
-	// Offline prediction.
-	simSmall := map[string]float64{}
+	const timeScale, bytesScale = 0.05, 0.001
+	simP95, rtP95 := map[string]float64{}, map[string]float64{}
 	for _, policy := range []string{sim.AdmitFIFO, sim.AdmitWFQ} {
-		res, err := env.Serve(s, sim.Scenario{Tenants: tenants, Policy: policy, Window: window, Batch: 1})
+		sc := sim.Scenario{Tenants: tenants, Policy: policy, Window: 4, Batch: 1}
+		pred, err := env.Serve(s, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		simSmall[policy] = res.Tenants[1].P95LatMS
-	}
-	if !(simSmall[sim.AdmitWFQ] < simSmall[sim.AdmitFIFO]) {
-		t.Fatalf("simulator must predict wfq beats fifo on the small tenant's p95: wfq %.1fms vs fifo %.1fms",
-			simSmall[sim.AdmitWFQ], simSmall[sim.AdmitFIFO])
-	}
-
-	// Shaped-runtime reproduction through the real gateway.
-	const timeScale, bytesScale = 0.05, 0.001
-	rtRun := func(policy string) float64 {
-		t.Helper()
-		opts := runtime.Options{
+		cl, err := runtime.Deploy(env, s, runtime.Options{
 			TimeScale:         timeScale,
 			BytesScale:        bytesScale,
+			Batch:             1,
 			HeartbeatInterval: -1,
 			Transport:         transport.NewShaped(transport.NewInproc(), env.Net, timeScale, bytesScale),
-		}
-		cl, err := runtime.Deploy(env, s, opts)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer cl.Close()
-		cfgs := make([]TenantConfig, len(tenants))
-		for i, ts := range tenants {
-			cfgs[i] = TenantConfig{Name: ts.Name, Weight: ts.Weight}
-		}
-		g, err := New(cl, Config{Window: window, Policy: policy}, cfgs)
+		got, err := cl.Serve(sc)
+		cl.Close()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", policy, err)
 		}
-		// The sim's burst model: every tenant's whole backlog enqueued at
-		// the stream start, heavy first (FIFO ties go to the lower index
-		// there; lower sequence numbers here).
-		var chs []<-chan Result
-		for _, ts := range tenants {
-			for j := 0; j < ts.Images; j++ {
-				ch, err := g.Enqueue(ts.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				chs = append(chs, ch)
-			}
+		if got.Failed != 0 || got.Tenants[0].Images != 16 || got.Tenants[1].Images != 4 {
+			t.Fatalf("%s: %d failed, heavy %d small %d completed, want 0 and 16/4",
+				policy, got.Failed, got.Tenants[0].Images, got.Tenants[1].Images)
 		}
-		for i, ch := range chs {
-			select {
-			case r := <-ch:
-				if r.Err != nil {
-					t.Fatalf("%s request %d: %v", policy, i, r.Err)
-				}
-			case <-time.After(2 * time.Minute):
-				t.Fatalf("%s request %d never completed", policy, i)
-			}
-		}
-		sum := g.Summary()
-		g.Close()
-		if sum[0].Completed != 16 || sum[1].Completed != 4 {
-			t.Fatalf("%s completions: heavy %d small %d, want 16/4", policy, sum[0].Completed, sum[1].Completed)
-		}
-		return sum[1].P95LatMS
+		simP95[policy], rtP95[policy] = pred.Tenants[1].P95LatMS, got.Tenants[1].P95LatMS
 	}
-	rtFIFO := rtRun(PolicyFIFO)
-	rtWFQ := rtRun(PolicyWFQ)
-	t.Logf("sim small p95: fifo %.1fms wfq %.1fms | runtime small p95: fifo %.1fms wfq %.1fms",
-		simSmall[sim.AdmitFIFO], simSmall[sim.AdmitWFQ], rtFIFO, rtWFQ)
-	if !(rtWFQ < rtFIFO) {
+	t.Logf("small tenant's p95 (model ms): sim fifo %.1f wfq %.1f | runtime fifo %.1f wfq %.1f",
+		simP95[sim.AdmitFIFO], simP95[sim.AdmitWFQ], rtP95[sim.AdmitFIFO], rtP95[sim.AdmitWFQ])
+	if !(simP95[sim.AdmitWFQ] < simP95[sim.AdmitFIFO]) {
+		t.Fatalf("simulator must predict wfq beats fifo on the small tenant's p95: wfq %.1fms vs fifo %.1fms",
+			simP95[sim.AdmitWFQ], simP95[sim.AdmitFIFO])
+	}
+	if !(rtP95[sim.AdmitWFQ] < rtP95[sim.AdmitFIFO]) {
 		t.Errorf("shaped runtime does not reproduce the predicted ordering: wfq small p95 %.1fms vs fifo %.1fms",
-			rtWFQ, rtFIFO)
+			rtP95[sim.AdmitWFQ], rtP95[sim.AdmitFIFO])
 	}
 }
 
 // TestGatewaySurvivesProviderDeath is gateway × churn: two tenants share a
-// fleet through the real gateway and a provider dies mid-burst. Recovery is
-// a property of the cluster, so with Options.Recover every request of every
-// tenant still completes (each Submit re-scatters its own image on the
-// healed deployment and keeps its gateway slot), and without it the failure
-// is sticky and requests fail. The simulator serving the same tenants with
-// one DeviceDrop predicts the same split; only the ordering is compared.
+// fleet through the gateway and a provider drops mid-burst, one Scenario
+// run by both executors. Recovery is a property of the cluster, so with
+// Recover every request of every tenant still completes (each Submit
+// re-scatters its own image on the healed deployment and keeps its gateway
+// slot), and without it the failure is sticky and requests fail. The
+// simulator predicts the same split; only the ordering is compared.
 func TestGatewaySurvivesProviderDeath(t *testing.T) {
 	env := diffEnv()
 	s := diffStrategy(env, []int{0, 10, 14, 18})
-	tenants := []sim.TenantSpec{
-		{Name: "heavy", Images: 24, Weight: 1},
-		{Name: "small", Images: 8, Weight: 4},
+	const total = 32
+	sc := sim.Scenario{
+		Tenants: []sim.TenantSpec{
+			{Name: "heavy", Images: 24, Weight: 1},
+			{Name: "small", Images: 8, Weight: 4},
+		},
+		Policy: sim.AdmitWFQ, Window: 4, Batch: 1,
 	}
-	const window, total = 4, 32
-
-	// Offline prediction.
-	sc := sim.Scenario{Tenants: tenants, Policy: sim.AdmitWFQ, Window: window, Batch: 1}
 	base, err := env.Serve(s, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.Events = []sim.ChurnEvent{{At: base.TotalSec * 0.3, Kind: sim.DeviceDrop, Device: 1}}
-	simOff, err := env.Serve(s, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Recover, sc.Replan = true, splitter.BalancedReplan
-	simOn, err := env.Serve(s, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if simOn.Completed != total || simOn.Failed != 0 || simOff.Failed == 0 {
-		t.Fatalf("simulator must predict recovery serves everything and no recovery loses requests: on %d completed %d failed, off %d failed",
-			simOn.Completed, simOn.Failed, simOff.Failed)
-	}
-
-	// The real gateway over a real cluster, a provider killed mid-burst.
-	rtRun := func(recover bool) (failed int) {
-		t.Helper()
+	sc.Replan = splitter.BalancedReplan
+	for _, recover := range []bool{true, false} {
+		sc.Recover = recover
+		pred, err := env.Serve(s, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recover && (pred.Completed != total || pred.Failed != 0) || !recover && pred.Failed == 0 {
+			t.Fatalf("recover=%v: simulator predicts %d completed, %d failed; want all served with recovery and losses without",
+				recover, pred.Completed, pred.Failed)
+		}
 		cl, err := runtime.Deploy(env, s, runtime.Options{
 			TimeScale:         0.1,
 			BytesScale:        0.001,
+			Batch:             1,
 			Recover:           recover,
 			HeartbeatInterval: 15 * time.Millisecond,
 			HeartbeatMisses:   3,
@@ -175,58 +132,22 @@ func TestGatewaySurvivesProviderDeath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer cl.Close()
-		cfgs := make([]TenantConfig, len(tenants))
-		for i, ts := range tenants {
-			cfgs[i] = TenantConfig{Name: ts.Name, Weight: ts.Weight}
+		got, err := cl.Serve(sc)
+		n, _, _, q := cl.Recovery()
+		cl.Close()
+		// Exactly one outcome per request, whatever happened to the fleet.
+		if got.Completed+got.Failed != total {
+			t.Errorf("recover=%v: %d completed + %d failed, want %d requests accounted for", recover, got.Completed, got.Failed, total)
 		}
-		g, err := New(cl, Config{Window: window, Policy: PolicyWFQ}, cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer g.Close()
-		kill := time.AfterFunc(40*time.Millisecond, func() { cl.KillProvider(1) })
-		defer kill.Stop()
-		var chs []<-chan Result
-		for _, ts := range tenants {
-			for j := 0; j < ts.Images; j++ {
-				ch, err := g.Enqueue(ts.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				chs = append(chs, ch)
+		if recover {
+			if err != nil || got.Failed != 0 {
+				t.Errorf("recovering cluster failed %d of %d requests (%v), sim predicts 0", got.Failed, total, err)
 			}
-		}
-		// Exactly one Result per Enqueue, whatever happened to the fleet.
-		for i, ch := range chs {
-			select {
-			case r := <-ch:
-				if r.Err != nil {
-					failed++
-					if recover {
-						t.Errorf("request %d (%s) failed on a recovering cluster: %v", i, r.Tenant, r.Err)
-					}
-				}
-			case <-time.After(time.Minute):
-				t.Fatalf("request %d never got its Result", i)
+			if n != 1 || len(q) != 1 || q[0] != 1 {
+				t.Errorf("recovering cluster: %d recoveries, quarantined %v; want 1 and [1]", n, q)
 			}
+		} else if got.Failed == 0 {
+			t.Errorf("sticky cluster failed no request after a mid-burst drop at %.3fs, sim predicts %d", sc.Events[0].At, pred.Failed)
 		}
-		summed := 0
-		for _, ts := range g.Summary() {
-			summed += ts.Failed
-		}
-		if summed != failed {
-			t.Errorf("summary counts %d failed, results carried %d", summed, failed)
-		}
-		if n, _, _, q := cl.Recovery(); recover && (n != 1 || len(q) != 1 || q[0] != 1) {
-			t.Errorf("recovering cluster: %d recoveries, quarantined %v; want 1 and [1]", n, q)
-		}
-		return failed
-	}
-	if failed := rtRun(true); failed != 0 {
-		t.Errorf("recovering cluster failed %d of %d requests, sim predicts 0", failed, total)
-	}
-	if failed := rtRun(false); failed == 0 {
-		t.Errorf("sticky cluster failed no request after a mid-burst kill, sim predicts %d", simOff.Failed)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -284,6 +285,58 @@ func TestGatewayBackendErrorCountsFailed(t *testing.T) {
 	s := g.Summary()[0]
 	if s.Failed != 1 || s.Completed != 0 || s.MeanLatMS != 0 {
 		t.Errorf("summary %+v, want failed=1 and no latency recorded", s)
+	}
+}
+
+// flakyBackend fails every third Submit.
+type flakyBackend struct{ calls atomic.Int64 }
+
+func (b *flakyBackend) Submit() error {
+	if b.calls.Add(1)%3 == 0 {
+		return errors.New("backend lost the image")
+	}
+	return nil
+}
+
+// TestGatewaySummaryAgreesWithResults: every request gets exactly one
+// Result, and each tenant's Summary counts exactly the completions and
+// failures its Results carried.
+func TestGatewaySummaryAgreesWithResults(t *testing.T) {
+	g, err := New(&flakyBackend{}, Config{Window: 4, Policy: PolicyWFQ}, []TenantConfig{
+		{Name: "heavy", Weight: 1}, {Name: "small", Weight: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	want := map[string]*TenantSummary{"heavy": {Enqueued: 24}, "small": {Enqueued: 8}}
+	var chs []<-chan Result
+	for _, name := range []string{"heavy", "small"} {
+		for j := 0; j < want[name].Enqueued; j++ {
+			ch, err := g.Enqueue(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chs = append(chs, ch)
+		}
+	}
+	for _, ch := range chs {
+		r := recvResult(t, ch)
+		if r.Err != nil {
+			want[r.Tenant].Failed++
+		} else {
+			want[r.Tenant].Completed++
+		}
+	}
+	if want["heavy"].Failed+want["small"].Failed == 0 {
+		t.Fatal("the backend failed no request")
+	}
+	for _, s := range g.Summary() {
+		w := want[s.Tenant]
+		if s.Enqueued != w.Enqueued || s.Completed != w.Completed || s.Failed != w.Failed {
+			t.Errorf("%s: summary enqueued %d completed %d failed %d, results say %d/%d/%d",
+				s.Tenant, s.Enqueued, s.Completed, s.Failed, w.Enqueued, w.Completed, w.Failed)
+		}
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 	"distredge/internal/transport"
 )
 
-// TestRunPipelinedBatchOneMatchesDefault is the equivalence property test:
+// TestServeBatchOneMatchesDefault is the equivalence property test:
 // Options.Batch = 1 (and any negative value) must take the pre-batching
 // compute path — every compute invocation covers exactly one step instance,
 // the emulated cost per step is unchanged, and the run completes
 // identically.
-func TestRunPipelinedBatchOneMatchesDefault(t *testing.T) {
+func TestServeBatchOneMatchesDefault(t *testing.T) {
 	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
 	s := stageStrategy(env, env.Model, []int{0, 10, 14, 18})
 	const images, window = 8, 4
@@ -24,7 +24,7 @@ func TestRunPipelinedBatchOneMatchesDefault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := cl.RunPipelined(images, window)
+		stats, err := stream(cl, images, window)
 		if err != nil {
 			cl.Close()
 			t.Fatal(err)
@@ -33,7 +33,7 @@ func TestRunPipelinedBatchOneMatchesDefault(t *testing.T) {
 			t.Errorf("batch=%d: completed %d of %d", batch, stats.Completed, images)
 		}
 		if stats.Batch != 1 {
-			t.Errorf("batch=%d: RunStats.Batch = %d, want 1 (default)", batch, stats.Batch)
+			t.Errorf("batch=%d: ServeResult.Batch = %d, want 1 (default)", batch, stats.Batch)
 		}
 		totalSteps, totalInv := 0, 0
 		for _, ps := range cl.Stats() {
@@ -50,11 +50,11 @@ func TestRunPipelinedBatchOneMatchesDefault(t *testing.T) {
 	}
 }
 
-// TestRunPipelinedAdaptiveBatchDrains checks the zero value's adaptive cap:
+// TestServeAdaptiveBatchDrains checks the zero value's adaptive cap:
 // Batch = 0 drains whatever queued behind a busy device — invocations
 // amortise like a fixed cap, outputs still arrive per image, and no
 // configured bound shows up in the stats.
-func TestRunPipelinedAdaptiveBatchDrains(t *testing.T) {
+func TestServeAdaptiveBatchDrains(t *testing.T) {
 	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
 	s := stageStrategy(env, env.Model, []int{0, 10, 14, 18})
 	const images, window = 8, 4
@@ -65,7 +65,7 @@ func TestRunPipelinedAdaptiveBatchDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	stats, err := cl.RunPipelined(images, window)
+	stats, err := stream(cl, images, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestRunPipelinedAdaptiveBatchDrains(t *testing.T) {
 		t.Fatalf("completed %d of %d", stats.Completed, images)
 	}
 	if stats.Batch != 0 {
-		t.Errorf("RunStats.Batch = %d, want the adaptive 0 to round-trip", stats.Batch)
+		t.Errorf("ServeResult.Batch = %d, want the adaptive 0 to round-trip", stats.Batch)
 	}
 	totalSteps, totalInv, maxBatch := 0, 0, 0
 	for _, ps := range cl.Stats() {
@@ -92,17 +92,17 @@ func TestRunPipelinedAdaptiveBatchDrains(t *testing.T) {
 	}
 }
 
-// TestRunPipelinedBatchingCoalesces checks the tentpole mechanism end to
+// TestServeBatchingCoalesces checks the tentpole mechanism end to
 // end: with a wide admission window the per-stage work queues, Batch = 4
 // coalesces queued same-step images into shared invocations (visible as
 // Invocations < StepsExecuted and MaxBatch > 1), the per-image outputs all
 // still arrive, and the amortised cost model is charged (total ComputeSec
 // below the unbatched run's).
-func TestRunPipelinedBatchingCoalesces(t *testing.T) {
+func TestServeBatchingCoalesces(t *testing.T) {
 	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
 	s := stageStrategy(env, env.Model, []int{0, 10, 14, 18})
 	const images, window = 16, 8
-	run := func(batch int) (RunStats, []ProviderStats) {
+	run := func(batch int) (sim.ServeResult, []ProviderStats) {
 		t.Helper()
 		opts := fastOpts()
 		opts.Batch = batch
@@ -111,7 +111,7 @@ func TestRunPipelinedBatchingCoalesces(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		stats, err := cl.RunPipelined(images, window)
+		stats, err := stream(cl, images, window)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestRunPipelinedBatchingCoalesces(t *testing.T) {
 		t.Fatalf("completions: unbatched %d, batched %d, want %d", base.Completed, batched.Completed, images)
 	}
 	if batched.Batch != 4 {
-		t.Errorf("RunStats.Batch = %d, want 4", batched.Batch)
+		t.Errorf("ServeResult.Batch = %d, want 4", batched.Batch)
 	}
 	steps, inv, maxBatch := 0, 0, 0
 	var computeSec, baseComputeSec float64
@@ -189,7 +189,7 @@ func TestShapedBatchingReproducesSimOrdering(t *testing.T) {
 
 	const timeScale, bytesScale = 0.05, 0.001
 	const images = 12
-	rtRun := func(batch int) RunStats {
+	rtRun := func(batch int) sim.ServeResult {
 		t.Helper()
 		opts := Options{
 			TimeScale:         timeScale,
@@ -203,7 +203,7 @@ func TestShapedBatchingReproducesSimOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		st, err := cl.RunPipelined(images, window)
+		st, err := stream(cl, images, window)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"distredge/internal/device"
+	"distredge/internal/sim"
 )
 
 // TestChaosKillMidWindowStickyFailure is the chaos regression test for the
@@ -33,10 +34,8 @@ func TestChaosKillMidWindowStickyFailure(t *testing.T) {
 	defer cl.Close()
 
 	const images = 16
-	kill := time.AfterFunc(100*time.Millisecond, func() { cl.KillProvider(2) })
-	defer kill.Stop()
 	start := time.Now()
-	stats, err := cl.RunPipelined(images, 4)
+	stats, err := stream(cl, images, 4, sim.ChurnEvent{At: 1, Kind: sim.DeviceDrop, Device: 2}) // 100 ms of wall clock in
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("run with a killed provider and Recover disabled must fail")
@@ -56,26 +55,26 @@ func TestChaosKillMidWindowStickyFailure(t *testing.T) {
 	}
 	// Every image that did not complete fails with the run, not with a
 	// partial latency measurement.
-	incomplete := 0
-	for i, ms := range stats.PerImageMS {
-		if ms == 0 {
-			incomplete++
-		} else if i >= stats.Completed && ms < 0 {
-			t.Errorf("image %d has negative latency %g", i, ms)
+	if stats.Failed != images-stats.Completed || len(stats.PerImageSec) != stats.Completed {
+		t.Errorf("%d failed and %d latencies for %d completed of %d", stats.Failed, len(stats.PerImageSec), stats.Completed, images)
+	}
+	for i, sec := range stats.PerImageSec {
+		if sec <= 0 {
+			t.Errorf("image %d has latency %gs", i, sec)
 		}
 	}
-	if incomplete != images-stats.Completed {
-		t.Errorf("%d images lack latencies, want %d", incomplete, images-stats.Completed)
+	if stats.FailedAtSec < 0 {
+		t.Error("a failed run must say when it failed")
 	}
 	// Sticky: later runs are refused outright with the same first error.
-	if _, rerr := cl.Run(1); rerr == nil || !strings.Contains(rerr.Error(), "already failed") {
+	if _, rerr := stream(cl, 1, 1); rerr == nil || !strings.Contains(rerr.Error(), "already failed") {
 		t.Errorf("second run on failed cluster: %v", rerr)
 	}
 	// Concurrent chaos: killing more providers after failure must not panic
 	// or resurrect the cluster.
 	cl.KillProvider(0)
 	cl.KillProvider(3)
-	if _, rerr := cl.Run(1); rerr == nil {
+	if _, rerr := stream(cl, 1, 1); rerr == nil {
 		t.Error("cluster resurrected after failure")
 	}
 }
@@ -99,9 +98,8 @@ func TestChaosHeartbeatOnlyDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	time.AfterFunc(50*time.Millisecond, func() { cl.KillProvider(1) })
 	start := time.Now()
-	_, err = cl.Run(1)
+	_, err = stream(cl, 1, 1, sim.ChurnEvent{At: 0.05, Kind: sim.DeviceDrop, Device: 1})
 	if err == nil {
 		t.Fatal("run must fail once heartbeats stop")
 	}

@@ -11,6 +11,7 @@ import (
 	"distredge/internal/device"
 	"distredge/internal/sim"
 	"distredge/internal/splitter"
+	"distredge/internal/strategy"
 )
 
 // recoverOpts are the churn-test options: fast failure detection and
@@ -28,8 +29,9 @@ func recoverOpts() Options {
 }
 
 // TestRecoverFromKilledProvider is the basic recovery path: a provider
-// dies mid-run, the cluster quarantines it, re-plans over the survivors
-// and finishes every image; the healed cluster serves another run.
+// dies mid-run (the scenario's drop, 40 ms of wall clock in), the cluster
+// quarantines it, re-plans over the survivors and finishes every image;
+// the healed cluster serves another run.
 func TestRecoverFromKilledProvider(t *testing.T) {
 	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
 	s := stageStrategy(env, env.Model, []int{0, 10, 14, 18})
@@ -40,14 +42,12 @@ func TestRecoverFromKilledProvider(t *testing.T) {
 	defer cl.Close()
 
 	const images = 24
-	kill := time.AfterFunc(40*time.Millisecond, func() { cl.KillProvider(1) })
-	defer kill.Stop()
-	stats, err := cl.RunPipelined(images, 4)
+	stats, err := stream(cl, images, 4, sim.ChurnEvent{At: 0.4, Kind: sim.DeviceDrop, Device: 1})
 	if err != nil {
 		t.Fatalf("recovery run failed: %v", err)
 	}
-	if stats.Completed != images {
-		t.Fatalf("completed %d of %d images", stats.Completed, images)
+	if stats.Completed != images || stats.Failed != 0 {
+		t.Fatalf("completed %d of %d images, %d failed", stats.Completed, images, stats.Failed)
 	}
 	if stats.Recoveries < 1 {
 		t.Fatalf("no recovery recorded: %+v", stats)
@@ -55,14 +55,18 @@ func TestRecoverFromKilledProvider(t *testing.T) {
 	if stats.Requeued == 0 {
 		t.Error("a mid-run kill must requeue in-flight images")
 	}
-	if stats.ReplanMS <= 0 {
+	if len(stats.EventRecoverySec) != 1 || !(stats.EventRecoverySec[0] > 0) {
+		t.Errorf("event recovery = %v, want one positive delay", stats.EventRecoverySec)
+	}
+	_, _, replanMS, quarantined := cl.Recovery()
+	if replanMS <= 0 {
 		t.Error("re-planning cost not recorded")
 	}
-	if len(stats.Quarantined) != 1 || stats.Quarantined[0] != 1 {
-		t.Errorf("quarantined = %v, want [1]", stats.Quarantined)
+	if len(quarantined) != 1 || quarantined[0] != 1 {
+		t.Errorf("quarantined = %v, want [1]", quarantined)
 	}
-	if cl.LiveProviders() != 3 {
-		t.Errorf("live providers = %d, want 3", cl.LiveProviders())
+	if live := strategy.CountAlive(cl.dep.Load().alive); live != 3 {
+		t.Errorf("live providers = %d, want 3", live)
 	}
 	if cl.Err() != nil {
 		t.Errorf("recovered cluster must read healthy, got %v", cl.Err())
@@ -76,13 +80,13 @@ func TestRecoverFromKilledProvider(t *testing.T) {
 	}
 	// Latencies of requeued images include the recovery stall but every
 	// completed image has a positive latency.
-	for i, ms := range stats.PerImageMS {
-		if ms <= 0 {
-			t.Errorf("image %d latency %gms", i, ms)
+	for i, sec := range stats.PerImageSec {
+		if sec <= 0 {
+			t.Errorf("image %d latency %gs", i, sec)
 		}
 	}
 	// The healed cluster keeps serving.
-	again, err := cl.RunPipelined(4, 2)
+	again, err := stream(cl, 4, 2)
 	if err != nil {
 		t.Fatalf("post-recovery run failed: %v", err)
 	}
@@ -115,7 +119,7 @@ func TestRecoverFromIdleDeath(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		if _, err := cl.RunPipelined(4, 2); err != nil {
+		if _, err := stream(cl, 4, 2); err != nil {
 			t.Fatal(err)
 		}
 		cl.KillProvider(1)
@@ -124,7 +128,7 @@ func TestRecoverFromIdleDeath(t *testing.T) {
 				t.Fatal("monitor never latched the idle death")
 			}
 		}
-		stats, err := cl.RunPipelined(8, 4)
+		stats, err := stream(cl, 8, 4)
 		if !recover {
 			if err == nil || !strings.Contains(err.Error(), "already failed") {
 				t.Errorf("sticky cluster after an idle death: err = %v, want already failed", err)
@@ -137,7 +141,7 @@ func TestRecoverFromIdleDeath(t *testing.T) {
 		if stats.Completed != 8 || stats.Recoveries != 1 {
 			t.Errorf("completed %d of 8 with %d recoveries, want all with exactly 1", stats.Completed, stats.Recoveries)
 		}
-		if q := cl.Quarantined(); len(q) != 1 || q[0] != 1 {
+		if q := quarantined(cl); len(q) != 1 || q[0] != 1 {
 			t.Errorf("quarantined %v, want [1]", q)
 		}
 	}
@@ -154,7 +158,7 @@ func TestClosedRecoverClusterRefusesWithoutRecovering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.RunPipelined(4, 2); err != nil {
+	if _, err := stream(cl, 4, 2); err != nil {
 		t.Fatal(err)
 	}
 	cl.Close()
@@ -167,13 +171,13 @@ func TestClosedRecoverClusterRefusesWithoutRecovering(t *testing.T) {
 			settled++
 		}
 	}
-	if _, err := cl.RunPipelined(2, 1); !errors.Is(err, errClosed) {
+	if _, err := stream(cl, 2, 1); !errors.Is(err, errClosed) {
 		t.Errorf("run on a closed cluster: err = %v, want %v", err, errClosed)
 	}
 	if err := cl.Submit(); !errors.Is(err, errClosed) {
 		t.Errorf("Submit on a closed cluster: err = %v, want %v", err, errClosed)
 	}
-	if q := cl.Quarantined(); len(q) != 0 {
+	if q := quarantined(cl); len(q) != 0 {
 		t.Errorf("closed cluster quarantined %v", q)
 	}
 	if n, _, _, _ := cl.Recovery(); n != 0 {
@@ -225,8 +229,8 @@ func TestSubmitRecoversAcrossCallers(t *testing.T) {
 	if requeued < 1 || requeued > callers {
 		t.Errorf("requeued %d images, want between 1 and the %d in flight", requeued, callers)
 	}
-	if cl.LiveProviders() != 3 {
-		t.Errorf("live providers = %d, want 3", cl.LiveProviders())
+	if live := strategy.CountAlive(cl.dep.Load().alive); live != 3 {
+		t.Errorf("live providers = %d, want 3", live)
 	}
 	bk := cl.bookkeeping()
 	if bk.pending != 0 || bk.arrived != 0 || bk.completed != 0 || bk.gcLow != bk.nextImg+1 {
@@ -249,7 +253,7 @@ func TestRecoverUnplannableFailureSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	_, err = cl.Run(1)
+	_, err = stream(cl, 1, 1)
 	if err == nil {
 		t.Fatal("run must fail")
 	}
@@ -308,20 +312,20 @@ func TestChurnDifferentialSimVsRuntime(t *testing.T) {
 		t.Fatalf("sim failure not mid-stream: completed %d of %d", simOff.Completed, images)
 	}
 
-	// --- Runtime reproduction (scaled wall clock). ---
+	// --- Runtime reproduction (model time, measured). ---
 	opts := recoverOpts()
 	pilot, err := Deploy(env, s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pstats, err := pilot.RunPipelined(images, window)
+	pstats, err := stream(pilot, images, window)
 	pilot.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	killAt := time.Duration(pstats.TotalSec * failFrac * float64(time.Second))
+	drop := sim.ChurnEvent{At: pstats.TotalSec * failFrac, Kind: sim.DeviceDrop, Device: 1}
 
-	run := func(recover bool) RunStats {
+	run := func(recover bool) sim.ServeResult {
 		t.Helper()
 		o := opts
 		o.Recover = recover
@@ -331,9 +335,7 @@ func TestChurnDifferentialSimVsRuntime(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		kill := time.AfterFunc(killAt, func() { cl.KillProvider(1) })
-		defer kill.Stop()
-		st, err := cl.RunPipelined(images, window)
+		st, err := stream(cl, images, window, drop)
 		if recover && err != nil {
 			t.Fatalf("recover-on run failed: %v", err)
 		}
@@ -353,8 +355,8 @@ func TestChurnDifferentialSimVsRuntime(t *testing.T) {
 	gOffRt := float64(rtOff.Completed) / rtHorizon
 	t.Logf("sim:     on %d/%d imgs (goodput %.2f), off %d/%d (%.2f), recover in %.0fms (model)",
 		simOn.Completed, images, gOnSim, simOff.Completed, images, gOffSim, simOn.EventRecoverySec[0]*1e3)
-	t.Logf("runtime: on %d/%d imgs (goodput %.2f), off %d/%d (%.2f), replan %.1fms",
-		rtOn.Completed, images, gOnRt, rtOff.Completed, images, gOffRt, rtOn.ReplanMS)
+	t.Logf("runtime: on %d/%d imgs (goodput %.2f), off %d/%d (%.2f), recover in %v s (model)",
+		rtOn.Completed, images, gOnRt, rtOff.Completed, images, gOffRt, rtOn.EventRecoverySec)
 	if rtOn.Completed != images {
 		t.Fatalf("recover-on runtime completed %d of %d", rtOn.Completed, images)
 	}

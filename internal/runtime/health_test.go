@@ -159,7 +159,7 @@ func TestHeartbeatsKeepAnIdleFleetAlive(t *testing.T) {
 		}
 	}
 	cl.health.mu.Unlock()
-	if _, err := cl.RunPipelined(8, 4); err != nil {
+	if _, err := stream(cl, 8, 4); err != nil {
 		t.Fatal(err)
 	}
 	if rec, _, _, q := cl.Recovery(); rec != 0 || len(q) != 0 {

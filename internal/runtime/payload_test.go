@@ -247,7 +247,7 @@ func TestSelfRoutesCarryNoPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Run(1); err != nil {
+	if _, err := stream(cl, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := pool.gets.Load(); got != int64(wire) {

@@ -7,6 +7,7 @@ import (
 
 	"distredge/internal/cnn"
 	"distredge/internal/device"
+	"distredge/internal/sim"
 	"distredge/internal/strategy"
 )
 
@@ -67,8 +68,9 @@ func TestSelfRouteFanoutNoDeadlock(t *testing.T) {
 	}
 }
 
-// TestRunPipelinedRejectsBadArgs covers the argument validation.
-func TestRunPipelinedRejectsBadArgs(t *testing.T) {
+// TestServeRejectsBadArgs covers the argument validation of a one-tenant
+// stream: no image is submitted for a stream that is refused.
+func TestServeRejectsBadArgs(t *testing.T) {
 	env := testEnv(device.Nano, device.Nano)
 	s := equalStrategy(env, []int{0, 18})
 	cl, err := Deploy(env, s, fastOpts())
@@ -76,16 +78,19 @@ func TestRunPipelinedRejectsBadArgs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.RunPipelined(0, 1); err == nil {
+	if _, err := stream(cl, 0, 1); err == nil {
 		t.Error("zero images must error")
 	}
-	if _, err := cl.RunPipelined(3, 0); err == nil {
+	if _, err := stream(cl, 3, 0); err == nil {
 		t.Error("zero window must error")
+	}
+	if n := cl.nextImg.Load(); n != 0 {
+		t.Errorf("refused streams submitted %d images", n)
 	}
 }
 
 // TestClusterRunTwice guards the image-id allocation across runs: the seed
-// reused ids 1..N on every Run, so a second run collided with the previous
+// reused ids 1..N on every run, so a second run collided with the previous
 // run's leftover assembly state and hung. Ids are now monotonic for the
 // cluster's lifetime.
 func TestClusterRunTwice(t *testing.T) {
@@ -96,10 +101,10 @@ func TestClusterRunTwice(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Run(2); err != nil {
+	if _, err := stream(cl, 2, 1); err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	if _, err := cl.Run(2); err != nil {
+	if _, err := stream(cl, 2, 1); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 }
@@ -114,16 +119,16 @@ func TestWindowGCDropsState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	stats, err := cl.RunPipelined(6, 3)
+	stats, err := stream(cl, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Window != 3 || len(stats.PerImageMS) != 6 {
+	if stats.Window != 3 || stats.Completed != 6 || len(stats.PerImageSec) != 6 {
 		t.Fatalf("stats wrong: %+v", stats)
 	}
-	for i, ms := range stats.PerImageMS {
-		if ms <= 0 {
-			t.Errorf("image %d latency %gms", i, ms)
+	for i, sec := range stats.PerImageSec {
+		if sec <= 0 {
+			t.Errorf("image %d latency %gs", i, sec)
 		}
 	}
 	for _, p := range cl.dep.Load().providers {
@@ -159,7 +164,7 @@ func TestSendFailureFailsFast(t *testing.T) {
 	cl.dep.Load().providers[1].close() // peer dies before any traffic
 
 	start := time.Now()
-	_, err = cl.Run(2)
+	_, err = stream(cl, 2, 1)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("run against a dead peer must fail")
@@ -172,7 +177,7 @@ func TestSendFailureFailsFast(t *testing.T) {
 	}
 	// Failure is sticky: a later run is refused outright instead of
 	// returning the stale error as its own result.
-	if _, err := cl.Run(1); err == nil || !strings.Contains(err.Error(), "already failed") {
+	if _, err := stream(cl, 1, 1); err == nil || !strings.Contains(err.Error(), "already failed") {
 		t.Errorf("second run on failed cluster: %v", err)
 	}
 }
@@ -189,7 +194,7 @@ func TestTimeoutIsAnOption(t *testing.T) {
 	}
 	defer cl.Close()
 	start := time.Now()
-	_, err = cl.Run(1)
+	_, err = stream(cl, 1, 1)
 	if err == nil {
 		t.Fatal("run must time out")
 	}
@@ -227,7 +232,7 @@ func TestPipelinedThroughputOrderingMatchesSim(t *testing.T) {
 	// Scaled runtime: compute sleeps dominate (payloads scaled tiny),
 	// so the measured ordering is robust to scheduler noise.
 	const images = 12
-	run := func(window int) RunStats {
+	run := func(window int) sim.ServeResult {
 		t.Helper()
 		opts := Options{TimeScale: 0.1, BytesScale: 0.001, Transport: testTransport()}
 		cl, err := Deploy(env, s, opts)
@@ -235,7 +240,7 @@ func TestPipelinedThroughputOrderingMatchesSim(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		st, err := cl.RunPipelined(images, window)
+		st, err := stream(cl, images, window)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,11 +2,13 @@
 // stack (internal/transport), reproducing the paper's deployment
 // (Section V-A): a controller derives per-provider plans from the strategy,
 // split-part weights are preloaded, each provider runs three goroutines
-// (receive, compute, send) sharing queues, and the requester streams images
-// through an admission window — Run keeps one image in flight (the paper's
-// protocol: an image is not sent until the previous result returns),
-// RunPipelined keeps K in flight so providers overlap different images'
-// steps and the run measures sustained throughput.
+// (receive, compute, send) sharing queues, and the requester admits images
+// through Cluster.Submit, one image's scatter-to-result round trip.
+//
+// Cluster.Serve runs a sim.Scenario — the value sim.Serve predicts — on the
+// deployed fleet (Window 1 is the paper's protocol: an image is not sent
+// until the previous result returns) and reports a sim.ServeResult in model
+// time, so a sim-vs-runtime comparison is one function over two results.
 //
 // Compute is emulated: providers sleep for the device model's latency
 // (scaled by Options.TimeScale) instead of running CUDA kernels, and
@@ -62,8 +64,8 @@ type Options struct {
 	// dead (missed heartbeats, failed sends), the first Submit that runs
 	// into it quarantines the provider, re-plans the strategy over the
 	// survivors and redeploys them, and every caller re-scatters its own
-	// incomplete image instead of failing — on every path, RunPipelined and
-	// the gateway included. Without it, failure stays sticky (Cluster.Err).
+	// incomplete image instead of failing — on every path, Serve and the
+	// gateway included. Without it, failure stays sticky (Cluster.Err).
 	Recover bool
 	// HeartbeatInterval is the period at which every provider beats to the
 	// requester over its result link (default 50ms). Negative disables

@@ -2,10 +2,10 @@ package runtime
 
 import (
 	"testing"
-	"time"
 
 	"distredge/internal/device"
 	"distredge/internal/plancache"
+	"distredge/internal/sim"
 	"distredge/internal/splitter"
 )
 
@@ -29,7 +29,7 @@ func TestCachedReplanCutsRecoveryTime(t *testing.T) {
 		WarmStart: true,
 	})
 
-	run := func() RunStats {
+	run := func() (replanMS float64) {
 		t.Helper()
 		opts := recoverOpts()
 		opts.Replan = plancache.CachedReplan(cache, nil, search)
@@ -38,10 +38,8 @@ func TestCachedReplanCutsRecoveryTime(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		kill := time.AfterFunc(40*time.Millisecond, func() { cl.KillProvider(1) })
-		defer kill.Stop()
 		const images = 24
-		stats, err := cl.RunPipelined(images, 4)
+		stats, err := stream(cl, images, 4, sim.ChurnEvent{At: 0.4, Kind: sim.DeviceDrop, Device: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +49,8 @@ func TestCachedReplanCutsRecoveryTime(t *testing.T) {
 		if stats.Recoveries < 1 {
 			t.Fatalf("no recovery recorded: %+v", stats)
 		}
-		return stats
+		_, _, replanMS, _ = cl.Recovery()
+		return replanMS
 	}
 
 	cold := run()
@@ -68,9 +67,9 @@ func TestCachedReplanCutsRecoveryTime(t *testing.T) {
 	if cs.Hits < 1 {
 		t.Fatalf("second recovery into the same fleet shape must hit the cache: %+v", cs)
 	}
-	t.Logf("replan cost: cold %.1fms, cached %.1fms", cold.ReplanMS, warm.ReplanMS)
-	if warm.ReplanMS >= cold.ReplanMS {
-		t.Errorf("cached re-plan %.1fms not below cold search %.1fms", warm.ReplanMS, cold.ReplanMS)
+	t.Logf("replan cost: cold %.1fms, cached %.1fms", cold, warm)
+	if warm >= cold {
+		t.Errorf("cached re-plan %.1fms not below cold search %.1fms", warm, cold)
 	}
 	// The cached recovery still idles the dead provider.
 	// (Lift gives quarantined providers empty parts by construction; the

@@ -40,7 +40,7 @@ type Cluster struct {
 	// per-destination sends inside one scatter stay concurrent, but
 	// successive images enter the uplink one at a time, matching the
 	// pipeline simulator's uplink busy floor no matter how many callers
-	// (RunPipelined's workers, gateway Submits) race to admit.
+	// (Serve's window of workers, gateway Submits) race to admit.
 	sendMu sync.Mutex
 	// Registration hot state is sharded by image id (reg) with the gc
 	// cursor on its own mutex (wm), so concurrent Submit callers and
@@ -233,9 +233,6 @@ func (d *deployment) close() {
 // Addr returns the requester's result listener address.
 func (c *Cluster) Addr() string { return c.ln.Addr() }
 
-// Transport returns the wire stack the cluster is deployed over.
-func (c *Cluster) Transport() transport.Transport { return c.tr }
-
 // failEpoch is where an epoch number comes back off the wire: the health
 // monitor's verdict on a provider it watched in that epoch. A verdict on a
 // torn-down deployment is dropped.
@@ -364,123 +361,10 @@ func (c *Cluster) sendInput(d *deployment, img uint32) error {
 	return nil
 }
 
-// RunStats summarises a streaming run over the cluster.
-type RunStats struct {
-	Images     int
-	Window     int // admission window the run used (1 = sequential)
-	Batch      int // per-step image batching cap the providers ran with
-	TotalSec   float64
-	IPS        float64   // completed images per second
-	PerImageMS []float64 // admission-to-completion latency per image (0 = never completed)
-
-	// Recovery accounting (all zero on churn-free runs).
-	Completed   int     // images whose results arrived (== Images on success)
-	Recoveries  int     // quarantine + re-plan + redeploy cycles
-	Requeued    int     // images re-scattered after a recovery
-	ReplanMS    float64 // total wall-clock spent re-planning and redeploying
-	Quarantined []int   // providers removed from the fleet, in index order
-}
-
-// MeanLatMS returns the mean admission-to-completion latency over
-// PerImageMS (0 for an empty run). Images that never completed count as
-// their recorded zero, matching how PerImageMS reports them.
-func (s RunStats) MeanLatMS() float64 {
-	if len(s.PerImageMS) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.PerImageMS {
-		sum += v
-	}
-	return sum / float64(len(s.PerImageMS))
-}
-
-func msSince(t0 time.Time) float64 {
-	return float64(time.Since(t0).Microseconds()) / 1e3
-}
-
-// Run streams `images` images through the deployed strategy one at a time
-// (Section V-A's sequential protocol) and returns timing statistics.
-func (c *Cluster) Run(images int) (RunStats, error) {
-	return c.RunPipelined(images, 1)
-}
-
-// RunPipelined streams `images` images keeping up to `window` of them in
-// flight: min(window, images) workers each Submit one image after another,
-// so providers overlap different images' steps and the run measures
-// sustained throughput. Window 1 is the paper's one-image-at-a-time
-// protocol.
-//
-// The first Submit error stops admission and fails the run. Without
-// Options.Recover that is any failure anywhere in the cluster — a dead peer,
-// a failed send, missed heartbeats, an image exceeding Options.Timeout — and
-// it is sticky: the run returns the cluster's first error and further runs
-// are refused (redeploy to retry). With Options.Recover Submit heals the
-// cluster underneath the run, so only a failed recovery ends it; the
-// returned stats count the recoveries the run lived through, and PerImageMS
-// of a requeued image includes the recovery stall.
-func (c *Cluster) RunPipelined(images, window int) (RunStats, error) {
-	if images < 1 {
-		return RunStats{}, fmt.Errorf("runtime: need at least one image")
-	}
-	if window < 1 {
-		return RunStats{}, fmt.Errorf("runtime: window must be >= 1, got %d", window)
-	}
-	if err := c.Err(); err != nil && !c.opts.Recover {
-		return RunStats{}, fmt.Errorf("runtime: cluster already failed: %w", err)
-	}
-	stats := RunStats{Images: images, Window: window, Batch: c.opts.Batch, PerImageMS: make([]float64, images)}
-	rec0, req0, ms0, _ := c.Recovery()
-	var (
-		next      atomic.Int64 // next unclaimed image slot
-		completed atomic.Int64
-		errOnce   sync.Once
-		runErr    error
-		wg        sync.WaitGroup
-	)
-	start := time.Now()
-	for w := 0; w < min(window, images); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				slot := int(next.Add(1)) - 1
-				if slot >= images {
-					return
-				}
-				t0 := time.Now()
-				if err := c.Submit(); err != nil {
-					errOnce.Do(func() { runErr = err })
-					next.Store(int64(images)) // stop admission
-					return
-				}
-				stats.PerImageMS[slot] = msSince(t0)
-				completed.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	stats.TotalSec = time.Since(start).Seconds()
-	stats.Completed = int(completed.Load())
-	if stats.TotalSec > 0 {
-		stats.IPS = float64(stats.Completed) / stats.TotalSec
-	}
-	rec1, req1, ms1, quarantined := c.Recovery()
-	stats.Recoveries, stats.Requeued, stats.ReplanMS, stats.Quarantined = rec1-rec0, req1-req0, ms1-ms0, quarantined
-	if runErr != nil && !c.opts.Recover {
-		// Sticky failure: every aborted image wraps the same first error;
-		// report that one, as Err will from now on.
-		if err := c.Err(); err != nil {
-			runErr = err
-		}
-	}
-	return stats, runErr
-}
-
 // Submit streams one image through the deployed strategy and blocks until
 // its result assembles. It is the cluster's only admission path, safe for
-// arbitrary concurrent callers: RunPipelined is a window of workers calling
-// it, and the serving gateway (internal/gateway) multiplexes many tenants'
+// arbitrary concurrent callers: Serve runs a window of workers calling it,
+// and the serving gateway (internal/gateway) multiplexes many tenants'
 // requests over one deployed fleet through it, supplying its own windowing,
 // fairness and deadlines.
 //
@@ -604,29 +488,20 @@ func (c *Cluster) heal(old *deployment) error {
 // Recovery returns the cluster's recovery accounting since Deploy:
 // quarantine + re-plan + redeploy cycles, images re-scattered after one,
 // total wall-clock milliseconds spent recovering (successful or not), and
-// the providers removed from the fleet, in index order. RunStats carries
-// the same counters per run.
+// the providers removed from the fleet, in index order. A Serve result
+// carries the recoveries and requeues of its own run.
 func (c *Cluster) Recovery() (recoveries, requeued int, replanMS float64, quarantined []int) {
-	return int(c.recoveries.Load()), int(c.requeued.Load()), float64(c.replanUS.Load()) / 1e3, c.Quarantined()
+	for i, a := range c.dep.Load().alive {
+		if !a {
+			quarantined = append(quarantined, i)
+		}
+	}
+	return int(c.recoveries.Load()), int(c.requeued.Load()), float64(c.replanUS.Load()) / 1e3, quarantined
 }
 
 // NumProviders returns the number of providers the cluster was deployed
 // with, including quarantined ones.
 func (c *Cluster) NumProviders() int { return len(c.dep.Load().providers) }
-
-// LiveProviders returns the number of providers currently serving.
-func (c *Cluster) LiveProviders() int { return strategy.CountAlive(c.dep.Load().alive) }
-
-// Quarantined returns the indices of providers removed from the fleet.
-func (c *Cluster) Quarantined() []int {
-	var out []int
-	for i, a := range c.dep.Load().alive {
-		if !a {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // Strategy returns the strategy the cluster is currently serving — after a
 // recovery this is the re-planned one, not the strategy it was deployed

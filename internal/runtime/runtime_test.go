@@ -31,6 +31,20 @@ func simPipelined(images, window int) sim.Scenario {
 	return sim.Scenario{Tenants: []sim.TenantSpec{{Images: images}}, Window: window, Batch: 1}
 }
 
+// quarantined returns the providers cl's recoveries removed.
+func quarantined(cl *Cluster) []int {
+	_, _, _, q := cl.Recovery()
+	return q
+}
+
+// stream serves images through cl, window in flight, with the given drops:
+// simPipelined under the cluster's own Batch and Recover, so Serve runs it.
+func stream(cl *Cluster, images, window int, events ...sim.ChurnEvent) (sim.ServeResult, error) {
+	sc := simPipelined(images, window)
+	sc.Batch, sc.Recover, sc.Events = cl.opts.Batch, cl.opts.Recover, events
+	return cl.Serve(sc)
+}
+
 func equalStrategy(env *sim.Env, boundaries []int) *strategy.Strategy {
 	s := &strategy.Strategy{Boundaries: boundaries}
 	for v := 0; v+1 < len(boundaries); v++ {
@@ -239,19 +253,19 @@ func TestClusterRunsImages(t *testing.T) {
 	if cluster.NumProviders() != 4 {
 		t.Fatalf("providers = %d", cluster.NumProviders())
 	}
-	stats, err := cluster.Run(5)
+	stats, err := stream(cluster, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Images != 5 || len(stats.PerImageMS) != 5 {
+	if stats.Images != 5 || stats.Completed != 5 || len(stats.PerImageSec) != 5 {
 		t.Fatalf("stats wrong: %+v", stats)
 	}
 	if stats.IPS <= 0 {
 		t.Fatal("IPS must be positive")
 	}
-	for i, ms := range stats.PerImageMS {
-		if ms <= 0 {
-			t.Errorf("image %d latency %gms", i, ms)
+	for i, sec := range stats.PerImageSec {
+		if sec <= 0 {
+			t.Errorf("image %d latency %gs", i, sec)
 		}
 	}
 }
@@ -296,11 +310,11 @@ func TestClusterSlowDeviceShowsInLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		st, err := cl.Run(9)
+		st, err := stream(cl, 9, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return lowerQuartile(st.PerImageMS) / 1e3
+		return lowerQuartile(st.PerImageSec) * timeScale
 	}
 	predict := func(env *sim.Env) float64 {
 		res, err := env.Serve(equalStrategy(env, bound), simPipelined(9, 1))
@@ -346,7 +360,7 @@ func TestClusterOffloadShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Run(2); err != nil {
+	if _, err := stream(cl, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -359,7 +373,7 @@ func TestRunRejectsZeroImages(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Run(0); err == nil {
+	if _, err := stream(cl, 0, 1); err == nil {
 		t.Fatal("zero images must error")
 	}
 }
@@ -383,7 +397,7 @@ func TestClusterStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Run(4); err != nil {
+	if _, err := stream(cl, 4, 1); err != nil {
 		t.Fatal(err)
 	}
 	stats := cl.Stats()

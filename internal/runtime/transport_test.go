@@ -10,13 +10,14 @@ import (
 	"distredge/internal/device"
 	"distredge/internal/network"
 	"distredge/internal/sim"
+	"distredge/internal/strategy"
 	"distredge/internal/transport"
 )
 
 // TestTransportCompletionEquivalence is the acceptance-criterion
 // equivalence test: under an identical kill script, the tcp and inproc
 // transports must produce bit-equal completion semantics — the same
-// RunStats.Completed, Requeued and Quarantined. The script is built so the
+// Completed, Requeued and quarantined set. The script is built so the
 // counts are deterministic: images == window (everything admitted at t=0)
 // and the kill lands at a quarter of the measured first-image latency, so
 // no image can complete before the failure on either transport and every
@@ -35,14 +36,18 @@ func TestTransportCompletionEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pstats, err := pilot.RunPipelined(images, window)
+	pstats, err := stream(pilot, images, window)
 	pilot.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	killAt := time.Duration(pstats.PerImageMS[0] / 4 * float64(time.Millisecond))
+	drop := sim.ChurnEvent{At: pstats.PerImageSec[0] / 4, Kind: sim.DeviceDrop, Device: 1}
 
-	run := func(name string, tr transport.Transport) RunStats {
+	type outcome struct {
+		sim.ServeResult
+		quarantined []int
+	}
+	run := func(name string, tr transport.Transport) outcome {
 		t.Helper()
 		o := recoverOpts()
 		o.Transport = tr
@@ -51,29 +56,27 @@ func TestTransportCompletionEquivalence(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		defer cl.Close()
-		kill := time.AfterFunc(killAt, func() { cl.KillProvider(1) })
-		defer kill.Stop()
-		st, err := cl.RunPipelined(images, window)
+		st, err := stream(cl, images, window, drop)
 		if err != nil {
 			t.Fatalf("%s: recovery run failed: %v", name, err)
 		}
-		return st
+		return outcome{st, quarantined(cl)}
 	}
 	tcpStats := run("tcp", transport.NewTCP(nil))
 	inpStats := run("inproc", transport.NewInproc())
 
-	t.Logf("kill@%s  tcp: completed=%d requeued=%d quarantined=%v  inproc: completed=%d requeued=%d quarantined=%v",
-		killAt, tcpStats.Completed, tcpStats.Requeued, tcpStats.Quarantined,
-		inpStats.Completed, inpStats.Requeued, inpStats.Quarantined)
-	for name, st := range map[string]RunStats{"tcp": tcpStats, "inproc": inpStats} {
+	t.Logf("kill@%.3fs (model)  tcp: completed=%d requeued=%d quarantined=%v  inproc: completed=%d requeued=%d quarantined=%v",
+		drop.At, tcpStats.Completed, tcpStats.Requeued, tcpStats.quarantined,
+		inpStats.Completed, inpStats.Requeued, inpStats.quarantined)
+	for name, st := range map[string]outcome{"tcp": tcpStats, "inproc": inpStats} {
 		if st.Completed != images {
 			t.Errorf("%s: completed %d of %d", name, st.Completed, images)
 		}
 		if st.Requeued != images {
 			t.Errorf("%s: requeued %d, want %d (kill landed after a completion?)", name, st.Requeued, images)
 		}
-		if len(st.Quarantined) != 1 || st.Quarantined[0] != 1 {
-			t.Errorf("%s: quarantined %v, want [1]", name, st.Quarantined)
+		if len(st.quarantined) != 1 || st.quarantined[0] != 1 {
+			t.Errorf("%s: quarantined %v, want [1]", name, st.quarantined)
 		}
 	}
 	if tcpStats.Completed != inpStats.Completed || tcpStats.Requeued != inpStats.Requeued {
@@ -125,7 +128,7 @@ func TestShapedInprocReproducesSimOnDynamicTrace(t *testing.T) {
 
 	const timeScale, bytesScale = 0.05, 0.001
 	const images = 8
-	run := func(window int, shaped bool) RunStats {
+	run := func(window int, shaped bool) sim.ServeResult {
 		t.Helper()
 		var tr transport.Transport = transport.NewInproc()
 		if shaped {
@@ -142,7 +145,7 @@ func TestShapedInprocReproducesSimOnDynamicTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		st, err := cl.RunPipelined(images, window)
+		st, err := stream(cl, images, window)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +158,7 @@ func TestShapedInprocReproducesSimOnDynamicTrace(t *testing.T) {
 	t.Logf("sim:    window 1 %.2f ips, window 4 %.2f ips (%.2fx), mean lat %.0fms",
 		seqSim.IPS, pipSim.IPS, pipSim.IPS/seqSim.IPS, seqSim.MeanLatMS)
 	t.Logf("shaped: window 1 %.2f ips, window 4 %.2f ips (%.2fx), mean lat %.0fms (model)",
-		seqRt.IPS, pipRt.IPS, pipRt.IPS/seqRt.IPS, seqRt.PerImageMS[images-1]/timeScale)
+		seqRt.IPS, pipRt.IPS, pipRt.IPS/seqRt.IPS, seqRt.PerImageSec[images-1]*1e3)
 	t.Logf("plain inproc window 1: %.2f ips (transfers free)", plainRt.IPS)
 
 	if pipRt.IPS <= 1.1*seqRt.IPS {
@@ -167,9 +170,9 @@ func TestShapedInprocReproducesSimOnDynamicTrace(t *testing.T) {
 	// never reproduce a transfer-sensitive sim prediction.) Image against
 	// image: one 0.3 s stall of the host in the 0.06 s free-wire run, two
 	// runs in 300, inverted the totals.
-	if seq, plain := lowerQuartile(seqRt.PerImageMS), lowerQuartile(plainRt.PerImageMS); seq <= 1.3*plain {
+	if seq, plain := lowerQuartile(seqRt.PerImageSec), lowerQuartile(plainRt.PerImageSec); seq <= 1.3*plain {
 		t.Errorf("shaped image (%.1fms) is not measurably slower than the free-wire image (%.1fms) — trace latency not charged",
-			seq, plain)
+			seq*1e3, plain*1e3)
 	}
 	// Fidelity of magnitude, not just ordering: the shaped runtime's
 	// sequential per-image latency, mapped back to model time, against the
@@ -181,7 +184,7 @@ func TestShapedInprocReproducesSimOnDynamicTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtModelLatMS, simLatMS := lowerQuartile(seqRt.PerImageMS)/timeScale, lowerQuartile(sameSim.PerImageSec)*1e3
+	rtModelLatMS, simLatMS := lowerQuartile(seqRt.PerImageSec)*1e3, lowerQuartile(sameSim.PerImageSec)*1e3
 	if math.Abs(rtModelLatMS-simLatMS) > 0.1*simLatMS {
 		t.Errorf("shaped runtime latency %.0fms (model time) not within 10%% of sim prediction %.0fms",
 			rtModelLatMS, simLatMS)
@@ -208,7 +211,7 @@ func TestChaosTransportIsolationTriggersRecovery(t *testing.T) {
 	const images = 12
 	cut := time.AfterFunc(40*time.Millisecond, func() { chaos.Isolate(1) })
 	defer cut.Stop()
-	stats, err := cl.RunPipelined(images, 4)
+	stats, err := stream(cl, images, 4)
 	if err != nil {
 		t.Fatalf("recovery run failed: %v", err)
 	}
@@ -218,11 +221,11 @@ func TestChaosTransportIsolationTriggersRecovery(t *testing.T) {
 	if stats.Recoveries < 1 {
 		t.Fatalf("partition caused no recovery: %+v", stats)
 	}
-	if len(stats.Quarantined) != 1 || stats.Quarantined[0] != 1 {
-		t.Errorf("quarantined %v, want [1]", stats.Quarantined)
+	if q := quarantined(cl); len(q) != 1 || q[0] != 1 {
+		t.Errorf("quarantined %v, want [1]", q)
 	}
-	if cl.LiveProviders() != 3 {
-		t.Errorf("live providers = %d, want 3", cl.LiveProviders())
+	if live := strategy.CountAlive(cl.dep.Load().alive); live != 3 {
+		t.Errorf("live providers = %d, want 3", live)
 	}
 }
 
@@ -242,7 +245,7 @@ func TestChaosTransportDropSurfacesAsTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	_, err = cl.Run(1)
+	_, err = stream(cl, 1, 1)
 	if err == nil {
 		t.Fatal("run with all chunks dropped must fail")
 	}

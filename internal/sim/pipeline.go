@@ -333,7 +333,9 @@ func (e *Env) PipelineStreamOpts(s *strategy.Strategy, cfg PipelineConfig) (Pipe
 	if err != nil {
 		return PipelineResult{}, err
 	}
-	return r.overall().PipelineResult, nil
+	res := r.res
+	res.Assemble(r.start, r.lat[:r.ids], r.complete[:r.ids], &r.scratch)
+	return res.PipelineResult, nil
 }
 
 // steadyIPS returns the throughput over the second half of a completion

@@ -134,8 +134,9 @@ func (e *Env) Serve(s *strategy.Strategy, sc Scenario) (ServeResult, error) {
 	if err := r.run(e, s, &sc); err != nil {
 		return ServeResult{}, err
 	}
-	res := r.overall()
+	res := r.res
 	res.Tenants = r.tenantResults(sc.Tenants)
+	res.Assemble(r.start, r.lat[:r.ids], r.complete[:r.ids], &r.scratch)
 	return res, nil
 }
 
@@ -165,7 +166,7 @@ type serving struct {
 	firstAdm []float64 // absolute first admission
 	lat      []float64 // first admission to completion
 	complete []float64 // absolute completion; +Inf while aborted and once lost to an unrecovered drop
-	scratch  []float64 // result assembly: completion timeline, then sort buffer
+	scratch  []float64 // Assemble's sort buffer
 
 	// The deployment, changed only by fleet events.
 	plan    *CompiledPlan
@@ -428,29 +429,49 @@ func (r *serving) fire(e *Env, ev ChurnEvent, opts *ChurnOptions) error {
 	return nil
 }
 
-// overall assembles the fleet's view of the run. It compacts r.lat in place
-// (r.complete and r.owner stay indexed by id for tenantResults).
-func (r *serving) overall() ServeResult {
-	res := r.res
-	done := r.scratch[:0] // committed completions, in id order
-	last := r.start
+// tenantResults names each tenant and collects its enqueue-to-completion
+// latencies in first-admission order; Assemble does the arithmetic.
+func (r *serving) tenantResults(specs []TenantSpec) []TenantResult {
+	out := make([]TenantResult, len(r.tenants))
 	for id := 0; id < r.ids; id++ {
-		if c := r.complete[id]; !math.IsInf(c, 1) {
-			r.lat[len(done)] = r.lat[id]
-			done = append(done, c)
+		if t := r.owner[id]; !math.IsInf(r.complete[id], 1) {
+			out[t].PerImageSec = append(out[t].PerImageSec, r.complete[id]-r.tenants[t].enq)
+		}
+	}
+	for t := range out {
+		if out[t].Name = specs[t].Name; out[t].Name == "" {
+			out[t].Name = fmt.Sprintf("tenant%d", t)
+		}
+	}
+	return out
+}
+
+// Assemble completes a run's result; Serve and the runtime's Cluster.Serve
+// both end here. On entry res holds the run's counters, each applied
+// event's time in EventRecoverySec and each tenant's Name and PerImageSec.
+// lat and done hold, per image in first-admission order, first admission to
+// completion and the absolute completion (+Inf if never committed); both
+// are compacted in place. Latencies are sorted in *scratch.
+func (res *ServeResult) Assemble(start float64, lat, done []float64, scratch *[]float64) {
+	n, last := 0, start
+	for id, c := range done {
+		if !math.IsInf(c, 1) {
+			lat[n], done[n] = lat[id], c
+			n++
 			last = max(last, c)
 		}
 	}
-	res.Completed, res.Failed = len(done), res.Images-len(done)
-	res.PerImageSec = r.lat[:len(done)]
-	res.TotalSec = last - r.start
+	done = done[:n]
+	res.Completed, res.Failed = n, res.Images-n
+	res.PerImageSec = lat[:n]
+	res.TotalSec = last - start
 	if res.FailedAtSec >= 0 {
-		res.TotalSec = res.FailedAtSec - r.start
+		res.TotalSec = res.FailedAtSec - start
 	}
 	if res.TotalSec > 0 {
 		res.IPS = float64(res.Completed) / res.TotalSec
 	}
-	if len(done) > 0 {
+	if n > 0 {
 		res.SteadyIPS = steadyIPS(done, res.IPS)
 	}
 	// Per applied event: from its time to the first completion after it.
@@ -463,26 +484,10 @@ func (r *serving) overall() ServeResult {
 		}
 		res.EventRecoverySec[i] = rec
 	}
-	res.MeanLatMS, res.P50LatMS, res.P95LatMS, res.MaxLatMS = stats.LatencyMS(res.PerImageSec, &r.scratch)
-	return res
-}
-
-// tenantResults assembles each tenant's view of the run; a tenant that lost
-// every request to an unrecovered drop reports zeros.
-func (r *serving) tenantResults(specs []TenantSpec) []TenantResult {
-	out := make([]TenantResult, len(r.tenants))
-	for id := 0; id < r.ids; id++ {
-		if t := r.owner[id]; !math.IsInf(r.complete[id], 1) {
-			out[t].PerImageSec = append(out[t].PerImageSec, r.complete[id]-r.tenants[t].enq)
-		}
-	}
-	for t := range out {
-		tr := &out[t]
-		if tr.Name = specs[t].Name; tr.Name == "" {
-			tr.Name = fmt.Sprintf("tenant%d", t)
-		}
+	res.MeanLatMS, res.P50LatMS, res.P95LatMS, res.MaxLatMS = stats.LatencyMS(res.PerImageSec, scratch)
+	for t := range res.Tenants {
+		tr := &res.Tenants[t]
 		tr.Images = len(tr.PerImageSec)
-		tr.MeanLatMS, tr.P50LatMS, tr.P95LatMS, tr.MaxLatMS = stats.LatencyMS(tr.PerImageSec, &r.scratch)
+		tr.MeanLatMS, tr.P50LatMS, tr.P95LatMS, tr.MaxLatMS = stats.LatencyMS(tr.PerImageSec, scratch)
 	}
-	return out
 }
