@@ -630,9 +630,8 @@ func fidelity(w io.Writer, b experiments.Budget, batches []int, codecs []string,
 				if err != nil {
 					return err
 				}
-				measured, runErr := cluster.Serve(sim.Scenario{
-					Tenants: []sim.TenantSpec{{Images: rtImages}}, Window: window, Batch: k,
-				})
+				sc := sim.Scenario{Tenants: []sim.TenantSpec{{Images: rtImages}}, Window: window, Batch: k}
+				measured, runErr := cluster.Serve(sc)
 				cluster.Close()
 				if runErr != nil {
 					return runErr
@@ -642,19 +641,19 @@ func fidelity(w io.Writer, b experiments.Budget, batches []int, codecs []string,
 				// runtime already ran, so a deflate codec can contribute
 				// the compression ratio it measured on this very cell's
 				// traffic instead of the static conservative 1.
-				wireFrac := 1.0
+				sc.Tenants[0].Images = simImages
 				calibrated := false
 				if shaped {
 					if wc, ok := tr.(transport.WireCodec); ok {
-						wireFrac, calibrated = transport.CalibratedWireFrac(wc.WireCodec())
+						sc.WireFrac, calibrated = transport.CalibratedWireFrac(wc.WireCodec())
 					}
 				}
-				prep, err := sys.EvaluatePipelinedOpts(plan, simImages, window, k, wireFrac)
+				prep, err := sys.Serve(plan, sc)
 				if err != nil {
 					return err
 				}
 				label := codec
-				if calibrated && transport.WireFrac(mustWireCodec(tr)) != wireFrac {
+				if calibrated && transport.WireFrac(mustWireCodec(tr)) != sc.WireFrac {
 					label += "*"
 				}
 				fmt.Fprintf(w, "%-7s %6d %-14s %9.2f %9.1f | %12.2f %12.1f | %9.2f\n",

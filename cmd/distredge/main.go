@@ -23,8 +23,10 @@ import (
 	"strings"
 
 	"distredge"
+	"distredge/internal/experiments"
 	"distredge/internal/runtime"
 	"distredge/internal/sim"
+	"distredge/internal/splitter"
 )
 
 func main() {
@@ -60,12 +62,12 @@ func run(w io.Writer, args []string) error {
 	churnSpec := fs.String("churn", "", "scripted fleet events, e.g. 'drop:1@2.5,slow:2x3@4,join:1@8' (see ParseChurn)")
 	noRecover := fs.Bool("norecover", false, "with -churn: disable re-planning, so a drop truncates the stream")
 	deploy := fs.Bool("deploy", false, "also run the scenario (-images or -tenants, -window, -batch, -churn, -norecover) on the real runtime and measure it")
-	tenantsSpec := fs.String("tenants", "", "with -deploy: serve through the multi-tenant gateway, comma-separated name:IMAGESxWEIGHT tenants (overrides -images)")
-	policy := fs.String("policy", "wfq", "with -deploy -tenants: admission policy across tenants (fifo|wfq)")
+	tenantsSpec := fs.String("tenants", "", "serve comma-separated name:IMAGESxWEIGHT tenants through the multi-tenant gateway (overrides -images)")
+	policy := fs.String("policy", "wfq", "with -tenants: admission policy across tenants (fifo|wfq)")
 	heartbeat := fs.Duration("heartbeat", 0, "with -deploy: provider heartbeat period (0 = default 50ms, negative disables health tracking)")
 	transportSpec := fs.String("transport", "tcp", "with -deploy: wire stack tcp|tcp+deflate|tcp+quant|tcp+quant16|tcp+quant+deflate|inproc")
 	trace := fs.Bool("trace", false, "with -deploy: shape the transport with the planned WiFi traces")
-	batch := fs.Int("batch", 1, "with -deploy: step-batching cap — up to this many queued same-step images share one compute invocation (1 = off, 0 = adaptive: drain whatever queued)")
+	batch := fs.Int("batch", 1, "step-batching cap — up to this many queued same-step images share one compute invocation (1 = off, 0 = adaptive: drain whatever queued)")
 	planCacheCap := fs.Int("plancache", 0, "plan through a plan cache bounding this many entries, and re-plan churn recoveries from it (0 = off)")
 	timescale := fs.Float64("timescale", 0.05, "with -deploy: compute emulation time scale")
 	bytescale := fs.Float64("bytescale", 0.001, "with -deploy: payload byte scale")
@@ -94,16 +96,14 @@ func run(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	// The scenario -deploy runs: what the simulator evaluates below.
-	sc := sim.Scenario{Tenants: []sim.TenantSpec{{Images: *images}}, Window: *window, Batch: *batch, ChurnOptions: sim.ChurnOptions{Recover: !*noRecover}}
+	// The scenario the simulator predicts below and -deploy runs.
+	sc := sim.Scenario{Tenants: []sim.TenantSpec{{Images: *images}}, Window: *window, Batch: *batch, Events: events,
+		ChurnOptions: sim.ChurnOptions{Recover: !*noRecover, ReplanSec: experiments.ChurnReplanChargeSec}}
 	if *tenantsSpec != "" {
 		if sc.Tenants, err = distredge.ParseTenants(*tenantsSpec); err != nil {
 			return err
 		}
 		sc.Policy = *policy
-	}
-	for _, e := range events {
-		sc.Events = append(sc.Events, sim.ChurnEvent{At: e.AtSec, Kind: churnKinds[e.Kind], Device: e.Device, Factor: e.Factor})
 	}
 	sys, err := distredge.New(*model, providers, distredge.WithSeed(*seed))
 	if err != nil {
@@ -117,9 +117,25 @@ func run(w io.Writer, args []string) error {
 		ObjectiveWindow: *objWindow,
 		SLOP95MS:        *sloMS,
 	}
+	// The deployed fleet re-plans for the objective it serves, at the
+	// batching cap it serves with; the prediction re-plans as it does.
+	rtObj, err := distredge.RuntimeObjective(distredge.PlanConfig{
+		Objective:       objective,
+		ObjectiveWindow: *objWindow,
+		ObjectiveBatch:  *batch,
+		SLOP95MS:        *sloMS,
+	})
+	if err != nil {
+		return err
+	}
 	var planCache *distredge.PlanCache
 	if *planCacheCap > 0 {
 		planCache = distredge.NewPlanCache(*planCacheCap)
+		if sc.Replan, err = planCache.CachedReplan(planCfg, nil); err != nil {
+			return err
+		}
+	} else {
+		sc.Replan = splitter.ObjectiveReplan(rtObj)
 	}
 	var plan *distredge.Plan
 	if *loadPath != "" {
@@ -169,27 +185,22 @@ func run(w io.Writer, args []string) error {
 		pipeWindow = *objWindow
 	}
 	if pipeWindow > 1 {
-		prep, err := sys.EvaluatePipelined(plan, *images, pipeWindow)
+		pipe := sc
+		pipe.Window, pipe.Events = pipeWindow, nil
+		res, err := sys.Serve(plan, pipe)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%-14s IPS=%7.2f  steady=%7.2f  latency=%7.1fms  p95=%7.1fms  (window %d)\n",
-			"pipelined", prep.IPS, prep.SteadyIPS, prep.MeanLatMS, prep.P95LatMS, prep.Window)
+			"pipelined", res.IPS, res.SteadyIPS, res.MeanLatMS, res.P95LatMS, res.Window)
 	}
 
-	if len(events) > 0 {
-		var replan sim.ReplanFunc
-		if planCache != nil {
-			replan, err = planCache.CachedReplan(planCfg, nil)
-			if err != nil {
-				return err
-			}
-		}
-		crep, err := sys.EvaluateChurnReplan(plan, *images, *window, events, !*noRecover, replan)
+	if len(sc.Events) > 0 {
+		res, err := sys.Serve(plan, sc)
 		if err != nil {
 			return err
 		}
-		printServed(w, "churn", crep, *images)
+		printServed(w, "churn", res)
 	}
 
 	if *deploy {
@@ -197,22 +208,8 @@ func run(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		rtObj, err := distredge.RuntimeObjective(distredge.PlanConfig{
-			Objective:       objective,
-			ObjectiveWindow: *objWindow,
-			ObjectiveBatch:  *batch,
-			SLOP95MS:        *sloMS,
-		})
-		if err != nil {
-			return err
-		}
-		opts := runtime.Options{TimeScale: *timescale, BytesScale: *bytescale, Recover: sc.Recover, HeartbeatInterval: *heartbeat, Objective: rtObj, Batch: *batch}
-		if planCache != nil {
-			opts.Replan, err = planCache.CachedReplan(planCfg, nil)
-			if err != nil {
-				return err
-			}
-		}
+		opts := runtime.Options{TimeScale: *timescale, BytesScale: *bytescale, Recover: sc.Recover, Replan: sc.Replan,
+			HeartbeatInterval: *heartbeat, Objective: rtObj, Batch: *batch}
 		if *trace {
 			opts.Transport = sys.ShapedTransportPostCodec(tr, opts)
 		} else {
@@ -225,9 +222,7 @@ func run(w io.Writer, args []string) error {
 		res, runErr := cluster.Serve(sc)
 		cluster.Close()
 		if res.Images > 0 { // measured in model time, reported as the churn prediction is
-			printServed(w, "deployed", distredge.ChurnReport{Window: res.Window, Completed: res.Completed, Failed: res.Failed,
-				Recoveries: res.Recoveries, Requeued: res.Requeued, GoodputIPS: res.IPS, MeanLatMS: res.MeanLatMS,
-				P95LatMS: res.P95LatMS, FailedAtSec: res.FailedAtSec, RecoverSec: res.EventRecoverySec}, res.Images)
+			printServed(w, "deployed", res)
 			_, _, replanMS, quarantined := cluster.Recovery()
 			fmt.Fprintf(w, "               measured over %s, policy %s; re-planned in %.1fms, quarantined %v\n",
 				opts.Transport.Name(), res.Policy, replanMS, quarantined)
@@ -272,25 +267,22 @@ func run(w io.Writer, args []string) error {
 	return nil
 }
 
-// churnKinds maps ParseChurn's event kinds onto the simulator's.
-var churnKinds = map[string]sim.ChurnKind{"drop": sim.DeviceDrop, "join": sim.DeviceJoin, "slow": sim.DeviceSlow}
-
 // printServed reports a served stream, the simulator's or the deployed
 // fleet's, in model time.
-func printServed(w io.Writer, label string, rep distredge.ChurnReport, images int) {
+func printServed(w io.Writer, label string, res sim.ServeResult) {
 	fmt.Fprintf(w, "%-14s goodput=%5.2f  completed=%d/%d  latency=%7.1fms  p95=%7.1fms  (window %d)\n",
-		label, rep.GoodputIPS, rep.Completed, images, rep.MeanLatMS, rep.P95LatMS, rep.Window)
-	if rep.Recoveries > 0 {
-		fmt.Fprintf(w, "               recovered %d time(s), requeued %d in-flight images", rep.Recoveries, rep.Requeued)
-		for i, rs := range rep.RecoverSec {
+		label, res.IPS, res.Completed, res.Images, res.MeanLatMS, res.P95LatMS, res.Window)
+	if res.Recoveries > 0 {
+		fmt.Fprintf(w, "               recovered %d time(s), requeued %d in-flight images", res.Recoveries, res.Requeued)
+		for i, rs := range res.EventRecoverySec {
 			if rs >= 0 {
 				fmt.Fprintf(w, "; event %d recovered in %.3fs", i+1, rs)
 			}
 		}
 		fmt.Fprintln(w)
 	}
-	if rep.FailedAtSec >= 0 {
-		fmt.Fprintf(w, "               stream truncated at t=%.2fs: %d images lost\n", rep.FailedAtSec, rep.Failed)
+	if res.FailedAtSec >= 0 {
+		fmt.Fprintf(w, "               stream truncated at t=%.2fs: %d images lost\n", res.FailedAtSec, res.Failed)
 	}
 }
 

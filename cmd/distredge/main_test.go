@@ -13,7 +13,7 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 
 // TestOutputMatchesGolden pins the command's fixed-seed reports byte for
 // byte: planning, the sequential and pipelined evaluations, the Gantt
-// chart, every baseline and a churn replay. Run with -update to rewrite
+// chart, every baseline and churn replays. Run with -update to rewrite
 // the goldens after an intended change.
 func TestOutputMatchesGolden(t *testing.T) {
 	for _, tc := range []struct {
@@ -24,6 +24,11 @@ func TestOutputMatchesGolden(t *testing.T) {
 		{"timeline", []string{"-seed", "1", "-timeline"}},
 		{"baselines", []string{"-seed", "1", "-baselines"}},
 		{"churn", []string{"-seed", "1", "-window", "4", "-churn", "drop:1@0.5,slow:2x3@1"}},
+		// The predicted lines serve the scenario -deploy would run: the
+		// tenants' 12 images, not -images, and the re-planner the deployed
+		// fleet recovers with.
+		{"tenants_churn", []string{"-seed", "1", "-effort", "tiny", "-tenants", "heavy:8x1,light:4x2", "-window", "2", "-churn", "drop:1@0.5"}},
+		{"ips_churn", []string{"-seed", "1", "-effort", "tiny", "-objective", "ips", "-window", "4", "-churn", "drop:1@0.5"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out bytes.Buffer

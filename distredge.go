@@ -404,25 +404,25 @@ type PipelineReport struct {
 	P95LatMS  float64
 }
 
-// EvaluatePipelined streams `images` images through the plan keeping up to
-// `window` of them in flight (sim.Serve, one tenant): devices and links are
-// shared resources, so the report measures the sustained serving rate and
-// the per-image latency under load. Window 1 reproduces Evaluate's
-// sequential protocol exactly.
-func (s *System) EvaluatePipelined(p *Plan, images, window int) (PipelineReport, error) {
-	return s.EvaluatePipelinedOpts(p, images, window, 1, 0)
+// Serve predicts the scenario on the simulator (sim.Env.Serve): one
+// tenant is a window of images kept in flight (Window 1 is Evaluate's
+// sequential protocol), several share the fleet under the admission
+// policy, and Events script the fleet's churn, re-planned over the
+// survivors by Replan under Recover. It is the twin of Cluster.Serve,
+// which runs the same Scenario value on a deployed fleet and reports it in
+// the same sim.ServeResult, in model time.
+func (s *System) Serve(p *Plan, sc sim.Scenario) (sim.ServeResult, error) {
+	return s.env.Serve(p.Strategy, sc)
 }
 
-// EvaluatePipelinedOpts is EvaluatePipelined with the pipelined
-// simulator's performance knobs exposed. batch is the step-batching cap and
-// means what runtime.Options.Batch means: up to `batch` queued same-step
-// images share one compute invocation under the runtime's amortised cost
-// model; 1 (or negative) is no batching, bit-identical to
-// EvaluatePipelined; 0 is the adaptive cap — a step drains whatever queued
-// behind its busy device. wireFrac scales every transferred byte
-// (transport.WireFrac of a quantizing codec; 0 or 1 = raw bytes). It
-// predicts what Deploy measures with the matching runtime.Options.Batch
-// and wire stack.
+// EvaluatePipelinedOpts is Serve for one tenant of `images` images with up
+// to `window` of them in flight, summarised. batch is the step-batching cap
+// and means what runtime.Options.Batch means: up to `batch` queued
+// same-step images share one compute invocation under the runtime's
+// amortised cost model; 1 (or negative) is no batching; 0 is the adaptive
+// cap — a step drains whatever queued behind its busy device. wireFrac
+// scales every transferred byte (transport.WireFrac of a quantizing codec;
+// 0 or 1 = raw bytes).
 func (s *System) EvaluatePipelinedOpts(p *Plan, images, window, batch int, wireFrac float64) (PipelineReport, error) {
 	res, err := s.env.Serve(p.Strategy, sim.Scenario{
 		Tenants: []sim.TenantSpec{{Images: images}},
@@ -476,100 +476,6 @@ func RuntimeObjective(cfg PlanConfig) (sim.Objective, error) {
 // under every caller, instead of failing them.
 func (s *System) Deploy(p *Plan, opts runtime.Options) (*runtime.Cluster, error) {
 	return runtime.Deploy(s.env, p.Strategy, opts)
-}
-
-// ChurnEvent is one scripted fleet change for EvaluateChurn: Kind is
-// "drop", "join" or "slow" (Factor = compute-latency multiplier), Device a
-// provider index, AtSec an absolute trace time.
-type ChurnEvent struct {
-	AtSec  float64
-	Kind   string
-	Device int
-	Factor float64
-}
-
-func (e ChurnEvent) toSim() (sim.ChurnEvent, error) {
-	out := sim.ChurnEvent{At: e.AtSec, Device: e.Device, Factor: e.Factor}
-	switch e.Kind {
-	case "drop":
-		out.Kind = sim.DeviceDrop
-	case "join":
-		out.Kind = sim.DeviceJoin
-	case "slow":
-		out.Kind = sim.DeviceSlow
-	default:
-		return out, fmt.Errorf("distredge: unknown churn kind %q (want drop|join|slow)", e.Kind)
-	}
-	return out, nil
-}
-
-// ChurnReport summarises a streaming evaluation under scripted device
-// churn. GoodputIPS counts only committed images; with recovery disabled a
-// drop truncates the stream (Failed > 0, FailedAtSec set).
-type ChurnReport struct {
-	Window      int
-	Completed   int
-	Failed      int
-	Recoveries  int
-	Requeued    int
-	GoodputIPS  float64
-	MeanLatMS   float64
-	P95LatMS    float64
-	FailedAtSec float64   // -1 when the stream survived
-	RecoverSec  []float64 // per applied event: time to the first completion after it
-}
-
-// EvaluateChurn streams `images` images through the plan on the simulator
-// while the provider fleet churns according to the scripted events
-// (sim.Serve with Events). With recover, each event re-plans the strategy over
-// the surviving devices using the profile-guided re-planner and re-admits
-// the in-flight images; without it a device drop truncates the stream —
-// the runtime's sticky-failure semantics.
-func (s *System) EvaluateChurn(p *Plan, images, window int, events []ChurnEvent, recover bool) (ChurnReport, error) {
-	return s.EvaluateChurnReplan(p, images, window, events, recover, nil)
-}
-
-// EvaluateChurnReplan is EvaluateChurn with the recovery re-planner
-// pluggable: nil uses the profile-guided balanced default. Pass a
-// PlanCache.CachedReplan to model a fleet whose recurring churn patterns
-// re-plan from the plan cache.
-func (s *System) EvaluateChurnReplan(p *Plan, images, window int, events []ChurnEvent, recover bool, replan sim.ReplanFunc) (ChurnReport, error) {
-	if replan == nil {
-		replan = splitter.BalancedReplan
-	}
-	simEvents := make([]sim.ChurnEvent, len(events))
-	for i, e := range events {
-		ev, err := e.toSim()
-		if err != nil {
-			return ChurnReport{}, err
-		}
-		simEvents[i] = ev
-	}
-	res, err := s.env.Serve(p.Strategy, sim.Scenario{
-		Tenants: []sim.TenantSpec{{Images: images}},
-		Window:  window, Batch: 1,
-		Events: simEvents,
-		ChurnOptions: sim.ChurnOptions{
-			Recover:   recover,
-			ReplanSec: experiments.ChurnReplanChargeSec,
-			Replan:    replan,
-		},
-	})
-	if err != nil {
-		return ChurnReport{}, err
-	}
-	return ChurnReport{
-		Window:      res.Window,
-		Completed:   res.Completed,
-		Failed:      res.Failed,
-		Recoveries:  res.Recoveries,
-		Requeued:    res.Requeued,
-		GoodputIPS:  res.IPS,
-		MeanLatMS:   res.MeanLatMS,
-		P95LatMS:    res.P95LatMS,
-		FailedAtSec: res.FailedAtSec,
-		RecoverSec:  res.EventRecoverySec,
-	}, nil
 }
 
 // Describe renders the strategy in human-readable form.

@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"distredge/internal/experiments"
 	"distredge/internal/runtime"
 	"distredge/internal/sim"
+	"distredge/internal/splitter"
 	"distredge/internal/strategy"
 )
 
@@ -337,8 +339,8 @@ func FuzzLoadPlan(f *testing.F) {
 }
 
 // TestEvaluatePipelinedOptsBatch pins both readings of the batch argument:
-// 1 (or negative) is no batching, bit-identical to EvaluatePipelined, and 0
-// is the adaptive cap runtime.Options.Batch means by it — a cap no batch
+// 1 (or negative) is no batching, bit-identical to Serve of the one-tenant
+// scenario with Batch 1, and 0 is the adaptive cap runtime.Options.Batch means by it — a cap no batch
 // can reach — which serves a queueing plan faster than no batching.
 func TestEvaluatePipelinedOptsBatch(t *testing.T) {
 	sys, err := New("vgg16", fourProviders(), WithSeed(1))
@@ -358,19 +360,23 @@ func TestEvaluatePipelinedOptsBatch(t *testing.T) {
 		}
 		return rep
 	}
-	plain, err := sys.EvaluatePipelined(plan, images, window)
+	res, err := sys.Serve(plan, sim.Scenario{Tenants: []sim.TenantSpec{{Images: images}}, Window: window, Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := PipelineReport{Window: res.Window, IPS: res.IPS, SteadyIPS: res.SteadyIPS, MeanLatMS: res.MeanLatMS, P95LatMS: res.P95LatMS}
 	if eval(1) != plain || eval(-1) != plain {
-		t.Errorf("batch 1 / -1 must be EvaluatePipelined exactly: %+v / %+v vs %+v", eval(1), eval(-1), plain)
+		t.Errorf("batch 1 / -1 must be Serve with Batch 1 exactly: %+v / %+v vs %+v", eval(1), eval(-1), plain)
 	}
 	if adaptive := eval(0); adaptive != eval(images) || adaptive.IPS <= plain.IPS {
 		t.Errorf("batch 0 must be the adaptive cap: %+v, unreachable cap %+v, unbatched %+v", adaptive, eval(images), plain)
 	}
 }
 
-func TestEvaluateChurn(t *testing.T) {
+// TestServeChurn drops a provider half-way through a pipelined stream:
+// with recovery every image completes after one re-plan, without it the
+// stream is truncated at the drop, and an unknown event kind is refused.
+func TestServeChurn(t *testing.T) {
 	sys, err := New("vgg16", fourProviders(), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
@@ -379,27 +385,31 @@ func TestEvaluateChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := sys.EvaluatePipelined(plan, 40, 4)
+	sc := sim.Scenario{Tenants: []sim.TenantSpec{{Images: 40}}, Window: 4, Batch: 1}
+	base, err := sys.Serve(plan, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	failAt := 0.5 * float64(40) / base.IPS
-	events := []ChurnEvent{{Kind: "drop", Device: 0, AtSec: failAt}}
-	on, err := sys.EvaluateChurn(plan, 40, 4, events, true)
+	sc.Events = []sim.ChurnEvent{{Kind: sim.DeviceDrop, Device: 0, At: failAt}}
+	sc.ChurnOptions = sim.ChurnOptions{Recover: true, ReplanSec: experiments.ChurnReplanChargeSec, Replan: splitter.BalancedReplan}
+	on, err := sys.Serve(plan, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if on.Completed != 40 || on.Recoveries != 1 || on.FailedAtSec >= 0 {
 		t.Fatalf("recovered churn report wrong: %+v", on)
 	}
-	off, err := sys.EvaluateChurn(plan, 40, 4, events, false)
+	sc.Recover = false
+	off, err := sys.Serve(plan, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.Completed >= 40 || off.Failed == 0 || off.FailedAtSec != failAt {
 		t.Fatalf("truncated churn report wrong: %+v", off)
 	}
-	if _, err := sys.EvaluateChurn(plan, 10, 1, []ChurnEvent{{Kind: "explode", Device: 0, AtSec: 1}}, true); err == nil {
+	sc.Events = []sim.ChurnEvent{{Kind: sim.ChurnKind(7), Device: 0, At: 1}}
+	if _, err := sys.Serve(plan, sc); err == nil {
 		t.Error("unknown event kind must error")
 	}
 }
@@ -407,8 +417,8 @@ func TestEvaluateChurn(t *testing.T) {
 // TestPlanCachedHitAndChurnReplan covers the public plan-cache surface:
 // the second PlanCached for an identical system is an exact hit returning
 // an equivalent plan without re-searching, the cache counters read
-// consistently, and the cached re-planner drives EvaluateChurnReplan
-// through a recovery.
+// consistently, and the cached re-planner, as a Scenario's Replan, drives
+// Serve through a recovery.
 func TestPlanCachedHitAndChurnReplan(t *testing.T) {
 	cache := NewPlanCache(0)
 	cfg := PlanConfig{Effort: EffortTiny}
@@ -457,8 +467,11 @@ func TestPlanCachedHitAndChurnReplan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := []ChurnEvent{{Kind: "drop", Device: 0, AtSec: 0.2}}
-	rep, err := sys.EvaluateChurnReplan(cold, 40, 4, events, true, replan)
+	rep, err := sys.Serve(cold, sim.Scenario{
+		Tenants: []sim.TenantSpec{{Images: 40}}, Window: 4, Batch: 1,
+		Events:       []sim.ChurnEvent{{Kind: sim.DeviceDrop, Device: 0, At: 0.2}},
+		ChurnOptions: sim.ChurnOptions{Recover: true, ReplanSec: experiments.ChurnReplanChargeSec, Replan: replan},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,9 @@ type ChurnRow struct {
 // ChurnReplanChargeSec is the modelled controller cost of one recovery:
 // re-planning over the survivors plus redeploying them. The runtime's
 // measured BalancedReplan + redeploy is single-digit milliseconds on
-// localhost; 10ms also budgets real-network plan distribution. Shared
-// with distredge.EvaluateChurn so the public API and the distbench sweep
-// predict the same recovery cost.
+// localhost; 10ms also budgets real-network plan distribution. It is the
+// ReplanSec of the scenario distredge -churn predicts, so the command and
+// the distbench sweep predict the same recovery cost.
 const ChurnReplanChargeSec = 0.01
 
 // DefaultChurnFracs is the failure-time grid of the recovery sweep.

@@ -203,6 +203,9 @@ func (r *serving) init(n int, sc *Scenario) error {
 		if math.IsNaN(ev.At) {
 			return fmt.Errorf("sim: churn event on device %d: time is not a number", ev.Device)
 		}
+		if ev.Kind < DeviceDrop || ev.Kind > DeviceSlow {
+			return fmt.Errorf("sim: churn event at t=%g: unknown churn kind %v", ev.At, ev.Kind)
+		}
 		if ev.Kind == DeviceSlow && (!(ev.Factor > 0) || math.IsInf(ev.Factor, 1)) {
 			return fmt.Errorf("sim: slow event needs a positive, finite factor, got %g", ev.Factor)
 		}

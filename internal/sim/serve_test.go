@@ -109,6 +109,8 @@ func TestServeValidation(t *testing.T) {
 			Events: []ChurnEvent{{At: math.NaN(), Kind: DeviceDrop, Device: 0}}}, "device 0: time is not a number"},
 		{"out-of-range event device", Scenario{Tenants: []TenantSpec{{Images: 1}}, Window: 1,
 			Events: []ChurnEvent{{At: 1, Kind: DeviceDrop, Device: 99}}}, "device 99 out of range"},
+		{"unknown event kind", Scenario{Tenants: []TenantSpec{{Images: 1}}, Window: 1,
+			Events: []ChurnEvent{{At: 1, Kind: ChurnKind(7), Device: 0}}}, "unknown churn kind"},
 		{"infinite slow factor", Scenario{Tenants: []TenantSpec{{Images: 1}}, Window: 1,
 			Events: []ChurnEvent{{At: 1, Kind: DeviceSlow, Device: 0, Factor: math.Inf(1)}}}, "positive, finite factor"},
 		{"bad wire", Scenario{Tenants: []TenantSpec{{Images: 1}}, Window: 1, WireFrac: -0.5}, "wire fraction"},

@@ -3,6 +3,8 @@ package distredge
 import (
 	"fmt"
 	"testing"
+
+	"distredge/internal/sim"
 )
 
 // The objective refactor's contract: with the default LatencyObjective,
@@ -88,13 +90,13 @@ func runGoldenCase(t *testing.T, c goldenCase, cfg PlanConfig) {
 		rep.IPS, rep.MeanLatMS, rep.MaxCompMS, rep.MaxTransMS); got != c.evaluate {
 		t.Errorf("Evaluate drifted from the pre-refactor tree:\n got  %s\n want %s", got, c.evaluate)
 	}
-	prep, err := sys.EvaluatePipelined(plan, 50, 4)
+	prep, err := sys.Serve(plan, sim.Scenario{Tenants: []sim.TenantSpec{{Images: 50}}, Window: 4, Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := fmt.Sprintf("ips=%.17g steady=%.17g meanlat=%.17g p95=%.17g",
 		prep.IPS, prep.SteadyIPS, prep.MeanLatMS, prep.P95LatMS); got != c.pipelined {
-		t.Errorf("EvaluatePipelined drifted from the pre-refactor tree:\n got  %s\n want %s", got, c.pipelined)
+		t.Errorf("pipelined Serve drifted from the pre-refactor tree:\n got  %s\n want %s", got, c.pipelined)
 	}
 }
 

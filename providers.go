@@ -56,18 +56,14 @@ func ParseProviders(spec string) ([]Provider, error) {
 // non-negative, devices non-negative, slow factors positive and finite
 // (an event at +Inf would silently never fire), and no event may be an
 // exact duplicate of an earlier one (same kind, device and time — almost
-// always a typo for a different time).
-func ParseChurn(spec string) ([]ChurnEvent, error) {
+// always a typo for a different time). The events are a sim.Scenario's
+// Events, for the simulator and the runtime alike.
+func ParseChurn(spec string) ([]sim.ChurnEvent, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
 	}
-	type eventKey struct {
-		kind string
-		dev  int
-		at   float64
-	}
-	seen := make(map[eventKey]bool)
-	var out []ChurnEvent
+	seen := make(map[sim.ChurnEvent]bool)
+	var out []sim.ChurnEvent
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		kind, rest, ok := strings.Cut(part, ":")
@@ -85,13 +81,14 @@ func ParseChurn(spec string) ([]ChurnEvent, error) {
 		if !(at >= 0) || math.IsInf(at, 1) {
 			return nil, fmt.Errorf("distredge: churn event %q needs a finite, non-negative time", part)
 		}
-		ev := ChurnEvent{Kind: strings.TrimSpace(kind), AtSec: at, Factor: 1}
-		switch ev.Kind {
-		case "drop", "join", "slow":
-		default:
-			return nil, fmt.Errorf("distredge: unknown churn kind %q in %q (want drop|join|slow)", ev.Kind, part)
-		}
-		if ev.Kind == "slow" {
+		ev := sim.ChurnEvent{At: at, Factor: 1}
+		switch kind = strings.TrimSpace(kind); kind {
+		case "drop":
+			ev.Kind = sim.DeviceDrop
+		case "join":
+			ev.Kind = sim.DeviceJoin
+		case "slow":
+			ev.Kind = sim.DeviceSlow
 			dv, fv, ok := strings.Cut(devSpec, "x")
 			if !ok {
 				return nil, fmt.Errorf("distredge: slow event %q needs devxfactor", part)
@@ -104,6 +101,8 @@ func ParseChurn(spec string) ([]ChurnEvent, error) {
 				return nil, fmt.Errorf("distredge: slow factor in %q must be positive and finite", part)
 			}
 			devSpec = dv
+		default:
+			return nil, fmt.Errorf("distredge: unknown churn kind %q in %q (want drop|join|slow)", kind, part)
 		}
 		ev.Device, err = strconv.Atoi(strings.TrimSpace(devSpec))
 		if err != nil {
@@ -112,7 +111,7 @@ func ParseChurn(spec string) ([]ChurnEvent, error) {
 		if ev.Device < 0 {
 			return nil, fmt.Errorf("distredge: churn event %q has a negative device index", part)
 		}
-		key := eventKey{kind: ev.Kind, dev: ev.Device, at: ev.AtSec}
+		key := sim.ChurnEvent{At: ev.At, Kind: ev.Kind, Device: ev.Device}
 		if seen[key] {
 			return nil, fmt.Errorf("distredge: duplicate churn event %q", part)
 		}

@@ -63,13 +63,13 @@ func TestParseChurn(t *testing.T) {
 	if len(events) != 3 {
 		t.Fatalf("parsed %d events, want 3", len(events))
 	}
-	if e := events[0]; e.Kind != "drop" || e.Device != 1 || e.AtSec != 2.5 {
+	if e := events[0]; e.Kind != sim.DeviceDrop || e.Device != 1 || e.At != 2.5 {
 		t.Errorf("event 0 = %+v", e)
 	}
-	if e := events[1]; e.Kind != "slow" || e.Device != 2 || e.Factor != 3 || e.AtSec != 4 {
+	if e := events[1]; e.Kind != sim.DeviceSlow || e.Device != 2 || e.Factor != 3 || e.At != 4 {
 		t.Errorf("event 1 = %+v", e)
 	}
-	if e := events[2]; e.Kind != "join" || e.Device != 1 || e.AtSec != 8 {
+	if e := events[2]; e.Kind != sim.DeviceJoin || e.Device != 1 || e.At != 8 {
 		t.Errorf("event 2 = %+v", e)
 	}
 	// Empty spec means "no churn", not an error.
@@ -217,19 +217,19 @@ func FuzzParseSpecs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {
 		if events, err := ParseChurn(spec); err == nil {
 			type key struct {
-				kind string
+				kind sim.ChurnKind
 				dev  int
 				at   float64
 			}
 			seen := make(map[key]bool)
 			for _, ev := range events {
 				switch ev.Kind {
-				case "drop", "join", "slow":
+				case sim.DeviceDrop, sim.DeviceJoin, sim.DeviceSlow:
 				default:
-					t.Errorf("ParseChurn(%q) accepted kind %q", spec, ev.Kind)
+					t.Errorf("ParseChurn(%q) accepted kind %v", spec, ev.Kind)
 				}
-				if !(ev.AtSec >= 0) || math.IsInf(ev.AtSec, 1) {
-					t.Errorf("ParseChurn(%q) accepted time %g", spec, ev.AtSec)
+				if !(ev.At >= 0) || math.IsInf(ev.At, 1) {
+					t.Errorf("ParseChurn(%q) accepted time %g", spec, ev.At)
 				}
 				if ev.Device < 0 {
 					t.Errorf("ParseChurn(%q) accepted device %d", spec, ev.Device)
@@ -237,7 +237,7 @@ func FuzzParseSpecs(f *testing.F) {
 				if !(ev.Factor > 0) || math.IsInf(ev.Factor, 1) {
 					t.Errorf("ParseChurn(%q) accepted factor %g", spec, ev.Factor)
 				}
-				k := key{ev.Kind, ev.Device, ev.AtSec}
+				k := key{ev.Kind, ev.Device, ev.At}
 				if seen[k] {
 					t.Errorf("ParseChurn(%q) accepted duplicate %+v", spec, ev)
 				}
