@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"distredge/internal/admit"
-	"distredge/internal/stats"
 )
 
 // Backend is the shared-cluster admission surface the gateway drives;
@@ -99,6 +98,9 @@ type request struct {
 // TenantSummary aggregates one tenant's outcomes since the gateway
 // started. Latency statistics cover requests the backend actually served
 // (including late ones); queue-expired requests count only in Expired.
+// Percentiles are the caller's to take over each Result's LatencyMS: the
+// gateway keeps a running sum and max per tenant, not every request's
+// latency for the life of the process.
 type TenantSummary struct {
 	Tenant    string
 	Enqueued  int
@@ -107,7 +109,6 @@ type TenantSummary struct {
 	Expired   int // dropped from the queue before admission
 	Failed    int // backend error or gateway closed
 	MeanLatMS float64
-	P95LatMS  float64
 	MaxLatMS  float64
 }
 
@@ -123,9 +124,9 @@ type Gateway struct {
 	sched   admit.Sched     // guarded by mu; policy, global window and the requests on the backend
 	adm     []admit.Tenant  // guarded by mu; per-tenant window, in-flight count and fair-queueing state
 	nextSeq uint64          // guarded by mu; global enqueue order
-	served  [][]float64     // guarded by mu; latencies (sec) per tenant
 	counts  []TenantSummary // guarded by mu; running outcome counters
-	scratch []float64       // guarded by mu; Summary's reusable sort buffer
+	latSum  []time.Duration // guarded by mu; per tenant: total latency served
+	latMax  []time.Duration // guarded by mu; per tenant: worst latency served
 	closed  bool            // guarded by mu
 
 	// deadlined lists the tenants with deadlines, immutable after New: the
@@ -157,8 +158,9 @@ func New(be Backend, cfg Config, tenants []TenantConfig) (*Gateway, error) {
 		queues:  make([]ring, len(tenants)),
 		sched:   sched,
 		adm:     make([]admit.Tenant, len(tenants)),
-		served:  make([][]float64, len(tenants)),
 		counts:  make([]TenantSummary, len(tenants)),
+		latSum:  make([]time.Duration, len(tenants)),
+		latMax:  make([]time.Duration, len(tenants)),
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
@@ -304,26 +306,27 @@ func (g *Gateway) serve(r *request) {
 	if err == nil || errors.Is(err, ErrDeadlineExceeded) {
 		// The backend did serve it: its latency belongs in the
 		// distribution whether or not it beat the deadline.
-		g.served[t] = append(g.served[t], lat.Seconds())
+		g.latSum[t] += lat
+		g.latMax[t] = max(g.latMax[t], lat)
 	}
 	g.mu.Unlock()
 	r.res <- Result{Tenant: name, LatencyMS: lat.Seconds() * 1e3, Err: err}
 	g.kick()
 }
 
-// Summary returns per-tenant outcome counts and latency statistics, in
-// tenant configuration order. It may be called while the gateway is live,
-// and it is read-only with respect to the recorded latencies: each
-// tenant's slice is copied into one reusable scratch buffer and sorted
-// there, so repeated Summary calls never reorder (or reallocate per call)
-// the per-tenant history a concurrent serve is appending to.
+// Summary returns per-tenant outcome counts and the mean and max latency of
+// the requests the backend served, in tenant configuration order. It may be
+// called while the gateway is live.
 func (g *Gateway) Summary() []TenantSummary {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	out := make([]TenantSummary, len(g.tenants))
 	for t := range g.tenants {
 		s := g.counts[t]
-		s.MeanLatMS, _, s.P95LatMS, s.MaxLatMS = stats.LatencyMS(g.served[t], &g.scratch)
+		if n := s.Completed + s.Late; n > 0 {
+			s.MeanLatMS = g.latSum[t].Seconds() / float64(n) * 1e3
+			s.MaxLatMS = g.latMax[t].Seconds() * 1e3
+		}
 		out[t] = s
 	}
 	return out

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,14 +23,6 @@ type chunkKey struct {
 	lo, hi int
 }
 
-// outMsg pairs a chunk with its destination for the send thread. The
-// explicit struct replaces the seed's unexported destHint field on Chunk,
-// which only worked because gob skipped it.
-type outMsg struct {
-	dest int
-	ch   Chunk
-}
-
 // instant is a point on the process's monotonic clock, in nanoseconds since
 // clockEpoch. Assembly keeps one per arrived chunk and one per ready step; as
 // time.Time (which carries a *Location) they made every arrival-map bucket
@@ -41,15 +34,6 @@ var clockEpoch = time.Now()
 
 func instantOf(t time.Time) instant { return instant(t.Sub(clockEpoch)) }
 func (i instant) time() time.Time   { return clockEpoch.Add(time.Duration(i)) }
-
-// inMsg is a received chunk with its ideal ready time: the receive stamp
-// back-dated by the chunk's Lag. The stamp is taken as the chunk leaves the
-// wire, so the hops from there to the compute thread run inside the device's
-// sleep to its absolute deadline whenever the step costs more than they take.
-type inMsg struct {
-	ch    Chunk
-	ready instant
-}
 
 // workItem identifies one ready step of one image — the unit the compute
 // thread consumes — and when it became ready on the ideal schedule: the
@@ -150,21 +134,63 @@ func (q *workQueue) close() {
 	q.cond.Broadcast()
 }
 
-// imageState is one in-flight image's assembly state on a provider: which
-// chunks have arrived (and when, back-dated by their Lag) and which steps
-// have already been handed to the compute thread. The explicit scheduled
-// set replaces the seed's chunkKey{-100, si, 0} sentinel, which collided
-// with a legitimate volume id of -100.
+// assembly is a provider plan's dependency index, built once when the
+// provider starts: every distinct (volume, lo, hi) need of its steps gets a
+// dense id, so deliver does one map lookup per chunk and then works on
+// slices. Rescanning every step's needs in a per-image map on each arrival
+// was a fifth of wire-small's CPU.
+type assembly struct {
+	ids     map[chunkKey]int32 // need -> dense id
+	needers [][]int32          // need id -> the steps that list it, ascending
+	needs   [][]int32          // step -> its distinct need ids
+	pending []int32            // step -> len(needs[step]): a fresh image's counts
+}
+
+func newAssembly(plan ProviderPlan) assembly {
+	a := assembly{
+		ids:     make(map[chunkKey]int32),
+		needs:   make([][]int32, len(plan.Steps)),
+		pending: make([]int32, len(plan.Steps)),
+	}
+	for si, st := range plan.Steps {
+		for _, n := range st.Needs {
+			k := chunkKey{n.Volume, n.Lo, n.Hi}
+			id, ok := a.ids[k]
+			if !ok {
+				id = int32(len(a.needers))
+				a.ids[k] = id
+				a.needers = append(a.needers, nil)
+			}
+			if slices.Contains(a.needs[si], id) {
+				continue // a step listing one need twice waits for it once
+			}
+			a.needs[si] = append(a.needs[si], id)
+			a.needers[id] = append(a.needers[id], int32(si))
+		}
+		a.pending[si] = int32(len(a.needs[si]))
+	}
+	return a
+}
+
+// imageState is one in-flight image's assembly state on a provider, indexed
+// by the assembly's need and step ids: which needed chunks have arrived (and
+// when, back-dated by their Lag) and how many distinct needs each step still
+// waits for. A step is handed to the compute thread when its count reaches
+// zero, which happens once: only a need's first arrival decrements.
 type imageState struct {
-	arrived   map[chunkKey]instant
-	scheduled []bool // indexed by step
+	at      []instant // per need id: the latest arrival
+	have    []bool    // per need id
+	pending []int32   // per step
 }
 
 // Provider is one service provider node: a transport listener plus the
-// worker goroutines of Section V-A (receive, compute, send) and — when
-// health tracking is on — a heartbeat thread.
+// threads of Section V-A — a receive thread per inbound connection, which
+// assembles chunks and queues the steps they complete; one compute thread;
+// one send thread per destination — and, when health tracking is on, a
+// heartbeat thread.
 type Provider struct {
 	plan  ProviderPlan
+	asm   assembly
 	epoch int // deployment epoch, stamped on heartbeats
 	tr    transport.Transport
 	ln    transport.Listener
@@ -173,9 +199,7 @@ type Provider struct {
 	peerAddrs map[int]string         // guarded by peerMu
 	peerMu    sync.Mutex
 
-	inbox  chan inMsg
-	work   *workQueue
-	outbox chan outMsg
+	work *workQueue
 
 	mu     sync.Mutex
 	images map[uint32]*imageState // guarded by mu; in-flight image -> assembly state
@@ -185,7 +209,6 @@ type Provider struct {
 	hb     time.Duration // heartbeat period; 0 = disabled
 	batch  int           // per-step image batching cap; 1 disables, 0 adaptive
 	done   chan struct{}
-	wg     sync.WaitGroup
 	closed sync.Once
 	rec    statsRecorder
 	fail   func(suspect int, err error) // cluster-level error sink; nil drops errors
@@ -201,27 +224,22 @@ func newProvider(plan ProviderPlan, epoch int, hb time.Duration, batch int, fail
 	}
 	p := &Provider{
 		plan:      plan,
+		asm:       newAssembly(plan),
 		epoch:     epoch,
 		tr:        tr,
 		ln:        ln,
 		peers:     make(map[int]transport.Conn),
 		peerAddrs: make(map[int]string),
-		inbox:     make(chan inMsg, 256),
 		work:      newWorkQueue(),
-		outbox:    make(chan outMsg, 256),
 		images:    make(map[uint32]*imageState),
 		hb:        hb,
 		batch:     batch,
 		done:      make(chan struct{}),
 		fail:      fail,
 	}
-	p.wg.Add(4)
 	go p.acceptLoop()
-	go p.recvLoop()
 	go p.computeLoop()
-	go p.sendLoop()
 	if hb > 0 {
-		p.wg.Add(1)
 		go p.heartbeatLoop()
 	}
 	return p, nil
@@ -231,7 +249,6 @@ func newProvider(plan ProviderPlan, epoch int, hb time.Duration, batch int, fail
 // Send errors are deliberately not reported: a beat that cannot be
 // delivered surfaces at the monitor as a missed beat, which is the signal.
 func (p *Provider) heartbeatLoop() {
-	defer p.wg.Done()
 	t := time.NewTicker(p.hb)
 	defer t.Stop()
 	for {
@@ -270,8 +287,14 @@ func (p *Provider) report(suspect int, err error) {
 	}
 }
 
+// acceptLoop starts a receive thread per inbound connection. Each one stamps
+// a chunk's ideal ready time as it leaves the wire — the receive stamp
+// back-dated by its Lag — and assembles it on the spot, so assembly and the
+// work-queue push run inside the device's sleep to its absolute deadline
+// whenever the step costs more than they take. Assembly only records a
+// chunk's coordinates: the payload is dead once delivered and goes back to
+// the transport's pool.
 func (p *Provider) acceptLoop() {
-	defer p.wg.Done()
 	for {
 		c, err := p.ln.Accept()
 		if err != nil {
@@ -285,40 +308,30 @@ func (p *Provider) acceptLoop() {
 					return
 				}
 				select {
-				case p.inbox <- inMsg{ch: ch, ready: instantOf(time.Now().Add(-ch.Lag))}:
 				case <-p.done:
 					c.Close()
 					return
+				default:
 				}
+				p.rec.addReceived()
+				p.deliver(ch, instantOf(time.Now().Add(-ch.Lag)))
+				transport.RecyclePayload(p.tr, ch.Payload)
 			}
 		}()
 	}
 }
 
-// recvLoop is the receive thread: it assembles arriving chunks and enqueues
-// steps whose inputs are complete.
-func (p *Provider) recvLoop() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.done:
-			return
-		case in := <-p.inbox:
-			p.rec.addReceived()
-			p.deliver(in.ch, in.ready)
-			// Assembly only records arrival coordinates; the payload is
-			// dead once delivered and goes back to the transport's pool.
-			transport.RecyclePayload(p.tr, in.ch.Payload)
-		}
-	}
-}
-
 // deliver marks a chunk arrived at its ideal ready time and schedules the
-// steps it completes, each ready at the latest such time among its needs.
-// It never blocks (the ready queue is unbounded), so it is safe to call
-// from both the receive thread and — for self-routed chunks — the compute
-// thread.
+// steps it completes, in ascending step order, each ready at the latest
+// arrival among its needs. A chunk no step needs is ignored; a duplicate
+// moves its need's arrival time but completes nothing again. It never
+// blocks (the ready queue is unbounded), so it is safe to call from the
+// receive threads and — for self-routed chunks — the compute thread.
 func (p *Provider) deliver(ch Chunk, at instant) {
+	id, ok := p.asm.ids[chunkKey{int(ch.Volume), int(ch.Lo), int(ch.Hi)}]
+	if !ok {
+		return
+	}
 	p.mu.Lock()
 	img := ch.Image
 	if img < p.minImg {
@@ -334,38 +347,33 @@ func (p *Provider) deliver(ch Chunk, at instant) {
 			st, p.spare = p.spare[n-1], p.spare[:n-1]
 		} else {
 			st = &imageState{
-				arrived:   make(map[chunkKey]instant),
-				scheduled: make([]bool, len(p.plan.Steps)),
+				at:      make([]instant, len(p.asm.needers)),
+				have:    make([]bool, len(p.asm.needers)),
+				pending: make([]int32, len(p.plan.Steps)),
 			}
 		}
+		copy(st.pending, p.asm.pending)
 		p.images[img] = st
 	}
-	st.arrived[chunkKey{int(ch.Volume), int(ch.Lo), int(ch.Hi)}] = at
+	st.at[id] = at
+	if st.have[id] {
+		p.mu.Unlock()
+		return
+	}
+	st.have[id] = true
 
 	var readyBuf [8]workItem // a chunk completes a step or two; past 8 append spills
 	ready := readyBuf[:0]
-	for si := range p.plan.Steps {
-		if st.scheduled[si] {
+	for _, si := range p.asm.needers[id] {
+		st.pending[si]--
+		if st.pending[si] > 0 {
 			continue
 		}
-		needs := p.plan.Steps[si].Needs
-		if len(needs) == 0 {
-			continue
-		}
-		all := true
 		latest := instant(math.MinInt64)
-		for _, need := range needs {
-			t, ok := st.arrived[chunkKey{need.Volume, need.Lo, need.Hi}]
-			if !ok {
-				all = false
-				break
-			}
-			latest = max(latest, t)
+		for _, n := range p.asm.needs[si] {
+			latest = max(latest, st.at[n])
 		}
-		if all {
-			st.scheduled[si] = true
-			ready = append(ready, workItem{img: img, step: si, ready: latest})
-		}
+		ready = append(ready, workItem{img: img, step: int(si), ready: latest})
 	}
 	p.mu.Unlock()
 	for _, w := range ready {
@@ -374,11 +382,12 @@ func (p *Provider) deliver(ch Chunk, at instant) {
 }
 
 // computeLoop is the compute thread: it emulates the split-part execution
-// and hands finished outputs to the send thread (or back to assembly for
-// self-routes). With Options.Batch != 1 it coalesces same-step work items
-// that queued while it was busy into one invocation charged the sublinear
-// sim.BatchedComputeSec cost; outputs are still emitted per image, so
-// everything downstream of the compute thread is oblivious to batching.
+// and hands finished outputs straight to their destination's send thread
+// (or back to assembly for self-routes). With Options.Batch != 1 it
+// coalesces same-step work items that queued while it was busy into one
+// invocation charged the sublinear sim.BatchedComputeSec cost; outputs are
+// still emitted per image, so everything downstream of the compute thread is
+// oblivious to batching.
 //
 // The device is paced on its ideal schedule (transport.Pacer): a step starts
 // when its inputs were ideally ready and the device ideally free, and the
@@ -388,9 +397,16 @@ func (p *Provider) deliver(ch Chunk, at instant) {
 // end itself. The device is ideally free at that end too: what the thread
 // does after waking (filling and queueing the outputs) does not push a step
 // that is already waiting back, its sleep absorbs it.
+//
+// The send threads start lazily, one per destination, so transfers to
+// distinct peers overlap while chunks to the same peer stay ordered. A
+// single serial sender would serialise what both the simulator (independent
+// directed-link busy floors) and a real testbed (one TCP stream per pair)
+// let proceed in parallel once a shaped transport charges trace latency per
+// payload.
 func (p *Provider) computeLoop() {
-	defer p.wg.Done()
 	var device transport.Pacer
+	senders := make(map[int]chan Chunk)
 	batch := make([]workItem, 0, p.batch)
 	for {
 		w, ok := p.work.pop()
@@ -431,8 +447,14 @@ func (p *Provider) computeLoop() {
 				}
 				ch.Payload = transport.GetPayload(p.tr, (r.Hi-r.Lo)*st.RowBytes)
 				fillActivation(ch.Payload, ch.Image^uint32(st.Volume)<<8^uint32(r.Lo)<<16)
+				q, ok := senders[r.Dest]
+				if !ok {
+					q = make(chan Chunk, sendQueueLen)
+					senders[r.Dest] = q
+					go p.destSender(r.Dest, q)
+				}
 				select {
-				case p.outbox <- outMsg{dest: r.Dest, ch: ch}:
+				case q <- ch:
 				case <-p.done:
 					return
 				}
@@ -441,52 +463,27 @@ func (p *Provider) computeLoop() {
 	}
 }
 
-// sendLoop is the send thread: it dispatches outbound chunks to one sender
-// worker per destination, so transfers to distinct peers overlap while
-// chunks to the same peer stay ordered. A single serial sender was
-// equivalent when sends were localhost-cheap, but with a shaped transport
-// charging real trace latency per payload it would serialise what both the
-// simulator (independent directed-link busy floors) and a real testbed
-// (one TCP stream per pair) allow to proceed in parallel.
-func (p *Provider) sendLoop() {
-	defer p.wg.Done()
-	workers := make(map[int]chan outMsg)
-	for {
-		select {
-		case <-p.done:
-			return
-		case o := <-p.outbox:
-			w, ok := workers[o.dest]
-			if !ok {
-				w = make(chan outMsg, 64)
-				workers[o.dest] = w
-				p.wg.Add(1)
-				go p.destSender(o.dest, w)
-			}
-			select {
-			case w <- o:
-			case <-p.done:
-				return
-			}
-		}
-	}
-}
+// sendQueueLen bounds each destination's send queue, and with it the pooled
+// payloads a peer that drains slowly can hold back: past it the compute
+// thread waits for that peer's sender. It is deep enough that the outputs of
+// a burst of steps queue without the compute thread waiting, and the backlog
+// is what lets the sender coalesce their flushes.
+const sendQueueLen = 256
 
-// destSender ships chunks to one destination in order, coalescing flushes
-// across bursts: the channel backlog is the queue-drain signal, so a run
-// of small chunks headed to the same peer shares one socket write (on
-// transports without buffered sends the Coalescer degenerates to plain
-// per-message Send). Failures while the cluster is live are reported so
-// the requester can fail the run immediately instead of waiting out the
-// per-image timeout.
-func (p *Provider) destSender(dest int, w chan outMsg) {
-	defer p.wg.Done()
+// destSender is the send thread for one destination: it ships chunks in
+// order, coalescing flushes across bursts. The queue backlog is the
+// queue-drain signal, so a run of small chunks headed to the same peer
+// shares one socket write (on transports without buffered sends the
+// Coalescer degenerates to plain per-message Send). Failures while the
+// cluster is live are reported so the requester can fail the run
+// immediately instead of waiting out the per-image timeout.
+func (p *Provider) destSender(dest int, q chan Chunk) {
 	var co *transport.Coalescer
 	for {
 		select {
 		case <-p.done:
 			return
-		case o := <-w:
+		case ch := <-q:
 			if co == nil {
 				c, err := p.peerConn(dest)
 				if err != nil {
@@ -495,7 +492,7 @@ func (p *Provider) destSender(dest int, w chan outMsg) {
 				}
 				co = transport.NewCoalescer(c)
 			}
-			if err := co.Send(o.ch, len(w) > 0); err != nil {
+			if err := co.Send(ch, len(q) > 0); err != nil {
 				p.reportSendErr(dest, err)
 				continue
 			}
@@ -556,8 +553,8 @@ func (p *Provider) sendTo(dest int, ch Chunk) error {
 // advances `before` only past images whose results it has fully assembled,
 // so with a window of in-flight images an early finisher never tears down
 // state a straggler still needs. Dropped states are cleared and kept for
-// deliver to reuse — their maps keep their grown buckets — so the spares
-// never outnumber the images that were in flight at once.
+// deliver to reuse, which re-seeds their step counts, so the spares never
+// outnumber the images that were in flight at once.
 func (p *Provider) gc(before uint32) {
 	p.mu.Lock()
 	if before > p.minImg {
@@ -566,8 +563,7 @@ func (p *Provider) gc(before uint32) {
 	for img, st := range p.images {
 		if img < p.minImg {
 			delete(p.images, img)
-			clear(st.arrived)
-			clear(st.scheduled)
+			clear(st.have)
 			p.spare = append(p.spare, st)
 		}
 	}

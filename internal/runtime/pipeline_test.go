@@ -53,7 +53,7 @@ func TestSelfRouteFanoutNoDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.close()
-	p.inbox <- inMsg{ch: Chunk{Image: 1, Volume: -1, Lo: 0, Hi: 1, Payload: []byte{0}}, ready: instantOf(time.Now())}
+	p.deliver(Chunk{Image: 1, Volume: -1, Lo: 0, Hi: 1}, instantOf(time.Now()))
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {

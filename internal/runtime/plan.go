@@ -1,9 +1,11 @@
 // Package runtime executes a distribution strategy over a pluggable wire
 // stack (internal/transport), reproducing the paper's deployment
 // (Section V-A): a controller derives per-provider plans from the strategy,
-// split-part weights are preloaded, each provider runs three goroutines
-// (receive, compute, send) sharing queues, and the requester admits images
-// through Cluster.Submit, one image's scatter-to-result round trip.
+// split-part weights are preloaded, each provider runs a receive thread per
+// inbound connection (which assembles chunks and queues the steps they
+// complete), one compute thread and a send thread per destination, and the
+// requester admits images through Cluster.Submit, one image's
+// scatter-to-result round trip.
 //
 // Cluster.Serve runs a sim.Scenario — the value sim.Serve predicts — on the
 // deployed fleet (Window 1 is the paper's protocol: an image is not sent

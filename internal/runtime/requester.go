@@ -41,7 +41,8 @@ type Cluster struct {
 	// successive images enter the uplink one at a time, matching the
 	// pipeline simulator's uplink busy floor no matter how many callers
 	// (Serve's window of workers, gateway Submits) race to admit.
-	sendMu sync.Mutex
+	sendMu  sync.Mutex
+	scatter scatterState // guarded by sendMu; the scatter in flight
 	// Registration hot state is sharded by image id (reg) with the gc
 	// cursor on its own mutex (wm), so concurrent Submit callers and
 	// provider result fan-in stop serialising on one lock; see shards.go.
@@ -315,17 +316,47 @@ func (c *Cluster) complete(d *deployment, img uint32) {
 	}
 }
 
+// scatterState is one image's scatter in flight: the destinations being
+// sent to concurrently and the first failure among them. The cluster keeps
+// one and reuses it for every image under sendMu, so a scatter allocates
+// nothing but its send goroutines.
+type scatterState struct {
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	err     error // guarded by mu
+	errDest int   // guarded by mu
+}
+
+// send ships one input chunk to dest over the deployment's scatter link,
+// recording the scatter's first failure.
+func (s *scatterState) send(tr transport.Transport, d *deployment, dest int, ch Chunk) {
+	o, err := d.link(tr, dest)
+	if err == nil {
+		err = o.Send(ch)
+	}
+	if err != nil {
+		s.mu.Lock()
+		if s.err == nil {
+			s.err, s.errDest = err, dest
+		}
+		s.mu.Unlock()
+	}
+}
+
 // sendInput scatters one image's input rows to the volume-0 providers.
 // Per-destination sends run concurrently — the single-image oracle's
-// scatter model, and what per-pair connections really allow — while admit's
-// sendMu keeps successive images' scatters ordered like the pipeline
-// simulator's uplink busy floor. A failed scatter is attributed to its
-// destination provider so recovery can quarantine it.
+// scatter model, and what per-pair connections really allow — with the
+// last one on the caller's goroutine, while sendMu keeps successive images'
+// scatters ordered like the pipeline simulator's uplink busy floor. A
+// failed scatter is attributed to its destination provider so recovery can
+// quarantine it.
 func (c *Cluster) sendInput(d *deployment, img uint32) error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
 	plan := d.plan
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	firstErr, firstDest := error(nil), -1
+	s := &c.scatter
+	s.err, s.errDest = nil, -1
+	last := len(plan.Scatter) - 1
 	for k, need := range plan.Scatter {
 		dest := plan.ScatterDest[k]
 		ch := Chunk{
@@ -336,26 +367,20 @@ func (c *Cluster) sendInput(d *deployment, img uint32) error {
 			Payload: transport.GetPayload(c.tr, (need.Hi-need.Lo)*plan.InputRowBytes),
 		}
 		fillActivation(ch.Payload, img^uint32(need.Lo)<<16)
-		wg.Add(1)
-		go func(dest int, ch Chunk) {
-			defer wg.Done()
-			o, err := d.link(c.tr, dest)
-			if err == nil {
-				err = o.Send(ch)
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr, firstDest = err, dest
-				}
-				mu.Unlock()
-			}
-		}(dest, ch)
+		if k == last {
+			s.send(c.tr, d, dest, ch)
+			break
+		}
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.send(c.tr, d, dest, ch)
+		}()
 	}
-	wg.Wait()
-	if firstErr != nil {
-		err := fmt.Errorf("runtime: scatter image %d to provider %d: %w", img, firstDest, firstErr)
-		d.fail(firstDest, err)
+	s.wg.Wait()
+	if s.err != nil {
+		err := fmt.Errorf("runtime: scatter image %d to provider %d: %w", img, s.errDest, s.err)
+		d.fail(s.errDest, err)
 		return err
 	}
 	return nil
@@ -413,16 +438,13 @@ func (c *Cluster) attempt() (d *deployment, inflight bool, err error) {
 }
 
 // admit registers the next image and scatters its input rows, serialised
-// against every other submitter by sendMu. A failed scatter has already
+// against every other submitter by sendInput. A failed scatter has already
 // failed the deployment (sendInput attributes it to its destination); admit
 // additionally drops the dead registration so the gc watermark keeps
 // advancing, and returns the error.
 func (c *Cluster) admit(d *deployment) (uint32, chan struct{}, error) {
 	img, done := c.register(d.plan)
-	c.sendMu.Lock()
-	err := c.sendInput(d, img)
-	c.sendMu.Unlock()
-	if err != nil {
+	if err := c.sendInput(d, img); err != nil {
 		c.dropRegistration(d, img)
 		return 0, nil, err
 	}

@@ -22,14 +22,14 @@ type ProviderStats struct {
 }
 
 // numStatStripes stripes a provider's counters across independent mutexes
-// so the compute thread, the receive thread and every per-destination
+// so the compute thread, the receive threads and every per-destination
 // sender record without contending: compute and receive own fixed stripes,
 // sends stripe by destination. Must be a power of two.
 const numStatStripes = 8
 
 const (
 	computeStripe = 0 // only the compute thread writes here
-	recvStripe    = 1 // only the receive thread writes here
+	recvStripe    = 1 // only the receive threads write here
 )
 
 // statStripe is one stripe's partial counters.

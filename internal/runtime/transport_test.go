@@ -19,29 +19,22 @@ import (
 // transports must produce bit-equal completion semantics — the same
 // Completed, Requeued and quarantined set. The script is built so the
 // counts are deterministic: images == window (everything admitted at t=0)
-// and the kill lands at a quarter of the measured first-image latency, so
-// no image can complete before the failure on either transport and every
-// admitted image is requeued by the recovery.
+// and the kill lands at a quarter of the simulator's first-image latency, a
+// fixed model time. That prediction runs the same compute chain on the ideal
+// schedule, which the runtime can only trail, so the kill lands while the
+// first image is still on provider 1: no image can complete before the
+// failure on either transport and every admitted image is requeued by the
+// recovery.
 func TestTransportCompletionEquivalence(t *testing.T) {
 	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
 	s := stageStrategy(env, env.Model, []int{0, 10, 14, 18})
 	const images, window = 4, 4
 
-	// Pilot (inproc, no kill) calibrates the kill time. Inproc is the
-	// faster transport, so a quarter of its first-image latency is safely
-	// before the first completion on both stacks.
-	opts := recoverOpts()
-	opts.Transport = transport.NewInproc()
-	pilot, err := Deploy(env, s, opts)
+	pred, err := env.Serve(s, simPipelined(images, window))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pstats, err := stream(pilot, images, window)
-	pilot.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	drop := sim.ChurnEvent{At: pstats.PerImageSec[0] / 4, Kind: sim.DeviceDrop, Device: 1}
+	drop := sim.ChurnEvent{At: pred.PerImageSec[0] / 4, Kind: sim.DeviceDrop, Device: 1}
 
 	type outcome struct {
 		sim.ServeResult

@@ -1,6 +1,7 @@
-// Package stats holds the latency summary the simulator and the gateway
-// both report, so a per-tenant p95 predicted offline and one measured live
-// are the same statistic.
+// Package stats holds the latency summary sim.ServeResult.Assemble computes
+// for a predicted run (sim.Serve) and a measured one (runtime Cluster.Serve)
+// alike, so a per-tenant p95 predicted offline and one measured live are the
+// same statistic.
 package stats
 
 import "sort"

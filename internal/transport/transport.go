@@ -40,7 +40,7 @@ const Requester = -1
 //
 // What a stage's sleep absorbs is therefore everything between its ready
 // stamp and the sleep — the inherited Lag, and the real work in between
-// (inbox and work-queue hops and assembly on a device; the link lock and
+// (assembly and the work-queue hop on a device; the link lock and
 // post-codec sizing on a link) — for as long as the stage costs more than
 // that; where it costs less, the remainder is handed on as its own Lag. What
 // no sleep absorbs is the time from a stage's wake to the next stage's
