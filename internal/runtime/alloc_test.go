@@ -14,10 +14,10 @@ import (
 // compute and send, the wire both ways, the result fan-in and the
 // heartbeats meanwhile — on the layer-by-layer CoEdge plan over pooled tcp
 // (the benchmark's wire-small shape, ~86 messages per image). It measures
-// 9.2: the scatter's send goroutines, one per destination but the last (3),
-// the registration's map and channel (3) and the await timer (3). One
+// 7.2: the scatter's send goroutines, one per destination but the last (3),
+// the registration's done channel (1) and the await timer (3). One
 // allocation per message would add ~86.
-const maxMallocsPerImage = 12
+const maxMallocsPerImage = 10
 
 // TestServingAllocationsPerImage is the serving path's allocation count
 // guard, read from the runtime's own malloc counter rather than a timer: a

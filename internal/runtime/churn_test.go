@@ -98,9 +98,9 @@ func TestRecoverFromKilledProvider(t *testing.T) {
 	// recovery leaked bookkeeping (and provider state) for an id whose
 	// waiter lost the done-vs-failed race.
 	bk := cl.bookkeeping()
-	if bk.pending != 0 || bk.completed != 0 || bk.gcLow != bk.nextImg+1 {
-		t.Errorf("requester bookkeeping leaked: pending=%d completed=%d gcLow=%d nextImg=%d",
-			bk.pending, bk.completed, bk.gcLow, bk.nextImg)
+	if bk.registered != 0 || bk.completed != 0 || bk.gcLow != bk.nextImg+1 {
+		t.Errorf("requester bookkeeping leaked: registered=%d completed=%d gcLow=%d nextImg=%d",
+			bk.registered, bk.completed, bk.gcLow, bk.nextImg)
 	}
 }
 
@@ -233,9 +233,9 @@ func TestSubmitRecoversAcrossCallers(t *testing.T) {
 		t.Errorf("live providers = %d, want 3", live)
 	}
 	bk := cl.bookkeeping()
-	if bk.pending != 0 || bk.arrived != 0 || bk.completed != 0 || bk.gcLow != bk.nextImg+1 {
-		t.Errorf("requester bookkeeping leaked: pending=%d arrived=%d completed=%d gcLow=%d nextImg=%d",
-			bk.pending, bk.arrived, bk.completed, bk.gcLow, bk.nextImg)
+	if bk.registered != 0 || bk.completed != 0 || bk.gcLow != bk.nextImg+1 {
+		t.Errorf("requester bookkeeping leaked: registered=%d completed=%d gcLow=%d nextImg=%d",
+			bk.registered, bk.completed, bk.gcLow, bk.nextImg)
 	}
 }
 

@@ -496,7 +496,7 @@ func (p *Provider) destSender(dest int, q chan Chunk) {
 				p.reportSendErr(dest, err)
 				continue
 			}
-			p.rec.addSent(dest)
+			p.rec.addSent()
 		}
 	}
 }

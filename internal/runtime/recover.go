@@ -14,9 +14,10 @@ import (
 //  1. quarantine — every suspect (the failure's attributed provider plus
 //     anything the health monitor declared dead) leaves the alive mask;
 //  2. drain — results that already arrived stay counted, while the
-//     registrations of incomplete images are dropped and the gc watermark
-//     advances past them (their ids are dead: image ids are monotonic, so
-//     a late chunk from the old deployment can never resurrect them);
+//     completion table forgets every armed image and its gc cursor jumps
+//     past every id allocated so far (their ids are dead: image ids are
+//     monotonic, so a late chunk from the old deployment can never
+//     resurrect them);
 //  3. re-plan — Options.Replan (default splitter.ObjectiveReplan for
 //     Options.Objective, i.e. splitter.BalancedReplan under the latency
 //     default) produces a strategy over the survivors, warm-started from
@@ -53,18 +54,14 @@ func (c *Cluster) recover(old *deployment) error {
 		return fmt.Errorf("runtime: no surviving providers")
 	}
 
-	// 2. Tear down the old deployment and drain the bookkeeping. New image
-	// ids will be allocated for the re-scatters, so stale assembly state
-	// and late chunks from the old deployment are unreachable by
-	// construction.
+	// 2. Tear down the old deployment and drain the completion table: every
+	// id allocated so far is now either delivered or dead, and the
+	// redeployed providers start with no state for the cursor to guard.
+	// New image ids will be allocated for the re-scatters, so stale
+	// assembly state and late chunks from the old deployment are
+	// unreachable by construction.
 	old.close()
-	c.reg.drainAll()
-	// Every id allocated so far is now either delivered or dead — including
-	// ids whose results fully arrived but whose waiter observed the failure
-	// before calling complete() (that race would otherwise wedge the
-	// watermark forever). Advance the cursor past all of them; the
-	// redeployed providers start with no state for it to guard anyway.
-	c.wm.drainThrough(c.nextImg.Load())
+	c.comp.drainThrough(c.nextImg.Load())
 
 	// 3. Re-plan over the survivors, for the objective being served.
 	replan := c.opts.Replan

@@ -43,11 +43,10 @@ type Cluster struct {
 	// (Serve's window of workers, gateway Submits) race to admit.
 	sendMu  sync.Mutex
 	scatter scatterState // guarded by sendMu; the scatter in flight
-	// Registration hot state is sharded by image id (reg) with the gc
-	// cursor on its own mutex (wm), so concurrent Submit callers and
-	// provider result fan-in stop serialising on one lock; see shards.go.
-	reg     *regTable
-	wm      *watermark
+	// comp is the completion table: the images awaiting result chunks,
+	// matched through the serving deployment's await index, and the gc
+	// cursor over the finished ones (completions.go).
+	comp    *completions
 	nextImg atomic.Uint32 // monotonic across runs, so image ids are never reused
 
 	done   chan struct{}
@@ -73,6 +72,7 @@ type deployment struct {
 	epoch     int
 	strat     *strategy.Strategy
 	plan      *Plan
+	await     assembly    // plan.Await's dense index, one step needing every awaited chunk
 	providers []*Provider // indexed by provider index; nil = quarantined
 	alive     []bool      // the liveness mask re-planning runs against
 
@@ -104,8 +104,7 @@ func Deploy(env *sim.Env, strat *strategy.Strategy, opts Options) (*Cluster, err
 	c := &Cluster{
 		env:  env,
 		opts: opts,
-		reg:  newRegTable(),
-		wm:   newWatermark(),
+		comp: newCompletions(),
 		tr:   opts.Transport,
 		done: make(chan struct{}),
 	}
@@ -141,6 +140,7 @@ func (c *Cluster) start(epoch int, strat *strategy.Strategy, plan *Plan, alive [
 		epoch:     epoch,
 		strat:     strat,
 		plan:      plan,
+		await:     newAssembly(ProviderPlan{Steps: []Step{{Needs: plan.Await}}}),
 		providers: make([]*Provider, len(alive)),
 		alive:     alive,
 		links:     make(map[int]transport.Conn),
@@ -270,45 +270,29 @@ func (c *Cluster) acceptResults() {
 					}
 					continue
 				}
-				// Result payloads are bookkeeping-only: recycle them once
-				// the pending set is updated below.
+				// Result payloads are bookkeeping-only: completion reads
+				// only a chunk's coordinates.
 				transport.RecyclePayload(c.tr, ch.Payload)
-				c.reg.shard(ch.Image).chunkArrived(ch.Image,
-					chunkKey{int(ch.Volume), int(ch.Lo), int(ch.Hi)})
+				c.comp.arrived(ch)
 			}
 		}()
 	}
 }
 
-// register allocates the next image id and arms its completion tracking.
-func (c *Cluster) register(plan *Plan) (uint32, chan struct{}) {
-	done := make(chan struct{})
+// register allocates the next image id and arms it against the
+// deployment's await index.
+func (c *Cluster) register(d *deployment) (uint32, chan struct{}) {
 	img := c.nextImg.Add(1)
-	m := make(map[chunkKey]bool, len(plan.Await))
-	for _, a := range plan.Await {
-		m[chunkKey{a.Volume, a.Lo, a.Hi}] = true
-	}
-	c.reg.shard(img).register(img, m, done)
-	return img, done
+	return img, c.comp.register(img, &d.await)
 }
 
-// dropRegistration unwinds a registration whose input scatter failed: no
-// result can ever arrive for the image, so its pending set and done channel
-// are dropped and the image is marked completed so the gc watermark can
-// advance past it — the mirror of recovery's drain, without which gcLow
-// wedges below the dead id forever and provider assembly state above it is
-// never collected again.
-func (c *Cluster) dropRegistration(d *deployment, img uint32) {
-	c.reg.shard(img).drop(img)
-	c.complete(d, img)
-}
-
-// complete records a finished image and advances the gc watermark: provider
-// assembly state is dropped only once every image at or below it has
-// completed, so an early finisher never tears down state a straggler in the
-// admission window still needs.
+// complete records a finished image — or one whose scatter failed, which
+// it disarms — and advances the gc cursor: provider assembly state is
+// dropped only once every image at or below it has finished, so an early
+// finisher never tears down state a straggler in the admission window still
+// needs, and a dead id never wedges the cursor below it.
 func (c *Cluster) complete(d *deployment, img uint32) {
-	low := c.wm.complete(img)
+	low := c.comp.complete(img)
 	for _, p := range d.providers {
 		if p != nil {
 			p.gc(low)
@@ -440,12 +424,12 @@ func (c *Cluster) attempt() (d *deployment, inflight bool, err error) {
 // admit registers the next image and scatters its input rows, serialised
 // against every other submitter by sendInput. A failed scatter has already
 // failed the deployment (sendInput attributes it to its destination); admit
-// additionally drops the dead registration so the gc watermark keeps
+// additionally completes the dead registration so the gc cursor keeps
 // advancing, and returns the error.
 func (c *Cluster) admit(d *deployment) (uint32, chan struct{}, error) {
-	img, done := c.register(d.plan)
+	img, done := c.register(d)
 	if err := c.sendInput(d, img); err != nil {
-		c.dropRegistration(d, img)
+		c.complete(d, img)
 		return 0, nil, err
 	}
 	return img, done, nil
@@ -454,7 +438,7 @@ func (c *Cluster) admit(d *deployment) (uint32, chan struct{}, error) {
 // await blocks until the admitted image's full result has arrived (nil),
 // the per-image Options.Timeout fires, the deployment records a failure, or
 // the cluster closes. On success the image is marked complete and provider
-// assembly state below the watermark is collected.
+// assembly state below the gc cursor is collected.
 func (c *Cluster) await(d *deployment, img uint32, done <-chan struct{}) error {
 	timer := time.NewTimer(c.opts.Timeout)
 	defer timer.Stop()

@@ -1,6 +1,9 @@
 package runtime
 
-import "sync"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // ProviderStats aggregates one provider's activity over a run: how long its
 // compute goroutine was busy and how many chunks moved through it. The
@@ -21,81 +24,48 @@ type ProviderStats struct {
 	MaxBatch    int
 }
 
-// numStatStripes stripes a provider's counters across independent mutexes
-// so the compute thread, the receive threads and every per-destination
-// sender record without contending: compute and receive own fixed stripes,
-// sends stripe by destination. Must be a power of two.
-const numStatStripes = 8
-
-const (
-	computeStripe = 0 // only the compute thread writes here
-	recvStripe    = 1 // only the receive threads write here
-)
-
-// statStripe is one stripe's partial counters.
-type statStripe struct {
-	mu    sync.Mutex
-	stats ProviderStats // guarded by mu; partial counts, summed by snapshot
-}
-
-// statsRecorder is embedded in Provider; all methods are safe for
-// concurrent use by the worker goroutines, and the striping keeps the
-// per-chunk counter updates off one shared lock.
+// statsRecorder is embedded in Provider: one atomic per counter, so the
+// compute thread, the receive threads and every per-destination sender
+// record without a lock. ComputeSec and MaxBatch have a single writer, the
+// compute thread, so a load-modify-store is exact; ComputeSec is kept as
+// float64 bits.
 type statsRecorder struct {
-	stripes [numStatStripes]statStripe
+	computeBits atomic.Uint64
+	steps       atomic.Int64
+	received    atomic.Int64
+	sent        atomic.Int64
+	invocations atomic.Int64
+	maxBatch    atomic.Int64
 }
 
 // addComputeBatch records one compute invocation covering n step instances
-// (n > 1 only when the compute loop coalesced queued same-step images).
+// (n > 1 only when the compute loop coalesced queued same-step images). Only
+// the compute thread calls it.
 func (s *statsRecorder) addComputeBatch(sec float64, n int) {
-	st := &s.stripes[computeStripe]
-	st.mu.Lock()
-	st.stats.ComputeSec += sec
-	st.stats.StepsExecuted += n
-	st.stats.Invocations++
-	if n > st.stats.MaxBatch {
-		st.stats.MaxBatch = n
+	s.computeBits.Store(math.Float64bits(math.Float64frombits(s.computeBits.Load()) + sec))
+	s.steps.Add(int64(n))
+	s.invocations.Add(1)
+	if int64(n) > s.maxBatch.Load() {
+		s.maxBatch.Store(int64(n))
 	}
-	st.mu.Unlock()
 }
 
-func (s *statsRecorder) addReceived() {
-	st := &s.stripes[recvStripe]
-	st.mu.Lock()
-	st.stats.ChunksReceived++
-	st.mu.Unlock()
-}
+func (s *statsRecorder) addReceived() { s.received.Add(1) }
 
-// addSent stripes by destination: each destSender goroutine lands on its
-// own stripe (modulo collisions past numStatStripes destinations).
-func (s *statsRecorder) addSent(dest int) {
-	st := &s.stripes[uint(dest+1)&(numStatStripes-1)]
-	st.mu.Lock()
-	st.stats.ChunksSent++
-	st.mu.Unlock()
-}
+func (s *statsRecorder) addSent() { s.sent.Add(1) }
 
-// snapshot sums the stripes into one consistent-enough view: each stripe
-// is read under its own lock, so per-stripe counts are exact and the total
-// can lag a concurrent writer by at most the chunks in flight during the
-// read — the same guarantee the single-mutex recorder gave a caller
-// reading mid-run.
+// snapshot reads the counters one by one: each is exact, and the set can
+// lag a concurrent writer by at most the chunks in flight during the read.
 func (s *statsRecorder) snapshot(index int) ProviderStats {
-	out := ProviderStats{Index: index}
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		out.ComputeSec += st.stats.ComputeSec
-		out.StepsExecuted += st.stats.StepsExecuted
-		out.ChunksReceived += st.stats.ChunksReceived
-		out.ChunksSent += st.stats.ChunksSent
-		out.Invocations += st.stats.Invocations
-		if st.stats.MaxBatch > out.MaxBatch {
-			out.MaxBatch = st.stats.MaxBatch
-		}
-		st.mu.Unlock()
+	return ProviderStats{
+		Index:          index,
+		ComputeSec:     math.Float64frombits(s.computeBits.Load()),
+		StepsExecuted:  int(s.steps.Load()),
+		ChunksReceived: int(s.received.Load()),
+		ChunksSent:     int(s.sent.Load()),
+		Invocations:    int(s.invocations.Load()),
+		MaxBatch:       int(s.maxBatch.Load()),
 	}
-	return out
 }
 
 // Stats returns a snapshot of every provider's counters. Quarantined

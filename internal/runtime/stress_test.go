@@ -8,13 +8,12 @@ import (
 	"distredge/internal/transport"
 )
 
-// TestHighFanInStress drives the sharded registration path the way the
+// TestHighFanInStress drives the requester's completion table the way the
 // serving gateway does at peak: 8 providers' result fan-in racing 8
 // concurrent Submit callers, over both channel and socket transports. It
-// asserts every request completes, the requester's registration shards
-// drain to empty, and no provider is left holding assembly state — a
-// stuck per-provider gc watermark after the sharding refactor would show
-// up as leftover images here.
+// asserts every request completes, the completion table drains to empty,
+// and no provider is left holding assembly state — a stuck gc cursor would
+// show up as leftover images here.
 func TestHighFanInStress(t *testing.T) {
 	transports := map[string]func() transport.Transport{
 		"inproc": func() transport.Transport { return transport.NewPooledInproc(nil) },
@@ -61,12 +60,12 @@ func TestHighFanInStress(t *testing.T) {
 			if bk.nextImg != callers*each {
 				t.Errorf("allocated %d ids for %d submits", bk.nextImg, callers*each)
 			}
-			if bk.pending != 0 || bk.arrived != 0 || bk.completed != 0 {
-				t.Errorf("registration shards leaked: pending=%d arrived=%d completed=%d",
-					bk.pending, bk.arrived, bk.completed)
+			if bk.registered != 0 || bk.completed != 0 {
+				t.Errorf("completion table leaked: registered=%d completed=%d",
+					bk.registered, bk.completed)
 			}
 			if bk.gcLow != bk.nextImg+1 {
-				t.Errorf("gc watermark stuck at %d, want %d", bk.gcLow, bk.nextImg+1)
+				t.Errorf("gc cursor stuck at %d, want %d", bk.gcLow, bk.nextImg+1)
 			}
 
 			// Every provider must have been gc'ed past every image: leftover

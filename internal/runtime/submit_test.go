@@ -10,8 +10,8 @@ import (
 
 // TestScatterFailureDropsRegistration is the regression test for the
 // admission leak: when the input scatter fails, the just-registered image
-// can never complete, so its pending set and done channel must be dropped
-// and the gc watermark advanced past its id. Before the fix the dead id
+// can never complete, so it must be disarmed in the completion table and
+// the gc cursor advanced past its id. Before the fix the dead id
 // wedged gcLow forever, so provider assembly state above it was never
 // collected again.
 func TestScatterFailureDropsRegistration(t *testing.T) {
@@ -39,9 +39,9 @@ func TestScatterFailureDropsRegistration(t *testing.T) {
 	if bk.nextImg == 0 {
 		t.Fatal("no image was ever registered — the scatter did not run")
 	}
-	if bk.pending != 0 || bk.arrived != 0 || bk.completed != 0 || bk.gcLow != bk.nextImg+1 {
-		t.Errorf("failed admission leaked bookkeeping: pending=%d arrived=%d completed=%d gcLow=%d nextImg=%d (want gcLow=nextImg+1 and all maps empty)",
-			bk.pending, bk.arrived, bk.completed, bk.gcLow, bk.nextImg)
+	if bk.registered != 0 || bk.completed != 0 || bk.gcLow != bk.nextImg+1 {
+		t.Errorf("failed admission leaked bookkeeping: registered=%d completed=%d gcLow=%d nextImg=%d (want gcLow=nextImg+1 and all maps empty)",
+			bk.registered, bk.completed, bk.gcLow, bk.nextImg)
 	}
 	// Failure is sticky on a non-recover cluster.
 	if err := cl.Submit(); err == nil || !strings.Contains(err.Error(), "already failed") {
@@ -82,8 +82,8 @@ func TestSubmitConcurrent(t *testing.T) {
 	if bk.nextImg != n {
 		t.Errorf("allocated %d ids for %d submits", bk.nextImg, n)
 	}
-	if bk.pending != 0 || bk.completed != 0 || bk.gcLow != bk.nextImg+1 {
-		t.Errorf("bookkeeping leaked after concurrent submits: pending=%d completed=%d gcLow=%d nextImg=%d",
-			bk.pending, bk.completed, bk.gcLow, bk.nextImg)
+	if bk.registered != 0 || bk.completed != 0 || bk.gcLow != bk.nextImg+1 {
+		t.Errorf("bookkeeping leaked after concurrent submits: registered=%d completed=%d gcLow=%d nextImg=%d",
+			bk.registered, bk.completed, bk.gcLow, bk.nextImg)
 	}
 }

@@ -3,6 +3,8 @@ package runtime
 import (
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,37 +21,36 @@ import (
 // transports must produce bit-equal completion semantics — the same
 // Completed, Requeued and quarantined set. The script is built so the
 // counts are deterministic: images == window (everything admitted at t=0)
-// and the kill lands at a quarter of the simulator's first-image latency, a
-// fixed model time. That prediction runs the same compute chain on the ideal
-// schedule, which the runtime can only trail, so the kill lands while the
-// first image is still on provider 1: no image can complete before the
-// failure on either transport and every admitted image is requeued by the
-// recovery.
+// and provider 1, which every image's path crosses, is killed by its own
+// first inbound data chunk once all the images' scatters have been sent.
+// No chunk ever reaches its assembly, so no image can complete before the
+// failure on either transport, and every admitted image is requeued by the
+// recovery — however late any timer on the host fires.
 func TestTransportCompletionEquivalence(t *testing.T) {
 	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
 	s := stageStrategy(env, env.Model, []int{0, 10, 14, 18})
-	const images, window = 4, 4
-
-	pred, err := env.Serve(s, simPipelined(images, window))
-	if err != nil {
-		t.Fatal(err)
-	}
-	drop := sim.ChurnEvent{At: pred.PerImageSec[0] / 4, Kind: sim.DeviceDrop, Device: 1}
+	const images, window, victim = 4, 4, 1
 
 	type outcome struct {
 		sim.ServeResult
 		quarantined []int
 	}
-	run := func(name string, tr transport.Transport) outcome {
+	run := func(name string, inner transport.Transport) outcome {
 		t.Helper()
 		o := recoverOpts()
+		plan, err := BuildPlan(env, s, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &killOnArrival{Transport: inner, victim: victim, want: int64(images * len(plan.Scatter)), scattered: make(chan struct{})}
 		o.Transport = tr
 		cl, err := Deploy(env, s, o)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		defer cl.Close()
-		st, err := stream(cl, images, window, drop)
+		tr.cl.Store(cl)
+		st, err := stream(cl, images, window)
 		if err != nil {
 			t.Fatalf("%s: recovery run failed: %v", name, err)
 		}
@@ -58,8 +59,8 @@ func TestTransportCompletionEquivalence(t *testing.T) {
 	tcpStats := run("tcp", transport.NewTCP(nil))
 	inpStats := run("inproc", transport.NewInproc())
 
-	t.Logf("kill@%.3fs (model)  tcp: completed=%d requeued=%d quarantined=%v  inproc: completed=%d requeued=%d quarantined=%v",
-		drop.At, tcpStats.Completed, tcpStats.Requeued, tcpStats.quarantined,
+	t.Logf("kill on provider %d's first arrival  tcp: completed=%d requeued=%d quarantined=%v  inproc: completed=%d requeued=%d quarantined=%v",
+		victim, tcpStats.Completed, tcpStats.Requeued, tcpStats.quarantined,
 		inpStats.Completed, inpStats.Requeued, inpStats.quarantined)
 	for name, st := range map[string]outcome{"tcp": tcpStats, "inproc": inpStats} {
 		if st.Completed != images {
@@ -68,14 +69,89 @@ func TestTransportCompletionEquivalence(t *testing.T) {
 		if st.Requeued != images {
 			t.Errorf("%s: requeued %d, want %d (kill landed after a completion?)", name, st.Requeued, images)
 		}
-		if len(st.quarantined) != 1 || st.quarantined[0] != 1 {
-			t.Errorf("%s: quarantined %v, want [1]", name, st.quarantined)
+		if len(st.quarantined) != 1 || st.quarantined[0] != victim {
+			t.Errorf("%s: quarantined %v, want [%d]", name, st.quarantined, victim)
 		}
 	}
 	if tcpStats.Completed != inpStats.Completed || tcpStats.Requeued != inpStats.Requeued {
 		t.Errorf("transports disagree on completion semantics: tcp %d/%d vs inproc %d/%d",
 			tcpStats.Completed, tcpStats.Requeued, inpStats.Completed, inpStats.Requeued)
 	}
+}
+
+// killOnArrival decorates a transport with an event-driven kill: the
+// requester's links count the input chunks they send, and every data chunk
+// inbound to provider victim is held until want of them have gone out; the
+// first one released kills the victim through the cluster before any chunk
+// reaches its assembly.
+type killOnArrival struct {
+	transport.Transport
+	victim    int
+	want      int64
+	sent      atomic.Int64
+	scattered chan struct{} // closed once want input chunks are sent
+	cl        atomic.Pointer[Cluster]
+	kill      sync.Once
+}
+
+func (t *killOnArrival) GetPayload(n int) []byte { return transport.GetPayload(t.Transport, n) }
+func (t *killOnArrival) PutPayload(b []byte)     { transport.RecyclePayload(t.Transport, b) }
+func (t *killOnArrival) SetBufferHint(n int)     { transport.SetBufferHint(t.Transport, n) }
+
+func (t *killOnArrival) Listen(self int) (transport.Listener, error) {
+	ln, err := t.Transport.Listen(self)
+	if err != nil || self != t.victim {
+		return ln, err
+	}
+	return &holdListener{ln, t}, nil
+}
+
+func (t *killOnArrival) Dial(self int, addr string) (transport.Conn, error) {
+	c, err := t.Transport.Dial(self, addr)
+	if err != nil || self != RequesterID {
+		return c, err
+	}
+	return &countConn{c, t}, nil
+}
+
+type holdListener struct {
+	transport.Listener
+	t *killOnArrival
+}
+
+func (l *holdListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &holdConn{c, l.t}, nil
+}
+
+type holdConn struct {
+	transport.Conn
+	t *killOnArrival
+}
+
+func (c *holdConn) Recv() (transport.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil {
+		<-c.t.scattered
+		c.t.kill.Do(func() { c.t.cl.Load().KillProvider(c.t.victim) })
+	}
+	return m, err
+}
+
+type countConn struct {
+	transport.Conn
+	t *killOnArrival
+}
+
+func (c *countConn) Send(m transport.Message) error {
+	err := c.Conn.Send(m)
+	if err == nil && m.Volume == volInput && c.t.sent.Add(1) == c.t.want {
+		close(c.t.scattered)
+	}
+	return err
 }
 
 // dynamicEnv builds a four-device fleet on time-varying low-bandwidth

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"slices"
 	"testing"
 
 	"distredge/internal/cnn"
@@ -144,6 +145,72 @@ func FuzzCompileGeometry(f *testing.F) {
 					checkGeometry(t, m, geo)
 				}
 			}()
+		}
+	})
+}
+
+// FuzzProjectLift asserts the round trip churn recovery leans on when it
+// moves a strategy between the full fleet and the survivors: for every
+// valid strategy and non-empty liveness mask, Project is valid for the
+// survivors; Lift of it is valid for the full fleet, gives every dead
+// provider an empty part and every survivor exactly its projected rows; and
+// projecting the lifted strategy reproduces the projected cuts exactly.
+func FuzzProjectLift(f *testing.F) {
+	f.Add([]byte{3, 2, 0, 10, 14, 18, 3, 1, 2, 3, 1, 2, 4, 0, 1, 2}, byte(0b1011))
+	f.Add([]byte{2, 2, 0, 8, 18, 26, 3, 4, 10, 1, 3, 2, 2}, byte(0b010))
+	f.Add([]byte{1, 2, 0, 18, 1}, byte(1))
+
+	models := []*cnn.Model{cnn.VGG16(), cnn.YOLOv2()}
+	f.Fuzz(func(t *testing.T, data []byte, mask byte) {
+		for _, m := range models {
+			s, n := decodeStrategy(m, data)
+			if s.Validate(m, n) != nil {
+				continue
+			}
+			alive := make([]bool, n)
+			for i := range alive {
+				alive[i] = mask>>i&1 == 1
+			}
+			k := CountAlive(alive)
+			if k == 0 {
+				continue
+			}
+			c, err := Project(m, s, alive)
+			if err != nil {
+				t.Fatalf("%s: Project(%v, alive %v): %v", m.Name, s.Splits, alive, err)
+			}
+			if err := c.Validate(m, k); err != nil {
+				t.Fatalf("%s: Project(%v, alive %v) = %v: %v", m.Name, s.Splits, alive, c.Splits, err)
+			}
+			full, err := Lift(m, c, alive)
+			if err != nil {
+				t.Fatalf("%s: Lift(%v, alive %v): %v", m.Name, c.Splits, alive, err)
+			}
+			if err := full.Validate(m, n); err != nil {
+				t.Fatalf("%s: Lift(%v, alive %v) = %v: %v", m.Name, c.Splits, alive, full.Splits, err)
+			}
+			for v := range full.Splits {
+				h := VolumeHeight(m, s.Boundaries, v)
+				j := 0 // survivor ordinal
+				for i := range alive {
+					got, want := CutRange(full.Splits[v], h, i).Len(), 0
+					if alive[i] {
+						want = CutRange(c.Splits[v], h, j).Len()
+						j++
+					}
+					if got != want {
+						t.Fatalf("%s: volume %d provider %d (alive %v): lifted %v gives %d rows, want %d from %v",
+							m.Name, v, i, alive, full.Splits[v], got, want, c.Splits[v])
+					}
+				}
+			}
+			back, err := Project(m, full, alive)
+			if err != nil {
+				t.Fatalf("%s: Project(Lift(%v)): %v", m.Name, c.Splits, err)
+			}
+			if !slices.EqualFunc(back.Splits, c.Splits, slices.Equal) {
+				t.Fatalf("%s: Project(Lift(%v)) = %v, alive %v", m.Name, c.Splits, back.Splits, alive)
+			}
 		}
 	})
 }
