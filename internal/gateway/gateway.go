@@ -88,6 +88,9 @@ type Result struct {
 	Err       error
 }
 
+// request is one enqueued request. Structs are recycled through the
+// gateway's free list once their Result is sent; only res, which the caller
+// keeps, is fresh per request.
 type request struct {
 	tenant  int
 	seq     uint64 // global enqueue order; the FIFO key
@@ -113,7 +116,10 @@ type TenantSummary struct {
 }
 
 // Gateway admits tenant requests into a Backend under a global window, a
-// per-tenant window, an admission policy, and per-request deadlines.
+// per-tenant window, an admission policy, and per-request deadlines. One
+// scheduler goroutine admits; at most Window long-lived workers call
+// Submit, so a warm gateway spawns nothing per request and allocates only
+// the Result channel Enqueue returns.
 type Gateway struct {
 	be      Backend
 	tenants []TenantConfig
@@ -127,15 +133,22 @@ type Gateway struct {
 	counts  []TenantSummary // guarded by mu; running outcome counters
 	latSum  []time.Duration // guarded by mu; per tenant: total latency served
 	latMax  []time.Duration // guarded by mu; per tenant: worst latency served
+	free    []*request      // guarded by mu; recycled requests
+	workers int             // guarded by mu; workers started, at most cap(work)
 	closed  bool            // guarded by mu
 
 	// deadlined lists the tenants with deadlines, immutable after New: the
 	// expiry sweep visits only them.
 	deadlined []int
 
+	// work carries admitted requests to the workers that run them on the
+	// backend. Its capacity is the global window, so a send under mu never
+	// blocks: every request in it is admitted and not yet released, and
+	// those are at most the window. Close closes it after setting closed.
+	work chan *request
 	wake chan struct{} // buffered(1): kicks the scheduler
 	done chan struct{}
-	wg   sync.WaitGroup // scheduler + dispatched submits
+	wg   sync.WaitGroup // scheduler + workers
 }
 
 // New starts a gateway over the backend. Tenant names must be unique and
@@ -161,6 +174,7 @@ func New(be Backend, cfg Config, tenants []TenantConfig) (*Gateway, error) {
 		counts:  make([]TenantSummary, len(tenants)),
 		latSum:  make([]time.Duration, len(tenants)),
 		latMax:  make([]time.Duration, len(tenants)),
+		work:    make(chan *request, cfg.Window),
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
@@ -187,25 +201,32 @@ func New(be Backend, cfg Config, tenants []TenantConfig) (*Gateway, error) {
 
 // Enqueue queues one request for the named tenant and returns the channel
 // its Result will be delivered on (buffered: the gateway never blocks on a
-// slow caller).
+// slow caller). The channel is the request's one allocation.
 func (g *Gateway) Enqueue(tenant string) (<-chan Result, error) {
 	t, ok := g.byName[tenant]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 	}
-	r := &request{tenant: t, enqueue: time.Now(), res: make(chan Result, 1)}
+	res := make(chan Result, 1)
+	now := time.Now()
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
 		return nil, ErrClosed
 	}
-	r.seq = g.nextSeq
+	var r *request
+	if n := len(g.free); n > 0 {
+		r, g.free = g.free[n-1], g.free[:n-1]
+	} else {
+		r = new(request)
+	}
+	*r = request{tenant: t, seq: g.nextSeq, enqueue: now, res: res}
 	g.nextSeq++
 	g.queues[t].push(r)
 	g.counts[t].Enqueued++
 	g.mu.Unlock()
 	g.kick()
-	return r.res, nil
+	return res, nil
 }
 
 func (g *Gateway) kick() {
@@ -229,30 +250,28 @@ func (g *Gateway) schedule() {
 
 // dispatchBatch expires dead queued requests, then admits every currently
 // admissible request in one critical section, so a burst of completions (or
-// enqueues) costs one lock acquisition. The admitted requests' backend
-// submits are spawned after the lock drops.
+// enqueues) costs one lock acquisition. Each admitted request goes to the
+// workers; one more worker starts while fewer than the window run.
 func (g *Gateway) dispatchBatch() {
 	now := time.Now()
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.closed {
-		g.mu.Unlock()
 		return
 	}
 	g.expireLocked(now)
-	var admitted []*request
 	for {
 		t := g.sched.Pick(len(g.adm), g.headLocked)
 		if t < 0 {
-			break
+			return
 		}
 		g.sched.Admit(&g.adm[t])
-		admitted = append(admitted, g.queues[t].pop())
-	}
-	g.mu.Unlock()
-
-	for _, r := range admitted {
-		g.wg.Add(1)
-		go g.serve(r)
+		g.work <- g.queues[t].pop()
+		if g.workers < cap(g.work) {
+			g.workers++
+			g.wg.Add(1)
+			go g.worker()
+		}
 	}
 }
 
@@ -277,16 +296,31 @@ func (g *Gateway) expireLocked(now time.Time) {
 		d := g.tenants[t].Deadline
 		q := &g.queues[t]
 		for q.len() > 0 && now.Sub(q.front().enqueue) > d {
-			r := q.pop()
 			g.counts[t].Expired++
-			r.res <- Result{Tenant: g.tenants[t].Name, Err: ErrDeadlineExceeded}
+			g.finishLocked(q.pop(), Result{Tenant: g.tenants[t].Name, Err: ErrDeadlineExceeded})
 		}
+	}
+}
+
+// finishLocked delivers r's Result — the buffered channel never blocks —
+// and recycles r.
+func (g *Gateway) finishLocked(r *request, res Result) {
+	r.res <- res
+	*r = request{}
+	g.free = append(g.free, r)
+}
+
+// worker runs admitted requests until Close closes the work channel and it
+// is drained.
+func (g *Gateway) worker() {
+	defer g.wg.Done()
+	for r := range g.work {
+		g.serve(r)
 	}
 }
 
 // serve runs one admitted request on the backend and delivers its Result.
 func (g *Gateway) serve(r *request) {
-	defer g.wg.Done()
 	err := g.be.Submit()
 	lat := time.Since(r.enqueue)
 	t := r.tenant
@@ -309,8 +343,8 @@ func (g *Gateway) serve(r *request) {
 		g.latSum[t] += lat
 		g.latMax[t] = max(g.latMax[t], lat)
 	}
+	g.finishLocked(r, Result{Tenant: name, LatencyMS: lat.Seconds() * 1e3, Err: err})
 	g.mu.Unlock()
-	r.res <- Result{Tenant: name, LatencyMS: lat.Seconds() * 1e3, Err: err}
 	g.kick()
 }
 
@@ -334,7 +368,7 @@ func (g *Gateway) Summary() []TenantSummary {
 
 // Close stops admitting, fails every queued request with ErrClosed, and
 // waits for in-flight backend submits to drain (they may still complete
-// normally). Close does not close the backend.
+// normally) and every worker to exit. Close does not close the backend.
 func (g *Gateway) Close() {
 	g.mu.Lock()
 	if g.closed {
@@ -343,18 +377,15 @@ func (g *Gateway) Close() {
 		return
 	}
 	g.closed = true
-	var rejected []*request
+	close(g.work)
 	for t := range g.queues {
 		q := &g.queues[t]
 		g.counts[t].Failed += q.len()
 		for q.len() > 0 {
-			rejected = append(rejected, q.pop())
+			g.finishLocked(q.pop(), Result{Tenant: g.tenants[t].Name, Err: ErrClosed})
 		}
 	}
 	g.mu.Unlock()
 	close(g.done)
-	for _, r := range rejected {
-		r.res <- Result{Tenant: g.tenants[r.tenant].Name, Err: ErrClosed}
-	}
 	g.wg.Wait()
 }

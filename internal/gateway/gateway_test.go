@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	goruntime "runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -372,6 +373,117 @@ func TestGatewayValidation(t *testing.T) {
 	defer g.Close()
 	if _, err := g.Enqueue("nope"); !errors.Is(err, ErrUnknownTenant) {
 		t.Errorf("unknown tenant err %v, want ErrUnknownTenant", err)
+	}
+}
+
+// TestGatewayCloseSettlesWorkers closes a gateway with requests both in
+// flight and queued: every Enqueue gets exactly one Result (the in-flight
+// ones complete normally, the queued ones fail with ErrClosed), no more
+// workers than the window ever start, and once Close returns every
+// goroutine the gateway started exits.
+func TestGatewayCloseSettlesWorkers(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	be := newBlockingBackend()
+	const window, requests = 3, 10
+	g, err := New(be, Config{Window: window}, []TenantConfig{{Name: "a"}, {Name: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chs []<-chan Result
+	for i := range requests {
+		ch, err := g.Enqueue([]string{"a", "b"}[i%2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		chs = append(chs, ch)
+	}
+	var resps []chan error
+	for range window {
+		resps = append(resps, recvCall(t, be))
+	}
+	noCall(t, be, "a request was admitted past the global window")
+	g.mu.Lock()
+	workers := g.workers
+	g.mu.Unlock()
+	if workers > window {
+		t.Errorf("%d workers for a window of %d", workers, window)
+	}
+	if n := goruntime.NumGoroutine() - before; n > window+1 {
+		t.Errorf("%d goroutines running for a window of %d (the scheduler and one worker per slot)", n, window)
+	}
+
+	closed := make(chan struct{})
+	go func() { g.Close(); close(closed) }()
+	// Once a queued request is rejected nothing more is admitted, so the
+	// in-flight ones may finish.
+	last := recvResult(t, chs[requests-1])
+	if !errors.Is(last.Err, ErrClosed) {
+		t.Fatalf("queued request on close: %+v, want ErrClosed", last)
+	}
+	for _, resp := range resps {
+		resp <- nil
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned")
+	}
+	served, rejected := 0, 0
+	for i, ch := range chs {
+		r := last
+		if i < requests-1 {
+			r = recvResult(t, ch)
+		}
+		switch {
+		case r.Err == nil:
+			served++
+		case errors.Is(r.Err, ErrClosed):
+			rejected++
+		default:
+			t.Errorf("request %d: %v", i, r.Err)
+		}
+		select {
+		case r := <-ch:
+			t.Errorf("request %d got a second result %+v", i, r)
+		default:
+		}
+	}
+	if served != window || rejected != requests-window {
+		t.Errorf("%d served and %d rejected, want %d and %d", served, rejected, window, requests-window)
+	}
+	for deadline := time.Now().Add(5 * time.Second); goruntime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", goruntime.NumGoroutine(), before)
+		}
+	}
+}
+
+// TestGatewayAllocationsPerRequest: one request's trip through a warm
+// gateway — enqueue, schedule, admission, a worker's Submit, the Result —
+// allocates only the Result channel Enqueue returns (the channel and its
+// buffer). Requests are recycled and the workers are long-lived.
+func TestGatewayAllocationsPerRequest(t *testing.T) {
+	g, err := New(nopBackend{}, Config{Window: 8, Policy: PolicyWFQ}, []TenantConfig{
+		{Name: "heavy", Weight: 1}, {Name: "small", Weight: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	serve := func() {
+		ch, err := g.Enqueue("heavy")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := <-ch; r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	for range 100 {
+		serve()
+	}
+	if allocs := testing.AllocsPerRun(1000, serve); allocs > 2 {
+		t.Errorf("a request allocates %.1f times, want <= 2", allocs)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	goruntime "runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -368,5 +369,79 @@ func TestChurnDifferentialSimVsRuntime(t *testing.T) {
 	}
 	if rtOn.Recoveries < 1 {
 		t.Errorf("recover-on runtime recorded no recovery: %+v", rtOn)
+	}
+}
+
+// TestSubmitReusesWaitersAcrossRecoveries: callers keep submitting while
+// two providers die one after the other, so attempts leave on their
+// deployment's failure with result chunks still in flight, and the waiters
+// they release go straight to later images on the healed fleet. Every call
+// must return nil; afterwards no image is armed, there are no more waiters
+// than callers, and no idle one holds a token a later image would wake on.
+func TestSubmitReusesWaitersAcrossRecoveries(t *testing.T) {
+	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
+	s := stageStrategy(env, env.Model, []int{0, 10, 14, 18})
+	cl, err := Deploy(env, s, recoverOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	// Each kill lands 30 ms into a deployment's serving, so it kills the
+	// published fleet rather than one a recovery is about to replace.
+	var stop atomic.Bool
+	go func() {
+		defer stop.Store(true)
+		for k := 1; k <= 2; k++ {
+			time.Sleep(30 * time.Millisecond)
+			cl.KillProvider(k)
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				if n, _, _, _ := cl.Recovery(); n == k || time.Now().After(deadline) {
+					break
+				}
+			}
+		}
+		time.Sleep(30 * time.Millisecond)
+	}()
+	const callers = 8
+	var mu sync.Mutex
+	var errs []error
+	var wg sync.WaitGroup
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if err := cl.Submit(); err != nil {
+					mu.Lock()
+					errs = append(errs, err)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		t.Error(err)
+	}
+	recoveries, requeued, _, quarantined := cl.Recovery()
+	t.Logf("%d images, %d recoveries, %d requeued, quarantined %v", cl.nextImg.Load(), recoveries, requeued, quarantined)
+	if recoveries != 2 || requeued < 2 {
+		t.Errorf("%d recoveries and %d requeued images, want 2 and at least one per kill", recoveries, requeued)
+	}
+	bk := cl.bookkeeping()
+	if bk.registered != 0 || bk.completed != 0 || bk.gcLow != bk.nextImg+1 {
+		t.Errorf("requester bookkeeping leaked: registered=%d completed=%d gcLow=%d nextImg=%d",
+			bk.registered, bk.completed, bk.gcLow, bk.nextImg)
+	}
+	cl.comp.mu.Lock()
+	defer cl.comp.mu.Unlock()
+	if n := len(cl.comp.idle); n == 0 || n > callers {
+		t.Errorf("%d idle waiters for %d callers", n, callers)
+	}
+	for _, w := range cl.comp.idle {
+		if len(w.done) != 0 {
+			t.Error("an idle waiter holds a token")
+		}
 	}
 }

@@ -37,10 +37,11 @@ type Cluster struct {
 	healErr error // guarded by healMu; a failed recovery is final
 
 	// sendMu serialises input scatters across concurrent submitters:
-	// per-destination sends inside one scatter stay concurrent, but
-	// successive images enter the uplink one at a time, matching the
-	// pipeline simulator's uplink busy floor no matter how many callers
-	// (Serve's window of workers, gateway Submits) race to admit.
+	// per-destination sends inside one scatter stay concurrent (on the
+	// deployment's scatter senders), but successive images enter the
+	// uplink one at a time, matching the pipeline simulator's uplink busy
+	// floor no matter how many callers (Serve's window of workers, gateway
+	// Submits) race to admit.
 	sendMu  sync.Mutex
 	scatter scatterState // guarded by sendMu; the scatter in flight
 	// comp is the completion table: the images awaiting result chunks,
@@ -78,6 +79,13 @@ type deployment struct {
 
 	linkMu sync.Mutex
 	links  map[int]transport.Conn // guarded by linkMu; requester -> provider scatter links
+	// scatterTo feeds one long-lived sender per scatter destination but the
+	// last, which sendInput sends to itself; indexed parallel to
+	// plan.Scatter. Each channel holds one job: a scatter hands each sender
+	// one chunk and waits for all of them before the next image's.
+	scatterTo []chan scatterJob
+	senders   sync.WaitGroup // the scatter senders, until close has stopped them
+	closing   sync.Once
 
 	// failed closes on the deployment's first failure and wakes every waiter,
 	// so a dead peer surfaces immediately instead of after the per-image
@@ -178,6 +186,12 @@ func (c *Cluster) start(epoch int, strat *strategy.Strategy, plan *Plan, alive [
 			p.setPeers(addrs)
 		}
 	}
+	d.scatterTo = make([]chan scatterJob, max(len(plan.Scatter)-1, 0))
+	for k := range d.scatterTo {
+		d.scatterTo[k] = make(chan scatterJob, 1)
+		d.senders.Add(1)
+		go d.scatterSender(c.tr, plan.ScatterDest[k], d.scatterTo[k])
+	}
 	return d, nil
 }
 
@@ -217,18 +231,29 @@ func (d *deployment) link(tr transport.Transport, dest int) (transport.Conn, err
 	return o, nil
 }
 
-// close tears the deployment down: scatter links, then every provider.
+// close tears the deployment down: scatter senders and links, then every
+// provider. A deployment whose recovery failed stays published and is
+// closed again by Cluster.Close; the second call does nothing. The senders
+// are idle, so they exit at once: recovery and Close both hold the serving
+// gate exclusively first, and no attempt admits past a failed deployment or
+// a closed cluster.
 func (d *deployment) close() {
-	d.linkMu.Lock()
-	for _, o := range d.links {
-		o.Close()
-	}
-	d.linkMu.Unlock()
-	for _, p := range d.providers {
-		if p != nil {
-			p.close()
+	d.closing.Do(func() {
+		for _, jobs := range d.scatterTo {
+			close(jobs)
 		}
-	}
+		d.senders.Wait()
+		d.linkMu.Lock()
+		for _, o := range d.links {
+			o.Close()
+		}
+		d.linkMu.Unlock()
+		for _, p := range d.providers {
+			if p != nil {
+				p.close()
+			}
+		}
+	})
 }
 
 // Addr returns the requester's result listener address.
@@ -281,16 +306,17 @@ func (c *Cluster) acceptResults() {
 
 // register allocates the next image id and arms it against the
 // deployment's await index.
-func (c *Cluster) register(d *deployment) (uint32, chan struct{}) {
+func (c *Cluster) register(d *deployment) (uint32, *waiter) {
 	img := c.nextImg.Add(1)
 	return img, c.comp.register(img, &d.await)
 }
 
 // complete records a finished image — or one whose scatter failed, which
-// it disarms — and advances the gc cursor: provider assembly state is
-// dropped only once every image at or below it has finished, so an early
-// finisher never tears down state a straggler in the admission window still
-// needs, and a dead id never wedges the cursor below it.
+// the attempt's release disarms — and advances the gc cursor: provider
+// assembly state is dropped only once every image at or below it has
+// finished, so an early finisher never tears down state a straggler in the
+// admission window still needs, and a dead id never wedges the cursor below
+// it.
 func (c *Cluster) complete(d *deployment, img uint32) {
 	low := c.comp.complete(img)
 	for _, p := range d.providers {
@@ -302,8 +328,8 @@ func (c *Cluster) complete(d *deployment, img uint32) {
 
 // scatterState is one image's scatter in flight: the destinations being
 // sent to concurrently and the first failure among them. The cluster keeps
-// one and reuses it for every image under sendMu, so a scatter allocates
-// nothing but its send goroutines.
+// one and reuses it for every image under sendMu, and the deployment's
+// scatter senders are long-lived, so a scatter allocates nothing.
 type scatterState struct {
 	wg      sync.WaitGroup
 	mu      sync.Mutex
@@ -327,13 +353,30 @@ func (s *scatterState) send(tr transport.Transport, d *deployment, dest int, ch 
 	}
 }
 
+// scatterJob is one input chunk handed to a scatter sender, with the
+// scatter it belongs to.
+type scatterJob struct {
+	s  *scatterState
+	ch Chunk
+}
+
+// scatterSender ships the input chunks for dest until the deployment
+// closes its channel.
+func (d *deployment) scatterSender(tr transport.Transport, dest int, jobs <-chan scatterJob) {
+	defer d.senders.Done()
+	for j := range jobs {
+		j.s.send(tr, d, dest, j.ch)
+		j.s.wg.Done()
+	}
+}
+
 // sendInput scatters one image's input rows to the volume-0 providers.
 // Per-destination sends run concurrently — the single-image oracle's
-// scatter model, and what per-pair connections really allow — with the
-// last one on the caller's goroutine, while sendMu keeps successive images'
-// scatters ordered like the pipeline simulator's uplink busy floor. A
-// failed scatter is attributed to its destination provider so recovery can
-// quarantine it.
+// scatter model, and what per-pair connections really allow — on the
+// deployment's scatter senders, with the last one on the caller's
+// goroutine, while sendMu keeps successive images' scatters ordered like
+// the pipeline simulator's uplink busy floor. A failed scatter is
+// attributed to its destination provider so recovery can quarantine it.
 func (c *Cluster) sendInput(d *deployment, img uint32) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -356,10 +399,7 @@ func (c *Cluster) sendInput(d *deployment, img uint32) error {
 			break
 		}
 		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.send(c.tr, d, dest, ch)
-		}()
+		d.scatterTo[k] <- scatterJob{s, ch}
 	}
 	s.wg.Wait()
 	if s.err != nil {
@@ -414,39 +454,43 @@ func (c *Cluster) attempt() (d *deployment, inflight bool, err error) {
 	if _, err := d.cause(); err != nil {
 		return d, false, fmt.Errorf("runtime: cluster already failed: %w", err)
 	}
-	img, done, err := c.admit(d)
+	img, w, err := c.admit(d)
+	defer c.comp.release(img, w)
 	if err != nil {
 		return d, true, err
 	}
-	return d, true, c.await(d, img, done)
+	return d, true, c.await(d, img, w)
 }
 
 // admit registers the next image and scatters its input rows, serialised
 // against every other submitter by sendInput. A failed scatter has already
 // failed the deployment (sendInput attributes it to its destination); admit
 // additionally completes the dead registration so the gc cursor keeps
-// advancing, and returns the error.
-func (c *Cluster) admit(d *deployment) (uint32, chan struct{}, error) {
-	img, done := c.register(d)
-	if err := c.sendInput(d, img); err != nil {
+// advancing, and returns the error. The waiter is the caller's to release
+// either way.
+func (c *Cluster) admit(d *deployment) (uint32, *waiter, error) {
+	img, w := c.register(d)
+	err := c.sendInput(d, img)
+	if err != nil {
 		c.complete(d, img)
-		return 0, nil, err
 	}
-	return img, done, nil
+	return img, w, err
 }
 
 // await blocks until the admitted image's full result has arrived (nil),
 // the per-image Options.Timeout fires, the deployment records a failure, or
 // the cluster closes. On success the image is marked complete and provider
-// assembly state below the gc cursor is collected.
-func (c *Cluster) await(d *deployment, img uint32, done <-chan struct{}) error {
-	timer := time.NewTimer(c.opts.Timeout)
-	defer timer.Stop()
+// assembly state below the gc cursor is collected. The waiter's timer is
+// stopped again on return: since Go 1.23 a stopped timer delivers no stale
+// tick, so the next image's Reset starts clean.
+func (c *Cluster) await(d *deployment, img uint32, w *waiter) error {
+	w.timer.Reset(c.opts.Timeout)
+	defer w.timer.Stop()
 	select {
-	case <-done:
+	case <-w.done:
 		c.complete(d, img)
 		return nil
-	case <-timer.C:
+	case <-w.timer.C:
 		err := fmt.Errorf("runtime: image %d timed out after %s", img, c.opts.Timeout)
 		d.fail(-1, err)
 		return err

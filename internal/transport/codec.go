@@ -44,9 +44,15 @@ const (
 
 	chunkHeaderLen = 1 + 4 + 4 + 4 + 4 + 4 + 4 // tag + image + volume + lo + hi + lag + len
 
-	// maxFrame bounds a decoded payload so a corrupt stream cannot request
-	// an absurd allocation.
+	// maxFrame bounds a decoded payload: a longer declared length is
+	// refused outright.
 	maxFrame = 1 << 30
+
+	// eagerFrame is the largest declared payload the decoder allocates up
+	// front, in one buffer the bytes are read straight into. A longer
+	// payload's buffer grows as its bytes arrive, so a corrupt or hostile
+	// length costs at most eagerFrame before a short stream fails.
+	eagerFrame = 4 << 20
 )
 
 type binaryCodec struct{}
@@ -123,11 +129,33 @@ func (d *binaryDecoder) Decode(m *Message) error {
 		m.Payload = nil
 		return nil
 	}
-	if uint32(cap(m.Payload)) >= n {
+	switch {
+	case uint32(cap(m.Payload)) >= n:
 		m.Payload = m.Payload[:n]
-	} else {
+	case n <= eagerFrame:
 		m.Payload = d.pool.Get(int(n))
+	default:
+		return d.readGrowing(m, int(n))
 	}
 	_, err := io.ReadFull(d.r, m.Payload)
 	return err
+}
+
+// readGrowing reads an n-byte payload past eagerFrame into a buffer that
+// starts at eagerFrame and doubles, up to n, only once the bytes read so
+// far have filled it.
+func (d *binaryDecoder) readGrowing(m *Message, n int) error {
+	buf := d.pool.Get(eagerFrame)
+	for got := 0; ; {
+		k, err := io.ReadFull(d.r, buf[got:])
+		got += k
+		if err != nil || got == n {
+			m.Payload = buf
+			return err
+		}
+		grown := d.pool.Get(min(2*got, n))
+		copy(grown, buf)
+		d.pool.Put(buf)
+		buf = grown
+	}
 }

@@ -3,7 +3,9 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzBinaryDecode feeds arbitrary bytes to the binary frame decoder, the
@@ -20,16 +22,8 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add(chunk[:chunkHeaderLen-1])
 	f.Add(chunk[:chunkHeaderLen+2])
 	f.Add([]byte{0x02, 4, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef}) // a retired control frame
+	f.Add(hostileFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) >= chunkHeaderLen && data[0] == tagChunk {
-			// The decoder takes a length up to maxFrame at its word: a stream
-			// cannot be read ahead, so the buffer is allocated before the
-			// bytes arrive. Past what the input holds that is only the
-			// allocator's time; the read then fails like a short frame.
-			if n := binary.LittleEndian.Uint32(data[21:25]); n <= maxFrame && int(n) > len(data)-chunkHeaderLen+1<<20 {
-				return
-			}
-		}
 		var m Message
 		err := Binary().NewDecoder(bytes.NewReader(data), nil).Decode(&m)
 		if len(data) > 0 && data[0] != tagChunk && err == nil {
@@ -55,6 +49,50 @@ func FuzzBinaryDecode(f *testing.F) {
 			t.Fatalf("re-encoded %+v decoded as %+v", m, again)
 		}
 	})
+}
+
+// hostileFrame is a 64-byte stream whose header declares a 1 GiB payload.
+func hostileFrame(tb testing.TB) []byte {
+	frame := binaryFrame(tb, Message{Image: 1, Volume: 2, Hi: 1, Payload: make([]byte, 64-chunkHeaderLen)})
+	binary.LittleEndian.PutUint32(frame[21:25], 1<<30)
+	return frame
+}
+
+// TestBinaryDecodeBoundsUpFrontAllocation: a declared length is not an
+// allocation. A 64-byte stream declaring a 1 GiB payload fails as a short
+// frame having allocated less than 8 MiB, while payloads on both sides of
+// eagerFrame, handed over a few bytes at a time, decode intact.
+func TestBinaryDecodeBoundsUpFrontAllocation(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var m Message
+	err := Binary().NewDecoder(bytes.NewReader(hostileFrame(t)), nil).Decode(&m)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 64-byte stream decoded as a 1 GiB frame")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Errorf("decoding a 64-byte stream allocated %d bytes", got)
+	}
+
+	pool := NewPool()
+	for _, n := range []int{eagerFrame - 1, eagerFrame, eagerFrame + 1, 2*eagerFrame + 3} {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = largeFramePattern(n, j)
+		}
+		want := Message{Image: 3, Volume: 4, Lo: 5, Hi: 6, Payload: p}
+		var got Message
+		dec := Binary().NewDecoder(iotest.HalfReader(bytes.NewReader(binaryFrame(t, want))), pool)
+		if err := dec.Decode(&got); err != nil {
+			t.Fatalf("%d-byte payload: %v", n, err)
+		}
+		if !sameMessage(got, want) {
+			t.Fatalf("%d-byte payload decoded as image=%d volume=%d lo=%d hi=%d len=%d, or its bytes differ",
+				n, got.Image, got.Volume, got.Lo, got.Hi, len(got.Payload))
+		}
+		pool.Put(got.Payload)
+	}
 }
 
 // binaryFrame returns m's frame under the binary codec.

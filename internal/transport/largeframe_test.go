@@ -122,3 +122,34 @@ func TestLargeSendToClosedPeerFails(t *testing.T) {
 	}
 	t.Fatal("two 1 MiB sends to a closed listener's conn both succeeded")
 }
+
+// TestFramePastEagerLimitOverSocket: a 9 MiB payload, past the size the
+// decoder allocates up front, crosses a pooled localhost socket intact.
+func TestFramePastEagerLimitOverSocket(t *testing.T) {
+	const n = 9 << 20
+	tr := NewPooledTCP(nil, nil)
+	pp := tr.(PayloadPool)
+	_, conn, accepted := dialPair(t, tr)
+	p := pp.GetPayload(n)
+	for j := range p {
+		p[j] = largeFramePattern(1, j)
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- conn.Send(Message{Image: 9, Volume: 1, Lo: 2, Hi: 3, Payload: p}) }()
+	m, err := accepted.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if m.Image != 9 || m.Volume != 1 || m.Lo != 2 || m.Hi != 3 || len(m.Payload) != n {
+		t.Fatalf("9 MiB frame arrived as image=%d volume=%d lo=%d hi=%d len=%d", m.Image, m.Volume, m.Lo, m.Hi, len(m.Payload))
+	}
+	for j, b := range m.Payload {
+		if b != largeFramePattern(1, j) {
+			t.Fatalf("9 MiB frame corrupted at byte %d", j)
+		}
+	}
+	pp.PutPayload(m.Payload)
+}
