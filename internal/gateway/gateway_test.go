@@ -379,8 +379,9 @@ func TestGatewayValidation(t *testing.T) {
 // TestGatewayCloseSettlesWorkers closes a gateway with requests both in
 // flight and queued: every Enqueue gets exactly one Result (the in-flight
 // ones complete normally, the queued ones fail with ErrClosed), no more
-// workers than the window ever start, and once Close returns every
-// goroutine the gateway started exits.
+// workers than the window ever start — also once a completion has let a
+// Window+1-th request in, which a free worker must take — and once Close
+// returns every goroutine the gateway started exits.
 func TestGatewayCloseSettlesWorkers(t *testing.T) {
 	before := goruntime.NumGoroutine()
 	be := newBlockingBackend()
@@ -402,11 +403,14 @@ func TestGatewayCloseSettlesWorkers(t *testing.T) {
 		resps = append(resps, recvCall(t, be))
 	}
 	noCall(t, be, "a request was admitted past the global window")
+	resps[0] <- nil
+	resps[0] = recvCall(t, be)
+	noCall(t, be, "a request was admitted past the global window")
 	g.mu.Lock()
 	workers := g.workers
 	g.mu.Unlock()
 	if workers > window {
-		t.Errorf("%d workers for a window of %d", workers, window)
+		t.Errorf("%d workers for a window of %d after %d admissions", workers, window, window+1)
 	}
 	if n := goruntime.NumGoroutine() - before; n > window+1 {
 		t.Errorf("%d goroutines running for a window of %d (the scheduler and one worker per slot)", n, window)
@@ -448,8 +452,8 @@ func TestGatewayCloseSettlesWorkers(t *testing.T) {
 		default:
 		}
 	}
-	if served != window || rejected != requests-window {
-		t.Errorf("%d served and %d rejected, want %d and %d", served, rejected, window, requests-window)
+	if served != window+1 || rejected != requests-window-1 {
+		t.Errorf("%d served and %d rejected, want %d and %d", served, rejected, window+1, requests-window-1)
 	}
 	for deadline := time.Now().Add(5 * time.Second); goruntime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"distredge/internal/cnn"
 	"distredge/internal/device"
@@ -250,5 +251,53 @@ func TestWarmSeedShapes(t *testing.T) {
 	alien := SignatureOf(sigEnv(m, 1, []float64{100, 100}, device.Pi3, device.Pi3), nil)
 	if got := warmSeed(m, alien, bigSig, sBig); got != nil {
 		t.Fatal("warm seed across unrelated fleets should be nil")
+	}
+}
+
+// TestBucketBoundaryProperty pins the half-octave bandwidth buckets at
+// their edges: a link just below an edge, where round(2*log2(mean)) steps
+// from k to k+1, and one just above it land in adjacent buckets. bucketDelta
+// is symmetric and 0 only between signatures of one bucket, and every
+// signature is at distance 0 from itself.
+func TestBucketBoundaryProperty(t *testing.T) {
+	edges := func(k int8, eps uint16) bool {
+		edge := math.Exp2((float64(k%24) + 0.5) / 2) // 2*log2(edge) = k+0.5
+		rel := 1e-9 + float64(eps)/65536*0.01        // up to 1 % either side
+		below, _ := linkRegime(network.DefaultLink(network.Constant(edge * (1 - rel))))
+		above, _ := linkRegime(network.DefaultLink(network.Constant(edge * (1 + rel))))
+		if below != int(k%24) || above != below+1 {
+			t.Logf("edge %g (k=%d) ±%g: buckets %d and %d", edge, k%24, rel, below, above)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(edges, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+
+	delta := func(bwA, spA, bwB, spB int8) bool {
+		a := DeviceSig{BW: int(bwA), Spread: int(spA)}
+		b := DeviceSig{BW: int(bwB), Spread: int(spB)}
+		d := bucketDelta(a, b)
+		return d == bucketDelta(b, a) && d >= 0 && (d == 0) == (a.BW == b.BW && a.Spread == b.Spread)
+	}
+	if err := quick.Check(delta, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+
+	types := []device.Type{device.Nano, device.TX2, device.Xavier, device.Pi3}
+	self := func(seed int64, n uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		k := 1 + int(n%5)
+		bws, devs := make([]float64, k), make([]device.Type, k)
+		for i := range bws {
+			bws[i] = 10 + 390*rng.Float64()
+			devs[i] = types[rng.Intn(len(types))]
+		}
+		sig := SignatureOf(sigEnv(cnn.VGG16(), seed, bws, devs...), nil)
+		return Distance(sig, sig) == 0
+	}
+	if err := quick.Check(self, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
 	}
 }

@@ -23,16 +23,21 @@ type Transition struct {
 	Done      bool
 }
 
-// Replay is a bounded FIFO replay buffer with uniform sampling. Storage
-// grows on demand up to the capacity: short training runs (tests,
-// benchmarks, finetuning bursts) never pay for the full paper-scale buffer,
-// which at the default 100k capacity would be ~12 MB of zeroed memory per
-// agent.
+// Replay is a bounded FIFO replay buffer with uniform sampling. Add copies
+// every transition into flat storage the buffer owns, so a caller may reuse
+// the slices it passed (the OSDS trainer refills the same state and action
+// buffers every episode). Storage grows on demand up to the capacity: short
+// training runs (tests, benchmarks, finetuning bursts) never pay for the
+// full paper-scale buffer, which at the default 100k capacity would be
+// ~12 MB of zeroed memory per agent.
 type Replay struct {
-	cap  int
-	buf  []Transition
-	next int // overwrite cursor, meaningful once len(buf) == cap
-	rng  *rand.Rand
+	cap    int
+	ds, da int       // state and action widths, fixed by the first Add
+	rows   []float64 // per transition: state ‖ action ‖ next state
+	reward []float64
+	done   []bool
+	next   int // overwrite cursor, meaningful once Len() == cap
+	rng    *rand.Rand
 }
 
 // NewReplay returns a replay buffer holding up to capacity transitions.
@@ -43,13 +48,28 @@ func NewReplay(capacity int, seed int64) *Replay {
 	return &Replay{cap: capacity, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Add stores a transition, evicting the oldest when full.
+// Add stores a copy of the transition, evicting the oldest when full. Every
+// transition must have the state and action widths of the first.
 func (r *Replay) Add(t Transition) {
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, t)
+	if len(r.reward) == 0 {
+		r.ds, r.da = len(t.State), len(t.Action)
+	}
+	if len(t.State) != r.ds || len(t.NextState) != r.ds || len(t.Action) != r.da {
+		panic(fmt.Sprintf("rl: transition widths %d/%d/%d, want %d/%d/%d",
+			len(t.State), len(t.Action), len(t.NextState), r.ds, r.da, r.ds))
+	}
+	if len(r.reward) < r.cap {
+		r.rows = append(append(append(r.rows, t.State...), t.Action...), t.NextState...)
+		r.reward = append(r.reward, t.Reward)
+		r.done = append(r.done, t.Done)
 		return
 	}
-	r.buf[r.next] = t
+	k := r.next
+	row := r.rows[k*(2*r.ds+r.da):]
+	copy(row, t.State)
+	copy(row[r.ds:], t.Action)
+	copy(row[r.ds+r.da:], t.NextState)
+	r.reward[k], r.done[k] = t.Reward, t.Done
 	r.next++
 	if r.next == r.cap {
 		r.next = 0
@@ -57,14 +77,25 @@ func (r *Replay) Add(t Transition) {
 }
 
 // Len returns the number of stored transitions.
-func (r *Replay) Len() int { return len(r.buf) }
+func (r *Replay) Len() int { return len(r.reward) }
 
 // SampleInto fills out with uniform draws (with replacement), reusing the
-// caller's buffer.
+// caller's buffer. The drawn transitions' slices are views of the buffer's
+// storage, valid until the next Add.
 func (r *Replay) SampleInto(out []Transition) []Transition {
 	m := r.Len()
+	ds, da := r.ds, r.da
 	for i := range out {
-		out[i] = r.buf[r.rng.Intn(m)]
+		k := r.rng.Intn(m)
+		w := 2*ds + da
+		row := r.rows[k*w : (k+1)*w : (k+1)*w]
+		out[i] = Transition{
+			State:     row[:ds:ds],
+			Action:    row[ds : ds+da : ds+da],
+			Reward:    r.reward[k],
+			NextState: row[ds+da:],
+			Done:      r.done[k],
+		}
 	}
 	return out
 }
@@ -199,10 +230,14 @@ func New(cfg Config) (*Agent, error) {
 	return a, nil
 }
 
-// Action returns the deterministic policy action μ(s) in [-1,1]^A.
-func (a *Agent) Action(state []float64) []float64 {
+// Action writes the deterministic policy action μ(s) ∈ [-1,1]^A into dst,
+// which must have length ActionDim, and returns it.
+func (a *Agent) Action(dst, state []float64) []float64 {
 	if len(state) != a.Cfg.StateDim {
 		panic(fmt.Sprintf("rl: state dim %d, want %d", len(state), a.Cfg.StateDim))
+	}
+	if len(dst) != a.Cfg.ActionDim {
+		panic(fmt.Sprintf("rl: action buffer of %d, want %d", len(dst), a.Cfg.ActionDim))
 	}
 	if a.act1 == nil {
 		a.act1 = &actScratch{
@@ -212,13 +247,14 @@ func (a *Agent) Action(state []float64) []float64 {
 	}
 	copy(a.act1.in.A, state)
 	out := a.Actor.ForwardWS(a.act1.ws, a.act1.in)
-	return append([]float64(nil), out.Row(0)...)
+	copy(dst, out.Row(0))
+	return dst
 }
 
-// NoisyAction returns μ(s) + N(0, sigma²) clipped to [-1,1] (Alg. 2
-// line 11).
-func (a *Agent) NoisyAction(state []float64, sigma float64) []float64 {
-	act := a.Action(state)
+// NoisyAction writes μ(s) + N(0, sigma²) clipped to [-1,1] into dst (Alg. 2
+// line 11) and returns it.
+func (a *Agent) NoisyAction(dst, state []float64, sigma float64) []float64 {
+	act := a.Action(dst, state)
 	for i := range act {
 		act[i] += sigma * a.rng.NormFloat64()
 		if act[i] > 1 {
@@ -227,15 +263,6 @@ func (a *Agent) NoisyAction(state []float64, sigma float64) []float64 {
 		if act[i] < -1 {
 			act[i] = -1
 		}
-	}
-	return act
-}
-
-// RandomAction returns a uniform action in [-1,1]^A (pure exploration).
-func (a *Agent) RandomAction() []float64 {
-	act := make([]float64, a.Cfg.ActionDim)
-	for i := range act {
-		act[i] = 2*a.rng.Float64() - 1
 	}
 	return act
 }

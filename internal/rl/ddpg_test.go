@@ -2,6 +2,7 @@ package rl
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -29,6 +30,71 @@ func TestReplayBasics(t *testing.T) {
 	if !seen[2] || !seen[3] || !seen[4] {
 		t.Error("live transitions never sampled")
 	}
+}
+
+// TestReplaySamplingSequence holds the flat replay storage to the buffer it
+// replaced, a slice of Transition values overwritten FIFO: the same seed
+// draws the same transitions, evictions included.
+func TestReplaySamplingSequence(t *testing.T) {
+	const capacity, seed = 6, 9
+	r := NewReplay(capacity, seed)
+	var ref []Transition
+	next := 0
+	for i := 0; i < 17; i++ {
+		f := float64(i)
+		tr := Transition{State: []float64{f, -f}, Action: []float64{f / 10}, Reward: f * f, NextState: []float64{f + 1, -f - 1}, Done: i%3 == 0}
+		r.Add(tr)
+		if len(ref) < capacity {
+			ref = append(ref, tr)
+		} else {
+			ref[next] = tr
+			next = (next + 1) % capacity
+		}
+		if i == 3 || i == 16 { // sample while growing and once full
+			refRNG := rand.New(rand.NewSource(seed))
+			r.rng = rand.New(rand.NewSource(seed))
+			got := r.SampleInto(make([]Transition, 20))
+			for k, g := range got {
+				w := ref[refRNG.Intn(len(ref))]
+				if g.Reward != w.Reward || g.Done != w.Done || !equal(g.State, w.State) ||
+					!equal(g.Action, w.Action) || !equal(g.NextState, w.NextState) {
+					t.Fatalf("after %d adds, draw %d = %+v, want %+v", i+1, k, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestReplayCopiesTransitions: Add keeps its own copy, so the trainer may
+// refill the slices it passed for the next episode.
+func TestReplayCopiesTransitions(t *testing.T) {
+	for _, capacity := range []int{1, 4} { // overwrite path and append path
+		r := NewReplay(capacity, 1)
+		s, a, s2 := []float64{1, 2}, []float64{3}, []float64{4, 5}
+		for i := 0; i < capacity; i++ {
+			r.Add(Transition{State: s, Action: a, Reward: 6, NextState: s2})
+		}
+		s[0], a[0], s2[1] = -1, -3, -5
+		got := r.SampleInto(make([]Transition, 1))[0]
+		if !equal(got.State, []float64{1, 2}) || !equal(got.Action, []float64{3}) || !equal(got.NextState, []float64{4, 5}) {
+			t.Errorf("capacity %d: stored transition %+v aliases the caller's slices", capacity, got)
+		}
+		if cap(got.State) != 2 || cap(got.Action) != 1 {
+			t.Errorf("capacity %d: sampled views reach past their row: caps %d/%d", capacity, cap(got.State), cap(got.Action))
+		}
+	}
+}
+
+func equal(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestReplayMinCapacity(t *testing.T) {
@@ -64,7 +130,7 @@ func TestActionBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := []float64{0.5, -1, 2}
-	for _, act := range [][]float64{a.Action(s), a.NoisyAction(s, 0.5), a.RandomAction()} {
+	for _, act := range [][]float64{a.Action(make([]float64, 2), s), a.NoisyAction(make([]float64, 2), s, 0.5)} {
 		if len(act) != 2 {
 			t.Fatalf("action dim %d, want 2", len(act))
 		}
@@ -79,7 +145,7 @@ func TestActionBounds(t *testing.T) {
 func TestActionDeterministic(t *testing.T) {
 	a, _ := New(Config{StateDim: 2, ActionDim: 1, Hidden: []int{8}, Seed: 2})
 	s := []float64{0.3, 0.7}
-	x, y := a.Action(s), a.Action(s)
+	x, y := a.Action(make([]float64, 1), s), a.Action(make([]float64, 1), s)
 	if x[0] != y[0] {
 		t.Error("deterministic policy must repeat")
 	}
@@ -104,18 +170,19 @@ func TestDDPGSolvesBandit(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := []float64{1}
+	explore := rand.New(rand.NewSource(4))
+	act := make([]float64, 1)
 	for ep := 0; ep < 400; ep++ {
-		var act []float64
 		if ep < 100 {
-			act = a.RandomAction()
+			act[0] = 2*explore.Float64() - 1 // uniform pure exploration
 		} else {
-			act = a.NoisyAction(state, 0.2)
+			a.NoisyAction(act, state, 0.2)
 		}
 		r := 1 - (act[0]-target)*(act[0]-target)
 		a.Buf.Add(Transition{State: state, Action: act, Reward: r, NextState: state, Done: true})
 		a.Update(32)
 	}
-	got := a.Action(state)[0]
+	got := a.Action(act, state)[0]
 	if math.Abs(got-target) > 0.25 {
 		t.Errorf("policy converged to %g, want ~%g", got, target)
 	}

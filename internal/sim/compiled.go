@@ -44,7 +44,8 @@ type compiledVolume struct {
 // reuses all buffers, so it allocates nothing.
 //
 // A CompiledPlan is not safe for concurrent use; Env.checkoutPlan manages
-// exclusive checkout of memoized plans.
+// exclusive checkout of memoized plans, and recompiles a checked-out plan
+// in place when its strategy was rewritten since (compile).
 type CompiledPlan struct {
 	env   *Env
 	strat *strategy.Strategy
@@ -53,6 +54,7 @@ type CompiledPlan struct {
 	boundaries []int
 	splits     [][]int
 
+	geo  strategy.Geometry // the strategy's geometry, recompiled in place
 	vols []compiledVolume
 
 	// Finish phase. fcOwner is -1 for fully-convolutional models, where
@@ -69,10 +71,17 @@ type CompiledPlan struct {
 	// reads or writes.
 	links []int
 
+	// Backing arrays of splits, the volumes' parts and the parts' sources,
+	// kept for recompiling.
+	cutBuf  []int
+	partBuf []compiledPart
+	srcBuf  []gatherSrc
+
 	// Per-image scratch.
 	acc, accNext, busy []float64
 	bdComp, bdTrans    []float64
 	idle               pipeState // the all-free state of single-image replays
+	pipe               *serving  // the objectives' pipelined runs (Env.pipeline), made on first use
 }
 
 // Compile validates the strategy against the environment and precomputes
@@ -80,43 +89,76 @@ type CompiledPlan struct {
 // ReferenceLatency — float operations in the same order on the same
 // values — so results are bit-identical.
 func Compile(e *Env, s *strategy.Strategy) (*CompiledPlan, error) {
-	n := e.NumProviders()
-	geo, err := strategy.CompileGeometry(e.Model, s, n)
-	if err != nil {
+	p := &CompiledPlan{env: e}
+	if err := p.compile(s); err != nil {
 		return nil, err
 	}
-	scratch := make([]float64, 5*n)
-	p := &CompiledPlan{
-		env:        e,
-		strat:      s,
-		boundaries: append([]int(nil), s.Boundaries...),
-		splits:     make([][]int, len(s.Splits)),
-		vols:       make([]compiledVolume, len(geo.Volumes)),
-		acc:        scratch[:n:n],
-		accNext:    scratch[n : 2*n : 2*n],
-		busy:       scratch[2*n : 3*n : 3*n],
-		bdComp:     scratch[3*n : 4*n : 4*n],
-		bdTrans:    scratch[4*n : 5*n : 5*n],
+	return p, nil
+}
+
+// compile (re)builds the plan for s in place, reusing every buffer the plan
+// already has, its geometry's included. The OSDS trainer rewrites one
+// strategy's cuts every episode, so recompiling into a plan that has held
+// a strategy of the same shape allocates nothing. A strategy that fails
+// validation leaves the plan as it was.
+func (p *CompiledPlan) compile(s *strategy.Strategy) error {
+	e := p.env
+	n := e.NumProviders()
+	if err := strategy.CompileGeometryInto(&p.geo, e.Model, s, n); err != nil {
+		return err
 	}
-	var linkBuf [64]int // transfers' links, collected on the stack; p.links keeps each once
-	links := linkBuf[:0]
-	for v, cuts := range s.Splits {
-		p.splits[v] = append([]int(nil), cuts...)
+	geo := &p.geo
+	if p.acc == nil {
+		scratch := make([]float64, 5*n)
+		p.acc = scratch[:n:n]
+		p.accNext = scratch[n : 2*n : 2*n]
+		p.busy = scratch[2*n : 3*n : 3*n]
+		p.bdComp = scratch[3*n : 4*n : 4*n]
+		p.bdTrans = scratch[4*n : 5*n : 5*n]
+	}
+	p.strat = s
+	p.boundaries = append(p.boundaries[:0], s.Boundaries...)
+	cuts := 0
+	for _, c := range s.Splits {
+		cuts += len(c)
+	}
+	p.cutBuf = resize(p.cutBuf, cuts)
+	p.splits = resize(p.splits, len(s.Splits))
+	buf := p.cutBuf
+	for v, c := range s.Splits {
+		p.splits[v], buf = buf[:len(c):len(c)], buf[len(c):]
+		copy(p.splits[v], c)
 	}
 
+	sources := 0
+	for _, g := range geo.Volumes {
+		for _, src := range g.Sources {
+			sources += len(src)
+		}
+	}
+	p.vols = resize(p.vols, len(geo.Volumes))
+	p.partBuf = resize(p.partBuf, n*len(geo.Volumes))
+	p.srcBuf = resize(p.srcBuf, sources)
+	if cap(p.links) < sources+n+1 { // every transfer's link, before deduplication
+		p.links = make([]int, 0, sources+n+1)
+	}
+	parts, srcs, links := p.partBuf, p.srcBuf, p.links[:0]
 	for v, g := range geo.Volumes {
-		cv := compiledVolume{parts: make([]compiledPart, n)}
+		cv := &p.vols[v]
+		cv.parts, parts = parts[:n:n], parts[n:]
 		for i, part := range g.Parts {
 			if part.Empty() {
 				continue
 			}
 			in := g.Inputs[i]
+			k := len(g.Sources[i])
 			cp := compiledPart{
 				active: true,
 				hasIn:  !in.Empty(),
 				comp:   e.VolumeLatency(i, g.Layers, part),
-				srcs:   make([]gatherSrc, len(g.Sources[i])),
+				srcs:   srcs[:k:k],
 			}
+			srcs = srcs[k:]
 			if v == 0 {
 				cp.scatterB = float64(in.Len()) * g.InRowBytes
 			}
@@ -130,7 +172,6 @@ func Compile(e *Env, s *strategy.Strategy) (*CompiledPlan, error) {
 			}
 			cv.parts[i] = cp
 		}
-		p.vols[v] = cv
 	}
 
 	// Finish phase: every non-empty last part travels to the FC owner (its
@@ -138,6 +179,7 @@ func Compile(e *Env, s *strategy.Strategy) (*CompiledPlan, error) {
 	last := geo.Volumes[len(geo.Volumes)-1]
 	p.fcOwner = geo.FCOwner
 	p.resultBytes = geo.ResultBytes
+	p.fcLat, p.resultLink = 0, 0
 	for _, fc := range geo.FCLayers {
 		p.fcLat += e.Devices[p.fcOwner].ComputeLatency(fc, 1)
 	}
@@ -147,7 +189,10 @@ func Compile(e *Env, s *strategy.Strategy) (*CompiledPlan, error) {
 		p.resultLink = linkIdx(n, p.fcOwner, network.Requester)
 		links = append(links, p.resultLink)
 	}
-	p.finish = make([]gatherSrc, 0, n)
+	if p.finish == nil {
+		p.finish = make([]gatherSrc, 0, n)
+	}
+	p.finish = p.finish[:0]
 	for j, own := range last.Parts {
 		if j != p.fcOwner && !own.Empty() {
 			f := gatherSrc{j: j, li: linkIdx(n, j, to), bytes: float64(own.Len()) * last.OutRowBytes}
@@ -156,8 +201,19 @@ func Compile(e *Env, s *strategy.Strategy) (*CompiledPlan, error) {
 		}
 	}
 	slices.Sort(links)
-	p.links = slices.Clone(slices.Compact(links))
-	return p, nil
+	p.links = slices.Compact(links)
+	return nil
+}
+
+// resize returns s resliced to n zeroed elements, or a new slice when s is
+// too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // matches reports whether the strategy's current contents equal the ones

@@ -114,7 +114,7 @@ func (ThroughputObjective) Name() string { return "ips" }
 // Score returns steady-state seconds per image at the configured window.
 func (o ThroughputObjective) Score(e *Env, s *strategy.Strategy, at float64) (float64, error) {
 	o = o.withDefaults()
-	res, err := e.PipelineStreamOpts(s, PipelineConfig{Images: o.Images, Window: o.Window, Batch: o.Batch, Start: at})
+	res, err := e.pipeline(s, PipelineConfig{Images: o.Images, Window: o.Window, Batch: o.Batch, Start: at}, false)
 	if err != nil {
 		return 0, err
 	}
@@ -183,11 +183,16 @@ func (SLOThroughputObjective) Name() string { return "slo" }
 // exceeds P95Sec. Deployment paths use it to refuse plans outright where
 // Score only penalises them.
 func (o SLOThroughputObjective) Eval(e *Env, s *strategy.Strategy, at float64) (PipelineResult, error) {
+	return o.eval(e, s, at, true)
+}
+
+// eval is Eval; perImage as in Env.pipeline.
+func (o SLOThroughputObjective) eval(e *Env, s *strategy.Strategy, at float64, perImage bool) (PipelineResult, error) {
 	o = o.withDefaults()
 	if !(o.P95Sec > 0) {
 		return PipelineResult{}, fmt.Errorf("sim: slo objective: p95 bound must be positive, got %g", o.P95Sec)
 	}
-	res, err := e.PipelineStreamOpts(s, PipelineConfig{Images: o.Images, Window: o.Window, Batch: o.Batch, Start: at})
+	res, err := e.pipeline(s, PipelineConfig{Images: o.Images, Window: o.Window, Batch: o.Batch, Start: at}, perImage)
 	if err != nil {
 		return PipelineResult{}, err
 	}
@@ -204,7 +209,7 @@ func (o SLOThroughputObjective) Eval(e *Env, s *strategy.Strategy, at float64) (
 // the scaled infeasibility penalty when it does not.
 func (o SLOThroughputObjective) Score(e *Env, s *strategy.Strategy, at float64) (float64, error) {
 	o = o.withDefaults()
-	res, err := o.Eval(e, s, at)
+	res, err := o.eval(e, s, at, false)
 	if err != nil {
 		if errors.Is(err, ErrSLOViolated) {
 			return sloPenaltySec * (res.P95LatMS / 1e3 / o.P95Sec), nil

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 
 	"distredge/internal/network"
 	"distredge/internal/strategy"
@@ -68,19 +69,19 @@ type pipeState struct {
 }
 
 // init sizes the state for n providers, everything free from the start of
-// time, and binds it to a plan of numVols volumes.
+// time, and binds it to a plan of numVols volumes. A state sized for n
+// before keeps its buffers: devFloor, linkEnd and upEnd are per-image
+// scratch every replay sets before it reads them.
 func (ps *pipeState) init(n, numVols, batch int, wire float64) {
-	links := (n + 1) * (n + 1)
-	buf := make([]float64, 2*(n+links))
-	*ps = pipeState{
-		n:        n,
-		devFree:  buf[:n:n],
-		linkFree: buf[n : n+links : n+links],
-		devFloor: buf[n+links : 2*n+links : 2*n+links],
-		linkEnd:  buf[2*n+links:],
-		batch:    batch,
-		wire:     wire,
+	if ps.devFree == nil || ps.n != n {
+		links := (n + 1) * (n + 1)
+		buf := make([]float64, 2*(n+links))
+		ps.devFree = buf[:n:n]
+		ps.linkFree = buf[n : n+links : n+links]
+		ps.devFloor = buf[n+links : 2*n+links : 2*n+links]
+		ps.linkEnd = buf[2*n+links:]
 	}
+	ps.n, ps.batch, ps.wire = n, batch, wire
 	ps.bindPlan(numVols)
 	for i := range ps.linkFree {
 		ps.linkFree[i] = math.Inf(-1)
@@ -108,7 +109,7 @@ func (ps *pipeState) reset(links []int) {
 func (ps *pipeState) bindPlan(numVols int) {
 	ps.stride = numVols + 1
 	if ps.batch != 1 {
-		ps.stepRuns = make([]int, ps.n*ps.stride)
+		ps.stepRuns = resize(ps.stepRuns, ps.n*ps.stride)
 	}
 }
 
@@ -316,26 +317,50 @@ type PipelineConfig struct {
 
 // PipelineStreamOpts evaluates the strategy over cfg.Images images with up
 // to cfg.Window in flight: Serve with one tenant enqueued at the start and
-// no fleet events, assembling the fleet's view only (the planning
-// objectives call this per episode; see TestPipelineStreamOptsAllocs).
-// Window 1 is exactly
+// no fleet events, assembling the fleet's view only. Window 1 is exactly
 // Stream's one-at-a-time protocol and reproduces its TotalSec and IPS
 // bit-for-bit. Overlapping images queue on the shared resources —
 // per-provider compute units, every directed link, and the requester's
 // scatter uplink — so the result measures the sustained images/sec the
 // deployment can serve plus the per-image latency distribution under load.
 func (e *Env) PipelineStreamOpts(s *strategy.Strategy, cfg PipelineConfig) (PipelineResult, error) {
-	var r serving
-	err := r.run(e, s, &Scenario{
-		Tenants: []TenantSpec{{Images: cfg.Images}},
-		Window:  cfg.Window, Batch: cfg.Batch, WireFrac: cfg.WireFrac, Start: cfg.Start,
-	})
+	return e.pipeline(s, cfg, true)
+}
+
+// pipeline is PipelineStreamOpts on the run state the memoized plan of s
+// keeps, so that a call on a memoized plan allocates nothing but what the
+// caller keeps (TestPipelineStreamOptsAllocs): the planning objectives call
+// it once per OSDS episode. perImage copies PerImageSec out of that state
+// for the caller; without it PerImageSec is nil.
+func (e *Env) pipeline(s *strategy.Strategy, cfg PipelineConfig, perImage bool) (PipelineResult, error) {
+	p, err := e.checkoutPlan(s)
 	if err != nil {
+		return PipelineResult{}, err
+	}
+	defer e.checkinPlan(p)
+	if p.pipe == nil {
+		p.pipe = new(serving)
+	}
+	r := p.pipe
+	r.spec[0] = TenantSpec{Images: cfg.Images}
+	sc := Scenario{
+		Tenants: r.spec[:],
+		Window:  cfg.Window, Batch: cfg.Batch, WireFrac: cfg.WireFrac, Start: cfg.Start,
+	}
+	if err := r.init(e.NumProviders(), &sc); err != nil {
+		return PipelineResult{}, err
+	}
+	if err := r.run(e, p, &sc); err != nil {
 		return PipelineResult{}, err
 	}
 	res := r.res
 	res.Assemble(r.start, r.lat[:r.ids], r.complete[:r.ids], &r.scratch)
-	return res.PipelineResult, nil
+	out := res.PipelineResult
+	out.PerImageSec = nil
+	if perImage {
+		out.PerImageSec = slices.Clone(res.PerImageSec)
+	}
+	return out, nil
 }
 
 // steadyIPS returns the throughput over the second half of a completion

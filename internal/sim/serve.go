@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"distredge/internal/admit"
 	"distredge/internal/device"
@@ -131,7 +132,17 @@ type ServeResult struct {
 // ignored. DESIGN.md says why this recompile-at-event model is conservative.
 func (e *Env) Serve(s *strategy.Strategy, sc Scenario) (ServeResult, error) {
 	var r serving
-	if err := r.run(e, s, &sc); err != nil {
+	if err := r.init(e.NumProviders(), &sc); err != nil {
+		return ServeResult{}, err
+	}
+	p, err := e.checkoutPlan(s)
+	if err != nil {
+		return ServeResult{}, err
+	}
+	// Plans recompiled at events are bound to derived envs and are dropped;
+	// the untouched original goes back to the env memo.
+	defer e.checkinPlan(p)
+	if err := r.run(e, p, &sc); err != nil {
 		return ServeResult{}, err
 	}
 	res := r.res
@@ -167,6 +178,7 @@ type serving struct {
 	lat      []float64 // first admission to completion
 	complete []float64 // absolute completion; +Inf while aborted and once lost to an unrecovered drop
 	scratch  []float64 // Assemble's sort buffer
+	times    []float64 // backing of firstAdm, complete and scratch
 
 	// The deployment, changed only by fleet events.
 	plan    *CompiledPlan
@@ -174,11 +186,15 @@ type serving struct {
 	strat   *strategy.Strategy
 	alive   []bool
 	factors []float64 // accumulated DeviceSlow multipliers
+
+	spec [1]TenantSpec // Env.pipeline's one tenant, kept by init
 }
 
 // init validates the scenario against a fleet of n providers, fills in its
-// defaults and sizes the run's state.
+// defaults and sizes the run's state. A serving that ran before keeps its
+// buffers: Env.pipeline reuses one per plan.
 func (r *serving) init(n int, sc *Scenario) error {
+	*r = serving{tenants: r.tenants, owner: r.owner, lat: r.lat, times: r.times, slots: r.slots, ps: r.ps, spec: r.spec}
 	if len(sc.Tenants) == 0 {
 		return fmt.Errorf("sim: need at least one tenant")
 	}
@@ -212,7 +228,7 @@ func (r *serving) init(n int, sc *Scenario) error {
 	}
 	r.start, r.now = sc.Start, sc.Start
 	r.res.Window, r.res.Batch, r.res.FailedAtSec = sc.Window, sc.Batch, -1
-	r.tenants = make([]tenantState, len(sc.Tenants))
+	r.tenants = resize(r.tenants, len(sc.Tenants))
 	for i, t := range sc.Tenants {
 		if t.Images < 1 {
 			return fmt.Errorf("sim: tenant %d needs at least one image, got %d", i, t.Images)
@@ -232,36 +248,27 @@ func (r *serving) init(n int, sc *Scenario) error {
 	}
 	total := r.res.Images
 	r.queued = total
-	r.owner = make([]int32, total)
-	r.lat = make([]float64, total) // handed to the caller as PerImageSec
-	buf := make([]float64, 3*total)
-	r.firstAdm, r.complete, r.scratch = buf[:total], buf[total:2*total], buf[2*total:]
-	r.slots = make([]int, 0, min(sc.Window, total))
+	r.owner = resize(r.owner, total)
+	r.lat = resize(r.lat, total) // handed to the caller as PerImageSec
+	r.times = resize(r.times, 3*total)
+	r.firstAdm, r.complete, r.scratch = r.times[:total], r.times[total:2*total], r.times[2*total:]
+	r.slots = slices.Grow(r.slots[:0], min(sc.Window, total))
 	return nil
 }
 
-// run is the admission loop.
-func (r *serving) run(e *Env, s *strategy.Strategy, sc *Scenario) error {
+// run is the admission loop of an initialised serving on the checked-out
+// plan p.
+func (r *serving) run(e *Env, p *CompiledPlan, sc *Scenario) error {
 	n := e.NumProviders()
-	if err := r.init(n, sc); err != nil {
-		return err
-	}
 	evs := sc.Events
 	if len(evs) > 0 {
 		evs = append([]ChurnEvent(nil), evs...)
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-		r.strat, r.alive, r.factors = s, make([]bool, n), make([]float64, n)
+		slices.SortStableFunc(evs, func(a, b ChurnEvent) int { return cmp.Compare(a.At, b.At) })
+		r.strat, r.alive, r.factors = p.strat, make([]bool, n), make([]float64, n)
 		for i := range r.alive {
 			r.alive[i], r.factors[i] = true, 1
 		}
 	}
-	p, err := e.checkoutPlan(s)
-	if err != nil {
-		return err
-	}
-	// Plans recompiled at events are bound to derived envs and are dropped;
-	// the untouched original goes back to the env memo.
-	defer e.checkinPlan(p)
 	r.plan = p
 	r.ps.init(n, len(p.vols), sc.Batch, sc.WireFrac)
 

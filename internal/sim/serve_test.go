@@ -299,30 +299,38 @@ func TestServeComposes(t *testing.T) {
 }
 
 // TestPipelineStreamOptsAllocs keeps the planner's hot path a count: the
-// throughput objectives call PipelineStreamOpts some 200 times per cold
-// plan, so each allocation per call shows up in the benchmark's
-// allocs_per_op. On a memoised plan a call makes 7 (8 batched).
+// throughput objectives run PipelineStreamOpts' scenario once per OSDS
+// episode, through Env.pipeline on the run state the memoized plan keeps.
+// That path allocates nothing on a memoized plan, and PipelineStreamOpts
+// only the PerImageSec it hands out.
 func TestPipelineStreamOptsAllocs(t *testing.T) {
 	env := testEnv(200, device.Xavier, device.Nano, device.TX2, device.Nano)
 	s := stageStrategy(env.Model, []int{0, 10, 14, 18}, 4)
-	for _, c := range []struct {
-		batch int
-		want  float64
-	}{{1, 7}, {4, 8}} {
-		cfg := PipelineConfig{Images: 64, Window: 4, Batch: c.batch}
-		got := testing.AllocsPerRun(20, func() {
-			if _, err := env.PipelineStreamOpts(s, cfg); err != nil {
-				t.Fatal(err)
+	for _, batch := range []int{1, 4} {
+		cfg := PipelineConfig{Images: 64, Window: 4, Batch: batch}
+		for _, c := range []struct {
+			name string
+			call func() error
+			want float64
+		}{
+			{"PipelineStreamOpts", func() error { _, err := env.PipelineStreamOpts(s, cfg); return err }, 1},
+			{"pipeline", func() error { _, err := env.pipeline(s, cfg, false); return err }, 0},
+		} {
+			got := testing.AllocsPerRun(20, func() {
+				if err := c.call(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > c.want {
+				t.Errorf("batch %d: %.0f allocations per %s call, want <= %.0f", batch, got, c.name, c.want)
 			}
-		})
-		if got > c.want {
-			t.Errorf("batch %d: %.0f allocations per PipelineStreamOpts call, want <= %.0f", c.batch, got, c.want)
 		}
 	}
 }
 
-// TestCompileAllocs guards the other count on that path: a cold quick plan
-// compiles some 200 candidate strategies, about a third of its allocations.
+// TestCompileAllocs guards the count of a plan compiled from scratch: the
+// first evaluation of every strategy the planner scores, such as each
+// boundary set's warm-start and final strategies.
 func TestCompileAllocs(t *testing.T) {
 	env := testEnv(200, device.Xavier, device.Nano, device.TX2, device.Nano)
 	s := stageStrategy(env.Model, []int{0, 10, 14, 18}, 4)
@@ -333,6 +341,67 @@ func TestCompileAllocs(t *testing.T) {
 	})
 	if got > 20 {
 		t.Errorf("%.0f allocations per Compile, want <= 20", got)
+	}
+}
+
+// TestRecompileInPlace: a memoized plan whose strategy was rewritten in
+// place — the OSDS trainer rewrites one strategy's cuts every episode — is
+// recompiled into the same CompiledPlan without allocating, and replays,
+// alone and pipelined, exactly as a fresh compile of the new contents.
+func TestRecompileInPlace(t *testing.T) {
+	env := testEnv(200, device.Xavier, device.Nano, device.TX2, device.Nano)
+	b := []int{0, 10, 14, 18}
+	stage, equal := stageStrategy(env.Model, b, 4), equalSplitStrategy(env.Model, b, 4)
+	s := stage.Clone()
+	rewrite := func(from *strategy.Strategy) {
+		for v := range s.Splits {
+			copy(s.Splits[v], from.Splits[v])
+		}
+	}
+	first, err := env.checkoutPlan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.checkinPlan(first)
+	cfg := PipelineConfig{Images: 24, Window: 4, Batch: 2}
+	for _, from := range []*strategy.Strategy{equal, stage, equal} {
+		rewrite(from)
+		p, err := env.checkoutPlan(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p != first {
+			t.Fatal("a rewritten strategy got a new plan, not its memoized one recompiled")
+		}
+		got, _ := p.run(1.5)
+		env.checkinPlan(p)
+		if want, _, _ := env.ReferenceLatency(from, 1.5); got != want {
+			t.Errorf("recompiled plan replays %v, reference %v", got, want)
+		}
+		in, err := env.PipelineStreamOpts(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := env.PipelineStreamOpts(from.Clone(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(in, fresh) {
+			t.Errorf("pipelined on the recompiled plan:\n%+v\nfresh:\n%+v", in, fresh)
+		}
+	}
+	i := 0
+	got := testing.AllocsPerRun(20, func() {
+		rewrite([]*strategy.Strategy{stage, equal}[i%2])
+		i++
+		p, err := env.checkoutPlan(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.checkinPlan(p)
+	})
+	if got != 0 {
+		t.Errorf("%.0f allocations per in-place recompile, want 0", got)
 	}
 }
 

@@ -91,8 +91,9 @@ func (e *Env) CacheStats() device.CacheStats {
 }
 
 // checkoutPlan returns a compiled plan for the strategy, reusing the memoized
-// one when the strategy contents are unchanged. The plan is removed from the
-// memo while in use so concurrent callers never share scratch buffers.
+// one when the strategy contents are unchanged and recompiling it in place
+// when they are not. The plan is removed from the memo while in use so
+// concurrent callers never share scratch buffers.
 func (e *Env) checkoutPlan(s *strategy.Strategy) (*CompiledPlan, error) {
 	e.mu.Lock()
 	p := e.plans[s]
@@ -100,10 +101,16 @@ func (e *Env) checkoutPlan(s *strategy.Strategy) (*CompiledPlan, error) {
 		delete(e.plans, s)
 	}
 	e.mu.Unlock()
-	if p != nil && p.matches(s) {
+	switch {
+	case p == nil:
+		return Compile(e, s)
+	case p.matches(s):
 		return p, nil
 	}
-	return Compile(e, s)
+	if err := p.compile(s); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // checkinPlan returns a plan to the memo for reuse.

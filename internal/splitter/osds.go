@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"distredge/internal/cnn"
@@ -117,6 +118,19 @@ type Trainer struct {
 	episode    int
 	exec       *sim.Exec // reusable per-episode executor (compiled path)
 
+	// Episode buffers, sized once and rewritten by every episode, so a
+	// steady-state episode allocates nothing. states[v] is the OSDS state
+	// before volume v is split and states[numVol] the all-zero terminal
+	// next-state; actions[v] is the raw actor output for volume v. The
+	// replay buffer copies both. strat is the episode's strategy: mapAction
+	// writes its Splits in place, the environment's plan memo recompiles
+	// it in place, and it is cloned only when it sets a new best.
+	states, actions [][]float64
+	sorted          []float64 // mapAction's sort buffer
+	cuts            []int     // a warm-start candidate's cuts
+	strat           *strategy.Strategy
+	warm            warmScratch
+
 	// State normalisation scales derived from the model.
 	latScale float64
 	hScale   float64
@@ -158,6 +172,23 @@ func NewTrainer(env *sim.Env, boundaries []int, cfg Config) (*Trainer, error) {
 		agent:      agent,
 		rng:        rand.New(rand.NewSource(cfg.Seed + 17)),
 		bestT:      math.Inf(1),
+		sorted:     make([]float64, n-1),
+		cuts:       make([]int, n-1),
+	}
+	numVol := len(boundaries) - 1
+	ds, da := n+4, n-1
+	vecs := make([]float64, (numVol+1)*ds+numVol*da)
+	t.states, t.actions = make([][]float64, numVol+1), make([][]float64, numVol)
+	for v := range t.states {
+		t.states[v], vecs = vecs[:ds:ds], vecs[ds:]
+	}
+	for v := range t.actions {
+		t.actions[v], vecs = vecs[:da:da], vecs[da:]
+	}
+	splits := make([]int, numVol*da)
+	t.strat = &strategy.Strategy{Boundaries: boundaries, Splits: make([][]int, numVol)}
+	for v := range t.strat.Splits {
+		t.strat.Splits[v], splits = splits[:da:da], splits[da:]
 	}
 	t.deriveScales()
 	return t, nil
@@ -179,28 +210,27 @@ func (t *Trainer) deriveScales() {
 	t.latScale = math.Max(best, 1e-3)
 }
 
-// state assembles Eq. 7: accumulated latencies plus the configuration
-// (H, C, F, S) of the last layer of the upcoming volume; normalised.
-func (t *Trainer) state(acc []float64, vol []cnn.Layer) []float64 {
+// state writes Eq. 7 into dst: accumulated latencies plus the
+// configuration (H, C, F, S) of the last layer of the upcoming volume;
+// normalised.
+func (t *Trainer) state(dst, acc []float64, vol []cnn.Layer) {
 	n := t.env.NumProviders()
-	s := make([]float64, n+4)
 	for i, a := range acc {
-		s[i] = a / t.latScale
+		dst[i] = a / t.latScale
 	}
 	last := vol[len(vol)-1]
-	s[n] = float64(last.OutHeight()) / t.hScale
-	s[n+1] = float64(last.OutDepth()) / t.cScale
-	s[n+2] = float64(last.F) / 7
-	s[n+3] = float64(last.S) / 4
-	return s
+	dst[n] = float64(last.OutHeight()) / t.hScale
+	dst[n+1] = float64(last.OutDepth()) / t.cScale
+	dst[n+2] = float64(last.F) / 7
+	dst[n+3] = float64(last.S) / 4
 }
 
 // mapAction converts a raw actor output ã ∈ [-1,1]^{n-1} into sorted cut
-// points on height h (Eq. 9 with [A,B] = [-1,1]).
-func mapAction(raw []float64, h int) []int {
-	sorted := append([]float64(nil), raw...)
+// points on height h (Eq. 9 with [A,B] = [-1,1]), written into cuts.
+// sorted is scratch of the same length; raw is left as it is.
+func mapAction(cuts []int, sorted, raw []float64, h int) []int {
+	copy(sorted, raw)
 	sort.Float64s(sorted)
-	cuts := make([]int, len(sorted))
 	for i, v := range sorted {
 		x := int(math.Round(float64(h) * (v + 1) / 2))
 		if x < 0 {
@@ -217,34 +247,56 @@ func mapAction(raw []float64, h int) []int {
 	return cuts
 }
 
-// actionFromCuts inverts mapAction for warm-start episodes.
-func actionFromCuts(cuts []int, h int) []float64 {
-	raw := make([]float64, len(cuts))
+// actionFromCuts inverts mapAction for warm-start episodes, writing into
+// raw.
+func actionFromCuts(raw []float64, cuts []int, h int) []float64 {
 	for i, c := range cuts {
 		raw[i] = 2*float64(c)/float64(h) - 1
 	}
 	return raw
 }
 
-// balancedCuts computes a profile-guided balanced split of a volume over
-// all providers (see balancedCutsSubset).
-func balancedCuts(env *sim.Env, layers []cnn.Layer, h int) []int {
-	allowed := make([]bool, env.NumProviders())
-	for i := range allowed {
-		allowed[i] = true
-	}
-	return balancedCutsSubset(env, layers, h, allowed)
+// warmScratch holds the buffers of the warm-start heuristics, sized for
+// one provider count on first use.
+type warmScratch struct {
+	lats, weights []float64
+	order, cand   []int
+	allowed       []bool
 }
 
-// balancedCutsSubset computes a profile-guided balanced split of a volume
-// restricted to the allowed providers: proportional to per-device volume
+func (w *warmScratch) size(n int) {
+	if len(w.lats) != n {
+		*w = warmScratch{
+			lats:    make([]float64, n),
+			weights: make([]float64, n),
+			order:   make([]int, n),
+			cand:    make([]int, n-1),
+			allowed: make([]bool, n),
+		}
+	}
+}
+
+// balancedAll computes a profile-guided balanced split of a volume over all
+// providers into dst (see balanced).
+func (w *warmScratch) balancedAll(dst []int, env *sim.Env, layers []cnn.Layer, h int) []int {
+	w.size(env.NumProviders())
+	for i := range w.allowed {
+		w.allowed[i] = true
+	}
+	return w.balanced(dst, env, layers, h, w.allowed)
+}
+
+// balanced computes a profile-guided balanced split of a volume restricted
+// to the allowed providers into dst: proportional to per-device volume
 // throughput, then hill-climbed on the true per-part compute latency. Used
-// for warm-start episodes.
-func balancedCutsSubset(env *sim.Env, layers []cnn.Layer, h int, allowed []bool) []int {
+// for warm-start episodes and the balanced re-planner.
+func (w *warmScratch) balanced(dst []int, env *sim.Env, layers []cnn.Layer, h int, allowed []bool) []int {
 	n := env.NumProviders()
+	w.size(n)
 	full := cnn.RowRange{Lo: 0, Hi: h}
-	weights := make([]float64, n)
+	weights := w.weights
 	for i := range env.Devices {
+		weights[i] = 0
 		if !allowed[i] {
 			continue
 		}
@@ -253,7 +305,7 @@ func balancedCutsSubset(env *sim.Env, layers []cnn.Layer, h int, allowed []bool)
 			weights[i] = 1 / lat
 		}
 	}
-	cuts := strategy.ProportionalCuts(h, weights)
+	cuts := strategy.ProportionalCutsInto(dst, h, weights)
 	partLat := func(cuts []int) float64 {
 		var worst float64
 		for i := 0; i < n; i++ {
@@ -274,7 +326,7 @@ func balancedCutsSubset(env *sim.Env, layers []cnn.Layer, h int, allowed []bool)
 		return worst
 	}
 	cur := partLat(cuts)
-	cand := make([]int, len(cuts))
+	cand := w.cand
 	for iter := 0; iter < 24; iter++ {
 		improved := false
 		for ci := range cuts {
@@ -350,14 +402,16 @@ func warmSchedule(cfg Config, episodes int, floorOne bool) []int {
 	return kinds
 }
 
-// initCuts returns the InitSplits seed for volume v, clamped to a valid
-// sorted cut list on height h; shape mismatches fall back to balanced cuts.
-func (t *Trainer) initCuts(vol []cnn.Layer, v, h int) []int {
+// initCuts writes the InitSplits seed for volume v into dst, clamped to a
+// valid sorted cut list on height h; shape mismatches fall back to balanced
+// cuts.
+func (t *Trainer) initCuts(dst []int, vol []cnn.Layer, v, h int) []int {
 	n := t.env.NumProviders()
 	if v >= len(t.cfg.InitSplits) || len(t.cfg.InitSplits[v]) != n-1 {
-		return balancedCuts(t.env, vol, h)
+		return t.warm.balancedAll(dst, t.env, vol, h)
 	}
-	cuts := append([]int(nil), t.cfg.InitSplits[v]...)
+	cuts := dst
+	copy(cuts, t.cfg.InitSplits[v])
 	sort.Ints(cuts)
 	for i := range cuts {
 		if cuts[i] < 0 {
@@ -370,55 +424,87 @@ func (t *Trainer) initCuts(vol []cnn.Layer, v, h int) []int {
 	return cuts
 }
 
-// warmCuts returns the cut points for warm-start candidate `kind` on one
-// volume. The candidates cover the strategy families the optimum tends to
-// live in, so the best-strategy tracker starts from a strong anchor:
+// cuts writes the cut points of warm-start candidate `kind` on one volume
+// into dst. The candidates cover the strategy families the optimum tends
+// to live in, so the best-strategy tracker starts from a strong anchor:
 //
 //	0 — compute-balanced across all providers
 //	1 — everything on the single fastest provider (offload-shaped)
 //	2 — balanced across the fastest half of the providers
 //	3 — balanced across the fastest two providers
-func warmCuts(env *sim.Env, layers []cnn.Layer, h, kind int) []int {
+func (w *warmScratch) cuts(dst []int, env *sim.Env, layers []cnn.Layer, h, kind int) []int {
 	n := env.NumProviders()
+	w.size(n)
 	full := cnn.RowRange{Lo: 0, Hi: h}
-	lats := make([]float64, n)
-	order := make([]int, n)
+	lats, order := w.lats, w.order
 	for i := range env.Devices {
 		lats[i] = env.VolumeLatency(i, layers, full)
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return lats[order[a]] < lats[order[b]] })
+	// The generic sort runs sort.Slice's algorithm with the same
+	// comparisons, so ties among equally fast providers order as before.
+	slices.SortFunc(order, func(a, b int) int {
+		switch {
+		case lats[a] < lats[b]:
+			return -1
+		case lats[b] < lats[a]:
+			return 1
+		}
+		return 0
+	})
 
 	allow := func(k int) []bool {
-		allowed := make([]bool, n)
-		for _, i := range order[:k] {
-			allowed[i] = true
+		for i := range w.allowed {
+			w.allowed[i] = false
 		}
-		return allowed
+		for _, i := range order[:k] {
+			w.allowed[i] = true
+		}
+		return w.allowed
 	}
 	switch kind {
 	case 1:
-		return strategy.AllOnProvider(h, n, order[0])
+		return strategy.AllOnProviderInto(dst, h, order[0])
 	case 2:
 		k := (n + 1) / 2
 		if k < 1 {
 			k = 1
 		}
-		return balancedCutsSubset(env, layers, h, allow(k))
+		return w.balanced(dst, env, layers, h, allow(k))
 	case 3:
 		k := 2
 		if k > n {
 			k = n
 		}
-		return balancedCutsSubset(env, layers, h, allow(k))
+		return w.balanced(dst, env, layers, h, allow(k))
 	default:
-		return balancedCuts(env, layers, h)
+		return w.balancedAll(dst, env, layers, h)
+	}
+}
+
+// warmAction writes the action of warm-start candidate `kind` for volume v
+// into raw: the candidate's cut points as an action, plus a little noise.
+func (t *Trainer) warmAction(raw []float64, vol []cnn.Layer, v, h, kind int) {
+	n := t.env.NumProviders()
+	var cuts []int
+	switch kind {
+	case initWarmKind:
+		cuts = t.initCuts(t.cuts, vol, v, h)
+	case stageWarmKind:
+		cuts = strategy.AllOnProviderInto(t.cuts, h, v%n)
+	default:
+		cuts = t.warm.cuts(t.cuts, t.env, vol, h, kind)
+	}
+	actionFromCuts(raw, cuts, h)
+	for i := range raw {
+		raw[i] += 0.01 * t.rng.NormFloat64()
 	}
 }
 
 // runEpisode plays one episode (Alg. 2 lines 6-23) and returns the
 // episode's objective score (end-to-end latency under the default
-// objective). warmKind >= 0 selects a warm-start candidate family;
+// objective) and its strategy, which is the trainer's own and is rewritten
+// by the next episode. warmKind >= 0 selects a warm-start candidate family;
 // otherwise actions follow the ε-schedule.
 func (t *Trainer) runEpisode(eps float64, warmKind int, train bool) (float64, *strategy.Strategy) {
 	numVol := len(t.boundaries) - 1
@@ -431,86 +517,71 @@ func (t *Trainer) runEpisode(eps float64, warmKind int, train bool) (float64, *s
 	x := t.exec
 	sigma := math.Sqrt(t.cfg.SigmaSq)
 
-	splits := make([][]int, 0, numVol)
-	type pending struct {
-		s, a []float64
-		s2   []float64
-		done bool
-	}
-	var trans []pending
+	// The state before volume v+1 is volume v's next state; the terminal
+	// next state stays all zero.
+	t.state(t.states[0], x.Accumulated(), strategy.Volume(t.env.Model, t.boundaries, 0))
 	for v := 0; v < numVol; v++ {
 		vol := strategy.Volume(t.env.Model, t.boundaries, v)
 		h := vol[len(vol)-1].OutHeight()
-		st := t.state(x.Accumulated(), vol)
-
-		var raw []float64
+		st, raw := t.states[v], t.actions[v]
 		switch {
 		case warmKind >= 0:
-			var cuts []int
-			switch warmKind {
-			case initWarmKind:
-				cuts = t.initCuts(vol, v, h)
-			case stageWarmKind:
-				cuts = strategy.AllOnProvider(h, t.env.NumProviders(), v%t.env.NumProviders())
-			default:
-				cuts = warmCuts(t.env, vol, h, warmKind)
-			}
-			raw = actionFromCuts(cuts, h)
-			for i := range raw {
-				raw[i] += 0.01 * t.rng.NormFloat64()
-			}
+			t.warmAction(raw, vol, v, h, warmKind)
 		case t.rng.Float64() < eps:
-			raw = t.agent.NoisyAction(st, sigma)
+			t.agent.NoisyAction(raw, st, sigma)
 		default:
-			raw = t.agent.Action(st)
+			t.agent.Action(raw, st)
 		}
-		cuts := mapAction(raw, h)
-		splits = append(splits, cuts)
-		x.Step(cuts)
-
-		p := pending{s: st, a: raw}
-		if v == numVol-1 {
-			p.done = true
-			p.s2 = make([]float64, len(st))
-		} else {
-			next := strategy.Volume(t.env.Model, t.boundaries, v+1)
-			p.s2 = t.state(x.Accumulated(), next)
+		x.Step(mapAction(t.strat.Splits[v], t.sorted, raw, h))
+		if v+1 < numVol {
+			t.state(t.states[v+1], x.Accumulated(), strategy.Volume(t.env.Model, t.boundaries, v+1))
 		}
-		trans = append(trans, p)
 	}
 	latency, _, err := x.Finish()
 	if err != nil || latency <= 0 {
 		return math.Inf(1), nil
 	}
-	strat := &strategy.Strategy{Boundaries: t.boundaries, Splits: splits}
 	// The episode score is the objective's view of the strategy: the
 	// latency objective returns the already-simulated latency unchanged
 	// (so the default search performs exactly the pre-objective float
 	// sequence), while the throughput objective replays the strategy
 	// pipelined and returns steady seconds per image.
-	score, err := t.obj.EpisodeScore(t.env, strat, at, latency)
+	score, err := t.obj.EpisodeScore(t.env, t.strat, at, latency)
 	if err != nil || score <= 0 || math.IsInf(score, 0) {
 		return math.Inf(1), nil
 	}
 	// Rewards: 0 for intermediate steps, 1/T at the terminal step (Eq. 8,
 	// with T the objective score), scaled so typical returns are O(1).
-	for i, p := range trans {
+	for v := 0; v < numVol; v++ {
+		done := v == numVol-1
 		r := 0.0
-		if p.done {
+		if done {
 			r = t.latScale / score
 		}
-		t.agent.Buf.Add(rl.Transition{State: p.s, Action: p.a, Reward: r, NextState: p.s2, Done: p.done})
-		if train && (i+t.episode)%t.cfg.UpdateEvery == 0 {
+		t.agent.Buf.Add(rl.Transition{State: t.states[v], Action: t.actions[v], Reward: r, NextState: t.states[v+1], Done: done})
+		if train && (v+t.episode)%t.cfg.UpdateEvery == 0 {
 			t.agent.Update(t.cfg.Batch)
 		}
 	}
-	return score, strat
+	return score, t.strat
+}
+
+// record books one episode: its score joins the history, and its strategy
+// is copied out when it is the best seen.
+func (t *Trainer) record(score float64, strat *strategy.Strategy) {
+	t.hist = append(t.hist, score)
+	if strat != nil && score < t.bestT {
+		t.bestT = score
+		t.best = strat.Clone()
+	}
+	t.episode++
 }
 
 // Run trains for the configured number of episodes, tracking the best
 // strategy observed.
 func (t *Trainer) Run() *Result {
 	sched := warmSchedule(t.cfg, t.cfg.Episodes, false)
+	t.hist = slices.Grow(t.hist, t.cfg.Episodes)
 	for ep := 0; ep < t.cfg.Episodes; ep++ {
 		e := float64(ep) * t.cfg.DeltaEps
 		eps := 1 - e*e
@@ -521,13 +592,7 @@ func (t *Trainer) Run() *Result {
 		if ep < len(sched) {
 			warmKind = sched[ep]
 		}
-		lat, strat := t.runEpisode(eps, warmKind, true)
-		t.hist = append(t.hist, lat)
-		if strat != nil && lat < t.bestT {
-			t.bestT = lat
-			t.best = strat
-		}
-		t.episode++
+		t.record(t.runEpisode(eps, warmKind, true))
 	}
 	return &Result{Strategy: t.best, BestLatency: t.bestT, Episodes: append([]float64(nil), t.hist...)}
 }
@@ -552,13 +617,7 @@ func (t *Trainer) Finetune(env *sim.Env, episodes int) *Result {
 		if ep < len(sched) {
 			warmKind = sched[ep]
 		}
-		lat, strat := t.runEpisode(0.3, warmKind, true)
-		t.hist = append(t.hist, lat)
-		if strat != nil && lat < t.bestT {
-			t.bestT = lat
-			t.best = strat
-		}
-		t.episode++
+		t.record(t.runEpisode(0.3, warmKind, true))
 	}
 	return &Result{Strategy: t.best, BestLatency: t.bestT, Episodes: append([]float64(nil), t.hist...)}
 }

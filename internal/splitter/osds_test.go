@@ -33,6 +33,17 @@ func smallCfg(seed int64) Config {
 	}
 }
 
+// mapFresh is mapAction into fresh buffers.
+func mapFresh(raw []float64, h int) []int {
+	return mapAction(make([]int, len(raw)), make([]float64, len(raw)), raw, h)
+}
+
+// balancedCuts is the all-provider balanced split into a fresh slice.
+func balancedCuts(env *sim.Env, layers []cnn.Layer, h int) []int {
+	var w warmScratch
+	return w.balancedAll(make([]int, env.NumProviders()-1), env, layers, h)
+}
+
 func TestMapActionProperties(t *testing.T) {
 	f := func(raw [3]float64, hRaw uint8) bool {
 		h := int(hRaw)%200 + 1
@@ -43,7 +54,7 @@ func TestMapActionProperties(t *testing.T) {
 				vals[i] = 0
 			}
 		}
-		cuts := mapAction(vals, h)
+		cuts := mapFresh(vals, h)
 		if !sort.IntsAreSorted(cuts) {
 			return false
 		}
@@ -60,19 +71,19 @@ func TestMapActionProperties(t *testing.T) {
 }
 
 func TestMapActionExtremes(t *testing.T) {
-	cuts := mapAction([]float64{-1, -1, -1}, 100)
+	cuts := mapFresh([]float64{-1, -1, -1}, 100)
 	for _, c := range cuts {
 		if c != 0 {
 			t.Fatalf("all -1 should map to 0: %v", cuts)
 		}
 	}
-	cuts = mapAction([]float64{1, 1, 1}, 100)
+	cuts = mapFresh([]float64{1, 1, 1}, 100)
 	for _, c := range cuts {
 		if c != 100 {
 			t.Fatalf("all +1 should map to h: %v", cuts)
 		}
 	}
-	cuts = mapAction([]float64{0}, 100)
+	cuts = mapFresh([]float64{0}, 100)
 	if cuts[0] != 50 {
 		t.Fatalf("0 should map to h/2: %v", cuts)
 	}
@@ -81,8 +92,8 @@ func TestMapActionExtremes(t *testing.T) {
 func TestActionRoundTrip(t *testing.T) {
 	h := 224
 	cuts := []int{56, 112, 168}
-	raw := actionFromCuts(cuts, h)
-	back := mapAction(raw, h)
+	raw := actionFromCuts(make([]float64, len(cuts)), cuts, h)
+	back := mapFresh(raw, h)
 	for i := range cuts {
 		if back[i] != cuts[i] {
 			t.Fatalf("roundtrip %v -> %v -> %v", cuts, raw, back)
@@ -242,13 +253,42 @@ func TestStateNormalisation(t *testing.T) {
 		t.Fatal(err)
 	}
 	vol := strategy.Volume(env.Model, tr.boundaries, 0)
-	st := tr.state([]float64{0.01, 0.02, 0, 0}, vol)
+	st := make([]float64, 8)
+	tr.state(st, []float64{0.01, 0.02, 0, 0}, vol)
 	if len(st) != 8 {
 		t.Fatalf("state dim %d, want providers+4", len(st))
 	}
 	for i, v := range st {
 		if math.IsNaN(v) || math.Abs(v) > 10 {
 			t.Errorf("state[%d] = %g badly scaled", i, v)
+		}
+	}
+}
+
+// TestEpisodeAllocs: once a trainer's buffers, its replay storage, the
+// device-latency cache and the plan memo have warmed up, an OSDS episode
+// that sets no new best allocates nothing — under the latency objective,
+// and under the throughput objective, whose pipelined score recompiles the
+// trainer's one strategy in place and reuses the plan's serving state.
+func TestEpisodeAllocs(t *testing.T) {
+	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
+	for _, obj := range []sim.Objective{nil, sim.ThroughputObjective{}} {
+		cfg := smallCfg(3)
+		cfg.Objective = obj
+		tr, err := NewTrainer(env, strategy.PoolBoundaries(env.Model), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			tr.runEpisode(0.5, -1, true)
+		}
+		got := testing.AllocsPerRun(50, func() {
+			if score, strat := tr.runEpisode(0.5, -1, true); strat == nil || math.IsInf(score, 0) {
+				t.Fatal("episode failed")
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s objective: %.0f allocations per episode, want 0", sim.DefaultObjective(obj).Name(), got)
 		}
 	}
 }

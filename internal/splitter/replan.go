@@ -34,10 +34,11 @@ func BalancedSubset(env *sim.Env, boundaries []int, alive []bool) (*strategy.Str
 		return nil, fmt.Errorf("splitter: no alive providers to re-plan over")
 	}
 	s := &strategy.Strategy{Boundaries: append([]int(nil), boundaries...)}
+	var w warmScratch
 	for v := 0; v+1 < len(boundaries); v++ {
 		layers := strategy.Volume(env.Model, boundaries, v)
 		h := layers[len(layers)-1].OutHeight()
-		s.Splits = append(s.Splits, balancedCutsSubset(env, layers, h, alive))
+		s.Splits = append(s.Splits, w.balanced(make([]int, n-1), env, layers, h, alive))
 	}
 	return s, nil
 }

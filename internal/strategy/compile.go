@@ -47,26 +47,45 @@ type Geometry struct {
 	FCOwner     int
 	FCLayers    []cnn.Layer
 	ResultBytes float64
+
+	// Backing arrays of the volumes' slices, kept for CompileGeometryInto.
+	ranges  []cnn.RowRange
+	lists   [][]Source
+	sources []Source
 }
 
 // CompileGeometry validates the strategy once and resolves its geometry for
 // the given provider count. The result depends only on the model and the
 // strategy.
 func CompileGeometry(m *cnn.Model, s *Strategy, providers int) (*Geometry, error) {
-	if err := s.Validate(m, providers); err != nil {
+	g := new(Geometry)
+	if err := CompileGeometryInto(g, m, s, providers); err != nil {
 		return nil, err
+	}
+	return g, nil
+}
+
+// CompileGeometryInto is CompileGeometry resolving into g, whose earlier
+// contents it replaces, reusing g's storage: once g has held a geometry of
+// as many volumes and providers with at least as many halo overlaps, it
+// allocates nothing. A strategy that fails validation leaves g as it was.
+func CompileGeometryInto(g *Geometry, m *cnn.Model, s *Strategy, providers int) error {
+	if err := s.Validate(m, providers); err != nil {
+		return err
 	}
 	// One backing array per kind for the whole plan: the planner compiles
 	// every candidate strategy, so the allocation count is kept flat.
-	vols := make([]VolumeGeometry, s.NumVolumes())
-	ranges := make([]cnn.RowRange, 2*providers*len(vols))
-	lists := make([][]Source, providers*len(vols))
+	numVols := s.NumVolumes()
+	vols := resize(g.Volumes, numVols)
+	ranges := resize(g.ranges, 2*providers*numVols)
+	lists := resize(g.lists, providers*numVols)
+	g.ranges, g.lists = ranges, lists
 	overlaps := 0
 	for v := range vols {
 		layers := Volume(m, s.Boundaries, v)
 		last := layers[len(layers)-1]
-		g := &vols[v]
-		*g = VolumeGeometry{
+		vg := &vols[v]
+		*vg = VolumeGeometry{
 			Layers:      layers,
 			Height:      last.OutHeight(),
 			InRowBytes:  layers[0].InRowBytes(),
@@ -76,22 +95,25 @@ func CompileGeometry(m *cnn.Model, s *Strategy, providers int) (*Geometry, error
 			Sources:     lists[:providers:providers],
 		}
 		ranges, lists = ranges[2*providers:], lists[providers:]
-		for i := range g.Parts {
-			g.Parts[i] = CutRange(s.Splits[v], g.Height, i)
-			if g.Parts[i].Empty() {
+		for i := range vg.Parts {
+			vg.Parts[i] = CutRange(s.Splits[v], vg.Height, i)
+			if vg.Parts[i].Empty() {
 				continue
 			}
-			g.Inputs[i] = cnn.VolumeInputRows(layers, g.Parts[i])
+			vg.Inputs[i] = cnn.VolumeInputRows(layers, vg.Parts[i])
 			if v > 0 {
 				for _, own := range vols[v-1].Parts {
-					if !g.Inputs[i].Intersect(own).Empty() {
+					if !vg.Inputs[i].Intersect(own).Empty() {
 						overlaps++
 					}
 				}
 			}
 		}
 	}
-	flat := make([]Source, 0, overlaps)
+	flat := g.sources[:0]
+	if cap(flat) < overlaps {
+		flat = make([]Source, 0, overlaps)
+	}
 	for v := 1; v < len(vols); v++ {
 		for i, in := range vols[v].Inputs {
 			lo := len(flat)
@@ -103,17 +125,29 @@ func CompileGeometry(m *cnn.Model, s *Strategy, providers int) (*Geometry, error
 			vols[v].Sources[i] = flat[lo:len(flat):len(flat)]
 		}
 	}
+	g.sources = flat
 
-	geo := &Geometry{Volumes: vols, FCOwner: -1, FCLayers: m.FCLayers()}
-	if len(geo.FCLayers) > 0 {
+	g.Volumes, g.FCOwner, g.FCLayers, g.ResultBytes = vols, -1, m.FCLayers(), 0
+	if len(g.FCLayers) > 0 {
 		best := -1
 		for i, part := range vols[len(vols)-1].Parts {
 			if part.Len() > best {
 				best = part.Len()
-				geo.FCOwner = i
+				g.FCOwner = i
 			}
 		}
-		geo.ResultBytes = geo.FCLayers[len(geo.FCLayers)-1].OutputBytes()
+		g.ResultBytes = g.FCLayers[len(g.FCLayers)-1].OutputBytes()
 	}
-	return geo, nil
+	return nil
+}
+
+// resize returns s resliced to n zeroed elements, or a new slice when s is
+// too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

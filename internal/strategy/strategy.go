@@ -161,14 +161,19 @@ func EqualCuts(h, n int) []int {
 // the given nonnegative weights (the linear-ratio split of CoEdge, MoDNN,
 // MeDNN, AOFL). Weights summing to zero yield everything on provider 0.
 func ProportionalCuts(h int, weights []float64) []int {
-	n := len(weights)
+	return ProportionalCutsInto(make([]int, len(weights)-1), h, weights)
+}
+
+// ProportionalCutsInto is ProportionalCuts writing into dst, which must have
+// one entry fewer than weights.
+func ProportionalCutsInto(dst []int, h int, weights []float64) []int {
 	var total float64
 	for _, w := range weights {
 		if w > 0 {
 			total += w
 		}
 	}
-	cuts := make([]int, n-1)
+	cuts := dst
 	if total <= 0 {
 		for i := range cuts {
 			cuts[i] = h
@@ -176,7 +181,7 @@ func ProportionalCuts(h int, weights []float64) []int {
 		return cuts
 	}
 	var acc float64
-	for i := 0; i < n-1; i++ {
+	for i := range cuts {
 		w := weights[i]
 		if w < 0 {
 			w = 0
@@ -196,13 +201,17 @@ func ProportionalCuts(h int, weights []float64) []int {
 // AllOnProvider returns cut points assigning every row of a height-h layer
 // to the single given provider (the Offload baseline).
 func AllOnProvider(h, n, provider int) []int {
-	cuts := make([]int, n-1)
-	for i := range cuts {
+	return AllOnProviderInto(make([]int, n-1), h, provider)
+}
+
+// AllOnProviderInto is AllOnProvider writing the n-1 cut points into dst.
+func AllOnProviderInto(dst []int, h, provider int) []int {
+	for i := range dst {
 		if i < provider {
-			cuts[i] = 0
+			dst[i] = 0
 		} else {
-			cuts[i] = h
+			dst[i] = h
 		}
 	}
-	return cuts
+	return dst
 }

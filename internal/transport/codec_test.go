@@ -51,6 +51,49 @@ func FuzzBinaryDecode(f *testing.F) {
 	})
 }
 
+// FuzzDeflateDecode feeds arbitrary bytes to the deflate decoder. It must
+// not panic, whatever the frame or the compressed stream inside it says,
+// and a frame whose declared payload is longer than the bytes that follow
+// must fail having allocated no more than the binary decoder's eagerFrame
+// bound allows (under 8 MiB, as TestBinaryDecodeBoundsUpFrontAllocation
+// holds the binary decoder to).
+func FuzzDeflateDecode(f *testing.F) {
+	var buf bytes.Buffer
+	enc := Deflate().NewEncoder(&buf)
+	for _, m := range []Message{
+		{Image: 7, Volume: 3, Lo: 10, Hi: 12, Payload: bytes.Repeat([]byte{1, 2, 3, 4}, 300)},
+		{Image: 2, Volume: VolHeartbeat, Lo: 1},
+		{Image: 1, Volume: 1, Hi: 1, Payload: []byte{9}},
+	} {
+		buf.Reset()
+		if err := enc.Encode(&m); err != nil {
+			f.Fatal(err)
+		}
+		frame := append([]byte(nil), buf.Bytes()...)
+		f.Add(frame)
+		f.Add(frame[:len(frame)-1])
+	}
+	f.Add(hostileFrame(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var m Message
+		err := Deflate().NewDecoder(bytes.NewReader(data), nil).Decode(&m)
+		runtime.ReadMemStats(&after)
+		if len(data) < chunkHeaderLen || data[0] != tagChunk {
+			return
+		}
+		if declared := binary.LittleEndian.Uint32(data[21:25]); int64(declared) > int64(len(data)-chunkHeaderLen) {
+			if err == nil {
+				t.Fatalf("a frame declaring %d payload bytes decoded from %d", declared, len(data)-chunkHeaderLen)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+				t.Fatalf("a short frame declaring %d payload bytes allocated %d bytes", declared, got)
+			}
+		}
+	})
+}
+
 // hostileFrame is a 64-byte stream whose header declares a 1 GiB payload.
 func hostileFrame(tb testing.TB) []byte {
 	frame := binaryFrame(tb, Message{Image: 1, Volume: 2, Hi: 1, Payload: make([]byte, 64-chunkHeaderLen)})
