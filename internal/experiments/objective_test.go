@@ -140,7 +140,7 @@ func TestObjectiveDifferentialSimVsRuntime(t *testing.T) {
 			Batch:             1,  // the sim predictions compared against are unbatched
 			HeartbeatInterval: -1, // charged links must not starve liveness
 		}
-		opts.Transport = transport.NewShaped(transport.NewPooledInproc(nil), env.Net, timeScale, bytesScale)
+		opts.Transport = transport.NewShaped(transport.NewPooledInproc(), env.Net, timeScale, bytesScale)
 		cl, err := runtime.Deploy(env, s, opts)
 		if err != nil {
 			t.Fatal(err)

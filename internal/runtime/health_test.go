@@ -141,7 +141,7 @@ func TestHeartbeatsKeepAnIdleFleetAlive(t *testing.T) {
 	const interval = 10 * time.Millisecond
 	cl, err := Deploy(env, equalStrategy(env, []int{0, 18}), Options{
 		TimeScale: 0.002, BytesScale: 0.001, Recover: true,
-		HeartbeatInterval: interval, Transport: transport.NewPooledTCP(nil, nil),
+		HeartbeatInterval: interval, Transport: transport.NewPooledTCP(nil),
 	})
 	if err != nil {
 		t.Fatal(err)

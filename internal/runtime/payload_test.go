@@ -221,7 +221,7 @@ func (c *countingPool) PutPayload(b []byte) {
 func TestSelfRoutesCarryNoPayload(t *testing.T) {
 	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
 	s := equalStrategy(env, []int{0, 10, 14, 18})
-	pool := &countingPool{Transport: transport.NewPooledInproc(nil)}
+	pool := &countingPool{Transport: transport.NewPooledInproc()}
 	opts := fastOpts()
 	opts.Transport = pool
 	plan, err := BuildPlan(env, s, opts)

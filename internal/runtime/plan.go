@@ -121,7 +121,7 @@ func (o Options) withDefaults() Options {
 		o.Batch = 1
 	}
 	if o.Transport == nil {
-		o.Transport = transport.NewPooledTCP(nil, nil)
+		o.Transport = transport.NewPooledTCP(nil)
 	}
 	return o
 }

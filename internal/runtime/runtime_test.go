@@ -65,11 +65,11 @@ func testTransport() transport.Transport {
 	case "", "inproc":
 		// Pooled, like the serving defaults: the whole runtime suite (and
 		// the race job) then exercises payload buffer reuse.
-		return transport.NewPooledInproc(nil)
+		return transport.NewPooledInproc()
 	case "tcp":
-		return transport.NewPooledTCP(nil, nil)
+		return transport.NewPooledTCP(nil)
 	case "tcp+deflate":
-		return transport.NewPooledTCP(transport.Deflate(), nil)
+		return transport.NewPooledTCP(transport.Deflate())
 	default:
 		panic(fmt.Sprintf("unknown DISTREDGE_TEST_TRANSPORT %q (want inproc|tcp|tcp+deflate)", v))
 	}

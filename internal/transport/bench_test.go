@@ -109,7 +109,7 @@ func BenchmarkInprocRoundtrip(b *testing.B) {
 			func([]byte) {})
 	})
 	b.Run("pooled", func(b *testing.B) {
-		tr := NewPooledInproc(nil)
+		tr := NewPooledInproc()
 		run(b, tr,
 			func() []byte { return tr.GetPayload(payload) },
 			tr.PutPayload)
@@ -149,7 +149,7 @@ func BenchmarkTCPRoundtrip(b *testing.B) {
 			func([]byte) {})
 	})
 	b.Run("binary+pool", func(b *testing.B) {
-		tr := NewPooledTCP(nil, nil)
+		tr := NewPooledTCP(nil)
 		pp := tr.(PayloadPool)
 		run(b, tr,
 			func() []byte {
@@ -180,7 +180,7 @@ func BenchmarkTCPRoundtrip(b *testing.B) {
 	// drains on its own goroutine, as a peer process would.
 	b.Run("binary+hint/1MiB", func(b *testing.B) {
 		const large = 1 << 20
-		tr := NewPooledTCP(nil, nil)
+		tr := NewPooledTCP(nil)
 		SetBufferHint(tr, large)
 		pp := tr.(PayloadPool)
 		_, conn, accepted := dialPair(b, tr)
@@ -225,8 +225,8 @@ func BenchmarkHotPath(b *testing.B) {
 			name = fmt.Sprintf("%dKiB/coalesced", payload>>10)
 		}
 		b.Run(name, func(b *testing.B) {
-			pool := NewPool()
-			tr := NewPooledTCP(nil, pool)
+			tr := NewPooledTCP(nil)
+			pp := tr.(PayloadPool)
 			SetBufferHint(tr, payload)
 			ln, err := tr.Listen(0)
 			if err != nil {
@@ -252,7 +252,7 @@ func BenchmarkHotPath(b *testing.B) {
 						done <- err
 						return
 					}
-					pool.Put(m.Payload)
+					pp.PutPayload(m.Payload)
 				}
 				done <- nil
 			}()
@@ -262,7 +262,7 @@ func BenchmarkHotPath(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				msg := testMessage(0)
-				msg.Payload = pool.Get(payload)
+				msg.Payload = pp.GetPayload(payload)
 				if err := co.Send(msg, i+1 < b.N); err != nil {
 					b.Fatal(err)
 				}

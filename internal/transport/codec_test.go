@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"runtime"
 	"testing"
@@ -53,10 +54,11 @@ func FuzzBinaryDecode(f *testing.F) {
 
 // FuzzDeflateDecode feeds arbitrary bytes to the deflate decoder. It must
 // not panic, whatever the frame or the compressed stream inside it says,
-// and a frame whose declared payload is longer than the bytes that follow
-// must fail having allocated no more than the binary decoder's eagerFrame
-// bound allows (under 8 MiB, as TestBinaryDecodeBoundsUpFrontAllocation
-// holds the binary decoder to).
+// must never accept a payload that inflates past maxFrame, and a frame
+// whose declared payload is longer than the bytes that follow must fail
+// having allocated no more than the binary decoder's eagerFrame bound
+// allows (under 8 MiB, as TestBinaryDecodeBoundsUpFrontAllocation holds
+// the binary decoder to).
 func FuzzDeflateDecode(f *testing.F) {
 	var buf bytes.Buffer
 	enc := Deflate().NewEncoder(&buf)
@@ -80,6 +82,9 @@ func FuzzDeflateDecode(f *testing.F) {
 		var m Message
 		err := Deflate().NewDecoder(bytes.NewReader(data), nil).Decode(&m)
 		runtime.ReadMemStats(&after)
+		if err == nil && len(m.Payload) > maxFrame {
+			t.Fatalf("accepted a payload of %d bytes, past maxFrame", len(m.Payload))
+		}
 		if len(data) < chunkHeaderLen || data[0] != tagChunk {
 			return
 		}
@@ -92,6 +97,59 @@ func FuzzDeflateDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestInflateStopsAtLimit: a deflate bomb — 16 MiB of zeros in a few KiB
+// — fails under a 64 KiB limit having allocated a small multiple of the
+// limit, not its inflated size, while payloads up to the limit inflate
+// intact from a hint far below their size, and one byte more fails.
+func TestInflateStopsAtLimit(t *testing.T) {
+	const limit = 64 << 10
+	bomb := deflated(t, make([]byte, 16<<20))
+	fr := flate.NewReader(bytes.NewReader(bomb))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := inflate(fr, nil, len(bomb), limit)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("a %d-byte stream of 16 MiB inflated under a %d-byte limit", len(bomb), limit)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing the bomb allocated %d bytes", got)
+	}
+
+	for _, n := range []int{1, 1000, limit - 1, limit, limit + 1} {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = largeFramePattern(n, j)
+		}
+		got, err := inflate(flate.NewReader(bytes.NewReader(deflated(t, p))), nil, 16, limit)
+		switch {
+		case n > limit && err == nil:
+			t.Errorf("%d-byte payload inflated under a %d-byte limit", n, limit)
+		case n <= limit && err != nil:
+			t.Errorf("%d-byte payload: %v", n, err)
+		case n <= limit && !bytes.Equal(got, p):
+			t.Errorf("%d-byte payload inflated to %d bytes, or its bytes differ", n, len(got))
+		}
+	}
+}
+
+// deflated returns p compressed as the deflate codec compresses a payload.
+func deflated(tb testing.TB, p []byte) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := fw.Write(p); err != nil {
+		tb.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // hostileFrame is a 64-byte stream whose header declares a 1 GiB payload.
@@ -118,7 +176,7 @@ func TestBinaryDecodeBoundsUpFrontAllocation(t *testing.T) {
 		t.Errorf("decoding a 64-byte stream allocated %d bytes", got)
 	}
 
-	pool := NewPool()
+	pool := new(Pool)
 	for _, n := range []int{eagerFrame - 1, eagerFrame, eagerFrame + 1, 2*eagerFrame + 3} {
 		p := make([]byte, n)
 		for j := range p {

@@ -139,7 +139,6 @@ func (e *deflateEncoder) Encode(m *Message) error {
 type deflateDecoder struct {
 	inner Decoder
 	br    bytes.Reader
-	out   bytes.Buffer
 	pool  *Pool
 }
 
@@ -156,16 +155,59 @@ func (d *deflateDecoder) Decode(m *Message) error {
 	if err != nil {
 		return err
 	}
-	d.out.Reset()
-	if _, err := d.out.ReadFrom(fr); err != nil {
-		return fmt.Errorf("transport: deflate payload: %w", err)
+	// Starting at the compressed size, the doublings end in the size class
+	// an exact Get of the inflated size would draw from, so received
+	// payloads recycle into the classes senders draw from.
+	payload, err := inflate(fr, d.pool, len(compressed), maxFrame)
+	if err != nil {
+		return err
 	}
 	putFlateReader(fr)
-	buf := d.pool.Get(d.out.Len())
-	copy(buf, d.out.Bytes())
-	m.Payload = buf
+	m.Payload = payload
 	// The compressed buffer came from the pool the inner decoder shares; it
 	// is dead now that the payload is inflated.
 	d.pool.Put(compressed)
 	return nil
+}
+
+// inflate reads fr to its end into a buffer drawn from pool, the way the
+// binary decoder reads a long frame (readGrowing): the buffer starts at
+// hint bytes and doubles only once the inflated bytes have filled it, so
+// a payload costs what it inflates to, never what a stream claims or could
+// expand to. A stream that inflates past limit bytes — the bound the
+// binary decoder puts on a declared length — fails having filled a buffer
+// of at most limit bytes.
+func inflate(fr io.Reader, pool *Pool, hint, limit int) ([]byte, error) {
+	buf := pool.Get(min(max(hint, 1), limit))
+	buf = buf[:min(cap(buf), limit)]
+	n, err := 0, error(nil)
+	for err == nil {
+		var k int
+		k, err = fr.Read(buf[n:])
+		n += k
+		switch {
+		case err != nil || n < len(buf):
+		case n == limit:
+			// A full buffer at the limit is the whole payload only if the
+			// stream ends here.
+			var probe [1]byte
+			if _, err = io.ReadFull(fr, probe[:]); err == nil {
+				err = fmt.Errorf("inflates past %d bytes", limit)
+			}
+		default:
+			grown := pool.Get(min(2*n, limit))
+			grown = grown[:min(cap(grown), limit)]
+			copy(grown, buf[:n])
+			pool.Put(buf)
+			buf = grown
+		}
+	}
+	if err == io.EOF && n > 0 {
+		return buf[:n], nil
+	}
+	pool.Put(buf)
+	if err == io.EOF {
+		return nil, nil // an empty payload
+	}
+	return nil, fmt.Errorf("transport: deflate payload: %w", err)
 }

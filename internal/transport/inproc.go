@@ -31,16 +31,15 @@ func NewInproc() *Inproc {
 	return &Inproc{listeners: make(map[string]*inprocListener)}
 }
 
-// NewPooledInproc is NewInproc with a payload pool. Messages still cross
+// NewPooledInproc is NewInproc with payload pooling. Messages still cross
 // by reference — the transport itself never copies — so pooling here is
 // purely the Get/Put cycle the runtime drives: a produced payload is
 // handed over on Send, consumed at the receiver, recycled with
-// PutPayload, and the next GetPayload returns the same buffer.
-func NewPooledInproc(pool *Pool) *Inproc {
-	if pool == nil {
-		pool = NewPool()
-	}
-	return &Inproc{listeners: make(map[string]*inprocListener), pool: pool}
+// PutPayload, and the next GetPayload returns the same buffer. The pool
+// is the process's one payload pool, shared with every pooled tcp
+// transport.
+func NewPooledInproc() *Inproc {
+	return &Inproc{listeners: make(map[string]*inprocListener), pool: &payloads}
 }
 
 func (t *Inproc) Name() string { return "inproc" }

@@ -24,7 +24,7 @@ func TestLargeFramesOverSocket(t *testing.T) {
 	const beats = 40
 	nData := rounds * len(sizes)
 
-	tr := NewPooledTCP(nil, nil)
+	tr := NewPooledTCP(nil)
 	SetBufferHint(tr, 3<<20+3)
 	pp := tr.(PayloadPool)
 	_, conn, accepted := dialPair(t, tr)
@@ -127,7 +127,7 @@ func TestLargeSendToClosedPeerFails(t *testing.T) {
 // decoder allocates up front, crosses a pooled localhost socket intact.
 func TestFramePastEagerLimitOverSocket(t *testing.T) {
 	const n = 9 << 20
-	tr := NewPooledTCP(nil, nil)
+	tr := NewPooledTCP(nil)
 	pp := tr.(PayloadPool)
 	_, conn, accepted := dialPair(t, tr)
 	p := pp.GetPayload(n)

@@ -10,7 +10,9 @@ import (
 // with a pool those buffers cycle between the producer, the wire and the
 // consumer instead of being garbage after one hop. Buffers are kept in
 // power-of-two size-class buckets so a deployment's handful of distinct
-// payload sizes never evict each other.
+// payload sizes never evict each other. The pooled transports all share
+// one process-wide Pool (payloads); the zero Pool is empty and ready to
+// use.
 //
 // Ownership protocol (documented on PayloadPool): Send transfers payload
 // ownership to the transport, and payloads returned by Recv belong to the
@@ -31,8 +33,14 @@ type Pool struct {
 	holders sync.Pool             // of empty *[]byte
 }
 
-// NewPool returns an empty payload pool.
-func NewPool() *Pool { return &Pool{} }
+// payloads is the process's one payload pool: every pooled transport
+// (NewPooledTCP, NewPooledInproc) draws from it and recycles into it, as
+// every deflate codec shares one set of flate states. A payload buffer is
+// a process resource, not a cluster's: when a cluster closes, its idle
+// buffers serve the next cluster's first images instead of sitting in a
+// dead pool's victim cache while a fresh pool allocates the same sizes
+// again. The GC still releases whatever stays idle over two collections.
+var payloads Pool
 
 // Get returns a length-n buffer, reusing a pooled one when the size class
 // has any. Sizes beyond the largest bucket (4 GiB) bypass the pool.

@@ -10,7 +10,7 @@ import (
 // same size class reuses the buffer, and a buffer never shrinks below the
 // requested length.
 func TestPoolSizeClasses(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	b := p.Get(1000)
 	if len(b) != 1000 || cap(b) < 1000 {
 		t.Fatalf("Get(1000): len=%d cap=%d", len(b), cap(b))
@@ -50,7 +50,7 @@ func TestPoolSizeClasses(t *testing.T) {
 // sync.Pool is boxed into an interface — one allocation per Put — so the
 // buckets hold recycled *[]byte holders instead.
 func TestPoolGetPutAllocatesNothing(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	p.Put(p.Get(1000))
 	allocs := testing.AllocsPerRun(1000, func() {
 		b := p.Get(1000)
@@ -69,7 +69,7 @@ func TestPoolGetPutAllocatesNothing(t *testing.T) {
 // message passed by address through the Encoder / Decoder interface escapes
 // to the heap on every call.
 func TestPooledTCPMessageAllocatesNothing(t *testing.T) {
-	tr := NewPooledTCP(nil, nil)
+	tr := NewPooledTCP(nil)
 	pp := tr.(PayloadPool)
 	_, conn, accepted := dialPair(t, tr)
 	bc := conn.(BatchConn)
@@ -117,7 +117,7 @@ func TestPooledTCPRoundtripContent(t *testing.T) {
 			name = codec.Name()
 		}
 		t.Run(name, func(t *testing.T) {
-			tr := NewPooledTCP(codec, nil)
+			tr := NewPooledTCP(codec)
 			pp := tr.(PayloadPool)
 			ln, err := tr.Listen(0)
 			if err != nil {
@@ -164,7 +164,7 @@ func TestPooledTCPRoundtripContent(t *testing.T) {
 // over pooled inproc, consumed and recycled is the very buffer the next
 // GetPayload returns.
 func TestPooledInprocReusesBuffer(t *testing.T) {
-	tr := NewPooledInproc(nil)
+	tr := NewPooledInproc()
 	ln, err := tr.Listen(0)
 	if err != nil {
 		t.Fatal(err)
@@ -280,22 +280,22 @@ func TestDeflateCorruptPayloadErrors(t *testing.T) {
 // pool must implement the PayloadPool interface.
 func TestParsePooledTransportsImplementPayloadPool(t *testing.T) {
 	for _, tr := range []Transport{
-		NewPooledTCP(nil, nil),
-		NewPooledTCP(Deflate(), nil),
-		NewPooledTCP(Quant(QuantInt8, nil), nil),
-		NewPooledTCP(Quant(QuantInt8, Deflate()), nil),
-		NewPooledInproc(nil),
+		NewPooledTCP(nil),
+		NewPooledTCP(Deflate()),
+		NewPooledTCP(Quant(QuantInt8, nil)),
+		NewPooledTCP(Quant(QuantInt8, Deflate())),
+		NewPooledInproc(),
 	} {
 		if _, ok := tr.(PayloadPool); !ok {
 			t.Errorf("%s does not implement PayloadPool", tr.Name())
 		}
 	}
 	// Decorators forward pooling to their inner transport.
-	shaped := Transport(NewShaped(NewPooledInproc(nil), nil, 1, 1))
+	shaped := Transport(NewShaped(NewPooledInproc(), nil, 1, 1))
 	if _, ok := shaped.(PayloadPool); !ok {
 		t.Error("shaped decorator does not forward PayloadPool")
 	}
-	chaos := Transport(NewChaos(NewPooledInproc(nil), ChaosConfig{}))
+	chaos := Transport(NewChaos(NewPooledInproc(), ChaosConfig{}))
 	if _, ok := chaos.(PayloadPool); !ok {
 		t.Error("chaos decorator does not forward PayloadPool")
 	}

@@ -87,7 +87,7 @@ func TestShapedPostCodecCharging(t *testing.T) {
 	const timeScale = 0.5
 	const payload = 50_000 // 0.4 model sec raw at 1 Mbps; 0.1 quantized
 
-	tr := NewShaped(NewPooledTCP(Quant(QuantInt8, nil), nil), net, timeScale, 1)
+	tr := NewShaped(NewPooledTCP(Quant(QuantInt8, nil)), net, timeScale, 1)
 	sec := timeSend(t, shapedPair(t, tr, Requester, 0), testMessage(payload))
 
 	wantRaw := 0.4 * timeScale

@@ -36,8 +36,8 @@ const (
 )
 
 // tcpTransport carries messages over localhost TCP sockets with a
-// pluggable codec, an optional payload pool (nil = plain allocation), and
-// adaptive flush coalescing on the buffered send path.
+// pluggable codec, the process payload pool or none (nil = plain
+// allocation), and adaptive flush coalescing on the buffered send path.
 type tcpTransport struct {
 	codec Codec
 	pool  *Pool
@@ -57,14 +57,12 @@ func NewTCP(codec Codec) Transport {
 // NewPooledTCP is NewTCP with payload pooling: sent data payloads are
 // recycled once serialised (the socket copy makes them dead the moment
 // the send returns), and received payloads are decoded into pooled buffers
-// the consumer hands back with PutPayload. pool nil allocates a private
-// pool.
-func NewPooledTCP(codec Codec, pool *Pool) Transport {
-	if pool == nil {
-		pool = NewPool()
-	}
+// the consumer hands back with PutPayload. Every pooled transport draws
+// from the process's one payload pool, so the buffers a closed cluster
+// leaves idle serve the next one.
+func NewPooledTCP(codec Codec) Transport {
 	t := NewTCP(codec).(*tcpTransport)
-	t.pool = pool
+	t.pool = &payloads
 	return t
 }
 
