@@ -203,7 +203,7 @@ func parseWindows(spec string) ([]int, error) {
 }
 
 // parseCodecs validates the fidelity grid's codec axis: each name maps to
-// a pooled TCP stack ("binary" to plain tcp, anything else to
+// a TCP stack ("binary" to plain tcp, anything else to
 // "tcp+"+name), so the set of legal names is exactly ParseTransport's.
 func parseCodecs(spec string) ([]string, error) {
 	var out []string
@@ -525,8 +525,8 @@ func planner(w io.Writer, b experiments.Budget) error {
 // fidelity cross-checks the simulator against the real runtime over a
 // {batch} x {codec} x {wire regime} grid: a fixed plan is evaluated with
 // sim.Serve (matching batch cap, matching codec wire
-// fraction) and deployed with that runtime.Options.Batch over a pooled
-// TCP stack carrying that codec. The default plan is the CoEdge baseline
+// fraction) and deployed with that runtime.Options.Batch over a TCP stack
+// carrying that codec. The default plan is the CoEdge baseline
 // (profile-guided, no training — planning noise would blur the
 // comparison); -objective latency|ips swaps in a planned strategy so the
 // objective planners themselves can be validated end-to-end.
@@ -603,25 +603,12 @@ func fidelity(w io.Writer, b experiments.Budget, batches []int, codecs []string,
 				if err != nil {
 					return err
 				}
-				var rtObj sim.Objective
-				if objectiveSpec != "" {
-					rtObj, err = distredge.RuntimeObjective(distredge.PlanConfig{
-						Objective:       objective,
-						ObjectiveWindow: objWindow,
-						ObjectiveBatch:  k,
-						SLOP95MS:        sloMS,
-					})
-					if err != nil {
-						return err
-					}
-				}
 				opts := runtime.Options{
 					TimeScale:         timeScale,
 					BytesScale:        bytesScale,
 					Batch:             k,
 					HeartbeatInterval: -1, // charged links must not starve liveness
 					Transport:         tr,
-					Objective:         rtObj,
 				}
 				if shaped {
 					opts.Transport = sys.ShapedTransportPostCodec(tr, opts)

@@ -209,7 +209,7 @@ func run(w io.Writer, args []string) error {
 			return err
 		}
 		opts := runtime.Options{TimeScale: *timescale, BytesScale: *bytescale, Recover: sc.Recover, Replan: sc.Replan,
-			HeartbeatInterval: *heartbeat, Objective: rtObj, Batch: *batch}
+			HeartbeatInterval: *heartbeat, Batch: *batch}
 		if *trace {
 			opts.Transport = sys.ShapedTransportPostCodec(tr, opts)
 		} else {

@@ -453,9 +453,10 @@ func (s *System) Score(p *Plan, objective Objective, window int) (float64, error
 	return sim.DefaultObjective(obj).Score(s.env, p.Strategy, 0)
 }
 
-// RuntimeObjective resolves a PlanConfig into the runtime.Options.Objective
-// value, so a deployed cluster's recovery re-planner re-plans for the
-// objective being served (nil for the latency default). Set
+// RuntimeObjective resolves a PlanConfig into the sim.Objective a deployed
+// cluster serves (nil for the latency default), so its recovery re-plans
+// for that objective: pass splitter.ObjectiveReplan(obj), or a plan
+// cache's CachedReplan, as runtime.Options.Replan. Set
 // cfg.ObjectiveBatch to the step-batching cap the cluster serves with (0
 // or 1 = no batching), so a recovery re-plan keeps optimising for the
 // batched pipeline, and cfg.SLOP95MS when serving under ObjectiveSLO.

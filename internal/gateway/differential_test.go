@@ -127,7 +127,7 @@ func TestGatewaySurvivesProviderDeath(t *testing.T) {
 			Recover:           recover,
 			HeartbeatInterval: 15 * time.Millisecond,
 			HeartbeatMisses:   3,
-			Transport:         transport.NewPooledInproc(),
+			Transport:         transport.NewInproc(),
 		})
 		if err != nil {
 			t.Fatal(err)

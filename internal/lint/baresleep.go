@@ -30,8 +30,9 @@ const (
 // sleep on the serving path adds its timer overshoot (0.3-1 ms on a busy
 // VM) to every image that crosses it and never pays it back — eight such
 // stages cost paper-shaped a quarter of its throughput before they were
-// replaced. Waits that are not part of the emulated schedule (an injected
-// chaos delay) take a justified //distlint:allow. Test files may poll.
+// replaced. No wait in the paced packages sits outside the emulated
+// schedule, so none carries a //distlint:allow; a future one would need a
+// justified directive. Test files may poll.
 var BareSleep = &Analyzer{
 	Name:    "baresleep",
 	Doc:     "forbid relative time.Sleep in runtime/transport outside the absolute-deadline helper",

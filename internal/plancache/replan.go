@@ -16,10 +16,9 @@ import (
 // cluster sharing the cache) replans in cache-lookup time instead of
 // search time.
 //
-// obj is the objective the deployment serves (nil = latency), matching
-// runtime Options.Objective; it is part of the signature and scores the
-// cached entries. inner is the re-planner to fall back to — the caller's
-// previous Options.Replan, e.g. splitter.ObjectiveReplan(obj) or
+// obj is the objective the deployment serves (nil = latency); it is part
+// of the signature and scores the cached entries. inner is the re-planner
+// to fall back to, e.g. splitter.ObjectiveReplan(obj) or
 // splitter.SearchReplan.
 func CachedReplan(c *Cache, obj sim.Objective, inner sim.ReplanFunc) sim.ReplanFunc {
 	return func(env *sim.Env, old *strategy.Strategy, alive []bool) (*strategy.Strategy, error) {

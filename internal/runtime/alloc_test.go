@@ -37,7 +37,7 @@ func TestServingAllocationsPerImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	const timeScale = 1e-6
-	cl, err := Deploy(env, s, Options{TimeScale: timeScale, BytesScale: 0.01, Transport: transport.NewPooledTCP(nil)})
+	cl, err := Deploy(env, s, Options{TimeScale: timeScale, BytesScale: 0.01, Transport: transport.NewTCP(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	goruntime "runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"distredge/internal/sim"
 	"distredge/internal/splitter"
 	"distredge/internal/strategy"
+	"distredge/internal/transport"
 )
 
 // recoverOpts are the churn-test options: fast failure detection and
@@ -102,6 +104,44 @@ func TestRecoverFromKilledProvider(t *testing.T) {
 	if bk.registered != 0 || bk.completed != 0 || bk.gcLow != bk.nextImg+1 {
 		t.Errorf("requester bookkeeping leaked: registered=%d completed=%d gcLow=%d nextImg=%d",
 			bk.registered, bk.completed, bk.gcLow, bk.nextImg)
+	}
+}
+
+// TestRecoverDefaultsToBalancedReplan pins the recovery default: with
+// Recover on and no Replan, the re-planned strategy is
+// splitter.BalancedReplan of the serving strategy over the survivors,
+// volume by volume.
+func TestRecoverDefaultsToBalancedReplan(t *testing.T) {
+	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
+	s := stageStrategy(env, env.Model, []int{0, 10, 14, 18})
+	opts := recoverOpts()
+	opts.Transport = transport.NewInproc()
+	cl, err := Deploy(env, s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	const images = 12
+	stats, err := stream(cl, images, 4, sim.ChurnEvent{At: 0.4, Kind: sim.DeviceDrop, Device: 1})
+	if err != nil {
+		t.Fatalf("recovery run failed: %v", err)
+	}
+	if stats.Completed != images || stats.Recoveries < 1 {
+		t.Fatalf("completed %d of %d images after %d recoveries", stats.Completed, images, stats.Recoveries)
+	}
+	want, err := splitter.BalancedReplan(env, s, []bool{true, false, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := cl.Strategy()
+	if !slices.Equal(got.Boundaries, want.Boundaries) {
+		t.Fatalf("boundaries %v, want %v", got.Boundaries, want.Boundaries)
+	}
+	for v := range want.Splits {
+		if !slices.Equal(got.Splits[v], want.Splits[v]) {
+			t.Errorf("volume %d: cuts %v, want BalancedReplan's %v", v, got.Splits[v], want.Splits[v])
+		}
 	}
 }
 

@@ -77,19 +77,14 @@ type Options struct {
 	// provider dead (default 6).
 	HeartbeatMisses int
 	// Replan picks the re-planner recovery uses; nil means
-	// splitter.ObjectiveReplan(Objective) — profile-guided survivor
-	// layouts scored under the serving objective, no training on the
-	// serving path (the latency default is splitter.BalancedReplan
-	// exactly).
+	// splitter.BalancedReplan — the old volume boundaries re-balanced over
+	// the survivors from the device profiles, no training on the serving
+	// path. A deployment serving another objective recovers for it with
+	// splitter.ObjectiveReplan(obj).
 	Replan sim.ReplanFunc
-	// Objective is the planning objective the serving strategy was
-	// produced with (nil = latency). Recovery's default re-planner
-	// re-plans for it, so a throughput-planned deployment recovers into
-	// a throughput-shaped layout. Ignored when Replan is set.
-	Objective sim.Objective
 
 	// Transport selects the wire stack the cluster deploys over: nil means
-	// pooled localhost TCP with the binary chunk codec.
+	// localhost TCP with the binary chunk codec.
 	// transport.NewInproc gives a socket-free in-process cluster;
 	// transport.NewShaped charges the simulator's WiFi trace latency to
 	// the bytes the inner stack puts on the wire; transport.NewChaos
@@ -121,7 +116,7 @@ func (o Options) withDefaults() Options {
 		o.Batch = 1
 	}
 	if o.Transport == nil {
-		o.Transport = transport.NewPooledTCP(nil)
+		o.Transport = transport.NewTCP(nil)
 	}
 	return o
 }

@@ -18,10 +18,9 @@ import (
 //     past every id allocated so far (their ids are dead: image ids are
 //     monotonic, so a late chunk from the old deployment can never
 //     resurrect them);
-//  3. re-plan — Options.Replan (default splitter.ObjectiveReplan for
-//     Options.Objective, i.e. splitter.BalancedReplan under the latency
-//     default) produces a strategy over the survivors, warm-started from
-//     the serving one;
+//  3. re-plan — Options.Replan (default splitter.BalancedReplan)
+//     produces a strategy over the survivors, warm-started from the
+//     serving one;
 //  4. redeploy — fresh providers for the survivors as the next deployment,
 //     published with one Store. The old deployment's providers report into
 //     the old latch and beat with the old epoch, so nothing they still say
@@ -63,10 +62,10 @@ func (c *Cluster) recover(old *deployment) error {
 	old.close()
 	c.comp.drainThrough(c.nextImg.Load())
 
-	// 3. Re-plan over the survivors, for the objective being served.
+	// 3. Re-plan over the survivors.
 	replan := c.opts.Replan
 	if replan == nil {
-		replan = splitter.ObjectiveReplan(c.opts.Objective)
+		replan = splitter.BalancedReplan
 	}
 	strat, err := replan(c.env, old.strat, alive)
 	if err != nil {

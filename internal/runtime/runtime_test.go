@@ -63,13 +63,11 @@ func equalStrategy(env *sim.Env, boundaries []int) *strategy.Strategy {
 func testTransport() transport.Transport {
 	switch v := os.Getenv("DISTREDGE_TEST_TRANSPORT"); v {
 	case "", "inproc":
-		// Pooled, like the serving defaults: the whole runtime suite (and
-		// the race job) then exercises payload buffer reuse.
-		return transport.NewPooledInproc()
+		return transport.NewInproc()
 	case "tcp":
-		return transport.NewPooledTCP(nil)
+		return transport.NewTCP(nil)
 	case "tcp+deflate":
-		return transport.NewPooledTCP(transport.Deflate())
+		return transport.NewTCP(transport.Deflate())
 	default:
 		panic(fmt.Sprintf("unknown DISTREDGE_TEST_TRANSPORT %q (want inproc|tcp|tcp+deflate)", v))
 	}

@@ -16,8 +16,8 @@ import (
 // show up as leftover images here.
 func TestHighFanInStress(t *testing.T) {
 	transports := map[string]func() transport.Transport{
-		"inproc": func() transport.Transport { return transport.NewPooledInproc() },
-		"tcp":    func() transport.Transport { return transport.NewPooledTCP(nil) },
+		"inproc": func() transport.Transport { return transport.NewInproc() },
+		"tcp":    func() transport.Transport { return transport.NewTCP(nil) },
 	}
 	for name, mk := range transports {
 		t.Run(name, func(t *testing.T) {

@@ -49,9 +49,6 @@ type Config struct {
 	// cut count does not match the provider count fall back to balanced
 	// cuts.
 	InitSplits [][]int
-	// UpdateEvery performs a gradient update every k environment steps
-	// (1 = the paper's per-step update).
-	UpdateEvery int
 
 	// Objective selects what the search optimises. Nil (or
 	// sim.LatencyObjective) trains on sequential end-to-end latency —
@@ -89,9 +86,6 @@ func (c Config) withDefaults() Config {
 	if c.CriticLR == 0 {
 		c.CriticLR = 1e-3
 	}
-	if c.UpdateEvery == 0 {
-		c.UpdateEvery = 1
-	}
 	return c
 }
 
@@ -115,7 +109,6 @@ type Trainer struct {
 	obj        sim.Objective
 	agent      *rl.Agent
 	rng        *rand.Rand
-	episode    int
 	exec       *sim.Exec // reusable per-episode executor (compiled path)
 
 	// Episode buffers, sized once and rewritten by every episode, so a
@@ -559,7 +552,7 @@ func (t *Trainer) runEpisode(eps float64, warmKind int, train bool) (float64, *s
 			r = t.latScale / score
 		}
 		t.agent.Buf.Add(rl.Transition{State: t.states[v], Action: t.actions[v], Reward: r, NextState: t.states[v+1], Done: done})
-		if train && (v+t.episode)%t.cfg.UpdateEvery == 0 {
+		if train {
 			t.agent.Update(t.cfg.Batch)
 		}
 	}
@@ -574,7 +567,6 @@ func (t *Trainer) record(score float64, strat *strategy.Strategy) {
 		t.bestT = score
 		t.best = strat.Clone()
 	}
-	t.episode++
 }
 
 // Run trains for the configured number of episodes, tracking the best

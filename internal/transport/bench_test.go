@@ -20,7 +20,7 @@ func BenchmarkChunkCodec(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%dKiB", codec.Name(), payload>>10), func(b *testing.B) {
 				var buf bytes.Buffer
 				enc := codec.NewEncoder(&buf)
-				dec := codec.NewDecoder(&buf, nil)
+				dec := codec.NewDecoder(&buf, new(Pool))
 				msg := testMessage(payload)
 				var out Message
 				b.SetBytes(int64(payload))
@@ -56,7 +56,7 @@ func BenchmarkDeflateConnChurn(b *testing.B) {
 		if err := codec.NewEncoder(&buf).Encode(&msg); err != nil {
 			b.Fatal(err)
 		}
-		if err := codec.NewDecoder(&buf, nil).Decode(&out); err != nil {
+		if err := codec.NewDecoder(&buf, new(Pool)).Decode(&out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,7 +109,7 @@ func BenchmarkInprocRoundtrip(b *testing.B) {
 			func([]byte) {})
 	})
 	b.Run("pooled", func(b *testing.B) {
-		tr := NewPooledInproc()
+		tr := NewInproc()
 		run(b, tr,
 			func() []byte { return tr.GetPayload(payload) },
 			tr.PutPayload)
@@ -118,10 +118,11 @@ func BenchmarkInprocRoundtrip(b *testing.B) {
 
 // BenchmarkTCPRoundtrip measures the same send+recv pair over a real
 // localhost socket with each codec, so the inproc and codec numbers have a
-// socket baseline to compare against. The binary+pool variant cycles
-// payloads through the transport's pool (one GetPayload per send, one
-// PutPayload per receive) — the serving-path pattern — and must show the
-// per-chunk allocation disappearing.
+// socket baseline to compare against. "binary" allocates a payload per
+// send and drops what it receives, like the inproc benchmark's "fresh"
+// row; "binary+pool" cycles payloads through the transport's pool (one
+// GetPayload per send, one PutPayload per receive) — the serving-path
+// pattern — and must show the per-chunk allocation disappearing.
 func BenchmarkTCPRoundtrip(b *testing.B) {
 	const payload = 64 << 10
 	run := func(b *testing.B, tr Transport, next func() []byte, recycle func([]byte)) {
@@ -143,32 +144,30 @@ func BenchmarkTCPRoundtrip(b *testing.B) {
 		}
 	}
 	fixed := testMessage(payload).Payload
+	pooled := func(tr Transport) func() []byte {
+		return func() []byte {
+			buf := GetPayload(tr, payload)
+			copy(buf, fixed)
+			return buf
+		}
+	}
 	b.Run("binary", func(b *testing.B) {
 		run(b, NewTCP(nil),
-			func() []byte { return fixed },
+			func() []byte { return bytes.Clone(fixed) },
 			func([]byte) {})
 	})
 	b.Run("binary+pool", func(b *testing.B) {
-		tr := NewPooledTCP(nil)
-		pp := tr.(PayloadPool)
-		run(b, tr,
-			func() []byte {
-				buf := pp.GetPayload(payload)
-				copy(buf, fixed)
-				return buf
-			},
-			pp.PutPayload)
+		tr := NewTCP(nil)
+		run(b, tr, pooled(tr), tr.(PayloadPool).PutPayload)
 	})
 	// The sized-buffer wire row: buffers cover a whole 64 KiB chunk, so the
 	// frame reaches the socket in one write instead of a header-flush plus
-	// split payload writes. The delta against the plain "binary" row above
+	// split payload writes. The delta against the "binary+pool" row above
 	// is what SetBufferHint buys on the serving path.
 	b.Run("binary+hint", func(b *testing.B) {
 		tr := NewTCP(nil)
 		SetBufferHint(tr, payload)
-		run(b, tr,
-			func() []byte { return fixed },
-			func([]byte) {})
+		run(b, tr, pooled(tr), tr.(PayloadPool).PutPayload)
 	})
 	// The large-chunk row: a 1 MiB payload on a conn hinted 1 MiB, pooled as
 	// on the serving path. The hint's ceiling keeps the conn's buffers at one
@@ -180,7 +179,7 @@ func BenchmarkTCPRoundtrip(b *testing.B) {
 	// drains on its own goroutine, as a peer process would.
 	b.Run("binary+hint/1MiB", func(b *testing.B) {
 		const large = 1 << 20
-		tr := NewPooledTCP(nil)
+		tr := NewTCP(nil)
 		SetBufferHint(tr, large)
 		pp := tr.(PayloadPool)
 		_, conn, accepted := dialPair(b, tr)
@@ -225,7 +224,7 @@ func BenchmarkHotPath(b *testing.B) {
 			name = fmt.Sprintf("%dKiB/coalesced", payload>>10)
 		}
 		b.Run(name, func(b *testing.B) {
-			tr := NewPooledTCP(nil)
+			tr := NewTCP(nil)
 			pp := tr.(PayloadPool)
 			SetBufferHint(tr, payload)
 			ln, err := tr.Listen(0)

@@ -4,34 +4,28 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 )
 
 // ChaosConfig tunes the chaos decorator. The zero value injects nothing.
 type ChaosConfig struct {
 	// Seed makes the injected faults reproducible: each directed
 	// connection derives its own rand stream from (Seed, from, to), so a
-	// given connection sees the same drop/delay sequence on every run
-	// regardless of what other connections do.
+	// given connection sees the same drop sequence on every run regardless
+	// of what other connections do.
 	Seed int64
 	// Drop is the per-message probability that a data chunk is silently
 	// discarded (the sender sees success — packet loss, not a link
 	// failure). Control messages are never dropped here; kill heartbeats
 	// by isolating the device instead.
 	Drop float64
-	// MaxDelay, when positive, adds a uniform [0,MaxDelay) pause before
-	// each data-chunk delivery. Like Drop it never touches control
-	// messages: a delayed heartbeat would trip the failure detector and
-	// turn a delay-tolerance run into a recovery run.
-	MaxDelay time.Duration
 }
 
 // Chaos decorates any inner transport with deterministic, seeded fault
-// injection: probabilistic chunk drops, bounded random delivery delays,
-// and runtime-controlled partitions. It feeds the recovery machinery the
-// failure shapes a real edge network produces — lost chunks surface as
-// image timeouts, partitions as send errors and heartbeat loss — without
-// the nondeterminism of real packet loss.
+// injection: probabilistic chunk drops and runtime-controlled partitions.
+// It feeds the recovery machinery the failure shapes a real edge network
+// produces — lost chunks surface as image timeouts, partitions as send
+// errors and heartbeat loss — without the nondeterminism of real packet
+// loss.
 type Chaos struct {
 	inner Transport
 	cfg   ChaosConfig
@@ -53,7 +47,7 @@ func (t *Chaos) PutPayload(b []byte)     { RecyclePayload(t.inner, b) }
 
 // SetBufferHint forwards the deployment's max-chunk size to the inner
 // transport. Chaos conns stay on the per-message Send path (every message
-// must roll its own drop/delay dice), so only buffer sizing crosses.
+// must roll its own drop dice), so only buffer sizing crosses.
 func (t *Chaos) SetBufferHint(maxChunkBytes int) { SetBufferHint(t.inner, maxChunkBytes) }
 
 // Isolate partitions a device from everyone until Heal: every send to or
@@ -85,7 +79,7 @@ func (t *Chaos) Listen(self int) (Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &chaosListener{ln: ln, self: self}, nil
+	return &devListener{ln: ln, self: self}, nil
 }
 
 func (t *Chaos) Dial(self int, addr string) (Conn, error) {
@@ -110,15 +104,6 @@ func (t *Chaos) Dial(self int, addr string) (Conn, error) {
 	}, nil
 }
 
-type chaosListener struct {
-	ln   Listener
-	self int
-}
-
-func (l *chaosListener) Accept() (Conn, error) { return l.ln.Accept() }
-func (l *chaosListener) Addr() string          { return encodeDevAddr(l.self, l.ln.Addr()) }
-func (l *chaosListener) Close() error          { return l.ln.Close() }
-
 type chaosConn struct {
 	Conn
 	t        *Chaos
@@ -132,21 +117,15 @@ func (c *chaosConn) Send(m Message) error {
 	if c.t.partitioned(c.from, c.to) {
 		return fmt.Errorf("transport: chaos: %d->%d partitioned", c.from, c.to)
 	}
-	cfg := &c.t.cfg
-	if !m.control() && (cfg.Drop > 0 || cfg.MaxDelay > 0) {
+	if drop := c.t.cfg.Drop; drop > 0 && !m.control() {
 		c.mu.Lock()
-		drop := cfg.Drop > 0 && c.rng.Float64() < cfg.Drop
-		var delay time.Duration
-		if cfg.MaxDelay > 0 {
-			delay = time.Duration(c.rng.Int63n(int64(cfg.MaxDelay)))
-		}
+		lost := c.rng.Float64() < drop
 		c.mu.Unlock()
-		if drop {
-			return nil // lost on the wire; the sender cannot tell
-		}
-		if delay > 0 {
-			//distlint:allow baresleep -- an injected fault, not emulated work: the delay is meant to land on the critical path unrepaid
-			time.Sleep(delay)
+		if lost {
+			// Lost on the wire; the sender cannot tell. Send owns the
+			// payload, so it goes back to the pool it came from.
+			RecyclePayload(c.t.inner, m.Payload)
+			return nil
 		}
 	}
 	return c.Conn.Send(m)

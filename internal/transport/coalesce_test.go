@@ -64,7 +64,7 @@ func sendSideConn(hint int) (*tcpConn, *writeCountConn) {
 // decodeAll decodes every frame in the captured wire bytes.
 func decodeAll(t *testing.T, wire []byte) []Message {
 	t.Helper()
-	dec := Binary().NewDecoder(bytes.NewReader(wire), nil)
+	dec := Binary().NewDecoder(bytes.NewReader(wire), new(Pool))
 	var out []Message
 	for {
 		var m Message
@@ -128,9 +128,9 @@ func TestSendBufferedSpillsAtByteThreshold(t *testing.T) {
 	if got := conn.bw.Size(); got != maxBufferBytes {
 		t.Fatalf("hinted buffer %d, want the %d-byte ceiling", got, maxBufferBytes)
 	}
-	msg := testMessage(coalesceFlushBytes/frames - chunkHeaderLen)
 	for i := 1; i <= frames; i++ {
-		if err := conn.SendBuffered(msg); err != nil {
+		// A payload per send: each one's ownership ends in the pool.
+		if err := conn.SendBuffered(testMessage(coalesceFlushBytes/frames - chunkHeaderLen)); err != nil {
 			t.Fatalf("SendBuffered: %v", err)
 		}
 		if got, want := fake.writeCount(), i/frames; got != want {

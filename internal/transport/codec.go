@@ -11,7 +11,7 @@ import (
 // are stateful per connection (each keeps its own header buffer, a stacked
 // codec its inner coder), so a Codec is a factory: each connection gets its
 // own encoder/decoder pair over its own stream. A decoder draws payload
-// buffers from pool; a nil pool allocates them per message.
+// buffers from pool.
 type Codec interface {
 	Name() string
 	NewEncoder(w io.Writer) Encoder

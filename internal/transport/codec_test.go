@@ -26,7 +26,7 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add(hostileFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Message
-		err := Binary().NewDecoder(bytes.NewReader(data), nil).Decode(&m)
+		err := Binary().NewDecoder(bytes.NewReader(data), new(Pool)).Decode(&m)
 		if len(data) > 0 && data[0] != tagChunk && err == nil {
 			t.Fatalf("frame tag 0x%02x accepted", data[0])
 		}
@@ -43,7 +43,7 @@ func FuzzBinaryDecode(f *testing.F) {
 			t.Fatalf("payload of %d bytes exceeds maxFrame", len(m.Payload))
 		}
 		var again Message
-		if err := Binary().NewDecoder(bytes.NewReader(binaryFrame(t, m)), nil).Decode(&again); err != nil {
+		if err := Binary().NewDecoder(bytes.NewReader(binaryFrame(t, m)), new(Pool)).Decode(&again); err != nil {
 			t.Fatalf("re-encoded %+v does not decode: %v", m, err)
 		}
 		if !sameMessage(again, m) || again.Lag != m.Lag {
@@ -80,7 +80,7 @@ func FuzzDeflateDecode(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		var m Message
-		err := Deflate().NewDecoder(bytes.NewReader(data), nil).Decode(&m)
+		err := Deflate().NewDecoder(bytes.NewReader(data), new(Pool)).Decode(&m)
 		runtime.ReadMemStats(&after)
 		if err == nil && len(m.Payload) > maxFrame {
 			t.Fatalf("accepted a payload of %d bytes, past maxFrame", len(m.Payload))
@@ -109,7 +109,7 @@ func TestInflateStopsAtLimit(t *testing.T) {
 	fr := flate.NewReader(bytes.NewReader(bomb))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := inflate(fr, nil, len(bomb), limit)
+	_, err := inflate(fr, new(Pool), len(bomb), limit)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatalf("a %d-byte stream of 16 MiB inflated under a %d-byte limit", len(bomb), limit)
@@ -123,7 +123,7 @@ func TestInflateStopsAtLimit(t *testing.T) {
 		for j := range p {
 			p[j] = largeFramePattern(n, j)
 		}
-		got, err := inflate(flate.NewReader(bytes.NewReader(deflated(t, p))), nil, 16, limit)
+		got, err := inflate(flate.NewReader(bytes.NewReader(deflated(t, p))), new(Pool), 16, limit)
 		switch {
 		case n > limit && err == nil:
 			t.Errorf("%d-byte payload inflated under a %d-byte limit", n, limit)
@@ -167,7 +167,7 @@ func TestBinaryDecodeBoundsUpFrontAllocation(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	var m Message
-	err := Binary().NewDecoder(bytes.NewReader(hostileFrame(t)), nil).Decode(&m)
+	err := Binary().NewDecoder(bytes.NewReader(hostileFrame(t)), new(Pool)).Decode(&m)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("a 64-byte stream decoded as a 1 GiB frame")

@@ -23,31 +23,23 @@ type Inproc struct {
 	mu        sync.Mutex
 	listeners map[string]*inprocListener // guarded by mu
 	next      int                        // guarded by mu
-	pool      *Pool
 }
 
-// NewInproc returns a fresh in-process network namespace.
+// NewInproc returns a fresh in-process network namespace. Messages cross
+// by reference — the transport itself never copies — so its payload
+// pooling is purely the Get/Put cycle the runtime drives: a produced
+// payload is handed over on Send, consumed at the receiver, recycled with
+// PutPayload, and the next GetPayload returns the same buffer. The pool is
+// the process's one payload pool, shared with every tcp transport.
 func NewInproc() *Inproc {
 	return &Inproc{listeners: make(map[string]*inprocListener)}
 }
 
-// NewPooledInproc is NewInproc with payload pooling. Messages still cross
-// by reference — the transport itself never copies — so pooling here is
-// purely the Get/Put cycle the runtime drives: a produced payload is
-// handed over on Send, consumed at the receiver, recycled with
-// PutPayload, and the next GetPayload returns the same buffer. The pool
-// is the process's one payload pool, shared with every pooled tcp
-// transport.
-func NewPooledInproc() *Inproc {
-	return &Inproc{listeners: make(map[string]*inprocListener), pool: &payloads}
-}
-
 func (t *Inproc) Name() string { return "inproc" }
 
-// GetPayload / PutPayload implement PayloadPool (plain allocation when the
-// namespace was built without a pool).
-func (t *Inproc) GetPayload(n int) []byte { return t.pool.Get(n) }
-func (t *Inproc) PutPayload(b []byte)     { t.pool.Put(b) }
+// GetPayload / PutPayload implement PayloadPool.
+func (t *Inproc) GetPayload(n int) []byte { return payloads.Get(n) }
+func (t *Inproc) PutPayload(b []byte)     { payloads.Put(b) }
 
 func (t *Inproc) Listen(self int) (Listener, error) {
 	t.mu.Lock()

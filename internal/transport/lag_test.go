@@ -25,7 +25,7 @@ func TestLagRoundtripsThroughEveryCodec(t *testing.T) {
 		t.Run(codec.Name(), func(t *testing.T) {
 			var buf bytes.Buffer
 			enc := codec.NewEncoder(&buf)
-			dec := codec.NewDecoder(&buf, nil)
+			dec := codec.NewDecoder(&buf, new(Pool))
 			for _, tc := range cases {
 				for _, payload := range []int{0, 1024} {
 					m := Message{Image: 3, Volume: 1, Lo: 2, Hi: 9, Lag: tc.in, Payload: activationPayload(payload/4, 0, 5)}
@@ -86,7 +86,7 @@ func TestBinaryDecoderClampsHostileLag(t *testing.T) {
 		hdr[0] = tagChunk
 		binary.LittleEndian.PutUint32(hdr[17:21], raw)
 		var m Message
-		if err := Binary().NewDecoder(bytes.NewReader(hdr), nil).Decode(&m); err != nil {
+		if err := Binary().NewDecoder(bytes.NewReader(hdr), new(Pool)).Decode(&m); err != nil {
 			t.Fatal(err)
 		}
 		if m.Lag != MaxLag {
@@ -101,7 +101,7 @@ func TestBinaryDecoderClampsHostileLag(t *testing.T) {
 func TestBinaryLagCostsNoAllocation(t *testing.T) {
 	var buf bytes.Buffer
 	enc := Binary().NewEncoder(&buf)
-	dec := Binary().NewDecoder(&buf, nil)
+	dec := Binary().NewDecoder(&buf, new(Pool))
 	m := testMessage(4096)
 	m.Lag = 640 * time.Microsecond
 	out := Message{Payload: make([]byte, 4096)}
@@ -133,7 +133,7 @@ func TestControlFramesCarryNoLag(t *testing.T) {
 	want := Message{Image: 9, Volume: VolHeartbeat, Lo: 2, Hi: 4}
 	for _, codec := range []Codec{Binary(), Deflate(), Quant(QuantInt8, nil)} {
 		var buf bytes.Buffer
-		enc, dec := codec.NewEncoder(&buf), codec.NewDecoder(&buf, nil)
+		enc, dec := codec.NewEncoder(&buf), codec.NewDecoder(&buf, new(Pool))
 		beat := want
 		beat.Lag = 300 * time.Microsecond
 		if err := enc.Encode(&beat); err != nil {
@@ -170,7 +170,7 @@ func TestControlFramesCarryNoLag(t *testing.T) {
 	hdr := binaryFrame(t, want)
 	binary.LittleEndian.PutUint32(hdr[17:21], 0xffffffff)
 	got := Message{Lag: 77}
-	if err := Binary().NewDecoder(bytes.NewReader(hdr), nil).Decode(&got); err != nil {
+	if err := Binary().NewDecoder(bytes.NewReader(hdr), new(Pool)).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Volume != VolHeartbeat || got.Lag != 0 {

@@ -10,14 +10,12 @@ import (
 // with a pool those buffers cycle between the producer, the wire and the
 // consumer instead of being garbage after one hop. Buffers are kept in
 // power-of-two size-class buckets so a deployment's handful of distinct
-// payload sizes never evict each other. The pooled transports all share
-// one process-wide Pool (payloads); the zero Pool is empty and ready to
-// use.
+// payload sizes never evict each other. The transports all share one
+// process-wide Pool (payloads); the zero Pool is empty and ready to use.
 //
 // Ownership protocol (documented on PayloadPool): Send transfers payload
 // ownership to the transport, and payloads returned by Recv belong to the
-// caller, who hands exhausted ones back with Put. A nil *Pool is valid and
-// degrades to plain allocation.
+// caller, who hands exhausted ones back with Put.
 //
 // A bucket files each buffer in a *[]byte holder, not as a bare []byte:
 // sync.Pool stores an `any`, and a slice header is three words, so boxing
@@ -33,13 +31,13 @@ type Pool struct {
 	holders sync.Pool             // of empty *[]byte
 }
 
-// payloads is the process's one payload pool: every pooled transport
-// (NewPooledTCP, NewPooledInproc) draws from it and recycles into it, as
-// every deflate codec shares one set of flate states. A payload buffer is
-// a process resource, not a cluster's: when a cluster closes, its idle
-// buffers serve the next cluster's first images instead of sitting in a
-// dead pool's victim cache while a fresh pool allocates the same sizes
-// again. The GC still releases whatever stays idle over two collections.
+// payloads is the process's one payload pool: every transport (NewTCP,
+// NewInproc) draws from it and recycles into it, as every deflate codec
+// shares one set of flate states. A payload buffer is a process resource,
+// not a cluster's: when a cluster closes, its idle buffers serve the next
+// cluster's first images instead of sitting in a dead pool's victim cache
+// while a fresh pool allocates the same sizes again. The GC still releases
+// whatever stays idle over two collections.
 var payloads Pool
 
 // Get returns a length-n buffer, reusing a pooled one when the size class
@@ -52,13 +50,11 @@ func (p *Pool) Get(n int) []byte {
 	if k >= numBuckets {
 		return make([]byte, n)
 	}
-	if p != nil {
-		if h, ok := p.buckets[k].Get().(*[]byte); ok {
-			b := *h
-			*h = nil // the holder must not pin a buffer it no longer files
-			p.holders.Put(h)
-			return b[:n]
-		}
+	if h, ok := p.buckets[k].Get().(*[]byte); ok {
+		b := *h
+		*h = nil // the holder must not pin a buffer it no longer files
+		p.holders.Put(h)
+		return b[:n]
 	}
 	return make([]byte, n, 1<<k)
 }
@@ -67,7 +63,7 @@ func (p *Pool) Get(n int) []byte {
 // power of two their capacity covers, so a later Get in that class always
 // fits. Nil, zero-capacity and beyond-bucket buffers are ignored.
 func (p *Pool) Put(b []byte) {
-	if p == nil || cap(b) == 0 {
+	if cap(b) == 0 {
 		return
 	}
 	k := bits.Len(uint(cap(b))) - 1 // largest k with 1<<k <= cap

@@ -38,11 +38,6 @@ func TestPoolSizeClasses(t *testing.T) {
 		t.Errorf("Get(0) = %v, want nil", got)
 	}
 	p.Put(nil) // must not panic
-	var nilPool *Pool
-	if b := nilPool.Get(8); len(b) != 8 {
-		t.Errorf("nil pool Get(8): len=%d", len(b))
-	}
-	nilPool.Put(b2) // must not panic
 }
 
 // TestPoolGetPutAllocatesNothing: a Get/Put round trip within one size class
@@ -69,7 +64,7 @@ func TestPoolGetPutAllocatesNothing(t *testing.T) {
 // message passed by address through the Encoder / Decoder interface escapes
 // to the heap on every call.
 func TestPooledTCPMessageAllocatesNothing(t *testing.T) {
-	tr := NewPooledTCP(nil)
+	tr := NewTCP(nil)
 	pp := tr.(PayloadPool)
 	_, conn, accepted := dialPair(t, tr)
 	bc := conn.(BatchConn)
@@ -117,7 +112,7 @@ func TestPooledTCPRoundtripContent(t *testing.T) {
 			name = codec.Name()
 		}
 		t.Run(name, func(t *testing.T) {
-			tr := NewPooledTCP(codec)
+			tr := NewTCP(codec)
 			pp := tr.(PayloadPool)
 			ln, err := tr.Listen(0)
 			if err != nil {
@@ -164,7 +159,7 @@ func TestPooledTCPRoundtripContent(t *testing.T) {
 // over pooled inproc, consumed and recycled is the very buffer the next
 // GetPayload returns.
 func TestPooledInprocReusesBuffer(t *testing.T) {
-	tr := NewPooledInproc()
+	tr := NewInproc()
 	ln, err := tr.Listen(0)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +215,7 @@ func TestDeflateCodecRoundtrip(t *testing.T) {
 	codec := Deflate()
 	var buf bytes.Buffer
 	enc := codec.NewEncoder(&buf)
-	dec := codec.NewDecoder(&buf, nil)
+	dec := codec.NewDecoder(&buf, new(Pool))
 	msgs := []Message{
 		testMessage(1024),
 		testMessage(0),
@@ -270,7 +265,7 @@ func TestDeflateCorruptPayloadErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out Message
-	if err := Deflate().NewDecoder(&buf, nil).Decode(&out); err == nil {
+	if err := Deflate().NewDecoder(&buf, new(Pool)).Decode(&out); err == nil {
 		t.Error("decoding a non-deflate payload must error")
 	}
 }
@@ -280,22 +275,22 @@ func TestDeflateCorruptPayloadErrors(t *testing.T) {
 // pool must implement the PayloadPool interface.
 func TestParsePooledTransportsImplementPayloadPool(t *testing.T) {
 	for _, tr := range []Transport{
-		NewPooledTCP(nil),
-		NewPooledTCP(Deflate()),
-		NewPooledTCP(Quant(QuantInt8, nil)),
-		NewPooledTCP(Quant(QuantInt8, Deflate())),
-		NewPooledInproc(),
+		NewTCP(nil),
+		NewTCP(Deflate()),
+		NewTCP(Quant(QuantInt8, nil)),
+		NewTCP(Quant(QuantInt8, Deflate())),
+		NewInproc(),
 	} {
 		if _, ok := tr.(PayloadPool); !ok {
 			t.Errorf("%s does not implement PayloadPool", tr.Name())
 		}
 	}
 	// Decorators forward pooling to their inner transport.
-	shaped := Transport(NewShaped(NewPooledInproc(), nil, 1, 1))
+	shaped := Transport(NewShaped(NewInproc(), nil, 1, 1))
 	if _, ok := shaped.(PayloadPool); !ok {
 		t.Error("shaped decorator does not forward PayloadPool")
 	}
-	chaos := Transport(NewChaos(NewPooledInproc(), ChaosConfig{}))
+	chaos := Transport(NewChaos(NewInproc(), ChaosConfig{}))
 	if _, ok := chaos.(PayloadPool); !ok {
 		t.Error("chaos decorator does not forward PayloadPool")
 	}

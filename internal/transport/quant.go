@@ -74,12 +74,15 @@ func (c quantCodec) NewDecoder(r io.Reader, pool *Pool) Decoder {
 // inner codec claims (deflate conservatively claims 1 — its ratio is
 // data-dependent, and promising the planner bytes it might not save is the
 // wrong direction to err).
-func (c quantCodec) wireFrac() float64 {
-	frac := 0.25
+func (c quantCodec) wireFrac() float64 { return c.frac() * WireFrac(c.inner) }
+
+// frac is the quantized element's share of a float32: one byte of four for
+// int8, two for fp16.
+func (c quantCodec) frac() float64 {
 	if c.mode == QuantFP16 {
-		frac = 0.5
+		return 0.5
 	}
-	return frac * WireFrac(c.inner)
+	return 0.25
 }
 
 // wireFracCodec is implemented by codecs that shrink data payloads by a
@@ -111,11 +114,7 @@ func CalibratedWireFrac(c Codec) (frac float64, measured bool) {
 		return cc.stats.Ratio()
 	case quantCodec:
 		inner, ok := CalibratedWireFrac(cc.inner)
-		f := 0.25
-		if cc.mode == QuantFP16 {
-			f = 0.5
-		}
-		return f * inner, ok
+		return cc.frac() * inner, ok
 	}
 	return WireFrac(c), false
 }

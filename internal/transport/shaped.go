@@ -108,7 +108,7 @@ func (t *Shaped) Listen(self int) (Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &shapedListener{ln: ln, self: self}, nil
+	return &devListener{ln: ln, self: self}, nil
 }
 
 func (t *Shaped) Dial(self int, addr string) (Conn, error) {
@@ -122,19 +122,6 @@ func (t *Shaped) Dial(self int, addr string) (Conn, error) {
 	}
 	return &shapedConn{Conn: c, t: t, from: self, to: to}, nil
 }
-
-// shapedListener publishes the endpoint's device index in its address so
-// dialling peers know which link to charge. Accepted conns pass through
-// unwrapped: shaping charges the dialling side's sends, and the runtime
-// only sends on dialled connections.
-type shapedListener struct {
-	ln   Listener
-	self int
-}
-
-func (l *shapedListener) Accept() (Conn, error) { return l.ln.Accept() }
-func (l *shapedListener) Addr() string          { return encodeDevAddr(l.self, l.ln.Addr()) }
-func (l *shapedListener) Close() error          { return l.ln.Close() }
 
 type shapedConn struct {
 	Conn

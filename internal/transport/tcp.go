@@ -36,34 +36,25 @@ const (
 )
 
 // tcpTransport carries messages over localhost TCP sockets with a
-// pluggable codec, the process payload pool or none (nil = plain
-// allocation), and adaptive flush coalescing on the buffered send path.
+// pluggable codec, the process payload pool, and adaptive flush coalescing
+// on the buffered send path.
 type tcpTransport struct {
 	codec Codec
-	pool  *Pool
 	hint  atomic.Int64 // SetBufferHint: max chunk bytes of the deployment
 }
 
 // NewTCP returns the localhost TCP transport using the given codec
-// (nil = Binary, the length-prefixed chunk codec). No payload pooling; see
-// NewPooledTCP.
+// (nil = Binary, the length-prefixed chunk codec). Payloads are pooled:
+// sent data payloads are recycled once serialised (the socket copy makes
+// them dead the moment the send returns), and received payloads are
+// decoded into pooled buffers the consumer hands back with PutPayload.
+// Every transport draws from the process's one payload pool, so the
+// buffers a closed cluster leaves idle serve the next one.
 func NewTCP(codec Codec) Transport {
 	if codec == nil {
 		codec = Binary()
 	}
 	return &tcpTransport{codec: codec}
-}
-
-// NewPooledTCP is NewTCP with payload pooling: sent data payloads are
-// recycled once serialised (the socket copy makes them dead the moment
-// the send returns), and received payloads are decoded into pooled buffers
-// the consumer hands back with PutPayload. Every pooled transport draws
-// from the process's one payload pool, so the buffers a closed cluster
-// leaves idle serve the next one.
-func NewPooledTCP(codec Codec) Transport {
-	t := NewTCP(codec).(*tcpTransport)
-	t.pool = &payloads
-	return t
 }
 
 func (t *tcpTransport) Name() string { return "tcp+" + t.codec.Name() }
@@ -73,10 +64,9 @@ func (t *tcpTransport) Name() string { return "tcp+" + t.codec.Name() }
 // compressed sizes) instead of raw payload bytes.
 func (t *tcpTransport) WireCodec() Codec { return t.codec }
 
-// GetPayload / PutPayload implement PayloadPool (plain allocation when the
-// transport was built without a pool).
-func (t *tcpTransport) GetPayload(n int) []byte { return t.pool.Get(n) }
-func (t *tcpTransport) PutPayload(b []byte)     { t.pool.Put(b) }
+// GetPayload / PutPayload implement PayloadPool.
+func (t *tcpTransport) GetPayload(n int) []byte { return payloads.Get(n) }
+func (t *tcpTransport) PutPayload(b []byte)     { payloads.Put(b) }
 
 // SetBufferHint implements BufferSizer: conns created after the call size
 // their bufio buffers to hold one max-size chunk plus framing (up to
@@ -179,8 +169,7 @@ func (l *tcpListener) Close() error {
 // message passed by address through the Encoder / Decoder interface escapes,
 // so a local one would be a heap allocation on every send and every receive.
 type tcpConn struct {
-	c    net.Conn
-	pool *Pool
+	c net.Conn
 
 	sendMu  sync.Mutex
 	bw      *bufio.Writer // guarded by sendMu
@@ -197,11 +186,10 @@ func newTCPConn(c net.Conn, t *tcpTransport) *tcpConn {
 	size := t.bufBytes()
 	bw := bufio.NewWriterSize(c, size)
 	return &tcpConn{
-		c:    c,
-		pool: t.pool,
-		bw:   bw,
-		enc:  t.codec.NewEncoder(bw),
-		dec:  t.codec.NewDecoder(bufio.NewReaderSize(c, size), t.pool),
+		c:   c,
+		bw:  bw,
+		enc: t.codec.NewEncoder(bw),
+		dec: t.codec.NewDecoder(bufio.NewReaderSize(c, size), &payloads),
 	}
 }
 
@@ -233,8 +221,8 @@ func (c *tcpConn) send(m Message, flush bool) error {
 		}
 	}
 	c.sendMu.Unlock()
-	if c.pool != nil && !m.control() {
-		c.pool.Put(m.Payload)
+	if !m.control() {
+		payloads.Put(m.Payload)
 	}
 	return err
 }

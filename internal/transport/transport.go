@@ -4,8 +4,8 @@
 // here, so the same deployment code runs over real TCP sockets, over pure
 // in-process channels (fast, race-clean tests), over trace-shaped links
 // that charge the simulator's WiFi latency to every payload byte, or over
-// a chaos decorator that deterministically drops, delays and partitions
-// traffic for fault-injection tests.
+// a chaos decorator that deterministically drops and partitions traffic
+// for fault-injection tests.
 //
 // Stack composition is by wrapping: Shaped and Chaos decorate any inner
 // transport, so "shaped inproc" (the simulator's network without socket
@@ -70,7 +70,7 @@ func clampLag(d time.Duration) time.Duration {
 // control reports whether the message is a control message (heartbeats and
 // future verbs) rather than a data chunk. Control messages cross in the same
 // binary frame as chunks, with Lag 0; payload codecs (deflate, quant) pass
-// them through untransformed and chaos never drops or delays them.
+// them through untransformed and chaos never drops them.
 func (m *Message) control() bool { return m.Volume < VolInput }
 
 // Conn is one directed framed connection. Send is safe for concurrent use;
@@ -111,6 +111,21 @@ var ErrClosed = errors.New("transport: closed")
 func encodeDevAddr(dev int, addr string) string {
 	return strconv.Itoa(dev) + "|" + addr
 }
+
+// devListener is a decorator's listener: it publishes the endpoint's
+// device index in its address so dialling peers know which directed link
+// they are on (the link Shaped charges, the one Chaos drops and
+// partitions). Accepted conns pass through undecorated: the decorators act
+// on the dialling side's sends, and the runtime only sends on dialled
+// connections.
+type devListener struct {
+	ln   Listener
+	self int
+}
+
+func (l *devListener) Accept() (Conn, error) { return l.ln.Accept() }
+func (l *devListener) Addr() string          { return encodeDevAddr(l.self, l.ln.Addr()) }
+func (l *devListener) Close() error          { return l.ln.Close() }
 
 // splitDevAddr reverses encodeDevAddr.
 func splitDevAddr(addr string) (int, string, error) {

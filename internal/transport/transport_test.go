@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,7 +57,7 @@ func TestCodecRoundtrip(t *testing.T) {
 		t.Run(codec.Name(), func(t *testing.T) {
 			var buf bytes.Buffer
 			enc := codec.NewEncoder(&buf)
-			dec := codec.NewDecoder(&buf, nil)
+			dec := codec.NewDecoder(&buf, new(Pool))
 			msgs := []Message{
 				testMessage(1024),
 				testMessage(0),
@@ -82,7 +83,7 @@ func TestCodecRoundtrip(t *testing.T) {
 // TestBinaryCodecRejectsGarbage checks the binary decoder fails cleanly on
 // an unknown tag instead of misframing the stream.
 func TestBinaryCodecRejectsGarbage(t *testing.T) {
-	dec := Binary().NewDecoder(bytes.NewReader([]byte{0xff, 1, 2, 3}), nil)
+	dec := Binary().NewDecoder(bytes.NewReader([]byte{0xff, 1, 2, 3}), new(Pool))
 	var m Message
 	if err := dec.Decode(&m); err == nil || !strings.Contains(err.Error(), "unknown frame tag") {
 		t.Fatalf("garbage tag decoded: %v", err)
@@ -120,8 +121,10 @@ func TestTransportRoundtrip(t *testing.T) {
 			accepted := <-acceptedCh
 			defer accepted.Close()
 
+			// Send owns the payload (tcp recycles it once written), so the
+			// comparison is against an identical copy.
 			want := testMessage(4096)
-			if err := conn.Send(want); err != nil {
+			if err := conn.Send(testMessage(4096)); err != nil {
 				t.Fatal(err)
 			}
 			got, err := accepted.Recv()
@@ -358,6 +361,50 @@ func TestChaosDeterministicDrops(t *testing.T) {
 	}
 	if c := pattern(43); c == a {
 		t.Error("different seeds produced identical drop patterns")
+	}
+}
+
+// countingPool counts the payload buffers its transport's pool hands out
+// and gets back.
+type countingPool struct {
+	Transport
+	gets, puts atomic.Int64
+}
+
+func (c *countingPool) GetPayload(n int) []byte {
+	c.gets.Add(1)
+	return GetPayload(c.Transport, n)
+}
+
+func (c *countingPool) PutPayload(b []byte) {
+	c.puts.Add(1)
+	RecyclePayload(c.Transport, b)
+}
+
+// TestChaosDropRecyclesPayload: Send owns the payload, so a chunk chaos
+// drops goes back to the pool it came from instead of leaving it. Under
+// Drop 1 the inner pool gets back every payload it handed out, and the
+// heartbeat sent last is the first message to arrive.
+func TestChaosDropRecyclesPayload(t *testing.T) {
+	inner := &countingPool{Transport: NewInproc()}
+	tr := NewChaos(inner, ChaosConfig{Seed: 1, Drop: 1})
+	_, conn, accepted := dialPair(t, tr)
+	const n = 32
+	for i := 0; i < n; i++ {
+		m := testMessage(0)
+		m.Payload = GetPayload(tr, 512)
+		if err := conn.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := conn.Send(Message{Volume: VolHeartbeat}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := accepted.Recv(); err != nil || m.Volume != VolHeartbeat {
+		t.Fatalf("first delivery %+v (%v), want the heartbeat: every data chunk is dropped", m, err)
+	}
+	if gets, puts := inner.gets.Load(), inner.puts.Load(); gets != n || puts != n {
+		t.Errorf("pool handed out %d payloads and got %d back, want %d and %d", gets, puts, n, n)
 	}
 }
 

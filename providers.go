@@ -206,17 +206,17 @@ func ParseTenants(spec string) ([]sim.TenantSpec, error) {
 func ParseTransport(spec string) (transport.Transport, error) {
 	switch strings.TrimSpace(spec) {
 	case "", "tcp":
-		return transport.NewPooledTCP(nil), nil
+		return transport.NewTCP(nil), nil
 	case "tcp+deflate":
-		return transport.NewPooledTCP(transport.Deflate()), nil
+		return transport.NewTCP(transport.Deflate()), nil
 	case "tcp+quant":
-		return transport.NewPooledTCP(transport.Quant(transport.QuantInt8, nil)), nil
+		return transport.NewTCP(transport.Quant(transport.QuantInt8, nil)), nil
 	case "tcp+quant16":
-		return transport.NewPooledTCP(transport.Quant(transport.QuantFP16, nil)), nil
+		return transport.NewTCP(transport.Quant(transport.QuantFP16, nil)), nil
 	case "tcp+quant+deflate":
-		return transport.NewPooledTCP(transport.Quant(transport.QuantInt8, transport.Deflate())), nil
+		return transport.NewTCP(transport.Quant(transport.QuantInt8, transport.Deflate())), nil
 	case "inproc":
-		return transport.NewPooledInproc(), nil
+		return transport.NewInproc(), nil
 	default:
 		return nil, fmt.Errorf("distredge: unknown transport %q (want tcp|tcp+deflate|tcp+quant|tcp+quant16|tcp+quant+deflate|inproc)", spec)
 	}
