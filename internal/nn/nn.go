@@ -43,7 +43,7 @@ func applyDeriv(act Activation, delta, out *tensor.Mat) {
 		tensor.ReLUGrad(delta.A, out.A)
 	case Tanh:
 		for i, y := range out.A {
-			delta.A[i] *= 1 - y*y
+			delta.A[i] *= 1 - float64(y*y)
 		}
 	}
 }
@@ -60,28 +60,49 @@ type MLP struct {
 
 // NewMLP builds an MLP with Xavier-uniform initial weights.
 func NewMLP(sizes []int, hidden, out Activation, rng *rand.Rand) *MLP {
+	m := alloc(sizes, hidden, out)
+	m.Init(rng)
+	return m
+}
+
+// alloc builds an MLP of the given shape with all-zero parameters.
+func alloc(sizes []int, hidden, out Activation) *MLP {
 	if len(sizes) < 2 {
 		panic(fmt.Sprintf("nn: MLP needs >=2 sizes, got %v", sizes))
 	}
 	m := &MLP{Sizes: append([]int(nil), sizes...), HiddenAct: hidden, OutAct: out}
 	for l := 0; l+1 < len(sizes); l++ {
-		w := tensor.New(sizes[l], sizes[l+1])
-		scale := math.Sqrt(6.0 / float64(sizes[l]+sizes[l+1]))
-		w.Randomize(rng, scale)
-		m.W = append(m.W, w)
+		m.W = append(m.W, tensor.New(sizes[l], sizes[l+1]))
 		m.B = append(m.B, make([]float64, sizes[l+1]))
 	}
 	return m
 }
 
+// Init redraws the network's parameters in place: Xavier-uniform weights,
+// layer by layer, and zero biases. It draws exactly the rng numbers NewMLP
+// draws, so a re-initialised network equals a new one from the same rng.
+func (m *MLP) Init(rng *rand.Rand) {
+	for l, w := range m.W {
+		scale := math.Sqrt(6.0 / float64(m.Sizes[l]+m.Sizes[l+1]))
+		w.Randomize(rng, scale)
+		clear(m.B[l])
+	}
+}
+
 // Clone returns a deep copy of the network.
 func (m *MLP) Clone() *MLP {
-	c := &MLP{Sizes: append([]int(nil), m.Sizes...), HiddenAct: m.HiddenAct, OutAct: m.OutAct}
-	for l := range m.W {
-		c.W = append(c.W, m.W[l].Clone())
-		c.B = append(c.B, append([]float64(nil), m.B[l]...))
-	}
+	c := alloc(m.Sizes, m.HiddenAct, m.OutAct)
+	c.CopyFrom(m)
 	return c
+}
+
+// CopyFrom overwrites the network's parameters with src's, which must have
+// the same Sizes.
+func (m *MLP) CopyFrom(src *MLP) {
+	for l := range m.W {
+		copy(m.W[l].A, src.W[l].A)
+		copy(m.B[l], src.B[l])
+	}
 }
 
 // Workspace holds every buffer a fixed-batch forward/backward pass through
@@ -221,14 +242,28 @@ type Adam struct {
 
 // NewAdam returns an Adam optimiser for the given network.
 func NewAdam(m *MLP, lr float64) *Adam {
-	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+	a := &Adam{}
 	for l := range m.W {
 		a.mW = append(a.mW, tensor.New(m.W[l].R, m.W[l].C))
 		a.vW = append(a.vW, tensor.New(m.W[l].R, m.W[l].C))
 		a.mB = append(a.mB, make([]float64, len(m.B[l])))
 		a.vB = append(a.vB, make([]float64, len(m.B[l])))
 	}
+	a.Reset(lr)
 	return a
+}
+
+// Reset returns the optimiser to its initial state at learning rate lr:
+// default decay rates, zero moments and step count, as NewAdam leaves it.
+func (a *Adam) Reset(lr float64) {
+	a.LR, a.Beta1, a.Beta2, a.Eps = lr, 0.9, 0.999, 1e-8
+	a.t = 0
+	for l := range a.mW {
+		clear(a.mW[l].A)
+		clear(a.vW[l].A)
+		clear(a.mB[l])
+		clear(a.vB[l])
+	}
 }
 
 // Step applies one Adam update of the gradients to the network.

@@ -56,7 +56,11 @@ func New(capacity int) *Cache {
 // Get retrieves the strategy cached under the exact signature, with its
 // objective score. The hit is promoted to most-recently-used.
 func (c *Cache) Get(sig Signature) (*strategy.Strategy, float64, bool) {
-	key := sig.Key()
+	return c.get(sig.Key())
+}
+
+// get is Get under an already rendered key.
+func (c *Cache) get(key string) (*strategy.Strategy, float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
@@ -74,7 +78,11 @@ func (c *Cache) Get(sig Signature) (*strategy.Strategy, float64, bool) {
 // cache-resident clone, so callers can hand out the same read-only pointer
 // an exact hit would return.
 func (c *Cache) Put(sig Signature, s *strategy.Strategy, score float64) *strategy.Strategy {
-	key := sig.Key()
+	return c.put(sig.Key(), sig, s, score)
+}
+
+// put is Put under sig's already rendered key.
+func (c *Cache) put(key string, sig Signature, s *strategy.Strategy, score float64) *strategy.Strategy {
 	clone := s.Clone()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -101,6 +109,12 @@ func (c *Cache) Put(sig Signature, s *strategy.Strategy, score float64) *strateg
 // or promotion order. The chosen entry is promoted: a fleet that keeps
 // seeding warm starts is worth keeping.
 func (c *Cache) Nearest(sig Signature) (Signature, *strategy.Strategy, bool) {
+	_, nsig, strat, ok := c.nearest(sig)
+	return nsig, strat, ok
+}
+
+// nearest is Nearest that also returns the entry's rendered key.
+func (c *Cache) nearest(sig Signature) (string, Signature, *strategy.Strategy, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var best *entry
@@ -112,10 +126,10 @@ func (c *Cache) Nearest(sig Signature) (Signature, *strategy.Strategy, bool) {
 		}
 	}
 	if best == nil || math.IsInf(bestDist, 1) {
-		return Signature{}, nil, false
+		return "", Signature{}, nil, false
 	}
 	c.promoteLocked(best)
-	return best.sig, best.strat, true
+	return best.key, best.sig, best.strat, true
 }
 
 // countWarmHit records that a Nearest result actually seeded a warm start.

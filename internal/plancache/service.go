@@ -113,10 +113,10 @@ func (s *Service) Cache() *Cache { return s.cache }
 // returning.
 func (s *Service) Plan(env *sim.Env, obj sim.Objective) (Result, error) {
 	sig := SignatureOf(env, obj)
-	if strat, score, ok := s.cache.Get(sig); ok {
+	key := sig.Key() // rendered once: the cache, the in-flight table and the miss share it
+	if strat, score, ok := s.cache.get(key); ok {
 		return Result{Strategy: strat, Score: score, Outcome: OutcomeHit}, nil
 	}
-	key := sig.Key()
 	s.mu.Lock()
 	if c, ok := s.inflight[key]; ok {
 		s.mu.Unlock()
@@ -127,7 +127,7 @@ func (s *Service) Plan(env *sim.Env, obj sim.Objective) (Result, error) {
 	s.inflight[key] = c
 	s.mu.Unlock()
 
-	c.res, c.err = s.planMiss(env, obj, sig)
+	c.res, c.err = s.planMiss(env, obj, sig, key)
 
 	s.mu.Lock()
 	delete(s.inflight, key)
@@ -136,29 +136,30 @@ func (s *Service) Plan(env *sim.Env, obj sim.Objective) (Result, error) {
 	return c.res, c.err
 }
 
-// planMiss runs the planning for a cache miss on a worker slot.
-func (s *Service) planMiss(env *sim.Env, obj sim.Objective, sig Signature) (Result, error) {
+// planMiss runs the planning for a cache miss of sig, rendered as key, on a
+// worker slot.
+func (s *Service) planMiss(env *sim.Env, obj sim.Objective, sig Signature, key string) (Result, error) {
 	s.slots <- struct{}{}
 	defer func() { <-s.slots }()
 
 	var init *strategy.Strategy
 	var seedKey string
-	if nsig, nstrat, ok := s.cache.Nearest(sig); ok {
+	if nkey, nsig, nstrat, ok := s.cache.nearest(sig); ok {
 		if seed := warmSeed(env.Model, sig, nsig, nstrat); seed != nil &&
 			seed.Validate(env.Model, env.NumProviders()) == nil {
-			init, seedKey = seed, nsig.Key()
+			init, seedKey = seed, nkey
 			s.cache.countWarmHit()
 		}
 	}
 
 	strat, err := s.plan(env, obj, init)
 	if err != nil {
-		return Result{}, fmt.Errorf("plancache: planning %s: %w", sig.Key(), err)
+		return Result{}, fmt.Errorf("plancache: planning %s: %w", key, err)
 	}
 	scorer := sim.DefaultObjective(obj)
 	score, err := scorer.Score(env, strat, 0)
 	if err != nil {
-		return Result{}, fmt.Errorf("plancache: scoring %s: %w", sig.Key(), err)
+		return Result{}, fmt.Errorf("plancache: scoring %s: %w", key, err)
 	}
 	outcome := OutcomeCold
 	if init != nil {
@@ -172,6 +173,6 @@ func (s *Service) planMiss(env *sim.Env, obj sim.Objective, sig Signature) (Resu
 	}
 	// Hand out the cache-resident clone, so every path (hit or miss)
 	// returns cache-owned read-only strategies.
-	cached := s.cache.Put(sig, strat, score)
+	cached := s.cache.put(key, sig, strat, score)
 	return Result{Strategy: cached, Score: score, Outcome: outcome, SeedKey: seedKey}, nil
 }

@@ -14,7 +14,6 @@ import (
 	"hash/fnv"
 	"math"
 	"strconv"
-	"strings"
 
 	"distredge/internal/cnn"
 	"distredge/internal/device"
@@ -62,15 +61,19 @@ type Signature struct {
 // and distinct signatures distinct keys (the fields are joined with
 // separators no field contains).
 func (s Signature) Key() string {
-	var b strings.Builder
-	b.WriteString(s.Model)
-	b.WriteByte('|')
-	b.WriteString(s.Objective)
+	var buf [256]byte // a six-provider key fits; a longer one grows on the heap
+	b := append(buf[:0], s.Model...)
+	b = append(append(b, '|'), s.Objective...)
 	for _, d := range s.Devices {
-		fmt.Fprintf(&b, "|%s@%d~%d", d.Dev, d.BW, d.Spread)
+		b = appendRegime(append(append(b, '|'), d.Dev...), d)
 	}
-	fmt.Fprintf(&b, "|req@%d~%d", s.Requester.BW, s.Requester.Spread)
-	return b.String()
+	return string(appendRegime(append(b, "|req"...), s.Requester))
+}
+
+// appendRegime appends a device slot's link regime, "@BW~Spread".
+func appendRegime(b []byte, d DeviceSig) []byte {
+	b = strconv.AppendInt(append(b, '@'), int64(d.BW), 10)
+	return strconv.AppendInt(append(b, '~'), int64(d.Spread), 10)
 }
 
 // SignatureOf derives the fleet signature of a planning request from the
@@ -145,11 +148,13 @@ func probeLayer(m *cnn.Model) cnn.Layer {
 // round-trips the values, so two devices share a fingerprint iff they
 // predict bit-identical probe latencies.
 func fingerprint(d device.LatencyModel, probe cnn.Layer) string {
-	h := fnv.New64a()
+	var buf [96]byte
+	b := buf[:0]
 	for _, r := range [3]int{1, (probe.OutHeight() + 1) / 2, probe.OutHeight()} {
-		h.Write([]byte(strconv.FormatFloat(d.ComputeLatency(probe, r), 'g', -1, 64)))
-		h.Write([]byte{','})
+		b = append(strconv.AppendFloat(b, d.ComputeLatency(probe, r), 'g', -1, 64), ',')
 	}
+	h := fnv.New64a()
+	h.Write(b)
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 

@@ -1,6 +1,7 @@
 package plancache
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -299,5 +300,33 @@ func TestBucketBoundaryProperty(t *testing.T) {
 	}
 	if err := quick.Check(self, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestKeyMatchesFormattedKey holds Key, which appends into one buffer, to
+// the fmt rendering it replaced, byte for byte, over random signatures
+// (negative regimes, empty and long fields, up to 20 devices).
+func TestKeyMatchesFormattedKey(t *testing.T) {
+	formatted := func(s Signature) string {
+		k := s.Model + "|" + s.Objective
+		for _, d := range s.Devices {
+			k += fmt.Sprintf("|%s@%d~%d", d.Dev, d.BW, d.Spread)
+		}
+		return k + fmt.Sprintf("|req@%d~%d", s.Requester.BW, s.Requester.Spread)
+	}
+	rng := rand.New(rand.NewSource(1))
+	regime := func() DeviceSig {
+		return DeviceSig{Dev: fmt.Sprintf("%x", rng.Uint64()), BW: rng.Intn(41) - 20, Spread: rng.Intn(1 << 20)}
+	}
+	for i := 0; i < 500; i++ {
+		s := Signature{Model: fmt.Sprint("m", rng.Intn(3)), Objective: ObjectiveKey(sim.ThroughputObjective{Window: rng.Intn(9)})}
+		for d := rng.Intn(21); d > 0; d-- {
+			s.Devices = append(s.Devices, regime())
+		}
+		s.Requester = regime()
+		s.Requester.Dev = ""
+		if got, want := s.Key(), formatted(s); got != want {
+			t.Fatalf("Key %q, fmt renders %q", got, want)
+		}
 	}
 }

@@ -48,6 +48,16 @@ func NewReplay(capacity int, seed int64) *Replay {
 	return &Replay{cap: capacity, rng: rand.New(rand.NewSource(seed))}
 }
 
+// Reset empties the buffer and reseeds its sampler, keeping the storage it
+// has grown. Afterwards it behaves exactly as a NewReplay of its capacity
+// and seed would: (*rand.Rand).Seed leaves the source as rand.NewSource
+// does.
+func (r *Replay) Reset(seed int64) {
+	r.rows, r.reward, r.done = r.rows[:0], r.reward[:0], r.done[:0]
+	r.ds, r.da, r.next = 0, 0, 0
+	r.rng.Seed(seed)
+}
+
 // Add stores a copy of the transition, evicting the oldest when full. Every
 // transition must have the state and action widths of the first.
 func (r *Replay) Add(t Transition) {
@@ -154,6 +164,7 @@ type Agent struct {
 
 	scr  *updateScratch // batch-sized buffers reused across Update calls
 	act1 *actScratch    // 1-row buffers reused across Action calls
+	home *shapePool     // where Release files the agent
 }
 
 // updateScratch holds every buffer one Update step needs, sized for a fixed
@@ -199,25 +210,45 @@ func (a *Agent) scratch(batch int) *updateScratch {
 		actorWS:  nn.NewWorkspace(a.Actor, batch),
 		criticWS: nn.NewWorkspace(a.Critic, batch),
 	}
-	for i := 0; i < batch; i++ {
-		a.scr.ones.Set(i, 0, -1.0/float64(batch)) // maximise Q ⇒ descend -Q
-	}
+	a.scr.fillOnes()
 	return a.scr
 }
 
+// fillOnes writes the actor step's output gradient: -1/batch per row
+// (maximise Q ⇒ descend -Q). It is the one scratch buffer an update reads
+// before writing.
+func (s *updateScratch) fillOnes() {
+	for i := range s.ones.A {
+		s.ones.A[i] = -1.0 / float64(s.batch)
+	}
+}
+
 // New creates a DDPG agent (Alg. 2 lines 1-3: random nets, targets copied,
-// empty replay buffer).
+// empty replay buffer). When an agent of the same shape has been released
+// (see Release), New re-initialises that one in place instead of allocating;
+// either way the agent is the one the seed defines.
 func New(cfg Config) (*Agent, error) {
 	cfg = cfg.withDefaults()
 	if cfg.StateDim < 1 || cfg.ActionDim < 1 {
 		return nil, fmt.Errorf("rl: need positive state/action dims, got %d/%d", cfg.StateDim, cfg.ActionDim)
 	}
+	home := agents.pool(cfg)
+	a, _ := home.agents.Get().(*Agent)
+	if a == nil {
+		a = alloc(cfg)
+		a.home = home
+	}
+	a.init(cfg)
+	return a, nil
+}
+
+// alloc builds an agent of cfg's shape; init then gives it its numbers.
+func alloc(cfg Config) *Agent {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	actorSizes := append(append([]int{cfg.StateDim}, cfg.Hidden...), cfg.ActionDim)
 	criticHidden := append(append([]int(nil), cfg.Hidden...), cfg.Hidden[len(cfg.Hidden)-1])
 	criticSizes := append(append([]int{cfg.StateDim + cfg.ActionDim}, criticHidden...), 1)
 	a := &Agent{
-		Cfg:    cfg,
 		Actor:  nn.NewMLP(actorSizes, nn.ReLU, nn.Tanh, rng),
 		Critic: nn.NewMLP(criticSizes, nn.ReLU, nn.Identity, rng),
 		Buf:    NewReplay(cfg.BufferCap, cfg.Seed+1),
@@ -227,7 +258,28 @@ func New(cfg Config) (*Agent, error) {
 	a.CriticT = a.Critic.Clone()
 	a.actorOpt = nn.NewAdam(a.Actor, cfg.ActorLR)
 	a.criticOpt = nn.NewAdam(a.Critic, cfg.CriticLR)
-	return a, nil
+	return a
+}
+
+// init (re)initialises every number the agent owns from cfg, as a new
+// agent starts: the rng reseeded, then the actor's and the critic's
+// weights drawn from it in that order, the targets copied, the Adam
+// moments and step counts zeroed and the replay buffer emptied and
+// reseeded. The update scratch is kept; its one pre-filled buffer is
+// filled again.
+func (a *Agent) init(cfg Config) {
+	a.Cfg = cfg
+	a.rng.Seed(cfg.Seed)
+	a.Actor.Init(a.rng)
+	a.Critic.Init(a.rng)
+	a.ActorT.CopyFrom(a.Actor)
+	a.CriticT.CopyFrom(a.Critic)
+	a.actorOpt.Reset(cfg.ActorLR)
+	a.criticOpt.Reset(cfg.CriticLR)
+	a.Buf.Reset(cfg.Seed + 1)
+	if a.scr != nil {
+		a.scr.fillOnes()
+	}
 }
 
 // Action writes the deterministic policy action μ(s) ∈ [-1,1]^A into dst,
@@ -256,7 +308,7 @@ func (a *Agent) Action(dst, state []float64) []float64 {
 func (a *Agent) NoisyAction(dst, state []float64, sigma float64) []float64 {
 	act := a.Action(dst, state)
 	for i := range act {
-		act[i] += sigma * a.rng.NormFloat64()
+		act[i] += float64(sigma * a.rng.NormFloat64())
 		if act[i] > 1 {
 			act[i] = 1
 		}
@@ -294,7 +346,7 @@ func (a *Agent) Update(batch int) float64 {
 	for i, t := range ts {
 		y[i] = t.Reward
 		if !t.Done {
-			y[i] += a.Cfg.Gamma * q2.At(i, 0)
+			y[i] += float64(a.Cfg.Gamma * q2.At(i, 0))
 		}
 	}
 
@@ -304,7 +356,7 @@ func (a *Agent) Update(batch int) float64 {
 	var loss float64
 	for i := 0; i < n; i++ {
 		d := q.At(i, 0) - y[i]
-		loss += d * d
+		loss += float64(d * d)
 		gradQ.Set(i, 0, 2*d/float64(n))
 	}
 	loss /= float64(n)

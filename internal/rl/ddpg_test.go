@@ -3,7 +3,10 @@ package rl
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"distredge/internal/nn"
 )
 
 func TestReplayBasics(t *testing.T) {
@@ -203,5 +206,52 @@ func TestUpdateReducesCriticLoss(t *testing.T) {
 	}
 	if last > first {
 		t.Errorf("critic loss did not decrease: first %g, last %g", first, last)
+	}
+}
+
+// TestReleasedAgentIsFresh: an agent New takes back from the pool — after
+// training that wrapped its replay buffer, moved its Adam state and its
+// targets — acts and trains exactly as a never-pooled agent of the same
+// Config: the same actions, losses and weights, bit for bit.
+func TestReleasedAgentIsFresh(t *testing.T) {
+	cfg := Config{StateDim: 3, ActionDim: 2, Hidden: []int{8, 8}, BufferCap: 20, Seed: 9}
+	train := func(a *Agent, seed int64) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		var trace []float64
+		act := make([]float64, cfg.ActionDim)
+		for i := 0; i < 50; i++ { // wraps the 20-transition buffer
+			s := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+			a.NoisyAction(act, s, 0.3)
+			a.Buf.Add(Transition{State: s, Action: act, Reward: rng.Float64(), NextState: s, Done: i%5 == 4})
+			trace = append(append(trace, act...), a.Update(8))
+		}
+		for _, m := range []*nn.MLP{a.Actor, a.Critic, a.ActorT, a.CriticT} {
+			for l := range m.W {
+				trace = append(append(trace, m.W[l].A...), m.B[l]...)
+			}
+		}
+		return trace
+	}
+	fresh := alloc(cfg.withDefaults())
+	fresh.init(cfg.withDefaults())
+	want := train(fresh, 2)
+
+	hit := false
+	for attempt := 0; attempt < 20 && !hit; attempt++ {
+		used, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		train(used, 1)
+		used.Release()
+		a, _ := New(cfg)
+		hit = a == used
+		if got := train(a, 2); !slices.Equal(got, want) {
+			t.Fatalf("a released agent trains differently from a fresh one (pooled: %v)", hit)
+		}
+		a.Release()
+	}
+	if !hit {
+		t.Error("New never returned the released agent in 20 attempts")
 	}
 }

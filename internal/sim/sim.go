@@ -184,21 +184,21 @@ type Exec struct {
 // NewExec starts the execution of one image at absolute time `at` under the
 // given partition scheme.
 func NewExec(env *Env, boundaries []int, at float64) *Exec {
-	n := env.NumProviders()
-	x := &Exec{
-		env:       env,
-		acc:       make([]float64, n),
-		accNext:   make([]float64, n),
-		busy:      make([]float64, n),
-		owner:     make([]cnn.RowRange, n),
-		ownerNext: make([]cnn.RowRange, n),
-		bd: Breakdown{
-			PerDevComp:  make([]float64, n),
-			PerDevTrans: make([]float64, n),
-		},
-	}
-	x.Reset(boundaries, at)
+	x := &Exec{}
+	x.ResetEnv(env, boundaries, at)
 	return x
+}
+
+// ResetEnv is Reset on another environment: it re-targets the exec at env,
+// sizing its buffers for env's provider count and reusing their storage,
+// so an exec outlives the env it was built for.
+func (x *Exec) ResetEnv(env *Env, boundaries []int, at float64) {
+	n := env.NumProviders()
+	x.env = env
+	x.acc, x.accNext, x.busy = resize(x.acc, n), resize(x.accNext, n), resize(x.busy, n)
+	x.owner, x.ownerNext = resize(x.owner, n), resize(x.ownerNext, n)
+	x.bd.PerDevComp, x.bd.PerDevTrans = resize(x.bd.PerDevComp, n), resize(x.bd.PerDevTrans, n)
+	x.Reset(boundaries, at)
 }
 
 // Reset re-arms the exec for a new image starting at absolute time `at`

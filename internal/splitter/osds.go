@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 
 	"distredge/internal/cnn"
 	"distredge/internal/device"
@@ -109,19 +110,25 @@ type Trainer struct {
 	obj        sim.Objective
 	agent      *rl.Agent
 	rng        *rand.Rand
-	exec       *sim.Exec // reusable per-episode executor (compiled path)
+	exec       sim.Exec // reusable per-episode executor
 
-	// Episode buffers, sized once and rewritten by every episode, so a
-	// steady-state episode allocates nothing. states[v] is the OSDS state
-	// before volume v is split and states[numVol] the all-zero terminal
-	// next-state; actions[v] is the raw actor output for volume v. The
-	// replay buffer copies both. strat is the episode's strategy: mapAction
-	// writes its Splits in place, the environment's plan memo recompiles
-	// it in place, and it is cloned only when it sets a new best.
+	// Episode buffers, sized by NewTrainer and rewritten by every episode,
+	// so a steady-state episode allocates nothing. states[v] is the OSDS
+	// state before volume v is split and states[numVol] the all-zero
+	// terminal next-state; actions[v] is the raw actor output for volume v;
+	// vecs backs both. The replay buffer copies them. strat is the
+	// episode's strategy: mapAction writes its Splits in place and the
+	// environment's plan memo recompiles it in place. bestCopy holds the
+	// best strategy seen, copied over on each new best; splits backs the
+	// Splits of both.
+	vecs            []float64
 	states, actions [][]float64
+	splits          []int
 	sorted          []float64 // mapAction's sort buffer
 	cuts            []int     // a warm-start candidate's cuts
-	strat           *strategy.Strategy
+	sched           []int     // warmSchedule's buffer
+	strat           strategy.Strategy
+	bestCopy        strategy.Strategy
 	warm            warmScratch
 
 	// State normalisation scales derived from the model.
@@ -129,10 +136,16 @@ type Trainer struct {
 	hScale   float64
 	cScale   float64
 
-	best  *strategy.Strategy
+	best  *strategy.Strategy // &bestCopy once an episode succeeded, else nil
 	bestT float64
 	hist  []float64
 }
+
+// trainers holds the Trainers that finished Searches released (see
+// release): a search of any shape reuses one's buffers, resized in place.
+// Like the agent pool in internal/rl, it is the process's one pool, and
+// the GC releases whatever stays idle over two collections.
+var trainers sync.Pool // of *Trainer
 
 // NewTrainer builds a trainer for splitting the given partition scheme on
 // the environment.
@@ -157,34 +170,59 @@ func NewTrainer(env *sim.Env, boundaries []int, cfg Config) (*Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trainer{
-		env:        env,
-		boundaries: boundaries,
-		cfg:        cfg,
-		obj:        sim.DefaultObjective(cfg.Objective),
-		agent:      agent,
-		rng:        rand.New(rand.NewSource(cfg.Seed + 17)),
-		bestT:      math.Inf(1),
-		sorted:     make([]float64, n-1),
-		cuts:       make([]int, n-1),
+	t, _ := trainers.Get().(*Trainer)
+	if t == nil {
+		t = &Trainer{rng: rand.New(rand.NewSource(cfg.Seed + 17))}
 	}
+	t.env, t.boundaries, t.cfg, t.agent = env, boundaries, cfg, agent
+	t.obj = sim.DefaultObjective(cfg.Objective)
+	t.rng.Seed(cfg.Seed + 17)
+	t.exec.ResetEnv(env, boundaries, 0)
+	t.best, t.bestT, t.hist = nil, math.Inf(1), t.hist[:0]
+	t.sorted, t.cuts = resize(t.sorted, n-1), resize(t.cuts, n-1)
+
 	numVol := len(boundaries) - 1
 	ds, da := n+4, n-1
-	vecs := make([]float64, (numVol+1)*ds+numVol*da)
-	t.states, t.actions = make([][]float64, numVol+1), make([][]float64, numVol)
+	t.vecs = resize(t.vecs, (numVol+1)*ds+numVol*da)
+	t.states, t.actions = resize(t.states, numVol+1), resize(t.actions, numVol)
+	vecs := t.vecs
 	for v := range t.states {
 		t.states[v], vecs = vecs[:ds:ds], vecs[ds:]
 	}
 	for v := range t.actions {
 		t.actions[v], vecs = vecs[:da:da], vecs[da:]
 	}
-	splits := make([]int, numVol*da)
-	t.strat = &strategy.Strategy{Boundaries: boundaries, Splits: make([][]int, numVol)}
-	for v := range t.strat.Splits {
-		t.strat.Splits[v], splits = splits[:da:da], splits[da:]
+	t.splits = resize(t.splits, 2*numVol*da)
+	splits := t.splits
+	for _, s := range []*strategy.Strategy{&t.strat, &t.bestCopy} {
+		s.Boundaries, s.Splits = boundaries, resize(s.Splits, numVol)
+		for v := range s.Splits {
+			s.Splits[v], splits = splits[:da:da], splits[da:]
+		}
 	}
 	t.deriveScales()
 	return t, nil
+}
+
+// release hands the trainer and its agent back for later searches to
+// reuse. Only a one-shot Search releases its trainer: one kept alive for
+// Finetune never is.
+func (t *Trainer) release() {
+	t.agent.Release()
+	t.env, t.boundaries, t.cfg, t.obj, t.agent, t.best = nil, nil, Config{}, nil, nil, nil
+	t.strat.Boundaries, t.bestCopy.Boundaries = nil, nil
+	trainers.Put(t)
+}
+
+// resize returns s resliced to n zeroed elements, or a new slice when s is
+// too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (t *Trainer) deriveScales() {
@@ -250,7 +288,7 @@ func actionFromCuts(raw []float64, cuts []int, h int) []float64 {
 }
 
 // warmScratch holds the buffers of the warm-start heuristics, sized for
-// one provider count on first use.
+// one provider count on first use and resized in place when it changes.
 type warmScratch struct {
 	lats, weights []float64
 	order, cand   []int
@@ -259,13 +297,9 @@ type warmScratch struct {
 
 func (w *warmScratch) size(n int) {
 	if len(w.lats) != n {
-		*w = warmScratch{
-			lats:    make([]float64, n),
-			weights: make([]float64, n),
-			order:   make([]int, n),
-			cand:    make([]int, n-1),
-			allowed: make([]bool, n),
-		}
+		w.lats, w.weights = resize(w.lats, n), resize(w.weights, n)
+		w.order, w.cand = resize(w.order, n), resize(w.cand, n-1)
+		w.allowed = resize(w.allowed, n)
 	}
 }
 
@@ -370,18 +404,20 @@ const initWarmKind = numWarmCandidates + 1
 // InitSplits seed first (when provided), then the stage family under a
 // throughput-style objective, then the four heuristic families, capped at
 // half the episode budget. floorOne keeps at least one warm episode for
-// any positive budget (Finetune's behaviour).
-func warmSchedule(cfg Config, episodes int, floorOne bool) []int {
+// any positive budget (Finetune's behaviour). The schedule is written over
+// dst's storage.
+func warmSchedule(dst []int, cfg Config, episodes int, floorOne bool) []int {
 	if !cfg.WarmStart {
 		return nil
 	}
-	kinds := []int{0, 1, 2, 3}
-	if !sim.IsLatencyObjective(cfg.Objective) {
-		kinds = append([]int{stageWarmKind}, kinds...)
-	}
+	kinds := dst[:0]
 	if cfg.InitSplits != nil {
-		kinds = append([]int{initWarmKind}, kinds...)
+		kinds = append(kinds, initWarmKind)
 	}
+	if !sim.IsLatencyObjective(cfg.Objective) {
+		kinds = append(kinds, stageWarmKind)
+	}
+	kinds = append(kinds, 0, 1, 2, 3)
 	max := episodes / 2
 	if floorOne && max < 1 && episodes > 0 {
 		max = 1
@@ -490,7 +526,7 @@ func (t *Trainer) warmAction(raw []float64, vol []cnn.Layer, v, h, kind int) {
 	}
 	actionFromCuts(raw, cuts, h)
 	for i := range raw {
-		raw[i] += 0.01 * t.rng.NormFloat64()
+		raw[i] += float64(0.01 * t.rng.NormFloat64())
 	}
 }
 
@@ -502,12 +538,8 @@ func (t *Trainer) warmAction(raw []float64, vol []cnn.Layer, v, h, kind int) {
 func (t *Trainer) runEpisode(eps float64, warmKind int, train bool) (float64, *strategy.Strategy) {
 	numVol := len(t.boundaries) - 1
 	at := t.rng.Float64() * 300 // sample a trace instant
-	if t.exec == nil {
-		t.exec = sim.NewExec(t.env, t.boundaries, at)
-	} else {
-		t.exec.Reset(t.boundaries, at)
-	}
-	x := t.exec
+	x := &t.exec
+	x.Reset(t.boundaries, at)
 	sigma := math.Sqrt(t.cfg.SigmaSq)
 
 	// The state before volume v+1 is volume v's next state; the terminal
@@ -539,7 +571,7 @@ func (t *Trainer) runEpisode(eps float64, warmKind int, train bool) (float64, *s
 	// (so the default search performs exactly the pre-objective float
 	// sequence), while the throughput objective replays the strategy
 	// pipelined and returns steady seconds per image.
-	score, err := t.obj.EpisodeScore(t.env, t.strat, at, latency)
+	score, err := t.obj.EpisodeScore(t.env, &t.strat, at, latency)
 	if err != nil || score <= 0 || math.IsInf(score, 0) {
 		return math.Inf(1), nil
 	}
@@ -556,27 +588,38 @@ func (t *Trainer) runEpisode(eps float64, warmKind int, train bool) (float64, *s
 			t.agent.Update(t.cfg.Batch)
 		}
 	}
-	return score, t.strat
+	return score, &t.strat
 }
 
 // record books one episode: its score joins the history, and its strategy
-// is copied out when it is the best seen.
+// is copied into bestCopy when it is the best seen.
 func (t *Trainer) record(score float64, strat *strategy.Strategy) {
 	t.hist = append(t.hist, score)
 	if strat != nil && score < t.bestT {
 		t.bestT = score
-		t.best = strat.Clone()
+		for v, cuts := range strat.Splits {
+			copy(t.bestCopy.Splits[v], cuts)
+		}
+		t.best = &t.bestCopy
 	}
+}
+
+// result reports the run so far, with a copy of the best strategy and of
+// the history that the caller owns.
+func (t *Trainer) result() *Result {
+	best, _ := t.Best()
+	return &Result{Strategy: best, BestLatency: t.bestT, Episodes: append([]float64(nil), t.hist...)}
 }
 
 // Run trains for the configured number of episodes, tracking the best
 // strategy observed.
 func (t *Trainer) Run() *Result {
-	sched := warmSchedule(t.cfg, t.cfg.Episodes, false)
+	t.sched = warmSchedule(t.sched, t.cfg, t.cfg.Episodes, false)
+	sched := t.sched
 	t.hist = slices.Grow(t.hist, t.cfg.Episodes)
 	for ep := 0; ep < t.cfg.Episodes; ep++ {
 		e := float64(ep) * t.cfg.DeltaEps
-		eps := 1 - e*e
+		eps := 1 - float64(e*e)
 		if eps < 0.05 {
 			eps = 0.05
 		}
@@ -586,11 +629,17 @@ func (t *Trainer) Run() *Result {
 		}
 		t.record(t.runEpisode(eps, warmKind, true))
 	}
-	return &Result{Strategy: t.best, BestLatency: t.bestT, Episodes: append([]float64(nil), t.hist...)}
+	return t.result()
 }
 
-// Best returns the best strategy and latency observed so far.
-func (t *Trainer) Best() (*strategy.Strategy, float64) { return t.best, t.bestT }
+// Best returns a copy of the best strategy observed so far (nil when no
+// episode succeeded) and its score.
+func (t *Trainer) Best() (*strategy.Strategy, float64) {
+	if t.best == nil {
+		return nil, t.bestT
+	}
+	return t.best.Clone(), t.bestT
+}
 
 // Finetune re-targets the trainer at a changed environment (e.g. new
 // network conditions, Section V-F) and trains for a few extra episodes,
@@ -598,12 +647,13 @@ func (t *Trainer) Best() (*strategy.Strategy, float64) { return t.best, t.bestT 
 // because old latencies are no longer comparable.
 func (t *Trainer) Finetune(env *sim.Env, episodes int) *Result {
 	t.env = env
-	t.exec = nil // the reusable executor is bound to the old env
+	t.exec.ResetEnv(env, t.boundaries, 0)
 	t.deriveScales()
 	t.best = nil
 	t.bestT = math.Inf(1)
-	t.hist = nil
-	sched := warmSchedule(t.cfg, episodes, true)
+	t.hist = t.hist[:0]
+	t.sched = warmSchedule(t.sched, t.cfg, episodes, true)
+	sched := t.sched
 	for ep := 0; ep < episodes; ep++ {
 		warmKind := -1
 		if ep < len(sched) {
@@ -611,7 +661,7 @@ func (t *Trainer) Finetune(env *sim.Env, episodes int) *Result {
 		}
 		t.record(t.runEpisode(0.3, warmKind, true))
 	}
-	return &Result{Strategy: t.best, BestLatency: t.bestT, Episodes: append([]float64(nil), t.hist...)}
+	return t.result()
 }
 
 // Search is the one-shot convenience API: train a fresh agent and return
@@ -622,6 +672,7 @@ func Search(env *sim.Env, boundaries []int, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res := tr.Run()
+	tr.release()
 	if res.Strategy == nil {
 		return nil, fmt.Errorf("splitter: no valid strategy found")
 	}

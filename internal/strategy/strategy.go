@@ -109,8 +109,16 @@ func (s *Strategy) Validate(m *cnn.Model, providers int) error {
 func (s *Strategy) Clone() *Strategy {
 	c := &Strategy{Boundaries: append([]int(nil), s.Boundaries...)}
 	c.Splits = make([][]int, len(s.Splits))
+	n := 0
+	for _, cuts := range s.Splits {
+		n += len(cuts)
+	}
+	flat := make([]int, n) // one backing array for every volume's cuts
 	for i, cuts := range s.Splits {
-		c.Splits[i] = append([]int(nil), cuts...)
+		if len(cuts) > 0 { // an empty row stays nil, as append made it
+			c.Splits[i], flat = flat[:len(cuts):len(cuts)], flat[len(cuts):]
+			copy(c.Splits[i], cuts)
+		}
 	}
 	return c
 }

@@ -66,7 +66,7 @@ func Blend(dst, src []float64, t float64) {
 		blend4(&dst[0], &src[0], i, t, omt)
 	}
 	for j, v := range src[i:] {
-		dst[i+j] = t*v + omt*dst[i+j]
+		dst[i+j] = float64(t*v) + float64(omt*dst[i+j])
 	}
 }
 
@@ -95,8 +95,8 @@ func AdamStep(p, g, m, v []float64, c AdamCoef) {
 	}
 	for ; i < len(p); i++ {
 		gv := g[i]
-		m[i] = c.B1*m[i] + c.OB1*gv
-		v[i] = c.B2*v[i] + c.OB2*gv*gv
+		m[i] = float64(c.B1*m[i]) + float64(c.OB1*gv)
+		v[i] = float64(c.B2*v[i]) + float64(c.OB2*gv*gv)
 		p[i] -= c.LR * (m[i] / c.C1) / (math.Sqrt(v[i]/c.C2) + c.Eps)
 	}
 }

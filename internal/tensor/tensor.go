@@ -1,6 +1,12 @@
 // Package tensor provides the dense float64 matrix operations the neural
 // network and DDPG packages are built on. Matrices are row-major; rows are
 // samples in minibatch operations.
+//
+// Where a product feeds an add, the code writes float64(x*y) + z: the
+// explicit conversion rounds the product, which forbids the compiler to
+// fuse the two into one multiply-add. arm64 would otherwise emit FMADD,
+// rounding once instead of twice, and plan different bytes than amd64
+// from the same seed.
 package tensor
 
 import (
@@ -56,7 +62,7 @@ func (m *Mat) Clone() *Mat {
 // Randomize fills the matrix with U(-scale, scale) values.
 func (m *Mat) Randomize(rng *rand.Rand, scale float64) {
 	for i := range m.A {
-		m.A[i] = (2*rng.Float64() - 1) * scale
+		m.A[i] = (2*float64(rng.Float64()) - 1) * scale
 	}
 }
 
@@ -124,14 +130,14 @@ func addTerms(orow, bA []float64, off []int, val []float64) {
 		c0, c1, c2, c3, c4, c5, c6, c7 := o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
 		for p, av := range val {
 			bb := (*[8]float64)(bA[off[p]+j:])
-			c0 += av * bb[0]
-			c1 += av * bb[1]
-			c2 += av * bb[2]
-			c3 += av * bb[3]
-			c4 += av * bb[4]
-			c5 += av * bb[5]
-			c6 += av * bb[6]
-			c7 += av * bb[7]
+			c0 += float64(av * bb[0])
+			c1 += float64(av * bb[1])
+			c2 += float64(av * bb[2])
+			c3 += float64(av * bb[3])
+			c4 += float64(av * bb[4])
+			c5 += float64(av * bb[5])
+			c6 += float64(av * bb[6])
+			c7 += float64(av * bb[7])
 		}
 		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c0, c1, c2, c3, c4, c5, c6, c7
 	}
@@ -140,17 +146,17 @@ func addTerms(orow, bA []float64, off []int, val []float64) {
 		c0, c1, c2, c3 := o[0], o[1], o[2], o[3]
 		for p, av := range val {
 			bb := (*[4]float64)(bA[off[p]+j:])
-			c0 += av * bb[0]
-			c1 += av * bb[1]
-			c2 += av * bb[2]
-			c3 += av * bb[3]
+			c0 += float64(av * bb[0])
+			c1 += float64(av * bb[1])
+			c2 += float64(av * bb[2])
+			c3 += float64(av * bb[3])
 		}
 		o[0], o[1], o[2], o[3] = c0, c1, c2, c3
 	}
 	for ; j < n; j++ {
 		c := orow[j]
 		for p, av := range val {
-			c += av * bA[off[p]+j]
+			c += float64(av * bA[off[p]+j])
 		}
 		orow[j] = c
 	}
