@@ -366,6 +366,29 @@ func BenchmarkOSDSSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanCachedHit measures a warmed System.PlanCached hit on a
+// five-provider vgg16 fleet over the stable 60-minute traces: the path
+// most plan-mix requests take. TestPlanCachedHitAllocs pins its allocation
+// count.
+func BenchmarkPlanCachedHit(b *testing.B) {
+	sys, err := New("vgg16", append(fourProviders(), Provider{Type: "tx2", BandwidthMbps: 150}), WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := PlanConfig{Effort: EffortTiny}
+	pc := NewPlanCache(0)
+	if _, _, err := sys.PlanCached(cfg, pc); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, out, err := sys.PlanCached(cfg, pc); err != nil || out != PlanHit {
+			b.Fatalf("outcome %q, %v; want a hit", out, err)
+		}
+	}
+}
+
 // BenchmarkDDPGUpdate measures one actor+critic gradient step for a
 // 4-provider fleet (state 8, action 3) at the paper's network sizes
 // ({400,200,100}, batch 64) and at the quick budget's ({32,32}, batch 32),

@@ -21,6 +21,7 @@ package distredge
 
 import (
 	"fmt"
+	"sync"
 
 	"distredge/internal/baselines"
 	"distredge/internal/cnn"
@@ -172,9 +173,12 @@ func WithDynamicNetwork() Option {
 
 // System binds a model to a concrete set of providers.
 type System struct {
-	env     *sim.Env
+	env     *sim.Env // built by New and never replaced
 	seed    int64
 	dynamic bool
+
+	fleetOnce sync.Once
+	fleet     plancache.Signature // env's plan-cache signature, Objective left empty
 }
 
 // Models lists the available CNN models (the paper's full evaluation zoo).
@@ -308,8 +312,11 @@ const (
 // PlanCached is Plan through the plan cache: an exact fleet-signature hit
 // returns the cached strategy without searching, and a miss plans (warm-
 // started when the cache holds a comparable neighbour) and caches the
-// result for the next request. Concurrent PlanCached calls against the
-// same cache are safe; identical fleets are deduplicated single-flight.
+// result for the next request. The System derives its fleet's signature on
+// its first PlanCached and keeps it, so a hit costs a key and a lookup.
+// Concurrent PlanCached calls against the same cache are safe, and calls
+// for one fleet signature, from any System, are deduplicated single-flight:
+// one searches and the others wait for its plan.
 func (s *System) PlanCached(cfg PlanConfig, pc *PlanCache) (*Plan, PlanOutcome, error) {
 	if pc == nil {
 		p, err := s.Plan(cfg)
@@ -319,14 +326,10 @@ func (s *System) PlanCached(cfg PlanConfig, pc *PlanCache) (*Plan, PlanOutcome, 
 	if err != nil {
 		return nil, "", err
 	}
-	svc, err := plancache.NewService(plancache.Config{
-		Cache:   pc.c,
-		Planner: experiments.MemoPlanner(b, alpha, pc.lcpss),
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	res, err := svc.Plan(s.env, obj)
+	s.fleetOnce.Do(func() { s.fleet = plancache.SignatureOf(s.env, nil) })
+	sig := s.fleet
+	sig.Objective = plancache.ObjectiveKey(obj)
+	res, err := pc.c.Plan(s.env, obj, sig, experiments.MemoPlanner(b, alpha, pc.lcpss))
 	if err != nil {
 		return nil, "", err
 	}

@@ -86,9 +86,9 @@ func Stable(nominalMbps float64, minutes int, seed int64) *Trace {
 	mbps := make([]float64, n)
 	level := nominalMbps
 	for i := 0; i < n; i++ {
-		v := level * (1 + 0.03*rng.NormFloat64())
+		v := level * (1 + float64(0.03*rng.NormFloat64()))
 		if rng.Float64() < 0.01 { // rare short dip (interference burst)
-			v *= 0.7 + 0.2*rng.Float64()
+			v *= 0.7 + float64(0.2*rng.Float64())
 		}
 		if v < 0.05*nominalMbps {
 			v = 0.05 * nominalMbps
@@ -109,11 +109,11 @@ func Dynamic(loMbps, hiMbps float64, minutes int, seed int64) *Trace {
 	n := minutes * 60
 	mbps := make([]float64, n)
 	span := hiMbps - loMbps
-	level := loMbps + span*rng.Float64()
+	level := loMbps + float64(span*rng.Float64())
 	for i := 0; i < n; i++ {
-		level += span * 0.05 * rng.NormFloat64()
+		level += float64(span * 0.05 * rng.NormFloat64())
 		if rng.Float64() < 0.02 { // abrupt shift
-			level = loMbps + span*rng.Float64()
+			level = loMbps + float64(span*rng.Float64())
 		}
 		if level < loMbps {
 			level = loMbps
@@ -121,7 +121,7 @@ func Dynamic(loMbps, hiMbps float64, minutes int, seed int64) *Trace {
 		if level > hiMbps {
 			level = hiMbps
 		}
-		mbps[i] = level * (1 + 0.02*rng.NormFloat64())
+		mbps[i] = level * (1 + float64(0.02*rng.NormFloat64()))
 		if mbps[i] < 0.5*loMbps {
 			mbps[i] = 0.5 * loMbps
 		}

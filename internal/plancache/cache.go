@@ -34,12 +34,15 @@ type entry struct {
 // signature. Stored strategies are cloned on Put and returned by pointer on
 // Get — callers must treat retrieved strategies as read-only (every
 // consumer in this repo does: simulation, compilation and deployment only
-// read them), which keeps exact hits allocation-free.
+// read them), which keeps exact hits allocation-free. The cache also holds
+// the misses being planned through Plan, so every caller sharing it, by
+// any Service or none, waits for one planning of a signature.
 type Cache struct {
 	capacity int
 
 	mu         sync.Mutex
 	entries    map[string]*entry // guarded by mu
+	inflight   map[string]*call  // guarded by mu; the misses being planned, by key
 	head, tail *entry            // guarded by mu; LRU list, most recent first
 	stats      Stats             // guarded by mu
 }
@@ -50,27 +53,34 @@ func New(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Cache{capacity: capacity, entries: make(map[string]*entry)}
+	return &Cache{capacity: capacity, entries: make(map[string]*entry), inflight: make(map[string]*call)}
 }
 
 // Get retrieves the strategy cached under the exact signature, with its
 // objective score. The hit is promoted to most-recently-used.
 func (c *Cache) Get(sig Signature) (*strategy.Strategy, float64, bool) {
-	return c.get(sig.Key())
-}
-
-// get is Get under an already rendered key.
-func (c *Cache) get(key string) (*strategy.Strategy, float64, bool) {
+	var buf [keyBuf]byte
+	kb := sig.appendKey(buf[:0])
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[key]
+	if e := c.lookupLocked(kb); e != nil {
+		return e.strat, e.score, true
+	}
+	return nil, 0, false
+}
+
+// lookupLocked returns the entry under a rendered key, or nil, counting the
+// hit or the miss and promoting a hit. Indexing the map with string(key)
+// builds no string. Caller holds mu.
+func (c *Cache) lookupLocked(key []byte) *entry {
+	e := c.entries[string(key)]
 	if e == nil {
 		c.stats.Misses++
-		return nil, 0, false
+		return nil
 	}
 	c.stats.Hits++
 	c.promoteLocked(e)
-	return e.strat, e.score, true
+	return e
 }
 
 // Put stores (a clone of) the strategy under the signature, evicting the

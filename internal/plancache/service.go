@@ -2,7 +2,6 @@ package plancache
 
 import (
 	"fmt"
-	"sync"
 
 	"distredge/internal/sim"
 	"distredge/internal/strategy"
@@ -64,20 +63,18 @@ type call struct {
 	err  error
 }
 
-// Service is a stateless planner service: Plan calls for distinct fleet
-// signatures run concurrently on the worker pool, identical signatures are
-// deduplicated single-flight (the duplicate waits for the first flight's
-// result instead of planning again), exact cache hits return immediately,
-// and misses are warm-started from the nearest cached neighbour. "Stateless"
-// means serving state only: everything the service accumulates lives in the
-// (shareable, bounded) cache, so services can be built and discarded freely.
+// Service binds a planner, and a bound on how many plannings run at once,
+// to a cache: Plan calls for distinct fleet signatures run concurrently up
+// to the bound, identical signatures are deduplicated single-flight (the
+// duplicate waits for the first flight's result instead of planning again),
+// exact cache hits return immediately, and misses are warm-started from the
+// nearest cached neighbour. A service holds no serving state: the plans and
+// the single-flight table live in the (shareable, bounded) cache, so
+// services can be built and discarded freely, and services sharing a cache
+// deduplicate against each other.
 type Service struct {
 	cache *Cache
-	plan  Planner
-	slots chan struct{}
-
-	mu       sync.Mutex
-	inflight map[string]*call // guarded by mu
+	plan  Planner // Config.Planner behind a worker slot
 }
 
 // NewService builds a planner service.
@@ -93,66 +90,74 @@ func NewService(cfg Config) (*Service, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Service{
-		cache:    cache,
-		plan:     cfg.Planner,
-		slots:    make(chan struct{}, workers),
-		inflight: make(map[string]*call),
-	}, nil
+	slots := make(chan struct{}, workers)
+	return &Service{cache: cache, plan: func(env *sim.Env, obj sim.Objective, init *strategy.Strategy) (*strategy.Strategy, error) {
+		slots <- struct{}{}
+		defer func() { <-slots }()
+		return cfg.Planner(env, obj, init)
+	}}, nil
 }
 
 // Cache returns the backing cache (for stats, or to share with a recovery
 // CachedReplan).
 func (s *Service) Cache() *Cache { return s.cache }
 
-// Plan serves one planning request. Exact signature hits return the cached
-// strategy without planning; otherwise the planning runs on the worker
-// pool, warm-started from the nearest cached neighbour when one is
-// comparable, and the result — guaranteed to score no worse than its
-// warm-start seed under the requested objective — is cached before
-// returning.
+// Plan serves one planning request: Cache.Plan with the request's
+// signature and the service's planner.
 func (s *Service) Plan(env *sim.Env, obj sim.Objective) (Result, error) {
-	sig := SignatureOf(env, obj)
-	key := sig.Key() // rendered once: the cache, the in-flight table and the miss share it
-	if strat, score, ok := s.cache.get(key); ok {
-		return Result{Strategy: strat, Score: score, Outcome: OutcomeHit}, nil
-	}
-	s.mu.Lock()
-	if c, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		<-c.done
-		return c.res, c.err
-	}
-	c := &call{done: make(chan struct{})}
-	s.inflight[key] = c
-	s.mu.Unlock()
-
-	c.res, c.err = s.planMiss(env, obj, sig, key)
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	s.mu.Unlock()
-	close(c.done)
-	return c.res, c.err
+	return s.cache.Plan(env, obj, SignatureOf(env, obj), s.plan)
 }
 
-// planMiss runs the planning for a cache miss of sig, rendered as key, on a
-// worker slot.
-func (s *Service) planMiss(env *sim.Env, obj sim.Objective, sig Signature, key string) (Result, error) {
-	s.slots <- struct{}{}
-	defer func() { <-s.slots }()
+// Plan serves one planning request for env under obj through the cache.
+// sig is the request's fleet signature: SignatureOf(env, obj), or a copy of
+// one derived earlier from the same, unchanged env with its Objective set
+// to ObjectiveKey(obj). An exact hit returns the cached strategy without
+// planning. Concurrent requests for one signature are deduplicated
+// single-flight: the first runs planner, and the others wait for its
+// result. A miss is warm-started from the nearest cached neighbour when one
+// is comparable, and the result — guaranteed to score no worse than its
+// warm-start seed under obj — is cached before returning.
+func (c *Cache) Plan(env *sim.Env, obj sim.Objective, sig Signature, planner Planner) (Result, error) {
+	var buf [keyBuf]byte
+	kb := sig.appendKey(buf[:0])
+	c.mu.Lock()
+	if e := c.lookupLocked(kb); e != nil {
+		res := Result{Strategy: e.strat, Score: e.score, Outcome: OutcomeHit}
+		c.mu.Unlock()
+		return res, nil
+	}
+	if cl := c.inflight[string(kb)]; cl != nil {
+		c.mu.Unlock()
+		<-cl.done
+		return cl.res, cl.err
+	}
+	key := string(kb) // a miss renders the key once: the table, the entry and errors share it
+	cl := &call{done: make(chan struct{})}
+	c.inflight[key] = cl
+	c.mu.Unlock()
 
+	cl.res, cl.err = c.planMiss(env, obj, sig, key, planner)
+
+	c.mu.Lock()
+	delete(c.inflight, key)
+	c.mu.Unlock()
+	close(cl.done)
+	return cl.res, cl.err
+}
+
+// planMiss runs planner for a cache miss of sig, rendered as key.
+func (c *Cache) planMiss(env *sim.Env, obj sim.Objective, sig Signature, key string, planner Planner) (Result, error) {
 	var init *strategy.Strategy
 	var seedKey string
-	if nkey, nsig, nstrat, ok := s.cache.nearest(sig); ok {
+	if nkey, nsig, nstrat, ok := c.nearest(sig); ok {
 		if seed := warmSeed(env.Model, sig, nsig, nstrat); seed != nil &&
 			seed.Validate(env.Model, env.NumProviders()) == nil {
 			init, seedKey = seed, nkey
-			s.cache.countWarmHit()
+			c.countWarmHit()
 		}
 	}
 
-	strat, err := s.plan(env, obj, init)
+	strat, err := planner(env, obj, init)
 	if err != nil {
 		return Result{}, fmt.Errorf("plancache: planning %s: %w", key, err)
 	}
@@ -173,6 +178,6 @@ func (s *Service) planMiss(env *sim.Env, obj sim.Objective, sig Signature, key s
 	}
 	// Hand out the cache-resident clone, so every path (hit or miss)
 	// returns cache-owned read-only strategies.
-	cached := s.cache.put(key, sig, strat, score)
+	cached := c.put(key, sig, strat, score)
 	return Result{Strategy: cached, Score: score, Outcome: outcome, SeedKey: seedKey}, nil
 }

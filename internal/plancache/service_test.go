@@ -181,7 +181,10 @@ func TestServiceWarmNeverWorseThanSeed(t *testing.T) {
 }
 
 // TestServiceSingleFlight: concurrent Plan calls for the identical signature
-// share one planning.
+// share one planning, also when they come through two services over one
+// cache (the in-flight table lives in the cache). The duplicate is released
+// only once the cache has counted its miss, which it does under the lock
+// it then finds the first flight's entry under: it must wait, not plan.
 func TestServiceSingleFlight(t *testing.T) {
 	var calls atomic.Int64
 	started := make(chan struct{})
@@ -193,37 +196,32 @@ func TestServiceSingleFlight(t *testing.T) {
 		}
 		return balancedPlanner(nil)(env, obj, init)
 	}
-	svc, err := NewService(Config{Planner: planner, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	cache := New(0)
+	var svcs [2]*Service
+	for i := range svcs {
+		svc, err := NewService(Config{Cache: cache, Planner: planner, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svcs[i] = svc
 	}
-	env := sigEnv(cnn.VGG16(), 3, []float64{100, 100}, device.Xavier, device.Nano)
 	results := make([]Result, 2)
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r, err := svc.Plan(env, nil)
-		if err != nil {
-			t.Error(err)
-		}
-		results[0] = r
-	}()
-	<-started // first flight is inside the planner
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r, err := svc.Plan(sigEnv(cnn.VGG16(), 3, []float64{100, 100}, device.Xavier, device.Nano), nil)
-		if err != nil {
-			t.Error(err)
-		}
-		results[1] = r
-	}()
-	// Let the duplicate reach the in-flight wait, then release the first
-	// flight. (Even if the duplicate were late and arrived after the first
-	// flight finished, it would be served by the cache — the assertions
-	// below hold either way, so the test cannot flake.)
-	for i := 0; i < 100; i++ {
+	plan := func(i int, env *sim.Env) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := svcs[i].Plan(env, nil)
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = r
+		}()
+	}
+	plan(0, sigEnv(cnn.VGG16(), 3, []float64{100, 100}, device.Xavier, device.Nano))
+	<-started // the first flight is inside the planner
+	plan(1, sigEnv(cnn.VGG16(), 3, []float64{100, 100}, device.Xavier, device.Nano))
+	for cache.Stats().Misses < 2 {
 		runtime.Gosched()
 	}
 	close(release)
@@ -233,6 +231,9 @@ func TestServiceSingleFlight(t *testing.T) {
 	}
 	if results[0].Strategy != results[1].Strategy {
 		t.Fatal("single-flight duplicate got a different strategy pointer")
+	}
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 2 {
+		t.Fatalf("stats %+v, want 2 misses and no hit", st)
 	}
 }
 

@@ -61,13 +61,22 @@ type Signature struct {
 // and distinct signatures distinct keys (the fields are joined with
 // separators no field contains).
 func (s Signature) Key() string {
-	var buf [256]byte // a six-provider key fits; a longer one grows on the heap
-	b := append(buf[:0], s.Model...)
+	var buf [keyBuf]byte
+	return string(s.appendKey(buf[:0]))
+}
+
+// keyBuf sizes the stack buffer a key is rendered into: a six-provider key
+// fits, and a longer one grows on the heap.
+const keyBuf = 256
+
+// appendKey appends the key Key renders to b.
+func (s Signature) appendKey(b []byte) []byte {
+	b = append(b, s.Model...)
 	b = append(append(b, '|'), s.Objective...)
 	for _, d := range s.Devices {
 		b = appendRegime(append(append(b, '|'), d.Dev...), d)
 	}
-	return string(appendRegime(append(b, "|req"...), s.Requester))
+	return appendRegime(append(b, "|req"...), s.Requester)
 }
 
 // appendRegime appends a device slot's link regime, "@BW~Spread".
@@ -159,23 +168,33 @@ func fingerprint(d device.LatencyModel, probe cnn.Layer) string {
 }
 
 // linkRegime buckets a link's uplink trace into its (bandwidth, spread)
-// regime.
+// regime, in one read of the trace. The sum runs in Trace.Mean's order, so
+// the mean is Mean's to the bit. The plain comparisons skip a NaN sample
+// that math.Min would propagate into lo, so a NaN mean gives spread 0: it
+// means a NaN sample, or a negative sample meeting an infinite sum, and
+// either leaves no positive minimum.
 func linkRegime(l network.Link) (bw, spread int) {
 	tr := l.Trace
 	if tr == nil || len(tr.Mbps) == 0 {
 		return -1 << 20, 0
 	}
-	mean := tr.Mean()
+	var sum float64
+	lo, hi := tr.Mbps[0], tr.Mbps[0]
+	for _, v := range tr.Mbps {
+		sum += v
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	mean := sum / float64(len(tr.Mbps))
 	if mean <= 0 {
 		return -1 << 20, 0
 	}
 	bw = int(math.Round(2 * math.Log2(mean)))
-	lo, hi := tr.Mbps[0], tr.Mbps[0]
-	for _, v := range tr.Mbps[1:] {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	if lo > 0 && hi > lo {
+	if mean == mean && lo > 0 && hi > lo {
 		spread = int(math.Round(math.Log2(hi / lo)))
 	}
 	return bw, spread

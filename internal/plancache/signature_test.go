@@ -330,3 +330,86 @@ func TestKeyMatchesFormattedKey(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkRegimeMatchesTwoPass holds the one-pass linkRegime to the two
+// reads it replaced, Trace.Mean and then a math.Min/math.Max scan: both
+// must bucket every trace alike, on the generators' traces and on
+// hand-built ones with NaN, infinities, signed zeros and negative samples.
+func TestLinkRegimeMatchesTwoPass(t *testing.T) {
+	twoPass := func(l network.Link) (bw, spread int) {
+		tr := l.Trace
+		if tr == nil || len(tr.Mbps) == 0 {
+			return -1 << 20, 0
+		}
+		mean := tr.Mean()
+		if mean <= 0 {
+			return -1 << 20, 0
+		}
+		bw = int(math.Round(2 * math.Log2(mean)))
+		lo, hi := tr.Mbps[0], tr.Mbps[0]
+		for _, v := range tr.Mbps[1:] {
+			lo = math.Min(lo, v)
+			hi = math.Max(hi, v)
+		}
+		if lo > 0 && hi > lo {
+			spread = int(math.Round(math.Log2(hi / lo)))
+		}
+		return bw, spread
+	}
+	check := func(name string, tr *network.Trace) {
+		t.Helper()
+		l := network.DefaultLink(tr)
+		gb, gs := linkRegime(l)
+		wb, ws := twoPass(l)
+		if gb != wb || gs != ws {
+			t.Errorf("%s: linkRegime (%d, %d), two passes (%d, %d)", name, gb, gs, wb, ws)
+		}
+	}
+	trace := func(mbps ...float64) *network.Trace { return &network.Trace{SlotSeconds: 1, Mbps: mbps} }
+
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		bw, seed := 1+999*rng.Float64(), rng.Int63()
+		check(fmt.Sprintf("Stable(%g, seed %d)", bw, seed), network.Stable(bw, 60, seed))
+		check(fmt.Sprintf("Dynamic(%g, %g, seed %d)", 0.4*bw, bw, seed), network.Dynamic(0.4*bw, bw, 60, seed))
+	}
+	for _, mbps := range []float64{0, 1, 150, 1e308, -3} {
+		check(fmt.Sprintf("Constant(%g)", mbps), network.Constant(mbps))
+	}
+
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	check("nil trace", nil)
+	check("empty trace", trace())
+	for name, tr := range map[string]*network.Trace{
+		"NaN first":         trace(nan, 100, 200),
+		"NaN middle":        trace(100, nan, 200),
+		"NaN last":          trace(100, 200, nan),
+		"only NaN":          trace(nan),
+		"+Inf":              trace(100, inf, 200),
+		"-Inf":              trace(100, -inf, 200),
+		"+Inf and -Inf":     trace(100, inf, -inf),
+		"+Inf then NaN":     trace(inf, 100, nan),
+		"overflow to +Inf":  trace(1e308, 1e308, 1),
+		"overflow, -Inf":    trace(1e308, 1e308, -inf),
+		"+0 then -0":        trace(0, negZero, 100),
+		"-0 then +0":        trace(negZero, 0, 100),
+		"-0 only":           trace(negZero),
+		"+0 and -0 high":    trace(100, 0, negZero, 300),
+		"single sample":     trace(120),
+		"negative":          trace(-5, 100, 200),
+		"all negative":      trace(-5, -100),
+		"negative, NaN":     trace(-5, nan, 400),
+		"subnormal minimum": trace(5e-324, 100),
+	} {
+		check(name, tr)
+	}
+	// Short random mixes of the same values, every order.
+	pool := []float64{nan, inf, -inf, 0, negZero, 5e-324, 1, 100, 400, 1e308, -5}
+	for i := 0; i < 5000; i++ {
+		mbps := make([]float64, 1+rng.Intn(5))
+		for j := range mbps {
+			mbps[j] = pool[rng.Intn(len(pool))]
+		}
+		check(fmt.Sprint(mbps), trace(mbps...))
+	}
+}

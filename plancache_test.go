@@ -146,7 +146,8 @@ func TestPlanCacheRunsLCPSSOncePerKey(t *testing.T) {
 // (run it under -race): four models under two objectives, so no plan can
 // warm-start another and every plan must be the one a fresh cache makes.
 // The two objectives of a model share its LC-PSS key: four keys, searched
-// once each unless both objectives miss it at once.
+// once each unless both objectives miss it at once. They share the model's
+// System too, whose first PlanCached derives the fleet signature both read.
 func TestPlanCachedConcurrent(t *testing.T) {
 	type req struct {
 		model string
@@ -158,11 +159,14 @@ func TestPlanCachedConcurrent(t *testing.T) {
 			reqs = append(reqs, req{model, obj})
 		}
 	}
-	plan := func(pc *PlanCache, r req) (string, error) {
-		sys, err := New(r.model, []Provider{{"xavier", 200}, {"tx2", 100}}, WithSeed(1))
+	system := func(model string) *System {
+		sys, err := New(model, []Provider{{"xavier", 200}, {"tx2", 100}}, WithSeed(1))
 		if err != nil {
-			return "", err
+			t.Fatal(err)
 		}
+		return sys
+	}
+	plan := func(sys *System, pc *PlanCache, r req) (string, error) {
 		p, _, err := sys.PlanCached(PlanConfig{Effort: EffortTiny, Objective: r.obj}, pc)
 		if err != nil {
 			return "", err
@@ -173,8 +177,14 @@ func TestPlanCachedConcurrent(t *testing.T) {
 	want := make([]string, len(reqs))
 	for i, r := range reqs {
 		var err error
-		if want[i], err = plan(NewPlanCache(0), r); err != nil {
+		if want[i], err = plan(system(r.model), NewPlanCache(0), r); err != nil {
 			t.Fatal(err)
+		}
+	}
+	systems := make(map[string]*System)
+	for _, r := range reqs {
+		if systems[r.model] == nil {
+			systems[r.model] = system(r.model)
 		}
 	}
 	pc := NewPlanCache(0)
@@ -185,7 +195,7 @@ func TestPlanCachedConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = plan(pc, r)
+			got[i], errs[i] = plan(systems[r.model], pc, r)
 		}()
 	}
 	wg.Wait()
@@ -199,5 +209,47 @@ func TestPlanCachedConcurrent(t *testing.T) {
 	}
 	if n := pc.lcpss.Searches(); n < 4 || n > len(reqs) {
 		t.Errorf("%d LC-PSS searches for four keys, want 4 to %d", n, len(reqs))
+	}
+}
+
+// TestPlanCachedHitAllocs counts what a warmed PlanCached hit allocates.
+// The fleet's signature is derived on the first call and kept by the
+// System, the key is rendered on the stack and looked up without building a
+// string, and no plancache.Service, in-flight map or channel is built. What
+// is left is the caller's copy of the plan and the config's resolution:
+//
+//   - the returned *Plan;
+//   - its Strategy clone (strategy.Clone): the *Strategy, its Boundaries,
+//     its Splits rows and the one array that backs every row;
+//   - the effort's budget, whose Hidden sizes the planner would read on a
+//     miss (experiments.Tiny);
+//
+// and under the ips objective, three more:
+//
+//   - the sim.ThroughputObjective boxed into a sim.Objective;
+//   - its plan-cache key, "ips/w4/i24/b1" (plancache.ObjectiveKey);
+//   - the method name, "DistrEdge-ips".
+func TestPlanCachedHitAllocs(t *testing.T) {
+	for _, c := range []struct {
+		obj  Objective
+		want float64
+	}{{ObjectiveLatency, 6}, {ObjectiveIPS, 9}} {
+		sys, err := New("vgg16", fourProviders(), WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := PlanConfig{Effort: EffortTiny, Objective: c.obj}
+		pc := NewPlanCache(0)
+		if _, out, err := sys.PlanCached(cfg, pc); err != nil || out != PlanCold {
+			t.Fatalf("%s: first plan %q, %v; want cold", c.obj, out, err)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if _, out, err := sys.PlanCached(cfg, pc); err != nil || out != PlanHit {
+				t.Fatalf("%s: warmed plan %q, %v; want a hit", c.obj, out, err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%s: a PlanCached hit allocates %v objects, want %v", c.obj, got, c.want)
+		}
 	}
 }
