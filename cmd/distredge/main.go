@@ -131,7 +131,7 @@ func run(w io.Writer, args []string) error {
 	var planCache *distredge.PlanCache
 	if *planCacheCap > 0 {
 		planCache = distredge.NewPlanCache(*planCacheCap)
-		if sc.Replan, err = planCache.CachedReplan(planCfg, nil); err != nil {
+		if sc.Replan, err = planCache.CachedReplan(planCfg); err != nil {
 			return err
 		}
 	} else {

@@ -178,7 +178,7 @@ type System struct {
 	dynamic bool
 
 	fleetOnce sync.Once
-	fleet     plancache.Signature // env's plan-cache signature, Objective left empty
+	fleet     plancache.Signature // env's plan-cache signature; Cache.Plan keys each request's objective itself
 }
 
 // Models lists the available CNN models (the paper's full evaluation zoo).
@@ -312,8 +312,11 @@ const (
 // PlanCached is Plan through the plan cache: an exact fleet-signature hit
 // returns the cached strategy without searching, and a miss plans (warm-
 // started when the cache holds a comparable neighbour) and caches the
-// result for the next request. The System derives its fleet's signature on
-// its first PlanCached and keeps it, so a hit costs a key and a lookup.
+// result for the next request. The key holds every planning input (fleet,
+// objective, the effort's budget, α and the System's seed), so a hit is
+// the plan a fresh cache would return. The System derives its fleet's
+// signature on its first PlanCached and keeps it, so a hit costs a key and
+// a lookup.
 // Concurrent PlanCached calls against the same cache are safe, and calls
 // for one fleet signature, from any System, are deduplicated single-flight:
 // one searches and the others wait for its plan.
@@ -328,7 +331,10 @@ func (s *System) PlanCached(cfg PlanConfig, pc *PlanCache) (*Plan, PlanOutcome, 
 	}
 	s.fleetOnce.Do(func() { s.fleet = plancache.SignatureOf(s.env, nil) })
 	sig := s.fleet
-	sig.Objective = plancache.ObjectiveKey(obj)
+	sig.Planner = plancache.PlannerID{
+		Method: experiments.MethodDistrEdge, Episodes: b.Episodes, Hidden: b.Hidden,
+		Batch: b.Batch, RandomSplits: b.RandomSplits, Alpha: alpha, Seed: b.Seed,
+	}
 	res, err := pc.c.Plan(s.env, obj, sig, experiments.MemoPlanner(b, alpha, pc.lcpss))
 	if err != nil {
 		return nil, "", err
@@ -338,20 +344,17 @@ func (s *System) PlanCached(cfg PlanConfig, pc *PlanCache) (*Plan, PlanOutcome, 
 }
 
 // CachedReplan wraps the recovery re-planner a deployment uses
-// (runtime.Options.Replan) with the plan cache: a recurring survivor-fleet
-// shape re-plans from the cache in lookup time instead of re-running the
-// search. inner nil falls back to the profile-guided balanced re-planner.
-// cfg carries the objective the deployment serves, so cached re-plans are
-// scored and keyed consistently with PlanCached.
-func (pc *PlanCache) CachedReplan(cfg PlanConfig, inner sim.ReplanFunc) (sim.ReplanFunc, error) {
+// (runtime.Options.Replan, splitter.ObjectiveReplan of cfg's objective)
+// with the plan cache: a recurring survivor-fleet shape re-plans from the
+// cache in lookup time. Cached re-plans are scored under cfg's objective
+// and keyed under their own planner, so a re-plan never answers a
+// PlanCached request, nor a search a re-plan.
+func (pc *PlanCache) CachedReplan(cfg PlanConfig) (sim.ReplanFunc, error) {
 	obj, err := cfg.simObjective()
 	if err != nil {
 		return nil, err
 	}
-	if inner == nil {
-		inner = splitter.ObjectiveReplan(obj)
-	}
-	return plancache.CachedReplan(pc.c, obj, inner), nil
+	return plancache.CachedReplan(pc.c, obj, plancache.PlannerID{Method: "ObjectiveReplan"}, splitter.ObjectiveReplan(obj)), nil
 }
 
 // Baselines lists the seven comparison methods of the paper (Section V-B).
@@ -525,16 +528,6 @@ func (s *System) Timeline(p *Plan) (string, error) {
 		return "", err
 	}
 	return sim.RenderTimeline(events, total, 72), nil
-}
-
-// PartitionOnly runs just LC-PSS (useful for inspecting partition schemes).
-func (s *System) PartitionOnly(alpha float64, effort Effort) ([]int, error) {
-	b, err := effort.budget()
-	if err != nil {
-		return nil, err
-	}
-	b.Seed = s.seed
-	return experiments.LCPSS(s.env, b, alpha)
 }
 
 // Finetuner exposes online adaptation (Section V-F): keep the trained OSDS

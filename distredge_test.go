@@ -112,17 +112,6 @@ func TestEffortValidation(t *testing.T) {
 	}
 }
 
-func TestPartitionOnly(t *testing.T) {
-	sys, _ := New("vgg16", fourProviders(), WithSeed(2))
-	b, err := sys.PartitionOnly(0.75, EffortTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b[0] != 0 || len(b) < 2 {
-		t.Errorf("bad boundaries %v", b)
-	}
-}
-
 func TestDeployOverTCP(t *testing.T) {
 	sys, err := New("vgg16", fourProviders(), WithSeed(5))
 	if err != nil {
@@ -463,7 +452,7 @@ func TestPlanCachedHitAndChurnReplan(t *testing.T) {
 	}
 
 	// Cached recovery re-planning through the public churn evaluator.
-	replan, err := cache.CachedReplan(cfg, nil)
+	replan, err := cache.CachedReplan(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

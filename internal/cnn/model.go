@@ -38,18 +38,6 @@ func (m *Model) TotalOps() float64 {
 	return sum
 }
 
-// TotalActivationBytes returns the sum of all layers' output activation
-// sizes. This is (approximately) the amount of data a layer-by-layer
-// distribution would move, and is used to normalise the transmission term of
-// the LC-PSS score.
-func (m *Model) TotalActivationBytes() float64 {
-	var sum float64
-	for _, l := range m.Layers {
-		sum += l.OutputBytes()
-	}
-	return sum
-}
-
 // InputBytes returns the size of the model's input image in bytes.
 func (m *Model) InputBytes() float64 {
 	if len(m.Layers) == 0 {

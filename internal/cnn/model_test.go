@@ -87,12 +87,3 @@ func TestInputBytes(t *testing.T) {
 		t.Error("empty model InputBytes must be 0")
 	}
 }
-
-func TestTotalActivationBytes(t *testing.T) {
-	m := VGG16()
-	got := m.TotalActivationBytes()
-	// conv1_1 output alone is 224*224*64*2 = 6.4 MB; total must exceed it.
-	if got < 6.4e6 {
-		t.Errorf("TotalActivationBytes = %g, implausibly small", got)
-	}
-}

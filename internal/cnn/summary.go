@@ -44,45 +44,3 @@ func ReceptiveField(layers []Layer) (size, jump int) {
 	}
 	return size, jump
 }
-
-// HaloRows returns how many extra input rows a split-part of this layer
-// chain needs beyond its proportional share (the receptive-field overhang),
-// a direct measure of the recompute cost of fusing the chain.
-func HaloRows(layers []Layer) int {
-	size, _ := ReceptiveField(layers)
-	return size - 1
-}
-
-// WeightBytes returns the parameter storage of the model in bytes
-// (FP16 weights + biases), the quantity the paper's Discussion (4) bounds
-// by 1.5 GB for state-of-the-art models.
-func (m *Model) WeightBytes() float64 {
-	var sum float64
-	for _, l := range m.Layers {
-		switch l.Kind {
-		case Conv:
-			sum += (float64(l.F)*float64(l.F)*float64(l.Cin) + 1) * float64(l.Cout) * BytesPerElem
-		case FC:
-			sum += (float64(l.Cin) + 1) * float64(l.Cout) * BytesPerElem
-		}
-	}
-	return sum
-}
-
-// PeakActivationBytes returns the largest input+output activation pair of
-// any layer — the working-set floor for running the model whole.
-func (m *Model) PeakActivationBytes() float64 {
-	var peak float64
-	for _, l := range m.Layers {
-		if v := l.InputBytes() + l.OutputBytes(); v > peak {
-			peak = v
-		}
-	}
-	return peak
-}
-
-// MemoryFootprintBytes returns the total memory needed to run the model on
-// one device: all weights plus the peak activation working set.
-func (m *Model) MemoryFootprintBytes() float64 {
-	return m.WeightBytes() + m.PeakActivationBytes()
-}

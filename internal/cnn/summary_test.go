@@ -50,43 +50,10 @@ func TestReceptiveFieldMatchesVSL(t *testing.T) {
 	if in.Len() != size {
 		t.Errorf("VSL input rows %d != receptive field %d", in.Len(), size)
 	}
-}
-
-func TestHaloRows(t *testing.T) {
-	layers := VGG16().SplittableLayers()[:2]
-	if got := HaloRows(layers); got != 4 {
-		t.Errorf("halo of two 3x3 convs = %d, want 4", got)
-	}
-}
-
-func TestWeightBytesVGG16(t *testing.T) {
-	// VGG-16 famously has ~138M parameters; FP16 ⇒ ~276 MB.
-	wb := VGG16().WeightBytes()
-	if wb < 250e6 || wb > 300e6 {
-		t.Errorf("VGG-16 weights = %.0f MB, want ~276 MB", wb/1e6)
-	}
-}
-
-func TestMemoryFootprintMatchesPaperDiscussion(t *testing.T) {
-	// Paper Discussion (4): state-of-the-art CNN models consume less than
-	// 1.5 GB, so memory is not a constraint on modern edge devices.
-	for name, m := range Zoo() {
-		fp := m.MemoryFootprintBytes()
-		if fp > 1.5e9 {
-			t.Errorf("%s footprint %.2f GB exceeds the paper's 1.5 GB bound", name, fp/1e9)
-		}
-		if fp <= 0 {
-			t.Errorf("%s footprint not positive", name)
-		}
-	}
-}
-
-func TestPeakActivationPositive(t *testing.T) {
-	m := VGG16()
-	peak := m.PeakActivationBytes()
-	// conv1_1: input 224x224x3 + output 224x224x64 at 2 bytes.
-	want := 224*224*3*2.0 + 224*224*64*2.0
-	if peak < want {
-		t.Errorf("peak activation %.0f below conv1_1's %.0f", peak, want)
+	// Two 3x3 convs: an interior output row needs 4 halo rows.
+	two := layers[:2]
+	mid = two[1].OutHeight() / 2
+	if halo := VolumeInputRows(two, RowRange{mid, mid + 1}).Len() - 1; halo != 4 {
+		t.Errorf("halo of two 3x3 convs = %d, want 4", halo)
 	}
 }

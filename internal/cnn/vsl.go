@@ -104,22 +104,3 @@ func VolumeInputRows(layers []Layer, out RowRange) RowRange {
 	}
 	return cur
 }
-
-// VolumeOps returns the total operation count to compute output rows out of
-// the volume's last layer, including the halo recomputation implied by the
-// VSL (each sub-layer computes all rows its successor needs).
-func VolumeOps(layers []Layer, out RowRange) float64 {
-	ranges := VolumeRanges(layers, out)
-	var sum float64
-	for i, l := range layers {
-		sum += l.OpsRows(ranges[i].Len())
-	}
-	return sum
-}
-
-// VolumeInputBytes returns the number of input bytes (on the volume's input
-// tensor) the split-part producing out must receive.
-func VolumeInputBytes(layers []Layer, out RowRange) float64 {
-	in := VolumeInputRows(layers, out)
-	return float64(in.Len()) * layers[0].InRowBytes()
-}

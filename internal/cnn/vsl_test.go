@@ -92,22 +92,33 @@ func TestVolumeInputRowsMonotone(t *testing.T) {
 	}
 }
 
+// volumeOps is the operation count of the split-part producing out: each
+// layer's OpsRows over the rows VolumeRanges assigns it, halo recompute
+// included, as device sums it.
+func volumeOps(layers []Layer, out RowRange) float64 {
+	var sum float64
+	for i, r := range VolumeRanges(layers, out) {
+		sum += layers[i].OpsRows(r.Len())
+	}
+	return sum
+}
+
 func TestVolumeOpsSuperadditive(t *testing.T) {
 	// Property: splitting a volume into two parts costs at least as much as
 	// computing it whole (halo recompute), and exactly as much for a single
 	// full-range part.
 	layers := vggVolume()
 	h := layers[len(layers)-1].OutHeight()
-	whole := VolumeOps(layers, RowRange{0, h})
+	whole := volumeOps(layers, RowRange{0, h})
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
 		cut := 1 + rng.Intn(h-1)
-		split := VolumeOps(layers, RowRange{0, cut}) + VolumeOps(layers, RowRange{cut, h})
+		split := volumeOps(layers, RowRange{0, cut}) + volumeOps(layers, RowRange{cut, h})
 		if split < whole-1e-6 {
 			t.Fatalf("split ops %g < whole ops %g at cut %d", split, whole, cut)
 		}
 	}
-	if got := VolumeOps(layers, RowRange{0, h}); got != whole {
+	if got := volumeOps(layers, RowRange{0, h}); got != whole {
 		t.Errorf("full-range ops changed: %g != %g", got, whole)
 	}
 }
@@ -118,9 +129,9 @@ func TestVolumeOpsSingleLayerExact(t *testing.T) {
 	l := Layer{Kind: Conv, Win: 56, Hin: 56, Cin: 64, Cout: 128, F: 3, S: 1, P: 1}
 	layers := []Layer{l}
 	h := l.OutHeight()
-	total := VolumeOps(layers, RowRange{0, h})
+	total := volumeOps(layers, RowRange{0, h})
 	for cut := 1; cut < h; cut += 7 {
-		sum := VolumeOps(layers, RowRange{0, cut}) + VolumeOps(layers, RowRange{cut, h})
+		sum := volumeOps(layers, RowRange{0, cut}) + volumeOps(layers, RowRange{cut, h})
 		if sum != total {
 			t.Fatalf("single-layer split ops %g != total %g at cut %d", sum, total, cut)
 		}
@@ -128,13 +139,18 @@ func TestVolumeOpsSingleLayerExact(t *testing.T) {
 }
 
 func TestVolumeInputBytes(t *testing.T) {
+	// A split-part receives its VolumeInputRows at InRowBytes each: the
+	// whole volume's input is the first layer's input, an empty part none.
 	layers := vggVolume()
-	full := VolumeInputBytes(layers, RowRange{0, layers[len(layers)-1].OutHeight()})
+	inBytes := func(out RowRange) float64 {
+		return float64(VolumeInputRows(layers, out).Len()) * layers[0].InRowBytes()
+	}
+	full := inBytes(RowRange{0, layers[len(layers)-1].OutHeight()})
 	want := layers[0].InputBytes()
 	if full != want {
 		t.Errorf("full volume input bytes = %g, want %g", full, want)
 	}
-	if VolumeInputBytes(layers, RowRange{3, 3}) != 0 {
+	if inBytes(RowRange{3, 3}) != 0 {
 		t.Error("empty part should need 0 input bytes")
 	}
 }

@@ -52,7 +52,7 @@ func (pr Profiler) Measure(dev LatencyModel, model *cnn.Model) []Curve {
 			truth := dev.ComputeLatency(l, r)
 			var sum float64
 			for k := 0; k < repeats; k++ {
-				sum += truth * (1 + pr.Noise*rng.NormFloat64())
+				sum += float64(truth * (1 + float64(pr.Noise*rng.NormFloat64())))
 			}
 			v := sum / float64(repeats)
 			if v < 0 {
@@ -125,19 +125,19 @@ func FitLinear(curves []Curve) LinearModel {
 			n++
 			sx += x
 			sy += y
-			sxx += x * x
-			sxy += x * y
+			sxx += float64(x * x)
+			sxy += float64(x * y)
 		}
 	}
 	if n == 0 {
 		return LinearModel{}
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if den == 0 {
 		return LinearModel{SecPerOp: 0, Fixed: sy / n}
 	}
-	slope := (n*sxy - sx*sy) / den
-	inter := (sy - slope*sx) / n
+	slope := (float64(n*sxy) - float64(sx*sy)) / den
+	inter := (sy - float64(slope*sx)) / n
 	if slope < 0 {
 		slope = 0
 	}
@@ -156,7 +156,7 @@ func (m LinearModel) ComputeLatency(l cnn.Layer, rows int) float64 {
 	if l.Kind == cnn.FC {
 		ops = l.Ops()
 	}
-	return m.Fixed + m.SecPerOp*ops
+	return m.Fixed + float64(m.SecPerOp*ops)
 }
 
 // PiecewiseLinearModel is the piece-wise linear regression profile form:
@@ -218,7 +218,7 @@ func (m *PiecewiseLinearModel) ComputeLatency(l cnn.Layer, rows int) float64 {
 	i := sort.Search(len(ks), func(i int) bool { return ks[i].rows >= rows })
 	a, b := ks[i-1], ks[i]
 	frac := float64(rows-a.rows) / float64(b.rows-a.rows)
-	return a.lat + frac*(b.lat-a.lat)
+	return a.lat + float64(frac*(b.lat-a.lat))
 }
 
 // KNNModel is the k-nearest-neighbour profile form: per layer, the latency

@@ -34,7 +34,7 @@ func traceRow(name string, tr *network.Trace) TraceRow {
 	for _, v := range tr.Mbps {
 		lo = math.Min(lo, v)
 		hi = math.Max(hi, v)
-		sq += (v - mean) * (v - mean)
+		sq += float64((v - mean) * (v - mean))
 	}
 	std := math.Sqrt(sq / float64(len(tr.Mbps)))
 	return TraceRow{

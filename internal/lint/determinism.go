@@ -28,6 +28,7 @@ var deterministicPkgs = map[string]bool{
 	"distredge/internal/cnn":         true,
 	"distredge/internal/device":      true,
 	"distredge/internal/stats":       true,
+	"distredge/internal/baselines":   true,
 }
 
 // Determinism flags the three ways the deterministic stack has historically

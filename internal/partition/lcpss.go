@@ -211,7 +211,7 @@ func (s *searcher) score(boundaries []int) float64 {
 	ops, trans := s.rawScore(boundaries)
 	o := ops / s.oneVolOps
 	t := s.kappa * trans / s.oneVolBytes
-	return s.cfg.Alpha*t + (1-s.cfg.Alpha)*o
+	return float64(s.cfg.Alpha*t) + float64((1-s.cfg.Alpha)*o)
 }
 
 // Scoring uses *continuous* row accounting: split fractions are applied to
@@ -263,8 +263,8 @@ func inputInterval(l *layerRows, out interval) interval {
 	if out.len() == 0 {
 		return interval{}
 	}
-	lo := out.Lo*l.s - l.p
-	hi := out.Hi*l.s + l.fs - l.p
+	lo := float64(out.Lo*l.s) - l.p
+	hi := float64(out.Hi*l.s) + l.fs - l.p
 	lo = math.Max(lo, 0)
 	hi = math.Min(hi, l.hin)
 	if hi < lo {
@@ -307,7 +307,7 @@ func (s *searcher) volumeOps(a, b int) float64 {
 		for _, part := range s.parts {
 			cur := part
 			for i := len(layers) - 1; i >= 0; i-- {
-				sum += layers[i].opsRow * cur.len()
+				sum += float64(layers[i].opsRow * cur.len())
 				cur = inputInterval(&layers[i], cur)
 			}
 		}
@@ -342,7 +342,7 @@ func (s *searcher) scatterBytes(a, b int) float64 {
 	for _, frac := range s.fracs {
 		s.parts = partIntervals(s.parts, frac, h, s.cfg.Providers)
 		for _, part := range s.parts {
-			sum += volumeInputInterval(layers, part).len() * rowBytes
+			sum += float64(volumeInputInterval(layers, part).len() * rowBytes)
 		}
 	}
 	v := sum / float64(len(s.fracs))
@@ -376,7 +376,7 @@ func (s *searcher) crossBytes(a, b int) float64 {
 				if j == i {
 					continue
 				}
-				sum += in.intersect(own) * rowBytes
+				sum += float64(in.intersect(own) * rowBytes)
 			}
 		}
 	}

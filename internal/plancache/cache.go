@@ -113,17 +113,12 @@ func (c *Cache) put(key string, sig Signature, s *strategy.Strategy, score float
 	return clone
 }
 
-// Nearest returns the cached entry closest to sig under Distance (only
-// comparable entries — same model and objective — qualify). Ties break on
-// the smaller key, so the result is deterministic regardless of insertion
-// or promotion order. The chosen entry is promoted: a fleet that keeps
-// seeding warm starts is worth keeping.
-func (c *Cache) Nearest(sig Signature) (Signature, *strategy.Strategy, bool) {
-	_, nsig, strat, ok := c.nearest(sig)
-	return nsig, strat, ok
-}
-
-// nearest is Nearest that also returns the entry's rendered key.
+// nearest returns the cached entry closest to sig under Distance (only
+// comparable entries — same model and objective — qualify) and its
+// rendered key. Ties break on the smaller key, so the result is
+// deterministic regardless of insertion or promotion order. The chosen
+// entry is promoted: a fleet that keeps seeding warm starts is worth
+// keeping.
 func (c *Cache) nearest(sig Signature) (string, Signature, *strategy.Strategy, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -142,7 +137,7 @@ func (c *Cache) nearest(sig Signature) (string, Signature, *strategy.Strategy, b
 	return best.key, best.sig, best.strat, true
 }
 
-// countWarmHit records that a Nearest result actually seeded a warm start.
+// countWarmHit records that a nearest result actually seeded a warm start.
 func (c *Cache) countWarmHit() {
 	c.mu.Lock()
 	c.stats.WarmHits++

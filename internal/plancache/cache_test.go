@@ -118,27 +118,27 @@ func TestCachePutUpdatesInPlace(t *testing.T) {
 func TestCacheNearest(t *testing.T) {
 	m := cnn.VGG16()
 	c := New(8)
-	if _, _, ok := c.Nearest(sigN(5)); ok {
-		t.Fatal("Nearest on empty cache")
+	if _, _, _, ok := c.nearest(sigN(5)); ok {
+		t.Fatal("nearest on empty cache")
 	}
 	c.Put(sigN(0), testStrategy(m, 2), 0)
 	c.Put(sigN(3), testStrategy(m, 2), 0)
-	got, _, ok := c.Nearest(sigN(4))
+	_, got, _, ok := c.nearest(sigN(4))
 	if !ok || got.Key() != sigN(3).Key() {
-		t.Fatalf("Nearest(4) = %v, want bucket 3", got.Key())
+		t.Fatalf("nearest(4) = %v, want bucket 3", got.Key())
 	}
 	// Incomparable request: same structure, different model.
 	alien := sigN(4)
 	alien.Model = "yolov2"
-	if _, _, ok := c.Nearest(alien); ok {
-		t.Fatal("Nearest matched across models")
+	if _, _, _, ok := c.nearest(alien); ok {
+		t.Fatal("nearest matched across models")
 	}
 	// Equidistant neighbours resolve by smaller key, regardless of
 	// insertion order.
 	c2 := New(8)
 	c2.Put(sigN(2), testStrategy(m, 2), 0)
 	c2.Put(sigN(0), testStrategy(m, 2), 0)
-	got2, _, ok := c2.Nearest(sigN(1))
+	_, got2, _, ok := c2.nearest(sigN(1))
 	if !ok || got2.Key() != sigN(0).Key() {
 		t.Fatalf("tie broke to %v, want the smaller key %v", got2.Key(), sigN(0).Key())
 	}
@@ -156,7 +156,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 				k := (g + i) % 6
 				c.Put(sigN(k), testStrategy(m, 2), float64(k))
 				c.Get(sigN((k + 1) % 6))
-				c.Nearest(sigN(k))
+				c.nearest(sigN(k))
 			}
 		}(g)
 	}

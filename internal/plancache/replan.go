@@ -19,14 +19,16 @@ import (
 // obj is the objective the deployment serves (nil = latency); it is part
 // of the signature and scores the cached entries. inner is the re-planner
 // to fall back to, e.g. splitter.ObjectiveReplan(obj) or
-// splitter.SearchReplan.
-func CachedReplan(c *Cache, obj sim.Objective, inner sim.ReplanFunc) sim.ReplanFunc {
+// splitter.SearchReplan, and id names it: the survivor-fleet signatures
+// carry id, so a re-planner is served only the plans it made itself.
+func CachedReplan(c *Cache, obj sim.Objective, id PlannerID, inner sim.ReplanFunc) sim.ReplanFunc {
 	return func(env *sim.Env, old *strategy.Strategy, alive []bool) (*strategy.Strategy, error) {
 		sub, _, err := env.Subset(alive)
 		if err != nil {
 			return inner(env, old, alive)
 		}
 		sig := SignatureOf(sub, obj)
+		sig.Planner = id
 		if cached, _, ok := c.Get(sig); ok {
 			lifted, err := strategy.Lift(env.Model, cached, alive)
 			if err == nil {

@@ -45,7 +45,8 @@ type Result struct {
 // Config parameterises NewService.
 type Config struct {
 	// Cache is the backing plan cache; nil builds a private New(0). Sharing
-	// one cache across services (or with a recovery CachedReplan) is safe.
+	// one cache across services of one planner (or with a recovery
+	// CachedReplan, which keys its own) is safe.
 	Cache *Cache
 	// Workers bounds concurrent plannings (the experiments Budget.Parallel
 	// convention: 0/1 = serial, N > 1 = N at once, negative = one per CPU
@@ -71,7 +72,9 @@ type call struct {
 // nearest cached neighbour. A service holds no serving state: the plans and
 // the single-flight table live in the (shareable, bounded) cache, so
 // services can be built and discarded freely, and services sharing a cache
-// deduplicate against each other.
+// deduplicate against each other. A Service keys with the zero PlannerID,
+// so a cache serves one Service planner: another budget, α or seed needs
+// its own cache.
 type Service struct {
 	cache *Cache
 	plan  Planner // Config.Planner behind a worker slot
@@ -110,16 +113,17 @@ func (s *Service) Plan(env *sim.Env, obj sim.Objective) (Result, error) {
 
 // Plan serves one planning request for env under obj through the cache.
 // sig is the request's fleet signature: SignatureOf(env, obj), or a copy of
-// one derived earlier from the same, unchanged env with its Objective set
-// to ObjectiveKey(obj). An exact hit returns the cached strategy without
-// planning. Concurrent requests for one signature are deduplicated
-// single-flight: the first runs planner, and the others wait for its
-// result. A miss is warm-started from the nearest cached neighbour when one
+// one derived earlier from the same, unchanged env, with the planner's
+// identity set. Plan keys obj itself, whatever sig.Objective holds, into
+// the lookup without building a string. An exact hit returns the cached
+// strategy without planning. Concurrent requests for one signature are
+// deduplicated single-flight: the first runs planner, and the others wait
+// for its result. A miss is warm-started from the nearest cached neighbour when one
 // is comparable, and the result — guaranteed to score no worse than its
 // warm-start seed under obj — is cached before returning.
 func (c *Cache) Plan(env *sim.Env, obj sim.Objective, sig Signature, planner Planner) (Result, error) {
 	var buf [keyBuf]byte
-	kb := sig.appendKey(buf[:0])
+	kb := sig.appendKeyOf(buf[:0], obj)
 	c.mu.Lock()
 	if e := c.lookupLocked(kb); e != nil {
 		res := Result{Strategy: e.strat, Score: e.score, Outcome: OutcomeHit}
@@ -135,6 +139,7 @@ func (c *Cache) Plan(env *sim.Env, obj sim.Objective, sig Signature, planner Pla
 	cl := &call{done: make(chan struct{})}
 	c.inflight[key] = cl
 	c.mu.Unlock()
+	sig.Objective = ObjectiveKey(obj)
 
 	cl.res, cl.err = c.planMiss(env, obj, sig, key, planner)
 

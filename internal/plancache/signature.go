@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"strconv"
 
 	"distredge/internal/cnn"
@@ -45,14 +46,36 @@ type DeviceSig struct {
 	Spread int
 }
 
+// PlannerID names the planner a plan comes from: which search (Method) and
+// every input it reads beyond the environment and the objective — the OSDS
+// budget (Episodes, Hidden, Batch), the LC-PSS sample count, α and the
+// search seed. One fleet planned by two planners is two plans. The zero
+// PlannerID is a Service's: its one planner needs no name.
+type PlannerID struct {
+	Method                        string
+	Episodes, Batch, RandomSplits int
+	Hidden                        []int
+	Alpha                         float64
+	Seed                          int64
+}
+
+// equal reports whether a and b name the same planner.
+func (a PlannerID) equal(b PlannerID) bool {
+	return a.Method == b.Method && a.Episodes == b.Episodes && a.Batch == b.Batch &&
+		a.RandomSplits == b.RandomSplits && a.Alpha == b.Alpha && a.Seed == b.Seed &&
+		slices.Equal(a.Hidden, b.Hidden)
+}
+
 // Signature canonically identifies a planning request: the model, the
 // objective (with defaults normalised, so semantically equal objectives
-// alias), the ordered provider fleet and the requester's own link regime.
-// Device order is part of the identity — a strategy's splits are indexed by
-// provider, so permuted fleets must not share cached strategies.
+// alias), the planner, the ordered provider fleet and the requester's own
+// link regime. Device order is part of the identity — a strategy's splits
+// are indexed by provider, so permuted fleets must not share cached
+// strategies.
 type Signature struct {
 	Model     string
 	Objective string
+	Planner   PlannerID
 	Devices   []DeviceSig
 	Requester DeviceSig // Dev is empty: only the link regime matters
 }
@@ -67,16 +90,44 @@ func (s Signature) Key() string {
 
 // keyBuf sizes the stack buffer a key is rendered into: a six-provider key
 // fits, and a longer one grows on the heap.
-const keyBuf = 256
+const keyBuf = 320
 
 // appendKey appends the key Key renders to b.
 func (s Signature) appendKey(b []byte) []byte {
-	b = append(b, s.Model...)
-	b = append(append(b, '|'), s.Objective...)
+	b = append(append(b, s.Model...), '|')
+	return s.appendFleet(append(b, s.Objective...))
+}
+
+// appendKeyOf appends the key of s with obj's key in place of s.Objective,
+// rendered into b: a lookup builds no objective string.
+func (s Signature) appendKeyOf(b []byte, obj sim.Objective) []byte {
+	b = append(append(b, s.Model...), '|')
+	return s.appendFleet(appendObjective(b, obj))
+}
+
+// appendFleet appends the key's segments after the objective: the planner,
+// the providers and the requester.
+func (s Signature) appendFleet(b []byte) []byte {
+	b = s.Planner.appendKey(append(b, '|'))
 	for _, d := range s.Devices {
 		b = appendRegime(append(append(b, '|'), d.Dev...), d)
 	}
 	return appendRegime(append(b, "|req"...), s.Requester)
+}
+
+// appendKey appends the planner's key segment, "Method/eE/hxH1xH2/bB/rR/aA/sS",
+// with α as its IEEE-754 bits in hex: exact, and cheaper to render than
+// its shortest decimal.
+func (p PlannerID) appendKey(b []byte) []byte {
+	b = strconv.AppendInt(append(append(b, p.Method...), "/e"...), int64(p.Episodes), 10)
+	b = append(b, "/h"...)
+	for _, h := range p.Hidden {
+		b = strconv.AppendInt(append(b, 'x'), int64(h), 10)
+	}
+	b = strconv.AppendInt(append(b, "/b"...), int64(p.Batch), 10)
+	b = strconv.AppendInt(append(b, "/r"...), int64(p.RandomSplits), 10)
+	b = strconv.AppendUint(append(b, "/a"...), math.Float64bits(p.Alpha), 16)
+	return strconv.AppendInt(append(b, "/s"...), p.Seed, 10)
 }
 
 // appendRegime appends a device slot's link regime, "@BW~Spread".
@@ -86,8 +137,8 @@ func appendRegime(b []byte, d DeviceSig) []byte {
 }
 
 // SignatureOf derives the fleet signature of a planning request from the
-// environment and objective. It is deterministic: the same env contents and
-// objective always produce the same signature.
+// environment and objective, with the zero PlannerID. It is deterministic:
+// the same env contents and objective always produce the same signature.
 func SignatureOf(env *sim.Env, obj sim.Objective) Signature {
 	sig := Signature{
 		Model:     env.Model.Name,
@@ -112,28 +163,31 @@ func SignatureOf(env *sim.Env, obj sim.Objective) Signature {
 // so that e.g. ThroughputObjective{} and ThroughputObjective{Window: 4}
 // render the same key (they plan identically).
 func ObjectiveKey(obj sim.Objective) string {
+	var buf [64]byte
+	return string(appendObjective(buf[:0], obj))
+}
+
+// appendObjective appends ObjectiveKey(obj) to b.
+func appendObjective(b []byte, obj sim.Objective) []byte {
 	switch o := obj.(type) {
-	case nil:
-		return "latency"
-	case sim.LatencyObjective:
-		return "latency"
+	case nil, sim.LatencyObjective:
+		return append(b, "latency"...)
 	case sim.ThroughputObjective:
-		w, im, ba := objectiveDefaults(o.Window, o.Images, o.Batch)
-		return fmt.Sprintf("ips/w%d/i%d/b%d", w, im, ba)
+		return appendPipelined(append(b, "ips"...), o.Window, o.Images, o.Batch)
 	case sim.SLOThroughputObjective:
-		w, im, ba := objectiveDefaults(o.Window, o.Images, o.Batch)
-		return fmt.Sprintf("slo/w%d/i%d/b%d/p95=%s", w, im, ba,
-			strconv.FormatFloat(o.P95Sec, 'g', -1, 64))
+		b = appendPipelined(append(b, "slo"...), o.Window, o.Images, o.Batch)
+		return strconv.AppendFloat(append(b, "/p95="...), o.P95Sec, 'g', -1, 64)
 	default:
 		// Unknown objective implementations key on their name plus their
 		// printed value — deterministic (struct field order is fixed),
 		// though without default normalisation.
-		return fmt.Sprintf("%s/%+v", obj.Name(), obj)
+		return fmt.Appendf(b, "%s/%+v", obj.Name(), obj)
 	}
 }
 
-// objectiveDefaults mirrors the sim objectives' withDefaults normalisation.
-func objectiveDefaults(window, images, batch int) (int, int, int) {
+// appendPipelined appends a pipelined objective's "/wW/iI/bB", with the
+// sim objectives' withDefaults normalisation.
+func appendPipelined(b []byte, window, images, batch int) []byte {
 	if window <= 0 {
 		window = 4
 	}
@@ -143,7 +197,9 @@ func objectiveDefaults(window, images, batch int) (int, int, int) {
 	if batch <= 0 {
 		batch = 1
 	}
-	return window, images, batch
+	b = strconv.AppendInt(append(b, "/w"...), int64(window), 10)
+	b = strconv.AppendInt(append(b, "/i"...), int64(images), 10)
+	return strconv.AppendInt(append(b, "/b"...), int64(batch), 10)
 }
 
 // probeLayer picks the canonical probe for device fingerprinting: the
@@ -211,7 +267,8 @@ const spreadWeight = 4
 // Distance is the documented warm-start distance between two fleet
 // signatures:
 //
-//   - different model or objective → +Inf (strategies are not transferable);
+//   - different model, objective or planner → +Inf (strategies are not
+//     transferable);
 //   - devices are matched as a multiset by fingerprint; every matched pair
 //     contributes the absolute difference of its bandwidth buckets plus
 //     spreadWeight per fluctuation-bucket delta;
@@ -221,7 +278,7 @@ const spreadWeight = 4
 // Lower is closer; the nearest cached neighbour under this distance seeds
 // the warm-started search.
 func Distance(a, b Signature) float64 {
-	if a.Model != b.Model || a.Objective != b.Objective {
+	if a.Model != b.Model || a.Objective != b.Objective || !a.Planner.equal(b.Planner) {
 		return math.Inf(1)
 	}
 	cost := float64(bucketDelta(a.Requester, b.Requester))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -200,6 +201,32 @@ func TestDistance(t *testing.T) {
 	if d := Distance(base, otherObj); !math.IsInf(d, 1) {
 		t.Fatalf("cross-objective distance %v, want +Inf", d)
 	}
+	// A warm start never crosses planners: any planner input apart is
+	// +Inf and another key; equal planners (Hidden slices distinct) are 0.
+	planned := base
+	planned.Planner = PlannerID{Method: "DistrEdge", Episodes: 25, Hidden: []int{16, 16}, Batch: 16, RandomSplits: 20, Alpha: 0.75, Seed: 1}
+	for name, perturb := range map[string]func(*PlannerID){
+		"none":         func(*PlannerID) {},
+		"Method":       func(p *PlannerID) { p.Method = "ObjectiveReplan" },
+		"Episodes":     func(p *PlannerID) { p.Episodes = 100 },
+		"Hidden":       func(p *PlannerID) { p.Hidden = []int{16, 32} },
+		"HiddenDepth":  func(p *PlannerID) { p.Hidden = []int{16, 16, 16} },
+		"Batch":        func(p *PlannerID) { p.Batch = 32 },
+		"RandomSplits": func(p *PlannerID) { p.RandomSplits = 50 },
+		"Alpha":        func(p *PlannerID) { p.Alpha = 0.3 },
+		"Seed":         func(p *PlannerID) { p.Seed = 7 },
+	} {
+		other := planned
+		other.Planner.Hidden = []int{16, 16}
+		perturb(&other.Planner)
+		d, same := Distance(planned, other), planned.Key() == other.Key()
+		if name == "none" && (d != 0 || !same) {
+			t.Errorf("equal planners: distance %v, same key %v; want 0, true", d, same)
+		}
+		if name != "none" && (!math.IsInf(d, 1) || same) {
+			t.Errorf("%s apart: distance %v, same key %v; want +Inf, false", name, d, same)
+		}
+	}
 	// One tier up on both links: closer than losing a device.
 	shifted := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{150, 150}, device.Xavier, device.Nano), nil)
 	dShift := Distance(base, shifted)
@@ -304,22 +331,64 @@ func TestBucketBoundaryProperty(t *testing.T) {
 }
 
 // TestKeyMatchesFormattedKey holds Key, which appends into one buffer, to
-// the fmt rendering it replaced, byte for byte, over random signatures
-// (negative regimes, empty and long fields, up to 20 devices).
+// an fmt rendering, byte for byte, over random signatures (negative
+// regimes, empty and long fields, up to 20 devices, random planners and
+// objectives), and ObjectiveKey to the fmt.Sprintf rendering it replaced.
 func TestKeyMatchesFormattedKey(t *testing.T) {
 	formatted := func(s Signature) string {
-		k := s.Model + "|" + s.Objective
+		p := s.Planner
+		hidden := ""
+		for _, h := range p.Hidden {
+			hidden += fmt.Sprintf("x%d", h)
+		}
+		k := s.Model + "|" + s.Objective + fmt.Sprintf("|%s/e%d/h%s/b%d/r%d/a%x/s%d",
+			p.Method, p.Episodes, hidden, p.Batch, p.RandomSplits, math.Float64bits(p.Alpha), p.Seed)
 		for _, d := range s.Devices {
 			k += fmt.Sprintf("|%s@%d~%d", d.Dev, d.BW, d.Spread)
 		}
 		return k + fmt.Sprintf("|req@%d~%d", s.Requester.BW, s.Requester.Spread)
+	}
+	formattedObjective := func(obj sim.Objective) string {
+		def := func(v, d int) int {
+			if v <= 0 {
+				return d
+			}
+			return v
+		}
+		switch o := obj.(type) {
+		case sim.ThroughputObjective:
+			w := def(o.Window, 4)
+			return fmt.Sprintf("ips/w%d/i%d/b%d", w, def(o.Images, 4*w+8), def(o.Batch, 1))
+		case sim.SLOThroughputObjective:
+			w := def(o.Window, 4)
+			return fmt.Sprintf("slo/w%d/i%d/b%d/p95=%s", w, def(o.Images, 4*w+8), def(o.Batch, 1),
+				strconv.FormatFloat(o.P95Sec, 'g', -1, 64))
+		}
+		return "latency"
 	}
 	rng := rand.New(rand.NewSource(1))
 	regime := func() DeviceSig {
 		return DeviceSig{Dev: fmt.Sprintf("%x", rng.Uint64()), BW: rng.Intn(41) - 20, Spread: rng.Intn(1 << 20)}
 	}
 	for i := 0; i < 500; i++ {
-		s := Signature{Model: fmt.Sprint("m", rng.Intn(3)), Objective: ObjectiveKey(sim.ThroughputObjective{Window: rng.Intn(9)})}
+		var obj sim.Objective
+		switch w, im, b := rng.Intn(9)-2, rng.Intn(2000)-2, rng.Intn(9)-2; rng.Intn(3) {
+		case 1:
+			obj = sim.ThroughputObjective{Window: w, Images: im, Batch: b}
+		case 2:
+			obj = sim.SLOThroughputObjective{Window: w, Images: im, Batch: b, P95Sec: rng.ExpFloat64() / 10}
+		}
+		if got, want := ObjectiveKey(obj), formattedObjective(obj); got != want {
+			t.Fatalf("ObjectiveKey %q, fmt renders %q", got, want)
+		}
+		s := Signature{Model: fmt.Sprint("m", rng.Intn(3)), Objective: ObjectiveKey(obj)}
+		if rng.Intn(4) > 0 {
+			s.Planner = PlannerID{Method: "DistrEdge", Episodes: rng.Intn(5000), Batch: rng.Intn(128),
+				RandomSplits: rng.Intn(200), Alpha: rng.Float64(), Seed: rng.Int63() - rng.Int63()}
+			for h := rng.Intn(4); h > 0; h-- {
+				s.Planner.Hidden = append(s.Planner.Hidden, rng.Intn(500))
+			}
+		}
 		for d := rng.Intn(21); d > 0; d-- {
 			s.Devices = append(s.Devices, regime())
 		}

@@ -63,47 +63,6 @@ func Downsample(values []float64, n int) []float64 {
 	return out
 }
 
-// Bar is one row of a bar chart.
-type Bar struct {
-	Label string
-	Value float64
-}
-
-// BarChart renders labelled horizontal bars scaled to width characters,
-// with the numeric value appended. Negative values are clamped to zero.
-func BarChart(bars []Bar, width int) string {
-	if len(bars) == 0 {
-		return ""
-	}
-	if width < 1 {
-		width = 40
-	}
-	maxV := 0.0
-	maxL := 0
-	for _, b := range bars {
-		if b.Value > maxV {
-			maxV = b.Value
-		}
-		if len(b.Label) > maxL {
-			maxL = len(b.Label)
-		}
-	}
-	var sb strings.Builder
-	for _, b := range bars {
-		v := b.Value
-		if v < 0 {
-			v = 0
-		}
-		n := 0
-		if maxV > 0 {
-			n = int(v / maxV * float64(width))
-		}
-		fmt.Fprintf(&sb, "%-*s %s%s %.2f\n", maxL, b.Label,
-			strings.Repeat("█", n), strings.Repeat("░", width-n), b.Value)
-	}
-	return sb.String()
-}
-
 // Series is one named line of a Lines plot.
 type Series struct {
 	Name   string

@@ -76,26 +76,6 @@ func TestDownsampleDoesNotAlias(t *testing.T) {
 	}
 }
 
-func TestBarChart(t *testing.T) {
-	out := BarChart([]Bar{{"alpha", 10}, {"beta", 5}, {"neg", -3}}, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.Contains(lines[0], strings.Repeat("█", 10)) {
-		t.Errorf("max bar must be full width: %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "█████░░░░░") {
-		t.Errorf("half bar wrong: %q", lines[1])
-	}
-	if strings.Contains(lines[2], "█") {
-		t.Errorf("negative value must render empty: %q", lines[2])
-	}
-	if BarChart(nil, 10) != "" {
-		t.Error("empty chart must be empty")
-	}
-}
-
 func TestLines(t *testing.T) {
 	out := Lines([]Series{
 		{Name: "a", Values: []float64{1, 2, 3, 4}},

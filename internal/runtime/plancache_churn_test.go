@@ -21,18 +21,21 @@ func TestCachedReplanCutsRecoveryTime(t *testing.T) {
 	cache := plancache.New(plancache.DefaultCapacity)
 	// A search budget big enough that a cache hit is unmistakably cheaper
 	// than the miss, small enough to keep the test quick.
-	search := splitter.SearchReplan(splitter.Config{
+	searchCfg := splitter.Config{
 		Episodes:  40,
 		Hidden:    []int{16, 16},
 		Batch:     16,
 		Seed:      1,
 		WarmStart: true,
-	})
+	}
+	search := splitter.SearchReplan(searchCfg)
+	id := plancache.PlannerID{Method: "SearchReplan", Episodes: searchCfg.Episodes,
+		Hidden: searchCfg.Hidden, Batch: searchCfg.Batch, Seed: searchCfg.Seed}
 
 	run := func() (replanMS float64) {
 		t.Helper()
 		opts := recoverOpts()
-		opts.Replan = plancache.CachedReplan(cache, nil, search)
+		opts.Replan = plancache.CachedReplan(cache, nil, id, search)
 		cl, err := Deploy(env, s, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -21,5 +21,5 @@ func BatchedComputeSec(comp float64, k int) float64 {
 	if k <= 1 {
 		return comp
 	}
-	return comp * (BatchFixedFrac + (1-BatchFixedFrac)*float64(k))
+	return comp * (BatchFixedFrac + float64((1-BatchFixedFrac)*float64(k)))
 }

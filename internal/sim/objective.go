@@ -132,9 +132,8 @@ func (o ThroughputObjective) EpisodeScore(e *Env, s *strategy.Strategy, at, seqL
 }
 
 // ErrSLOViolated reports that a strategy's predicted p95
-// admission-to-completion latency exceeds the SLO bound. It is wrapped by
-// SLOThroughputObjective.Eval so planners and CLIs can reject infeasible
-// plans with errors.Is.
+// admission-to-completion latency exceeds the SLO bound. Score reads it
+// (errors.Is) to turn a violation into a penalty.
 var ErrSLOViolated = errors.New("sim: predicted p95 latency violates the SLO bound")
 
 // sloPenaltySec is the score floor for SLO-violating strategies — far
@@ -150,7 +149,7 @@ const sloPenaltySec = 1e6
 // predicted p95 — read off the PipelineResult latency distribution at the
 // deployment's window and batch — exceeds P95Sec are penalised past any
 // feasible score, so the planner only ever prefers a violating plan when
-// no evaluated plan meets the bound (Eval lets callers reject even then).
+// no evaluated plan meets the bound.
 type SLOThroughputObjective struct {
 	// Window, Images and Batch parameterise the pipelined evaluation
 	// exactly as in ThroughputObjective (same defaults).
@@ -178,15 +177,9 @@ func (o SLOThroughputObjective) withDefaults() SLOThroughputObjective {
 // Name returns "slo".
 func (SLOThroughputObjective) Name() string { return "slo" }
 
-// Eval runs the pipelined evaluation and checks the bound: it returns the
+// eval runs the pipelined evaluation and checks the bound: it returns the
 // result plus an error wrapping ErrSLOViolated when the predicted p95
-// exceeds P95Sec. Deployment paths use it to refuse plans outright where
-// Score only penalises them.
-func (o SLOThroughputObjective) Eval(e *Env, s *strategy.Strategy, at float64) (PipelineResult, error) {
-	return o.eval(e, s, at, true)
-}
-
-// eval is Eval; perImage as in Env.pipeline.
+// exceeds P95Sec. perImage as in Env.pipeline.
 func (o SLOThroughputObjective) eval(e *Env, s *strategy.Strategy, at float64, perImage bool) (PipelineResult, error) {
 	o = o.withDefaults()
 	if !(o.P95Sec > 0) {

@@ -25,7 +25,7 @@ func TestSLOObjectiveFeasibleMatchesThroughput(t *testing.T) {
 	if got != want {
 		t.Errorf("feasible slo score %.17g != throughput score %.17g", got, want)
 	}
-	if _, err := slo.Eval(env, s, 2.5); err != nil {
+	if _, err := slo.eval(env, s, 2.5, true); err != nil {
 		t.Errorf("loose bound must be feasible, got %v", err)
 	}
 	ep, err := slo.EpisodeScore(env, s, 2.5, 1e9)
@@ -37,7 +37,7 @@ func TestSLOObjectiveFeasibleMatchesThroughput(t *testing.T) {
 	}
 }
 
-// TestSLOObjectiveViolationPenalised covers the infeasible side: Eval
+// TestSLOObjectiveViolationPenalised covers the infeasible side: eval
 // rejects with ErrSLOViolated and Score returns a finite penalty that is
 // (a) past any feasible score and (b) monotone in the violation, so the
 // planner's search gradient still points toward the bound.
@@ -45,12 +45,12 @@ func TestSLOObjectiveViolationPenalised(t *testing.T) {
 	env := equivEnv(t, false)
 	s := equivStrategies(env.Model, env.NumProviders())[0]
 	tight := SLOThroughputObjective{Window: 4, Images: 24, P95Sec: 1e-9}
-	res, err := tight.Eval(env, s, 0)
+	res, err := tight.eval(env, s, 0, true)
 	if !errors.Is(err, ErrSLOViolated) {
-		t.Fatalf("tight bound: Eval err = %v, want ErrSLOViolated", err)
+		t.Fatalf("tight bound: eval err = %v, want ErrSLOViolated", err)
 	}
 	if res.P95LatMS <= 0 {
-		t.Fatalf("violating Eval must still return the result, got %+v", res)
+		t.Fatalf("violating eval must still return the result, got %+v", res)
 	}
 	score, err := tight.Score(env, s, 0)
 	if err != nil {
@@ -84,8 +84,8 @@ func TestSLOObjectiveRequiresBound(t *testing.T) {
 	s := equivStrategies(env.Model, env.NumProviders())[0]
 	for _, bound := range []float64{0, -1} {
 		o := SLOThroughputObjective{P95Sec: bound}
-		if _, err := o.Eval(env, s, 0); err == nil || !strings.Contains(err.Error(), "bound must be positive") {
-			t.Errorf("bound %g: Eval err = %v, want bound error", bound, err)
+		if _, err := o.eval(env, s, 0, true); err == nil || !strings.Contains(err.Error(), "bound must be positive") {
+			t.Errorf("bound %g: eval err = %v, want bound error", bound, err)
 		}
 		if _, err := o.Score(env, s, 0); err == nil {
 			t.Errorf("bound %g: Score must propagate the config error", bound)

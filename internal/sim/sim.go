@@ -232,15 +232,6 @@ func (x *Exec) Err() error { return x.err }
 // Reset; copy it to retain a snapshot.
 func (x *Exec) Accumulated() []float64 { return x.acc }
 
-// NextVolume returns the layers of the volume the next Step will split, or
-// nil when done.
-func (x *Exec) NextVolume() []cnn.Layer {
-	if x.Done() {
-		return nil
-	}
-	return strategy.Volume(x.env.Model, x.boundaries, x.vol)
-}
-
 // Step splits the next volume with the given cut points and advances the
 // execution. Cut points follow strategy.CutRange semantics.
 func (x *Exec) Step(cuts []int) {

@@ -31,7 +31,7 @@ func quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q*float64(len(sorted)) + 0.5)
+	i := int(float64(q*float64(len(sorted))) + 0.5)
 	if i < 1 {
 		i = 1
 	}

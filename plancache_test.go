@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -214,26 +215,26 @@ func TestPlanCachedConcurrent(t *testing.T) {
 
 // TestPlanCachedHitAllocs counts what a warmed PlanCached hit allocates.
 // The fleet's signature is derived on the first call and kept by the
-// System, the key is rendered on the stack and looked up without building a
-// string, and no plancache.Service, in-flight map or channel is built. What
-// is left is the caller's copy of the plan and the config's resolution:
+// System, the key (objective and planner identity included) is rendered on
+// the stack and looked up without building a string, and no
+// plancache.Service, in-flight map or channel is built. What is left is the
+// caller's copy of the plan and the config's resolution:
 //
 //   - the returned *Plan;
 //   - its Strategy clone (strategy.Clone): the *Strategy, its Boundaries,
 //     its Splits rows and the one array that backs every row;
 //   - the effort's budget, whose Hidden sizes the planner would read on a
-//     miss (experiments.Tiny);
+//     miss and the key renders (experiments.Tiny);
 //
-// and under the ips objective, three more:
+// and under the ips objective, two more:
 //
 //   - the sim.ThroughputObjective boxed into a sim.Objective;
-//   - its plan-cache key, "ips/w4/i24/b1" (plancache.ObjectiveKey);
 //   - the method name, "DistrEdge-ips".
 func TestPlanCachedHitAllocs(t *testing.T) {
 	for _, c := range []struct {
 		obj  Objective
 		want float64
-	}{{ObjectiveLatency, 6}, {ObjectiveIPS, 9}} {
+	}{{ObjectiveLatency, 6}, {ObjectiveIPS, 8}} {
 		sys, err := New("vgg16", fourProviders(), WithSeed(1))
 		if err != nil {
 			t.Fatal(err)
@@ -250,6 +251,108 @@ func TestPlanCachedHitAllocs(t *testing.T) {
 		})
 		if got != c.want {
 			t.Errorf("%s: a PlanCached hit allocates %v objects, want %v", c.obj, got, c.want)
+		}
+	}
+}
+
+// TestPlanCachedKeyCoversEveryInput: a plan is a function of its request,
+// not of what the cache was asked before. Each row plans one request into a
+// cache shared by every row of its model, then asks that cache for the
+// request with one input perturbed: a PlanConfig field, or the System's
+// seed (WithSeed). The perturbed request must return the bytes a fresh
+// cache returns for it. The first twelve rows are four models × {quick
+// effort, α 0.3, seed 7} from a tiny-effort plan; the rest perturb the
+// objective fields. Every PlanConfig field must be perturbed by some row,
+// or be listed in notDeciding with the reason it does not decide a plan,
+// so a field added later fails here until it is keyed.
+func TestPlanCachedKeyCoversEveryInput(t *testing.T) {
+	// notDeciding maps a PlanConfig field to why it does not decide a
+	// plan. Every field decides one today.
+	notDeciding := map[string]string{}
+	fleet := []Provider{
+		{Type: "xavier", BandwidthMbps: 100},
+		{Type: "tx2", BandwidthMbps: 50},
+		{Type: "nano", BandwidthMbps: 200},
+		{Type: "nano", BandwidthMbps: 100},
+	}
+	with := func(c PlanConfig, f func(*PlanConfig)) PlanConfig { f(&c); return c }
+	tiny := PlanConfig{Effort: EffortTiny}
+	ips := with(tiny, func(c *PlanConfig) { c.Objective = ObjectiveIPS })
+	slo := with(tiny, func(c *PlanConfig) { c.Objective, c.SLOP95MS = ObjectiveSLO, 500 })
+	type row struct {
+		model        string
+		from, to     PlanConfig
+		seedA, seedB int64
+	}
+	var rows []row
+	for _, m := range []string{"vgg16", "resnet50", "yolov2", "inceptionv3"} {
+		rows = append(rows,
+			row{m, tiny, with(tiny, func(c *PlanConfig) { c.Effort = EffortQuick }), 1, 1},
+			row{m, tiny, with(tiny, func(c *PlanConfig) { c.Alpha = 0.3 }), 1, 1},
+			row{m, tiny, tiny, 1, 7})
+	}
+	rows = append(rows,
+		row{"vgg16", tiny, ips, 1, 1},
+		row{"vgg16", ips, with(ips, func(c *PlanConfig) { c.ObjectiveWindow = 2 }), 1, 1},
+		row{"vgg16", ips, with(ips, func(c *PlanConfig) { c.ObjectiveBatch = 2 }), 1, 1},
+		row{"vgg16", slo, with(slo, func(c *PlanConfig) { c.SLOP95MS = 800 }), 1, 1})
+
+	typ := reflect.TypeOf(PlanConfig{})
+	perturbed := map[string]bool{}
+	for _, r := range rows {
+		var moved []string
+		a, b := reflect.ValueOf(r.from), reflect.ValueOf(r.to)
+		for i := 0; i < typ.NumField(); i++ {
+			if !reflect.DeepEqual(a.Field(i).Interface(), b.Field(i).Interface()) {
+				moved = append(moved, typ.Field(i).Name)
+			}
+		}
+		if len(moved) > 1 || (len(moved) == 1) == (r.seedA != r.seedB) {
+			t.Fatalf("row %+v moves %v and the seed %v: want one input at a time", r, moved, r.seedA != r.seedB)
+		}
+		for _, f := range moved {
+			perturbed[f] = true
+		}
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if _, ok := notDeciding[name]; !perturbed[name] && !ok {
+			t.Errorf("PlanConfig.%s is perturbed by no row: key it and add a row, or list it in notDeciding with a reason", name)
+		}
+	}
+
+	system := func(model string, seed int64) *System {
+		sys, err := New(model, fleet, WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	plan := func(sys *System, cfg PlanConfig, pc *PlanCache) (string, PlanOutcome) {
+		p, out, err := sys.PlanCached(cfg, pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sys.SavePlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b), out
+	}
+	shared := map[string]*PlanCache{}
+	for _, r := range rows {
+		pc := shared[r.model]
+		if pc == nil {
+			pc = NewPlanCache(0)
+			shared[r.model] = pc
+		}
+		plan(system(r.model, r.seedA), r.from, pc)
+		sys := system(r.model, r.seedB)
+		got, out := plan(sys, r.to, pc)
+		want, _ := plan(sys, r.to, NewPlanCache(0))
+		if got != want {
+			t.Errorf("%s: %+v (seed %d) after %+v (seed %d): the shared cache's %s plan differs from a fresh cache's",
+				r.model, r.to, r.seedB, r.from, r.seedA, out)
 		}
 	}
 }
