@@ -50,10 +50,13 @@ func TestReceptiveFieldMatchesVSL(t *testing.T) {
 	if in.Len() != size {
 		t.Errorf("VSL input rows %d != receptive field %d", in.Len(), size)
 	}
+}
+
+func TestHaloRows(t *testing.T) {
 	// Two 3x3 convs: an interior output row needs 4 halo rows.
-	two := layers[:2]
-	mid = two[1].OutHeight() / 2
-	if halo := VolumeInputRows(two, RowRange{mid, mid + 1}).Len() - 1; halo != 4 {
+	layers := VGG16().SplittableLayers()[:2]
+	mid := layers[1].OutHeight() / 2
+	if halo := VolumeInputRows(layers, RowRange{mid, mid + 1}).Len() - 1; halo != 4 {
 		t.Errorf("halo of two 3x3 convs = %d, want 4", halo)
 	}
 }
