@@ -80,17 +80,8 @@ func run(w io.Writer, args []string) error {
 		goruntime.SetBlockProfileRate(1)
 	}
 
-	var b experiments.Budget
-	switch *budget {
-	case "tiny":
-		b = experiments.Tiny()
-	case "quick":
-		b = experiments.Quick()
-	case "full":
-		b = experiments.Full()
-	case "paper":
-		b = experiments.Paper()
-	default:
+	b, ok := experiments.BudgetNamed(*budget)
+	if !ok {
 		return fmt.Errorf("unknown budget %q", *budget)
 	}
 	b.Seed = *seed
@@ -467,7 +458,7 @@ func runFig(w io.Writer, fig string, b experiments.Budget, reps int, windows []i
 // or beat the full cold one).
 func planner(w io.Writer, b experiments.Budget) error {
 	header(w, "Planner — plan-cache service: cold vs exact-hit vs warm-start plans/sec")
-	sweep := experiments.NewPlannerSweep(b, 0)
+	sweep := experiments.NewPlannerSweep(b)
 
 	phase := func(name string, f func() ([]experiments.PlannerRow, error)) ([]experiments.PlannerRow, float64, error) {
 		t0 := time.Now()

@@ -57,18 +57,14 @@ const (
 )
 
 func (e Effort) budget() (experiments.Budget, error) {
-	switch e {
-	case EffortTiny:
-		return experiments.Tiny(), nil
-	case EffortQuick, "":
-		return experiments.Quick(), nil
-	case EffortFull:
-		return experiments.Full(), nil
-	case EffortPaper:
-		return experiments.Paper(), nil
-	default:
-		return experiments.Budget{}, fmt.Errorf("distredge: unknown effort %q", e)
+	if e == "" {
+		e = EffortQuick
 	}
+	b, ok := experiments.BudgetNamed(string(e))
+	if !ok {
+		return b, fmt.Errorf("distredge: unknown effort %q", e)
+	}
+	return b, nil
 }
 
 // Objective selects what the planner optimises (see DESIGN.md "Planning
@@ -115,15 +111,15 @@ type PlanConfig struct {
 	SLOP95MS float64
 }
 
-// resolve turns the config into what the planner runs on: the effort's
-// budget at the given seed, α and the simulator objective. Alpha 0 means the
-// paper's 0.75, and an α outside [0,1] is refused. Plan, PlanCached and
-// NewFinetuner all resolve through it, so they accept and refuse the same
-// configs.
-func (c PlanConfig) resolve(seed int64) (experiments.Budget, float64, sim.Objective, error) {
+// resolve turns the config into the one request the planner runs: the
+// effort's budget at the given seed, α and the simulator objective. Alpha 0
+// means the paper's 0.75, and an α outside [0,1] is refused. Plan,
+// PlanCached and NewFinetuner all resolve through it, so they accept and
+// refuse the same configs.
+func (c PlanConfig) resolve(seed int64) (experiments.Request, error) {
 	b, err := c.Effort.budget()
 	if err != nil {
-		return b, 0, nil, err
+		return experiments.Request{}, err
 	}
 	b.Seed = seed
 	alpha := c.Alpha
@@ -131,10 +127,10 @@ func (c PlanConfig) resolve(seed int64) (experiments.Budget, float64, sim.Object
 		alpha = 0.75
 	}
 	if !(alpha >= 0 && alpha <= 1) {
-		return b, 0, nil, fmt.Errorf("distredge: alpha %g outside [0,1]", c.Alpha)
+		return experiments.Request{}, fmt.Errorf("distredge: alpha %g outside [0,1]", c.Alpha)
 	}
 	obj, err := c.simObjective()
-	return b, alpha, obj, err
+	return experiments.Request{Budget: b, Alpha: alpha, Objective: obj}, err
 }
 
 // simObjective resolves the config into the simulator's objective value
@@ -234,17 +230,17 @@ type Plan struct {
 // reproduces the paper's planner exactly; ObjectiveIPS trains the splitter
 // against steady-state pipelined throughput instead (and additionally
 // searches stage-friendly volume boundaries — see
-// experiments.PlanObjective).
+// experiments.Request.Plan).
 func (s *System) Plan(cfg PlanConfig) (*Plan, error) {
-	b, alpha, obj, err := cfg.resolve(s.seed)
+	req, err := cfg.resolve(s.seed)
 	if err != nil {
 		return nil, err
 	}
-	strat, err := experiments.PlanObjective(s.env, b, alpha, obj)
+	strat, err := req.Plan(s.env, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Method: methodName(obj), Strategy: strat}, nil
+	return &Plan{Method: methodName(req.Objective), Strategy: strat}, nil
 }
 
 // methodName labels a DistrEdge plan with the objective it was planned for
@@ -258,7 +254,8 @@ func methodName(obj sim.Objective) string {
 
 // PlanCache is a bounded, concurrency-safe cache of planning results keyed
 // by the canonical fleet signature (device set, network regime bucket,
-// model, objective — see internal/plancache). Share one across PlanCached
+// model, objective) and the planner's identity (the planning request's
+// budget, α and seed — see internal/plancache). Share one across PlanCached
 // calls and deployments: a repeat request for a fleet the cache has seen
 // returns in microseconds instead of re-running the OSDS search, and a
 // near-miss fleet warm-starts its search from the nearest cached plan.
@@ -325,22 +322,19 @@ func (s *System) PlanCached(cfg PlanConfig, pc *PlanCache) (*Plan, PlanOutcome, 
 		p, err := s.Plan(cfg)
 		return p, PlanCold, err
 	}
-	b, alpha, obj, err := cfg.resolve(s.seed)
+	req, err := cfg.resolve(s.seed)
 	if err != nil {
 		return nil, "", err
 	}
 	s.fleetOnce.Do(func() { s.fleet = plancache.SignatureOf(s.env, nil) })
 	sig := s.fleet
-	sig.Planner = plancache.PlannerID{
-		Method: experiments.MethodDistrEdge, Episodes: b.Episodes, Hidden: b.Hidden,
-		Batch: b.Batch, RandomSplits: b.RandomSplits, Alpha: alpha, Seed: b.Seed,
-	}
-	res, err := pc.c.Plan(s.env, obj, sig, experiments.MemoPlanner(b, alpha, pc.lcpss))
+	sig.Planner = req.ID()
+	res, err := pc.c.Plan(s.env, req.Objective, sig, req.Planner(pc.lcpss))
 	if err != nil {
 		return nil, "", err
 	}
 	// The cache owns its copy; hand the caller an independent one.
-	return &Plan{Method: methodName(obj), Strategy: res.Strategy.Clone()}, PlanOutcome(res.Outcome), nil
+	return &Plan{Method: methodName(req.Objective), Strategy: res.Strategy.Clone()}, PlanOutcome(res.Outcome), nil
 }
 
 // CachedReplan wraps the recovery re-planner a deployment uses
@@ -543,11 +537,11 @@ type Finetuner struct {
 // later finetuning. Under the default latency objective the initial plan is
 // Plan's.
 func (s *System) NewFinetuner(cfg PlanConfig) (*Finetuner, *Plan, error) {
-	b, alpha, obj, err := cfg.resolve(s.seed)
+	req, err := cfg.resolve(s.seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, err := experiments.NewTrainer(s.env, b, alpha, obj)
+	tr, err := req.Trainer(s.env)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -555,7 +549,7 @@ func (s *System) NewFinetuner(cfg PlanConfig) (*Finetuner, *Plan, error) {
 	if res.Strategy == nil {
 		return nil, nil, fmt.Errorf("distredge: training found no strategy")
 	}
-	ft := &Finetuner{trainer: tr, sys: s, method: methodName(obj)}
+	ft := &Finetuner{trainer: tr, sys: s, method: methodName(req.Objective)}
 	return ft, &Plan{Method: ft.method, Strategy: res.Strategy}, nil
 }
 

@@ -46,7 +46,7 @@ func linearise(models []device.LatencyModel) []device.LatencyModel {
 func AblationNonlinearity(b Budget, bwMbps float64) (AblationNonlinearityResult, error) {
 	spec := DeviceGroups()[1].Spec(cnn.VGG16(), bwMbps, b.Seed)
 	speedup := func(env *sim.Env) (float64, error) {
-		de, err := PlanDistrEdge(env, b, 0.75)
+		de, err := Request{Budget: b, Alpha: 0.75}.Plan(env, nil, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -95,7 +95,7 @@ func AblationWarmStart(b Budget) (AblationWarmStartResult, error) {
 		return AblationWarmStartResult{}, err
 	}
 	run := func(warm bool) (float64, error) {
-		cfg := osdsConfig(b, env.NumProviders(), b.Seed)
+		cfg := osdsConfig(b, env.NumProviders())
 		cfg.WarmStart = warm
 		res, err := splitter.Search(env, boundaries, cfg)
 		if err != nil {
@@ -146,7 +146,7 @@ func AblationPartition(b Budget) ([]AblationPartitionRow, error) {
 	}
 	var rows []AblationPartitionRow
 	for _, f := range families {
-		res, err := splitter.Search(env, f.boundaries, osdsConfig(b, env.NumProviders(), b.Seed))
+		res, err := splitter.Search(env, f.boundaries, osdsConfig(b, env.NumProviders()))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", f.name, err)
 		}

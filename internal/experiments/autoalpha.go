@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"distredge/internal/partition"
 	"distredge/internal/sim"
 	"distredge/internal/strategy"
 )
@@ -23,8 +24,9 @@ func PlanDistrEdgeAutoAlpha(env *sim.Env, b Budget, alphas []float64) (*strategy
 	var bestStrat *strategy.Strategy
 	bestAlpha, bestIPS := 0.0, -1.0
 	seen := map[string]bool{}
+	memo := partition.NewMemo() // Plan reuses the partition searched here
 	for _, alpha := range alphas {
-		boundaries, err := LCPSS(env, b, alpha)
+		boundaries, err := lcpss(memo, env, b, alpha)
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("experiments: auto-alpha %g: %w", alpha, err)
 		}
@@ -33,7 +35,7 @@ func PlanDistrEdgeAutoAlpha(env *sim.Env, b Budget, alphas []float64) (*strategy
 			continue // identical partition: OSDS would repeat itself
 		}
 		seen[key] = true
-		strat, err := osdsOn(env, b, boundaries)
+		strat, err := Request{Budget: b, Alpha: alpha}.Plan(env, nil, memo)
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("experiments: auto-alpha %g: %w", alpha, err)
 		}
@@ -49,13 +51,4 @@ func PlanDistrEdgeAutoAlpha(env *sim.Env, b Budget, alphas []float64) (*strategy
 		return nil, 0, 0, fmt.Errorf("experiments: auto-alpha found no strategy")
 	}
 	return bestStrat, bestAlpha, bestIPS, nil
-}
-
-// osdsOn runs OSDS over fixed boundaries under the budget.
-func osdsOn(env *sim.Env, b Budget, boundaries []int) (*strategy.Strategy, error) {
-	res, err := searchOSDS(env, boundaries, b)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

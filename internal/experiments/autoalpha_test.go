@@ -22,7 +22,7 @@ func TestAutoAlphaReturnsBest(t *testing.T) {
 		t.Errorf("alpha %g not from the candidate set", alpha)
 	}
 	// Auto-alpha must be at least as good as the fixed default.
-	fixed, err := PlanDistrEdge(env, b, 0.75)
+	fixed, err := Request{Budget: b, Alpha: 0.75}.Plan(env, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func FigChurnRecovery(b Budget, windows []int, fracs []float64) ([]ChurnRow, err
 	err := runIndexed(len(specs), b.Workers(), func(ci int) error {
 		spec := specs[ci]
 		env := spec.Env()
-		planned, err := PlanDistrEdge(env, b, 0.75)
+		planned, err := Request{Budget: b, Alpha: 0.75}.Plan(env, nil, nil)
 		if err != nil {
 			return fmt.Errorf("experiments: churn sweep %s: %w", spec.Name, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,14 +20,14 @@ import (
 // concurrently.
 const concurrentPlanSHA256 = "075ad5ea3bcfaa4e3dc228ec9f9048ee2299d265cc2ff7f2d56826df7608f3d0"
 
-// TestPlanObjectiveConcurrentSearchesDeterministic plans an IPS-objective
+// TestRequestPlanConcurrentSearchesDeterministic plans an IPS-objective
 // fleet warm-started from a seed whose boundaries are neither LC-PSS's nor
 // the stage layout's — three boundary sets, searched concurrently — and
 // requires the saved plan to be the same bytes on one core and on four,
 // equal to the serial planner's. Each boundary set's search must equal a
 // serial search of that set, and a failing boundary set reports the
 // lowest-index error.
-func TestPlanObjectiveConcurrentSearchesDeterministic(t *testing.T) {
+func TestRequestPlanConcurrentSearchesDeterministic(t *testing.T) {
 	env := objectiveCases(1)[0].env() // stable Group DB on VGG-16
 	b := Tiny()
 	n := env.NumProviders()
@@ -40,14 +41,14 @@ func TestPlanObjectiveConcurrentSearchesDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	stage := StageBoundaries(env.Model, n)
-	if equalBoundaries(lcp, init.Boundaries) || equalBoundaries(lcp, stage) || equalBoundaries(init.Boundaries, stage) {
+	if slices.Equal(lcp, init.Boundaries) || slices.Equal(lcp, stage) || slices.Equal(init.Boundaries, stage) {
 		t.Fatalf("want three distinct boundary sets, have LC-PSS %v, seed %v, stage %v", lcp, init.Boundaries, stage)
 	}
 
 	plan := func(procs int) []byte {
 		t.Helper()
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		s, err := PlanObjectiveInit(env, b, 0.75, sim.ThroughputObjective{Window: 4}, init, nil)
+		s, err := Request{Budget: b, Alpha: 0.75, Objective: sim.ThroughputObjective{Window: 4}}.Plan(env, init, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +69,7 @@ func TestPlanObjectiveConcurrentSearchesDeterministic(t *testing.T) {
 
 	// Every concurrent search returns what a serial search of its set does,
 	// not only the one whose candidate won.
-	cfg := osdsConfig(b, n, b.Seed)
+	cfg := osdsConfig(b, n)
 	cfg.Objective = sim.ThroughputObjective{Window: 4}
 	sets := [][]int{lcp, init.Boundaries, stage}
 	search := func(procs int, sets [][]int) ([]*splitter.Result, error) {

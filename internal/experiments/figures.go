@@ -109,7 +109,7 @@ func Fig05AlphaSweep(b Budget, cases int) ([]AlphaRow, error) {
 		if err != nil {
 			return err
 		}
-		res, err := splitter.Search(env, boundaries, osdsConfig(b, env.NumProviders(), b.Seed))
+		res, err := splitter.Search(env, boundaries, osdsConfig(b, env.NumProviders()))
 		if err != nil {
 			return err
 		}
@@ -195,7 +195,7 @@ func Fig06RrsSweep(b Budget, reps int) ([]RrsRow, error) {
 				// Computed outside the lock: concurrent cells may race to
 				// fill the same key, but the value is deterministic so the
 				// duplicate work is benign.
-				res, err := splitter.Search(env, boundaries, osdsConfig(b, env.NumProviders(), b.Seed))
+				res, err := splitter.Search(env, boundaries, osdsConfig(b, env.NumProviders()))
 				if err != nil {
 					return err
 				}
@@ -355,7 +355,7 @@ func Fig13DynamicLatency(b Budget) ([]TimelineRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainer, err := NewTrainer(env, b, 0.75, nil)
+	trainer, err := Request{Budget: b, Alpha: 0.75}.Trainer(env)
 	if err != nil {
 		return nil, err
 	}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"distredge/internal/baselines"
-	"distredge/internal/partition"
 	"distredge/internal/sim"
-	"distredge/internal/splitter"
 	"distredge/internal/strategy"
 )
 
@@ -51,6 +49,23 @@ func Paper() Budget {
 	return Budget{Episodes: 4000, Hidden: []int{400, 200, 100}, Batch: 64, RandomSplits: 100, StreamImages: 5000, Seed: 1}
 }
 
+// BudgetNamed returns the budget of a named planning effort: tiny, quick,
+// full or paper. It is the one table the public Effort values and
+// distbench's -budget flag read.
+func BudgetNamed(name string) (Budget, bool) {
+	switch name {
+	case "tiny":
+		return Tiny(), true
+	case "quick":
+		return Quick(), true
+	case "full":
+		return Full(), true
+	case "paper":
+		return Paper(), true
+	}
+	return Budget{}, false
+}
+
 // MethodDistrEdge is the method label for our system in result rows.
 const MethodDistrEdge = "DistrEdge"
 
@@ -58,71 +73,6 @@ const MethodDistrEdge = "DistrEdge"
 // baselines with DistrEdge inserted before Offload.
 func MethodOrder() []string {
 	return []string{"CoEdge", "MoDNN", "MeDNN", "DeepThings", "DeeperThings", "AOFL", MethodDistrEdge, "Offload"}
-}
-
-// osdsConfig derives the OSDS configuration from a budget. The paper uses
-// σ²=0.1 for four providers and σ²=1 for sixteen (Section V).
-func osdsConfig(b Budget, providers int, seed int64) splitter.Config {
-	sigmaSq := 0.1
-	if providers >= 16 {
-		sigmaSq = 1
-	}
-	return splitter.Config{
-		Episodes:  b.Episodes,
-		Hidden:    b.Hidden,
-		Batch:     b.Batch,
-		SigmaSq:   sigmaSq,
-		Seed:      seed,
-		WarmStart: true,
-	}
-}
-
-// LCPSS runs the partition search (LC-PSS) under the budget.
-func LCPSS(env *sim.Env, b Budget, alpha float64) ([]int, error) {
-	return lcpss(nil, env, b, alpha)
-}
-
-// lcpss is LCPSS through a memo (nil: search every time).
-func lcpss(memo *partition.Memo, env *sim.Env, b Budget, alpha float64) ([]int, error) {
-	return memo.Search(env.Model, partition.Config{
-		Alpha:           alpha,
-		NumRandomSplits: b.RandomSplits,
-		Providers:       env.NumProviders(),
-		Seed:            b.Seed,
-	})
-}
-
-// NewTrainer runs LC-PSS and builds the OSDS trainer over its boundaries
-// under the budget, optimising obj (nil = latency): the agent the planner's
-// search trains, handed out untrained for callers that keep it alive and
-// finetune it when the network changes (Section V-F).
-func NewTrainer(env *sim.Env, b Budget, alpha float64, obj sim.Objective) (*splitter.Trainer, error) {
-	boundaries, err := LCPSS(env, b, alpha)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: LC-PSS: %w", err)
-	}
-	cfg := osdsConfig(b, env.NumProviders(), b.Seed)
-	cfg.Objective = obj
-	return splitter.NewTrainer(env, boundaries, cfg)
-}
-
-// searchOSDS trains the splitter over fixed boundaries under the budget.
-func searchOSDS(env *sim.Env, boundaries []int, b Budget) (*strategy.Strategy, error) {
-	res, err := splitter.Search(env, boundaries, osdsConfig(b, env.NumProviders(), b.Seed))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: OSDS: %w", err)
-	}
-	return res.Strategy, nil
-}
-
-// PlanDistrEdge runs the full DistrEdge pipeline (LC-PSS with the given α,
-// then OSDS) and returns the chosen strategy.
-func PlanDistrEdge(env *sim.Env, b Budget, alpha float64) (*strategy.Strategy, error) {
-	boundaries, err := LCPSS(env, b, alpha)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: LC-PSS: %w", err)
-	}
-	return searchOSDS(env, boundaries, b)
 }
 
 // MethodRow is one bar of an IPS figure: a method's streaming performance
@@ -146,7 +96,7 @@ func runMethod(env *sim.Env, spec Spec, name string, b Budget) (MethodRow, error
 	var s *strategy.Strategy
 	var err error
 	if name == MethodDistrEdge {
-		s, err = PlanDistrEdge(env, b, 0.75)
+		s, err = Request{Budget: b, Alpha: 0.75}.Plan(env, nil, nil)
 	} else {
 		s, err = baselines.Plan(baselines.Method(name), env)
 	}

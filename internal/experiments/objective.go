@@ -2,16 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 
 	"distredge/internal/cnn"
 	"distredge/internal/device"
 	"distredge/internal/network"
-	"distredge/internal/partition"
 	"distredge/internal/sim"
-	"distredge/internal/splitter"
-	"distredge/internal/strategy"
 )
 
 // Planner labels for the objective sweep rows.
@@ -19,130 +14,6 @@ const (
 	PlannerLatency = "latency"
 	PlannerIPS     = "ips"
 )
-
-// PlanObjective plans a strategy for the given objective: LC-PSS, then one
-// OSDS search per boundary set with Config.Objective set, every candidate
-// scored by the objective at trace time 0 and the best one returned. The
-// latency default (nil or sim.LatencyObjective) searches the LC-PSS
-// boundaries only and is exactly PlanDistrEdge — the paper's pipeline,
-// bit-identical to the pre-objective planner. For other objectives two
-// extensions matter for throughput:
-//
-//   - besides the LC-PSS boundaries the search also tries the pool-merged
-//     stage boundaries (StageBoundaries): a stage layout needs roughly one
-//     volume per provider before an admission window can fill, and LC-PSS
-//     — which scores sequential latency — often merges to fewer;
-//   - the noiseless StageStrategy anchor of each boundary set is scored
-//     directly (warm-start episodes add exploration noise, so the exact
-//     layout may never appear as an episode).
-func PlanObjective(env *sim.Env, b Budget, alpha float64, obj sim.Objective) (*strategy.Strategy, error) {
-	return PlanObjectiveInit(env, b, alpha, obj, nil, nil)
-}
-
-// PlanObjectiveInit is PlanObjective with an optional warm-start seed: init
-// is a known-good strategy for this exact fleet shape (same provider count)
-// that the search explores outward from. The seed's splits feed the
-// splitter's Config.InitSplits (scheduled as the first warm episode, so the
-// best-strategy tracker is anchored from episode 0), the seed's own volume
-// boundaries join the boundary sets searched, and the seed itself is scored
-// as a candidate — so the returned plan never scores worse than the seed
-// under the requested objective. Because the seed anchors the search,
-// warm-started searches run on half the episode budget: that is where the
-// plan-cache's warm-start throughput win comes from (measured by
-// BenchmarkPlannerService and the `distbench -fig planner` sweep). The LC-PSS
-// boundaries come from memo, which nil turns off.
-func PlanObjectiveInit(env *sim.Env, b Budget, alpha float64, obj sim.Objective, init *strategy.Strategy, memo *partition.Memo) (*strategy.Strategy, error) {
-	n := env.NumProviders()
-	if init != nil {
-		if err := init.Validate(env.Model, n); err != nil {
-			return nil, fmt.Errorf("experiments: warm-start seed: %w", err)
-		}
-	}
-	lcp, err := lcpss(memo, env, b, alpha)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: LC-PSS: %w", err)
-	}
-	boundarySets := [][]int{lcp}
-	addBoundaries := func(bs []int) {
-		for _, have := range boundarySets {
-			if equalBoundaries(have, bs) {
-				return
-			}
-		}
-		boundarySets = append(boundarySets, bs)
-	}
-	if init != nil {
-		addBoundaries(init.Boundaries)
-	}
-	if !sim.IsLatencyObjective(obj) {
-		addBoundaries(StageBoundaries(env.Model, n))
-	}
-	scorer := sim.DefaultObjective(obj)
-	var best *strategy.Strategy
-	bestScore := math.Inf(1)
-	consider := func(s *strategy.Strategy) error {
-		sc, err := scorer.Score(env, s, 0)
-		if err != nil {
-			return err
-		}
-		if sc < bestScore {
-			best, bestScore = s, sc
-		}
-		return nil
-	}
-	cfg := osdsConfig(b, n, b.Seed)
-	cfg.Objective = obj
-	if init != nil {
-		if err := consider(init); err != nil {
-			return nil, err
-		}
-		cfg.Episodes = (b.Episodes + 1) / 2
-		cfg.InitSplits = init.Splits
-	}
-	results, err := searchBoundarySets(env, boundarySets, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: OSDS (%s): %w", scorer.Name(), err)
-	}
-	for i, boundaries := range boundarySets {
-		if err := consider(results[i].Strategy); err != nil {
-			return nil, err
-		}
-		if !sim.IsLatencyObjective(obj) {
-			if err := consider(StageStrategy(env.Model, boundaries, n)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return best, nil
-}
-
-// searchBoundarySets runs one OSDS search per boundary set, on as many
-// goroutines as GOMAXPROCS allows, and returns the results in boundary-set
-// order or the error of the lowest-index set that failed. Each search owns
-// its agent and seed and the env's caches are safe to share, so every
-// result is the one a serial search returns: the plan stays a pure
-// function of the seed on any core count.
-func searchBoundarySets(env *sim.Env, sets [][]int, cfg splitter.Config) ([]*splitter.Result, error) {
-	results := make([]*splitter.Result, len(sets))
-	err := runIndexed(len(sets), runtime.GOMAXPROCS(0), func(i int) error {
-		res, err := splitter.Search(env, sets[i], cfg)
-		results[i] = res
-		return err
-	})
-	return results, err
-}
-
-func equalBoundaries(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // ObjectiveRow is one cell of the planning-objective sweep: a case's
 // strategy — planned for sequential latency or for sustained IPS — served
@@ -209,7 +80,7 @@ func FigObjective(b Budget, windows []int, objWindow int) ([]ObjectiveRow, error
 		}
 		var rows []ObjectiveRow
 		for _, pl := range planners {
-			strat, err := PlanObjective(env, b, 0.75, pl.obj)
+			strat, err := Request{Budget: b, Alpha: 0.75, Objective: pl.obj}.Plan(env, nil, nil)
 			if err != nil {
 				return fmt.Errorf("experiments: objective sweep %s/%s: %w", c.name, pl.name, err)
 			}

@@ -96,11 +96,11 @@ func TestFigObjectiveParallelDeterministic(t *testing.T) {
 func TestObjectiveDifferentialSimVsRuntime(t *testing.T) {
 	env := objectiveCases(1)[0].env() // stable Group DB on VGG-16
 	b := Tiny()
-	latPlan, err := PlanObjective(env, b, 0.75, nil)
+	latPlan, err := Request{Budget: b, Alpha: 0.75}.Plan(env, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ipsPlan, err := PlanObjective(env, b, 0.75, sim.ThroughputObjective{Window: 4})
+	ipsPlan, err := Request{Budget: b, Alpha: 0.75, Objective: sim.ThroughputObjective{Window: 4}}.Plan(env, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

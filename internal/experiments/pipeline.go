@@ -96,7 +96,7 @@ func Fig16WindowSweep(b Budget, windows []int) ([]WindowRow, error) {
 	err := runIndexed(len(specs), b.Workers(), func(ci int) error {
 		spec := specs[ci]
 		env := spec.Env()
-		planned, err := PlanDistrEdge(env, b, 0.75)
+		planned, err := Request{Budget: b, Alpha: 0.75}.Plan(env, nil, nil)
 		if err != nil {
 			return fmt.Errorf("experiments: window sweep %s: %w", spec.Name, err)
 		}

@@ -10,27 +10,14 @@ import (
 	"distredge/internal/strategy"
 )
 
-// Planner adapts the experiments planning pipeline to the plan-cache service
-// contract: cold requests run the full PlanObjective search, warm-started
-// ones run PlanObjectiveInit — seeded from the cached neighbour, on half the
-// episode budget. alpha 0 means the pipeline's usual 0.75. The closure
-// runs LC-PSS once per model and provider count (see MemoPlanner) and
-// remembers the boundaries for as long as it lives.
+// Planner is the plan-cache planner of the DistrEdge request at budget b
+// and α (0 means the paper's 0.75), with an LC-PSS memo that lives as long
+// as the returned closure.
 func Planner(b Budget, alpha float64) plancache.Planner {
-	return MemoPlanner(b, alpha, partition.NewMemo())
-}
-
-// MemoPlanner is Planner with the LC-PSS memo supplied by the caller, who
-// decides how long the boundaries are remembered: LC-PSS reads no device
-// speed and no bandwidth, so every fleet of one model and size shares them.
-// The plans are the ones Planner returns.
-func MemoPlanner(b Budget, alpha float64, memo *partition.Memo) plancache.Planner {
 	if alpha == 0 {
 		alpha = 0.75
 	}
-	return func(env *sim.Env, obj sim.Objective, init *strategy.Strategy) (*strategy.Strategy, error) {
-		return PlanObjectiveInit(env, b, alpha, obj, init, memo)
-	}
+	return Request{Budget: b, Alpha: alpha}.Planner(partition.NewMemo())
 }
 
 // PlannerRow is one planning of the planner-service sweep (fig planner).
@@ -78,18 +65,15 @@ type seedEntry struct {
 // other's fresh results), so concurrency cannot change which donor seeds
 // which fleet.
 type PlannerSweep struct {
-	b     Budget
-	alpha float64
+	req   Request
 	seeds []seedEntry
 	stats plancache.Stats
 }
 
-// NewPlannerSweep builds the sweep harness on the given budget.
-func NewPlannerSweep(b Budget, alpha float64) *PlannerSweep {
-	if alpha == 0 {
-		alpha = 0.75
-	}
-	return &PlannerSweep{b: b, alpha: alpha}
+// NewPlannerSweep builds the sweep harness on the given budget, planning
+// at the paper's α of 0.75.
+func NewPlannerSweep(b Budget) *PlannerSweep {
+	return &PlannerSweep{req: Request{Budget: b, Alpha: 0.75}}
 }
 
 // plannerSpecs returns the sweep's fleet corpus. The bandwidth tiers sit in
@@ -113,13 +97,13 @@ func plannerSpecs(seed int64) (cold, warm []Spec) {
 // service with an empty cache. The results become the seed corpus for the
 // Exact and Warm phases.
 func (ps *PlannerSweep) Cold() ([]PlannerRow, error) {
-	cold, _ := plannerSpecs(ps.b.Seed)
+	cold, _ := plannerSpecs(ps.req.Budget.Seed)
 	rows := make([]PlannerRow, len(cold))
 	seeds := make([]seedEntry, len(cold))
 	stats := make([]plancache.Stats, len(cold))
-	err := runIndexed(len(cold), ps.b.Workers(), func(i int) error {
+	err := runIndexed(len(cold), ps.req.Budget.Workers(), func(i int) error {
 		spec := cold[i]
-		svc, err := plancache.NewService(plancache.Config{Planner: Planner(ps.b, ps.alpha)})
+		svc, err := plancache.NewService(plancache.Config{Planner: ps.req.Planner(partition.NewMemo())})
 		if err != nil {
 			return err
 		}
@@ -150,21 +134,21 @@ func (ps *PlannerSweep) Exact() ([]PlannerRow, error) {
 	if len(ps.seeds) == 0 {
 		return nil, fmt.Errorf("experiments: planner sweep: Exact before Cold")
 	}
-	cold, _ := plannerSpecs(ps.b.Seed)
+	cold, _ := plannerSpecs(ps.req.Budget.Seed)
 	cache := plancache.New(0)
 	for _, s := range ps.seeds {
 		cache.Put(s.sig, s.strat, s.score)
 	}
 	svc, err := plancache.NewService(plancache.Config{
 		Cache:   cache,
-		Workers: ps.b.Workers(),
-		Planner: Planner(ps.b, ps.alpha),
+		Workers: ps.req.Budget.Workers(),
+		Planner: ps.req.Planner(partition.NewMemo()),
 	})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]PlannerRow, len(cold))
-	err = runIndexed(len(cold), ps.b.Workers(), func(i int) error {
+	err = runIndexed(len(cold), ps.req.Budget.Workers(), func(i int) error {
 		spec := cold[i]
 		res, err := svc.Plan(spec.Env(), nil)
 		if err != nil {
@@ -190,16 +174,16 @@ func (ps *PlannerSweep) Warm() ([]PlannerRow, error) {
 	if len(ps.seeds) == 0 {
 		return nil, fmt.Errorf("experiments: planner sweep: Warm before Cold")
 	}
-	_, warm := plannerSpecs(ps.b.Seed)
+	_, warm := plannerSpecs(ps.req.Budget.Seed)
 	rows := make([]PlannerRow, len(warm))
 	stats := make([]plancache.Stats, len(warm))
-	err := runIndexed(len(warm), ps.b.Workers(), func(i int) error {
+	err := runIndexed(len(warm), ps.req.Budget.Workers(), func(i int) error {
 		spec := warm[i]
 		cache := plancache.New(0)
 		for _, s := range ps.seeds {
 			cache.Put(s.sig, s.strat, s.score)
 		}
-		svc, err := plancache.NewService(plancache.Config{Cache: cache, Planner: Planner(ps.b, ps.alpha)})
+		svc, err := plancache.NewService(plancache.Config{Cache: cache, Planner: ps.req.Planner(partition.NewMemo())})
 		if err != nil {
 			return err
 		}
@@ -232,14 +216,14 @@ func (ps *PlannerSweep) Warm() ([]PlannerRow, error) {
 // or beat the full cold search). Kept out of Warm so its wall-clock can be
 // measured without the references.
 func (ps *PlannerSweep) WarmReference(rows []PlannerRow) error {
-	_, warm := plannerSpecs(ps.b.Seed)
+	_, warm := plannerSpecs(ps.req.Budget.Seed)
 	if len(rows) != len(warm) {
 		return fmt.Errorf("experiments: planner sweep: WarmReference wants %d warm rows, got %d", len(warm), len(rows))
 	}
-	return runIndexed(len(warm), ps.b.Workers(), func(i int) error {
+	return runIndexed(len(warm), ps.req.Budget.Workers(), func(i int) error {
 		spec := warm[i]
 		env := spec.Env()
-		coldStrat, err := PlanObjective(env, ps.b, ps.alpha, nil)
+		coldStrat, err := ps.req.Plan(env, nil, nil)
 		if err != nil {
 			return fmt.Errorf("experiments: planner sweep warm %s (cold reference): %w", spec.Name, err)
 		}

@@ -16,7 +16,7 @@ func TestPlannerSweepPhasesAndDeterminism(t *testing.T) {
 		t.Helper()
 		b := Tiny()
 		b.Parallel = parallel
-		ps := NewPlannerSweep(b, 0)
+		ps := NewPlannerSweep(b)
 		cold, err := ps.Cold()
 		if err != nil {
 			t.Fatal(err)

@@ -69,7 +69,7 @@ func PlanOnProfiles(env *sim.Env, b Budget, form ProfileForm) (ProfiledPlanResul
 	if err != nil {
 		return ProfiledPlanResult{}, err
 	}
-	strat, err := PlanDistrEdge(planView, b, 0.75)
+	strat, err := Request{Budget: b, Alpha: 0.75}.Plan(planView, nil, nil)
 	if err != nil {
 		return ProfiledPlanResult{}, err
 	}

@@ -56,7 +56,7 @@ func TestPlanOnProfilesTableClosesToTruth(t *testing.T) {
 			gap*100, res.PlannedIPS, res.ExecutedIPS)
 	}
 
-	direct, err := PlanDistrEdge(env, b, 0.75)
+	direct, err := Request{Budget: b, Alpha: 0.75}.Plan(env, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,9 @@ var testOnlyAllowed = map[string]string{
 	"sim.Env.ReferenceLatency": "oracle: the sim's tests compare the compiled schedule against it",
 	"cnn.ReceptiveField":       "oracle: the cnn tests compare VolumeRanges' row algebra against it",
 
+	"distredge.EffortFull":  "public API: a documented PlanConfig.Effort value, resolved by name through experiments.BudgetNamed",
+	"distredge.EffortPaper": "public API: a documented PlanConfig.Effort value, resolved by name through experiments.BudgetNamed",
+
 	"experiments.AblationNonlinearity":   "the paper's causal claim, reported by the root BenchmarkAblation* that CI's bench smoke runs",
 	"experiments.AblationWarmStart":      "the paper's causal claim, reported by the root BenchmarkAblation* that CI's bench smoke runs",
 	"experiments.AblationPartition":      "the paper's causal claim, reported by the root BenchmarkAblation* that CI's bench smoke runs",

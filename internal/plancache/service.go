@@ -11,7 +11,7 @@ import (
 // the objective (nil = latency), optionally warm-started from init — a
 // known-good strategy for this exact fleet shape that the search should
 // explore outward from (fed into splitter Config.InitSplits; see
-// experiments.PlanObjectiveInit for the canonical implementation). init is
+// experiments.Request.Plan for the canonical implementation). init is
 // nil for cold plannings. Implementations must be deterministic: the same
 // (env contents, objective, init) must yield a bit-identical strategy.
 type Planner func(env *sim.Env, obj sim.Objective, init *strategy.Strategy) (*strategy.Strategy, error)
