@@ -115,7 +115,7 @@ type Workspace struct {
 	acts  []*tensor.Mat // acts[0] = input ref, acts[l+1] = output of layer l
 	delta []*tensor.Mat // delta[l] = batch × Sizes[l+1] backprop scratch
 	wt    []*tensor.Mat // wt[l] = W[l]ᵀ scratch for delta propagation
-	gin   *tensor.Mat   // batch × Sizes[0] input gradient
+	gin   *tensor.Mat   // batch × Sizes[0] storage for the input gradient
 	grads *Grads
 }
 
@@ -188,13 +188,30 @@ func (m *MLP) BackwardWS(ws *Workspace, gradOut *tensor.Mat) *Grads {
 }
 
 // BackwardInputWS backpropagates gradOut through the workspace's cached
-// activations down to the network *input* and returns dL/dInput, skipping
-// the parameter gradients entirely — the critic-as-differentiable-oracle
-// pass of DDPG's actor update. The result aliases the workspace.
-func (m *MLP) BackwardInputWS(ws *Workspace, gradOut *tensor.Mat) *tensor.Mat {
+// activations down to the network *input* and returns dL/dInput for the
+// input columns [lo, hi), batch × (hi-lo), skipping the parameter
+// gradients entirely — the critic-as-differentiable-oracle pass of DDPG's
+// actor update, which reads only the action columns. Only W[0]'s rows lo
+// to hi are transposed and multiplied; each element sums the same terms in
+// the same order as the full gradient's. The result aliases the workspace.
+func (m *MLP) BackwardInputWS(ws *Workspace, gradOut *tensor.Mat, lo, hi int) *tensor.Mat {
+	if lo < 0 || hi > m.Sizes[0] || lo > hi {
+		panic(fmt.Sprintf("nn: input columns [%d,%d) of %d", lo, hi, m.Sizes[0]))
+	}
 	delta := m.backward(ws, gradOut, false)
-	tensor.TransposeInto(ws.wt[0], m.W[0])
-	return tensor.MulABInto(ws.gin, delta, ws.wt[0])
+	w := m.W[0]
+	rows := tensor.Mat{R: hi - lo, C: w.C, A: w.A[lo*w.C : hi*w.C]}
+	wt := reshape(ws.wt[0], w.C, hi-lo)
+	tensor.TransposeInto(wt, &rows)
+	return tensor.MulABInto(reshape(ws.gin, ws.batch, hi-lo), delta, wt)
+}
+
+// reshape makes m an r×c matrix over the start of its own storage, which
+// must hold r·c elements: BackwardInputWS sizes its two buffers, built for
+// the whole input, to the columns asked for.
+func reshape(m *tensor.Mat, r, c int) *tensor.Mat {
+	m.R, m.C, m.A = r, c, m.A[:r*c]
+	return m
 }
 
 // backward propagates gradOut down to the first layer's delta, which it

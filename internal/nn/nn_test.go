@@ -95,7 +95,7 @@ func TestBackwardGradInput(t *testing.T) {
 	m.ForwardWS(ws, x)
 	gradOut := tensor.New(1, 1)
 	gradOut.Set(0, 0, 1) // dL/dout = 1, so gradIn = dout/dx
-	gradIn := m.BackwardInputWS(ws, gradOut).Clone()
+	gradIn := m.BackwardInputWS(ws, gradOut, 0, 3).Clone()
 	const h = 1e-6
 	for j := 0; j < 3; j++ {
 		orig := x.A[j]
@@ -108,6 +108,44 @@ func TestBackwardGradInput(t *testing.T) {
 		if math.Abs(num-gradIn.At(0, j)) > 1e-5*(1+math.Abs(num)) {
 			t.Errorf("input grad %d: analytic %g vs numerical %g", j, gradIn.At(0, j), num)
 		}
+	}
+}
+
+// TestBackwardInputColumns holds a column range of the input gradient to
+// the same columns of the whole one, bit for bit, whatever range the
+// workspace served before, and rejects a range outside the input.
+func TestBackwardInputColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	m := NewMLP([]int{5, 7, 3, 1}, ReLU, Identity, rng)
+	x, gradOut := tensor.New(4, 5), tensor.New(4, 1)
+	x.Randomize(rng, 1)
+	gradOut.Randomize(rng, 1)
+	ws := NewWorkspace(m, 4)
+	m.ForwardWS(ws, x)
+	full := m.BackwardInputWS(ws, gradOut, 0, 5).Clone()
+	for _, r := range [][2]int{{2, 4}, {3, 5}, {0, 5}, {1, 1}, {0, 1}} {
+		lo, hi := r[0], r[1]
+		got := m.BackwardInputWS(ws, gradOut, lo, hi)
+		if got.R != 4 || got.C != hi-lo {
+			t.Fatalf("[%d,%d): %dx%d gradient", lo, hi, got.R, got.C)
+		}
+		for i := 0; i < 4; i++ {
+			for j := lo; j < hi; j++ {
+				if math.Float64bits(got.At(i, j-lo)) != math.Float64bits(full.At(i, j)) {
+					t.Fatalf("[%d,%d): element (%d,%d) = %v, whole gradient %v", lo, hi, i, j, got.At(i, j-lo), full.At(i, j))
+				}
+			}
+		}
+	}
+	for _, r := range [][2]int{{-1, 2}, {2, 6}, {3, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("[%d,%d): expected a panic", r[0], r[1])
+				}
+			}()
+			m.BackwardInputWS(ws, gradOut, r[0], r[1])
+		}()
 	}
 }
 

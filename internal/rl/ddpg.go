@@ -178,7 +178,6 @@ type updateScratch struct {
 	y        []float64
 	gradQ    *tensor.Mat
 	ones     *tensor.Mat
-	gradA    *tensor.Mat
 	actorWS  *nn.Workspace // serves Actor and ActorT (same shape)
 	criticWS *nn.Workspace // serves Critic and CriticT
 }
@@ -206,7 +205,6 @@ func (a *Agent) scratch(batch int) *updateScratch {
 		y:        make([]float64, batch),
 		gradQ:    tensor.New(batch, 1),
 		ones:     tensor.New(batch, 1),
-		gradA:    tensor.New(batch, da),
 		actorWS:  nn.NewWorkspace(a.Actor, batch),
 		criticWS: nn.NewWorkspace(a.Critic, batch),
 	}
@@ -368,8 +366,7 @@ func (a *Agent) Update(batch int) float64 {
 	// caches μ(S) from the forward pass below when BackwardWS runs.
 	aPred := a.Actor.ForwardWS(scr.actorWS, S)
 	a.Critic.ForwardWS(scr.criticWS, tensor.HStackInto(scr.sa, S, aPred))
-	gradSA := a.Critic.BackwardInputWS(scr.criticWS, scr.ones)
-	gradA := gradSA.ColsInto(scr.gradA, ds, ds+da)
+	gradA := a.Critic.BackwardInputWS(scr.criticWS, scr.ones, ds, ds+da)
 	actorGrads := a.Actor.BackwardWS(scr.actorWS, gradA)
 	a.actorOpt.Step(a.Actor, actorGrads)
 

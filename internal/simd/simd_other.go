@@ -2,5 +2,5 @@
 
 package simd
 
-// AVX2 is false off amd64: there are no kernels to select.
-var AVX2 = false
+// AVX2 and AVX512 are false off amd64: there are no kernels to select.
+var AVX2, AVX512 = false, false

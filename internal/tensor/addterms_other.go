@@ -6,6 +6,15 @@ package tensor
 // portable loops sum every column.
 func addTiles(orow, bA []float64, off []int, val []float64) int { return 0 }
 
+// Nor are the AVX-512 kernels (useAVX512 is false there too).
+func addRow(orow, bA []float64, off []int, val []float64) {}
+func gatherRow(off *[kBlock]int, val *[kBlock]float64, arow []float64, o, n int) int {
+	return 0
+}
+func gatherCol(off *[kBlock]int, val *[kBlock]float64, aA []float64, i, m, k0, k1, n int) int {
+	return 0
+}
+
 // Nor are the elementwise kernels: elementwise.go's scalar loops run.
 func relu4(x *float64, n int)                          {}
 func reluGrad4(d, y *float64, n int)                   {}

@@ -73,29 +73,52 @@ func sameBits(t *testing.T, name string, got, want *Mat) {
 
 // TestMulKernelsBitIdentical pins the blocked kernels to the reference
 // loops with math.Float64bits over seeded random shapes of 1..130 in every
-// dimension — across the 64-term K-block, every 16-column AVX2 tile and
-// every 8/4/1 column tail — on inputs with about half their elements zero,
-// an all-zero row, and an all-zero matrix. One element of b is +Inf and a
-// -0 sits in its row's column of a: only a kernel that skips exactly the
-// zero a-elements the reference skips keeps NaN out of those sums. The
-// whole table runs once on the portable loops and once with the AVX2 tile
-// kernel, which runs wherever the CPU and OS support it; a b too short for
-// the product panics with a bounds error on both paths, and neither kernel
-// may allocate.
+// dimension — across the 64-term K-block, the 8-lane AVX-512 gather, every
+// 16-column AVX2 tile and 32-column AVX-512 block and every column tail —
+// on inputs with about half their elements zero, an all-zero row, an
+// all-zero matrix and empty shapes. One element of b is +Inf and a -0 sits
+// in its row's column of a, and (unless a is all zero) one element of a is
+// NaN: only a kernel that skips exactly the zero a-elements the reference
+// skips keeps NaN out of the -0's sums and in the NaN's. The whole table
+// runs once on each path of mulPaths that the CPU and OS support; a b too
+// short for the product panics with a bounds error on every path, and no
+// kernel may allocate.
 func TestMulKernelsBitIdentical(t *testing.T) {
 	if simd.AVX2 && !useAVX2 {
 		t.Fatal("CPUID and XGETBV report AVX2, but the AVX2 tile kernel is not selected")
 	}
-	saved := useAVX2
-	t.Cleanup(func() { useAVX2 = saved })
-	for _, avx2 := range []bool{false, true} {
-		if avx2 && !simd.AVX2 {
-			t.Log("no AVX2 on this CPU: the tile kernel is not tested, only the portable loops")
+	if simd.AVX512 && !useAVX512 {
+		t.Fatal("CPUID and XGETBV report AVX-512, but the AVX-512 kernels are not selected")
+	}
+	for _, p := range mulPaths {
+		if !p.supported() {
+			t.Logf("no %s on this CPU: that path is not tested", p.name)
 			continue
 		}
-		useAVX2 = avx2
-		t.Run(pathName(avx2), testMulKernels)
+		p.use(t)
+		t.Run(p.name, testMulKernels)
 	}
+}
+
+// A mulPath selects one set of MulABInto/MulATBInto kernels. The AVX-512
+// path keeps the AVX2 switch on, as a CPU with AVX-512 runs it.
+type mulPath struct {
+	name         string
+	avx2, avx512 bool
+}
+
+var mulPaths = []mulPath{{"portable", false, false}, {"avx2", true, false}, {"avx512", true, true}}
+
+// supported reports whether the CPU and OS can run the path.
+func (p mulPath) supported() bool {
+	return (!p.avx2 || simd.AVX2) && (!p.avx512 || simd.AVX512)
+}
+
+// use selects the path until tb's cleanup, which restores the switches.
+func (p mulPath) use(tb testing.TB) {
+	saved2, saved512 := useAVX2, useAVX512
+	tb.Cleanup(func() { useAVX2, useAVX512 = saved2, saved512 })
+	useAVX2, useAVX512 = p.avx2, p.avx512
 }
 
 func pathName(avx2 bool) string {
@@ -116,6 +139,8 @@ func testMulKernels(t *testing.T) {
 		a := sparseRandom(rng, m, k)
 		if zeroA {
 			clear(a.A)
+		} else {
+			a.Row(rng.Intn(m))[rng.Intn(k)] = math.NaN()
 		}
 		a.Row(rng.Intn(m))[kInf] = math.Copysign(0, -1)
 		got, want := New(m, n), New(m, n)
@@ -126,6 +151,8 @@ func testMulKernels(t *testing.T) {
 		at := sparseRandom(rng, k, m)
 		if zeroA {
 			clear(at.A)
+		} else {
+			at.Row(rng.Intn(k))[rng.Intn(m)] = math.NaN()
 		}
 		at.Row(kInf)[rng.Intn(m)] = math.Copysign(0, -1)
 		gotT, wantT := New(m, n), New(m, n)
@@ -136,17 +163,36 @@ func testMulKernels(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		check(dim(), dim(), dim(), false)
 	}
-	// Every K-block edge and column tail explicitly, then the zero matrix.
-	for _, k := range []int{1, 63, 64, 65, 128, 129, 130} {
+	// Every K-block and 8-lane gather edge and every column tail
+	// explicitly, then the zero matrix.
+	for _, k := range []int{1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128, 129, 130} {
 		for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 12, 13, 15, 16, 17, 24, 31, 32, 33, 47, 48} {
 			check(1+rng.Intn(5), k, n, false)
 		}
 	}
 	check(17, 130, 29, true)
 
+	// Empty shapes: no term, no column or no row is a product too.
+	for _, sh := range [][3]int{{3, 5, 0}, {3, 0, 4}, {0, 5, 4}, {0, 0, 0}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		a, at, b := New(m, k), New(k, m), New(k, n)
+		a.Randomize(rng, 1)
+		at.Randomize(rng, 1)
+		b.Randomize(rng, 1)
+		got, gotT := New(m, n), New(m, n)
+		got.Randomize(rng, 1)
+		gotT.Randomize(rng, 1)
+		want, wantT := New(m, n), New(m, n)
+		refMulAB(want, a, b)
+		refMulATB(wantT, at, b)
+		sameBits(t, "MulABInto", MulABInto(got, a, b), want)
+		sameBits(t, "MulATBInto", MulATBInto(gotT, at, b), wantT)
+	}
+
 	// A b one element short of its shape: the last term's row of the last
-	// tile would read past the end, and the kernels must panic instead.
-	for _, n := range []int{16, 32, 35} {
+	// tile or masked group would read past the end, and the kernels must
+	// panic instead.
+	for _, n := range []int{1, 16, 32, 35} {
 		a, at, b := New(3, 5), New(5, 3), New(5, n)
 		a.Randomize(rng, 1) // dense: the last row of b is always read
 		at.Randomize(rng, 1)
@@ -184,21 +230,19 @@ func mustPanicOutOfRange(t *testing.T, name string, f func()) {
 // BenchmarkMulKernels times MulABInto at the quick budget's DDPG shapes
 // (batch 32: the 11-wide critic input, a 32×32 hidden layer and the
 // 3-wide actor head) and at the paper's widest layer (batch 64, 400 × 200),
-// on the portable loops and on the AVX2 tile kernel. a has about half its
-// elements zero, as ReLU leaves activations.
+// on every kernel path the CPU supports. a has about half its elements
+// zero, as ReLU leaves activations.
 func BenchmarkMulKernels(b *testing.B) {
-	saved := useAVX2
-	b.Cleanup(func() { useAVX2 = saved })
 	for _, sh := range []struct{ m, k, n int }{{32, 11, 32}, {32, 32, 32}, {32, 32, 3}, {64, 400, 200}} {
 		rng := rand.New(rand.NewSource(1))
 		a, bm, out := sparseRandom(rng, sh.m, sh.k), New(sh.k, sh.n), New(sh.m, sh.n)
 		bm.Randomize(rng, 1)
-		for _, avx2 := range []bool{false, true} {
-			if avx2 && !simd.AVX2 {
+		for _, p := range mulPaths {
+			if !p.supported() {
 				continue
 			}
-			b.Run(fmt.Sprintf("%dx%dx%d/%s", sh.m, sh.k, sh.n, pathName(avx2)), func(b *testing.B) {
-				useAVX2 = avx2
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", sh.m, sh.k, sh.n, p.name), func(b *testing.B) {
+				p.use(b)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					MulABInto(out, a, bm)

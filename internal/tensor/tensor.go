@@ -21,6 +21,12 @@ import (
 // tests flip it.
 var useAVX2 = simd.AVX2
 
+// useAVX512 selects the AVX-512 kernels of MulABInto and MulATBInto: the
+// compress-gather of a K-block's nonzero terms and the masked whole-row
+// sum that replaces addTerms' tiles and tails. It is simd.AVX512, and only
+// the package's tests flip it.
+var useAVX512 = simd.AVX512
+
 // Mat is a dense row-major matrix.
 type Mat struct {
 	R, C int
@@ -77,10 +83,11 @@ const kBlock = 64
 // a-elements, so results are bit-identical to the naive k-outer loop on
 // finite values; out must not alias a or b. The work runs in K-blocks (see
 // addTerms): each row's nonzero a-elements within a block are gathered
-// first, then sixteen (with AVX2), eight, four and finally one output
-// columns at a time sum the gathered terms in registers. The block loop
-// sits outside the row loop, so a block of b stays cache-resident across
-// the batch.
+// first, then register tiles of output columns sum the gathered terms:
+// with AVX-512 eight elements per gather and thirty-two columns per tile,
+// masked at the row's end; else sixteen (with AVX2), eight, four and
+// finally one columns. The block loop sits outside the row loop, so a
+// block of b stays cache-resident across the batch.
 func MulABInto(out, a, b *Mat) *Mat {
 	if a.C != b.R {
 		panic(fmt.Sprintf("tensor: MulABInto %dx%d · %dx%d", a.R, a.C, b.R, b.C))
@@ -95,13 +102,19 @@ func MulABInto(out, a, b *Mat) *Mat {
 	for k0 := 0; k0 < a.C; k0 += kBlock {
 		k1 := min(k0+kBlock, a.C)
 		for i := 0; i < a.R; i++ {
-			cnt, o := 0, k0*n
-			for _, av := range a.A[i*a.C+k0 : i*a.C+k1] {
-				off[cnt&(kBlock-1)], val[cnt&(kBlock-1)] = o, av
-				if av != 0 { // a conditional move, not a branch
-					cnt++
+			arow := a.A[i*a.C+k0 : i*a.C+k1]
+			cnt := 0
+			if useAVX512 {
+				cnt = gatherRow(&off, &val, arow, k0*n, n)
+			} else {
+				o := k0 * n
+				for _, av := range arow {
+					off[cnt&(kBlock-1)], val[cnt&(kBlock-1)] = o, av
+					if av != 0 { // a conditional move, not a branch
+						cnt++
+					}
+					o += n
 				}
-				o += n
 			}
 			addTerms(out.A[i*n:(i+1)*n], b.A, off[:cnt], val[:cnt])
 		}
@@ -112,15 +125,20 @@ func MulABInto(out, a, b *Mat) *Mat {
 // addTerms adds Σ_p val[p]·bA[off[p]+j] to orow[j] for every column j, the
 // terms in list order. Each output element is loaded once, summed in a
 // register over the whole list and stored once; a float64 store and reload
-// is exact, so splitting the sum across K-blocks changes no bit. Full
-// 16-column tiles go to the AVX2 kernel where there is one (addTiles); the
-// 8/4/1 loops below take the rest of the row, and all of it elsewhere.
+// is exact, so splitting the sum across K-blocks changes no bit. With
+// AVX-512 one kernel sums the whole row (addRow); else full 16-column
+// tiles go to the AVX2 kernel where there is one (addTiles), and the 8/4/1
+// loops below take the rest of the row, or all of it.
 func addTerms(orow, bA []float64, off []int, val []float64) {
-	if len(off) == 0 {
+	if len(off) == 0 || len(orow) == 0 {
 		return
 	}
 	val = val[:len(off)]
 	n := len(orow)
+	if useAVX512 {
+		addRow(orow, bA, off, val)
+		return
+	}
 	j := 0
 	if useAVX2 && n >= 16 {
 		j = addTiles(orow, bA, off, val)
@@ -164,8 +182,9 @@ func addTerms(orow, bA []float64, off []int, val []float64) {
 
 // MulATBInto computes aᵀ·b into out (a.C × b.C), reusing out's storage;
 // out must not alias a or b. It is MulABInto's kernel with column i of a
-// gathered in place of a row: per-element accumulation stays in ascending k
-// order, skipping zero a-elements.
+// gathered in place of a row (with AVX-512, eight strided elements per
+// gather): per-element accumulation stays in ascending k order, skipping
+// zero a-elements.
 func MulATBInto(out, a, b *Mat) *Mat {
 	if a.R != b.R {
 		panic(fmt.Sprintf("tensor: MulATBInto (%dx%d)ᵀ · %dx%d", a.R, a.C, b.R, b.C))
@@ -181,11 +200,15 @@ func MulATBInto(out, a, b *Mat) *Mat {
 		k1 := min(k0+kBlock, a.R)
 		for i := 0; i < m; i++ {
 			cnt := 0
-			for k := k0; k < k1; k++ {
-				av := a.A[k*m+i]
-				off[cnt&(kBlock-1)], val[cnt&(kBlock-1)] = k*n, av
-				if av != 0 { // a conditional move, not a branch
-					cnt++
+			if useAVX512 {
+				cnt = gatherCol(&off, &val, a.A, i, m, k0, k1, n)
+			} else {
+				for k := k0; k < k1; k++ {
+					av := a.A[k*m+i]
+					off[cnt&(kBlock-1)], val[cnt&(kBlock-1)] = k*n, av
+					if av != 0 { // a conditional move, not a branch
+						cnt++
+					}
 				}
 			}
 			addTerms(out.A[i*n:(i+1)*n], b.A, off[:cnt], val[:cnt])
@@ -241,20 +264,6 @@ func HStackInto(out, a, b *Mat) *Mat {
 	for i := 0; i < a.R; i++ {
 		copy(out.Row(i)[:a.C], a.Row(i))
 		copy(out.Row(i)[a.C:], b.Row(i))
-	}
-	return out
-}
-
-// ColsInto copies columns [lo,hi) of m into out (m.R × hi-lo).
-func (m *Mat) ColsInto(out *Mat, lo, hi int) *Mat {
-	if lo < 0 || hi > m.C || lo > hi {
-		panic(fmt.Sprintf("tensor: ColsInto [%d,%d) of %d", lo, hi, m.C))
-	}
-	if out.R != m.R || out.C != hi-lo {
-		panic(fmt.Sprintf("tensor: ColsInto out %dx%d for %dx%d", out.R, out.C, m.R, hi-lo))
-	}
-	for i := 0; i < m.R; i++ {
-		copy(out.Row(i), m.Row(i)[lo:hi])
 	}
 	return out
 }

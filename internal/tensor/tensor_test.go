@@ -101,10 +101,6 @@ func TestHStackCols(t *testing.T) {
 	if c.At(0, 0) != 1 || c.At(1, 1) != 4 || c.At(0, 2) != 9 || c.At(1, 2) != 8 {
 		t.Fatalf("HStackInto wrong: %v", c.A)
 	}
-	d := c.ColsInto(New(2, 2), 1, 3)
-	if d.At(0, 0) != 2 || d.At(1, 1) != 8 {
-		t.Fatalf("ColsInto wrong: %v", d.A)
-	}
 }
 
 func TestCloneIndependence(t *testing.T) {
@@ -136,7 +132,5 @@ func TestPanics(t *testing.T) {
 	assertPanics("AddRowVec len", func() { New(1, 2).AddRowVec([]float64{1}) })
 	assertPanics("HStackInto rows", func() { HStackInto(New(1, 4), New(1, 2), New(2, 2)) })
 	assertPanics("HStackInto out", func() { HStackInto(New(1, 3), New(1, 2), New(1, 2)) })
-	assertPanics("ColsInto range", func() { New(1, 2).ColsInto(New(1, 4), 1, 5) })
-	assertPanics("ColsInto out", func() { New(1, 4).ColsInto(New(1, 3), 1, 3) })
 	assertPanics("negative dims", func() { New(-1, 2) })
 }
