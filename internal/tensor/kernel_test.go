@@ -77,12 +77,13 @@ func sameBits(t *testing.T, name string, got, want *Mat) {
 // 16-column AVX2 tile and 32-column AVX-512 block and every column tail —
 // on inputs with about half their elements zero, an all-zero row, an
 // all-zero matrix and empty shapes. One element of b is +Inf and a -0 sits
-// in its row's column of a, and (unless a is all zero) one element of a is
-// NaN: only a kernel that skips exactly the zero a-elements the reference
-// skips keeps NaN out of the -0's sums and in the NaN's. The whole table
-// runs once on each path of mulPaths that the CPU and OS support; a b too
-// short for the product panics with a bounds error on every path, and no
-// kernel may allocate.
+// in its row's column of a: only a kernel that skips exactly the zero
+// a-elements the reference skips keeps NaN out of those sums. Separate
+// cases put one NaN into a, in another output row than the -0's, which a
+// kernel must keep as the reference does, while every other row is still
+// compared bit for bit. The whole table runs once on each path of mulPaths
+// that the CPU and OS support; a b too short for the product panics with a
+// bounds error on every path, and no kernel may allocate.
 func TestMulKernelsBitIdentical(t *testing.T) {
 	if simd.AVX2 && !useAVX2 {
 		t.Fatal("CPUID and XGETBV report AVX2, but the AVX2 tile kernel is not selected")
@@ -131,7 +132,11 @@ func pathName(avx2 bool) string {
 func testMulKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	dim := func() int { return 1 + rng.Intn(130) }
-	check := func(m, k, n int, zeroA bool) {
+	// check compares both kernels with the references on one m×k×n product.
+	// zeroA clears a. nan (m ≥ 2) puts a NaN into a, in an output row other
+	// than the -0's, so only that row of the product is NaN.
+	check := func(m, k, n int, zeroA, nan bool) {
+		other := func(r int) int { return (r + 1 + rng.Intn(m-1)) % m }
 		b := sparseRandom(rng, k, n)
 		kInf := rng.Intn(k)
 		b.Row(kInf)[rng.Intn(n)] = math.Inf(1)
@@ -139,10 +144,12 @@ func testMulKernels(t *testing.T) {
 		a := sparseRandom(rng, m, k)
 		if zeroA {
 			clear(a.A)
-		} else {
-			a.Row(rng.Intn(m))[rng.Intn(k)] = math.NaN()
 		}
-		a.Row(rng.Intn(m))[kInf] = math.Copysign(0, -1)
+		neg := rng.Intn(m)
+		a.Row(neg)[kInf] = math.Copysign(0, -1)
+		if nan {
+			a.Row(other(neg))[rng.Intn(k)] = math.NaN()
+		}
 		got, want := New(m, n), New(m, n)
 		got.Randomize(rng, 1) // stale contents must not leak into the product
 		refMulAB(want, a, b)
@@ -151,26 +158,38 @@ func testMulKernels(t *testing.T) {
 		at := sparseRandom(rng, k, m)
 		if zeroA {
 			clear(at.A)
-		} else {
-			at.Row(rng.Intn(k))[rng.Intn(m)] = math.NaN()
 		}
-		at.Row(kInf)[rng.Intn(m)] = math.Copysign(0, -1)
+		neg = rng.Intn(m)
+		at.Row(kInf)[neg] = math.Copysign(0, -1)
+		if nan {
+			at.Row(rng.Intn(k))[other(neg)] = math.NaN()
+		}
 		gotT, wantT := New(m, n), New(m, n)
 		gotT.Randomize(rng, 1)
 		refMulATB(wantT, at, b)
 		sameBits(t, "MulATBInto", MulATBInto(gotT, at, b), wantT)
 	}
 	for trial := 0; trial < 150; trial++ {
-		check(dim(), dim(), dim(), false)
+		check(dim(), dim(), dim(), false, false)
 	}
 	// Every K-block and 8-lane gather edge and every column tail
 	// explicitly, then the zero matrix.
-	for _, k := range []int{1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128, 129, 130} {
+	gatherEdges := []int{1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128, 129, 130}
+	for _, k := range gatherEdges {
 		for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 12, 13, 15, 16, 17, 24, 31, 32, 33, 47, 48} {
-			check(1+rng.Intn(5), k, n, false)
+			check(1+rng.Intn(5), k, n, false, false)
 		}
 	}
-	check(17, 130, 29, true)
+	check(17, 130, 29, true, false)
+
+	// A NaN in a at every gather edge and in random shapes: the gather must
+	// keep it, as Go's av != 0 does.
+	for _, k := range gatherEdges {
+		check(2+rng.Intn(5), k, dim(), false, true)
+	}
+	for trial := 0; trial < 30; trial++ {
+		check(2+rng.Intn(129), dim(), dim(), false, true)
+	}
 
 	// Empty shapes: no term, no column or no row is a product too.
 	for _, sh := range [][3]int{{3, 5, 0}, {3, 0, 4}, {0, 5, 4}, {0, 0, 0}} {
