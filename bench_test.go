@@ -396,7 +396,16 @@ func BenchmarkPlanCachedHit(b *testing.B) {
 // transitions: all-zero states would leave most ReLU activations at zero,
 // and the kernels skip zero terms, so the update timed would be a
 // degenerate one.
+//
+// Each agent lives for ddpgAgentLifetime updates, then rl.New
+// re-initialises it with the timer stopped, as each search starts a fresh
+// agent (a quick search runs at most ≈ 800 updates on one). One agent
+// for all b.N updates would drift into another regime: after ≈ 10 000
+// updates its Adam moments start to go subnormal, and by 50 000 a quick
+// update read ≈ 15–20 % slower on a 2-vCPU Xeon, so ns/op would depend
+// on -benchtime.
 func BenchmarkDDPGUpdate(b *testing.B) {
+	const ddpgAgentLifetime = 500
 	for _, c := range []struct {
 		name   string
 		hidden []int
@@ -407,10 +416,6 @@ func BenchmarkDDPGUpdate(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			const stateDim, actionDim = 8, 3
-			agent, err := rl.New(rl.Config{StateDim: stateDim, ActionDim: actionDim, Hidden: c.hidden, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
 			rng := rand.New(rand.NewSource(1))
 			uniform := func(n int) []float64 {
 				v := make([]float64, n)
@@ -419,19 +424,43 @@ func BenchmarkDDPGUpdate(b *testing.B) {
 				}
 				return v
 			}
-			for i := 0; i < 2*c.batch; i++ {
-				agent.Buf.Add(rl.Transition{
+			ts := make([]rl.Transition, 2*c.batch)
+			for i := range ts {
+				ts[i] = rl.Transition{
 					State:     uniform(stateDim),
 					Action:    uniform(actionDim),
 					Reward:    rng.Float64(),
 					NextState: uniform(stateDim),
 					Done:      i%6 == 5,
-				})
+				}
 			}
-			agent.Update(c.batch) // builds the update scratch outside the timing
+			var agent *rl.Agent
+			// fresh releases the current agent, if any, and starts a new
+			// one on the same transitions. Its first update builds the
+			// update scratch on a newly allocated agent, so it runs here.
+			fresh := func() {
+				if agent != nil {
+					agent.Release()
+				}
+				var err error
+				agent, err = rl.New(rl.Config{StateDim: stateDim, ActionDim: actionDim, Hidden: c.hidden, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, t := range ts {
+					agent.Buf.Add(t)
+				}
+				agent.Update(c.batch)
+			}
+			fresh()
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for i := 1; i <= b.N; i++ {
+				if i%ddpgAgentLifetime == 0 {
+					b.StopTimer()
+					fresh()
+					b.StartTimer()
+				}
 				agent.Update(c.batch)
 			}
 		})

@@ -46,6 +46,50 @@ func gatherCol(off *[kBlock]int, val *[kBlock]float64, aA []float64, i, m, k0, k
 	return gatherCol8(&off[0], &val[0], &aA[k0*m+i], m, k1-k0, k0*n, n)
 }
 
+// mulNarrow is the AVX-512 kernel of a narrow product: rows output rows
+// of n columns (0 < n < 8), element (i, j) the sum over k < terms of
+// a[i·lane+k·step]·b[k·n+j] (MulABInto: lane terms, step 1; MulATBInto:
+// lane 1, step rows), terms > 0. The kernel masks the last group's rows,
+// so the three checks of the furthest element it reads or writes bound
+// all of them.
+func mulNarrow(oA, aA, bA []float64, rows, terms, n, lane, step int) {
+	_ = oA[rows*n-1]
+	_ = aA[(rows-1)*lane+(terms-1)*step]
+	_ = bA[terms*n-1]
+	mulNarrow8(&oA[0], &aA[0], &bA[0], rows, terms, n, lane, step)
+}
+
+// transpose writes the transpose of the rows×cols matrix mA to oA with the
+// AVX-512 kernel; rows and cols are positive.
+func transpose(oA, mA []float64, rows, cols int) {
+	_ = oA[rows*cols-1]
+	_ = mA[rows*cols-1]
+	transpose8(&oA[0], &mA[0], rows, cols)
+}
+
+// addRowVec adds v to every row of the rows×cols matrix mA with the
+// AVX-512 kernel; rows and cols are positive.
+func addRowVec(mA, v []float64, rows, cols int) {
+	_ = mA[rows*cols-1]
+	_ = v[cols-1]
+	addRowVec8(&mA[0], &v[0], rows, cols)
+}
+
+// addPattern adds pat[e mod len(pat)] to mA[e] for every element with the
+// AVX-512 kernel; mA is non-empty and len(pat) a positive multiple of 8.
+func addPattern(mA, pat []float64) {
+	_ = pat[len(pat)-1]
+	addPattern8(&mA[0], &pat[0], len(mA), len(pat))
+}
+
+// sumRows writes the column sums of the rows×cols matrix mA to o with the
+// AVX-512 kernel; rows and cols are positive.
+func sumRows(o, mA []float64, rows, cols int) {
+	_ = o[cols-1]
+	_ = mA[rows*cols-1]
+	sumRows8(&o[0], &mA[0], rows, cols)
+}
+
 //go:noescape
 func addTiles16(o, b *float64, off *int, val *float64, terms, tiles int)
 
@@ -57,3 +101,18 @@ func gatherRow8(off *int, val *float64, a *float64, terms, o, n int) int
 
 //go:noescape
 func gatherCol8(off *int, val *float64, a *float64, m, terms, o, n int) int
+
+//go:noescape
+func mulNarrow8(o, a, b *float64, rows, terms, n, lane, step int)
+
+//go:noescape
+func transpose8(o, m *float64, rows, cols int)
+
+//go:noescape
+func addRowVec8(m, v *float64, rows, cols int)
+
+//go:noescape
+func addPattern8(m, pat *float64, n, period int)
+
+//go:noescape
+func sumRows8(o, m *float64, rows, cols int)

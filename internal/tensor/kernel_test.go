@@ -61,12 +61,20 @@ func sparseRandom(rng *rand.Rand, r, c int) *Mat {
 	return m
 }
 
+// sameBits fails unless got holds want's bits element for element. When
+// got's storage runs on past the matrix (staleOut's guards), the guard
+// elements must still hold guardBits.
 func sameBits(t *testing.T, name string, got, want *Mat) {
 	t.Helper()
 	for i := range want.A {
 		if math.Float64bits(got.A[i]) != math.Float64bits(want.A[i]) {
 			t.Fatalf("%s %dx%d: element %d = %v (%#x), reference %v (%#x)", name, got.R, got.C,
 				i, got.A[i], math.Float64bits(got.A[i]), want.A[i], math.Float64bits(want.A[i]))
+		}
+	}
+	for i, v := range got.A[len(got.A):cap(got.A)] {
+		if math.Float64bits(v) != guardBits {
+			t.Fatalf("%s %dx%d: guard element %d past the matrix overwritten with %v", name, got.R, got.C, i, v)
 		}
 	}
 }
@@ -81,9 +89,12 @@ func sameBits(t *testing.T, name string, got, want *Mat) {
 // a-elements the reference skips keeps NaN out of those sums. Separate
 // cases put one NaN into a, in another output row than the -0's, which a
 // kernel must keep as the reference does, while every other row is still
-// compared bit for bit. The whole table runs once on each path of mulPaths
-// that the CPU and OS support; a b too short for the product panics with a
-// bounds error on every path, and no kernel may allocate.
+// compared bit for bit. Explicit narrow products (1–7 columns) cover
+// every row tail of the AVX-512 kernel that runs lanes across output
+// rows, and every output starts stale and runs on into guard elements
+// that must come back untouched. The whole table runs once on each path
+// of mulPaths that the CPU and OS support; a b too short for the product
+// panics with a bounds error on every path, and no kernel may allocate.
 func TestMulKernelsBitIdentical(t *testing.T) {
 	if simd.AVX2 && !useAVX2 {
 		t.Fatal("CPUID and XGETBV report AVX2, but the AVX2 tile kernel is not selected")
@@ -150,8 +161,7 @@ func testMulKernels(t *testing.T) {
 		if nan {
 			a.Row(other(neg))[rng.Intn(k)] = math.NaN()
 		}
-		got, want := New(m, n), New(m, n)
-		got.Randomize(rng, 1) // stale contents must not leak into the product
+		got, want := staleOut(rng, m, n), New(m, n)
 		refMulAB(want, a, b)
 		sameBits(t, "MulABInto", MulABInto(got, a, b), want)
 
@@ -164,8 +174,7 @@ func testMulKernels(t *testing.T) {
 		if nan {
 			at.Row(rng.Intn(k))[other(neg)] = math.NaN()
 		}
-		gotT, wantT := New(m, n), New(m, n)
-		gotT.Randomize(rng, 1)
+		gotT, wantT := staleOut(rng, m, n), New(m, n)
 		refMulATB(wantT, at, b)
 		sameBits(t, "MulATBInto", MulATBInto(gotT, at, b), wantT)
 	}
@@ -191,6 +200,21 @@ func testMulKernels(t *testing.T) {
 		check(2+rng.Intn(129), dim(), dim(), false, true)
 	}
 
+	// Narrow products, fewer than eight columns: with AVX-512 and at least
+	// eight rows their lanes run across output rows, so every row tail
+	// and K-block edge explicitly, with the +Inf/−0 probe, and again with
+	// a NaN in a.
+	for n := 1; n < 8; n++ {
+		for _, m := range []int{1, 7, 8, 9, 31, 32, 33, 65} {
+			for _, k := range []int{1, 8, 63, 64, 65, 130} {
+				check(m, k, n, false, false)
+				if m >= 2 {
+					check(m, k, n, false, true)
+				}
+			}
+		}
+	}
+
 	// Empty shapes: no term, no column or no row is a product too.
 	for _, sh := range [][3]int{{3, 5, 0}, {3, 0, 4}, {0, 5, 4}, {0, 0, 0}} {
 		m, k, n := sh[0], sh[1], sh[2]
@@ -210,24 +234,155 @@ func testMulKernels(t *testing.T) {
 
 	// A b one element short of its shape: the last term's row of the last
 	// tile or masked group would read past the end, and the kernels must
-	// panic instead.
-	for _, n := range []int{1, 16, 32, 35} {
-		a, at, b := New(3, 5), New(5, 3), New(5, n)
+	// panic instead. Nine rows of one or three columns take the narrow
+	// kernel.
+	for _, sh := range [][2]int{{3, 1}, {3, 16}, {3, 32}, {3, 35}, {9, 1}, {9, 3}} {
+		m, n := sh[0], sh[1]
+		a, at, b := New(m, 5), New(5, m), New(5, n)
 		a.Randomize(rng, 1) // dense: the last row of b is always read
 		at.Randomize(rng, 1)
 		b.A = b.A[:len(b.A)-1]
-		mustPanicOutOfRange(t, "MulABInto", func() { MulABInto(New(3, n), a, b) })
-		mustPanicOutOfRange(t, "MulATBInto", func() { MulATBInto(New(3, n), at, b) })
+		mustPanicOutOfRange(t, "MulABInto", func() { MulABInto(New(m, n), a, b) })
+		mustPanicOutOfRange(t, "MulATBInto", func() { MulATBInto(New(m, n), at, b) })
 	}
 
-	// At the paper's widths (400 × 200) the gather arrays stay on the stack.
-	a, b, out := sparseRandom(rng, 64, 400), sparseRandom(rng, 400, 200), New(64, 200)
-	if n := testing.AllocsPerRun(10, func() { MulABInto(out, a, b) }); n != 0 {
-		t.Errorf("MulABInto allocates %v times per call", n)
+	// At the paper's widths (400 × 200) the gather arrays stay on the stack,
+	// and the narrow kernel allocates nothing either.
+	for _, n := range []int{200, 3} {
+		a, b, out := sparseRandom(rng, 64, 400), sparseRandom(rng, 400, n), New(64, n)
+		if allocs := testing.AllocsPerRun(10, func() { MulABInto(out, a, b) }); allocs != 0 {
+			t.Errorf("MulABInto into 64x%d allocates %v times per call", n, allocs)
+		}
+		at, d, g := sparseRandom(rng, 64, 400), sparseRandom(rng, 64, n), New(400, n)
+		if allocs := testing.AllocsPerRun(10, func() { MulATBInto(g, at, d) }); allocs != 0 {
+			t.Errorf("MulATBInto into 400x%d allocates %v times per call", n, allocs)
+		}
 	}
-	at, d, g := sparseRandom(rng, 64, 400), sparseRandom(rng, 64, 200), New(400, 200)
-	if n := testing.AllocsPerRun(10, func() { MulATBInto(g, at, d) }); n != 0 {
-		t.Errorf("MulATBInto allocates %v times per call", n)
+}
+
+// guardBits marks the elements past a staleOut matrix: a signalling NaN,
+// which no arithmetic result is (arithmetic quiets a NaN) and no input of
+// the tables holds.
+const guardBits = 0x7ff4deadbeef0001
+
+// staleOut returns an r×c output matrix full of stale random values, which
+// must not leak into a result. Its storage runs on into four guard
+// elements that sameBits checks too, so a kernel that writes past the
+// matrix fails.
+func staleOut(rng *rand.Rand, r, c int) *Mat {
+	buf := make([]float64, r*c+4)
+	m := FromSlice(r, c, buf[:r*c])
+	m.Randomize(rng, 1)
+	for i := r * c; i < len(buf); i++ {
+		buf[i] = math.Float64frombits(guardBits)
+	}
+	return m
+}
+
+// sameValues is sameBits with every NaN read as one NaN. Where a sum
+// meets two NaNs (a NaN input and the NaN of +Inf + −Inf), IEEE 754 leaves
+// open which one comes out, and the compiler orders the reference loop's
+// operands as its registers fall (see Blend's row in
+// testElementwiseKernels): only the payload is left unpinned, a NaN must
+// still be a NaN.
+func sameValues(t *testing.T, name string, got, want *Mat) {
+	t.Helper()
+	for _, m := range []*Mat{got, want} {
+		for i, v := range m.A {
+			if math.IsNaN(v) {
+				m.A[i] = math.NaN()
+			}
+		}
+	}
+	sameBits(t, name, got, want)
+}
+
+// TestMatrixHelpersBitIdentical pins TransposeInto, AddRowVec and
+// SumRowsInto to the reference loops below, bit for bit, at every shape of
+// 0–70 rows by 0–70 columns: empty, 1-row and 1-column matrices, every
+// 8-lane tail and every edge of an 8-row group or a 32-column block. The
+// values are salted with ±0, ±Inf, NaN and subnormals (elementwiseValues);
+// the sums leave a NaN's payload open (sameValues), the transpose pins it.
+// Every output starts stale and runs on into guard elements that must come
+// back untouched. The table runs once on each path of mulPaths that the
+// CPU and OS support; a matrix one element short panics with a bounds
+// error on every path, and no helper may allocate.
+func TestMatrixHelpersBitIdentical(t *testing.T) {
+	if simd.AVX512 && !useAVX512 {
+		t.Fatal("CPUID and XGETBV report AVX-512, but the AVX-512 kernels are not selected")
+	}
+	for _, p := range mulPaths {
+		if !p.supported() {
+			t.Logf("no %s on this CPU: that path is not tested", p.name)
+			continue
+		}
+		p.use(t)
+		t.Run(p.name, testMatrixHelpers)
+	}
+}
+
+func testMatrixHelpers(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for r := 0; r <= 70; r++ {
+		for c := 0; c <= 70; c++ {
+			m := FromSlice(r, c, elementwiseValues(rng, r*c)[:r*c])
+
+			want := New(c, r)
+			for i := 0; i < r; i++ {
+				for j := 0; j < c; j++ {
+					want.A[j*r+i] = m.A[i*c+j]
+				}
+			}
+			sameBits(t, "TransposeInto", TransposeInto(staleOut(rng, c, r), m), want)
+
+			sums, wantSums := staleOut(rng, 1, c), New(1, c)
+			for i := 0; i < r; i++ {
+				for j, v := range m.Row(i) {
+					wantSums.A[j] += v
+				}
+			}
+			m.SumRowsInto(sums.A)
+			sameValues(t, "SumRowsInto", sums, wantSums)
+
+			v := elementwiseValues(rng, c)[:c]
+			got, want := staleOut(rng, r, c), m.Clone()
+			copy(got.A, m.A)
+			for i := 0; i < r; i++ {
+				for j, x := range v {
+					want.A[i*c+j] += x
+				}
+			}
+			got.AddRowVec(v)
+			sameValues(t, "AddRowVec", got, want)
+		}
+	}
+
+	// One element short of its shape, the input or the output: the last
+	// row's read or write would run past the end, and every path must
+	// panic instead.
+	for _, sh := range [][2]int{{1, 3}, {9, 3}, {9, 1}, {32, 32}, {5, 70}} {
+		r, c := sh[0], sh[1]
+		short := func(r, c int) *Mat { return &Mat{R: r, C: c, A: make([]float64, r*c-1)} }
+		mustPanicOutOfRange(t, "TransposeInto", func() { TransposeInto(New(c, r), short(r, c)) })
+		mustPanicOutOfRange(t, "TransposeInto", func() { TransposeInto(short(c, r), New(r, c)) })
+		mustPanicOutOfRange(t, "AddRowVec", func() { short(r, c).AddRowVec(make([]float64, c)) })
+		mustPanicOutOfRange(t, "SumRowsInto", func() { short(r, c).SumRowsInto(make([]float64, c)) })
+	}
+
+	for _, c := range []int{3, 32, 400} {
+		m, mt, v := New(64, c), New(c, 64), make([]float64, c)
+		for _, op := range []struct {
+			name string
+			f    func()
+		}{
+			{"TransposeInto", func() { TransposeInto(mt, m) }},
+			{"AddRowVec", func() { m.AddRowVec(v) }},
+			{"SumRowsInto", func() { m.SumRowsInto(v) }},
+		} {
+			if n := testing.AllocsPerRun(10, op.f); n != 0 {
+				t.Errorf("%s of 64x%d allocates %v times per call", op.name, c, n)
+			}
+		}
 	}
 }
 
@@ -247,26 +402,47 @@ func mustPanicOutOfRange(t *testing.T, name string, f func()) {
 }
 
 // BenchmarkMulKernels times MulABInto at the quick budget's DDPG shapes
-// (batch 32: the 11-wide critic input, a 32×32 hidden layer and the
-// 3-wide actor head) and at the paper's widest layer (batch 64, 400 × 200),
-// on every kernel path the CPU supports. a has about half its elements
-// zero, as ReLU leaves activations.
+// (batch 32: the 11-wide critic input, a 32×32 hidden layer, the 3-wide
+// actor head and the critic's 1-wide Q head) and at the paper's widest
+// layer (batch 64, 400 × 200); MulATBInto into the 32×1 and 32×3 weight
+// gradients of the two heads; and TransposeInto, AddRowVec and
+// SumRowsInto at 32×32 and 32×3. Every row runs on every kernel path the
+// CPU supports. a has about half its elements zero, as ReLU leaves
+// activations.
 func BenchmarkMulKernels(b *testing.B) {
-	for _, sh := range []struct{ m, k, n int }{{32, 11, 32}, {32, 32, 32}, {32, 32, 3}, {64, 400, 200}} {
-		rng := rand.New(rand.NewSource(1))
-		a, bm, out := sparseRandom(rng, sh.m, sh.k), New(sh.k, sh.n), New(sh.m, sh.n)
-		bm.Randomize(rng, 1)
+	// run times f on every supported path under name.
+	run := func(name string, f func()) {
 		for _, p := range mulPaths {
 			if !p.supported() {
 				continue
 			}
-			b.Run(fmt.Sprintf("%dx%dx%d/%s", sh.m, sh.k, sh.n, p.name), func(b *testing.B) {
+			b.Run(name+"/"+p.name, func(b *testing.B) {
 				p.use(b)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					MulABInto(out, a, bm)
+					f()
 				}
 			})
 		}
+	}
+	for _, sh := range []struct{ m, k, n int }{{32, 11, 32}, {32, 32, 32}, {32, 32, 3}, {32, 32, 1}, {64, 400, 200}} {
+		rng := rand.New(rand.NewSource(1))
+		a, bm, out := sparseRandom(rng, sh.m, sh.k), New(sh.k, sh.n), New(sh.m, sh.n)
+		bm.Randomize(rng, 1)
+		run(fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), func() { MulABInto(out, a, bm) })
+	}
+	for _, n := range []int{1, 3} {
+		rng := rand.New(rand.NewSource(1))
+		a, d, out := sparseRandom(rng, 32, 32), New(32, n), New(32, n)
+		d.Randomize(rng, 1)
+		run(fmt.Sprintf("ATB32x32x%d", n), func() { MulATBInto(out, a, d) })
+	}
+	for _, c := range []int{32, 3} {
+		rng := rand.New(rand.NewSource(1))
+		m, mt, v := New(32, c), New(c, 32), make([]float64, c)
+		m.Randomize(rng, 1)
+		run(fmt.Sprintf("Transpose32x%d", c), func() { TransposeInto(mt, m) })
+		run(fmt.Sprintf("AddRowVec32x%d", c), func() { m.AddRowVec(v) })
+		run(fmt.Sprintf("SumRows32x%d", c), func() { m.SumRowsInto(v) })
 	}
 }

@@ -95,8 +95,12 @@ func MulABInto(out, a, b *Mat) *Mat {
 	if out.R != a.R || out.C != b.C {
 		panic(fmt.Sprintf("tensor: MulABInto out %dx%d for %dx%d product", out.R, out.C, a.R, b.C))
 	}
-	clear(out.A)
 	n := b.C
+	if narrow(a.R, a.C, n) {
+		mulNarrow(out.A, a.A, b.A, a.R, a.C, n, a.C, 1)
+		return out
+	}
+	clear(out.A)
 	var off [kBlock]int
 	var val [kBlock]float64
 	for k0 := 0; k0 < a.C; k0 += kBlock {
@@ -120,6 +124,16 @@ func MulABInto(out, a, b *Mat) *Mat {
 		}
 	}
 	return out
+}
+
+// narrow reports whether an m×n product of k terms per element runs on
+// the AVX-512 narrow kernel (mulNarrow): fewer than eight output columns,
+// so a row is less than one vector wide, but at least eight rows, one
+// vector down a column. Lanes then run across output rows, each summing
+// its own terms in ascending k from +0 and skipping the zero a-elements,
+// as the row kernels do.
+func narrow(m, k, n int) bool {
+	return useAVX512 && n > 0 && n < 8 && m >= 8 && k > 0
 }
 
 // addTerms adds Σ_p val[p]·bA[off[p]+j] to orow[j] for every column j, the
@@ -192,8 +206,12 @@ func MulATBInto(out, a, b *Mat) *Mat {
 	if out.R != a.C || out.C != b.C {
 		panic(fmt.Sprintf("tensor: MulATBInto out %dx%d for %dx%d product", out.R, out.C, a.C, b.C))
 	}
-	clear(out.A)
 	m, n := a.C, b.C
+	if narrow(m, a.R, n) {
+		mulNarrow(out.A, a.A, b.A, m, a.R, n, 1, m)
+		return out
+	}
+	clear(out.A)
 	var off [kBlock]int
 	var val [kBlock]float64
 	for k0 := 0; k0 < a.R; k0 += kBlock {
@@ -218,9 +236,14 @@ func MulATBInto(out, a, b *Mat) *Mat {
 }
 
 // TransposeInto writes mᵀ into out (m.C × m.R), reusing out's storage.
+// With AVX-512 one kernel call gathers each output row from m's column.
 func TransposeInto(out, m *Mat) *Mat {
 	if out.R != m.C || out.C != m.R {
 		panic(fmt.Sprintf("tensor: TransposeInto out %dx%d for %dx%d", out.R, out.C, m.C, m.R))
+	}
+	if useAVX512 && m.R > 0 && m.C > 0 {
+		transpose(out.A, m.A, m.R, m.C)
+		return out
 	}
 	for i := 0; i < m.R; i++ {
 		row := m.Row(i)
@@ -231,20 +254,44 @@ func TransposeInto(out, m *Mat) *Mat {
 	return out
 }
 
-// AddRowVec adds vector v to every row of m in place (bias broadcast).
+// AddRowVec adds vector v to every row of m in place (bias broadcast):
+// m[i][j] + v[j], as AddTo adds. With AVX-512 one kernel call takes the
+// whole matrix: 32 columns of v at a time held in registers over every
+// row, or, below eight columns and with more than one row, m as one flat
+// run of vectors with v repeated eight times (eight rows' worth) as the
+// addend.
 func (m *Mat) AddRowVec(v []float64) {
 	if len(v) != m.C {
 		panic(fmt.Sprintf("tensor: AddRowVec len %d to %d cols", len(v), m.C))
+	}
+	if useAVX512 && m.R > 0 && m.C > 0 {
+		if m.C >= 8 || m.R == 1 {
+			addRowVec(m.A, v, m.R, m.C)
+			return
+		}
+		var buf [8 * 7]float64
+		pat := buf[:8*m.C]
+		for n := copy(pat, v); n < len(pat); n *= 2 {
+			copy(pat[n:], pat[:n])
+		}
+		addPattern(m.A[:m.R*m.C], pat)
+		return
 	}
 	for i := 0; i < m.R; i++ {
 		AddTo(m.Row(i), v)
 	}
 }
 
-// SumRowsInto computes the column-wise sum of m into out (length m.C).
+// SumRowsInto computes the column-wise sum of m into out (length m.C):
+// each sum starts from +0 and adds the rows in ascending order. With
+// AVX-512 one kernel call sums every column.
 func (m *Mat) SumRowsInto(out []float64) []float64 {
 	if len(out) != m.C {
 		panic(fmt.Sprintf("tensor: SumRowsInto len %d for %d cols", len(out), m.C))
+	}
+	if useAVX512 && m.R > 0 && m.C > 0 {
+		sumRows(out, m.A, m.R, m.C)
+		return out
 	}
 	clear(out)
 	for i := 0; i < m.R; i++ {
