@@ -75,13 +75,6 @@ func addRowVec(mA, v []float64, rows, cols int) {
 	addRowVec8(&mA[0], &v[0], rows, cols)
 }
 
-// addPattern adds pat[e mod len(pat)] to mA[e] for every element with the
-// AVX-512 kernel; mA is non-empty and len(pat) a positive multiple of 8.
-func addPattern(mA, pat []float64) {
-	_ = pat[len(pat)-1]
-	addPattern8(&mA[0], &pat[0], len(mA), len(pat))
-}
-
 // sumRows writes the column sums of the rows×cols matrix mA to o with the
 // AVX-512 kernel; rows and cols are positive.
 func sumRows(o, mA []float64, rows, cols int) {
@@ -110,9 +103,6 @@ func transpose8(o, m *float64, rows, cols int)
 
 //go:noescape
 func addRowVec8(m, v *float64, rows, cols int)
-
-//go:noescape
-func addPattern8(m, pat *float64, n, period int)
 
 //go:noescape
 func sumRows8(o, m *float64, rows, cols int)

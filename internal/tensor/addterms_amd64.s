@@ -563,51 +563,6 @@ adone:
 	VZEROUPPER
 	RET
 
-// func addPattern8(m, pat *float64, n, period int)
-//
-// Adds pat[e mod period] to m[e] for every e < n (0 < n; period a positive
-// multiple of 8), m the first operand of each add: AddRowVec of a matrix
-// narrower than eight columns, m flat and pat the bias of eight rows,
-// period = 8·cols. Eight elements go at a time, the last 1–7 under the
-// mask K1. A row of such a matrix is less than a vector, so a masked
-// store per row would stall the next row's overlapping load.
-TEXT ·addPattern8(SB), NOSPLIT, $0-32
-	MOVQ m+0(FP), DI
-	MOVQ pat+8(FP), SI
-	MOVQ n+16(FP), DX
-	MOVQ period+24(FP), R11
-	SHLQ $3, R11
-	XORQ R9, R9
-
-pchunk:
-	CMPQ    DX, $8
-	JLT     ptail
-	VMOVUPD (DI), Z0
-	VADDPD  (SI)(R9*1), Z0, Z0
-	VMOVUPD Z0, (DI)
-	ADDQ    $64, DI
-	ADDQ    $64, R9
-	CMPQ    R9, R11
-	JLT     pnext
-	XORQ    R9, R9
-
-pnext:
-	SUBQ $8, DX
-	JMP  pchunk
-
-ptail:
-	TESTQ     DX, DX
-	JZ        pdone
-	MOVQ      DX, BX
-	TAIL_MASK
-	VMOVUPD.Z (DI), K1, Z0
-	VADDPD.Z  (SI)(R9*1), Z0, K1, Z0
-	VMOVUPD   Z0, K1, (DI)
-
-pdone:
-	VZEROUPPER
-	RET
-
 // func sumRows8(o, m *float64, rows, cols int)
 //
 // Writes the column sums of the rows×cols matrix m to o (0 < rows,

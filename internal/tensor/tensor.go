@@ -21,10 +21,12 @@ import (
 // tests flip it.
 var useAVX2 = simd.AVX2
 
-// useAVX512 selects the AVX-512 kernels of MulABInto and MulATBInto: the
-// compress-gather of a K-block's nonzero terms and the masked whole-row
-// sum that replaces addTerms' tiles and tails. It is simd.AVX512, and only
-// the package's tests flip it.
+// useAVX512 selects every AVX-512 kernel of the package: in MulABInto and
+// MulATBInto the compress-gather of a K-block's nonzero terms, the masked
+// whole-row sum that replaces addTerms' tiles and tails, and the narrow
+// products (mulNarrow); and the one-call kernels of TransposeInto, the
+// bias add of AddRowVec and the column sums of SumRowsInto. It is
+// simd.AVX512, and only the package's tests flip it.
 var useAVX512 = simd.AVX512
 
 // Mat is a dense row-major matrix.
@@ -256,25 +258,14 @@ func TransposeInto(out, m *Mat) *Mat {
 
 // AddRowVec adds vector v to every row of m in place (bias broadcast):
 // m[i][j] + v[j], as AddTo adds. With AVX-512 one kernel call takes the
-// whole matrix: 32 columns of v at a time held in registers over every
-// row, or, below eight columns and with more than one row, m as one flat
-// run of vectors with v repeated eight times (eight rows' worth) as the
-// addend.
+// whole matrix, 32 columns of v at a time held in registers over every
+// row.
 func (m *Mat) AddRowVec(v []float64) {
 	if len(v) != m.C {
 		panic(fmt.Sprintf("tensor: AddRowVec len %d to %d cols", len(v), m.C))
 	}
 	if useAVX512 && m.R > 0 && m.C > 0 {
-		if m.C >= 8 || m.R == 1 {
-			addRowVec(m.A, v, m.R, m.C)
-			return
-		}
-		var buf [8 * 7]float64
-		pat := buf[:8*m.C]
-		for n := copy(pat, v); n < len(pat); n *= 2 {
-			copy(pat[n:], pat[:n])
-		}
-		addPattern(m.A[:m.R*m.C], pat)
+		addRowVec(m.A, v, m.R, m.C)
 		return
 	}
 	for i := 0; i < m.R; i++ {
