@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "funcdata.h"
 
 // func addTiles16(o, b *float64, off *int, val *float64, terms, tiles int)
 //
@@ -50,7 +51,7 @@ term:
 	VZEROUPPER
 	RET
 
-// The AVX-512 kernels. They use Z0–Z14, Z16–Z22 and K1–K4 only, and end
+// The AVX-512 kernels. They use Z0–Z14, Z16–Z23 and K1–K7 only, and end
 // with VZEROUPPER like the AVX2 one.
 
 // iota8 is the int64 vector 0, 1, …, 7: lane j of a gather's offset (and
@@ -76,18 +77,39 @@ GLOBL iota8<>(SB), RODATA|NOPTR, $64
 
 // COMPRESS keeps the lanes of Z0 that compare unequal to zero (Z14), NaN
 // included and ±0 not, as Go's av != 0 does, and writes them and the
-// matching lanes of the offset vector Z3 to val[DX…] and off[DX…] (R9 and
-// R8), whole vectors: the lanes past the kept ones are never read. DX
-// grows by the number kept.
+// matching lanes of the offset vector Z3 to val[DX…] and off[DX…]
+// (512(R10) and R10, in mulRows8's frame), whole vectors: the lanes past the kept ones are
+// never read. DX is at most 56 before a store, so the store stays inside
+// the array. DX grows by the number kept.
 #define COMPRESS \
-	VCMPPD        $4, Z14, Z0, K2  \
-	VCOMPRESSPD.Z Z0, K2, Z6       \
-	VPCOMPRESSQ.Z Z3, K2, Z7       \
-	VMOVUPD       Z6, (R9)(DX*8)   \
-	VMOVDQU64     Z7, (R8)(DX*8)   \
-	KMOVB         K2, AX           \
-	POPCNTL       AX, AX           \
+	VCMPPD        $4, Z14, Z0, K6    \
+	VCOMPRESSPD.Z Z0, K6, Z6         \
+	VPCOMPRESSQ.Z Z3, K6, Z7         \
+	VMOVUPD       Z6, 512(R10)(DX*8) \
+	VMOVDQU64     Z7, (R10)(DX*8)    \
+	KMOVB         K6, AX             \
+	POPCNTL       AX, AX             \
 	ADDQ          AX, DX
+
+// TERM loads term CX of mulRows8's list: its value broadcast to Z4 and,
+// in AX, the address of its b-row at the column block R14.
+#define TERM \
+	VBROADCASTSD 512(R10)(CX*8), Z4 \
+	MOVQ         (R10)(CX*8), AX    \
+	LEAQ         (R14)(AX*8), AX
+
+// START(off, K, Zacc) starts the accumulator of one masked group: o's
+// lanes at off(R9) under K, or +0 in the first block (K7 none).
+#define START(off, K, Zacc) \
+	KANDB     K, K7, K6 \
+	VMOVUPD.Z off(R9), K6, Zacc
+
+// MULADDK(off, K, Zacc, Zp) adds the term's product with b's lanes at
+// off(AX) under K to Zacc: a separate multiply and add, as in the whole
+// groups of mulRows8.
+#define MULADDK(off, K, Zacc, Zp) \
+	VMULPD.Z off(AX), Z4, K, Zp \
+	VADDPD   Zp, Zacc, Zacc
 
 // TAIL_MASK sets K1 to the low BX bits (0 < BX < 8), with CX and AX as
 // scratch.
@@ -98,11 +120,11 @@ GLOBL iota8<>(SB), RODATA|NOPTR, $64
 	DECL  AX      \
 	KMOVB AX, K1
 
-// TAIL_MASK4 sets K1–K4 to bits 0–7, 8–15, 16–23 and 24–31 of the mask of
-// the low R11 bits (0 < R11 < 32), with CX and AX as scratch: the masks
-// of a masked block of four eight-lane groups ending at column R11.
-#define TAIL_MASK4 \
-	MOVQ  R11, CX \
+// TAIL_MASK4(cnt) sets K1–K4 to bits 0–7, 8–15, 16–23 and 24–31 of the
+// mask of the low cnt bits (0 ≤ cnt < 32), with CX and AX as scratch: the
+// masks of a masked block of four eight-lane groups ending at column cnt.
+#define TAIL_MASK4(cnt) \
+	MOVQ  cnt, CX \
 	MOVL  $1, AX  \
 	SHLL  CX, AX  \
 	DECL  AX      \
@@ -114,205 +136,235 @@ GLOBL iota8<>(SB), RODATA|NOPTR, $64
 	SHRL  $8, AX  \
 	KMOVB AX, K4
 
-// func gatherRow8(off *int, val *float64, a *float64, terms, o, n int) int
+// func mulRows8(o, a, b *float64, rows, terms, n, lane, step int, first bool)
 //
-// Writes the nonzero elements of a[0:terms] to val and their b-row offsets
-// o + k·n to off, in ascending k, and returns how many there are. 0 < terms
-// ≤ 64 and off and val hold 64 elements: each chunk stores eight lanes at
-// the count so far, which is at most 56. The last chunk's load is masked
-// to the terms left, so no element past a[terms-1] is read.
-TEXT ·gatherRow8(SB), NOSPLIT, $0-56
-	MOVQ off+0(FP), R8
-	MOVQ val+8(FP), R9
-	MOVQ a+16(FP), SI
-	MOVQ terms+24(FP), BX
-	MOVQ o+32(FP), R10
-	MOVQ n+40(FP), R11
-	GATHER_INIT(R11, R10, Z3, Z2)
-	VPXORQ Z14, Z14, Z14
-	XORQ   DX, DX
+// One K-block of a wide product of MulABInto or MulATBInto: for each of
+// rows output rows i of n columns, adds Σ_k a[i·lane+k·step]·b[k·n+j] over
+// k < terms (1 to 64) to o[i·n+j] for every column j, in ascending k,
+// skipping the zero a-elements; in the first block (first) each element
+// starts from +0 instead of o, so every element of o is written, rows
+// with no term included. A later block leaves a row with no term as it
+// is.
+//
+// Per row, the gather packs the row's nonzero a-elements and their b-row
+// offsets k·n into val and off, two 64-element arrays in the kernel's own
+// frame (off at R10, val at 512(R10)): eight elements at a time, loaded
+// whole when step is 1 (MulABInto: a slice of row i of a), else fetched
+// with one VGATHERQPD at stride step (MulATBInto: column i of a), the last
+// chunk masked to the terms left (K5), so no element past the row's last
+// term is read. COMPRESS then keeps exactly the lanes Go's av != 0 keeps.
+//
+// The sum then goes 32 columns at a time in four ZMM accumulators of
+// eight lanes (Z16–Z19), each started once, summed over the whole list and
+// stored once. Every term is one broadcast, then a separate multiply and
+// add per eight lanes, so each lane rounds exactly as the scalar
+// c += av*b[j] does. There is deliberately no fused multiply-add. The
+// last 1–31 columns run as one, two or four groups under the masks K1–K4,
+// set once per call: a masked-off lane is neither read from b or o nor
+// written. K7 is the mask of a whole group's start: all ones to load o,
+// none in the first block, where the masked load leaves +0.
+TEXT ·mulRows8(SB), 0, $1024-65
+	NO_LOCAL_POINTERS
+	MOVQ    o+0(FP), DI
+	MOVQ    a+8(FP), SI
+	MOVQ    b+16(FP), R12
+	MOVQ    rows+24(FP), BX
+	MOVQ    n+40(FP), R11
+	MOVQ    lane+48(FP), R13
+	SHLQ    $3, R13
+	MOVQ    step+56(FP), R8
+	LEAQ    0(SP), R10
+	XORQ    AX, AX
+	GATHER_INIT(R11, AX, Z10, Z2)
+	GATHER_INIT(R8, AX, Z11, Z9)
+	VPXORQ  Z14, Z14, Z14
+	MOVQ    terms+32(FP), CX
+	ANDQ    $7, CX
+	MOVL    $1, AX
+	SHLL    CX, AX
+	DECL    AX
+	KMOVB   AX, K5
+	MOVQ    R11, R9
+	ANDQ    $31, R9
+	TAIL_MASK4(R9)
+	KXNORB  K7, K7, K7
+	CMPB    first+64(FP), $0
+	JEQ     row
+	KXORB   K7, K7, K7
 
-rowchunk:
-	CMPQ    BX, $8
-	JLT     rowtail
-	VMOVUPD (SI), Z0
+row:
+	VMOVDQA64 Z10, Z3
+	VMOVDQA64 Z11, Z8
+	MOVQ      SI, R14
+	MOVQ      terms+32(FP), CX
+	XORQ      DX, DX
+	CMPQ      step+56(FP), $1
+	JNE       strided
+
+contig:
+	CMPQ    CX, $8
+	JLT     contigtail
+	VMOVUPD (R14), Z0
 	COMPRESS
 	VPADDQ  Z2, Z3, Z3
-	ADDQ    $64, SI
-	SUBQ    $8, BX
-	JMP     rowchunk
+	ADDQ    $64, R14
+	SUBQ    $8, CX
+	JMP     contig
 
-rowtail:
-	TESTQ     BX, BX
-	JZ        rowdone
-	TAIL_MASK
-	VMOVUPD.Z (SI), K1, Z0
+contigtail:
+	TESTQ     CX, CX
+	JZ        gathered
+	VMOVUPD.Z (R14), K5, Z0
 	COMPRESS
+	JMP       gathered
 
-rowdone:
-	MOVQ DX, ret+48(FP)
-	VZEROUPPER
-	RET
-
-// func gatherCol8(off *int, val *float64, a *float64, m, terms, o, n int) int
-//
-// gatherRow8 for the strided column a[0], a[m], …, a[(terms-1)·m]: each
-// chunk is one VGATHERQPD at index k·m, the last one masked to the terms
-// left, so no element past a[(terms-1)·m] is read.
-TEXT ·gatherCol8(SB), NOSPLIT, $0-64
-	MOVQ off+0(FP), R8
-	MOVQ val+8(FP), R9
-	MOVQ a+16(FP), SI
-	MOVQ m+24(FP), R12
-	MOVQ terms+32(FP), BX
-	MOVQ o+40(FP), R10
-	MOVQ n+48(FP), R11
-	GATHER_INIT(R11, R10, Z3, Z2)
-	XORQ DX, DX
-	GATHER_INIT(R12, DX, Z8, Z9)
-	VPXORQ Z14, Z14, Z14
-
-colchunk:
-	CMPQ       BX, $8
-	JLT        coltail
-	KXNORB     K1, K1, K1
+strided:
+	CMPQ       CX, $8
+	JLT        stridedtail
+	KXNORB     K6, K6, K6
 	VPXORQ     Z0, Z0, Z0
-	VGATHERQPD (SI)(Z8*8), K1, Z0
+	VGATHERQPD (R14)(Z8*8), K6, Z0
 	COMPRESS
 	VPADDQ     Z2, Z3, Z3
 	VPADDQ     Z9, Z8, Z8
-	SUBQ       $8, BX
-	JMP        colchunk
+	SUBQ       $8, CX
+	JMP        strided
 
-coltail:
-	TESTQ      BX, BX
-	JZ         coldone
-	TAIL_MASK
+stridedtail:
+	TESTQ      CX, CX
+	JZ         gathered
+	KMOVB      K5, K6
 	VPXORQ     Z0, Z0, Z0
-	VGATHERQPD (SI)(Z8*8), K1, Z0
+	VGATHERQPD (R14)(Z8*8), K6, Z0
 	COMPRESS
 
-coldone:
-	MOVQ DX, ret+56(FP)
-	VZEROUPPER
-	RET
+// DX terms are gathered. R9 walks the row of o, R14 the block's b rows
+// and R8 counts the columns left.
+gathered:
+	TESTQ DX, DX
+	JNZ   sum
+	CMPB  first+64(FP), $0
+	JEQ   nextrow
 
-// func addRow8(o, b *float64, off *int, val *float64, terms, n int)
-//
-// Adds Σ_p val[p]·b[off[p]+j] to o[j] for every column j < n, the terms in
-// list order. The row goes 32 columns at a time, four ZMM accumulators of
-// eight lanes, each loaded once, summed over the whole list and stored
-// once. Every term is one broadcast, then a separate multiply and add per
-// eight lanes, so each lane rounds exactly as the scalar c += av*b[j]
-// does. There is deliberately no fused multiply-add. The last 1–31 columns
-// run as one, two or four groups under the masks K1–K4 (all ones for whole
-// blocks): a masked-off lane is neither read from b or o nor written.
-TEXT ·addRow8(SB), NOSPLIT, $0-48
-	MOVQ   o+0(FP), DI
-	MOVQ   b+8(FP), SI
-	MOVQ   off+16(FP), R8
-	MOVQ   val+24(FP), R9
-	MOVQ   terms+32(FP), R10
-	MOVQ   n+40(FP), R11
-	KXNORB K1, K1, K1
-	KXNORB K2, K2, K2
-	KXNORB K3, K3, K3
-	KXNORB K4, K4, K4
+sum:
+	MOVQ DI, R9
+	MOVQ R12, R14
+	MOVQ R11, R8
 
 block:
-	CMPQ R11, $32
-	JLT  rowtail
-
-terms4block:
-	VMOVUPD.Z 0(DI), K1, Z0
-	VMOVUPD.Z 64(DI), K2, Z1
-	VMOVUPD.Z 128(DI), K3, Z2
-	VMOVUPD.Z 192(DI), K4, Z3
+	CMPQ      R8, $32
+	JLT       rowtail
+	VMOVUPD.Z 0(R9), K7, Z16
+	VMOVUPD.Z 64(R9), K7, Z17
+	VMOVUPD.Z 128(R9), K7, Z18
+	VMOVUPD.Z 192(R9), K7, Z19
 	XORQ      CX, CX
+	JMP       terms4next
 
 terms4:
-	VBROADCASTSD (R9)(CX*8), Z4
-	MOVQ         (R8)(CX*8), DX
-	LEAQ         (SI)(DX*8), DX
-	VMULPD.Z     0(DX), Z4, K1, Z5
-	VADDPD       Z5, Z0, Z0
-	VMULPD.Z     64(DX), Z4, K2, Z6
-	VADDPD       Z6, Z1, Z1
-	VMULPD.Z     128(DX), Z4, K3, Z7
-	VADDPD       Z7, Z2, Z2
-	VMULPD.Z     192(DX), Z4, K4, Z8
-	VADDPD       Z8, Z3, Z3
-	INCQ         CX
-	CMPQ         CX, R10
-	JLT          terms4
+	TERM
+	VMULPD 0(AX), Z4, Z20
+	VADDPD Z20, Z16, Z16
+	VMULPD 64(AX), Z4, Z21
+	VADDPD Z21, Z17, Z17
+	VMULPD 128(AX), Z4, Z22
+	VADDPD Z22, Z18, Z18
+	VMULPD 192(AX), Z4, Z23
+	VADDPD Z23, Z19, Z19
+	INCQ   CX
 
-	VMOVUPD Z0, K1, 0(DI)
-	VMOVUPD Z1, K2, 64(DI)
-	VMOVUPD Z2, K3, 128(DI)
-	VMOVUPD Z3, K4, 192(DI)
-	ADDQ    $256, DI
-	ADDQ    $256, SI
-	SUBQ    $32, R11
+terms4next:
+	CMPQ    CX, DX
+	JLT     terms4
+	VMOVUPD Z16, 0(R9)
+	VMOVUPD Z17, 64(R9)
+	VMOVUPD Z18, 128(R9)
+	VMOVUPD Z19, 192(R9)
+	ADDQ    $256, R9
+	ADDQ    $256, R14
+	SUBQ    $32, R8
 	JMP     block
 
-// 0 < R11 < 32 columns are left. More than 16 run as one more four-group
-// block (R11 = 32 makes it the last).
+// 0 ≤ R8 < 32 columns are left: up to 8 run as one group, up to 16 as
+// two, more as four.
 rowtail:
-	TESTQ R11, R11
-	JZ    rowend
-	TAIL_MASK4
-	CMPQ  R11, $8
+	TESTQ R8, R8
+	JZ    nextrow
+	CMPQ  R8, $8
 	JLE   tail1
-	CMPQ  R11, $16
+	CMPQ  R8, $16
 	JLE   tail2
-	MOVQ  $32, R11
-	JMP   terms4block
+	START(0, K1, Z16)
+	START(64, K2, Z17)
+	START(128, K3, Z18)
+	START(192, K4, Z19)
+	XORQ  CX, CX
+	JMP   tail4next
+
+tail4:
+	TERM
+	MULADDK(0, K1, Z16, Z20)
+	MULADDK(64, K2, Z17, Z21)
+	MULADDK(128, K3, Z18, Z22)
+	MULADDK(192, K4, Z19, Z23)
+	INCQ  CX
+
+tail4next:
+	CMPQ    CX, DX
+	JLT     tail4
+	VMOVUPD Z16, K1, 0(R9)
+	VMOVUPD Z17, K2, 64(R9)
+	VMOVUPD Z18, K3, 128(R9)
+	VMOVUPD Z19, K4, 192(R9)
+	JMP     nextrow
 
 tail2:
-	VMOVUPD.Z 0(DI), K1, Z0
-	VMOVUPD.Z 64(DI), K2, Z1
-	XORQ      CX, CX
+	START(0, K1, Z16)
+	START(64, K2, Z17)
+	XORQ  CX, CX
+	JMP   tail2next
 
-terms2:
-	VBROADCASTSD (R9)(CX*8), Z4
-	MOVQ         (R8)(CX*8), DX
-	LEAQ         (SI)(DX*8), DX
-	VMULPD.Z     0(DX), Z4, K1, Z5
-	VADDPD       Z5, Z0, Z0
-	VMULPD.Z     64(DX), Z4, K2, Z6
-	VADDPD       Z6, Z1, Z1
-	INCQ         CX
-	CMPQ         CX, R10
-	JLT          terms2
+tail2term:
+	TERM
+	MULADDK(0, K1, Z16, Z20)
+	MULADDK(64, K2, Z17, Z21)
+	INCQ  CX
 
-	VMOVUPD Z0, K1, 0(DI)
-	VMOVUPD Z1, K2, 64(DI)
-	JMP     rowend
+tail2next:
+	CMPQ    CX, DX
+	JLT     tail2term
+	VMOVUPD Z16, K1, 0(R9)
+	VMOVUPD Z17, K2, 64(R9)
+	JMP     nextrow
 
 tail1:
-	VMOVUPD.Z 0(DI), K1, Z0
-	XORQ      CX, CX
+	START(0, K1, Z16)
+	XORQ  CX, CX
+	JMP   tail1next
 
-terms1:
-	VBROADCASTSD (R9)(CX*8), Z4
-	MOVQ         (R8)(CX*8), DX
-	LEAQ         (SI)(DX*8), DX
-	VMULPD.Z     0(DX), Z4, K1, Z5
-	VADDPD       Z5, Z0, Z0
-	INCQ         CX
-	CMPQ         CX, R10
-	JLT          terms1
+tail1term:
+	TERM
+	MULADDK(0, K1, Z16, Z20)
+	INCQ  CX
 
-	VMOVUPD Z0, K1, 0(DI)
+tail1next:
+	CMPQ    CX, DX
+	JLT     tail1term
+	VMOVUPD Z16, K1, 0(R9)
 
-rowend:
+nextrow:
+	LEAQ (DI)(R11*8), DI
+	ADDQ R13, SI
+	DECQ BX
+	JNZ  row
+
 	VZEROUPPER
 	RET
 
 // NCOL(off, Zacc) adds the term of one narrow column to its accumulator:
 // the a-elements Z0 times the column's b-element at off(R9), broadcast,
 // added only in the lanes of K2. a is the first operand of the multiply
-// and the accumulator of the add, as in addRow8.
+// and the accumulator of the add, as in mulRows8.
 #define NCOL(off, Zacc) \
 	VMULPD.BCST off(R9), Z0, Z5 \
 	VADDPD      Z5, Zacc, K2, Zacc
@@ -555,7 +607,7 @@ arow:
 atail:
 	TESTQ R11, R11
 	JZ    adone
-	TAIL_MASK4
+	TAIL_MASK4(R11)
 	MOVQ  $32, R11
 	JMP   ablock4
 
@@ -615,7 +667,7 @@ srow:
 stail:
 	TESTQ R11, R11
 	JZ    sdone
-	TAIL_MASK4
+	TAIL_MASK4(R11)
 	MOVQ  $32, R11
 	JMP   sblock4
 

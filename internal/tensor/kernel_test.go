@@ -91,8 +91,11 @@ func sameBits(t *testing.T, name string, got, want *Mat) {
 // kernel must keep as the reference does, while every other row is still
 // compared bit for bit. Explicit narrow products (1–7 columns) cover
 // every row tail of the AVX-512 kernel that runs lanes across output
-// rows, and every output starts stale and runs on into guard elements
-// that must come back untouched. The whole table runs once on each path
+// rows; rows whose first K-block gathers nothing (or only the first
+// does), the 1-row Action products and the wide weight gradients have
+// cases of their own. Every output starts stale, which the first K-block
+// must overwrite, and runs on into guard elements that must come back
+// untouched. The whole table runs once on each path
 // of mulPaths that the CPU and OS support; a b too short for the product
 // panics with a bounds error on every path, and no kernel may allocate.
 func TestMulKernelsBitIdentical(t *testing.T) {
@@ -212,6 +215,66 @@ func testMulKernels(t *testing.T) {
 					check(m, k, n, false, true)
 				}
 			}
+		}
+	}
+
+	// K-blocks that gather nothing. Rows (of a; columns of aᵀ) whose first
+	// 64-term block holds only +0 or only −0 while a later block has
+	// terms, rows with terms in the first block only and rows with no term
+	// at all: the first block must write +0 sums into the stale output for
+	// a row it gathers nothing for, and a later block must load the row
+	// back or leave it as it is. Every shape has eight or more columns or
+	// fewer than eight rows, so none takes the narrow kernel.
+	for _, k := range []int{65, 130, 400} {
+		for _, sh := range [][2]int{{5, 3}, {7, 11}, {9, 32}, {12, 33}, {6, 40}} {
+			m, n := sh[0], sh[1]
+			b := sparseRandom(rng, k, n)
+			a, at := sparseRandom(rng, m, k), sparseRandom(rng, k, m)
+			for i := 0; i < m; i++ {
+				lo, hi, zero := 0, kBlock, 0.0 // the first block empty
+				switch i % 5 {
+				case 1:
+					zero = math.Copysign(0, -1)
+				case 2:
+					lo, hi = kBlock, k // terms in the first block only
+				case 3:
+					hi = k // no term at all
+				case 4:
+					continue
+				}
+				for kk := lo; kk < hi; kk++ {
+					a.Row(i)[kk], at.Row(kk)[i] = zero, zero
+				}
+				if hi-lo < k { // one term outside the zeroed blocks
+					live := k - 1
+					if lo > 0 {
+						live = rng.Intn(kBlock)
+					}
+					a.Row(i)[live], at.Row(live)[i] = 0.5, -0.5
+				}
+			}
+			got, want := staleOut(rng, m, n), New(m, n)
+			refMulAB(want, a, b)
+			sameBits(t, "MulABInto", MulABInto(got, a, b), want)
+			gotT, wantT := staleOut(rng, m, n), New(m, n)
+			refMulATB(wantT, at, b)
+			sameBits(t, "MulATBInto", MulATBInto(gotT, at, b), wantT)
+		}
+	}
+
+	// The 1-row products of the per-step Action forward (a state of 11 or
+	// a 32-wide hidden row into a 3-wide head, any 1–7 and 31 or 33
+	// columns), and the wide weight gradients of the update, MulATBInto
+	// into 11×32 and 32×32 over batches of 32 and 64 rows.
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 31, 33} {
+		for _, k := range []int{1, 11, 32, 65} {
+			check(1, k, n, false, false)
+		}
+	}
+	for _, m := range []int{11, 32} {
+		for _, k := range []int{32, 64} {
+			check(m, k, 32, false, false)
+			check(m, k, 32, false, true)
 		}
 	}
 
@@ -403,9 +466,11 @@ func mustPanicOutOfRange(t *testing.T, name string, f func()) {
 
 // BenchmarkMulKernels times MulABInto at the quick budget's DDPG shapes
 // (batch 32: the 11-wide critic input, a 32×32 hidden layer, the 3-wide
-// actor head and the critic's 1-wide Q head) and at the paper's widest
-// layer (batch 64, 400 × 200); MulATBInto into the 32×1 and 32×3 weight
-// gradients of the two heads; and TransposeInto, AddRowVec and
+// actor head and the critic's 1-wide Q head; one row: the per-step
+// Action forward into the first hidden layer and into the 3-wide head)
+// and at the paper's widest layer (batch 64, 400 × 200); MulATBInto into
+// the wide 32×32 and 11×32 weight gradients of the update and the 32×1
+// and 32×3 ones of the two heads; and TransposeInto, AddRowVec and
 // SumRowsInto at 32×32 and 32×3. Every row runs on every kernel path the
 // CPU supports. a has about half its elements zero, as ReLU leaves
 // activations.
@@ -425,17 +490,17 @@ func BenchmarkMulKernels(b *testing.B) {
 			})
 		}
 	}
-	for _, sh := range []struct{ m, k, n int }{{32, 11, 32}, {32, 32, 32}, {32, 32, 3}, {32, 32, 1}, {64, 400, 200}} {
+	for _, sh := range []struct{ m, k, n int }{{32, 11, 32}, {32, 32, 32}, {32, 32, 3}, {32, 32, 1}, {1, 11, 32}, {1, 32, 3}, {64, 400, 200}} {
 		rng := rand.New(rand.NewSource(1))
 		a, bm, out := sparseRandom(rng, sh.m, sh.k), New(sh.k, sh.n), New(sh.m, sh.n)
 		bm.Randomize(rng, 1)
 		run(fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), func() { MulABInto(out, a, bm) })
 	}
-	for _, n := range []int{1, 3} {
+	for _, sh := range []struct{ m, n int }{{32, 32}, {11, 32}, {32, 1}, {32, 3}} {
 		rng := rand.New(rand.NewSource(1))
-		a, d, out := sparseRandom(rng, 32, 32), New(32, n), New(32, n)
+		a, d, out := sparseRandom(rng, 32, sh.m), New(32, sh.n), New(sh.m, sh.n)
 		d.Randomize(rng, 1)
-		run(fmt.Sprintf("ATB32x32x%d", n), func() { MulATBInto(out, a, d) })
+		run(fmt.Sprintf("ATB32x%dx%d", sh.m, sh.n), func() { MulATBInto(out, a, d) })
 	}
 	for _, c := range []int{32, 3} {
 		rng := rand.New(rand.NewSource(1))

@@ -22,11 +22,11 @@ import (
 var useAVX2 = simd.AVX2
 
 // useAVX512 selects every AVX-512 kernel of the package: in MulABInto and
-// MulATBInto the compress-gather of a K-block's nonzero terms, the masked
-// whole-row sum that replaces addTerms' tiles and tails, and the narrow
-// products (mulNarrow); and the one-call kernels of TransposeInto, the
-// bias add of AddRowVec and the column sums of SumRowsInto. It is
-// simd.AVX512, and only the package's tests flip it.
+// MulATBInto one call per K-block of a wide product (mulRows), which
+// gathers each row's nonzero terms and sums them into the whole row, and
+// the narrow products (mulNarrow); and the one-call kernels of
+// TransposeInto, the bias add of AddRowVec and the column sums of
+// SumRowsInto. It is simd.AVX512, and only the package's tests flip it.
 var useAVX512 = simd.AVX512
 
 // Mat is a dense row-major matrix.
@@ -83,13 +83,16 @@ const kBlock = 64
 // MulABInto computes a·b into out (a.R × b.C), reusing out's storage. Each
 // output element accumulates its terms in ascending k order, skipping zero
 // a-elements, so results are bit-identical to the naive k-outer loop on
-// finite values; out must not alias a or b. The work runs in K-blocks (see
-// addTerms): each row's nonzero a-elements within a block are gathered
-// first, then register tiles of output columns sum the gathered terms:
-// with AVX-512 eight elements per gather and thirty-two columns per tile,
-// masked at the row's end; else sixteen (with AVX2), eight, four and
-// finally one columns. The block loop sits outside the row loop, so a
-// block of b stays cache-resident across the batch.
+// finite values; out must not alias a or b. The work runs in K-blocks:
+// with AVX-512 one kernel call per block gathers each row's nonzero
+// a-elements eight at a time and sums them into the whole row, thirty-two
+// columns per register tile, masked at the row's end (mulRows), or, for
+// fewer than eight columns and at least eight rows, runs lanes across
+// output rows (mulNarrow). Else each row's nonzero a-elements within a
+// block are gathered first, then tiles of sixteen (with AVX2), eight, four
+// and finally one columns sum them (addTerms). The block loop sits
+// outside the row loop, so a block of b stays cache-resident across the
+// batch.
 func MulABInto(out, a, b *Mat) *Mat {
 	if a.C != b.R {
 		panic(fmt.Sprintf("tensor: MulABInto %dx%d · %dx%d", a.R, a.C, b.R, b.C))
@@ -98,8 +101,14 @@ func MulABInto(out, a, b *Mat) *Mat {
 		panic(fmt.Sprintf("tensor: MulABInto out %dx%d for %dx%d product", out.R, out.C, a.R, b.C))
 	}
 	n := b.C
-	if narrow(a.R, a.C, n) {
-		mulNarrow(out.A, a.A, b.A, a.R, a.C, n, a.C, 1)
+	if useAVX512 && a.R > 0 && a.C > 0 && n > 0 {
+		if narrow(a.R, n) {
+			mulNarrow(out.A, a.A, b.A, a.R, a.C, n, a.C, 1)
+			return out
+		}
+		for k0 := 0; k0 < a.C; k0 += kBlock {
+			mulRows(out.A, a.A[k0:], b.A[k0*n:], a.R, min(kBlock, a.C-k0), n, a.C, 1, k0 == 0)
+		}
 		return out
 	}
 	clear(out.A)
@@ -108,19 +117,13 @@ func MulABInto(out, a, b *Mat) *Mat {
 	for k0 := 0; k0 < a.C; k0 += kBlock {
 		k1 := min(k0+kBlock, a.C)
 		for i := 0; i < a.R; i++ {
-			arow := a.A[i*a.C+k0 : i*a.C+k1]
-			cnt := 0
-			if useAVX512 {
-				cnt = gatherRow(&off, &val, arow, k0*n, n)
-			} else {
-				o := k0 * n
-				for _, av := range arow {
-					off[cnt&(kBlock-1)], val[cnt&(kBlock-1)] = o, av
-					if av != 0 { // a conditional move, not a branch
-						cnt++
-					}
-					o += n
+			cnt, o := 0, k0*n
+			for _, av := range a.A[i*a.C+k0 : i*a.C+k1] {
+				off[cnt&(kBlock-1)], val[cnt&(kBlock-1)] = o, av
+				if av != 0 { // a conditional move, not a branch
+					cnt++
 				}
+				o += n
 			}
 			addTerms(out.A[i*n:(i+1)*n], b.A, off[:cnt], val[:cnt])
 		}
@@ -128,33 +131,29 @@ func MulABInto(out, a, b *Mat) *Mat {
 	return out
 }
 
-// narrow reports whether an m×n product of k terms per element runs on
-// the AVX-512 narrow kernel (mulNarrow): fewer than eight output columns,
-// so a row is less than one vector wide, but at least eight rows, one
-// vector down a column. Lanes then run across output rows, each summing
-// its own terms in ascending k from +0 and skipping the zero a-elements,
-// as the row kernels do.
-func narrow(m, k, n int) bool {
-	return useAVX512 && n > 0 && n < 8 && m >= 8 && k > 0
+// narrow reports whether an m×n product (m, n and its number of terms
+// positive) runs on the AVX-512 narrow kernel (mulNarrow): fewer than
+// eight output columns, so a row is less than one vector wide, but at
+// least eight rows, one vector down a column. Lanes then run across
+// output rows, each summing its own terms in ascending k from +0 and
+// skipping the zero a-elements, as the row kernels do.
+func narrow(m, n int) bool {
+	return n < 8 && m >= 8
 }
 
 // addTerms adds Σ_p val[p]·bA[off[p]+j] to orow[j] for every column j, the
-// terms in list order. Each output element is loaded once, summed in a
-// register over the whole list and stored once; a float64 store and reload
-// is exact, so splitting the sum across K-blocks changes no bit. With
-// AVX-512 one kernel sums the whole row (addRow); else full 16-column
-// tiles go to the AVX2 kernel where there is one (addTiles), and the 8/4/1
-// loops below take the rest of the row, or all of it.
+// terms in list order: the sum of MulABInto and MulATBInto without
+// AVX-512. Each output element is loaded once, summed in a register over
+// the whole list and stored once; a float64 store and reload is exact, so
+// splitting the sum across K-blocks changes no bit. Full 16-column tiles
+// go to the AVX2 kernel where there is one (addTiles), and the 8/4/1 loops
+// below take the rest of the row, or all of it.
 func addTerms(orow, bA []float64, off []int, val []float64) {
 	if len(off) == 0 || len(orow) == 0 {
 		return
 	}
 	val = val[:len(off)]
 	n := len(orow)
-	if useAVX512 {
-		addRow(orow, bA, off, val)
-		return
-	}
 	j := 0
 	if useAVX2 && n >= 16 {
 		j = addTiles(orow, bA, off, val)
@@ -209,8 +208,14 @@ func MulATBInto(out, a, b *Mat) *Mat {
 		panic(fmt.Sprintf("tensor: MulATBInto out %dx%d for %dx%d product", out.R, out.C, a.C, b.C))
 	}
 	m, n := a.C, b.C
-	if narrow(m, a.R, n) {
-		mulNarrow(out.A, a.A, b.A, m, a.R, n, 1, m)
+	if useAVX512 && m > 0 && a.R > 0 && n > 0 {
+		if narrow(m, n) {
+			mulNarrow(out.A, a.A, b.A, m, a.R, n, 1, m)
+			return out
+		}
+		for k0 := 0; k0 < a.R; k0 += kBlock {
+			mulRows(out.A, a.A[k0*m:], b.A[k0*n:], m, min(kBlock, a.R-k0), n, 1, m, k0 == 0)
+		}
 		return out
 	}
 	clear(out.A)
@@ -220,15 +225,11 @@ func MulATBInto(out, a, b *Mat) *Mat {
 		k1 := min(k0+kBlock, a.R)
 		for i := 0; i < m; i++ {
 			cnt := 0
-			if useAVX512 {
-				cnt = gatherCol(&off, &val, a.A, i, m, k0, k1, n)
-			} else {
-				for k := k0; k < k1; k++ {
-					av := a.A[k*m+i]
-					off[cnt&(kBlock-1)], val[cnt&(kBlock-1)] = k*n, av
-					if av != 0 { // a conditional move, not a branch
-						cnt++
-					}
+			for k := k0; k < k1; k++ {
+				av := a.A[k*m+i]
+				off[cnt&(kBlock-1)], val[cnt&(kBlock-1)] = k*n, av
+				if av != 0 { // a conditional move, not a branch
+					cnt++
 				}
 			}
 			addTerms(out.A[i*n:(i+1)*n], b.A, off[:cnt], val[:cnt])
