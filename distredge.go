@@ -450,7 +450,7 @@ func (s *System) Score(p *Plan, objective Objective, window int) (float64, error
 	if err != nil {
 		return 0, err
 	}
-	return sim.DefaultObjective(obj).Score(s.env, p.Strategy, 0)
+	return sim.Rank(s.env, obj, p.Strategy)
 }
 
 // RuntimeObjective resolves a PlanConfig into the sim.Objective a deployed

@@ -91,9 +91,10 @@ func fig5Specs(seed int64) []Spec {
 
 // Fig05AlphaSweep regenerates Fig. 5: DistrEdge IPS for
 // α ∈ {0, 0.25, 0.5, 0.75, 1} across the four environment families.
-// The paper finds α=0.75 best everywhere and the extremes poor. The
-// case×α grid runs on the budget's worker pool; each cell rebuilds its
-// environment from the spec, so rows are identical for any worker count.
+// The paper finds α=0.75 best everywhere and the extremes poor. Each cell
+// plans with the latency Request at its α. The case×α grid runs on the
+// budget's worker pool; each cell rebuilds its environment from the spec,
+// so rows are identical for any worker count.
 func Fig05AlphaSweep(b Budget, cases int) ([]AlphaRow, error) {
 	specs := fig5Specs(b.Seed)
 	if cases > 0 && cases < len(specs) {
@@ -105,21 +106,17 @@ func Fig05AlphaSweep(b Budget, cases int) ([]AlphaRow, error) {
 		spec := specs[i/len(alphas)]
 		alpha := alphas[i%len(alphas)]
 		env := spec.Env()
-		boundaries, err := LCPSS(env, b, alpha)
+		plan, err := Request{Budget: b, Alpha: alpha}.Plan(env, nil, nil)
 		if err != nil {
 			return err
 		}
-		res, err := splitter.Search(env, boundaries, osdsConfig(b, env.NumProviders()))
-		if err != nil {
-			return err
-		}
-		stream, err := env.Stream(res.Strategy, b.StreamImages, 0)
+		stream, err := env.Stream(plan, b.StreamImages, 0)
 		if err != nil {
 			return err
 		}
 		rows[i] = AlphaRow{
 			Case: spec.Name, Alpha: alpha,
-			Volumes: len(boundaries) - 1, IPS: stream.IPS,
+			Volumes: plan.NumVolumes(), IPS: stream.IPS,
 		}
 		return nil
 	})

@@ -27,16 +27,10 @@ type WindowRow struct {
 // MethodStage labels the throughput-oriented stage layout in window rows.
 const MethodStage = "Stage"
 
-// StageStrategy builds the stage-pipelined layout: volume v of the given
-// boundaries runs entirely on provider v mod n, so a filled admission
-// window pays only the slowest stage per image instead of the sum.
+// StageStrategy is strategy.Stage, the stage-pipelined layout: volume v
+// of the given boundaries runs entirely on provider v mod n.
 func StageStrategy(m *cnn.Model, boundaries []int, n int) *strategy.Strategy {
-	s := &strategy.Strategy{Boundaries: boundaries}
-	for v := 0; v+1 < len(boundaries); v++ {
-		h := strategy.VolumeHeight(m, boundaries, v)
-		s.Splits = append(s.Splits, strategy.AllOnProvider(h, n, v%n))
-	}
-	return s
+	return strategy.Stage(m, boundaries, n)
 }
 
 // StageBoundaries merges the model's pool boundaries down to at most n
@@ -100,7 +94,7 @@ func Fig16WindowSweep(b Budget, windows []int) ([]WindowRow, error) {
 		if err != nil {
 			return fmt.Errorf("experiments: window sweep %s: %w", spec.Name, err)
 		}
-		stage := StageStrategy(spec.Model, StageBoundaries(spec.Model, env.NumProviders()), env.NumProviders())
+		stage := strategy.Stage(spec.Model, StageBoundaries(spec.Model, env.NumProviders()), env.NumProviders())
 		var rows []WindowRow
 		for _, m := range []struct {
 			name  string

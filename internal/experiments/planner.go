@@ -227,7 +227,7 @@ func (ps *PlannerSweep) WarmReference(rows []PlannerRow) error {
 		if err != nil {
 			return fmt.Errorf("experiments: planner sweep warm %s (cold reference): %w", spec.Name, err)
 		}
-		coldScore, err := sim.DefaultObjective(nil).Score(env, coldStrat, 0)
+		coldScore, err := sim.Rank(env, nil, coldStrat)
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 
@@ -98,27 +97,27 @@ func (r Request) Trainer(env *sim.Env) (*splitter.Trainer, error) {
 }
 
 // Plan runs the DistrEdge pipeline: LC-PSS, then one OSDS search per
-// boundary set with Config.Objective set, every candidate scored by the
-// objective at trace time 0 and the best one returned. The LC-PSS
-// boundaries come from memo, which nil turns off. Under the latency
-// objective without a seed it searches the LC-PSS boundaries only: the
-// paper's pipeline. For other objectives two extensions matter for
-// throughput:
+// boundary set with Config.Objective set, and returns the best candidate
+// under sim.Best, considered in this order: the seed, then each boundary
+// set's search result and its stage anchor. The LC-PSS boundaries come
+// from memo, which nil turns off. Under the latency objective without a
+// seed it searches the LC-PSS boundaries only: the paper's pipeline. For
+// other objectives two extensions matter for throughput:
 //
 //   - besides the LC-PSS boundaries the search also tries the pool-merged
 //     stage boundaries (StageBoundaries): a stage layout needs roughly one
 //     volume per provider before an admission window can fill, and LC-PSS
 //     — which scores sequential latency — often merges to fewer;
-//   - the noiseless StageStrategy anchor of each boundary set is scored
-//     directly (warm-start episodes add exploration noise, so the exact
-//     layout may never appear as an episode).
+//   - the noiseless stage layout (strategy.Stage) of each boundary set is
+//     ranked directly (warm-start episodes add exploration noise, so the
+//     exact layout may never appear as an episode).
 //
 // init, when not nil, is a warm-start seed: a known-good strategy for this
 // exact fleet shape (same provider count) that the search explores outward
 // from. The seed's splits feed the splitter's Config.InitSplits (scheduled
 // as the first warm episode, so the best-strategy tracker is anchored from
 // episode 0), the seed's own volume boundaries join the boundary sets
-// searched, and the seed itself is scored as a candidate — so the returned
+// searched, and the seed itself is ranked as a candidate — so the returned
 // plan never scores worse than the seed under the objective. Because the
 // seed anchors the search, warm-started searches run on half the episode
 // budget: that is where the plan cache's warm-start throughput win comes
@@ -148,23 +147,11 @@ func (r Request) Plan(env *sim.Env, init *strategy.Strategy, memo *partition.Mem
 	if !sim.IsLatencyObjective(obj) {
 		addBoundaries(StageBoundaries(env.Model, n))
 	}
-	scorer := sim.DefaultObjective(obj)
-	var best *strategy.Strategy
-	bestScore := math.Inf(1)
-	consider := func(s *strategy.Strategy) error {
-		sc, err := scorer.Score(env, s, 0)
-		if err != nil {
-			return err
-		}
-		if sc < bestScore {
-			best, bestScore = s, sc
-		}
-		return nil
-	}
+	var best sim.Best
 	cfg := osdsConfig(b, n)
 	cfg.Objective = obj
 	if init != nil {
-		if err := consider(init); err != nil {
+		if err := best.Consider(env, obj, init); err != nil {
 			return nil, err
 		}
 		cfg.Episodes = (b.Episodes + 1) / 2
@@ -172,19 +159,19 @@ func (r Request) Plan(env *sim.Env, init *strategy.Strategy, memo *partition.Mem
 	}
 	results, err := searchBoundarySets(env, boundarySets, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: OSDS (%s): %w", scorer.Name(), err)
+		return nil, fmt.Errorf("experiments: OSDS (%s): %w", sim.DefaultObjective(obj).Name(), err)
 	}
 	for i, boundaries := range boundarySets {
-		if err := consider(results[i].Strategy); err != nil {
+		if err := best.Consider(env, obj, results[i].Strategy); err != nil {
 			return nil, err
 		}
 		if !sim.IsLatencyObjective(obj) {
-			if err := consider(StageStrategy(env.Model, boundaries, n)); err != nil {
+			if err := best.Consider(env, obj, strategy.Stage(env.Model, boundaries, n)); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return best, nil
+	return best.Strategy, nil
 }
 
 // searchBoundarySets runs one OSDS search per boundary set, on as many

@@ -43,7 +43,7 @@ func CachedReplan(c *Cache, obj sim.Objective, id PlannerID, inner sim.ReplanFun
 			return nil, err
 		}
 		if proj, perr := strategy.Project(env.Model, full, alive); perr == nil {
-			if score, serr := sim.DefaultObjective(obj).Score(sub, proj, 0); serr == nil {
+			if score, serr := sim.Rank(sub, obj, proj); serr == nil {
 				c.Put(sig, proj, score)
 			}
 		}

@@ -166,9 +166,8 @@ func (c *Cache) planMiss(env *sim.Env, obj sim.Objective, sig Signature, key str
 	if err != nil {
 		return Result{}, fmt.Errorf("plancache: planning %s: %w", key, err)
 	}
-	scorer := sim.DefaultObjective(obj)
-	score, err := scorer.Score(env, strat, 0)
-	if err != nil {
+	var best sim.Best
+	if err := best.Consider(env, obj, strat); err != nil {
 		return Result{}, fmt.Errorf("plancache: scoring %s: %w", key, err)
 	}
 	outcome := OutcomeCold
@@ -176,13 +175,11 @@ func (c *Cache) planMiss(env *sim.Env, obj sim.Objective, sig Signature, key str
 		outcome = OutcomeWarm
 		// A warm-started plan never scores worse than its seed split: when
 		// the shortened search fails to match the seed, the seed itself is
-		// the plan.
-		if seedScore, serr := scorer.Score(env, init, 0); serr == nil && seedScore < score {
-			strat, score = init, seedScore
-		}
+		// the plan. A seed that fails to score is ignored.
+		_ = best.Consider(env, obj, init)
 	}
 	// Hand out the cache-resident clone, so every path (hit or miss)
 	// returns cache-owned read-only strategies.
-	cached := c.put(key, sig, strat, score)
-	return Result{Strategy: cached, Score: score, Outcome: outcome, SeedKey: seedKey}, nil
+	cached := c.put(key, sig, best.Strategy, best.Score)
+	return Result{Strategy: cached, Score: best.Score, Outcome: outcome, SeedKey: seedKey}, nil
 }

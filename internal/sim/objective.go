@@ -41,6 +41,35 @@ func DefaultObjective(obj Objective) Objective {
 	return obj
 }
 
+// Rank is the planner's one ranking rule: the objective's score of s at
+// trace instant 0 (nil obj = latency), lower is better. Every place that
+// picks among finished candidate plans, or stores a plan's score, ranks
+// through Rank or Best.
+func Rank(e *Env, obj Objective, s *strategy.Strategy) (float64, error) {
+	return DefaultObjective(obj).Score(e, s, 0)
+}
+
+// Best keeps the best-ranked of the candidates Considered: the first one,
+// then any that ranks strictly lower, so a tie keeps the earlier
+// candidate. The zero value holds nothing.
+type Best struct {
+	Strategy *strategy.Strategy // nil until a candidate was ranked
+	Score    float64
+}
+
+// Consider ranks s under obj on e and keeps it when it beats the best so
+// far. A ranking error is returned and leaves b as it was.
+func (b *Best) Consider(e *Env, obj Objective, s *strategy.Strategy) error {
+	score, err := Rank(e, obj, s)
+	if err != nil {
+		return err
+	}
+	if b.Strategy == nil || score < b.Score {
+		b.Strategy, b.Score = s, score
+	}
+	return nil
+}
+
 // IsLatencyObjective reports whether obj is the default sequential-latency
 // objective (nil counts). Callers use it to keep the default planning path
 // bit-identical to the pre-objective tree.

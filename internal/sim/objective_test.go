@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"distredge/internal/strategy"
 )
 
 // TestLatencyObjectiveWrapsEnvLatency pins the latency objective to
@@ -96,5 +99,98 @@ func TestSteadyIPSZeroSpanFallsBackToIPS(t *testing.T) {
 	}
 	if math.IsInf(steadyIPS([]float64{1, 1}, 5), 0) {
 		t.Error("two identical completions must not divide by zero")
+	}
+}
+
+// scoreTable is an Objective that looks each strategy's score up by
+// identity; a strategy it does not hold fails to score.
+type scoreTable map[*strategy.Strategy]float64
+
+var errUnscored = errors.New("unscored strategy")
+
+func (scoreTable) Name() string { return "table" }
+
+func (t scoreTable) Score(_ *Env, s *strategy.Strategy, _ float64) (float64, error) {
+	sc, ok := t[s]
+	if !ok {
+		return 0, errUnscored
+	}
+	return sc, nil
+}
+
+func (t scoreTable) EpisodeScore(e *Env, s *strategy.Strategy, at, _ float64) (float64, error) {
+	return t.Score(e, s, at)
+}
+
+// TestRankIsTheObjectiveAtInstantZero pins Rank to the objective's score at
+// trace instant 0, nil meaning latency.
+func TestRankIsTheObjectiveAtInstantZero(t *testing.T) {
+	env := equivEnv(t, false)
+	s := equivStrategies(env.Model, env.NumProviders())[0]
+	for _, obj := range []Objective{nil, LatencyObjective{}, ThroughputObjective{Window: 4}} {
+		want, err := DefaultObjective(obj).Score(env, s, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Rank(env, obj, s)
+		if err != nil || got != want {
+			t.Errorf("%s: Rank = %.17g, %v; want %.17g", DefaultObjective(obj).Name(), got, err, want)
+		}
+	}
+}
+
+// TestBestKeepsTheEarlierCandidateOnATie: the first candidate is kept
+// until one ranks strictly lower, and a later equal score does not
+// replace it.
+func TestBestKeepsTheEarlierCandidateOnATie(t *testing.T) {
+	a, b, c := new(strategy.Strategy), new(strategy.Strategy), new(strategy.Strategy)
+	obj := scoreTable{a: 2, b: 1, c: 1}
+	var best Best
+	for _, s := range []*strategy.Strategy{a, b, c} {
+		if err := best.Consider(nil, obj, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if best.Strategy != b || best.Score != 1 {
+		t.Errorf("best = %p at %g, want the earlier tied candidate %p at 1", best.Strategy, best.Score, b)
+	}
+	var inf Best
+	if err := inf.Consider(nil, scoreTable{a: math.Inf(1)}, a); err != nil || inf.Strategy != a {
+		t.Errorf("the first candidate must be kept whatever it scores, got %p, %v", inf.Strategy, err)
+	}
+}
+
+// TestBestReturnsTheScoringError: a candidate that fails to score returns
+// its error unwrapped and leaves the best as it was.
+func TestBestReturnsTheScoringError(t *testing.T) {
+	a, bad := new(strategy.Strategy), new(strategy.Strategy)
+	obj := scoreTable{a: 3}
+	var best Best
+	if err := best.Consider(nil, obj, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := best.Consider(nil, obj, bad); !errors.Is(err, errUnscored) {
+		t.Fatalf("Consider of an unscorable candidate = %v, want %v", err, errUnscored)
+	}
+	if best.Strategy != a || best.Score != 3 {
+		t.Errorf("a failed candidate changed the best to %p at %g", best.Strategy, best.Score)
+	}
+}
+
+// TestBestAllocatesNothing: ranking candidates costs only what the
+// objective's own scoring costs.
+func TestBestAllocatesNothing(t *testing.T) {
+	a, b := new(strategy.Strategy), new(strategy.Strategy)
+	var obj Objective = scoreTable{a: 2, b: 1}
+	allocs := testing.AllocsPerRun(100, func() {
+		var best Best
+		_ = best.Consider(nil, obj, a)
+		_ = best.Consider(nil, obj, b)
+		if best.Strategy != b {
+			t.Fatal("wrong best")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Best.Consider allocates %.0f objects per two candidates, want 0", allocs)
 	}
 }

@@ -154,7 +154,7 @@ func TestObjectiveReplanPicksBetterScoringLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage, err := StageSubset(env, boundaries, alive)
+	stage, err := strategy.Lift(env.Model, strategy.Stage(env.Model, boundaries, 3), alive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +180,33 @@ func TestObjectiveReplanPicksBetterScoringLayout(t *testing.T) {
 	}
 }
 
-// TestStageSubsetRotatesOverSurvivors pins the stage layout's shape.
-func TestStageSubsetRotatesOverSurvivors(t *testing.T) {
+// lastWins ranks every strategy it scores below all earlier ones, so
+// sim.Best keeps the last candidate it is handed.
+type lastWins struct{ calls *int }
+
+func (lastWins) Name() string { return "last-wins" }
+
+func (o lastWins) Score(*sim.Env, *strategy.Strategy, float64) (float64, error) {
+	*o.calls++
+	return -float64(*o.calls), nil
+}
+
+func (o lastWins) EpisodeScore(e *sim.Env, s *strategy.Strategy, at, _ float64) (float64, error) {
+	return o.Score(e, s, at)
+}
+
+// TestObjectiveReplanStageRotatesOverSurvivors pins the shape of
+// ObjectiveReplan's stage candidate, the second one it ranks: volume v
+// whole on the (v mod live)-th survivor, dead providers empty.
+func TestObjectiveReplanStageRotatesOverSurvivors(t *testing.T) {
 	env := objectiveTestEnv(5)
 	boundaries := []int{0, 6, 10, 14, 18}
 	alive := []bool{true, false, true, true}
-	s, err := StageSubset(env, boundaries, alive)
+	old, err := BalancedSubset(env, boundaries, []bool{true, true, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ObjectiveReplan(lastWins{new(int)})(env, old, alive)
 	if err != nil {
 		t.Fatal(err)
 	}

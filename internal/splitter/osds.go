@@ -23,19 +23,16 @@ import (
 )
 
 // Config holds the OSDS hyper-parameters. Paper values (Section V):
-// Max_ep=4000, ∆ε=1/250, σ²=0.1 (σ²=1 for 16 providers), Nb=64, γ=0.99,
-// actor lr 1e-4, critic lr 1e-3, actor {400,200,100}. Smaller budgets are
-// used in tests and benchmarks; thanks to best-strategy tracking, short
-// runs still return the best strategy they visited.
+// Max_ep=4000, σ²=0.1 (σ²=1 for 16 providers), Nb=64, actor
+// {400,200,100}; γ=0.99, actor lr 1e-4 and critic lr 1e-3 are rl.Config's
+// defaults, and ε decays over 85 % of the episodes (see train). Smaller
+// budgets are used in tests and benchmarks; thanks to best-strategy
+// tracking, short runs still return the best strategy they visited.
 type Config struct {
 	Episodes int
 	Hidden   []int
 	Batch    int
-	Gamma    float64
 	SigmaSq  float64 // exploration noise variance σ²
-	DeltaEps float64 // ε-schedule slope; 0 = auto from Episodes
-	ActorLR  float64
-	CriticLR float64
 	Seed     int64
 
 	// WarmStart seeds the first episodes with profile-guided balanced
@@ -72,20 +69,8 @@ func (c Config) withDefaults() Config {
 	if c.Batch == 0 {
 		c.Batch = 64
 	}
-	if c.Gamma == 0 {
-		c.Gamma = 0.99
-	}
 	if c.SigmaSq == 0 {
 		c.SigmaSq = 0.1
-	}
-	if c.DeltaEps == 0 {
-		c.DeltaEps = 1 / (0.85 * float64(c.Episodes))
-	}
-	if c.ActorLR == 0 {
-		c.ActorLR = 1e-4
-	}
-	if c.CriticLR == 0 {
-		c.CriticLR = 1e-3
 	}
 	return c
 }
@@ -162,9 +147,6 @@ func NewTrainer(env *sim.Env, boundaries []int, cfg Config) (*Trainer, error) {
 		StateDim:  n + 4,
 		ActionDim: n - 1,
 		Hidden:    cfg.Hidden,
-		ActorLR:   cfg.ActorLR,
-		CriticLR:  cfg.CriticLR,
-		Gamma:     cfg.Gamma,
 		Seed:      cfg.Seed,
 	})
 	if err != nil {
@@ -535,7 +517,7 @@ func (t *Trainer) warmAction(raw []float64, vol []cnn.Layer, v, h, kind int) {
 // objective) and its strategy, which is the trainer's own and is rewritten
 // by the next episode. warmKind >= 0 selects a warm-start candidate family;
 // otherwise actions follow the ε-schedule.
-func (t *Trainer) runEpisode(eps float64, warmKind int, train bool) (float64, *strategy.Strategy) {
+func (t *Trainer) runEpisode(eps float64, warmKind int) (float64, *strategy.Strategy) {
 	numVol := len(t.boundaries) - 1
 	at := t.rng.Float64() * 300 // sample a trace instant
 	x := &t.exec
@@ -584,9 +566,7 @@ func (t *Trainer) runEpisode(eps float64, warmKind int, train bool) (float64, *s
 			r = t.latScale / score
 		}
 		t.agent.Buf.Add(rl.Transition{State: t.states[v], Action: t.actions[v], Reward: r, NextState: t.states[v+1], Done: done})
-		if train {
-			t.agent.Update(t.cfg.Batch)
-		}
+		t.agent.Update(t.cfg.Batch)
 	}
 	return score, &t.strat
 }
@@ -614,22 +594,7 @@ func (t *Trainer) result() *Result {
 // Run trains for the configured number of episodes, tracking the best
 // strategy observed.
 func (t *Trainer) Run() *Result {
-	t.sched = warmSchedule(t.sched, t.cfg, t.cfg.Episodes, false)
-	sched := t.sched
-	t.hist = slices.Grow(t.hist, t.cfg.Episodes)
-	for ep := 0; ep < t.cfg.Episodes; ep++ {
-		e := float64(ep) * t.cfg.DeltaEps
-		eps := 1 - float64(e*e)
-		if eps < 0.05 {
-			eps = 0.05
-		}
-		warmKind := -1
-		if ep < len(sched) {
-			warmKind = sched[ep]
-		}
-		t.record(t.runEpisode(eps, warmKind, true))
-	}
-	return t.result()
+	return t.train(t.cfg.Episodes, false)
 }
 
 // Best returns a copy of the best strategy observed so far (nil when no
@@ -652,14 +617,28 @@ func (t *Trainer) Finetune(env *sim.Env, episodes int) *Result {
 	t.best = nil
 	t.bestT = math.Inf(1)
 	t.hist = t.hist[:0]
-	t.sched = warmSchedule(t.sched, t.cfg, episodes, true)
-	sched := t.sched
+	return t.train(episodes, true)
+}
+
+// train plays episodes episodes (Alg. 2's outer loop), the warm-start
+// schedule first, and books each one. A first run decays ε from 1 to a
+// 0.05 floor over 85 % of the configured episodes; a finetune explores at
+// a fixed ε of 0.3 and keeps at least one warm episode.
+func (t *Trainer) train(episodes int, finetune bool) *Result {
+	t.sched = warmSchedule(t.sched, t.cfg, episodes, finetune)
+	t.hist = slices.Grow(t.hist, episodes)
+	slope := 1 / (0.85 * float64(t.cfg.Episodes))
 	for ep := 0; ep < episodes; ep++ {
-		warmKind := -1
-		if ep < len(sched) {
-			warmKind = sched[ep]
+		eps := 0.3
+		if !finetune {
+			e := float64(ep) * slope
+			eps = max(1-float64(e*e), 0.05)
 		}
-		t.record(t.runEpisode(0.3, warmKind, true))
+		warmKind := -1
+		if ep < len(t.sched) {
+			warmKind = t.sched[ep]
+		}
+		t.record(t.runEpisode(eps, warmKind))
 	}
 	return t.result()
 }

@@ -231,18 +231,21 @@ func TestNewTrainerErrors(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Episodes != 4000 || c.Batch != 64 || c.Gamma != 0.99 {
-		t.Errorf("paper defaults wrong: %+v", c)
+	env := testEnv(device.Nano, device.Nano)
+	tr, err := NewTrainer(env, strategy.PoolBoundaries(env.Model), Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.SigmaSq != 0.1 || c.ActorLR != 1e-4 || c.CriticLR != 1e-3 {
-		t.Errorf("paper defaults wrong: %+v", c)
+	defer tr.release()
+	c, a := tr.cfg, tr.agent.Cfg
+	if c.Episodes != 4000 || c.Batch != 64 || a.Gamma != 0.99 {
+		t.Errorf("paper defaults wrong: %+v, agent %+v", c, a)
 	}
-	if len(c.Hidden) != 3 || c.Hidden[0] != 400 {
-		t.Errorf("paper actor sizes wrong: %v", c.Hidden)
+	if c.SigmaSq != 0.1 || a.ActorLR != 1e-4 || a.CriticLR != 1e-3 {
+		t.Errorf("paper defaults wrong: %+v, agent %+v", c, a)
 	}
-	if c.DeltaEps <= 0 {
-		t.Error("auto DeltaEps must be positive")
+	if len(c.Hidden) != 3 || c.Hidden[0] != 400 || len(a.Hidden) != 3 || a.Hidden[0] != 400 {
+		t.Errorf("paper actor sizes wrong: %v, agent %v", c.Hidden, a.Hidden)
 	}
 }
 
@@ -280,10 +283,10 @@ func TestEpisodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 300; i++ {
-			tr.runEpisode(0.5, -1, true)
+			tr.runEpisode(0.5, -1)
 		}
 		got := testing.AllocsPerRun(50, func() {
-			if score, strat := tr.runEpisode(0.5, -1, true); strat == nil || math.IsInf(score, 0) {
+			if score, strat := tr.runEpisode(0.5, -1); strat == nil || math.IsInf(score, 0) {
 				t.Fatal("episode failed")
 			}
 		})

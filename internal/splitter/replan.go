@@ -50,39 +50,14 @@ func BalancedReplan(env *sim.Env, old *strategy.Strategy, alive []bool) (*strate
 	return BalancedSubset(env, old.Boundaries, alive)
 }
 
-// StageSubset builds a stage-pipelined strategy over the given boundaries:
-// volume v runs entirely on the (v mod live)-th alive provider, so a
-// filled admission window pays only the slowest stage per image. Dead
-// providers get empty parts.
-func StageSubset(env *sim.Env, boundaries []int, alive []bool) (*strategy.Strategy, error) {
-	n := env.NumProviders()
-	if len(alive) != n {
-		return nil, fmt.Errorf("splitter: alive mask has %d entries for %d providers", len(alive), n)
-	}
-	var liveIdx []int
-	for i, a := range alive {
-		if a {
-			liveIdx = append(liveIdx, i)
-		}
-	}
-	if len(liveIdx) == 0 {
-		return nil, fmt.Errorf("splitter: no alive providers to re-plan over")
-	}
-	s := &strategy.Strategy{Boundaries: append([]int(nil), boundaries...)}
-	for v := 0; v+1 < len(boundaries); v++ {
-		h := strategy.VolumeHeight(env.Model, boundaries, v)
-		s.Splits = append(s.Splits, strategy.AllOnProvider(h, n, liveIdx[v%len(liveIdx)]))
-	}
-	return s, nil
-}
-
 // ObjectiveReplan returns the sim.ReplanFunc recovery uses for the given
 // planning objective. The latency default is BalancedReplan unchanged; for
-// other objectives the balanced and stage survivor layouts are both built
-// and the one scoring better under the objective is served — so a cluster
-// that was serving a throughput-optimal plan recovers into a
-// throughput-optimal plan, not a latency-optimal one, while re-planning
-// stays training-free on the serving path.
+// other objectives it builds the balanced survivor layout, then the stage
+// layout over the survivors (volume v on the (v mod live)-th survivor,
+// empty parts for dead providers), and serves the better of the two under
+// sim.Best — so a cluster that was serving a throughput-optimal plan
+// recovers into a throughput-optimal plan, not a latency-optimal one,
+// while re-planning stays training-free on the serving path.
 func ObjectiveReplan(obj sim.Objective) sim.ReplanFunc {
 	if sim.IsLatencyObjective(obj) {
 		return BalancedReplan
@@ -92,22 +67,17 @@ func ObjectiveReplan(obj sim.Objective) sim.ReplanFunc {
 		if err != nil {
 			return nil, err
 		}
-		stage, err := StageSubset(env, old.Boundaries, alive)
+		stage, err := strategy.Lift(env.Model, strategy.Stage(env.Model, old.Boundaries, strategy.CountAlive(alive)), alive)
 		if err != nil {
 			return nil, err
 		}
-		balScore, err := obj.Score(env, bal, 0)
-		if err != nil {
-			return nil, err
+		var best sim.Best
+		for _, s := range []*strategy.Strategy{bal, stage} {
+			if err := best.Consider(env, obj, s); err != nil {
+				return nil, err
+			}
 		}
-		stageScore, err := obj.Score(env, stage, 0)
-		if err != nil {
-			return nil, err
-		}
-		if stageScore < balScore {
-			return stage, nil
-		}
-		return bal, nil
+		return best.Strategy, nil
 	}
 }
 

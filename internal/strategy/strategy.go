@@ -223,3 +223,15 @@ func AllOnProviderInto(dst []int, h, provider int) []int {
 	}
 	return dst
 }
+
+// Stage builds the stage-pipelined layout over n providers: volume v of
+// the given boundaries runs entirely on provider v mod n, so a filled
+// admission window pays only the slowest stage per image instead of the
+// sum. The strategy shares boundaries with the caller.
+func Stage(m *cnn.Model, boundaries []int, n int) *Strategy {
+	s := &Strategy{Boundaries: boundaries}
+	for v := 0; v+1 < len(boundaries); v++ {
+		s.Splits = append(s.Splits, AllOnProvider(VolumeHeight(m, boundaries, v), n, v%n))
+	}
+	return s
+}
