@@ -450,12 +450,13 @@ func runFig(w io.Writer, fig string, b experiments.Budget, reps int, windows []i
 
 // planner benchmarks the planner-as-a-service path: the same fleet corpus
 // is planned cold (empty cache, full search), re-planned exact (every fleet
-// a signature hit) and then neighbour fleets are planned warm (each search
-// seeded from its nearest cached corpus plan, on half the episode budget).
-// Each phase is wall-clocked into a plans/sec figure; the warm rows also
-// carry a full-budget cold reference so the quality delta of warm-starting
-// is visible (score/cold <= 1.00 means the half-budget warm search matched
-// or beat the full cold one).
+// a signature hit) and then neighbour fleets are planned warm (each seeded
+// from its nearest cached corpus plan: below -budget full a re-score of the
+// seed and OSDS's warm-start candidates, otherwise a search on half the
+// episode budget). Each phase is wall-clocked into a plans/sec figure; the
+// warm rows also carry a full-budget cold reference so the quality delta
+// of warm-starting is visible (score/cold <= 1.00 means the warm plan
+// matched or beat the full cold one).
 func planner(w io.Writer, b experiments.Budget) error {
 	header(w, "Planner — plan-cache service: cold vs exact-hit vs warm-start plans/sec")
 	sweep := experiments.NewPlannerSweep(b)

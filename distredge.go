@@ -258,7 +258,9 @@ func methodName(obj sim.Objective) string {
 // budget, α and seed — see internal/plancache). Share one across PlanCached
 // calls and deployments: a repeat request for a fleet the cache has seen
 // returns in microseconds instead of re-running the OSDS search, and a
-// near-miss fleet warm-starts its search from the nearest cached plan.
+// near-miss fleet plans from the nearest cached plan: below EffortFull it
+// re-scores that plan and OSDS's warm-start candidates without training an
+// agent, at EffortFull and above it warm-starts a half-budget search.
 // The cache also remembers the LC-PSS boundaries of the plannings it ran,
 // which depend on the model and the provider count only, so the fleets of
 // one model and size partition the model once per cache.

@@ -74,7 +74,7 @@ func TestRequestPlanConcurrentSearchesDeterministic(t *testing.T) {
 	sets := [][]int{lcp, init.Boundaries, stage}
 	search := func(procs int, sets [][]int) ([]*splitter.Result, error) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		return searchBoundarySets(env, sets, cfg)
+		return searchBoundarySets(env, sets, cfg, splitter.Search)
 	}
 	results, err := search(4, sets)
 	if err != nil {

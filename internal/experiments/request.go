@@ -119,8 +119,14 @@ func (r Request) Trainer(env *sim.Env) (*splitter.Trainer, error) {
 // episode 0), the seed's own volume boundaries join the boundary sets
 // searched, and the seed itself is ranked as a candidate — so the returned
 // plan never scores worse than the seed under the objective. Because the
-// seed anchors the search, warm-started searches run on half the episode
-// budget: that is where the plan cache's warm-start throughput win comes
+// seed anchors the search, a warm-started request searches on half the
+// episode budget, and below Full's episode count it does not train at all:
+// splitter.Rescore plays only that half-budget search's warm-start
+// schedule (the seed's splits, the stage layout under a throughput
+// objective, the four heuristic families) and builds no agent. At tiny and
+// quick effort the training after the schedule never beat it on the
+// plan-mix corpus; at full it sometimes does, so full and paper keep the
+// search. That is where the plan cache's warm-start throughput win comes
 // from (measured by BenchmarkPlannerService and the `distbench -fig
 // planner` sweep).
 func (r Request) Plan(env *sim.Env, init *strategy.Strategy, memo *partition.Memo) (*strategy.Strategy, error) {
@@ -150,14 +156,18 @@ func (r Request) Plan(env *sim.Env, init *strategy.Strategy, memo *partition.Mem
 	var best sim.Best
 	cfg := osdsConfig(b, n)
 	cfg.Objective = obj
+	search := splitter.Search
 	if init != nil {
 		if err := best.Consider(env, obj, init); err != nil {
 			return nil, err
 		}
 		cfg.Episodes = (b.Episodes + 1) / 2
 		cfg.InitSplits = init.Splits
+		if b.Episodes < Full().Episodes {
+			search = splitter.Rescore
+		}
 	}
-	results, err := searchBoundarySets(env, boundarySets, cfg)
+	results, err := searchBoundarySets(env, boundarySets, cfg, search)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: OSDS (%s): %w", sim.DefaultObjective(obj).Name(), err)
 	}
@@ -174,16 +184,17 @@ func (r Request) Plan(env *sim.Env, init *strategy.Strategy, memo *partition.Mem
 	return best.Strategy, nil
 }
 
-// searchBoundarySets runs one OSDS search per boundary set, on as many
-// goroutines as GOMAXPROCS allows, and returns the results in boundary-set
-// order or the error of the lowest-index set that failed. Each search owns
-// its agent and seed and the env's caches are safe to share, so every
-// result is the one a serial search returns: the plan stays a pure
-// function of the seed on any core count.
-func searchBoundarySets(env *sim.Env, sets [][]int, cfg splitter.Config) ([]*splitter.Result, error) {
+// searchBoundarySets runs search (splitter.Search or splitter.Rescore) once
+// per boundary set, on as many goroutines as GOMAXPROCS allows, and
+// returns the results in boundary-set order or the error of the
+// lowest-index set that failed. Each search owns its trainer, agent and
+// seed and the env's caches are safe to share, so every result is the one
+// a serial search returns: the plan stays a pure function of the seed on
+// any core count.
+func searchBoundarySets(env *sim.Env, sets [][]int, cfg splitter.Config, search func(*sim.Env, []int, splitter.Config) (*splitter.Result, error)) ([]*splitter.Result, error) {
 	results := make([]*splitter.Result, len(sets))
 	err := runIndexed(len(sets), runtime.GOMAXPROCS(0), func(i int) error {
-		res, err := splitter.Search(env, sets[i], cfg)
+		res, err := search(env, sets[i], cfg)
 		results[i] = res
 		return err
 	})

@@ -2,7 +2,13 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+
+	"distredge/internal/cnn"
+	"distredge/internal/sim"
+	"distredge/internal/splitter"
+	"distredge/internal/strategy"
 )
 
 // TestRequestIDCoversEveryBudgetField perturbs each Budget field (the seed
@@ -49,5 +55,74 @@ func TestRequestIDCoversEveryBudgetField(t *testing.T) {
 	req.Alpha = 0.3
 	if reflect.DeepEqual(req.ID(), id) {
 		t.Error("perturbing α leaves the ID unmoved")
+	}
+}
+
+// TestRequestPlanWarmRescoresBelowFull: a warm-started request runs
+// splitter.Rescore on its boundary sets below Full's episode count and
+// splitter.Search at or above it, on the same half budget either way (499
+// and 500 episodes both halve to 250). The expected plans rank the seed,
+// then each boundary set's result and stage anchor, through sim.Best, as
+// Plan does. The IPS fleet is one where the training after the warm-start
+// schedule moves the plan, so the two rules are told apart.
+func TestRequestPlanWarmRescoresBelowFull(t *testing.T) {
+	obj := sim.ThroughputObjective{Window: 4}
+	donor := DeviceGroups()[0].Spec(cnn.VGG16(), 200, 1).Env()
+	env := DeviceGroups()[0].Spec(cnn.VGG16(), 300, 1).Env()
+	n := env.NumProviders()
+	b := Budget{Episodes: Full().Episodes, Hidden: []int{16, 16}, Batch: 16, RandomSplits: 20, Seed: 1}
+	init, err := Request{Budget: Tiny(), Alpha: 0.75, Objective: obj}.Plan(donor, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lcp, err := LCPSS(env, b, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sets [][]int
+	for _, set := range [][]int{lcp, init.Boundaries, StageBoundaries(env.Model, n)} {
+		if !slices.ContainsFunc(sets, func(have []int) bool { return slices.Equal(have, set) }) {
+			sets = append(sets, set)
+		}
+	}
+	plan := func(search func(*sim.Env, []int, splitter.Config) (*splitter.Result, error)) *strategy.Strategy {
+		t.Helper()
+		var best sim.Best
+		consider := func(s *strategy.Strategy) {
+			if err := best.Consider(env, obj, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		consider(init)
+		cfg := osdsConfig(b, n)
+		cfg.Objective, cfg.Episodes, cfg.InitSplits = obj, (b.Episodes+1)/2, init.Splits
+		for _, set := range sets {
+			res, err := search(env, set, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			consider(res.Strategy)
+			consider(strategy.Stage(env.Model, set, n))
+		}
+		return best.Strategy
+	}
+	rescored, searched := plan(splitter.Rescore), plan(splitter.Search)
+	if reflect.DeepEqual(rescored, searched) {
+		t.Fatal("the re-score and the search plan the same strategy here: pick a fleet where training moves the plan")
+	}
+	for _, c := range []struct {
+		episodes int
+		want     *strategy.Strategy
+		rule     string
+	}{{Full().Episodes - 1, rescored, "a re-score"}, {Full().Episodes, searched, "a search"}} {
+		req := Request{Budget: b, Alpha: 0.75, Objective: obj}
+		req.Budget.Episodes = c.episodes
+		got, err := req.Plan(env, init, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("a warm request at %d episodes plans %v, want %s's %v", c.episodes, got.Splits, c.rule, c.want.Splits)
+		}
 	}
 }

@@ -16,7 +16,8 @@ func benchEnv(bw float64) *sim.Env {
 // BenchmarkPlannerService measures plans/sec through the planner service in
 // its three regimes: cold (empty cache, full LC-PSS + OSDS search), exact
 // (recurring fleet signature, pure cache retrieval) and warm (near-miss
-// signature, half-budget search seeded from the nearest cached neighbour).
+// signature, seeded from the nearest cached neighbour: at this tiny budget
+// a re-score of the seed and OSDS's warm-start candidates).
 // BENCH_baseline.json records the headline ratios.
 func BenchmarkPlannerService(b *testing.B) {
 	bud := experiments.Tiny()

@@ -12,7 +12,7 @@ const DefaultCapacity = 256
 
 // Stats are the cache's monotonic counters. Hits counts exact-signature
 // retrievals, Misses failed ones; WarmHits counts misses that found a
-// nearest-neighbour seed and went on to warm-start a search (so a warm hit
+// nearest-neighbour seed and planned warm-started from it (so a warm hit
 // is always also counted as a miss); Evictions counts LRU displacements.
 type Stats struct {
 	Hits      uint64

@@ -174,8 +174,8 @@ func (c *Cache) planMiss(env *sim.Env, obj sim.Objective, sig Signature, key str
 	if init != nil {
 		outcome = OutcomeWarm
 		// A warm-started plan never scores worse than its seed split: when
-		// the shortened search fails to match the seed, the seed itself is
-		// the plan. A seed that fails to score is ignored.
+		// the planner's warm plan fails to match the seed, the seed itself
+		// is the plan. A seed that fails to score is ignored.
 		_ = best.Consider(env, obj, init)
 	}
 	// Hand out the cache-resident clone, so every path (hit or miss)

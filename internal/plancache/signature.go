@@ -276,7 +276,7 @@ const spreadWeight = 4
 //   - the requester links contribute their bucket deltas like a matched pair.
 //
 // Lower is closer; the nearest cached neighbour under this distance seeds
-// the warm-started search.
+// the warm-started plan.
 func Distance(a, b Signature) float64 {
 	if a.Model != b.Model || a.Objective != b.Objective || !a.Planner.equal(b.Planner) {
 		return math.Inf(1)

@@ -89,5 +89,5 @@ func (e *Env) Subset(alive []bool) (*Env, []int, error) {
 		return nil, nil, fmt.Errorf("sim: subset with no alive providers")
 	}
 	net := &network.Network{Providers: links, Requester: e.Net.Requester}
-	return &Env{Model: e.Model, Devices: devs, Net: net, NoCache: e.NoCache}, idx, nil
+	return &Env{Model: e.Model, Devices: devs, Net: net}, idx, nil
 }

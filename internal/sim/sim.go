@@ -43,11 +43,6 @@ type Env struct {
 	Devices []device.LatencyModel
 	Net     *network.Network
 
-	// NoCache disables the device-latency memo cache. Cached values are
-	// bit-identical to direct evaluation; the switch exists for
-	// differential tests and memory-constrained callers.
-	NoCache bool
-
 	mu       sync.Mutex
 	devCache *device.Cache                        // guarded by mu
 	plans    map[*strategy.Strategy]*CompiledPlan // guarded by mu
@@ -57,7 +52,7 @@ type Env struct {
 // by the given latency models (e.g. measured profiles for planning). The
 // copy starts with fresh latency caches.
 func (e *Env) WithDevices(models []device.LatencyModel) *Env {
-	return &Env{Model: e.Model, Devices: models, Net: e.Net, NoCache: e.NoCache}
+	return &Env{Model: e.Model, Devices: models, Net: e.Net}
 }
 
 // NumProviders returns the number of service providers in the environment.
@@ -67,9 +62,6 @@ func (e *Env) NumProviders() int { return len(e.Devices) }
 // rows `out` of the layer-volume, memoized per (provider, volume, range) —
 // the hot lookup of both OSDS training and plan compilation.
 func (e *Env) VolumeLatency(i int, layers []cnn.Layer, out cnn.RowRange) float64 {
-	if e.NoCache {
-		return device.VolumeLatency(e.Devices[i], layers, out)
-	}
 	e.mu.Lock()
 	c := e.devCache
 	if c == nil {

@@ -135,6 +135,12 @@ var trainers sync.Pool // of *Trainer
 // NewTrainer builds a trainer for splitting the given partition scheme on
 // the environment.
 func NewTrainer(env *sim.Env, boundaries []int, cfg Config) (*Trainer, error) {
+	return newTrainer(env, boundaries, cfg, true)
+}
+
+// newTrainer is NewTrainer; without learn it builds no agent, and the
+// trainer plays its warm-start schedule only (see Rescore).
+func newTrainer(env *sim.Env, boundaries []int, cfg Config, learn bool) (*Trainer, error) {
 	cfg = cfg.withDefaults()
 	n := env.NumProviders()
 	if n < 2 {
@@ -143,14 +149,18 @@ func NewTrainer(env *sim.Env, boundaries []int, cfg Config) (*Trainer, error) {
 	if len(boundaries) < 2 {
 		return nil, fmt.Errorf("splitter: invalid boundaries %v", boundaries)
 	}
-	agent, err := rl.New(rl.Config{
-		StateDim:  n + 4,
-		ActionDim: n - 1,
-		Hidden:    cfg.Hidden,
-		Seed:      cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
+	var agent *rl.Agent
+	if learn {
+		var err error
+		agent, err = rl.New(rl.Config{
+			StateDim:  n + 4,
+			ActionDim: n - 1,
+			Hidden:    cfg.Hidden,
+			Seed:      cfg.Seed,
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	t, _ := trainers.Get().(*Trainer)
 	if t == nil {
@@ -186,11 +196,13 @@ func NewTrainer(env *sim.Env, boundaries []int, cfg Config) (*Trainer, error) {
 	return t, nil
 }
 
-// release hands the trainer and its agent back for later searches to
-// reuse. Only a one-shot Search releases its trainer: one kept alive for
-// Finetune never is.
+// release hands the trainer and its agent, if it has one, back for later
+// searches to reuse. Only a one-shot Search or Rescore releases its
+// trainer: one kept alive for Finetune never is.
 func (t *Trainer) release() {
-	t.agent.Release()
+	if t.agent != nil {
+		t.agent.Release()
+	}
 	t.env, t.boundaries, t.cfg, t.obj, t.agent, t.best = nil, nil, Config{}, nil, nil, nil
 	t.strat.Boundaries, t.bestCopy.Boundaries = nil, nil
 	trainers.Put(t)
@@ -557,6 +569,9 @@ func (t *Trainer) runEpisode(eps float64, warmKind int) (float64, *strategy.Stra
 	if err != nil || score <= 0 || math.IsInf(score, 0) {
 		return math.Inf(1), nil
 	}
+	if t.agent == nil { // a re-score learns nothing
+		return score, &t.strat
+	}
 	// Rewards: 0 for intermediate steps, 1/T at the terminal step (Eq. 8,
 	// with T the objective score), scaled so typical returns are O(1).
 	for v := 0; v < numVol; v++ {
@@ -621,11 +636,15 @@ func (t *Trainer) Finetune(env *sim.Env, episodes int) *Result {
 }
 
 // train plays episodes episodes (Alg. 2's outer loop), the warm-start
-// schedule first, and books each one. A first run decays ε from 1 to a
-// 0.05 floor over 85 % of the configured episodes; a finetune explores at
-// a fixed ε of 0.3 and keeps at least one warm episode.
+// schedule first, and books each one; a trainer without an agent stops
+// after the schedule. A first run decays ε from 1 to a 0.05 floor over
+// 85 % of the configured episodes; a finetune explores at a fixed ε of 0.3
+// and keeps at least one warm episode.
 func (t *Trainer) train(episodes int, finetune bool) *Result {
 	t.sched = warmSchedule(t.sched, t.cfg, episodes, finetune)
+	if t.agent == nil {
+		episodes = len(t.sched)
+	}
 	t.hist = slices.Grow(t.hist, episodes)
 	slope := 1 / (0.85 * float64(t.cfg.Episodes))
 	for ep := 0; ep < episodes; ep++ {
@@ -646,7 +665,24 @@ func (t *Trainer) train(episodes int, finetune bool) *Result {
 // Search is the one-shot convenience API: train a fresh agent and return
 // the best strategy found (Algorithm 2 end-to-end).
 func Search(env *sim.Env, boundaries []int, cfg Config) (*Result, error) {
-	tr, err := NewTrainer(env, boundaries, cfg)
+	return search(env, boundaries, cfg, true)
+}
+
+// Rescore is Search stopped after its warm-start schedule: it plays the
+// first len(warmSchedule) episodes of Search(env, boundaries, cfg) — the
+// same candidates, trace instants, noise draws and best-strategy tracker,
+// so its per-episode scores are the first ones of Search's, bit for bit —
+// and builds no agent, adds no transition and runs no update. It returns
+// Search's strategy whenever Search kept one of those episodes. A search
+// without WarmStart has no schedule, so Rescore finds no strategy.
+func Rescore(env *sim.Env, boundaries []int, cfg Config) (*Result, error) {
+	return search(env, boundaries, cfg, false)
+}
+
+// search runs one pooled trainer (with an agent when learn) to the end and
+// releases it.
+func search(env *sim.Env, boundaries []int, cfg Config, learn bool) (*Result, error) {
+	tr, err := newTrainer(env, boundaries, cfg, learn)
 	if err != nil {
 		return nil, err
 	}
