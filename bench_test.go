@@ -6,6 +6,7 @@
 package distredge
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -341,14 +342,27 @@ func BenchmarkPipelineStreamBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkLCPSS measures a full partition search on VGG-16.
+// BenchmarkLCPSS measures a full partition search for each (model,
+// provider count) a plan-mix pass plans, at the quick budget's 50 random
+// splits.
 func BenchmarkLCPSS(b *testing.B) {
-	m := cnn.VGG16()
-	for i := 0; i < b.N; i++ {
-		if _, err := partition.Search(m, partition.Config{
-			Alpha: 0.75, NumRandomSplits: 100, Providers: 4, Seed: 1,
-		}); err != nil {
-			b.Fatal(err)
+	for _, key := range []struct {
+		model     *cnn.Model
+		providers []int
+	}{
+		{cnn.VGG16(), []int{4, 5}}, {cnn.ResNet50(), []int{5, 6}},
+		{cnn.YOLOv2(), []int{4, 6}}, {cnn.InceptionV3(), []int{4, 5}},
+	} {
+		for _, n := range key.providers {
+			cfg := partition.Config{Alpha: 0.75, NumRandomSplits: 50, Providers: n, Seed: 1}
+			b.Run(fmt.Sprintf("%s/%d", key.model.Name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := partition.Search(key.model, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

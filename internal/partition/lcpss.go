@@ -11,7 +11,6 @@ package partition
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -43,8 +42,8 @@ func (c Config) withDefaults() Config {
 
 // searcher carries the per-search state: the splittable layers' row
 // scalars, the random split-decision fraction vectors (reused across
-// candidate schemes, as the paper reuses R^r_s) and memoised per-volume
-// score components.
+// candidate schemes, as the paper reuses R^r_s) and the memoised score of
+// every layer-volume.
 type searcher struct {
 	layers      []layerRows
 	gatherBytes float64 // output bytes of the last splittable layer
@@ -60,13 +59,19 @@ type searcher struct {
 	oneVolBytes float64
 	kappa       float64
 
-	opsMemo   map[[2]int]float64
-	crossMemo map[[2]int]float64
-	inMemo    map[[2]int]float64
+	// memo[a*(len(layers)+1)+b] is volume [a,b)'s score once volume has
+	// computed it.
+	memo []volumeScore
 
-	// parts and prevParts are the per-provider interval scratch of the
-	// scorers, filled by partIntervals for every fraction vector.
+	// parts and prevParts are volume's per-provider interval scratch,
+	// filled by partIntervals for every fraction vector.
 	parts, prevParts []interval
+}
+
+// volumeScore is one layer-volume's mean operations and inbound bytes.
+type volumeScore struct {
+	ops, trans float64
+	scored     bool
 }
 
 // Search runs LC-PSS and returns the partition boundaries (ascending layer
@@ -85,9 +90,11 @@ func Search(m *cnn.Model, cfg Config) ([]int, error) {
 	}
 	s := newSearcher(m, cfg)
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	k := cfg.Providers - 1
+	fracs := make([]float64, cfg.NumRandomSplits*k)
 	s.fracs = make([][]float64, cfg.NumRandomSplits)
 	for i := range s.fracs {
-		f := make([]float64, cfg.Providers-1)
+		f := fracs[i*k : (i+1)*k : (i+1)*k]
 		for j := range f {
 			f[j] = rng.Float64()
 		}
@@ -98,6 +105,10 @@ func Search(m *cnn.Model, cfg Config) ([]int, error) {
 	if s.oneVolOps <= 0 || s.oneVolBytes <= 0 {
 		return nil, fmt.Errorf("partition: degenerate normaliser for %q", m.Name)
 	}
+	// rp, rStar and cand are the scheme, the scheme being grown and the
+	// candidate scheme: at most n+1 boundaries each, in one backing array.
+	buf := make([]int, 3*(n+1))
+	rp, rStar, cand := buf[:0:n+1], buf[n+1:n+1:2*(n+1)], buf[2*(n+1):2*(n+1)]
 	// Equalise the dynamic ranges of the two terms across the coarsest
 	// (one volume) and finest (layer-by-layer) schemes, so α compares them
 	// on equal footing for *this* model. The paper leaves its normalisation
@@ -105,11 +116,10 @@ func Search(m *cnn.Model, cfg Config) ([]int, error) {
 	// filters, many layers) or tiny activations would see one term drown
 	// the other. κ rescales only T, so the α=0 and α=1 extremes keep their
 	// argmin.
-	lbl := make([]int, n+1)
-	for i := range lbl {
-		lbl[i] = i
+	for i := 0; i <= n; i++ {
+		cand = append(cand, i)
 	}
-	lblOps, lblTrans := s.rawScore(lbl)
+	lblOps, lblTrans := s.rawScore(cand)
 	oRange := 1 - lblOps/s.oneVolOps
 	tRange := lblTrans/s.oneVolBytes - 1
 	s.kappa = 1
@@ -121,44 +131,46 @@ func Search(m *cnn.Model, cfg Config) ([]int, error) {
 	}
 
 	// Algorithm 1: start with {0, n}; each loop tries to insert one optimal
-	// location per existing segment. A candidate equal to an existing
-	// boundary is the no-op choice; the loop stops when nothing new joins.
-	rp := []int{0, n}
+	// location per existing segment, and stops when nothing new joins.
+	rp = append(rp, 0, n)
 	for {
-		rStar := append([]int(nil), rp...)
+		rStar = append(rStar[:0], rp...)
 		for i := 0; i+1 < len(rp); i++ {
 			bestC := s.score(rStar)
 			bestJ := -1
 			for j := rp[i] + 1; j < rp[i+1]; j++ {
-				cand := insertSorted(rStar, j)
+				cand = insertSorted(cand, rStar, j)
 				if c := s.score(cand); c < bestC {
 					bestC = c
 					bestJ = j
 				}
 			}
 			if bestJ >= 0 {
-				rStar = insertSorted(rStar, bestJ)
+				cand = insertSorted(cand, rStar, bestJ)
+				rStar, cand = cand, rStar
 			}
 		}
 		if len(rStar) == len(rp) {
 			break
 		}
-		rp = rStar
+		rp, rStar = rStar, rp
 	}
 	return rp, nil
 }
 
-// newSearcher returns a searcher over m's splittable layers with empty
-// memos and no fraction vectors.
+// newSearcher returns a searcher over m's splittable layers with an empty
+// memo and no fraction vectors.
 func newSearcher(m *cnn.Model, cfg Config) *searcher {
 	layers := m.SplittableLayers()
+	n, p := len(layers), cfg.Providers
+	parts := make([]interval, 2*p)
 	s := &searcher{
-		layers:      make([]layerRows, len(layers)),
-		gatherBytes: layers[len(layers)-1].OutputBytes(),
+		layers:      make([]layerRows, n),
+		gatherBytes: layers[n-1].OutputBytes(),
 		cfg:         cfg,
-		opsMemo:     make(map[[2]int]float64),
-		crossMemo:   make(map[[2]int]float64),
-		inMemo:      make(map[[2]int]float64),
+		memo:        make([]volumeScore, (n+1)*(n+1)),
+		parts:       parts[:0:p],
+		prevParts:   parts[p:p],
 	}
 	for i, l := range layers {
 		s.layers[i] = rowsOf(l)
@@ -166,9 +178,11 @@ func newSearcher(m *cnn.Model, cfg Config) *searcher {
 	return s
 }
 
-// insertSorted returns a copy of b with v inserted in order (no duplicates).
-func insertSorted(b []int, v int) []int {
-	out := make([]int, 0, len(b)+1)
+// insertSorted writes b with v inserted in order (no duplicates) into dst's
+// storage, which grows only when it is short, and returns it. dst must not
+// share b's storage.
+func insertSorted(dst, b []int, v int) []int {
+	out := dst[:0]
 	done := false
 	for _, x := range b {
 		if !done && v < x {
@@ -187,17 +201,12 @@ func insertSorted(b []int, v int) []int {
 }
 
 // rawScore returns the mean total operations and transmitted bytes of a
-// partition scheme over the random split decisions.
+// partition scheme (boundaries from 0) over the random split decisions.
 func (s *searcher) rawScore(boundaries []int) (ops, trans float64) {
 	for v := 0; v+1 < len(boundaries); v++ {
-		a, b := boundaries[v], boundaries[v+1]
-		ops += s.volumeOps(a, b)
-		if v == 0 {
-			// Requester scatters each part's (halo-duplicated) input rows.
-			trans += s.scatterBytes(a, b)
-		} else {
-			trans += s.crossBytes(a, b)
-		}
+		o, t := s.volume(boundaries[v], boundaries[v+1])
+		ops += o
+		trans += t
 	}
 	// Result gather from the last volume.
 	trans += s.gatherBytes
@@ -234,7 +243,7 @@ func (iv interval) len() float64 {
 }
 
 func (iv interval) intersect(o interval) float64 {
-	lo, hi := math.Max(iv.Lo, o.Lo), math.Min(iv.Hi, o.Hi)
+	lo, hi := max(iv.Lo, o.Lo), min(iv.Hi, o.Hi)
 	if hi <= lo {
 		return 0
 	}
@@ -259,14 +268,21 @@ func rowsOf(l cnn.Layer) layerRows {
 }
 
 // inputInterval propagates an output interval backwards through one layer.
+// The clamps are branches, which keep volume's propagation chain short:
+// lo <= 0 takes -0 to +0 and leaves NaN, exactly as max(lo, 0) does, and
+// hi > l.hin is min(hi, l.hin) for a height that is neither NaN nor -0.
 func inputInterval(l *layerRows, out interval) interval {
 	if out.len() == 0 {
 		return interval{}
 	}
 	lo := float64(out.Lo*l.s) - l.p
 	hi := float64(out.Hi*l.s) + l.fs - l.p
-	lo = math.Max(lo, 0)
-	hi = math.Min(hi, l.hin)
+	if lo <= 0 {
+		lo = 0
+	}
+	if hi > l.hin {
+		hi = l.hin
+	}
 	if hi < lo {
 		hi = lo
 	}
@@ -292,95 +308,50 @@ func partIntervals(dst []interval, frac []float64, h float64, providers int) []i
 	return parts
 }
 
-// volumeOps returns the mean total operations of volume [a,b) over the
-// random split decisions, including (fractional) halo recompute.
-func (s *searcher) volumeOps(a, b int) float64 {
-	key := [2]int{a, b}
-	if v, ok := s.opsMemo[key]; ok {
-		return v
-	}
-	layers := s.layers[a:b]
-	h := layers[len(layers)-1].outH
-	var sum float64
-	for _, frac := range s.fracs {
-		s.parts = partIntervals(s.parts, frac, h, s.cfg.Providers)
-		for _, part := range s.parts {
-			cur := part
-			for i := len(layers) - 1; i >= 0; i-- {
-				sum += float64(layers[i].opsRow * cur.len())
-				cur = inputInterval(&layers[i], cur)
-			}
-		}
-	}
-	v := sum / float64(len(s.fracs))
-	s.opsMemo[key] = v
-	return v
-}
-
-// volumeInputInterval propagates a part's output interval to the volume's
-// input tensor.
-func volumeInputInterval(layers []layerRows, part interval) interval {
-	cur := part
-	for i := len(layers) - 1; i >= 0; i-- {
-		cur = inputInterval(&layers[i], cur)
-	}
-	return cur
-}
-
-// scatterBytes returns the mean bytes the requester must send so every part
-// of volume [a,b) has its input rows; halo overlap between parts is sent
-// once per receiving device, so long volumes pay duplicated input traffic.
-func (s *searcher) scatterBytes(a, b int) float64 {
-	key := [2]int{a, b}
-	if v, ok := s.inMemo[key]; ok {
-		return v
+// volume returns the mean total operations of volume [a,b) over the random
+// split decisions, (fractional) halo recompute included, and the mean bytes
+// the volume receives. The first volume (a == 0) receives what the requester
+// scatters: every part's input rows, halo overlap sent once per receiving
+// device, so long volumes pay duplicated input traffic. Any later volume
+// receives the bytes crossing the boundary into it: each part pulls its
+// input rows from the parts of the previous volume that own them (the
+// previous volume's output is the full height of layer a-1, split by the
+// same fraction vector). Each part's rows are propagated back through the
+// volume once, for both sums.
+func (s *searcher) volume(a, b int) (ops, trans float64) {
+	memo := &s.memo[a*(len(s.layers)+1)+b]
+	if memo.scored {
+		return memo.ops, memo.trans
 	}
 	layers := s.layers[a:b]
 	h := layers[len(layers)-1].outH
 	rowBytes := layers[0].inRowBytes
-	var sum float64
 	for _, frac := range s.fracs {
 		s.parts = partIntervals(s.parts, frac, h, s.cfg.Providers)
-		for _, part := range s.parts {
-			sum += float64(volumeInputInterval(layers, part).len() * rowBytes)
+		if a > 0 {
+			s.prevParts = partIntervals(s.prevParts, frac, s.layers[a-1].outH, s.cfg.Providers)
 		}
-	}
-	v := sum / float64(len(s.fracs))
-	s.inMemo[key] = v
-	return v
-}
-
-// crossBytes returns the mean bytes crossing the boundary *into* volume
-// [a,b): each receiving part pulls its input rows from the parts of the
-// previous volume that own them (the previous volume's output is the full
-// height of layer a-1, split by the same fraction vector).
-func (s *searcher) crossBytes(a, b int) float64 {
-	key := [2]int{a, b}
-	if v, ok := s.crossMemo[key]; ok {
-		return v
-	}
-	layers := s.layers[a:b]
-	h := layers[len(layers)-1].outH
-	prevH := s.layers[a-1].outH
-	rowBytes := layers[0].inRowBytes
-	var sum float64
-	for _, frac := range s.fracs {
-		s.parts = partIntervals(s.parts, frac, h, s.cfg.Providers)
-		s.prevParts = partIntervals(s.prevParts, frac, prevH, s.cfg.Providers)
 		for i, part := range s.parts {
-			in := volumeInputInterval(layers, part)
+			in := part
+			for l := len(layers) - 1; l >= 0; l-- {
+				ops += float64(layers[l].opsRow * in.len())
+				in = inputInterval(&layers[l], in)
+			}
+			if a == 0 {
+				trans += float64(in.len() * rowBytes)
+				continue
+			}
 			if in.len() == 0 {
 				continue
 			}
 			for j, own := range s.prevParts {
-				if j == i {
-					continue
+				if j != i {
+					trans += float64(in.intersect(own) * rowBytes)
 				}
-				sum += float64(in.intersect(own) * rowBytes)
 			}
 		}
 	}
-	v := sum / float64(len(s.fracs))
-	s.crossMemo[key] = v
-	return v
+	r := float64(len(s.fracs))
+	*memo = volumeScore{ops: ops / r, trans: trans / r, scored: true}
+	return memo.ops, memo.trans
 }

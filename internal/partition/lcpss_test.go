@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 
 	"distredge/internal/cnn"
@@ -99,23 +100,33 @@ func TestDefaults(t *testing.T) {
 
 func TestInsertSorted(t *testing.T) {
 	base := []int{0, 5, 10}
-	got := insertSorted(base, 7)
+	got := insertSorted(nil, base, 7)
 	want := []int{0, 5, 7, 10}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("insertSorted = %v, want %v", got, want)
 		}
 	}
-	if len(insertSorted(base, 5)) != 3 {
+	if len(insertSorted(nil, base, 5)) != 3 {
 		t.Error("inserting an existing boundary must be a no-op")
 	}
-	head := insertSorted([]int{5, 10}, 1)
+	head := insertSorted(nil, []int{5, 10}, 1)
 	if head[0] != 1 {
 		t.Errorf("insert at head broken: %v", head)
 	}
-	tail := insertSorted([]int{0, 5}, 9)
+	tail := insertSorted(nil, []int{0, 5}, 9)
 	if tail[2] != 9 {
 		t.Errorf("insert at tail broken: %v", tail)
+	}
+	// A candidate is built in the caller's buffer, which grows only when
+	// it is short.
+	buf := make([]int, 0, 4)
+	dst := buf
+	allocs := testing.AllocsPerRun(100, func() {
+		dst = insertSorted(dst, base, 7)
+	})
+	if allocs != 0 || !slices.Equal(dst, want) || &dst[0] != &buf[:1][0] {
+		t.Errorf("insertSorted into a 4-capacity buffer: %v, %v allocations", dst, allocs)
 	}
 }
 
@@ -131,16 +142,17 @@ func TestScoreComponentsBehave(t *testing.T) {
 	n := m.NumSplittable()
 	fine := []int{0, 4, 9, 13, n}
 
-	opsCoarse := s.volumeOps(0, n)
+	opsCoarse, _ := s.volume(0, n)
 	var opsFine float64
 	for i := 0; i+1 < len(fine); i++ {
-		opsFine += s.volumeOps(fine[i], fine[i+1])
+		ops, _ := s.volume(fine[i], fine[i+1])
+		opsFine += ops
 	}
 	if opsFine > opsCoarse {
 		t.Errorf("finer partition increased ops: %g > %g", opsFine, opsCoarse)
 	}
 
-	if s.crossBytes(9, 13) <= 0 {
+	if _, cross := s.volume(9, 13); cross <= 0 {
 		t.Error("interior boundary must cross bytes")
 	}
 	// Layer-by-layer must transmit far more than a coarse 3-volume scheme.
@@ -176,7 +188,7 @@ func TestPartIntervals(t *testing.T) {
 	}
 }
 
-// TestPartIntervalsReusesStorage checks that the scorers' per-fraction
+// TestPartIntervalsReusesStorage checks that volume's per-fraction
 // interval fill allocates nothing once the scratch slice has the capacity.
 func TestPartIntervalsReusesStorage(t *testing.T) {
 	frac := []float64{0.1, 0.4, 0.9}
@@ -233,6 +245,33 @@ func TestSearchAllZooModels(t *testing.T) {
 		}
 		if len(b) < 2 {
 			t.Errorf("%s: degenerate boundaries %v", name, b)
+		}
+	}
+}
+
+// TestLCPSSAllocs pins a search's allocations for each (model, provider
+// count) a plan-mix pass plans at the quick budget: the searcher's layers,
+// memo table and interval scratch, the fraction vectors in one backing
+// array, the scheme buffers and the random source (8 objects on amd64), but
+// nothing per candidate or per volume.
+func TestLCPSSAllocs(t *testing.T) {
+	for _, key := range []struct {
+		model     *cnn.Model
+		providers []int
+	}{
+		{cnn.VGG16(), []int{4, 5}}, {cnn.ResNet50(), []int{5, 6}},
+		{cnn.YOLOv2(), []int{4, 6}}, {cnn.InceptionV3(), []int{4, 5}},
+	} {
+		for _, n := range key.providers {
+			cfg := Config{Alpha: 0.75, NumRandomSplits: 50, Providers: n, Seed: 1}
+			allocs := testing.AllocsPerRun(2, func() {
+				if _, err := Search(key.model, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 12 {
+				t.Errorf("%s on %d providers: %.0f allocations per search, want <= 12", key.model.Name, n, allocs)
+			}
 		}
 	}
 }

@@ -23,6 +23,7 @@ const memoCapacity = 32
 type Memo struct {
 	mu       sync.Mutex
 	entries  map[string][]int // guarded by mu
+	key      []byte           // guarded by mu; the key being looked up or stored
 	searches int              // guarded by mu; searches run, errors included
 }
 
@@ -33,14 +34,17 @@ func NewMemo() *Memo {
 
 // Search is Search through the memo: a result for the same splittable
 // layers and Config is returned from the memo, anything else is searched
-// and, when it succeeds, remembered. Callers own the returned slice.
+// and, when it succeeds, remembered. Callers own the returned slice, the
+// one allocation of a hit: the key is built in the memo's buffer and a
+// string of it is made only to store a result.
 func (mm *Memo) Search(m *cnn.Model, cfg Config) ([]int, error) {
 	if mm == nil {
 		return Search(m, cfg)
 	}
-	key := memoKey(m, cfg.withDefaults())
+	cfg = cfg.withDefaults()
 	mm.mu.Lock()
-	b, ok := mm.entries[key]
+	mm.key = appendKey(mm.key[:0], m, cfg)
+	b, ok := mm.entries[string(mm.key)]
 	mm.mu.Unlock()
 	if ok {
 		return slices.Clone(b), nil
@@ -55,7 +59,9 @@ func (mm *Memo) Search(m *cnn.Model, cfg Config) ([]int, error) {
 	if len(mm.entries) == memoCapacity {
 		clear(mm.entries)
 	}
-	mm.entries[key] = slices.Clone(b)
+	// Another caller may have built its key in the buffer meanwhile.
+	mm.key = appendKey(mm.key[:0], m, cfg)
+	mm.entries[string(mm.key)] = slices.Clone(b)
 	return b, nil
 }
 
@@ -66,10 +72,11 @@ func (mm *Memo) Searches() int {
 	return mm.searches
 }
 
-// memoKey encodes everything Search reads: the geometry of every splittable
-// layer (not its name) and the Config with its defaults filled in.
-func memoKey(m *cnn.Model, cfg Config) string {
-	k := binary.LittleEndian.AppendUint64(nil, math.Float64bits(cfg.Alpha))
+// appendKey appends to k everything Search reads: the geometry of every
+// splittable layer (not its name) and the Config with its defaults filled
+// in.
+func appendKey(k []byte, m *cnn.Model, cfg Config) []byte {
+	k = binary.LittleEndian.AppendUint64(k, math.Float64bits(cfg.Alpha))
 	for _, v := range []int64{int64(cfg.NumRandomSplits), int64(cfg.Providers), cfg.Seed} {
 		k = binary.AppendVarint(k, v)
 	}
@@ -78,5 +85,5 @@ func memoKey(m *cnn.Model, cfg Config) string {
 			k = binary.AppendVarint(k, int64(v))
 		}
 	}
-	return string(k)
+	return k
 }

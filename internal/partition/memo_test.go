@@ -128,3 +128,23 @@ func TestMemoConcurrent(t *testing.T) {
 		t.Errorf("memo holds %d entries for four keys", n)
 	}
 }
+
+// TestMemoHitAllocs pins a hit to the caller's copy of the boundaries: the
+// key is built in the memo's buffer and looked up without a string.
+func TestMemoHitAllocs(t *testing.T) {
+	m := cnn.ResNet50()
+	mm := NewMemo()
+	cfg := Config{Alpha: 0.75, NumRandomSplits: 10, Providers: 5, Seed: 1}
+	want, err := mm.Search(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, err := mm.Search(m, cfg); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("hit answered %v, %v; want %v", got, err, want)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("a memo hit allocates %.0f objects, want 1 (the caller's copy)", allocs)
+	}
+}

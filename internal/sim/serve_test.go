@@ -405,6 +405,103 @@ func TestRecompileInPlace(t *testing.T) {
 	}
 }
 
+// TestRankRecompilesIdlePlan: ranking a strategy the env's plan memo does
+// not hold — the seed, a search result, a stage anchor — recompiles an idle
+// plan of another strategy in place instead of compiling a new one. On a
+// warmed env a fresh pointer's Latency and ips Score allocate what a memo
+// hit allocates and no more, and a plan recompiled over another strategy's
+// plan, of another shape included, scores exactly as a fresh Compile does,
+// alone and pipelined.
+func TestRankRecompilesIdlePlan(t *testing.T) {
+	types := []device.Type{device.Xavier, device.Nano, device.TX2, device.Nano}
+	env := testEnv(200, types...)
+	b := []int{0, 10, 14, 18}
+	stage := stageStrategy(env.Model, b, 4)
+	ips := ThroughputObjective{Window: 4, Batch: 2}
+	if _, err := Rank(env, ips, stage); err != nil {
+		t.Fatal(err)
+	}
+	latency := func(s *strategy.Strategy) {
+		if _, _, err := env.Latency(s, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	score := func(s *strategy.Strategy) {
+		if _, err := Rank(env, ips, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, eval := range map[string]func(*strategy.Strategy){"latency": latency, "ips": score} {
+		hit := testing.AllocsPerRun(10, func() { eval(stage) })
+		fresh := make([]*strategy.Strategy, 11)
+		for i := range fresh {
+			fresh[i] = stage.Clone()
+		}
+		i := 0
+		miss := testing.AllocsPerRun(10, func() {
+			eval(fresh[i])
+			i++
+		})
+		if miss != hit {
+			t.Errorf("%s: a new strategy pointer allocates %.0f objects, a memo hit %.0f", name, miss, hit)
+		}
+		stage = fresh[len(fresh)-1]
+	}
+
+	shapes := []*strategy.Strategy{
+		stage, equalSplitStrategy(env.Model, b, 4),
+		equalSplitStrategy(env.Model, []int{0, 5, 18}, 4), stageStrategy(env.Model, []int{0, 2, 7, 12, 16, 18}, 4),
+	}
+	cfg := PipelineConfig{Images: 24, Window: 4, Batch: 2}
+	for _, from := range shapes {
+		for _, to := range shapes {
+			env := testEnv(200, types...)
+			if _, err := env.PipelineStreamOpts(from, cfg); err != nil {
+				t.Fatal(err)
+			}
+			idle := env.plans[from]
+			s := to.Clone()
+			got, _, err := env.Latency(s, 1.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if env.plans[s] != idle || len(env.plans) != 1 {
+				t.Fatalf("%v after %v: the idle plan was not recompiled in place", to.Boundaries, from.Boundaries)
+			}
+			gotPipe, err := env.PipelineStreamOpts(s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotIPS, err := Rank(env, ips, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			p, err := Compile(testEnv(200, types...), to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := p.run(1.5)
+			fresh := testEnv(200, types...)
+			wantPipe, err := fresh.PipelineStreamOpts(to, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantIPS, err := Rank(testEnv(200, types...), ips, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(gotIPS) != math.Float64bits(wantIPS) {
+				t.Errorf("%v over %v: latency %v, ips score %v; fresh compile %v, %v",
+					to.Boundaries, from.Boundaries, got, gotIPS, want, wantIPS)
+			}
+			if !reflect.DeepEqual(gotPipe, wantPipe) {
+				t.Errorf("%v over %v: pipelined\n%+v\nfresh:\n%+v", to.Boundaries, from.Boundaries, gotPipe, wantPipe)
+			}
+		}
+	}
+}
+
 // fuzzScenario decodes a bounded scenario from fuzz bytes: every byte
 // stream maps to a valid one.
 func fuzzScenario(data []byte, providers int) (Scenario, int) {

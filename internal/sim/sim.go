@@ -84,19 +84,28 @@ func (e *Env) CacheStats() device.CacheStats {
 
 // checkoutPlan returns a compiled plan for the strategy, reusing the memoized
 // one when the strategy contents are unchanged and recompiling it in place
-// when they are not. The plan is removed from the memo while in use so
-// concurrent callers never share scratch buffers.
+// when they are not. A strategy the memo does not hold takes an idle plan of
+// another strategy and recompiles it in place, so ranking a fresh candidate
+// allocates only what its geometry needs beyond that plan's buffers; only an
+// empty memo compiles a new plan. The plan is removed from the memo while in
+// use so concurrent callers never share scratch buffers.
 func (e *Env) checkoutPlan(s *strategy.Strategy) (*CompiledPlan, error) {
 	e.mu.Lock()
 	p := e.plans[s]
+	if p == nil {
+		for _, idle := range e.plans {
+			p = idle
+			break
+		}
+	}
 	if p != nil {
-		delete(e.plans, s)
+		delete(e.plans, p.strat)
 	}
 	e.mu.Unlock()
 	switch {
 	case p == nil:
 		return Compile(e, s)
-	case p.matches(s):
+	case p.strat == s && p.matches(s):
 		return p, nil
 	}
 	if err := p.compile(s); err != nil {
