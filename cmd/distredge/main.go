@@ -98,7 +98,7 @@ func run(w io.Writer, args []string) error {
 	}
 	// The scenario the simulator predicts below and -deploy runs.
 	sc := sim.Scenario{Tenants: []sim.TenantSpec{{Images: *images}}, Window: *window, Batch: *batch, Events: events,
-		ChurnOptions: sim.ChurnOptions{Recover: !*noRecover, ReplanSec: experiments.ChurnReplanChargeSec}}
+		ChurnOptions: sim.ChurnOptions{ReplanSec: experiments.ChurnReplanChargeSec}}
 	if *tenantsSpec != "" {
 		if sc.Tenants, err = distredge.ParseTenants(*tenantsSpec); err != nil {
 			return err
@@ -118,24 +118,28 @@ func run(w io.Writer, args []string) error {
 		SLOP95MS:        *sloMS,
 	}
 	// The deployed fleet re-plans for the objective it serves, at the
-	// batching cap it serves with; the prediction re-plans as it does.
-	rtObj, err := distredge.RuntimeObjective(distredge.PlanConfig{
+	// batching cap it serves with, through the plan cache when there is
+	// one; the prediction re-plans as it does.
+	recoverCfg := distredge.PlanConfig{
 		Objective:       objective,
 		ObjectiveWindow: *objWindow,
 		ObjectiveBatch:  *batch,
 		SLOP95MS:        *sloMS,
-	})
+	}
+	rtObj, err := distredge.RuntimeObjective(recoverCfg)
 	if err != nil {
 		return err
 	}
+	sc.Replan = splitter.ObjectiveReplan(rtObj)
 	var planCache *distredge.PlanCache
 	if *planCacheCap > 0 {
 		planCache = distredge.NewPlanCache(*planCacheCap)
-		if sc.Replan, err = planCache.CachedReplan(planCfg); err != nil {
+		if sc.Replan, err = planCache.CachedReplan(recoverCfg); err != nil {
 			return err
 		}
-	} else {
-		sc.Replan = splitter.ObjectiveReplan(rtObj)
+	}
+	if *noRecover {
+		sc.Replan = nil
 	}
 	var plan *distredge.Plan
 	if *loadPath != "" {
@@ -208,7 +212,7 @@ func run(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		opts := runtime.Options{TimeScale: *timescale, BytesScale: *bytescale, Recover: sc.Recover, Replan: sc.Replan,
+		opts := runtime.Options{TimeScale: *timescale, BytesScale: *bytescale, Replan: sc.Replan,
 			HeartbeatInterval: *heartbeat, Batch: *batch}
 		if *trace {
 			opts.Transport = sys.ShapedTransportPostCodec(tr, opts)

@@ -112,3 +112,28 @@ func TestDeployRunsTheChurnScenario(t *testing.T) {
 		t.Errorf("sticky deployment, want a reported loss and no recovery:\n%s", rep)
 	}
 }
+
+// TestPlanCacheRecoversForTheServedBatch checks that -plancache changes
+// where a recovery re-plan comes from, not what it optimises: under
+// -objective ips the cached re-planner scores for the -batch the fleet
+// serves with, so the predicted churn line matches the uncached run's.
+func TestPlanCacheRecoversForTheServedBatch(t *testing.T) {
+	churnLine := func(args ...string) string {
+		var out bytes.Buffer
+		if err := run(&out, args); err != nil {
+			t.Fatalf("distredge %v: %v", args, err)
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "churn ") {
+				return line
+			}
+		}
+		t.Fatalf("distredge %v printed no churn line:\n%s", args, out.Bytes())
+		return ""
+	}
+	args := []string{"-seed", "1", "-effort", "tiny", "-objective", "ips", "-batch", "4", "-window", "4", "-churn", "drop:0@0.5"}
+	direct := churnLine(args...)
+	if cached := churnLine(append(args, "-plancache", "8")...); cached != direct {
+		t.Errorf("re-planned through the plan cache:\n%s\nwant the uncached re-plan's\n%s", cached, direct)
+	}
+}

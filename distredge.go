@@ -410,7 +410,7 @@ type PipelineReport struct {
 // tenant is a window of images kept in flight (Window 1 is Evaluate's
 // sequential protocol), several share the fleet under the admission
 // policy, and Events script the fleet's churn, re-planned over the
-// survivors by Replan under Recover. It is the twin of Cluster.Serve,
+// survivors by Replan when it is set. It is the twin of Cluster.Serve,
 // which runs the same Scenario value on a deployed fleet and reports it in
 // the same sim.ServeResult, in model time.
 func (s *System) Serve(p *Plan, sc sim.Scenario) (sim.ServeResult, error) {
@@ -474,7 +474,7 @@ func RuntimeObjective(cfg PlanConfig) (sim.Objective, error) {
 // Close the returned cluster when done. Cluster.Serve runs a sim.Scenario —
 // the value the simulator's Serve predicts — on the deployed fleet;
 // Cluster.Submit is the one-image call it is built on, safe for concurrent
-// callers (the gateway's backend). With opts.Recover, a dying
+// callers (the gateway's backend). With opts.Replan set, a dying
 // provider is quarantined and the strategy re-planned over the survivors
 // under every caller, instead of failing them.
 func (s *System) Deploy(p *Plan, opts runtime.Options) (*runtime.Cluster, error) {
@@ -526,8 +526,11 @@ func (s *System) Timeline(p *Plan) (string, error) {
 	return sim.RenderTimeline(events, total, 72), nil
 }
 
-// Finetuner exposes online adaptation (Section V-F): keep the trained OSDS
-// agent alive and refit when network conditions change.
+// Finetuner keeps a trained OSDS agent alive so it can be trained for more
+// episodes — the mechanism of Section V-F's online adaptation. It trains
+// against its System's environment, which New builds and nothing replaces,
+// so it does not observe a network change by itself;
+// experiments.Fig13DynamicLatency is the Section V-F experiment.
 type Finetuner struct {
 	trainer *splitter.Trainer
 	sys     *System
@@ -555,8 +558,11 @@ func (s *System) NewFinetuner(cfg PlanConfig) (*Finetuner, *Plan, error) {
 	return ft, &Plan{Method: ft.method, Strategy: res.Strategy}, nil
 }
 
-// Finetune adapts the agent to the system's current environment for a few
-// episodes and returns the refreshed plan.
+// Finetune trains the live agent for a few more episodes against the
+// system's environment — the same fleet and traces it was trained on —
+// with a fresh best-strategy tracker, and returns the best plan of those
+// episodes. It continues NewFinetuner's search; it does not re-plan for a
+// changed fleet.
 func (f *Finetuner) Finetune(episodes int) (*Plan, error) {
 	res := f.trainer.Finetune(f.sys.env, episodes)
 	if res.Strategy == nil {

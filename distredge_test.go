@@ -135,7 +135,10 @@ func TestDeployOverTCP(t *testing.T) {
 	}
 }
 
-func TestFinetunerAdaptsToDynamicNetwork(t *testing.T) {
+// TestFinetunerContinuesOnDynamicTraces: a finetuner trained on the
+// dynamic traces trains further episodes on the same environment and
+// returns a plan the system can evaluate.
+func TestFinetunerContinuesOnDynamicTraces(t *testing.T) {
 	sys, err := New("vgg16", []Provider{
 		{Type: "nano", BandwidthMbps: 100},
 		{Type: "nano", BandwidthMbps: 100},
@@ -381,7 +384,7 @@ func TestServeChurn(t *testing.T) {
 	}
 	failAt := 0.5 * float64(40) / base.IPS
 	sc.Events = []sim.ChurnEvent{{Kind: sim.DeviceDrop, Device: 0, At: failAt}}
-	sc.ChurnOptions = sim.ChurnOptions{Recover: true, ReplanSec: experiments.ChurnReplanChargeSec, Replan: splitter.BalancedReplan}
+	sc.ChurnOptions = sim.ChurnOptions{ReplanSec: experiments.ChurnReplanChargeSec, Replan: splitter.BalancedReplan}
 	on, err := sys.Serve(plan, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +392,7 @@ func TestServeChurn(t *testing.T) {
 	if on.Completed != 40 || on.Recoveries != 1 || on.FailedAtSec >= 0 {
 		t.Fatalf("recovered churn report wrong: %+v", on)
 	}
-	sc.Recover = false
+	sc.Replan = nil
 	off, err := sys.Serve(plan, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +462,7 @@ func TestPlanCachedHitAndChurnReplan(t *testing.T) {
 	rep, err := sys.Serve(cold, sim.Scenario{
 		Tenants: []sim.TenantSpec{{Images: 40}}, Window: 4, Batch: 1,
 		Events:       []sim.ChurnEvent{{Kind: sim.DeviceDrop, Device: 0, At: 0.2}},
-		ChurnOptions: sim.ChurnOptions{Recover: true, ReplanSec: experiments.ChurnReplanChargeSec, Replan: replan},
+		ChurnOptions: sim.ChurnOptions{ReplanSec: experiments.ChurnReplanChargeSec, Replan: replan},
 	})
 	if err != nil {
 		t.Fatal(err)

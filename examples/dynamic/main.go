@@ -1,9 +1,11 @@
-// Dynamic networks: the paper's Section V-F scenario. Four Nanos sit on
-// highly fluctuating 40-100 Mbps links (Fig. 12). DistrEdge keeps its actor
-// network online: when throughput shifts, the agent is finetuned for a few
-// seconds instead of re-planning from scratch (AOFL's brute-force re-plan
-// takes ~10 minutes on the paper's controller). This example trains once,
-// then simulates two network shifts and finetunes after each.
+// Dynamic networks: the fleet of the paper's Section V-F scenario. Four
+// Nanos sit on highly fluctuating 40-100 Mbps links (Fig. 12). DistrEdge
+// keeps its actor network online, so adapting is a few finetuning episodes
+// instead of a re-plan from scratch (AOFL's brute-force re-plan takes ~10
+// minutes on the paper's controller). This example trains once, then
+// finetunes the live agent twice more on the same traces: the System's
+// environment does not change between rounds. Fig. 13 (distbench -fig 13)
+// is the run that moves through the traces over 60 minutes.
 package main
 
 import (
@@ -33,12 +35,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("t= 0min  initial plan: %6.2f IPS (mean %.1f ms)\n", rep.IPS, rep.MeanLatMS)
+	fmt.Printf("round 0  initial plan:   %6.2f IPS (mean %.1f ms)\n", rep.IPS, rep.MeanLatMS)
 
-	// The traces keep drifting; at each "shift" we finetune the live agent
-	// for a handful of episodes — the paper reports 20-210 s for this,
-	// versus 10 min for AOFL's full re-plan.
-	for shift := 1; shift <= 2; shift++ {
+	// Each round finetunes the live agent for a handful of episodes — the
+	// paper reports 20-210 s for this, versus 10 min for AOFL's full
+	// re-plan.
+	for round := 1; round <= 2; round++ {
 		newPlan, err := ft.Finetune(30)
 		if err != nil {
 			log.Fatal(err)
@@ -47,7 +49,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("t=%2dmin  finetuned plan: %6.2f IPS (mean %.1f ms)\n", shift*20, r.IPS, r.MeanLatMS)
+		fmt.Printf("round %d  finetuned plan: %6.2f IPS (mean %.1f ms)\n", round, r.IPS, r.MeanLatMS)
 	}
 
 	// Compare with the static baselines that never adapt.

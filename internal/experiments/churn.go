@@ -97,7 +97,6 @@ func FigChurnRecovery(b Budget, windows []int, fracs []float64) ([]ChurnRow, err
 					return fmt.Errorf("experiments: churn sweep %s w=%d f=%.2f (off): %w", spec.Name, w, frac, err)
 				}
 				sc.ChurnOptions = sim.ChurnOptions{
-					Recover:   true,
 					ReplanSec: ChurnReplanChargeSec,
 					Replan:    splitter.BalancedReplan,
 				}

@@ -88,8 +88,8 @@ func TestGatewayDifferentialSimVsRuntime(t *testing.T) {
 
 // TestGatewaySurvivesProviderDeath is gateway × churn: two tenants share a
 // fleet through the gateway and a provider drops mid-burst, one Scenario
-// run by both executors. Recovery is a property of the cluster, so with
-// Recover every request of every tenant still completes (each Submit
+// run by both executors. Recovery is a property of the cluster, so with a
+// Replan every request of every tenant still completes (each Submit
 // re-scatters its own image on the healed deployment and keeps its gateway
 // slot), and without it the failure is sticky and requests fail. The
 // simulator predicts the same split; only the ordering is compared.
@@ -109,9 +109,11 @@ func TestGatewaySurvivesProviderDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.Events = []sim.ChurnEvent{{At: base.TotalSec * 0.3, Kind: sim.DeviceDrop, Device: 1}}
-	sc.Replan = splitter.BalancedReplan
 	for _, recover := range []bool{true, false} {
-		sc.Recover = recover
+		sc.Replan = nil
+		if recover {
+			sc.Replan = splitter.BalancedReplan
+		}
 		pred, err := env.Serve(s, sc)
 		if err != nil {
 			t.Fatal(err)
@@ -124,7 +126,7 @@ func TestGatewaySurvivesProviderDeath(t *testing.T) {
 			TimeScale:         0.1,
 			BytesScale:        0.001,
 			Batch:             1,
-			Recover:           recover,
+			Replan:            sc.Replan,
 			HeartbeatInterval: 15 * time.Millisecond,
 			HeartbeatMisses:   3,
 			Transport:         transport.NewInproc(),

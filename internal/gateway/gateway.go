@@ -26,7 +26,7 @@ import (
 // Backend is the shared-cluster admission surface the gateway drives;
 // *runtime.Cluster implements it (Submit is one image's
 // scatter-to-assembled-result round trip, safe for concurrent callers). On
-// a cluster deployed with Options.Recover, Submit blocks across a provider
+// a cluster deployed with an Options.Replan, Submit blocks across a provider
 // death and returns nil once the image completed on the healed fleet, so a
 // request keeps its slot, its enqueue time and its one WFQ charge; an error
 // means the request is lost.

@@ -14,7 +14,8 @@ import (
 // survivor-fleet signature, so the *second* failure into the same fleet
 // shape (a recurring churn pattern, or the same fleet on a redeployed
 // cluster sharing the cache) replans in cache-lookup time instead of
-// search time.
+// search time. Like any re-planner it is what turns recovery on, as
+// runtime.Options.Replan or sim.ChurnOptions.Replan.
 //
 // obj is the objective the deployment serves (nil = latency); it is part
 // of the signature and scores the cached entries. inner is the re-planner

@@ -38,7 +38,7 @@ func TestChaosKillMidWindowStickyFailure(t *testing.T) {
 	stats, err := stream(cl, images, 4, sim.ChurnEvent{At: 1, Kind: sim.DeviceDrop, Device: 2}) // 100 ms of wall clock in
 	elapsed := time.Since(start)
 	if err == nil {
-		t.Fatal("run with a killed provider and Recover disabled must fail")
+		t.Fatal("run with a killed provider and no Replan must fail")
 	}
 	if elapsed > 10*time.Second {
 		t.Errorf("failure took %s — in-flight images waited out the timeout instead of failing fast", elapsed)
@@ -51,7 +51,7 @@ func TestChaosKillMidWindowStickyFailure(t *testing.T) {
 		t.Fatalf("kill landed after the run completed (%d images) — not a mid-window chaos test", stats.Completed)
 	}
 	if stats.Recoveries != 0 || stats.Requeued != 0 {
-		t.Errorf("recovery ran with Recover disabled: %+v", stats)
+		t.Errorf("recovery ran without a Replan: %+v", stats)
 	}
 	// Every image that did not complete fails with the run, not with a
 	// partial latency measurement.

@@ -24,7 +24,7 @@ func recoverOpts() Options {
 	return Options{
 		TimeScale:         0.1,
 		BytesScale:        0.001,
-		Recover:           true,
+		Replan:            splitter.BalancedReplan,
 		HeartbeatInterval: 15 * time.Millisecond,
 		HeartbeatMisses:   3,
 		Transport:         testTransport(),
@@ -107,15 +107,22 @@ func TestRecoverFromKilledProvider(t *testing.T) {
 	}
 }
 
-// TestRecoverDefaultsToBalancedReplan pins the recovery default: with
-// Recover on and no Replan, the re-planned strategy is
-// splitter.BalancedReplan of the serving strategy over the survivors,
-// volume by volume.
-func TestRecoverDefaultsToBalancedReplan(t *testing.T) {
+// TestRecoverUsesTheGivenReplan pins that recovery has no re-planner of
+// its own: the cluster re-plans with exactly Options.Replan, once per
+// recovery, and serves the strategy it returned.
+func TestRecoverUsesTheGivenReplan(t *testing.T) {
 	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
 	s := stageStrategy(env, env.Model, []int{0, 10, 14, 18})
+	var calls int
+	var want *strategy.Strategy
 	opts := recoverOpts()
 	opts.Transport = transport.NewInproc()
+	opts.Replan = func(e *sim.Env, old *strategy.Strategy, alive []bool) (*strategy.Strategy, error) {
+		calls++ // recovery runs under the exclusive serving gate
+		ns, err := splitter.BalancedReplan(e, old, alive)
+		want = ns
+		return ns, err
+	}
 	cl, err := Deploy(env, s, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -130,9 +137,8 @@ func TestRecoverDefaultsToBalancedReplan(t *testing.T) {
 	if stats.Completed != images || stats.Recoveries < 1 {
 		t.Fatalf("completed %d of %d images after %d recoveries", stats.Completed, images, stats.Recoveries)
 	}
-	want, err := splitter.BalancedReplan(env, s, []bool{true, false, true, true})
-	if err != nil {
-		t.Fatal(err)
+	if calls != stats.Recoveries {
+		t.Fatalf("Replan called %d times for %d recoveries", calls, stats.Recoveries)
 	}
 	got := cl.Strategy()
 	if !slices.Equal(got.Boundaries, want.Boundaries) {
@@ -140,21 +146,23 @@ func TestRecoverDefaultsToBalancedReplan(t *testing.T) {
 	}
 	for v := range want.Splits {
 		if !slices.Equal(got.Splits[v], want.Splits[v]) {
-			t.Errorf("volume %d: cuts %v, want BalancedReplan's %v", v, got.Splits[v], want.Splits[v])
+			t.Errorf("volume %d: cuts %v, want the Replan's %v", v, got.Splits[v], want.Splits[v])
 		}
 	}
 }
 
 // TestRecoverFromIdleDeath: a provider that dies while nobody is submitting
 // is latched by the monitor as a failure of the serving deployment. A
-// Recover cluster heals it on the next admission instead of refusing the
+// recovering cluster heals it on the next admission instead of refusing the
 // run as already failed; a sticky cluster keeps refusing.
 func TestRecoverFromIdleDeath(t *testing.T) {
 	env := testEnv(device.Xavier, device.Nano, device.TX2, device.Nano)
 	s := stageStrategy(env, env.Model, []int{0, 10, 14, 18})
 	for _, recover := range []bool{true, false} {
 		opts := recoverOpts()
-		opts.Recover = recover
+		if !recover {
+			opts.Replan = nil
+		}
 		cl, err := Deploy(env, s, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -332,7 +340,7 @@ func TestChurnDifferentialSimVsRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Recover, sc.Replan = true, splitter.BalancedReplan
+	sc.Replan = splitter.BalancedReplan
 	simOn, err := env.Serve(s, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +377,9 @@ func TestChurnDifferentialSimVsRuntime(t *testing.T) {
 	run := func(recover bool) sim.ServeResult {
 		t.Helper()
 		o := opts
-		o.Recover = recover
+		if !recover {
+			o.Replan = nil
+		}
 		o.Transport = testTransport() // fresh namespace per cluster
 		cl, err := Deploy(env, s, o)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"distredge/internal/device"
+	"distredge/internal/splitter"
 	"distredge/internal/transport"
 )
 
@@ -140,7 +141,7 @@ func TestHeartbeatsKeepAnIdleFleetAlive(t *testing.T) {
 	env := testEnv(device.Xavier, device.Nano, device.TX2)
 	const interval = 10 * time.Millisecond
 	cl, err := Deploy(env, equalStrategy(env, []int{0, 18}), Options{
-		TimeScale: 0.002, BytesScale: 0.001, Recover: true,
+		TimeScale: 0.002, BytesScale: 0.001, Replan: splitter.BalancedReplan,
 		HeartbeatInterval: interval, Transport: transport.NewTCP(nil),
 	})
 	if err != nil {

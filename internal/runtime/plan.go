@@ -62,13 +62,6 @@ type Options struct {
 	// mirror is PipelineConfig.Batch.
 	Batch int
 
-	// Recover turns on online churn recovery: when a provider is declared
-	// dead (missed heartbeats, failed sends), the first Submit that runs
-	// into it quarantines the provider, re-plans the strategy over the
-	// survivors and redeploys them, and every caller re-scatters its own
-	// incomplete image instead of failing — on every path, Serve and the
-	// gateway included. Without it, failure stays sticky (Cluster.Err).
-	Recover bool
 	// HeartbeatInterval is the period at which every provider beats to the
 	// requester over its result link (default 50ms). Negative disables
 	// health tracking; failures are then detected only via failed sends.
@@ -76,10 +69,16 @@ type Options struct {
 	// HeartbeatMisses is how many consecutive missed beats declare a
 	// provider dead (default 6).
 	HeartbeatMisses int
-	// Replan picks the re-planner recovery uses; nil means
-	// splitter.BalancedReplan — the old volume boundaries re-balanced over
-	// the survivors from the device profiles, no training on the serving
-	// path. A deployment serving another objective recovers for it with
+	// Replan turns on online churn recovery and is the re-planner it
+	// uses: when a provider is declared dead (missed heartbeats, failed
+	// sends), the first Submit that runs into it quarantines the provider,
+	// re-plans the strategy over the survivors with Replan and redeploys
+	// them, and every caller re-scatters its own incomplete image instead
+	// of failing — on every path, Serve and the gateway included. nil
+	// leaves failure sticky (Cluster.Err). splitter.BalancedReplan
+	// re-balances the old volume boundaries over the survivors from the
+	// device profiles, with no training on the serving path; a deployment
+	// serving another objective recovers for it with
 	// splitter.ObjectiveReplan(obj).
 	Replan sim.ReplanFunc
 

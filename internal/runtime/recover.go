@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 
-	"distredge/internal/splitter"
 	"distredge/internal/strategy"
 )
 
@@ -18,9 +17,8 @@ import (
 //     past every id allocated so far (their ids are dead: image ids are
 //     monotonic, so a late chunk from the old deployment can never
 //     resurrect them);
-//  3. re-plan — Options.Replan (default splitter.BalancedReplan)
-//     produces a strategy over the survivors, warm-started from the
-//     serving one;
+//  3. re-plan — Options.Replan produces a strategy over the survivors,
+//     warm-started from the serving one;
 //  4. redeploy — fresh providers for the survivors as the next deployment,
 //     published with one Store. The old deployment's providers report into
 //     the old latch and beat with the old epoch, so nothing they still say
@@ -63,11 +61,7 @@ func (c *Cluster) recover(old *deployment) error {
 	c.comp.drainThrough(c.nextImg.Load())
 
 	// 3. Re-plan over the survivors.
-	replan := c.opts.Replan
-	if replan == nil {
-		replan = splitter.BalancedReplan
-	}
-	strat, err := replan(c.env, old.strat, alive)
+	strat, err := c.opts.Replan(c.env, old.strat, alive)
 	if err != nil {
 		return fmt.Errorf("runtime: re-plan: %w", err)
 	}

@@ -14,7 +14,7 @@ import (
 
 // Cluster is a deployed strategy: live providers plus the requester-side
 // bookkeeping needed to stream images through them and — with
-// Options.Recover — to survive providers dying under any caller.
+// Options.Replan — to survive providers dying under any caller.
 type Cluster struct {
 	env  *sim.Env
 	opts Options
@@ -269,7 +269,7 @@ func (c *Cluster) failEpoch(epoch, suspect int, err error) {
 }
 
 // Err returns the first error the serving deployment recorded, or nil while
-// healthy. With Options.Recover the next Submit heals the cluster and Err
+// healthy. With Options.Replan the next Submit heals the cluster and Err
 // reads nil again; without it, failure is sticky.
 func (c *Cluster) Err() error {
 	_, err := c.dep.Load().cause()
@@ -417,7 +417,7 @@ func (c *Cluster) sendInput(d *deployment, img uint32) error {
 // requests over one deployed fleet through it, supplying its own windowing,
 // fairness and deadlines.
 //
-// Without Options.Recover a failure — the per-image timeout, a dead peer,
+// Without Options.Replan a failure — the per-image timeout, a dead peer,
 // missed heartbeats — is sticky (see Err) and surfaces from every in-flight
 // and subsequent Submit. With it, a caller whose attempt failed heals the
 // cluster (or finds it already healed by another caller) and re-scatters its
@@ -426,7 +426,7 @@ func (c *Cluster) sendInput(d *deployment, img uint32) error {
 func (c *Cluster) Submit() error {
 	for {
 		d, inflight, err := c.attempt()
-		if err == nil || !c.opts.Recover || errors.Is(err, errClosed) {
+		if err == nil || c.opts.Replan == nil || errors.Is(err, errClosed) {
 			return err
 		}
 		if rerr := c.heal(d); rerr != nil {

@@ -38,10 +38,10 @@ func quarantined(cl *Cluster) []int {
 }
 
 // stream serves images through cl, window in flight, with the given drops:
-// simPipelined under the cluster's own Batch and Recover, so Serve runs it.
+// simPipelined under the cluster's own Batch and Replan, so Serve runs it.
 func stream(cl *Cluster, images, window int, events ...sim.ChurnEvent) (sim.ServeResult, error) {
 	sc := simPipelined(images, window)
-	sc.Batch, sc.Recover, sc.Events = cl.opts.Batch, cl.opts.Recover, events
+	sc.Batch, sc.Replan, sc.Events = cl.opts.Batch, cl.opts.Replan, events
 	return cl.Serve(sc)
 }
 

@@ -20,12 +20,13 @@ import (
 // (Window 1 is the paper's protocol); anything else goes through
 // internal/gateway with every backlog enqueued at the start. Each DeviceDrop kills its provider
 // at wall offset At × TimeScale. check says what is refused before any
-// image is admitted; WireFrac, ReplanSec and Replan model what the
-// transport and Options.Replan do for real, and are ignored.
+// image is admitted; WireFrac, ReplanSec and the Replan function model what
+// the transport and Options.Replan do for real, and are ignored — only
+// whether Replan is set must match the deployment.
 //
 // The first Submit error ends admission: the images lost count as Failed,
 // FailedAtSec is when it happened, and the error comes with the result.
-// Without Options.Recover failure is sticky and the error is the cluster's
+// Without Options.Replan failure is sticky and the error is the cluster's
 // first; with it only a failed recovery ends the run.
 func (c *Cluster) Serve(sc sim.Scenario) (sim.ServeResult, error) {
 	policy, images, err := c.check(&sc)
@@ -81,7 +82,7 @@ func (c *Cluster) Serve(sc sim.Scenario) (sim.ServeResult, error) {
 	}
 	var scratch []float64
 	res.Assemble(0, r.lat[:admitted], r.done[:admitted], &scratch)
-	if err := c.Err(); runErr != nil && err != nil && !c.opts.Recover {
+	if err := c.Err(); runErr != nil && err != nil && c.opts.Replan == nil {
 		runErr = err // sticky: report the first error, as Err will from now on
 	}
 	return res, runErr
@@ -89,9 +90,10 @@ func (c *Cluster) Serve(sc sim.Scenario) (sim.ServeResult, error) {
 
 // check refuses what the deployment cannot run as scripted and returns the
 // admission policy and the image count. The refusals: a tenant without
-// images or enqueued after 0, a nonzero Start, a Batch or Recover other than
-// the deployed Options', any event but a drop of a device in the fleet at a
-// time that scales to a wall-clock offset, and a sticky failed cluster.
+// images or enqueued after 0, a nonzero Start, a Batch other than the
+// deployed Options', a Replan set on one side only, any event but a drop
+// of a device in the fleet at a time that scales to a wall-clock offset,
+// and a sticky failed cluster.
 func (c *Cluster) check(sc *sim.Scenario) (string, int, error) {
 	sched, err := admit.New(sc.Policy, sc.Window)
 	images, n := 0, c.NumProviders()
@@ -112,9 +114,9 @@ func (c *Cluster) check(sc *sim.Scenario) (string, int, error) {
 		err = errors.New("need at least one tenant")
 	case sc.Start != 0:
 		err = fmt.Errorf("a run starts at 0, not at %g", sc.Start)
-	case !(sc.Batch == c.opts.Batch || sc.Batch < 0 && c.opts.Batch == 1) || sc.Recover != c.opts.Recover: // a negative Batch is 1, off
-		err = fmt.Errorf("scenario has Batch %d, Recover %v; the cluster is deployed with %d, %v", sc.Batch, sc.Recover, c.opts.Batch, c.opts.Recover)
-	case c.Err() != nil && !c.opts.Recover:
+	case !(sc.Batch == c.opts.Batch || sc.Batch < 0 && c.opts.Batch == 1) || (sc.Replan != nil) != (c.opts.Replan != nil): // a negative Batch is 1, off
+		err = fmt.Errorf("scenario has Batch %d, Replan set %v; the cluster is deployed with %d, %v", sc.Batch, sc.Replan != nil, c.opts.Batch, c.opts.Replan != nil)
+	case c.Err() != nil && c.opts.Replan == nil:
 		err = fmt.Errorf("cluster already failed: %w", c.Err())
 	}
 	if err != nil {
@@ -143,7 +145,7 @@ type serveRun struct {
 	err      error     // guarded by mu; the run's first Submit error
 	failedAt float64   // guarded by mu; when err happened, model seconds; -1 before
 	ended    bool      // guarded by mu; admission is over, drops no longer fire
-	applied  []float64 // guarded by mu; with Recover, the times of the drops that fired
+	applied  []float64 // guarded by mu; with a Replan, the times of the drops that fired
 }
 
 // Submit runs and records one image: the window's workers call it, and it
@@ -211,7 +213,7 @@ func (r *serveRun) gateway(g *gateway.Gateway, tenants []sim.TenantSpec, out []s
 func (r *serveRun) drop(ev sim.ChurnEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.ended && r.c.KillProvider(ev.Device) == nil && r.c.opts.Recover {
+	if !r.ended && r.c.KillProvider(ev.Device) == nil && r.c.opts.Replan != nil {
 		r.applied = append(r.applied, ev.At)
 	}
 }

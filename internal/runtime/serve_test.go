@@ -7,6 +7,8 @@ import (
 
 	"distredge/internal/device"
 	"distredge/internal/sim"
+	"distredge/internal/splitter"
+	"distredge/internal/strategy"
 )
 
 // TestServeRefusesScenarios checks that what a deployed fleet cannot run as
@@ -47,7 +49,7 @@ func TestServeRefusesScenarios(t *testing.T) {
 		{"nonzero start", func(sc *sim.Scenario) { sc.Start = 1 }},
 		{"batch other than deployed", func(sc *sim.Scenario) { sc.Batch = 4 }},
 		{"adaptive batch on an unbatched fleet", func(sc *sim.Scenario) { sc.Batch = 0 }},
-		{"recover other than deployed", func(sc *sim.Scenario) { sc.Recover = true }},
+		{"replan set on the scenario only", func(sc *sim.Scenario) { sc.Replan = splitter.BalancedReplan }},
 		{"late enqueue", func(sc *sim.Scenario) { sc.Tenants[0].EnqueueSec = 1 }},
 		{"no tenants", func(sc *sim.Scenario) { sc.Tenants = nil }},
 		{"unknown policy", func(sc *sim.Scenario) { sc.Policy = "lifo" }},
@@ -77,6 +79,23 @@ func TestServeRefusesScenarios(t *testing.T) {
 	sc := sim.Scenario{Tenants: []sim.TenantSpec{{Images: 2}}, Window: 2, Batch: 1, Events: []sim.ChurnEvent{drop(100, 0)}}
 	if res, err := cl.Serve(sc); err != nil || res.Completed != 2 {
 		t.Fatalf("valid scenario: %+v, %v", res, err)
+	}
+
+	// The other side: a recovering fleet refuses a scenario that predicts
+	// no recovery, and runs one with a re-planner of its own.
+	opts.Replan = splitter.BalancedReplan
+	healing, err := Deploy(env, s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer healing.Close()
+	sc.Events = nil
+	if res, err := healing.Serve(sc); err == nil {
+		t.Errorf("replan set on the cluster only: served %+v, want a refusal", res)
+	}
+	sc.Replan = func(_ *sim.Env, old *strategy.Strategy, _ []bool) (*strategy.Strategy, error) { return old, nil }
+	if res, err := healing.Serve(sc); err != nil || res.Completed != 2 {
+		t.Fatalf("replan set on both sides: %+v, %v", res, err)
 	}
 }
 

@@ -46,23 +46,22 @@ type ChurnEvent struct {
 // ReplanFunc re-plans a strategy after a fleet change: given the
 // environment (whose device models already reflect any slowdowns), the old
 // strategy and the liveness mask, it returns a full-fleet strategy in which
-// every dead provider has empty parts. strategy.Rebalance is the
-// dependency-free default; splitter.BalancedReplan and splitter.SearchReplan
-// are the profile-guided and search-based implementations.
+// every dead provider has empty parts. splitter.BalancedReplan,
+// splitter.ObjectiveReplan and splitter.SearchReplan are the
+// implementations; there is no default.
 type ReplanFunc func(e *Env, old *strategy.Strategy, alive []bool) (*strategy.Strategy, error)
 
 // ChurnOptions says how a Scenario's deployment reacts to its fleet events.
 type ChurnOptions struct {
-	// Recover re-plans over the survivors at each event. Without it the
-	// old strategy is recompiled against the changed fleet, a DeviceDrop
-	// ends the stream at the event time (the sticky-failure semantics of
-	// the runtime's Cluster.Err), and joins are ignored.
-	Recover bool
 	// ReplanSec is the simulated controller delay charged per recovery
 	// (re-planning + state migration); no image is re-admitted before
 	// event time + ReplanSec.
 	ReplanSec float64
-	// Replan picks the re-planner; nil uses strategy.Rebalance.
+	// Replan is the recovery switch: when set, each event re-plans over
+	// the survivors with it. When nil the old strategy is recompiled
+	// against the changed fleet, a DeviceDrop ends the stream at the event
+	// time (the sticky-failure semantics of the runtime's Cluster.Err),
+	// and joins are ignored.
 	Replan ReplanFunc
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"distredge/internal/cnn"
@@ -29,7 +30,7 @@ func TestChurnDropWithoutRecoveryTruncates(t *testing.T) {
 	failAt := base.TotalSec * 0.5
 	events := []ChurnEvent{{At: failAt, Kind: DeviceDrop, Device: 1}}
 
-	off, err := env.Serve(s, churned(images, 4, events, ChurnOptions{Recover: false}))
+	off, err := env.Serve(s, churned(images, 4, events, ChurnOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestChurnDropWithoutRecoveryTruncates(t *testing.T) {
 		t.Errorf("FailedAtSec = %g, want %g", off.FailedAtSec, failAt)
 	}
 
-	on, err := env.Serve(s, churned(images, 4, events, ChurnOptions{Recover: true}))
+	on, err := env.Serve(s, churned(images, 4, events, ChurnOptions{Replan: shareReplan}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +78,11 @@ func TestChurnReplanChargeDelaysRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := []ChurnEvent{{At: base.TotalSec * 0.4, Kind: DeviceDrop, Device: 2}}
-	cheap, err := env.Serve(s, churned(30, 4, events, ChurnOptions{Recover: true}))
+	cheap, err := env.Serve(s, churned(30, 4, events, ChurnOptions{Replan: shareReplan}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dear, err := env.Serve(s, churned(30, 4, events, ChurnOptions{Recover: true, ReplanSec: 2}))
+	dear, err := env.Serve(s, churned(30, 4, events, ChurnOptions{ReplanSec: 2, Replan: shareReplan}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestChurnSlowdownDegradesThroughput(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := []ChurnEvent{{At: base.TotalSec * 0.25, Kind: DeviceSlow, Device: 0, Factor: 4}}
-	slowed, err := env.Serve(s, churned(30, 2, events, ChurnOptions{Recover: true}))
+	slowed, err := env.Serve(s, churned(30, 2, events, ChurnOptions{Replan: shareReplan}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +117,51 @@ func TestChurnSlowdownDegradesThroughput(t *testing.T) {
 	}
 }
 
-// latencyReplan is a profile-aware test replanner: each volume is split
+// shareReplan is the profile-free test re-planner: it keeps the
+// boundaries and redistributes every volume's rows over the alive
+// providers, weighting each survivor by the share it already held and
+// giving dead providers empty parts. A volume no survivor held any rows of
+// is split equally over the survivors. In-package sim tests cannot import
+// internal/splitter (an import cycle), so they re-plan with this or with
+// latencyReplan.
+func shareReplan(e *Env, old *strategy.Strategy, alive []bool) (*strategy.Strategy, error) {
+	n := old.NumProviders()
+	if len(alive) != n {
+		return nil, fmt.Errorf("rebalance mask has %d entries for %d providers", len(alive), n)
+	}
+	if strategy.CountAlive(alive) == 0 {
+		return nil, fmt.Errorf("rebalance with no alive providers")
+	}
+	out := &strategy.Strategy{Boundaries: append([]int(nil), old.Boundaries...)}
+	out.Splits = make([][]int, len(old.Splits))
+	for v := range old.Splits {
+		h := strategy.VolumeHeight(e.Model, old.Boundaries, v)
+		weights := make([]float64, n)
+		var total float64
+		for i := 0; i < n; i++ {
+			if !alive[i] {
+				continue
+			}
+			w := float64(strategy.CutRange(old.Splits[v], h, i).Len())
+			weights[i] = w
+			total += w
+		}
+		if total <= 0 {
+			for i := 0; i < n; i++ {
+				if alive[i] {
+					weights[i] = 1
+				}
+			}
+		}
+		out.Splits[v] = strategy.ProportionalCuts(h, weights)
+	}
+	return out, nil
+}
+
+// latencyReplan is a profile-aware test re-planner: each volume is split
 // proportionally to the alive devices' measured speed (the shape of
-// splitter.BalancedReplan, without the import cycle an in-package sim test
-// would create). Unlike the width-proportional default it gives a joining
-// device — whose old share is zero — real work.
+// splitter.BalancedReplan). Unlike shareReplan it gives a joining device —
+// whose old share is zero — real work.
 func latencyReplan(e *Env, old *strategy.Strategy, alive []bool) (*strategy.Strategy, error) {
 	out := &strategy.Strategy{Boundaries: append([]int(nil), old.Boundaries...)}
 	for v := 0; v < old.NumVolumes(); v++ {
@@ -151,7 +192,7 @@ func TestChurnDropThenRejoin(t *testing.T) {
 	}
 	drop := ChurnEvent{At: base.TotalSec * 0.2, Kind: DeviceDrop, Device: 0}
 	join := ChurnEvent{At: base.TotalSec * 0.5, Kind: DeviceJoin, Device: 0}
-	opts := ChurnOptions{Recover: true, Replan: latencyReplan}
+	opts := ChurnOptions{Replan: latencyReplan}
 
 	dropOnly, err := env.Serve(s, churned(40, 4, []ChurnEvent{drop}, opts))
 	if err != nil {
@@ -194,7 +235,7 @@ func TestChurnRejectsBadEvents(t *testing.T) {
 		{At: 0.1, Kind: DeviceDrop, Device: 0},
 		{At: 0.2, Kind: DeviceDrop, Device: 1},
 	}
-	if _, err := env.Serve(s, churned(50, 2, events, ChurnOptions{Recover: true})); err == nil {
+	if _, err := env.Serve(s, churned(50, 2, events, ChurnOptions{Replan: shareReplan})); err == nil {
 		t.Error("dropping every provider must error")
 	}
 }

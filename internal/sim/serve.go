@@ -89,7 +89,7 @@ type Scenario struct {
 // request, and the latency distribution is first admission to completion
 // over the committed images, in first-admission order. Tenants is the same
 // run seen by each tenant, enqueue to completion. With a truncated stream
-// (DeviceDrop under Recover=false) IPS and both distributions cover only
+// (DeviceDrop with a nil Replan) IPS and both distributions cover only
 // the committed images.
 type ServeResult struct {
 	PipelineResult
@@ -125,11 +125,12 @@ type ServeResult struct {
 // to the front of their own tenant's queue in admission order, keep their
 // first admission time for latency accounting and are not charged WFQ
 // virtual service a second time. The plan is recompiled against the changed
-// fleet — with Recover, after re-planning over the survivors — and nothing
-// is admitted before At (plus ReplanSec with Recover). Without Recover a
-// DeviceDrop fails everything not committed by At and ends the stream (the
-// sticky-failure semantics of the runtime's Cluster.Err), and joins are
-// ignored. DESIGN.md says why this recompile-at-event model is conservative.
+// fleet — with a Replan, after re-planning over the survivors — and
+// nothing is admitted before At (plus ReplanSec with a Replan). Without a
+// Replan a DeviceDrop fails everything not committed by At and ends the
+// stream (the sticky-failure semantics of the runtime's Cluster.Err), and
+// joins are ignored. DESIGN.md says why this recompile-at-event model is
+// conservative.
 func (e *Env) Serve(s *strategy.Strategy, sc Scenario) (ServeResult, error) {
 	var r serving
 	if err := r.init(e.NumProviders(), &sc); err != nil {
@@ -377,7 +378,7 @@ func (r *serving) admit(t int, lat float64) {
 // fire applies one fleet event to the deployment.
 func (r *serving) fire(e *Env, ev ChurnEvent, opts *ChurnOptions) error {
 	if (ev.Kind == DeviceDrop && !r.alive[ev.Device]) ||
-		(ev.Kind == DeviceJoin && (r.alive[ev.Device] || !opts.Recover)) {
+		(ev.Kind == DeviceJoin && (r.alive[ev.Device] || opts.Replan == nil)) {
 		return nil // changes nothing, aborts nothing
 	}
 	// In-flight images done by the event are committed; the rest are aborted
@@ -393,7 +394,7 @@ func (r *serving) fire(e *Env, ev ChurnEvent, opts *ChurnOptions) error {
 		}
 	}
 	r.slots = r.slots[:0]
-	if ev.Kind == DeviceDrop && !opts.Recover {
+	if ev.Kind == DeviceDrop && opts.Replan == nil {
 		// Sticky failure: nothing is re-admitted, the stream ends here.
 		r.res.FailedAtSec = ev.At
 		return nil
@@ -413,14 +414,8 @@ func (r *serving) fire(e *Env, ev ChurnEvent, opts *ChurnOptions) error {
 	}
 	env := e.WithDevices(models)
 	floor := ev.At // nothing restarts before the event (plus the re-plan charge)
-	if opts.Recover {
-		replan := opts.Replan
-		if replan == nil {
-			replan = func(e *Env, old *strategy.Strategy, alive []bool) (*strategy.Strategy, error) {
-				return strategy.Rebalance(e.Model, old, alive)
-			}
-		}
-		ns, err := replan(env, r.strat, r.alive)
+	if opts.Replan != nil {
+		ns, err := opts.Replan(env, r.strat, r.alive)
 		if err != nil {
 			return fmt.Errorf("sim: re-plan at t=%g: %w", ev.At, err)
 		}

@@ -152,10 +152,14 @@ func goldenChurnScenario(rng *rand.Rand, n int, horizon float64) Scenario {
 		}
 		sc.Events = append(sc.Events, ev)
 	}
-	sc.Recover = rng.Intn(4) > 0
+	recover := rng.Intn(4) > 0
 	sc.ReplanSec = []float64{0, 0.05, 0.5}[rng.Intn(3)]
+	sc.Replan = shareReplan
 	if rng.Intn(2) == 0 {
 		sc.Replan = latencyReplan
+	}
+	if !recover {
+		sc.Replan = nil
 	}
 	return sc
 }

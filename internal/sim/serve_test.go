@@ -155,7 +155,7 @@ func TestServeReportsModelledBatch(t *testing.T) {
 		sc := oneTenant(20, 4, 0)
 		sc.Batch = c.batch
 		sc.Events = []ChurnEvent{{At: 0.5, Kind: DeviceDrop, Device: 1}}
-		sc.Recover = true
+		sc.Replan = shareReplan
 		res, err := env.Serve(s, sc)
 		if err != nil {
 			t.Fatal(err)
@@ -183,7 +183,6 @@ func TestServeReplanChangesVolumeCount(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc.Events = []ChurnEvent{{At: 0, Kind: DeviceSlow, Device: 0, Factor: 1}}
-			sc.Recover = true
 			sc.Replan = func(*Env, *strategy.Strategy, []bool) (*strategy.Strategy, error) { return c.to, nil }
 			got, err := env.Serve(c.from, sc)
 			if err != nil {
@@ -267,7 +266,7 @@ func TestServeComposes(t *testing.T) {
 					t.Errorf("batch %d wire %g %s, recover off: completed %d failed %d at %g",
 						batch, wire, policy, off.Completed, off.Failed, off.FailedAtSec)
 				}
-				sc.ChurnOptions = ChurnOptions{Recover: true, ReplanSec: 0.05, Replan: latencyReplan}
+				sc.ChurnOptions = ChurnOptions{ReplanSec: 0.05, Replan: latencyReplan}
 				on, err := env.Serve(s, sc)
 				if err != nil {
 					t.Fatal(err)
@@ -540,10 +539,14 @@ func fuzzScenario(data []byte, providers int) (Scenario, int) {
 			Factor: 0.5 + float64(next()%8)/2,
 		})
 	}
-	sc.Recover = next()%4 > 0
+	recover := next()%4 > 0
 	sc.ReplanSec = []float64{0, 0.05, 0.5}[next()%3]
+	sc.Replan = shareReplan
 	if next()%2 == 0 {
 		sc.Replan = latencyReplan
+	}
+	if !recover {
+		sc.Replan = nil
 	}
 	return sc, strat
 }
@@ -585,8 +588,8 @@ func FuzzServe(f *testing.F) {
 			t.Fatalf("images not conserved: %d submitted, %d completed, %d failed, %d served to tenants, %d latencies",
 				res.Images, res.Completed, res.Failed, served, len(res.PerImageSec))
 		}
-		if (res.Failed > 0) != (res.FailedAtSec >= 0) || (sc.Recover && res.Failed > 0) {
-			t.Fatalf("failed %d images, FailedAtSec %g, recover %v", res.Failed, res.FailedAtSec, sc.Recover)
+		if (res.Failed > 0) != (res.FailedAtSec >= 0) || (sc.Replan != nil && res.Failed > 0) {
+			t.Fatalf("failed %d images, FailedAtSec %g, recover %v", res.Failed, res.FailedAtSec, sc.Replan != nil)
 		}
 	})
 }

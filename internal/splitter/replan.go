@@ -8,13 +8,15 @@ import (
 )
 
 // This file provides the re-planners churn recovery plugs into
-// sim.Serve and runtime Options.Replan. Two quality/latency points:
+// sim.ChurnOptions.Replan and runtime Options.Replan. Neither executor has
+// one of its own: setting the re-planner is what turns recovery on. Two
+// quality/latency points:
 //
 //   - BalancedReplan: per-volume profile-guided balanced cuts over the
 //     alive providers (the warm-start heuristic of OSDS, hill-climbed on
 //     the true per-part compute latency). No training — milliseconds, and
-//     deterministic. This is the runtime's default: re-planning happens on
-//     the serving path, where a dead provider is already stalling images.
+//     deterministic. Fit for a deployed fleet: re-planning happens on the
+//     serving path, where a dead provider is already stalling images.
 //
 //   - SearchReplan: full OSDS (DDPG) search over the survivor fleet,
 //     warm-started from the old strategy projected onto the survivors.

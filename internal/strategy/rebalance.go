@@ -6,12 +6,10 @@ import (
 	"distredge/internal/cnn"
 )
 
-// This file holds the pure strategy surgery used by churn recovery: when a
-// provider drops out (or rejoins), the old strategy must be mapped onto the
-// surviving device set without consulting device profiles — the profile-
-// guided and search-based re-planners live in internal/splitter, but both
-// runtime and sim need a dependency-free fallback plus the Project/Lift
-// pair that moves a strategy between the full fleet and the survivor fleet.
+// This file holds the pure strategy surgery used by churn recovery: the
+// Project/Lift pair that moves a strategy between the full fleet and the
+// survivor fleet without consulting device profiles. The re-planners
+// themselves (profile-guided and search-based) live in internal/splitter.
 
 // CountAlive returns the number of true entries in the mask.
 func CountAlive(alive []bool) int {
@@ -22,49 +20,6 @@ func CountAlive(alive []bool) int {
 		}
 	}
 	return n
-}
-
-// Rebalance redistributes every volume's rows over the alive providers,
-// weighting survivors by the share they already held (so a provider the
-// planner favoured keeps being favoured) and giving dead providers empty
-// parts. Volumes where no survivor held any rows fall back to an equal
-// split over the survivors. Boundaries are preserved — this is the cheap,
-// profile-free re-plan; see splitter.BalancedReplan for the profile-guided
-// one.
-func Rebalance(m *cnn.Model, s *Strategy, alive []bool) (*Strategy, error) {
-	n := s.NumProviders()
-	if len(alive) != n {
-		return nil, fmt.Errorf("strategy: rebalance mask has %d entries for %d providers", len(alive), n)
-	}
-	if CountAlive(alive) == 0 {
-		return nil, fmt.Errorf("strategy: rebalance with no alive providers")
-	}
-	out := &Strategy{Boundaries: append([]int(nil), s.Boundaries...)}
-	out.Splits = make([][]int, len(s.Splits))
-	for v := range s.Splits {
-		h := VolumeHeight(m, s.Boundaries, v)
-		weights := make([]float64, n)
-		var total float64
-		for i := 0; i < n; i++ {
-			if !alive[i] {
-				continue
-			}
-			w := float64(CutRange(s.Splits[v], h, i).Len())
-			weights[i] = w
-			total += w
-		}
-		if total <= 0 {
-			// Every surviving provider was idle for this volume: split it
-			// equally over the survivors.
-			for i := 0; i < n; i++ {
-				if alive[i] {
-					weights[i] = 1
-				}
-			}
-		}
-		out.Splits[v] = ProportionalCuts(h, weights)
-	}
-	return out, nil
 }
 
 // Project maps a strategy for the full provider set down to one for just

@@ -16,83 +16,6 @@ func fourProviderStrategy(m *cnn.Model) *Strategy {
 	return s
 }
 
-func TestRebalanceGivesDeadProvidersNothing(t *testing.T) {
-	m := cnn.VGG16()
-	s := fourProviderStrategy(m)
-	alive := []bool{true, false, true, true}
-	out, err := Rebalance(m, s, alive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Validate(m, 4); err != nil {
-		t.Fatalf("rebalanced strategy invalid: %v", err)
-	}
-	for v := 0; v < out.NumVolumes(); v++ {
-		h := VolumeHeight(m, out.Boundaries, v)
-		covered := 0
-		for i := 0; i < 4; i++ {
-			r := out.PartRange(m, v, i)
-			if !alive[i] && !r.Empty() {
-				t.Errorf("volume %d: dead provider %d still owns rows %v", v, i, r)
-			}
-			covered += r.Len()
-		}
-		if covered != h {
-			t.Errorf("volume %d: %d rows covered, want %d", v, covered, h)
-		}
-	}
-}
-
-func TestRebalanceKeepsSurvivorProportions(t *testing.T) {
-	m := cnn.VGG16()
-	s := fourProviderStrategy(m)
-	out, err := Rebalance(m, s, []bool{true, true, true, false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Survivor 0 held the largest share before; it must still hold the
-	// largest share after redistribution.
-	r0 := out.PartRange(m, 0, 0).Len()
-	for i := 1; i < 3; i++ {
-		if ri := out.PartRange(m, 0, i).Len(); ri > r0 {
-			t.Errorf("survivor %d got %d rows, more than the previously largest survivor's %d", i, ri, r0)
-		}
-	}
-}
-
-func TestRebalanceAllDeadVolumeFallsBackToEqual(t *testing.T) {
-	m := cnn.VGG16()
-	b := SingleVolume(m)
-	h := VolumeHeight(m, b, 0)
-	// Everything on provider 0, then provider 0 dies: survivors held zero
-	// rows, so the fallback must still cover the volume.
-	s := &Strategy{Boundaries: b, Splits: [][]int{AllOnProvider(h, 3, 0)}}
-	out, err := Rebalance(m, s, []bool{false, true, true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Validate(m, 3); err != nil {
-		t.Fatal(err)
-	}
-	if r := out.PartRange(m, 0, 0); !r.Empty() {
-		t.Errorf("dead provider still owns %v", r)
-	}
-	if got := out.PartRange(m, 0, 1).Len() + out.PartRange(m, 0, 2).Len(); got != h {
-		t.Errorf("survivors cover %d rows, want %d", got, h)
-	}
-}
-
-func TestRebalanceRejectsBadMask(t *testing.T) {
-	m := cnn.VGG16()
-	s := fourProviderStrategy(m)
-	if _, err := Rebalance(m, s, []bool{true, true}); err == nil {
-		t.Error("short mask must error")
-	}
-	if _, err := Rebalance(m, s, []bool{false, false, false, false}); err == nil {
-		t.Error("empty fleet must error")
-	}
-}
-
 func TestProjectLiftRoundTrip(t *testing.T) {
 	m := cnn.VGG16()
 	s := fourProviderStrategy(m)
