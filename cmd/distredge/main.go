@@ -115,6 +115,7 @@ func run(w io.Writer, args []string) error {
 		Effort:          distredge.Effort(*effort),
 		Objective:       objective,
 		ObjectiveWindow: *objWindow,
+		ObjectiveBatch:  *batch,
 		SLOP95MS:        *sloMS,
 	}
 	// The deployed fleet re-plans for the objective it serves, at the

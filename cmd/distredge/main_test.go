@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"distredge"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current output")
@@ -135,5 +137,48 @@ func TestPlanCacheRecoversForTheServedBatch(t *testing.T) {
 	direct := churnLine(args...)
 	if cached := churnLine(append(args, "-plancache", "8")...); cached != direct {
 		t.Errorf("re-planned through the plan cache:\n%s\nwant the uncached re-plan's\n%s", cached, direct)
+	}
+}
+
+// TestPlanSearchesForTheServedBatch: under -objective ips the command
+// plans for the -batch it serves with, so its saved plan is the bytes of
+// System.Plan with ObjectiveBatch 4, and on this fleet not the batch-1
+// plan's.
+func TestPlanSearchesForTheServedBatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plan.json")
+	var out bytes.Buffer
+	args := []string{"-seed", "1", "-effort", "tiny", "-objective", "ips", "-batch", "4", "-images", "5", "-save", path}
+	if err := run(&out, args); err != nil {
+		t.Fatalf("distredge %v: %v", args, err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	providers, err := distredge.ParseProviders("xavier:200,xavier:200,nano:200,nano:200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := distredge.New("vgg16", providers, distredge.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := func(batch int) []byte {
+		t.Helper()
+		plan, err := sys.Plan(distredge.PlanConfig{Effort: distredge.EffortTiny, Objective: distredge.ObjectiveIPS, ObjectiveWindow: 4, ObjectiveBatch: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := sys.SavePlan(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if want := saved(4); !bytes.Equal(got, want) {
+		t.Errorf("-batch 4 plans\n%s\nwant System.Plan's at ObjectiveBatch 4\n%s", got, want)
+	}
+	if bytes.Equal(got, saved(1)) {
+		t.Error("the batch-1 plan is the same bytes on this fleet: the test cannot tell the batches apart")
 	}
 }

@@ -45,7 +45,10 @@ type Provider struct {
 
 // Effort selects a planning budget (see DESIGN.md): the paper's own
 // configuration is EffortPaper; smaller efforts trade strategy quality for
-// wall-clock.
+// wall-clock. At EffortFull and EffortPaper DistrEdge is LC-PSS and the
+// paper's DDPG search; at EffortTiny and EffortQuick it trains no agent:
+// LC-PSS, OSDS's warm-start schedule, then a cut-point descent from the
+// schedule's best.
 type Effort string
 
 // Planning efforts.
@@ -258,9 +261,10 @@ func methodName(obj sim.Objective) string {
 // budget, α and seed — see internal/plancache). Share one across PlanCached
 // calls and deployments: a repeat request for a fleet the cache has seen
 // returns in microseconds instead of re-running the OSDS search, and a
-// near-miss fleet plans from the nearest cached plan: below EffortFull it
-// re-scores that plan and OSDS's warm-start candidates without training an
-// agent, at EffortFull and above it warm-starts a half-budget search.
+// near-miss fleet plans from the nearest cached plan, on half the episode
+// budget: below EffortFull it ranks that plan and OSDS's warm-start
+// candidates and polishes the best by cut-point descent without training
+// an agent, at EffortFull and above it warm-starts a half-budget search.
 // The cache also remembers the LC-PSS boundaries of the plannings it ran,
 // which depend on the model and the provider count only, so the fleets of
 // one model and size partition the model once per cache.
@@ -539,8 +543,9 @@ type Finetuner struct {
 
 // NewFinetuner trains an agent once, for the configured objective and with
 // the planner's own LC-PSS and OSDS configuration, and returns a handle for
-// later finetuning. Under the default latency objective the initial plan is
-// Plan's.
+// later finetuning. It trains at any effort. Under the default latency
+// objective at EffortFull and EffortPaper the initial plan is Plan's; below
+// EffortFull Plan trains no agent (see Effort), so the two differ.
 func (s *System) NewFinetuner(cfg PlanConfig) (*Finetuner, *Plan, error) {
 	req, err := cfg.resolve(s.seed)
 	if err != nil {

@@ -166,14 +166,15 @@ func TestFinetunerContinuesOnDynamicTraces(t *testing.T) {
 
 // TestFinetunerTrainsThePlannersAgent: NewFinetuner builds its trainer from
 // the planner's own LC-PSS and OSDS configuration, so under the default
-// objective its initial plan is Plan's, and a throughput objective is
-// trained for (and labelled) instead of silently returning the latency plan.
+// objective, at an effort whose Plan trains (full), its initial plan is
+// Plan's; and a throughput objective is trained for (and labelled) instead
+// of silently returning the latency plan.
 func TestFinetunerTrainsThePlannersAgent(t *testing.T) {
 	sys, err := New("vgg16", fourProviders(), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := PlanConfig{Effort: EffortTiny}
+	cfg := PlanConfig{Effort: EffortFull}
 	want, err := sys.Plan(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +187,7 @@ func TestFinetunerTrainsThePlannersAgent(t *testing.T) {
 		t.Errorf("latency finetuner starts from\n%s\nPlan gives\n%s", got.Describe("vgg16"), want.Describe("vgg16"))
 	}
 
-	cfg.Objective = ObjectiveIPS
+	cfg = PlanConfig{Effort: EffortTiny, Objective: ObjectiveIPS}
 	ft, plan, err := sys.NewFinetuner(cfg)
 	if err != nil {
 		t.Fatal(err)

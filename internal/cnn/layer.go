@@ -75,7 +75,9 @@ func (l Layer) OutDepth() int { return l.Cout }
 
 // Splittable reports whether the layer participates in vertical splitting.
 // Conv and MaxPool layers are splittable; FC layers are not (Section V-A).
-func (l Layer) Splittable() bool { return l.Kind == Conv || l.Kind == MaxPool }
+func (l Layer) Splittable() bool { return l.Kind.splittable() }
+
+func (k Kind) splittable() bool { return k == Conv || k == MaxPool }
 
 // OpsRows returns the number of operations needed to compute the given
 // number of output rows of the layer. Convolutions count multiply-accumulate

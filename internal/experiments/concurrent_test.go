@@ -30,6 +30,7 @@ const concurrentPlanSHA256 = "075ad5ea3bcfaa4e3dc228ec9f9048ee2299d265cc2ff7f2d5
 func TestRequestPlanConcurrentSearchesDeterministic(t *testing.T) {
 	env := objectiveCases(1)[0].env() // stable Group DB on VGG-16
 	b := Tiny()
+	b.Episodes = Full().Episodes // a budget that trains, so the agents race
 	n := env.NumProviders()
 	last := env.Model.NumSplittable()
 	init := &strategy.Strategy{Boundaries: []int{0, last / 2, last}}
@@ -73,8 +74,7 @@ func TestRequestPlanConcurrentSearchesDeterministic(t *testing.T) {
 	cfg.Objective = sim.ThroughputObjective{Window: 4}
 	sets := [][]int{lcp, init.Boundaries, stage}
 	search := func(procs int, sets [][]int) ([]*splitter.Result, error) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		return searchBoundarySets(env, sets, cfg, splitter.Search)
+		return searchBoundarySets(env, sets, cfg, splitter.Search, procs)
 	}
 	results, err := search(4, sets)
 	if err != nil {
@@ -95,7 +95,7 @@ func TestRequestPlanConcurrentSearchesDeterministic(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		_, err := search(procs, [][]int{stage, {7}, {9}})
 		if err == nil || !strings.Contains(err.Error(), "[7]") {
-			t.Errorf("GOMAXPROCS %d: error %v, want boundary set 1's (boundaries [7])", procs, err)
+			t.Errorf("%d workers: error %v, want boundary set 1's (boundaries [7])", procs, err)
 		}
 	}
 }

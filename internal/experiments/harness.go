@@ -28,18 +28,24 @@ type Budget struct {
 	Parallel int
 }
 
-// Tiny is for unit tests: seconds per case.
+// Tiny is for unit tests: seconds per case. Its 25 episodes are below
+// Full's, so a plan trains no agent: Request.Plan runs LC-PSS, the
+// warm-start schedule and the cut-point descent (splitter.Descend).
 func Tiny() Budget {
 	return Budget{Episodes: 25, Hidden: []int{16, 16}, Batch: 16, RandomSplits: 20, StreamImages: 25, Seed: 1}
 }
 
-// Quick is for benchmarks and -quick reproductions.
+// Quick is for benchmarks and -quick reproductions. Like Tiny it is below
+// Full's episode count, so a plan trains no agent (see Request.Plan): on
+// Figs. 7–11 the descent ranks DistrEdge higher than the trained agent at
+// this budget, in a fraction of the time.
 func Quick() Budget {
 	return Budget{Episodes: 100, Hidden: []int{32, 32}, Batch: 32, RandomSplits: 50, StreamImages: 200, Seed: 1}
 }
 
 // Full is the default distbench budget: close to paper-shaped results in
-// minutes of wall clock.
+// minutes of wall clock. It is the smallest budget at which a plan trains
+// the paper's DDPG agent.
 func Full() Budget {
 	return Budget{Episodes: 500, Hidden: []int{64, 64}, Batch: 64, RandomSplits: 100, StreamImages: 1000, Seed: 1}
 }

@@ -213,9 +213,9 @@ func (ps *PlannerSweep) Warm() ([]PlannerRow, error) {
 // WarmReference cold-plans every warm-phase fleet at the sweep's full
 // budget and fills each row's ColdScore, so the warm rows carry the
 // plan-quality delta (Score/ColdScore <= 1 means the warm-started plan — a
-// re-score of the seed and the warm-start candidates below Full's episode
-// count, a half-budget search at or above it — matched or beat the cold
-// search). Kept out of Warm so its wall-clock can be measured without the
+// descent from the best of the seed and the warm-start candidates below
+// Full's episode count, a half-budget search at or above it — matched or
+// beat the cold search). Kept out of Warm so its wall-clock can be measured without the
 // references.
 func (ps *PlannerSweep) WarmReference(rows []PlannerRow) error {
 	_, warm := plannerSpecs(ps.req.Budget.Seed)

@@ -84,8 +84,10 @@ func (r Request) Planner(memo *partition.Memo) plancache.Planner {
 }
 
 // Trainer runs LC-PSS and builds the OSDS trainer over its boundaries: the
-// agent Plan's search trains, handed out untrained for callers that keep it
-// alive and finetune it when the network changes (Section V-F).
+// agent Plan's search trains at full and paper effort, handed out
+// untrained for callers that keep it alive and finetune it when the
+// network changes (Section V-F). It trains at any effort: below full, Plan
+// trains none.
 func (r Request) Trainer(env *sim.Env) (*splitter.Trainer, error) {
 	boundaries, err := LCPSS(env, r.Budget, r.Alpha)
 	if err != nil {
@@ -120,15 +122,16 @@ func (r Request) Trainer(env *sim.Env) (*splitter.Trainer, error) {
 // searched, and the seed itself is ranked as a candidate — so the returned
 // plan never scores worse than the seed under the objective. Because the
 // seed anchors the search, a warm-started request searches on half the
-// episode budget, and below Full's episode count it does not train at all:
-// splitter.Rescore plays only that half-budget search's warm-start
-// schedule (the seed's splits, the stage layout under a throughput
-// objective, the four heuristic families) and builds no agent. At tiny and
-// quick effort the training after the schedule never beat it on the
-// plan-mix corpus; at full it sometimes does, so full and paper keep the
-// search. That is where the plan cache's warm-start throughput win comes
-// from (measured by BenchmarkPlannerService and the `distbench -fig
-// planner` sweep).
+// episode budget.
+//
+// At Full's episode count and above (full and paper effort) each boundary
+// set's search trains the paper's DDPG agent (splitter.Search). Below it
+// (tiny and quick) no agent is trained, cold or warm: splitter.Descend
+// plays the same search's warm-start schedule and polishes its best by
+// cut-point descent, one boundary set after another. On Figs. 7–11 the
+// descent ranks DistrEdge above the trained agent at tiny and quick
+// (geometric-mean IPS +7.0 % and +9.4 %, DESIGN.md) in a tenth of the
+// planning time; at full the training is kept, as the paper's search.
 func (r Request) Plan(env *sim.Env, init *strategy.Strategy, memo *partition.Memo) (*strategy.Strategy, error) {
 	b, obj := r.Budget, r.Objective
 	n := env.NumProviders()
@@ -156,18 +159,20 @@ func (r Request) Plan(env *sim.Env, init *strategy.Strategy, memo *partition.Mem
 	var best sim.Best
 	cfg := osdsConfig(b, n)
 	cfg.Objective = obj
-	search := splitter.Search
+	search, workers := splitter.Search, runtime.GOMAXPROCS(0)
+	if b.Episodes < Full().Episodes {
+		// A descent takes milliseconds: two on two cores finish no sooner
+		// than in turn, and the wait hands the caller to another core.
+		search, workers = splitter.Descend, 1
+	}
 	if init != nil {
 		if err := best.Consider(env, obj, init); err != nil {
 			return nil, err
 		}
 		cfg.Episodes = (b.Episodes + 1) / 2
 		cfg.InitSplits = init.Splits
-		if b.Episodes < Full().Episodes {
-			search = splitter.Rescore
-		}
 	}
-	results, err := searchBoundarySets(env, boundarySets, cfg, search)
+	results, err := searchBoundarySets(env, boundarySets, cfg, search, workers)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: OSDS (%s): %w", sim.DefaultObjective(obj).Name(), err)
 	}
@@ -184,16 +189,15 @@ func (r Request) Plan(env *sim.Env, init *strategy.Strategy, memo *partition.Mem
 	return best.Strategy, nil
 }
 
-// searchBoundarySets runs search (splitter.Search or splitter.Rescore) once
-// per boundary set, on as many goroutines as GOMAXPROCS allows, and
-// returns the results in boundary-set order or the error of the
-// lowest-index set that failed. Each search owns its trainer, agent and
-// seed and the env's caches are safe to share, so every result is the one
-// a serial search returns: the plan stays a pure function of the seed on
-// any core count.
-func searchBoundarySets(env *sim.Env, sets [][]int, cfg splitter.Config, search func(*sim.Env, []int, splitter.Config) (*splitter.Result, error)) ([]*splitter.Result, error) {
+// searchBoundarySets runs search (splitter.Search or splitter.Descend) once
+// per boundary set, on up to workers goroutines, and returns the results in
+// boundary-set order or the error of the lowest-index set that failed.
+// Each search owns its trainer, agent and seed and the env's caches are
+// safe to share, so every result is the one a serial search returns: the
+// plan stays a pure function of the seed on any core count.
+func searchBoundarySets(env *sim.Env, sets [][]int, cfg splitter.Config, search func(*sim.Env, []int, splitter.Config) (*splitter.Result, error), workers int) ([]*splitter.Result, error) {
 	results := make([]*splitter.Result, len(sets))
-	err := runIndexed(len(sets), runtime.GOMAXPROCS(0), func(i int) error {
+	err := runIndexed(len(sets), workers, func(i int) error {
 		res, err := search(env, sets[i], cfg)
 		results[i] = res
 		return err

@@ -14,10 +14,11 @@ func benchEnv(bw float64) *sim.Env {
 }
 
 // BenchmarkPlannerService measures plans/sec through the planner service in
-// its three regimes: cold (empty cache, full LC-PSS + OSDS search), exact
+// its three regimes: cold (empty cache, LC-PSS + OSDS: at this tiny budget
+// the warm-start candidates and a cut-point descent, no agent), exact
 // (recurring fleet signature, pure cache retrieval) and warm (near-miss
 // signature, seeded from the nearest cached neighbour: at this tiny budget
-// a re-score of the seed and OSDS's warm-start candidates).
+// a descent from the best of the seed and OSDS's warm-start candidates).
 // BENCH_baseline.json records the headline ratios.
 func BenchmarkPlannerService(b *testing.B) {
 	bud := experiments.Tiny()

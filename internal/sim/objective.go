@@ -91,10 +91,17 @@ type LatencyObjective struct{}
 // Name returns "latency".
 func (LatencyObjective) Name() string { return "latency" }
 
-// Score returns the end-to-end latency of one image starting at `at`.
+// Score returns the end-to-end latency of one image starting at `at`. It
+// reads the checked-out plan directly and copies no Breakdown, so a
+// ranking of a memoized strategy allocates nothing.
 func (LatencyObjective) Score(e *Env, s *strategy.Strategy, at float64) (float64, error) {
-	lat, _, err := e.Latency(s, at)
-	return lat, err
+	p, err := e.checkoutPlan(s)
+	if err != nil {
+		return 0, err
+	}
+	lat, _ := p.run(at)
+	e.checkinPlan(p)
+	return lat, nil
 }
 
 // EpisodeScore returns the episode's already-simulated latency unchanged.

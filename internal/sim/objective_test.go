@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"distredge/internal/device"
 	"distredge/internal/strategy"
 )
 
@@ -192,5 +193,40 @@ func TestBestAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Best.Consider allocates %.0f objects per two candidates, want 0", allocs)
+	}
+}
+
+// TestRankLatencyAllocatesNothing: ranking a memoized strategy under the
+// latency objective copies no Breakdown, so it allocates nothing, and it
+// ranks exactly Env.Latency's latency at instant 0. A cut rewritten in
+// place — a cut-point descent's move — recompiles the memoized plan in
+// place and allocates nothing either.
+func TestRankLatencyAllocatesNothing(t *testing.T) {
+	env := testEnv(200, device.Xavier, device.Nano, device.TX2, device.Nano)
+	s := equalSplitStrategy(env.Model, []int{0, 10, 14, 18}, 4)
+	rank := func() float64 {
+		score, err := Rank(env, nil, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return score
+	}
+	want, _, err := env.Latency(s, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rank(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("Rank = %.17g, Env.Latency = %.17g", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { rank() }); allocs != 0 {
+		t.Errorf("ranking a memoized strategy under latency allocates %.0f objects, want 0", allocs)
+	}
+	cut := &s.Splits[0][0]
+	moved := testing.AllocsPerRun(100, func() {
+		*cut ^= 1 // alternate between two valid cuts
+		rank()
+	})
+	if moved != 0 {
+		t.Errorf("ranking after a cut move allocates %.0f objects, want 0", moved)
 	}
 }

@@ -5,6 +5,11 @@
 // configuration (Eq. 7), acting in a continuous space mapped to cut points
 // (Eq. 9), and rewarded with 1/T at the end of each episode (Eq. 8). The
 // best strategy seen during training is kept (lines 24-26).
+//
+// Search is that algorithm. Descend is its agent-free counterpart, which
+// the planner runs below full effort: the same warm-start episodes, then a
+// cut-point descent from their best (see Descend; DESIGN.md gives the
+// Figs. 7–11 comparison that chose it).
 package splitter
 
 import (
@@ -139,7 +144,7 @@ func NewTrainer(env *sim.Env, boundaries []int, cfg Config) (*Trainer, error) {
 }
 
 // newTrainer is NewTrainer; without learn it builds no agent, and the
-// trainer plays its warm-start schedule only (see Rescore).
+// trainer plays its warm-start schedule only (see Descend).
 func newTrainer(env *sim.Env, boundaries []int, cfg Config, learn bool) (*Trainer, error) {
 	cfg = cfg.withDefaults()
 	n := env.NumProviders()
@@ -197,7 +202,7 @@ func newTrainer(env *sim.Env, boundaries []int, cfg Config, learn bool) (*Traine
 }
 
 // release hands the trainer and its agent, if it has one, back for later
-// searches to reuse. Only a one-shot Search or Rescore releases its
+// searches to reuse. Only a one-shot Search or Descend releases its
 // trainer: one kept alive for Finetune never is.
 func (t *Trainer) release() {
 	if t.agent != nil {
@@ -569,7 +574,7 @@ func (t *Trainer) runEpisode(eps float64, warmKind int) (float64, *strategy.Stra
 	if err != nil || score <= 0 || math.IsInf(score, 0) {
 		return math.Inf(1), nil
 	}
-	if t.agent == nil { // a re-score learns nothing
+	if t.agent == nil { // a schedule without an agent learns nothing
 		return score, &t.strat
 	}
 	// Rewards: 0 for intermediate steps, 1/T at the terminal step (Eq. 8,
@@ -609,7 +614,8 @@ func (t *Trainer) result() *Result {
 // Run trains for the configured number of episodes, tracking the best
 // strategy observed.
 func (t *Trainer) Run() *Result {
-	return t.train(t.cfg.Episodes, false)
+	t.train(t.cfg.Episodes, false)
+	return t.result()
 }
 
 // Best returns a copy of the best strategy observed so far (nil when no
@@ -632,7 +638,8 @@ func (t *Trainer) Finetune(env *sim.Env, episodes int) *Result {
 	t.best = nil
 	t.bestT = math.Inf(1)
 	t.hist = t.hist[:0]
-	return t.train(episodes, true)
+	t.train(episodes, true)
+	return t.result()
 }
 
 // train plays episodes episodes (Alg. 2's outer loop), the warm-start
@@ -640,7 +647,7 @@ func (t *Trainer) Finetune(env *sim.Env, episodes int) *Result {
 // after the schedule. A first run decays ε from 1 to a 0.05 floor over
 // 85 % of the configured episodes; a finetune explores at a fixed ε of 0.3
 // and keeps at least one warm episode.
-func (t *Trainer) train(episodes int, finetune bool) *Result {
+func (t *Trainer) train(episodes int, finetune bool) {
 	t.sched = warmSchedule(t.sched, t.cfg, episodes, finetune)
 	if t.agent == nil {
 		episodes = len(t.sched)
@@ -659,7 +666,6 @@ func (t *Trainer) train(episodes int, finetune bool) *Result {
 		}
 		t.record(t.runEpisode(eps, warmKind))
 	}
-	return t.result()
 }
 
 // Search is the one-shot convenience API: train a fresh agent and return
@@ -668,25 +674,92 @@ func Search(env *sim.Env, boundaries []int, cfg Config) (*Result, error) {
 	return search(env, boundaries, cfg, true)
 }
 
-// Rescore is Search stopped after its warm-start schedule: it plays the
-// first len(warmSchedule) episodes of Search(env, boundaries, cfg) — the
-// same candidates, trace instants, noise draws and best-strategy tracker,
-// so its per-episode scores are the first ones of Search's, bit for bit —
-// and builds no agent, adds no transition and runs no update. It returns
-// Search's strategy whenever Search kept one of those episodes. A search
-// without WarmStart has no schedule, so Rescore finds no strategy.
-func Rescore(env *sim.Env, boundaries []int, cfg Config) (*Result, error) {
+// Descend is the agent-free search: it plays the first len(warmSchedule)
+// episodes of Search(env, boundaries, cfg) — the same candidates, trace
+// instants, noise draws and best-strategy tracker, so its per-episode
+// scores are the first ones of Search's, bit for bit — builds no agent,
+// and then polishes the schedule's best strategy by cut-point descent:
+//
+//   - a move shifts one cut of one volume by a step of the ladder 16, 8,
+//     4, 2, 1 rows, down first, and never past a neighbouring cut or the
+//     volume's edge; each step is swept over every cut until a sweep
+//     improves nothing, then the next step is;
+//   - each candidate is ranked through sim.Rank, the objective at instant
+//     0, and only a strictly better one is kept;
+//   - it stops at a ±1 local optimum, or after Episodes × volumes
+//     rankings, the Exec steps Search's training would simulate.
+//
+// Result.Episodes holds the schedule's scores and BestLatency the returned
+// strategy's rank. The moves rewrite the trainer's best-strategy buffer in
+// place, so the environment's plan memo recompiles its plan in place and a
+// move allocates nothing. A search without WarmStart has no schedule, so
+// Descend finds no strategy.
+func Descend(env *sim.Env, boundaries []int, cfg Config) (*Result, error) {
 	return search(env, boundaries, cfg, false)
 }
 
-// search runs one pooled trainer (with an agent when learn) to the end and
-// releases it.
+// descentSteps is Descend's step ladder, in rows.
+var descentSteps = [...]int{16, 8, 4, 2, 1}
+
+// descend polishes the best strategy by cut-point descent (see Descend)
+// and leaves its rank in bestT.
+func (t *Trainer) descend() {
+	s := t.best
+	if s == nil {
+		return
+	}
+	cur, err := sim.Rank(t.env, t.obj, s)
+	if err != nil {
+		return
+	}
+	t.bestT = cur
+	left := t.cfg.Episodes*(len(t.boundaries)-1) - 1 // rankings left
+	for _, step := range descentSteps {
+		for improved := true; improved; {
+			improved = false
+			for v, cuts := range s.Splits {
+				h := strategy.VolumeHeight(t.env.Model, t.boundaries, v)
+				for ci, old := range cuts {
+					lo, hi := 0, h
+					if ci > 0 {
+						lo = cuts[ci-1]
+					}
+					if ci+1 < len(cuts) {
+						hi = cuts[ci+1]
+					}
+					for _, c := range [2]int{old - step, old + step} {
+						if c < lo || c > hi {
+							continue
+						}
+						if left == 0 {
+							return
+						}
+						left--
+						cuts[ci] = c
+						if score, err := sim.Rank(t.env, t.obj, s); err == nil && score < cur {
+							cur, t.bestT, improved = score, score, true
+							break
+						}
+						cuts[ci] = old
+					}
+				}
+			}
+		}
+	}
+}
+
+// search runs one pooled trainer to the end — trained with an agent when
+// learn, else its warm-start schedule and the descent — and releases it.
 func search(env *sim.Env, boundaries []int, cfg Config, learn bool) (*Result, error) {
 	tr, err := newTrainer(env, boundaries, cfg, learn)
 	if err != nil {
 		return nil, err
 	}
-	res := tr.Run()
+	tr.train(tr.cfg.Episodes, false)
+	if !learn {
+		tr.descend()
+	}
+	res := tr.result()
 	tr.release()
 	if res.Strategy == nil {
 		return nil, fmt.Errorf("splitter: no valid strategy found")

@@ -13,7 +13,9 @@ import (
 // eeb640d) immediately before the Objective interface was threaded
 // through the planner stack: exact strategies and %.17g-formatted metrics
 // for three seeded configurations covering stable and dynamic traces and
-// a fully-convolutional model. Any float-path change in the default
+// a fully-convolutional model. They were re-pinned once since, when tiny
+// effort stopped training an agent and started descending over cut points
+// (same boundaries, higher IPS in all three). Any float-path change in the default
 // planning pipeline shows up here as a golden mismatch — the same
 // enforcement pattern as sim_equivalence_test.go, anchored to recorded
 // values because the reference implementation is the history itself.
@@ -35,25 +37,25 @@ var goldenCases = []goldenCase{
 		name: "stable-db", model: "vgg16",
 		provs: "xavier:200,xavier:200,nano:200,nano:200", seed: 1,
 		boundaries: "[0 10 14 18]",
-		splits:     "[[14 28 28] [7 14 14] [4 7 7]]",
-		evaluate:   "ips=13.647642655961437 meanlat=73.272727401254841 maxcomp=46.854103439999996 maxtrans=24.483853308091891",
-		pipelined:  "ips=17.401059148242258 steady=17.514274998091398 meanlat=223.0224091372894 p95=228.89267992468373",
+		splits:     "[[12 27 28] [4 14 14] [0 7 7]]",
+		evaluate:   "ips=14.979570516099493 meanlat=66.757588204897914 maxcomp=51.506278800000004 maxtrans=27.650492255218193",
+		pipelined:  "ips=19.299776345320755 steady=19.41510604110605 meanlat=201.07553430765614 p95=206.02528943962068",
 	},
 	{
 		name: "dynamic-nano", model: "vgg16",
 		provs: "nano:100,nano:100,tx2:100,nano:100", seed: 3, dynamic: true,
 		boundaries: "[0 9 10 14 18]",
-		splits:     "[[12 18 45] [7 13 21] [3 5 11] [2 3 6]]",
-		evaluate:   "ips=5.0716556268183162 meanlat=197.17427080658197 maxcomp=96.043911418181807 maxtrans=82.839599490673351",
-		pipelined:  "ips=6.1236911473050606 steady=6.151029858860948 meanlat=633.92764235790867 p95=670.37888987032784",
+		splits:     "[[14 26 43] [7 13 21] [3 5 11] [0 1 6]]",
+		evaluate:   "ips=6.9006170924091927 meanlat=144.91457598770677 maxcomp=102.44588538181817 maxtrans=83.540280747367618",
+		pipelined:  "ips=8.5831820366420359 steady=8.6352237249328336 meanlat=452.17441318485783 p95=466.13397608259322",
 	},
 	{
 		name: "stable-yolo", model: "yolov2",
 		provs: "nano:100,nano:100,nano:100,nano:100", seed: 2,
 		boundaries: "[0 8 10 12 14 16 18 20 22 26]",
-		splits:     "[[13 26 39] [13 26 39] [7 13 20] [7 13 20] [7 13 20] [3 7 10] [3 7 10] [3 7 10] [4 7 10]]",
-		evaluate:   "ips=5.2308071398892153 meanlat=191.17508507896915 maxcomp=116.46855509545455 maxtrans=97.901719953685486",
-		pipelined:  "ips=6.4541140879843892 steady=6.4875386116678921 meanlat=601.23659168895426 p95=618.61718719679368",
+		splits:     "[[13 26 37] [13 28 39] [7 13 20] [7 13 20] [7 13 20] [3 7 10] [3 7 8] [5 7 10] [4 7 10]]",
+		evaluate:   "ips=5.3392098368609489 meanlat=187.2936315587709 maxcomp=116.61782724090909 maxtrans=95.517131872506013",
+		pipelined:  "ips=6.50469747595195 steady=6.5403174542197169 meanlat=596.5742184478504 p95=614.28286513352509",
 	},
 }
 

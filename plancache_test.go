@@ -18,7 +18,7 @@ import (
 // pinned, so a change that moves any planned byte — kernels, LC-PSS, OSDS,
 // warm starts or the cache — fails here.
 func TestPlanCachedBytesPinned(t *testing.T) {
-	const want = "ae2b7b7935232e63f5871919d7299ff548392921b59999f0bd5f99eec15179ca"
+	const want = "e309de6ef240c8f82ece7cc31691c66948c3b5d406b529750e611373e3084837"
 	fleet := func(bw float64) []Provider {
 		return []Provider{
 			{Type: "xavier", BandwidthMbps: bw},
