@@ -41,6 +41,47 @@ func TestThroughputAtSegmentEdges(t *testing.T) {
 	}
 }
 
+// floorSlot is the periodic slot rule ThroughputAt applies at every time
+// outside the trace's first period: floor division, then the period's
+// modulo folded into [0, slots).
+func floorSlot(t, slotSeconds float64, slots int) int {
+	slot := int(math.Floor(t/slotSeconds)) % slots
+	if slot < 0 {
+		slot += slots
+	}
+	return slot
+}
+
+// slotEdgeTimes returns the instants where a slot rule can go wrong on a
+// trace of the given shape: ±0, each slot edge and the trace's end one ulp
+// either side, negative and wrapped times, a far instant, ±Inf and NaN.
+func slotEdgeTimes(slotSeconds float64, slots int) []float64 {
+	ts := []float64{0, math.Copysign(0, -1), 1e12, -1e12, math.Inf(1), math.Inf(-1), math.NaN()}
+	for k := -slots; k <= 2*slots; k++ {
+		edge := float64(k) * slotSeconds
+		ts = append(ts, edge, math.Nextafter(edge, math.Inf(-1)), math.Nextafter(edge, math.Inf(1)))
+	}
+	end := float64(slots) * slotSeconds
+	return append(ts, math.Nextafter(end, 0), math.Nextafter(end, math.Inf(1)), -end-slotSeconds/2, 3.5*end)
+}
+
+// TestThroughputAtSlotRule holds ThroughputAt's truncated first-period
+// slot to the floor-and-modulo slot at every edge slotEdgeTimes names, on
+// slot lengths that divide time exactly (1), inexactly (0.1) and coarsely
+// (3).
+func TestThroughputAtSlotRule(t *testing.T) {
+	mbps := []float64{11, 22, 33, 44, 55}
+	for _, slotSeconds := range []float64{1, 0.1, 3} {
+		tr := &Trace{SlotSeconds: slotSeconds, Mbps: mbps}
+		for _, at := range slotEdgeTimes(slotSeconds, len(mbps)) {
+			want := mbps[floorSlot(at, slotSeconds, len(mbps))] * 1e6
+			if got := tr.ThroughputAt(at); got != want {
+				t.Errorf("slot %gs: ThroughputAt(%.17g) = %g, floor and modulo give %g", slotSeconds, at, got, want)
+			}
+		}
+	}
+}
+
 // TestTransferLatencyBoundaries is the table-driven edge sweep for the
 // latency model itself: zero-byte payloads, self-transfers, unknown
 // devices, and starts pinned exactly on trace-segment boundaries (where a
@@ -120,18 +161,21 @@ func TestTransferLatencyIOAccounting(t *testing.T) {
 }
 
 // FuzzTransferLatency asserts the model's total function contract: any
-// (from, to, bytes, t) — including NaN/Inf-free garbage indices and
-// negative times — yields a finite, non-negative latency and never
-// panics, since churn re-planning queries transfers at event times the
-// planner never saw.
+// (from, to, bytes, t) — garbage indices, negative, infinite and NaN times
+// included, seeded with slotEdgeTimes' instants — yields a finite,
+// non-negative latency and never panics, since churn re-planning queries
+// transfers at event times the planner never saw.
 func FuzzTransferLatency(f *testing.F) {
 	f.Add(0, 1, 1e6, 0.0)
 	f.Add(Requester, 0, 5e3, 59.999)
 	f.Add(3, -2, 1e9, -17.3)
 	f.Add(1, 1, 0.0, 1e12)
 	n := NewStable([]float64{50, 100, 200}, 2, 7)
+	for _, at := range slotEdgeTimes(n.Requester.Trace.SlotSeconds, len(n.Requester.Trace.Mbps)) {
+		f.Add(Requester, 2, 1e6, at)
+	}
 	f.Fuzz(func(t *testing.T, from, to int, bytes, at float64) {
-		if math.IsNaN(bytes) || math.IsInf(bytes, 0) || math.IsNaN(at) || math.IsInf(at, 0) {
+		if math.IsNaN(bytes) || math.IsInf(bytes, 0) {
 			t.Skip()
 		}
 		got := n.TransferLatency(from, to, bytes, at)

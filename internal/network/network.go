@@ -11,7 +11,6 @@
 package network
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -31,12 +30,19 @@ type Trace struct {
 // t (seconds). Empty traces return 0. The trace extends periodically in
 // both directions: the slot index uses floor division, so negative times —
 // which int truncation toward zero would fold onto slot 0 — land on the
-// slot a periodic extension puts them in.
+// slot a periodic extension puts them in. Inside the trace's first period
+// floor equals truncation and the modulo is the identity, so a time there
+// (the times a ranking at trace instant 0 asks for) takes its slot by
+// truncation alone.
 func (tr *Trace) ThroughputAt(t float64) float64 {
 	if tr == nil || len(tr.Mbps) == 0 {
 		return 0
 	}
-	slot := int(math.Floor(t/tr.SlotSeconds)) % len(tr.Mbps)
+	q := t / tr.SlotSeconds
+	if q >= 0 && q < float64(len(tr.Mbps)) {
+		return tr.Mbps[int(q)] * 1e6
+	}
+	slot := int(math.Floor(q)) % len(tr.Mbps)
 	if slot < 0 {
 		slot += len(tr.Mbps)
 	}
@@ -148,7 +154,7 @@ type Link struct {
 }
 
 // downTrace returns the trace governing traffic towards this device.
-func (l Link) downTrace() *Trace {
+func (l *Link) downTrace() *Trace {
 	if l.Down != nil {
 		return l.Down
 	}
@@ -169,7 +175,7 @@ func DefaultLink(tr *Trace) Link {
 
 // ioLatency returns this endpoint's I/O contribution for a transfer of the
 // given size.
-func (l Link) ioLatency(bytes float64) float64 {
+func (l *Link) ioLatency(bytes float64) float64 {
 	io := l.IOFixedMS / 1e3
 	if l.IOGBps > 0 {
 		io += bytes / (l.IOGBps * 1e9)
@@ -215,29 +221,25 @@ func (n *Network) TimeInvariant() bool {
 	return true
 }
 
-// link returns the Link of a device index (Requester = -1).
-func (n *Network) link(dev int) (Link, error) {
+// linkOf returns the Link of a device index (Requester = -1), nil for an
+// index that names no device.
+func (n *Network) linkOf(dev int) *Link {
 	if dev == Requester {
-		return n.Requester, nil
+		return &n.Requester
 	}
 	if dev < 0 || dev >= len(n.Providers) {
-		return Link{}, fmt.Errorf("network: no device %d", dev)
+		return nil
 	}
-	return n.Providers[dev], nil
+	return &n.Providers[dev]
 }
 
-// PairThroughput returns the bits/second available between two devices at
-// time t: both transfers cross the router, so the minimum of the sender's
-// uplink and the receiver's downlink (which is the uplink trace again for
-// symmetric links — the default).
-func (n *Network) PairThroughput(from, to int, t float64) float64 {
-	lf, errF := n.link(from)
-	lt, errT := n.link(to)
-	if errF != nil || errT != nil {
-		return 0
-	}
-	a := lf.Trace.ThroughputAt(t)
-	b := lt.downTrace().ThroughputAt(t)
+// pairThroughput returns the bits/second available from link `from` to
+// link `to` at time t: both transfers cross the router, so the minimum of
+// the sender's uplink and the receiver's downlink (which is the uplink
+// trace again for symmetric links — the default).
+func pairThroughput(from, to *Link, t float64) float64 {
+	a := from.Trace.ThroughputAt(t)
+	b := to.downTrace().ThroughputAt(t)
 	if b < a {
 		return b
 	}
@@ -247,17 +249,17 @@ func (n *Network) PairThroughput(from, to int, t float64) float64 {
 // TransferLatency returns the seconds to move bytes from device `from` to
 // device `to` starting at time t: sender I/O + wire time + receiver I/O.
 // Transfers between a device and itself, or of zero bytes, are free (data
-// already resident, Section V-A preloads split-parts).
+// already resident, Section V-A preloads split-parts), and so are
+// transfers from or to an index that names no device.
 func (n *Network) TransferLatency(from, to int, bytes, t float64) float64 {
 	if bytes <= 0 || from == to {
 		return 0
 	}
-	lf, errF := n.link(from)
-	lt, errT := n.link(to)
-	if errF != nil || errT != nil {
+	lf, lt := n.linkOf(from), n.linkOf(to)
+	if lf == nil || lt == nil {
 		return 0
 	}
-	thr := n.PairThroughput(from, to, t)
+	thr := pairThroughput(lf, lt, t)
 	if thr <= 0 {
 		return 0
 	}

@@ -100,13 +100,16 @@ func newTestNetwork() *Network {
 
 func TestPairThroughputIsMin(t *testing.T) {
 	n := newTestNetwork()
-	if got := n.PairThroughput(0, 1, 0); got != 50e6 {
+	if got := pairThroughput(n.linkOf(0), n.linkOf(1), 0); got != 50e6 {
 		t.Errorf("pair(0,1) = %g, want 5e7", got)
 	}
-	if got := n.PairThroughput(Requester, 1, 0); got != 200e6 {
+	if got := pairThroughput(n.linkOf(Requester), n.linkOf(1), 0); got != 200e6 {
 		t.Errorf("pair(req,1) = %g, want 2e8", got)
 	}
-	if n.PairThroughput(0, 99, 0) != 0 {
+	if n.linkOf(99) != nil || n.linkOf(-2) != nil {
+		t.Error("an index that names no device must resolve to no link")
+	}
+	if n.TransferLatency(0, 99, 1e6, 0) != 0 {
 		t.Error("unknown device must yield 0")
 	}
 }
@@ -221,11 +224,11 @@ func newAsymNetwork() *Network {
 func TestAsymmetricPairThroughput(t *testing.T) {
 	n := newAsymNetwork()
 	// Towards provider 0: sender uplink 100, receiver downlink 100.
-	if got := n.PairThroughput(1, 0, 0); got != 100e6 {
+	if got := pairThroughput(n.linkOf(1), n.linkOf(0), 0); got != 100e6 {
 		t.Errorf("pair(1,0) = %g, want 1e8 (fast downlink)", got)
 	}
 	// From provider 0: its 10 Mbps uplink is the bottleneck.
-	if got := n.PairThroughput(0, 1, 0); got != 10e6 {
+	if got := pairThroughput(n.linkOf(0), n.linkOf(1), 0); got != 10e6 {
 		t.Errorf("pair(0,1) = %g, want 1e7 (slow uplink)", got)
 	}
 }

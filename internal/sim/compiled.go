@@ -68,11 +68,16 @@ type CompiledPlan struct {
 
 	// links lists, ascending and once each, the directed links the plan's
 	// transfers use: the only entries of pipeState's per-link state a replay
-	// reads or writes.
-	links []int
+	// reads or writes. linkUsed, indexed by link, is collectLinks' set, all
+	// false between calls.
+	links    []int
+	linkUsed []bool
 
 	// Backing arrays of splits, the volumes' parts and the parts' sources,
-	// kept for recompiling.
+	// kept for recompiling. Over n providers volume v's cuts are
+	// cutBuf[(n-1)v:], its parts partBuf[nv:], and part i's sources the
+	// n-slot region srcBuf[(nv+i)n:], so a volume is rebuilt without
+	// moving any other.
 	cutBuf  []int
 	partBuf []compiledPart
 	srcBuf  []gatherSrc
@@ -101,6 +106,14 @@ func Compile(e *Env, s *strategy.Strategy) (*CompiledPlan, error) {
 // strategy's cuts every episode, so recompiling into a plan that has held
 // a strategy of the same shape allocates nothing. A strategy that fails
 // validation leaves the plan as it was.
+//
+// A plan compiled before for the same volume boundaries (its fingerprint
+// says so) is rebuilt only where the cuts moved, as its geometry is (see
+// strategy.CompileGeometryInto): the compute latency and scatter payload of
+// each part whose cuts differ from the fingerprint's, the transfer sources
+// of each volume with a moved part and of the volume after it, and the
+// finish phase. Every other plan is rebuilt whole, by the same loop over
+// every volume. Either way every field ends as a fresh Compile sets it.
 func (p *CompiledPlan) compile(s *strategy.Strategy) error {
 	e := p.env
 	n := e.NumProviders()
@@ -117,77 +130,80 @@ func (p *CompiledPlan) compile(s *strategy.Strategy) error {
 		p.bdTrans = scratch[4*n : 5*n : 5*n]
 	}
 	p.strat = s
-	p.boundaries = append(p.boundaries[:0], s.Boundaries...)
-	cuts := 0
-	for _, c := range s.Splits {
-		cuts += len(c)
-	}
-	p.cutBuf = resize(p.cutBuf, cuts)
-	p.splits = resize(p.splits, len(s.Splits))
-	buf := p.cutBuf
-	for v, c := range s.Splits {
-		p.splits[v], buf = buf[:len(c):len(c)], buf[len(c):]
-		copy(p.splits[v], c)
-	}
-
-	sources := 0
-	for _, g := range geo.Volumes {
-		for _, src := range g.Sources {
-			sources += len(src)
+	numVols := len(geo.Volumes)
+	whole := len(p.vols) != numVols || !slices.Equal(p.boundaries, s.Boundaries)
+	if whole {
+		p.boundaries = append(p.boundaries[:0], s.Boundaries...)
+		p.cutBuf = resize(p.cutBuf, (n-1)*numVols)
+		p.splits = resize(p.splits, numVols)
+		p.vols = resize(p.vols, numVols)
+		p.partBuf = resize(p.partBuf, n*numVols)
+		p.srcBuf = resize(p.srcBuf, n*n*numVols)
+		for v := range p.vols {
+			p.splits[v] = p.cutBuf[(n-1)*v : (n-1)*(v+1) : (n-1)*(v+1)]
+			p.vols[v].parts = p.partBuf[n*v : n*(v+1) : n*(v+1)]
 		}
 	}
-	p.vols = resize(p.vols, len(geo.Volumes))
-	p.partBuf = resize(p.partBuf, n*len(geo.Volumes))
-	p.srcBuf = resize(p.srcBuf, sources)
-	if cap(p.links) < sources+n+1 { // every transfer's link, before deduplication
-		p.links = make([]int, 0, sources+n+1)
-	}
-	parts, srcs, links := p.partBuf, p.srcBuf, p.links[:0]
+	prevMoved := false
 	for v, g := range geo.Volumes {
-		cv := &p.vols[v]
-		cv.parts, parts = parts[:n:n], parts[n:]
+		old, cuts := p.splits[v], s.Splits[v]
+		parts := p.vols[v].parts
+		moved := false
 		for i, part := range g.Parts {
+			// Part i spans cuts i-1 and i.
+			if !whole && (i == 0 || old[i-1] == cuts[i-1]) && (i == len(cuts) || old[i] == cuts[i]) {
+				continue
+			}
+			moved = true
 			if part.Empty() {
+				parts[i] = compiledPart{}
 				continue
 			}
 			in := g.Inputs[i]
-			k := len(g.Sources[i])
-			cp := compiledPart{
+			parts[i] = compiledPart{
 				active: true,
 				hasIn:  !in.Empty(),
 				comp:   e.VolumeLatency(i, g.Layers, part),
-				srcs:   srcs[:k:k],
 			}
-			srcs = srcs[k:]
 			if v == 0 {
-				cp.scatterB = float64(in.Len()) * g.InRowBytes
+				parts[i].scatterB = float64(in.Len()) * g.InRowBytes
 			}
-			for k, src := range g.Sources[i] {
-				cp.srcs[k].j = src.From
-				if src.From != i {
-					cp.srcs[k].li = linkIdx(n, src.From, i)
-					cp.srcs[k].bytes = float64(src.Rows.Len()) * g.InRowBytes
-					links = append(links, cp.srcs[k].li)
+		}
+		copy(old, cuts)
+		if moved || prevMoved {
+			for i := range parts {
+				k := len(g.Sources[i])
+				cp := &parts[i]
+				cp.srcs = p.srcBuf[(n*v+i)*n:][:k:k]
+				for k, src := range g.Sources[i] {
+					cp.srcs[k] = gatherSrc{j: src.From}
+					if src.From != i {
+						cp.srcs[k].li = linkIdx(n, src.From, i)
+						cp.srcs[k].bytes = float64(src.Rows.Len()) * g.InRowBytes
+					}
 				}
 			}
-			cv.parts[i] = cp
 		}
+		prevMoved = moved
 	}
 
 	// Finish phase: every non-empty last part travels to the FC owner (its
-	// own stays put) or, without FC layers, straight to the requester.
-	last := geo.Volumes[len(geo.Volumes)-1]
+	// own stays put) or, without FC layers, straight to the requester. The
+	// FC latency is a function of the owner alone.
+	last := geo.Volumes[numVols-1]
+	if whole || p.fcOwner != geo.FCOwner {
+		p.fcLat = 0
+		for _, fc := range geo.FCLayers {
+			p.fcLat += e.Devices[geo.FCOwner].ComputeLatency(fc, 1)
+		}
+	}
 	p.fcOwner = geo.FCOwner
 	p.resultBytes = geo.ResultBytes
-	p.fcLat, p.resultLink = 0, 0
-	for _, fc := range geo.FCLayers {
-		p.fcLat += e.Devices[p.fcOwner].ComputeLatency(fc, 1)
-	}
+	p.resultLink = 0
 	to := network.Requester
 	if p.fcOwner >= 0 {
 		to = p.fcOwner
 		p.resultLink = linkIdx(n, p.fcOwner, network.Requester)
-		links = append(links, p.resultLink)
 	}
 	if p.finish == nil {
 		p.finish = make([]gatherSrc, 0, n)
@@ -195,14 +211,43 @@ func (p *CompiledPlan) compile(s *strategy.Strategy) error {
 	p.finish = p.finish[:0]
 	for j, own := range last.Parts {
 		if j != p.fcOwner && !own.Empty() {
-			f := gatherSrc{j: j, li: linkIdx(n, j, to), bytes: float64(own.Len()) * last.OutRowBytes}
-			p.finish = append(p.finish, f)
-			links = append(links, f.li)
+			p.finish = append(p.finish, gatherSrc{j: j, li: linkIdx(n, j, to), bytes: float64(own.Len()) * last.OutRowBytes})
 		}
 	}
-	slices.Sort(links)
-	p.links = slices.Compact(links)
+	p.collectLinks()
 	return nil
+}
+
+// collectLinks lists, ascending and once each, the directed links of the
+// plan's transfers.
+func (p *CompiledPlan) collectLinks() {
+	n := len(p.acc)
+	if p.linkUsed == nil {
+		p.linkUsed = make([]bool, (n+1)*(n+1))
+		p.links = make([]int, 0, len(p.linkUsed))
+	}
+	for v := range p.vols {
+		for i := range p.vols[v].parts {
+			for _, src := range p.vols[v].parts[i].srcs {
+				if src.j != i {
+					p.linkUsed[src.li] = true
+				}
+			}
+		}
+	}
+	if p.fcOwner >= 0 {
+		p.linkUsed[p.resultLink] = true
+	}
+	for _, f := range p.finish {
+		p.linkUsed[f.li] = true
+	}
+	p.links = p.links[:0]
+	for li, used := range p.linkUsed {
+		if used {
+			p.links = append(p.links, li)
+			p.linkUsed[li] = false
+		}
+	}
 }
 
 // resize returns s resliced to n zeroed elements, or a new slice when s is

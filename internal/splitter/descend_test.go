@@ -3,9 +3,14 @@ package splitter
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime/debug"
 	"testing"
 
+	"distredge/internal/cnn"
+	"distredge/internal/device"
+	"distredge/internal/network"
+	"distredge/internal/partition"
 	"distredge/internal/sim"
 	"distredge/internal/strategy"
 )
@@ -145,6 +150,177 @@ func TestDescendAllocs(t *testing.T) {
 			if pooled != want || fresh != want {
 				t.Errorf("%s/%d episodes: %v allocations per descent, %v with a new hidden shape each time, want %d", c.name, episodes, pooled, fresh, want)
 			}
+		}
+	}
+}
+
+// referenceDescend is descend as it was before it skipped a cut whose
+// neighbourhood no kept move had changed: every in-range candidate of
+// every cut of every sweep is ranked. It reports whether the budget ran
+// out before a local optimum.
+func referenceDescend(t *Trainer) (bound bool) {
+	s := t.best
+	if s == nil {
+		return false
+	}
+	cur, err := sim.Rank(t.env, t.obj, s)
+	if err != nil {
+		return false
+	}
+	t.bestT = cur
+	left := t.cfg.Episodes*(len(t.boundaries)-1) - 1
+	for _, step := range descentSteps {
+		for improved := true; improved; {
+			improved = false
+			for v, cuts := range s.Splits {
+				h := strategy.VolumeHeight(t.env.Model, t.boundaries, v)
+				for ci, old := range cuts {
+					lo, hi := 0, h
+					if ci > 0 {
+						lo = cuts[ci-1]
+					}
+					if ci+1 < len(cuts) {
+						hi = cuts[ci+1]
+					}
+					for _, c := range [2]int{old - step, old + step} {
+						if c < lo || c > hi {
+							continue
+						}
+						if left == 0 {
+							return true
+						}
+						left--
+						cuts[ci] = c
+						if score, err := sim.Rank(t.env, t.obj, s); err == nil && score < cur {
+							cur, t.bestT, improved = score, score, true
+							break
+						}
+						cuts[ci] = old
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// countingObjective counts the Score calls of the objective it wraps: a
+// descent's rankings (the wrapped ThroughputObjective's EpisodeScore calls
+// its own Score, which is not counted).
+type countingObjective struct {
+	sim.Objective
+	scores *int
+}
+
+func (o countingObjective) Score(e *sim.Env, s *strategy.Strategy, at float64) (float64, error) {
+	*o.scores++
+	return o.Objective.Score(e, s, at)
+}
+
+// TestDescendSkipsRankedCuts: a descent that does not rank again the cuts
+// whose neighbourhood no kept move has changed returns the strategy bytes
+// and rank of referenceDescend, which ranks every candidate, on
+// poolCases' seeded envs under the latency and the IPS objective, at
+// budgets that bind (2 and 3 episodes) and at one that does not; with one
+// episode there is no schedule, so neither finds a strategy. Under the IPS
+// objective, counted through countingObjective, it ranks strictly fewer
+// candidates over the cases and never more in one.
+func TestDescendSkipsRankedCuts(t *testing.T) {
+	bound, fewer := 0, 0
+	for _, c := range poolCases() {
+		for _, episodes := range []int{1, 2, 3, 30} {
+			c := c // the objective is wrapped below, once per budget
+			c.cfg.Episodes = episodes
+			name := fmt.Sprintf("%s/%d episodes", c.name, episodes)
+			var refScores, gotScores int
+			if !sim.IsLatencyObjective(c.cfg.Objective) {
+				c.cfg.Objective = countingObjective{c.cfg.Objective, &refScores}
+			}
+			tr, err := newTrainer(c.env, c.boundaries, c.cfg, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.train(tr.cfg.Episodes, false)
+			if referenceDescend(tr) {
+				bound++
+			}
+			want := tr.result()
+			tr.release()
+
+			if co, ok := c.cfg.Objective.(countingObjective); ok {
+				co.scores = &gotScores
+				c.cfg.Objective = co
+			}
+			got, err := Descend(c.env, c.boundaries, c.cfg)
+			if want.Strategy == nil {
+				if err == nil {
+					t.Errorf("%s: the reference finds no strategy, the descent finds %v", name, got.Strategy.Splits)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(got.Strategy, want.Strategy) || math.Float64bits(got.BestLatency) != math.Float64bits(want.BestLatency) {
+				t.Errorf("%s: descends to %v (%.17g), the reference to %v (%.17g)",
+					name, got.Strategy.Splits, got.BestLatency, want.Strategy.Splits, want.BestLatency)
+			}
+			if gotScores > refScores {
+				t.Errorf("%s: %d rankings, the reference's %d", name, gotScores, refScores)
+			}
+			fewer += refScores - gotScores
+		}
+	}
+	if bound == 0 {
+		t.Error("no budget bound a reference descent: the cases show nothing of the budget")
+	}
+	if fewer <= 0 {
+		t.Error("the descent ranked no fewer candidates than the reference under the IPS objective")
+	}
+}
+
+// BenchmarkDescend times one cold quick-budget descent per (model,
+// objective) key a plan-mix pass plans: the key's fleet (4–6 of xavier,
+// tx2, nano and pi3 at 100 Mbps) over its LC-PSS boundaries, the warm-start
+// schedule and then the cut-point descent, as Descend runs them. It
+// reports the descent's rankings per op (rankings/op), counted by swapping
+// countingObjective in after the schedule, so the schedule plays as under
+// the plain objective.
+func BenchmarkDescend(b *testing.B) {
+	fleets := map[int][]device.Type{
+		4: {device.Xavier, device.TX2, device.Nano, device.Pi3},
+		5: {device.Xavier, device.TX2, device.TX2, device.Nano, device.Pi3},
+		6: {device.Xavier, device.Xavier, device.TX2, device.Nano, device.Nano, device.Pi3},
+	}
+	for mi, m := range []*cnn.Model{cnn.VGG16(), cnn.ResNet50(), cnn.YOLOv2(), cnn.InceptionV3()} {
+		for oi, obj := range []sim.Objective{nil, sim.ThroughputObjective{Window: 4}} {
+			types := fleets[4+(mi+oi)%3]
+			n := len(types)
+			bws := make([]float64, n)
+			for i := range bws {
+				bws[i] = 100
+			}
+			env := &sim.Env{Model: m, Devices: device.AsModels(device.Fleet(types...)), Net: network.NewStable(bws, 60, 1)}
+			boundaries, err := partition.Search(m, partition.Config{Alpha: 0.75, NumRandomSplits: 50, Providers: n, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := Config{Episodes: 100, Hidden: []int{32, 32}, Batch: 32, SigmaSq: 0.1, Seed: 1, WarmStart: true, Objective: obj}
+			b.Run(fmt.Sprintf("%s/%s", m.Name, sim.DefaultObjective(obj).Name()), func(b *testing.B) {
+				rankings := 0
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					tr, err := newTrainer(env, boundaries, cfg, false)
+					if err != nil {
+						b.Fatal(err)
+					}
+					tr.train(tr.cfg.Episodes, false)
+					tr.obj = countingObjective{tr.obj, &rankings}
+					tr.descend()
+					tr.release()
+				}
+				b.ReportMetric(float64(rankings)/float64(b.N), "rankings/op")
+			})
 		}
 	}
 }

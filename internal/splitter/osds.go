@@ -687,7 +687,10 @@ func Search(env *sim.Env, boundaries []int, cfg Config) (*Result, error) {
 //   - each candidate is ranked through sim.Rank, the objective at instant
 //     0, and only a strictly better one is kept;
 //   - it stops at a ±1 local optimum, or after Episodes × volumes
-//     rankings, the Exec steps Search's training would simulate.
+//     candidate moves, the Exec steps Search's training would simulate;
+//   - a cut is not ranked again while no move was kept since the sweep
+//     before ranked it at the same step: its candidates would be rejected
+//     again, so they count against the budget unranked.
 //
 // Result.Episodes holds the schedule's scores and BestLatency the returned
 // strategy's rank. The moves rewrite the trainer's best-strategy buffer in
@@ -713,13 +716,21 @@ func (t *Trainer) descend() {
 		return
 	}
 	t.bestT = cur
-	left := t.cfg.Episodes*(len(t.boundaries)-1) - 1 // rankings left
+	left := t.cfg.Episodes*(len(t.boundaries)-1) - 1 // candidate moves left
 	for _, step := range descentSteps {
+		// A sweep does not rank again the cuts after kept, the position of
+		// the last move the sweep before it kept: that sweep ranked them,
+		// and kept none, on the strategy this one holds until it keeps a
+		// move. Their candidates still count against the budget. The first
+		// sweep of a step ranks every cut.
+		kept := math.MaxInt
 		for improved := true; improved; {
 			improved = false
+			pos, moved := 0, -1
 			for v, cuts := range s.Splits {
 				h := strategy.VolumeHeight(t.env.Model, t.boundaries, v)
 				for ci, old := range cuts {
+					ranked := !improved && pos > kept
 					lo, hi := 0, h
 					if ci > 0 {
 						lo = cuts[ci-1]
@@ -735,15 +746,20 @@ func (t *Trainer) descend() {
 							return
 						}
 						left--
+						if ranked {
+							continue
+						}
 						cuts[ci] = c
 						if score, err := sim.Rank(t.env, t.obj, s); err == nil && score < cur {
-							cur, t.bestT, improved = score, score, true
+							cur, t.bestT, improved, moved = score, score, true, pos
 							break
 						}
 						cuts[ci] = old
 					}
+					pos++
 				}
 			}
+			kept = moved
 		}
 	}
 }

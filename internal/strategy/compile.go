@@ -49,6 +49,13 @@ type Geometry struct {
 	ResultBytes float64
 
 	// Backing arrays of the volumes' slices, kept for CompileGeometryInto.
+	// Volume v's Parts and Inputs are ranges[2nv : 2n(v+1)] over n
+	// providers and its Sources lists[nv : n(v+1)]; the sources of
+	// provider i in volume v fill the n-slot region
+	// sources[(nv+i)n : (nv+i+1)n] from its start, the rest of the region
+	// zero (one slot per producer, so a list always fits its region and a
+	// volume is rebuilt without moving any other). Volume 0's regions stay
+	// zero.
 	ranges  []cnn.RowRange
 	lists   [][]Source
 	sources []Source
@@ -67,67 +74,80 @@ func CompileGeometry(m *cnn.Model, s *Strategy, providers int) (*Geometry, error
 
 // CompileGeometryInto is CompileGeometry resolving into g, whose earlier
 // contents it replaces, reusing g's storage: once g has held a geometry of
-// as many volumes and providers with at least as many halo overlaps, it
-// allocates nothing. A strategy that fails validation leaves g as it was.
+// as many volumes and providers, it allocates nothing. A strategy that
+// fails validation leaves g as it was.
+//
+// When g holds a geometry of the same model, volume boundaries and
+// provider count — a planner moving cuts — only what the moved cuts
+// change is resolved again: the parts whose row ranges differ from the
+// Parts g holds and their input rows, the halo sources of every volume
+// with a moved part and of the volume after it, and the finish phase. The
+// result equals a fresh compile's field for field, because every field is
+// a function of its own volume's parts and the previous volume's. Any
+// other g is resolved whole, by the same loop over every volume.
 func CompileGeometryInto(g *Geometry, m *cnn.Model, s *Strategy, providers int) error {
 	if err := s.Validate(m, providers); err != nil {
 		return err
 	}
-	// One backing array per kind for the whole plan: the planner compiles
-	// every candidate strategy, so the allocation count is kept flat.
-	numVols := s.NumVolumes()
-	vols := resize(g.Volumes, numVols)
-	ranges := resize(g.ranges, 2*providers*numVols)
-	lists := resize(g.lists, providers*numVols)
-	g.ranges, g.lists = ranges, lists
-	overlaps := 0
+	n, numVols := providers, s.NumVolumes()
+	layers := m.SplittableLayers()
+	whole := !g.holds(layers, s.Boundaries, n)
+	if whole {
+		// One backing array per kind for the whole plan: the planner
+		// compiles every candidate strategy, so the allocation count is
+		// kept flat.
+		g.Volumes = resize(g.Volumes, numVols)
+		g.ranges = resize(g.ranges, 2*n*numVols)
+		g.lists = resize(g.lists, n*numVols)
+		g.sources = resize(g.sources, n*n*numVols)
+	}
+	vols := g.Volumes
+	prevMoved := false
 	for v := range vols {
-		layers := Volume(m, s.Boundaries, v)
-		last := layers[len(layers)-1]
 		vg := &vols[v]
-		*vg = VolumeGeometry{
-			Layers:      layers,
-			Height:      last.OutHeight(),
-			InRowBytes:  layers[0].InRowBytes(),
-			OutRowBytes: last.OutRowBytes(),
-			Parts:       ranges[:providers:providers],
-			Inputs:      ranges[providers : 2*providers : 2*providers],
-			Sources:     lists[:providers:providers],
+		if whole {
+			vl := layers[s.Boundaries[v]:s.Boundaries[v+1]]
+			last := vl[len(vl)-1]
+			r, l := g.ranges[2*n*v:], g.lists[n*v:]
+			*vg = VolumeGeometry{
+				Layers:      vl,
+				Height:      last.OutHeight(),
+				InRowBytes:  vl[0].InRowBytes(),
+				OutRowBytes: last.OutRowBytes(),
+				Parts:       r[:n:n],
+				Inputs:      r[n : 2*n : 2*n],
+				Sources:     l[:n:n],
+			}
 		}
-		ranges, lists = ranges[2*providers:], lists[providers:]
+		moved := false
 		for i := range vg.Parts {
-			vg.Parts[i] = CutRange(s.Splits[v], vg.Height, i)
-			if vg.Parts[i].Empty() {
+			part := CutRange(s.Splits[v], vg.Height, i)
+			if !whole && part == vg.Parts[i] {
 				continue
 			}
-			vg.Inputs[i] = cnn.VolumeInputRows(layers, vg.Parts[i])
-			if v > 0 {
-				for _, own := range vols[v-1].Parts {
-					if !vg.Inputs[i].Intersect(own).Empty() {
-						overlaps++
+			vg.Parts[i], vg.Inputs[i], moved = part, cnn.RowRange{}, true
+			if !part.Empty() {
+				vg.Inputs[i] = cnn.VolumeInputRows(vg.Layers, part)
+			}
+		}
+		if v > 0 && (moved || prevMoved) {
+			for i, in := range vg.Inputs {
+				region := g.sources[(n*v+i)*n : (n*v+i+1)*n]
+				k := 0
+				for j, own := range vols[v-1].Parts {
+					if ov := in.Intersect(own); !ov.Empty() {
+						region[k] = Source{From: j, Rows: ov}
+						k++
 					}
 				}
+				clear(region[k:])
+				vg.Sources[i] = region[:k:k]
 			}
 		}
+		prevMoved = moved
 	}
-	flat := g.sources[:0]
-	if cap(flat) < overlaps {
-		flat = make([]Source, 0, overlaps)
-	}
-	for v := 1; v < len(vols); v++ {
-		for i, in := range vols[v].Inputs {
-			lo := len(flat)
-			for j, own := range vols[v-1].Parts {
-				if ov := in.Intersect(own); !ov.Empty() {
-					flat = append(flat, Source{From: j, Rows: ov})
-				}
-			}
-			vols[v].Sources[i] = flat[lo:len(flat):len(flat)]
-		}
-	}
-	g.sources = flat
 
-	g.Volumes, g.FCOwner, g.FCLayers, g.ResultBytes = vols, -1, m.FCLayers(), 0
+	g.FCOwner, g.FCLayers, g.ResultBytes = -1, m.FCLayers(), 0
 	if len(g.FCLayers) > 0 {
 		best := -1
 		for i, part := range vols[len(vols)-1].Parts {
@@ -139,6 +159,22 @@ func CompileGeometryInto(g *Geometry, m *cnn.Model, s *Strategy, providers int) 
 		g.ResultBytes = g.FCLayers[len(g.FCLayers)-1].OutputBytes()
 	}
 	return nil
+}
+
+// holds reports whether g holds a geometry of the given volume boundaries
+// over layers (a model's splittable layers) and providers: the same
+// number of volumes, each a view of the same layers, with as many parts.
+func (g *Geometry) holds(layers []cnn.Layer, boundaries []int, providers int) bool {
+	if len(g.Volumes) != len(boundaries)-1 {
+		return false
+	}
+	for v := range g.Volumes {
+		vg, vl := &g.Volumes[v], layers[boundaries[v]:boundaries[v+1]]
+		if len(vg.Parts) != providers || len(vg.Layers) != len(vl) || &vg.Layers[0] != &vl[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // resize returns s resliced to n zeroed elements, or a new slice when s is

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -109,29 +110,58 @@ func checkGeometry(t *testing.T, m *cnn.Model, geo *Geometry) {
 	}
 }
 
+// editStrategy returns the strategy a planner compiles next into the
+// geometry of s: with the first edit byte ≡ 0 (mod 4) another fuzzed
+// strategy (decodeStrategy of the rest), else s with its cuts moved, one
+// (volume, cut, signed delta) triple of bytes per move, unchecked.
+func editStrategy(m *cnn.Model, s *Strategy, edit []byte) (*Strategy, int) {
+	if len(edit) > 0 && edit[0]%4 == 0 {
+		return decodeStrategy(m, edit[1:])
+	}
+	e := &Strategy{Boundaries: s.Boundaries, Splits: make([][]int, len(s.Splits))}
+	for v, cuts := range s.Splits {
+		e.Splits[v] = slices.Clone(cuts)
+	}
+	for ; len(edit) >= 3 && len(e.Splits) > 0; edit = edit[3:] {
+		cuts := e.Splits[int(edit[0])%len(e.Splits)]
+		if len(cuts) > 0 {
+			cuts[int(edit[1])%len(cuts)] += int(int8(edit[2]))
+		}
+	}
+	return e, s.NumProviders()
+}
+
 // FuzzCompileGeometry asserts the compile-time contract churn recovery
 // leans on: for ANY input — adversarial cut points, unsorted or
 // out-of-range volume boundaries, mismatched split counts — either
 // Validate rejects the strategy or CompileGeometry succeeds (a panic, say
 // an index out of range on a hostile boundary, is the failure mode) and
 // the geometry passes checkGeometry, on a model with an FC tail and on a
-// fully-convolutional one.
+// fully-convolutional one. Compiling the strategy editStrategy makes of it
+// into that geometry must then leave what a fresh compile of the edited
+// strategy makes, field for field, or — when the edit is invalid — the
+// geometry as it was.
 func FuzzCompileGeometry(f *testing.F) {
-	f.Add([]byte{4, 3, 0, 5, 18, 2, 10, 20, 30})
-	f.Add([]byte{2, 2, 0, 18, 1, 0})
-	f.Add([]byte{1, 2, 0, 18, 1})                      // single provider: zero-length cut lists
-	f.Add([]byte{4, 4, 0, 0, 9, 18, 3, 1, 2, 3, 4, 5}) // empty volume
-	f.Add([]byte{3, 3, 0, 200, 18, 2, 120, 110})       // out-of-range boundary, unsorted cuts
-	f.Add([]byte{5, 2, 0, 18, 1, 127, 128, 255, 0})
+	f.Add([]byte{4, 3, 0, 5, 18, 2, 10, 20, 30}, []byte{})
+	f.Add([]byte{2, 2, 0, 18, 1, 0}, []byte{1, 0, 0, 5})
+	f.Add([]byte{1, 2, 0, 18, 1}, []byte{1})                      // single provider: zero-length cut lists
+	f.Add([]byte{4, 4, 0, 0, 9, 18, 3, 1, 2, 3, 4, 5}, []byte{0}) // empty volume
+	f.Add([]byte{3, 3, 0, 200, 18, 2, 120, 110}, []byte{})        // out-of-range boundary, unsorted cuts
+	f.Add([]byte{5, 2, 0, 18, 1, 127, 128, 255, 0}, []byte{})
 
 	// Accepted strategies, so the seed corpus reaches checkGeometry: vgg16
 	// (FC tail, two largest last parts tie) and yolov2 (fully
-	// convolutional), each with an idle provider in the last volume.
-	f.Add([]byte{3, 2, 0, 10, 14, 18, 3, 1, 2, 3, 1, 2, 4, 0, 1, 2})
-	f.Add([]byte{2, 2, 0, 8, 18, 26, 3, 4, 10, 1, 3, 2, 2})
+	// convolutional), each with an idle provider in the last volume. Their
+	// edits move one cut, cuts in two volumes, a cut past its neighbour
+	// (invalid), and swap in another volume count.
+	f.Add([]byte{3, 2, 0, 10, 14, 18, 3, 1, 2, 3, 1, 2, 4, 0, 1, 2}, []byte{1, 0, 1})
+	f.Add([]byte{3, 2, 0, 10, 14, 18, 3, 1, 2, 3, 1, 2, 4, 0, 1, 2}, []byte{1, 1, 2, 0, 0, 1})
+	f.Add([]byte{3, 2, 0, 10, 14, 18, 3, 1, 2, 3, 1, 2, 4, 0, 1, 2}, []byte{1, 0, 40})
+	f.Add([]byte{2, 2, 0, 8, 18, 26, 3, 4, 10, 1, 3, 2, 2}, []byte{1, 1, 0, 2})
+	f.Add([]byte{2, 2, 0, 8, 18, 26, 3, 4, 10, 1, 3, 2, 2}, []byte{0, 2, 3, 0, 4, 10, 18, 26, 3, 3, 1, 2})
 
 	models := []*cnn.Model{cnn.VGG16(), cnn.YOLOv2()}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, edit []byte) {
 		for _, m := range models {
 			s, providers := decodeStrategy(m, data)
 			func() {
@@ -141,8 +171,22 @@ func FuzzCompileGeometry(f *testing.F) {
 							m.Name, s.Boundaries, s.Splits, providers, r)
 					}
 				}()
-				if geo, err := CompileGeometry(m, s, providers); err == nil {
-					checkGeometry(t, m, geo)
+				geo, err := CompileGeometry(m, s, providers)
+				if err != nil {
+					return
+				}
+				checkGeometry(t, m, geo)
+				e, n := editStrategy(m, s, edit)
+				want, err := CompileGeometry(m, e, n)
+				if err != nil {
+					want, _ = CompileGeometry(m, s, providers)
+				}
+				if gotErr := CompileGeometryInto(geo, m, e, n); (gotErr != nil) != (err != nil) {
+					t.Fatalf("%s: compiling %v %v into a geometry fails with %v, fresh with %v", m.Name, e.Boundaries, e.Splits, gotErr, err)
+				}
+				if !reflect.DeepEqual(geo, want) {
+					t.Fatalf("%s: %v %v compiled into the geometry of %v %v differs from a fresh compile (error %v)",
+						m.Name, e.Boundaries, e.Splits, s.Boundaries, s.Splits, err)
 				}
 			}()
 		}
